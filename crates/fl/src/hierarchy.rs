@@ -48,6 +48,7 @@
 //! exact.
 
 use crate::chaos::{corrupted_copy, ChaosDraw, ChaosOptions, ChaosPlan};
+use crate::checksum::fnv1a64;
 use crate::engine::{
     emit_aggregate, emit_codec_selected, emit_cohort_sampled, emit_compression_applied,
     emit_edge_aggregate, emit_frame_retransmit, emit_kernel_dispatch, emit_local_train,
@@ -186,7 +187,7 @@ impl ExactState {
                 buf.push(u8::from(poison));
             }
         }
-        let sum = fnv1a64(&buf);
+        let sum = fnv1a64(&[&buf]);
         buf.extend_from_slice(&sum.to_le_bytes());
         Bytes::from(buf)
     }
@@ -203,7 +204,7 @@ impl ExactState {
         let (body, tail) = frame.split_at(frame.len() - 8);
         let mut sum = [0u8; 8];
         sum.copy_from_slice(tail);
-        if fnv1a64(body) != u64::from_le_bytes(sum) {
+        if fnv1a64(&[body]) != u64::from_le_bytes(sum) {
             return Ok(None);
         }
         let mut magic = [0u8; 4];
@@ -244,18 +245,6 @@ impl ExactState {
 
 /// Magic tag of an edge partial-sum frame (`"HPar"`).
 const PARTIAL_MAGIC: u32 = 0x4850_6172;
-
-/// FNV-1a 64-bit, over the frame body (the same family the v2 wire
-/// codecs use; duplicated because the wire module's hasher is private
-/// to its own frame layout).
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
 
 // ---- configuration -------------------------------------------------------
 

@@ -28,6 +28,7 @@
 #![forbid(unsafe_code)]
 mod aggregate;
 mod chaos;
+mod checksum;
 mod engine;
 mod engines;
 mod eval;
@@ -69,7 +70,7 @@ pub use transport::{
     TransportFault,
 };
 pub use wire::{
-    codec_delivered, decode_state, decode_state_v2, encode_state, encode_state_v2, f16_bits_to_f32,
-    f32_to_f16_bits, frame_checksum_ok, frame_codec, topk_len, wire_size, wire_size_v2, Codec,
+    codec_delivered, decode_state_v2, encode_state, encode_state_v2, f16_bits_to_f32,
+    f32_to_f16_bits, frame_checksum_ok, frame_codec, topk_len, wire_size_v2, Codec,
     CompressionPolicy, ErrorFeedback, LinkCodecs, WireError,
 };

@@ -4,10 +4,13 @@
 //! Unlike the in-process loop engines, this runtime spawns **one OS
 //! thread per worker** and moves models over channels as real
 //! [`crate::wire`] frames — every sub-model download and trained-model
-//! upload is serialised, checksummed and deserialised, exactly as a
-//! networked deployment would. Simulated time still comes from
-//! `fedmp-edgesim` (threads run as fast as the host allows; the virtual
-//! clock stays authoritative for completion-time results).
+//! upload is one serialised, checksummed frame, exactly as a networked
+//! deployment would move it. A worker is handed the global
+//! *architecture* once, when it starts; per round it receives only the
+//! frame and the pruning plan, and rebuilds its sub-model from those.
+//! Simulated time still comes from `fedmp-edgesim` (threads run as fast
+//! as the host allows; the virtual clock stays authoritative for
+//! completion-time results).
 //!
 //! # Fault tolerance
 //!
@@ -70,8 +73,8 @@ use crate::history::{RoundRecord, RunHistory};
 use crate::local::{local_train, LocalOutcome, LocalTrainConfig};
 use crate::task::ImageTask;
 use crate::wire::{
-    codec_delivered, decode_state_v2, encode_state, encode_state_v2, frame_checksum_ok,
-    wire_size_v2, Codec, ErrorFeedback, LinkCodecs,
+    codec_delivered, decode_state_v2, encode_state_v2, frame_checksum_ok, wire_size_v2, Codec,
+    ErrorFeedback, LinkCodecs,
 };
 use bytes::Bytes;
 use crossbeam::channel::{bounded, Receiver, Sender};
@@ -80,7 +83,7 @@ use fedmp_edgesim::deadline_for;
 use fedmp_nn::{state_sub, Sequential, StateEntry};
 use fedmp_pruning::{
     dequantize_state, extract_sequential, plan_sequential_with, quantize_state, recover_state,
-    sparse_state,
+    sparse_state, PrunePlan,
 };
 use fedmp_tensor::parallel::{sum_f32, sum_f64};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -94,8 +97,8 @@ pub(crate) enum DownlinkMsg {
         round: usize,
         /// Encoded sub-model state.
         frame: Bytes,
-        /// Architecture template the worker instantiates the frame into.
-        template: Sequential,
+        /// Which slice of the architecture the frame's tensors fill.
+        plan: PrunePlan,
         /// The chaos plan lost this downlink in transit: the worker
         /// must act as if the dispatch never arrived (no training, a
         /// `Lost` marker standing in for the PS's timeout).
@@ -117,11 +120,11 @@ pub(crate) struct UplinkMsg {
 
 /// The payload of an [`UplinkMsg`].
 pub(crate) enum UplinkBody {
-    /// The trained upload: wire frame (possibly corrupted in transit),
-    /// architecture template and training outcome.
-    Model { frame: Bytes, template: Sequential, outcome: LocalOutcome },
+    /// The trained upload: wire frame (possibly corrupted in transit)
+    /// and training outcome.
+    Model { frame: Bytes, outcome: LocalOutcome },
     /// A retransmission: the model frame only (the PS cached the
-    /// template and outcome from the first arrival).
+    /// outcome from the first arrival).
     Frame { frame: Bytes },
     /// The exchange was lost in transit (dropped downlink or uplink) —
     /// the in-process stand-in for the PS timing the worker out.
@@ -233,11 +236,14 @@ pub(crate) fn send_uplink(tx: &Sender<UplinkMsg>, msg: UplinkMsg) -> bool {
 pub(crate) struct WorkerProtocol<'a> {
     w: usize,
     task: &'a ImageTask,
+    /// The global architecture, received once at start-up. Only its
+    /// shape is used: every weight of the sub-model extracted from it
+    /// is overwritten by the dispatched frame.
+    arch: &'a Sequential,
     local: LocalTrainConfig,
     seed: u64,
     plan: crate::chaos::ChaosPlan,
     link: LinkCodecs,
-    compressed: bool,
     /// The clean upload frame of the current round plus how many times
     /// it has been sent — the retransmission source.
     cached: Option<(Bytes, u32)>,
@@ -260,37 +266,35 @@ pub(crate) enum WorkerStep {
 }
 
 impl<'a> WorkerProtocol<'a> {
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         w: usize,
         task: &'a ImageTask,
+        arch: &'a Sequential,
         local: LocalTrainConfig,
         seed: u64,
         plan: crate::chaos::ChaosPlan,
         link: LinkCodecs,
-        compressed: bool,
     ) -> Self {
         WorkerProtocol {
             w,
             task,
+            arch,
             local,
             seed,
             plan,
             link,
-            compressed,
             cached: None,
             feedback: ErrorFeedback::new(),
         }
     }
 
-    /// Handles one dispatch. `template` may be `None` only for a lost
-    /// dispatch (a dropped downlink carries no payload over a socket);
-    /// a present-but-lost payload is ignored identically either way.
+    /// Handles one dispatch. A `lost` dispatch's frame is ignored (over
+    /// a socket it is empty: a dropped downlink carries no payload).
     pub(crate) fn on_dispatch(
         &mut self,
         round: usize,
         frame: Bytes,
-        template: Option<Sequential>,
+        plan: &PrunePlan,
         lost: bool,
     ) -> WorkerStep {
         let w = self.w;
@@ -302,44 +306,28 @@ impl<'a> WorkerProtocol<'a> {
             self.cached = None;
             return WorkerStep::Reply(UplinkMsg { worker: w, round, body: UplinkBody::Lost });
         }
-        let Some(template) = template else {
-            // A delivered dispatch with no template is a framing-layer
-            // protocol violation — surface it as undecodable.
-            self.cached = None;
-            return WorkerStep::Reply(UplinkMsg {
-                worker: w,
-                round,
-                body: UplinkBody::Undecodable,
-            });
-        };
         // One OS thread (or process) per worker is already the
         // parallelism level here; run the kernels beneath sequentially
         // so the band scheduler does not oversubscribe the host
         // (results are identical — kernels are thread-count invariant).
-        let local = self.local;
-        let compressed = self.compressed;
-        let link = self.link;
-        let task = self.task;
-        let seed = self.seed;
-        let feedback = &mut self.feedback;
         let trained = fedmp_tensor::parallel::with_nested_sequential(|| {
-            // `decode_state_v2` accepts v1 (dense) and v2 (compressed)
-            // frames alike; a compressed dispatch reconstructs exactly
-            // the snapshot the PS's `codec_delivered` oracle predicts.
+            // The decode reconstructs exactly the snapshot the PS's
+            // `codec_delivered` oracle predicts, whatever the codec.
             decode_state_v2(&frame, None).ok().map(|state| {
-                let mut model = template;
+                let mut model = extract_sequential(self.arch, plan);
                 model.load_state(&state);
-                let mut batches = worker_batches(task, w, local.batch, seed, round);
-                let outcome = local_train(&mut model, &mut batches, &local);
+                let mut batches = worker_batches(self.task, w, self.local.batch, self.seed, round);
+                let outcome = local_train(&mut model, &mut batches, &self.local);
                 // Encode (and fold the residual into the error
                 // feedback) even when chaos later drops the upload —
                 // the loss is in transit, after the encoder ran.
-                let up = if compressed {
-                    encode_state_v2(&model.state(), link.uplink, Some(&state), Some(feedback))
-                } else {
-                    encode_state(&model.state())
-                };
-                (up, model, outcome)
+                let up = encode_state_v2(
+                    &model.state(),
+                    self.link.uplink,
+                    Some(&state),
+                    Some(&mut self.feedback),
+                );
+                (up, outcome)
             })
         });
         let reply = match trained {
@@ -347,21 +335,16 @@ impl<'a> WorkerProtocol<'a> {
                 self.cached = None;
                 UplinkMsg { worker: w, round, body: UplinkBody::Undecodable }
             }
-            Some((clean, model, outcome)) if draw.drop_up => {
+            Some(_) if draw.drop_up => {
                 // Trained, but the upload vanishes in transit.
-                let _ = (clean, model, outcome);
                 self.cached = None;
                 UplinkMsg { worker: w, round, body: UplinkBody::Lost }
             }
-            Some((clean, model, outcome)) => {
+            Some((clean, outcome)) => {
                 let frame =
                     if draw.corrupt_sends > 0 { corrupted_copy(&clean) } else { clean.clone() };
                 self.cached = Some((clean, 1));
-                UplinkMsg {
-                    worker: w,
-                    round,
-                    body: UplinkBody::Model { frame, template: model, outcome },
-                }
+                UplinkMsg { worker: w, round, body: UplinkBody::Model { frame, outcome } }
             }
         };
         WorkerStep::Reply(reply)
@@ -396,18 +379,18 @@ fn worker_loop(
     down_rx: Receiver<DownlinkMsg>,
     uplink_tx: Sender<UplinkMsg>,
     task: &ImageTask,
+    arch: &Sequential,
     local: LocalTrainConfig,
     seed: u64,
     plan: crate::chaos::ChaosPlan,
     link: LinkCodecs,
-    compressed: bool,
 ) {
     LIVE_WORKERS.fetch_add(1, Ordering::SeqCst);
-    let mut proto = WorkerProtocol::new(w, task, local, seed, plan, link, compressed);
+    let mut proto = WorkerProtocol::new(w, task, arch, local, seed, plan, link);
     while let Ok(msg) = down_rx.recv() {
         let step = match msg {
-            DownlinkMsg::Dispatch { round, frame, template, lost } => {
-                proto.on_dispatch(round, frame, Some(template), lost)
+            DownlinkMsg::Dispatch { round, frame, plan, lost } => {
+                proto.on_dispatch(round, frame, &plan, lost)
             }
             DownlinkMsg::Retransmit { round } => proto.on_retransmit(round),
         };
@@ -434,15 +417,17 @@ struct Delivery {
     /// Position in this round's online list.
     pos: usize,
     frame: Bytes,
-    template: Sequential,
     outcome: LocalOutcome,
 }
 
-/// PS-side record of one compressed downlink dispatch: the snapshot the
-/// worker reconstructs (via the [`codec_delivered`] oracle — the uplink
-/// delta reference) plus the byte accounting for `CompressionApplied`
-/// events and the Eq. 5 communication terms.
-struct DownInfo {
+/// PS-side record of one dispatch: the sub-model that was extracted
+/// (its architecture prices the round and receives the decoded upload),
+/// the snapshot the worker reconstructs from the frame (via the
+/// [`codec_delivered`] oracle — the uplink delta reference), and the
+/// byte accounting for `CompressionApplied` events and the Eq. 5
+/// communication terms.
+struct Dispatched {
+    sub: Sequential,
     received: Vec<StateEntry>,
     wire_bytes: u64,
     dense_bytes: u64,
@@ -485,7 +470,7 @@ pub(crate) trait Fleet {
         round: usize,
         worker: usize,
         frame: Bytes,
-        template: Sequential,
+        plan: &PrunePlan,
         lost: bool,
     ) -> Result<(), RuntimeError>;
     /// Requests a retransmission of the worker's cached clean upload.
@@ -536,7 +521,10 @@ pub(crate) fn run_recovery_rounds<F: Fleet>(
     let mut fault_rng = fedmp_tensor::seeded_rng(cfg.seed ^ 0xFA17);
     let plan = crate::chaos::ChaosPlan::new(cfg.seed, chaos);
     // Per-worker codec pairs are a pure function of the device profile,
-    // so they are fixed for the whole run.
+    // so they are fixed for the whole run. Every link moves the same
+    // frames either way; `compressed` only decides, exactly as in the
+    // loop engine, whether Eq. 5 pays encoded frame sizes (and says so
+    // in the trace) or the analytic 4 bytes per parameter.
     let compression = opts.compression;
     let compressed = !compression.is_dense();
     let links: Vec<LinkCodecs> =
@@ -612,25 +600,22 @@ pub(crate) fn run_recovery_rounds<F: Fleet>(
         let prepared = exec::ordered_map((0..online.len()).collect(), |_, i| {
             let sub = extract_sequential(&global, &plans[i]);
             let sub_state = sub.state();
-            if compressed {
-                let pair = links[online[i]];
-                let frame = encode_state_v2(&sub_state, pair.downlink, None, None);
-                let info = DownInfo {
-                    received: codec_delivered(&sub_state, pair.downlink, None, None),
-                    wire_bytes: frame.len() as u64,
-                    dense_bytes: wire_size_v2(&sub_state, Codec::DenseF32) as u64,
-                };
-                (sub, frame, Some(info))
-            } else {
-                (sub, encode_state(&sub_state), None)
-            }
+            let downlink = links[online[i]].downlink;
+            let frame = encode_state_v2(&sub_state, downlink, None, None);
+            let sent = Dispatched {
+                received: codec_delivered(&sub_state, downlink, None, None),
+                wire_bytes: frame.len() as u64,
+                dense_bytes: wire_size_v2(&sub_state, Codec::DenseF32) as u64,
+                sub,
+            };
+            (frame, sent)
         });
-        let mut down_info: Vec<Option<DownInfo>> = Vec::with_capacity(online.len());
-        for (i, (sub, frame, info)) in prepared.into_iter().enumerate() {
+        let mut dispatched: Vec<Dispatched> = Vec::with_capacity(online.len());
+        for (i, (frame, sent)) in prepared.into_iter().enumerate() {
             let w = online[i];
-            down_info.push(info);
+            dispatched.push(sent);
             let lost = plan.draw(round, w).drop_down;
-            fleet.dispatch(round, w, frame, sub, lost)?;
+            fleet.dispatch(round, w, frame, &plans[i], lost)?;
         }
 
         // Collection barrier: drive every dispatched exchange
@@ -640,8 +625,8 @@ pub(crate) fn run_recovery_rounds<F: Fleet>(
         // happens after the barrier, in worker order.
         enum Slot {
             Waiting,
-            PendingRetry { template: Sequential, outcome: LocalOutcome },
-            Delivered { frame: Bytes, template: Sequential, outcome: LocalOutcome },
+            PendingRetry { outcome: LocalOutcome },
+            Delivered { frame: Bytes, outcome: LocalOutcome },
             Excluded(&'static str),
         }
         let mut pos = vec![usize::MAX; workers];
@@ -661,12 +646,10 @@ pub(crate) fn run_recovery_rounds<F: Fleet>(
             }
             let i = pos[w];
             let framed = match msg.body {
-                UplinkBody::Model { frame, template, outcome } => Some((frame, template, outcome)),
+                UplinkBody::Model { frame, outcome } => Some((frame, outcome)),
                 UplinkBody::Frame { frame } => {
                     match std::mem::replace(&mut slots[i], Slot::Waiting) {
-                        Slot::PendingRetry { template, outcome } => {
-                            Some((frame, template, outcome))
-                        }
+                        Slot::PendingRetry { outcome } => Some((frame, outcome)),
                         // A retransmission with nothing pending
                         // is a protocol violation.
                         _ => return Err(RuntimeError::CorruptFrame { worker: w, round }),
@@ -687,15 +670,15 @@ pub(crate) fn run_recovery_rounds<F: Fleet>(
                     return Err(RuntimeError::CorruptFrame { worker: w, round })
                 }
             };
-            if let Some((frame, template, outcome)) = framed {
+            if let Some((frame, outcome)) = framed {
                 if frame_checksum_ok(&frame) {
-                    slots[i] = Slot::Delivered { frame, template, outcome };
+                    slots[i] = Slot::Delivered { frame, outcome };
                     outstanding -= 1;
                 } else if retries[i] < chaos.max_retransmits {
                     // Bounded retransmit: ask the worker to
                     // resend its cached clean frame.
                     retries[i] += 1;
-                    slots[i] = Slot::PendingRetry { template, outcome };
+                    slots[i] = Slot::PendingRetry { outcome };
                     fleet.retransmit(round, w)?;
                 } else {
                     slots[i] = Slot::Excluded("corrupt");
@@ -709,8 +692,8 @@ pub(crate) fn run_recovery_rounds<F: Fleet>(
         let mut transport_excluded: Vec<(usize, &'static str)> = Vec::new();
         for (i, slot) in slots.into_iter().enumerate() {
             match slot {
-                Slot::Delivered { frame, template, outcome } => {
-                    deliveries.push(Delivery { pos: i, frame, template, outcome });
+                Slot::Delivered { frame, outcome } => {
+                    deliveries.push(Delivery { pos: i, frame, outcome });
                 }
                 Slot::Excluded(reason) => transport_excluded.push((i, reason)),
                 // The barrier drives every slot terminal.
@@ -728,11 +711,12 @@ pub(crate) fn run_recovery_rounds<F: Fleet>(
         let mut mean_comm = 0.0;
         for d in &deliveries {
             let w = online[d.pos];
-            let mut cost = model_round_cost(&d.template, setup.task.input_chw, &cfg.local);
+            let sent = &dispatched[d.pos];
+            let mut cost = model_round_cost(&sent.sub, setup.task.input_chw, &cfg.local);
             // Compressed links pay their actual encoded frame
             // sizes in Eq. 5 (same override as the loop engine).
-            if let Some(info) = &down_info[d.pos] {
-                cost.download_bytes = info.wire_bytes as f64;
+            if compressed {
+                cost.download_bytes = sent.wire_bytes as f64;
                 cost.upload_bytes = d.frame.len() as f64;
                 let pair = links[w];
                 emit_compression_applied(
@@ -740,16 +724,17 @@ pub(crate) fn run_recovery_rounds<F: Fleet>(
                     w,
                     "down",
                     pair.downlink,
-                    info.dense_bytes,
-                    info.wire_bytes,
+                    sent.dense_bytes,
+                    sent.wire_bytes,
                 );
-                let up_dense = wire_size_v2(&d.template.state(), Codec::DenseF32) as u64;
+                // The trained model has the sub-model's shapes, so its
+                // dense frame is the same size.
                 emit_compression_applied(
                     round,
                     w,
                     "up",
                     pair.uplink,
-                    up_dense,
+                    sent.dense_bytes,
                     d.frame.len() as u64,
                 );
             }
@@ -851,12 +836,12 @@ pub(crate) fn run_recovery_rounds<F: Fleet>(
         // fallible results come back in worker order.
         let decoded =
             exec::ordered_map(kept.iter().map(|&k| &deliveries[k]).collect(), |_, d: &Delivery| {
-                // Compressed uplinks decode against the snapshot
-                // the worker trained from (its decoded downlink,
-                // which `codec_delivered` predicted exactly).
-                let reference = down_info[d.pos].as_ref().map(|i| i.received.as_slice());
-                decode_state_v2(&d.frame, reference).map(|state| {
-                    let mut model = d.template.clone();
+                // Uplinks decode against the snapshot the worker
+                // trained from (its decoded downlink, which
+                // `codec_delivered` predicted exactly).
+                let sent = &dispatched[d.pos];
+                decode_state_v2(&d.frame, Some(&sent.received)).map(|state| {
+                    let mut model = sent.sub.clone();
                     model.load_state(&state);
                     recover_state(&model, &plans[d.pos], &global)
                 })
@@ -938,27 +923,34 @@ struct ChannelFleet<'a, 'scope, 'env> {
     uplink_tx: &'a Sender<UplinkMsg>,
     uplink_rx: &'a Receiver<UplinkMsg>,
     task: &'env ImageTask,
+    arch: &'env Sequential,
     local: LocalTrainConfig,
     seed: u64,
     plan: crate::chaos::ChaosPlan,
     links: &'a [LinkCodecs],
-    compressed: bool,
 }
 
-impl Fleet for ChannelFleet<'_, '_, '_> {
-    fn respawn(&mut self, _round: usize, worker: usize) -> Result<(), RuntimeError> {
+impl ChannelFleet<'_, '_, '_> {
+    /// Starts `worker`'s thread on a fresh channel pair and returns its
+    /// downlink.
+    fn spawn(&self, worker: usize) -> Sender<DownlinkMsg> {
         let (down_tx, down_rx) = bounded::<DownlinkMsg>(2);
         let utx = self.uplink_tx.clone();
         let task = self.task;
+        let arch = self.arch;
         let local = self.local;
         let seed = self.seed;
         let plan = self.plan;
         let link = self.links[worker];
-        let compressed = self.compressed;
-        self.scope.spawn(move || {
-            worker_loop(worker, down_rx, utx, task, local, seed, plan, link, compressed)
-        });
-        self.downlinks[worker] = down_tx;
+        self.scope
+            .spawn(move || worker_loop(worker, down_rx, utx, task, arch, local, seed, plan, link));
+        down_tx
+    }
+}
+
+impl Fleet for ChannelFleet<'_, '_, '_> {
+    fn respawn(&mut self, _round: usize, worker: usize) -> Result<(), RuntimeError> {
+        self.downlinks[worker] = self.spawn(worker);
         Ok(())
     }
 
@@ -967,11 +959,11 @@ impl Fleet for ChannelFleet<'_, '_, '_> {
         round: usize,
         worker: usize,
         frame: Bytes,
-        template: Sequential,
+        plan: &PrunePlan,
         lost: bool,
     ) -> Result<(), RuntimeError> {
         self.downlinks[worker]
-            .send(DownlinkMsg::Dispatch { round, frame, template, lost })
+            .send(DownlinkMsg::Dispatch { round, frame, plan: plan.clone(), lost })
             .map_err(|_| RuntimeError::WorkerLost { worker })
     }
 
@@ -1010,46 +1002,35 @@ pub fn run_fedmp_threaded_chaos(
     let plan = crate::chaos::ChaosPlan::new(cfg.seed, chaos);
     // Per-worker codec pairs are a pure function of the device profile,
     // so they are fixed for the whole run and can be handed to the
-    // worker threads at spawn time.
-    let compression = opts.compression;
-    let compressed = !compression.is_dense();
+    // worker threads at spawn time — as is the architecture.
     let links: Vec<LinkCodecs> =
-        (0..workers).map(|w| compression.select(&setup.devices[w])).collect();
+        (0..workers).map(|w| opts.compression.select(&setup.devices[w])).collect();
+    let arch = global.clone();
 
     std::thread::scope(|scope| {
         let (uplink_tx, uplink_rx) = bounded::<UplinkMsg>(workers.max(1));
         let mut downlinks: Vec<Sender<DownlinkMsg>> = Vec::with_capacity(workers);
-        for (w, &link) in links.iter().enumerate() {
-            let (down_tx, down_rx) = bounded::<DownlinkMsg>(2);
-            let utx = uplink_tx.clone();
-            let task = setup.task;
-            let local = cfg.local;
-            let seed = cfg.seed;
-            scope.spawn(move || {
-                worker_loop(w, down_rx, utx, task, local, seed, plan, link, compressed)
-            });
-            downlinks.push(down_tx);
+        let mut fleet = ChannelFleet {
+            scope,
+            downlinks: &mut downlinks,
+            uplink_tx: &uplink_tx,
+            uplink_rx: &uplink_rx,
+            task: setup.task,
+            arch: &arch,
+            local: cfg.local,
+            seed: cfg.seed,
+            plan,
+            links: &links,
+        };
+        for w in 0..workers {
+            let down_tx = fleet.spawn(w);
+            fleet.downlinks.push(down_tx);
         }
 
-        // The PS loop runs in a fallible block so protocol violations
-        // propagate as typed `RuntimeError`s; the channels are torn
-        // down after it on *every* exit path (see below).
-        #[allow(clippy::redundant_closure_call)] // try-block emulation
-        let ps = (|| -> Result<RunHistory, RuntimeError> {
-            let mut fleet = ChannelFleet {
-                scope,
-                downlinks: &mut downlinks,
-                uplink_tx: &uplink_tx,
-                uplink_rx: &uplink_rx,
-                task: setup.task,
-                local: cfg.local,
-                seed: cfg.seed,
-                plan,
-                links: &links,
-                compressed,
-            };
-            run_recovery_rounds(cfg, setup, global, opts, chaos, &mut fleet)
-        })();
+        // Protocol violations come back as a typed `RuntimeError`
+        // value, never an early return: the channels are torn down
+        // after the PS loop on *every* exit path (see below).
+        let ps = run_recovery_rounds(cfg, setup, global, opts, chaos, &mut fleet);
 
         // Join guarantee, on BOTH exit paths: closing every downlink
         // ends each worker's receive loop, and dropping the uplink

@@ -47,6 +47,7 @@
 //! loop engine; seeded chaos runs are bit-identical run to run.
 
 use crate::chaos::{backoff, ChaosOptions};
+use crate::checksum::fnv1a64;
 use crate::engine::{
     emit_conn_established, emit_conn_reset, emit_frame_timeout, emit_node_respawned, FlConfig,
     FlSetup,
@@ -64,6 +65,7 @@ use bytes::Bytes;
 use core::time::Duration;
 use crossbeam::channel::{bounded, Receiver, Sender};
 use fedmp_nn::Sequential;
+use fedmp_pruning::PrunePlan;
 use serde::{Deserialize, Serialize};
 use std::io::{Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -88,10 +90,11 @@ pub(crate) mod kind {
     /// Worker → PS: first frame on a fresh connection, identifying the
     /// worker index.
     pub const HELLO: u32 = 1;
-    /// PS → worker: run configuration + the opaque task blob.
+    /// PS → worker: run configuration and the global architecture,
+    /// plus the opaque task blob.
     pub const SETUP: u32 = 2;
-    /// PS → worker: one round's sub-model dispatch (or a payload-free
-    /// marker when the chaos plan lost the downlink).
+    /// PS → worker: one round's pruning plan and sub-model frame (the
+    /// frame is empty when the chaos plan lost the downlink).
     pub const DISPATCH: u32 = 3;
     /// PS → worker: resend the cached clean upload.
     pub const RETRANSMIT: u32 = 4;
@@ -181,19 +184,6 @@ impl std::fmt::Display for TransportFault {
     }
 }
 
-/// FNV-1a 64 over the concatenation of the given chunks — the same
-/// construction (and constants) as the [`crate::wire`] frame checksum.
-fn fnv1a(chunks: &[&[u8]]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for chunk in chunks {
-        for &b in *chunk {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
-}
-
 /// Encodes one frame into a fresh buffer.
 pub(crate) fn encode_frame(kind: u32, json: &[u8], bin: &[u8]) -> Vec<u8> {
     let mut head = [0u8; HEADER_LEN - 8];
@@ -201,7 +191,7 @@ pub(crate) fn encode_frame(kind: u32, json: &[u8], bin: &[u8]) -> Vec<u8> {
     head[4..8].copy_from_slice(&kind.to_le_bytes());
     head[8..12].copy_from_slice(&(json.len() as u32).to_le_bytes());
     head[12..16].copy_from_slice(&(bin.len() as u32).to_le_bytes());
-    let sum = fnv1a(&[&head, json]);
+    let sum = fnv1a64(&[&head, json]);
     let mut out = Vec::with_capacity(HEADER_LEN + json.len() + bin.len());
     out.extend_from_slice(&head);
     out.extend_from_slice(&sum.to_le_bytes());
@@ -257,7 +247,7 @@ pub(crate) fn read_frame<R: Read>(r: &mut R) -> Result<Option<RawFrame>, Transpo
         head[16], head[17], head[18], head[19], head[20], head[21], head[22], head[23],
     ]);
     let json = read_section(r, json_len)?;
-    if fnv1a(&[&head[..16], &json]) != sum {
+    if fnv1a64(&[&head[..16], &json]) != sum {
         return Err(TransportError::Checksum);
     }
     let bin = read_section(r, bin_len)?;
@@ -283,26 +273,28 @@ struct HelloCtl {
     worker: usize,
 }
 
-/// Run configuration shipped to a freshly connected worker. The task
-/// itself travels as the frame's opaque binary blob; the worker's
-/// spawner decides how to turn it back into an [`ImageTask`].
+/// Run configuration shipped to a freshly connected worker. The Setup
+/// control section is the JSON pair `[SetupCtl, Sequential]`: this
+/// configuration, then the global architecture — the one time a
+/// model's structure crosses the socket. The task itself travels as
+/// the frame's opaque binary blob; the worker's spawner decides how to
+/// turn it back into an [`ImageTask`].
 #[derive(Serialize, Deserialize)]
 struct SetupCtl {
     seed: u64,
     local: LocalTrainConfig,
     chaos: ChaosOptions,
     link: LinkCodecs,
-    compressed: bool,
     delay_ms_per_vsec: u64,
 }
 
+/// Control section of a Dispatch: which slice of the architecture the
+/// binary section's wire frame fills. No tensor data.
 #[derive(Serialize, Deserialize)]
 struct DispatchCtl {
     round: usize,
     lost: bool,
-    /// Architecture template for the dispatched frame; absent exactly
-    /// when `lost` (a dropped downlink carries no payload).
-    template: Option<Sequential>,
+    plan: PrunePlan,
 }
 
 #[derive(Serialize, Deserialize)]
@@ -427,21 +419,14 @@ where
     if k != kind::SETUP {
         return Err(TransportError::Malformed);
     }
-    let setup: SetupCtl = from_json(&json)?;
+    let (setup, arch): (SetupCtl, Sequential) = from_json(&json)?;
     let task = match build_task(&blob) {
         Some(t) => t,
         None => return Err(TransportError::Malformed),
     };
     let plan = crate::chaos::ChaosPlan::new(setup.seed, &setup.chaos);
-    let mut proto = WorkerProtocol::new(
-        worker,
-        &task,
-        setup.local,
-        setup.seed,
-        plan,
-        setup.link,
-        setup.compressed,
-    );
+    let mut proto =
+        WorkerProtocol::new(worker, &task, &arch, setup.local, setup.seed, plan, setup.link);
     loop {
         let (k, json, bin) = match read_frame(&mut stream)? {
             Some(f) => f,
@@ -460,7 +445,7 @@ where
                         std::thread::sleep(Duration::from_millis(ms));
                     }
                 }
-                proto.on_dispatch(ctl.round, Bytes::from(bin), ctl.template, ctl.lost)
+                proto.on_dispatch(ctl.round, Bytes::from(bin), &ctl.plan, ctl.lost)
             }
             kind::RETRANSMIT => {
                 let ctl: RoundCtl = from_json(&json)?;
@@ -486,15 +471,12 @@ where
     }
 }
 
-/// Serialises one [`UplinkMsg`] as a frame. The trained template is
-/// *not* shipped: the PS caches the architecture it dispatched and the
-/// decoded state overwrites every weight, so only the wire frame and
-/// the outcome cross the socket.
+/// Serialises one [`UplinkMsg`] as a frame.
 fn write_uplink<W: Write>(w: &mut W, msg: &UplinkMsg) -> Result<(), TransportError> {
     let ctl =
         |outcome: Option<LocalOutcome>| UplinkCtl { worker: msg.worker, round: msg.round, outcome };
     match &msg.body {
-        UplinkBody::Model { frame, outcome, .. } => {
+        UplinkBody::Model { frame, outcome } => {
             write_frame(w, kind::UP_MODEL, &to_json(&ctl(Some(*outcome)))?, frame)
         }
         UplinkBody::Frame { frame } => write_frame(w, kind::UP_FRAME, &to_json(&ctl(None))?, frame),
@@ -503,6 +485,21 @@ fn write_uplink<W: Write>(w: &mut W, msg: &UplinkMsg) -> Result<(), TransportErr
         // A crash is realised as a close, never a frame.
         UplinkBody::Crashed => Ok(()),
     }
+}
+
+/// Serialises one dispatch as a frame. A lost downlink is a
+/// payload-free marker: the model bytes never cross the wire, only the
+/// fact of the loss does, keeping the protocol lock-step without
+/// wall-clock timeouts.
+fn write_dispatch<W: Write>(
+    w: &mut W,
+    round: usize,
+    frame: &[u8],
+    plan: &PrunePlan,
+    lost: bool,
+) -> Result<(), TransportError> {
+    let json = to_json(&DispatchCtl { round, lost, plan: plan.clone() })?;
+    write_frame(w, kind::DISPATCH, &json, if lost { &[] } else { frame })
 }
 
 // ───────────────────────── node spawners ─────────────────────────
@@ -709,18 +706,14 @@ struct SocketFleet<'a, S: NodeSpawner> {
     chaos: ChaosOptions,
     plan: crate::chaos::ChaosPlan,
     links: &'a [LinkCodecs],
-    compressed: bool,
+    /// The global architecture every Setup carries.
+    arch: &'a Sequential,
     streams: Vec<Option<UnixStream>>,
     readers: Vec<Option<std::thread::JoinHandle<()>>>,
     nodes: Vec<Option<S::Handle>>,
     /// Connection generation per worker; bumped on every respawn so
     /// stale reader messages are recognisable.
     gens: Vec<u32>,
-    /// The architecture dispatched to each worker this round — the
-    /// template its upload is decoded into (weights are fully
-    /// overwritten by the decoded state, so the clean pre-training
-    /// copy is equivalent to the trained one the channel fleet moves).
-    templates: Vec<Option<Sequential>>,
     tx: Sender<ReaderMsg>,
     rx: Receiver<ReaderMsg>,
 }
@@ -736,7 +729,7 @@ impl<'a, S: NodeSpawner> SocketFleet<'a, S> {
         chaos: ChaosOptions,
         plan: crate::chaos::ChaosPlan,
         links: &'a [LinkCodecs],
-        compressed: bool,
+        arch: &'a Sequential,
     ) -> Self {
         let workers = links.len();
         // Readers block on a full channel until the PS drains it in the
@@ -751,12 +744,11 @@ impl<'a, S: NodeSpawner> SocketFleet<'a, S> {
             chaos,
             plan,
             links,
-            compressed,
+            arch,
             streams: (0..workers).map(|_| None).collect(),
             readers: (0..workers).map(|_| None).collect(),
             nodes: (0..workers).map(|_| None).collect(),
             gens: vec![0; workers],
-            templates: (0..workers).map(|_| None).collect(),
             tx,
             rx,
         }
@@ -773,10 +765,9 @@ impl<'a, S: NodeSpawner> SocketFleet<'a, S> {
             local: self.local,
             chaos: self.chaos,
             link: self.links[worker],
-            compressed: self.compressed,
             delay_ms_per_vsec: self.opts.delay_ms_per_vsec,
         };
-        let json = to_json(&ctl)?;
+        let json = to_json(&(&ctl, self.arch))?;
         let blob = self.opts.task_blob.clone();
         match self.streams[worker].as_mut() {
             Some(s) => write_frame(s, kind::SETUP, &json, &blob),
@@ -937,22 +928,11 @@ impl<S: NodeSpawner> Fleet for SocketFleet<'_, S> {
         round: usize,
         worker: usize,
         frame: Bytes,
-        template: Sequential,
+        plan: &PrunePlan,
         lost: bool,
     ) -> Result<(), RuntimeError> {
-        let ctl = DispatchCtl {
-            round,
-            lost,
-            // A lost downlink is a payload-free marker: the bytes never
-            // cross the wire, only the fact of the loss does, keeping
-            // the protocol lock-step without wall-clock timeouts.
-            template: if lost { None } else { Some(template.clone()) },
-        };
-        self.templates[worker] = Some(template);
-        let json = to_json(&ctl).map_err(|_| self.fault(worker, TransportFault::Send))?;
-        let bin: &[u8] = if lost { &[] } else { &frame };
         match self.streams[worker].as_mut() {
-            Some(s) => write_frame(s, kind::DISPATCH, &json, bin)
+            Some(s) => write_dispatch(s, round, &frame, plan, lost)
                 .map_err(|_| RuntimeError::Transport { worker, fault: TransportFault::Send }),
             None => Err(self.fault(worker, TransportFault::Send)),
         }
@@ -982,10 +962,7 @@ impl<S: NodeSpawner> Fleet for SocketFleet<'_, S> {
                         kind::UP_MODEL => {
                             let outcome =
                                 ctl.outcome.ok_or(self.fault(worker, TransportFault::Recv))?;
-                            let template = self.templates[worker]
-                                .clone()
-                                .ok_or(self.fault(worker, TransportFault::Recv))?;
-                            UplinkBody::Model { frame: Bytes::from(bin), template, outcome }
+                            UplinkBody::Model { frame: Bytes::from(bin), outcome }
                         }
                         kind::UP_FRAME => UplinkBody::Frame { frame: Bytes::from(bin) },
                         kind::UP_LOST => UplinkBody::Lost,
@@ -1072,12 +1049,11 @@ pub fn run_fedmp_sockets<S: NodeSpawner>(
             .set_nonblocking(true)
             .map_err(|_| RuntimeError::Transport { worker: 0, fault: TransportFault::Bind })?;
         let plan = crate::chaos::ChaosPlan::new(cfg.seed, chaos);
-        let compression = opts.compression;
-        let compressed = !compression.is_dense();
         let links: Vec<LinkCodecs> =
-            (0..workers).map(|w| compression.select(&setup.devices[w])).collect();
+            (0..workers).map(|w| opts.compression.select(&setup.devices[w])).collect();
+        let arch = global.clone();
         let mut fleet = SocketFleet::new(
-            &listener, sock, spawner, cfg.seed, cfg.local, *chaos, plan, &links, compressed,
+            &listener, sock, spawner, cfg.seed, cfg.local, *chaos, plan, &links, &arch,
         );
         let run = fleet
             .bring_up()
@@ -1160,18 +1136,9 @@ mod tests {
         let mut buf = encode_frame(kind::HELLO, b"{\"worker\":0}", b"abc");
         // Claim more binary bytes than the stream carries.
         buf[12..16].copy_from_slice(&1000u32.to_le_bytes());
-        // Checksum excludes bin_len... no — bin_len is in the summed
-        // header, so fix the checksum to isolate the truncation path.
-        let head16 = buf[..16].to_vec();
-        let json = b"{\"worker\":0}";
-        let sum = {
-            let mut h = 0xcbf2_9ce4_8422_2325u64;
-            for &b in head16.iter().chain(json.iter()) {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-            h
-        };
+        // bin_len is in the summed header, so fix the checksum to
+        // isolate the truncation path.
+        let sum = fnv1a64(&[&buf[..16], b"{\"worker\":0}"]);
         buf[16..24].copy_from_slice(&sum.to_le_bytes());
         let mut cur = Cursor::new(buf);
         assert_eq!(read_frame(&mut cur), Err(TransportError::Truncated));
@@ -1196,6 +1163,36 @@ mod tests {
         let mut cur = Cursor::new(buf);
         let (_, _, bin) = read_frame(&mut cur).expect("ok").expect("frame");
         assert_ne!(bin, b"model-bytes");
+    }
+
+    #[test]
+    fn dispatch_control_section_carries_no_tensor_data() {
+        use fedmp_nn::zoo;
+        use fedmp_pruning::{extract_sequential, plan_sequential};
+        use fedmp_tensor::seeded_rng;
+        // One plan cut from two differently initialised globals: the
+        // sub-models differ only in weight values.
+        let mut rng = seeded_rng(280);
+        let a = zoo::cnn_mnist(0.25, &mut rng);
+        let b = zoo::cnn_mnist(0.25, &mut rng);
+        let plan = plan_sequential(&a, (1, 28, 28), 0.4);
+        let sections = [&a, &b].map(|m| {
+            let frame = crate::wire::encode_state(&extract_sequential(m, &plan).state());
+            let mut buf = Vec::new();
+            write_dispatch(&mut buf, 3, &frame, &plan, false).expect("dispatch encodes");
+            let (k, json, bin) = read_frame(&mut Cursor::new(buf)).expect("ok").expect("frame");
+            assert_eq!(k, kind::DISPATCH);
+            assert_eq!(bin, frame.to_vec(), "the binary section is exactly the wire frame");
+            (json, bin)
+        });
+        assert_ne!(sections[0].1, sections[1].1, "the two sub-models must differ");
+        assert_eq!(sections[0].0, sections[1].0, "control section depends on weight values");
+        assert!(
+            sections[0].0.len() * 4 < sections[0].1.len(),
+            "control section {} B vs model frame {} B",
+            sections[0].0.len(),
+            sections[0].1.len()
+        );
     }
 
     #[test]

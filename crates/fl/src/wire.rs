@@ -1,39 +1,27 @@
-//! Binary wire formats for PS ↔ worker model exchange.
+//! The binary wire format for PS ↔ worker model exchange.
 //!
 //! The loop engines account for communication analytically (4 bytes per
-//! parameter); this module is the *actual* serialisation used by the
-//! threaded runtime ([`crate::runtime`]): a length-prefixed,
-//! checksummed frame holding a model snapshot. [`wire_size`] computes
-//! the exact frame size (name table + tensors) analytically, giving the
-//! engines a precise byte count without an encoding pass and letting
-//! [`encode_state`] pre-size its buffer in one allocation.
+//! parameter); this module is the *actual* serialisation every
+//! transport moves ([`crate::runtime`]'s channels and sockets alike):
+//! one length-exact, checksummed frame holding a model snapshot.
+//! [`wire_size_v2`] computes the exact frame size (name table +
+//! payloads) analytically, giving the engines a precise byte count
+//! without an encoding pass and letting [`encode_state_v2`] pre-size
+//! its buffer in one allocation.
 //!
-//! v1 frame layout (little-endian):
+//! There is one frame format. Its tensor payload is encoded by a
+//! [`Codec`] — dense `f32` (lossless, the default), dense `f16`,
+//! symmetric per-tensor `int8`, or a top-k sparse *delta* against a
+//! reference snapshot both ends already share (the last model the
+//! receiver acknowledged). Lossy codecs pair with a per-worker
+//! [`ErrorFeedback`] accumulator that folds each round's encode
+//! residual into the next round's payload, so nothing is permanently
+//! lost. Which codec a device uses is decided by a
+//! [`CompressionPolicy`] from its edgesim bandwidth profile. (The
+//! format is "v2" in names and magic; v1, a dense-only layout without
+//! the codec byte, is retired and its magic is rejected.)
 //!
-//! ```text
-//! magic  u32 = 0xFED7_7A1E
-//! entry_count u32
-//! per entry:
-//!   name_len u16, name bytes (UTF-8)
-//!   trainable u8
-//!   rank u8, dims u32 × rank
-//!   payload f32 × numel
-//! checksum u32 (FNV-1a over everything after the magic)
-//! ```
-//!
-//! ## Wire format v2: compressed payloads
-//!
-//! v2 frames carry the same entry table but let the tensor payload be
-//! encoded by a [`Codec`] — dense `f32` (bit-identical to v1 payloads),
-//! dense `f16`, symmetric per-tensor `int8`, or a top-k sparse *delta*
-//! against a reference snapshot both ends already share (the last
-//! model the receiver acknowledged). Lossy codecs pair with a
-//! per-worker [`ErrorFeedback`] accumulator that folds each round's
-//! encode residual into the next round's payload, so nothing is
-//! permanently lost. Which codec a device uses is decided by a
-//! [`CompressionPolicy`] from its edgesim bandwidth profile.
-//!
-//! v2 frame layout (little-endian):
+//! Frame layout (little-endian):
 //!
 //! ```text
 //! magic  u32 = 0xFED7_7A2E
@@ -61,9 +49,9 @@
 //!
 //! Because `k` is an analytic function of the tensor shape alone,
 //! [`wire_size_v2`] stays data-independent and [`encode_state_v2`]
-//! pre-sizes its buffer exactly, like v1.
+//! pre-sizes its buffer exactly.
 //!
-//! **Determinism.** Decoding a v2 frame is *exact* with respect to what
+//! **Determinism.** Decoding a frame is *exact* with respect to what
 //! was encoded: all lossiness happens at encode time, and the encoder
 //! can predict the receiver's reconstruction bit-for-bit via
 //! [`codec_delivered`] (the shared compress/reconstruct core). Top-k
@@ -71,14 +59,14 @@
 //! transmitted support is a pure function of the input bits — no
 //! thread-count or iteration-order dependence anywhere.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use crate::checksum::fnv1a32;
+use bytes::{BufMut, Bytes, BytesMut};
 use fedmp_edgesim::DeviceProfile;
 use fedmp_nn::StateEntry;
 use fedmp_tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
-const MAGIC: u32 = 0xFED7_7A1E;
-const MAGIC2: u32 = 0xFED7_7A2E;
+const MAGIC: u32 = 0xFED7_7A2E;
 
 /// Errors while decoding a frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -106,39 +94,11 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-fn fnv1a(bytes: &[u8]) -> u32 {
-    let mut hash = 0x811C_9DC5u32;
-    for &b in bytes {
-        hash ^= b as u32;
-        hash = hash.wrapping_mul(0x0100_0193);
-    }
-    hash
-}
-
-// ---------------------------------------------------------------------
-// v1: dense f32 frames
-// ---------------------------------------------------------------------
-
-/// Encodes a model snapshot into a (v1, dense `f32`) wire frame.
-///
-/// The buffer is pre-sized from [`wire_size`], so encoding performs a
-/// single allocation and never reallocates mid-frame — backed by a
-/// `debug_assert` below and a capacity test.
+/// Encodes a model snapshot into a dense-`f32` (lossless) frame —
+/// [`encode_state_v2`] with [`Codec::DenseF32`], no reference and no
+/// error feedback.
 pub fn encode_state(state: &[StateEntry]) -> Bytes {
-    let size = wire_size(state);
-    let mut buf = BytesMut::with_capacity(size);
-    buf.put_u32_le(MAGIC);
-    buf.put_u32_le(state.len() as u32);
-    for e in state {
-        put_entry_header(&mut buf, e);
-        for &v in e.tensor.data() {
-            buf.put_f32_le(v);
-        }
-    }
-    let checksum = fnv1a(&buf[4..]);
-    buf.put_u32_le(checksum);
-    debug_assert_eq!(buf.len(), size, "analytic wire_size disagrees with encoded frame");
-    buf.freeze()
+    encode_state_v2(state, Codec::DenseF32, None, None)
 }
 
 fn put_entry_header(buf: &mut BytesMut, e: &StateEntry) {
@@ -154,104 +114,32 @@ fn put_entry_header(buf: &mut BytesMut, e: &StateEntry) {
     }
 }
 
-/// Cheap transport-integrity check: verifies only the magic (v1 or v2)
-/// and the trailing FNV-1a checksum, without building tensors. This is
+/// Cheap transport-integrity check: verifies only the magic and the
+/// trailing FNV-1a checksum, without building tensors. This is
 /// what the threaded runtime's PS runs on every arriving upload to
 /// decide between accepting the frame and requesting a retransmit — a
 /// frame that fails here is corrupt in transit; a frame that passes can
 /// only fail decoding through an encoder-side protocol violation.
 pub fn frame_checksum_ok(frame: &[u8]) -> bool {
-    if frame.len() < 12 {
-        return false;
-    }
-    let magic = u32::from_le_bytes([frame[0], frame[1], frame[2], frame[3]]);
-    if magic != MAGIC && magic != MAGIC2 {
-        return false;
-    }
-    let tail = frame.len() - 4;
-    let declared =
-        u32::from_le_bytes([frame[tail], frame[tail + 1], frame[tail + 2], frame[tail + 3]]);
-    fnv1a(&frame[4..tail]) == declared
+    verified_body(frame).is_ok()
 }
 
-/// Decodes a frame produced by [`encode_state`].
-pub fn decode_state(frame: &[u8]) -> Result<Vec<StateEntry>, WireError> {
+/// The checksummed body of a frame — everything between the magic and
+/// the trailing checksum — once both have verified.
+fn verified_body(frame: &[u8]) -> Result<&[u8], WireError> {
     if frame.len() < 12 {
         return Err(WireError::Truncated);
     }
-    let mut buf = frame;
-    if buf.get_u32_le() != MAGIC {
+    if u32::from_le_bytes([frame[0], frame[1], frame[2], frame[3]]) != MAGIC {
         return Err(WireError::BadMagic);
     }
-    let body = &frame[4..frame.len() - 4];
     let tail = frame.len() - 4;
     let declared =
         u32::from_le_bytes([frame[tail], frame[tail + 1], frame[tail + 2], frame[tail + 3]]);
-    if fnv1a(body) != declared {
+    if fnv1a32(&frame[4..tail]) != declared {
         return Err(WireError::BadChecksum);
     }
-
-    let count = buf.get_u32_le() as usize;
-    let mut out = Vec::with_capacity(count.min(1024));
-    // `buf` still includes the trailing checksum; track remaining
-    // content length explicitly.
-    let mut remaining = frame.len() - 8 - 4;
-    let need = |n: usize, remaining: &mut usize| -> Result<(), WireError> {
-        if *remaining < n {
-            return Err(WireError::Truncated);
-        }
-        *remaining -= n;
-        Ok(())
-    };
-    for _ in 0..count {
-        need(2, &mut remaining)?;
-        let name_len = buf.get_u16_le() as usize;
-        need(name_len + 2, &mut remaining)?;
-        let name = std::str::from_utf8(&buf[..name_len])
-            .map_err(|_| WireError::Malformed("entry name is not UTF-8"))?
-            .to_string();
-        buf.advance(name_len);
-        let trainable = match buf.get_u8() {
-            0 => false,
-            1 => true,
-            _ => return Err(WireError::Malformed("trainable flag")),
-        };
-        let rank = buf.get_u8() as usize;
-        if rank == 0 {
-            return Err(WireError::Malformed("zero-rank tensor"));
-        }
-        need(4 * rank, &mut remaining)?;
-        let mut dims = Vec::with_capacity(rank);
-        for _ in 0..rank {
-            dims.push(buf.get_u32_le() as usize);
-        }
-        let numel = checked_numel(&dims)?;
-        need(checked_mul(4, numel)?, &mut remaining)?;
-        let mut data = Vec::with_capacity(numel);
-        for _ in 0..numel {
-            data.push(buf.get_f32_le());
-        }
-        let tensor =
-            Tensor::from_vec(data, &dims).map_err(|_| WireError::Malformed("tensor shape"))?;
-        out.push(StateEntry { name, tensor, trainable });
-    }
-    if remaining != 0 {
-        return Err(WireError::Malformed("trailing bytes"));
-    }
-    Ok(out)
-}
-
-/// Exact wire size of a (v1) snapshot frame, in bytes, computed
-/// analytically from the frame layout (no encoding pass): magic + entry
-/// count, then per entry the name length prefix and bytes, trainable
-/// flag, rank byte, `u32` dims and `f32` payload, then the trailing
-/// checksum.
-pub fn wire_size(state: &[StateEntry]) -> usize {
-    let payload: usize = state
-        .iter()
-        .map(|e| 2 + e.name.len() + 1 + 1 + 4 * e.tensor.dims().len() + 4 * e.tensor.numel())
-        .sum();
-    8 + payload + 4
+    Ok(&frame[4..tail])
 }
 
 fn checked_numel(dims: &[usize]) -> Result<usize, WireError> {
@@ -353,7 +241,7 @@ pub fn f16_bits_to_f32(h: u16) -> f32 {
 /// [`ErrorFeedback`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum Codec {
-    /// Dense `f32` — lossless, byte-identical payload to v1.
+    /// Dense `f32` — lossless: the payload is the tensor's exact bits.
     DenseF32,
     /// Dense IEEE binary16 — 2 bytes/parameter, ~2⁻¹¹ relative error.
     DenseF16,
@@ -438,7 +326,7 @@ pub struct LinkCodecs {
 }
 
 impl LinkCodecs {
-    /// Dense `f32` both ways — the lossless v1-equivalent pair.
+    /// Dense `f32` both ways — the lossless pair.
     pub fn dense() -> Self {
         LinkCodecs { downlink: Codec::DenseF32, uplink: Codec::DenseF32 }
     }
@@ -464,8 +352,8 @@ impl Default for CompressionPolicy {
 }
 
 impl CompressionPolicy {
-    /// Everything dense `f32` — the default; engines take the exact
-    /// legacy (v1) code path and histories stay bit-identical.
+    /// Everything dense `f32` — the default: lossless frames, and the
+    /// engines keep the analytic 4-bytes-per-parameter Eq. 5 terms.
     pub fn dense() -> Self {
         CompressionPolicy {
             slow_link_bps: 0.0,
@@ -502,8 +390,9 @@ impl CompressionPolicy {
         }
     }
 
-    /// Whether the policy is a no-op (dense `f32` everywhere), letting
-    /// engines keep the exact legacy wire path.
+    /// Whether the policy is a no-op (dense `f32` everywhere): engines
+    /// then skip the Eq. 5 byte override and `CompressionApplied`
+    /// events.
     pub fn is_dense(&self) -> bool {
         self.fast.downlink == Codec::DenseF32
             && self.fast.uplink == Codec::DenseF32
@@ -799,7 +688,7 @@ fn compress_state(
 /// it. `feedback` is the sender's error-feedback accumulator; when
 /// present, each entry's stored residual is folded into the payload and
 /// replaced by the new encode residual. The buffer is pre-sized from
-/// [`wire_size_v2`] exactly, like v1.
+/// [`wire_size_v2`] exactly, so encoding is a single allocation.
 pub fn encode_state_v2(
     state: &[StateEntry],
     codec: Codec,
@@ -809,7 +698,7 @@ pub fn encode_state_v2(
     let codes = compress_state(state, codec, reference, feedback);
     let size = wire_size_v2(state, codec);
     let mut buf = BytesMut::with_capacity(size);
-    buf.put_u32_le(MAGIC2);
+    buf.put_u32_le(MAGIC);
     buf.put_u8(codec.tag());
     if let Some(keep) = codec.keep() {
         buf.put_f32_le(keep);
@@ -819,7 +708,7 @@ pub fn encode_state_v2(
         put_entry_header(&mut buf, e);
         put_payload(&mut buf, pc);
     }
-    let checksum = fnv1a(&buf[4..]);
+    let checksum = fnv1a32(&buf[4..]);
     buf.put_u32_le(checksum);
     debug_assert_eq!(buf.len(), size, "analytic wire_size_v2 disagrees with encoded frame");
     buf.freeze()
@@ -865,9 +754,9 @@ fn put_payload(buf: &mut BytesMut, codes: &PayloadCodes) {
     }
 }
 
-/// Exact wire size of a v2 frame for `state` under `codec` — analytic,
-/// like [`wire_size`]: a pure function of entry names and shapes, never
-/// of the data (the top-k coordinate count is [`topk_len`]).
+/// Exact wire size of a frame for `state` under `codec` — analytic: a
+/// pure function of entry names and shapes, never of the data (the
+/// top-k coordinate count is [`topk_len`]).
 pub fn wire_size_v2(state: &[StateEntry], codec: Codec) -> usize {
     let header = 4 + 1 + if codec.keep().is_some() { 4 } else { 0 } + 4;
     let entries: usize = state
@@ -914,27 +803,15 @@ pub fn codec_delivered(
         .collect()
 }
 
-/// The codec a frame was encoded with (v1 frames report
-/// [`Codec::DenseF32`]). Only inspects the header.
+/// The codec a frame was encoded with. Only inspects the header.
 pub fn frame_codec(frame: &[u8]) -> Result<Codec, WireError> {
     if frame.len() < 12 {
         return Err(WireError::Truncated);
     }
-    match u32::from_le_bytes([frame[0], frame[1], frame[2], frame[3]]) {
-        MAGIC => Ok(Codec::DenseF32),
-        MAGIC2 => {
-            let keep = || f32::from_le_bytes([frame[5], frame[6], frame[7], frame[8]]);
-            match frame[4] {
-                0 => Ok(Codec::DenseF32),
-                1 => Ok(Codec::DenseF16),
-                2 => Ok(Codec::Int8),
-                3 => Ok(Codec::TopK { keep: keep() }),
-                4 => Ok(Codec::TopKInt8 { keep: keep() }),
-                _ => Err(WireError::Malformed("unknown codec tag")),
-            }
-        }
-        _ => Err(WireError::BadMagic),
+    if u32::from_le_bytes([frame[0], frame[1], frame[2], frame[3]]) != MAGIC {
+        return Err(WireError::BadMagic);
     }
+    Cursor { buf: &frame[4..] }.codec()
 }
 
 struct Cursor<'a> {
@@ -968,6 +845,18 @@ impl<'a> Cursor<'a> {
     fn f32(&mut self) -> Result<f32, WireError> {
         let b = self.take(4)?;
         Ok(f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+    }
+
+    /// The codec header: tag byte, then the keep fraction for top-k.
+    fn codec(&mut self) -> Result<Codec, WireError> {
+        match self.u8()? {
+            0 => Ok(Codec::DenseF32),
+            1 => Ok(Codec::DenseF16),
+            2 => Ok(Codec::Int8),
+            3 => Ok(Codec::TopK { keep: self.f32()? }),
+            4 => Ok(Codec::TopKInt8 { keep: self.f32()? }),
+            _ => Err(WireError::Malformed("unknown codec tag")),
+        }
     }
 
     fn f32s(&mut self, n: usize) -> Result<Vec<f32>, WireError> {
@@ -1005,45 +894,15 @@ fn check_sparse_indices(indices: &[u32], numel: usize) -> Result<(), WireError> 
     Ok(())
 }
 
-/// Decodes a v2 frame (or, transparently, a v1 frame) against the
-/// receiver's `reference` snapshot. Exact with respect to what was
+/// Decodes a frame against the receiver's `reference` snapshot. Exact with respect to what was
 /// encoded — all lossiness happened at encode time — and never panics:
 /// every malformed input maps to a typed [`WireError`].
 pub fn decode_state_v2(
     frame: &[u8],
     reference: Option<&[StateEntry]>,
 ) -> Result<Vec<StateEntry>, WireError> {
-    if frame.len() < 12 {
-        return Err(WireError::Truncated);
-    }
-    let magic = u32::from_le_bytes([frame[0], frame[1], frame[2], frame[3]]);
-    if magic == MAGIC {
-        return decode_state(frame);
-    }
-    if magic != MAGIC2 {
-        return Err(WireError::BadMagic);
-    }
-    let tail = frame.len() - 4;
-    let declared =
-        u32::from_le_bytes([frame[tail], frame[tail + 1], frame[tail + 2], frame[tail + 3]]);
-    if fnv1a(&frame[4..tail]) != declared {
-        return Err(WireError::BadChecksum);
-    }
-
-    let mut cur = Cursor { buf: &frame[4..tail] };
-    let tag = cur.u8()?;
-    let keep = match tag {
-        3 | 4 => cur.f32()?,
-        _ => 0.0,
-    };
-    let codec = match tag {
-        0 => Codec::DenseF32,
-        1 => Codec::DenseF16,
-        2 => Codec::Int8,
-        3 => Codec::TopK { keep },
-        4 => Codec::TopKInt8 { keep },
-        _ => return Err(WireError::Malformed("unknown codec tag")),
-    };
+    let mut cur = Cursor { buf: verified_body(frame)? };
+    let codec = cur.codec()?;
     let count = cur.u32()? as usize;
     let mut out = Vec::with_capacity(count.min(1024));
     for i in 0..count {
@@ -1114,32 +973,6 @@ mod tests {
     use fedmp_tensor::seeded_rng;
 
     #[test]
-    fn roundtrip_is_exact() {
-        let mut rng = seeded_rng(250);
-        let m = zoo::cnn_mnist(0.1, &mut rng);
-        let state = m.state();
-        let frame = encode_state(&state);
-        let back = decode_state(&frame).expect("decode");
-        assert_eq!(back.len(), state.len());
-        for (a, b) in state.iter().zip(back.iter()) {
-            assert_eq!(a.name, b.name);
-            assert_eq!(a.trainable, b.trainable);
-            assert_eq!(a.tensor, b.tensor);
-        }
-    }
-
-    #[test]
-    fn corrupted_payload_is_detected() {
-        let mut rng = seeded_rng(251);
-        let m = zoo::cnn_mnist(0.1, &mut rng);
-        let frame = encode_state(&m.state());
-        let mut bad = frame.to_vec();
-        let mid = bad.len() / 2;
-        bad[mid] ^= 0xFF;
-        assert!(matches!(decode_state(&bad), Err(WireError::BadChecksum)));
-    }
-
-    #[test]
     fn checksum_check_agrees_with_decode() {
         let mut rng = seeded_rng(255);
         let m = zoo::cnn_mnist(0.1, &mut rng);
@@ -1154,49 +987,6 @@ mod tests {
         assert!(!frame_checksum_ok(&[0u8; 16])); // bad magic
         assert!(!frame_checksum_ok(&[1, 2, 3])); // truncated
     }
-
-    #[test]
-    fn bad_magic_rejected() {
-        assert!(matches!(decode_state(&[0u8; 16]), Err(WireError::BadMagic)));
-        assert!(matches!(decode_state(&[1, 2, 3]), Err(WireError::Truncated)));
-    }
-
-    #[test]
-    fn wire_size_close_to_analytic_estimate() {
-        let mut rng = seeded_rng(252);
-        let m = zoo::cnn_mnist(0.25, &mut rng);
-        let state = m.state();
-        let params: usize = state.iter().map(|e| e.tensor.numel()).sum();
-        let size = wire_size(&state);
-        // Overhead (names, dims, framing) is small relative to payload.
-        assert!(size >= params * 4);
-        assert!(size < params * 4 + 4096, "framing overhead too large: {size}");
-    }
-
-    #[test]
-    fn encode_buffer_is_presized_exactly() {
-        // The analytic `wire_size` must equal the encoded frame length
-        // for both the full model and a pruned sub-model, so the
-        // encoder's single up-front allocation is never outgrown.
-        let mut rng = seeded_rng(254);
-        let m = zoo::cnn_mnist(0.2, &mut rng);
-        let plan = fedmp_pruning::plan_sequential(&m, (1, 28, 28), 0.5);
-        let sub = fedmp_pruning::extract_sequential(&m, &plan);
-        for state in [m.state(), sub.state(), vec![]] {
-            assert_eq!(encode_state(&state).len(), wire_size(&state));
-        }
-    }
-
-    #[test]
-    fn pruned_submodel_frame_is_smaller() {
-        let mut rng = seeded_rng(253);
-        let m = zoo::cnn_mnist(0.25, &mut rng);
-        let plan = fedmp_pruning::plan_sequential(&m, (1, 28, 28), 0.6);
-        let sub = fedmp_pruning::extract_sequential(&m, &plan);
-        assert!(wire_size(&sub.state()) < wire_size(&m.state()) / 2);
-    }
-
-    // -- v2 --
 
     const ALL_CODECS: [Codec; 5] = [
         Codec::DenseF32,
@@ -1246,23 +1036,14 @@ mod tests {
     fn v2_dense_f32_is_lossless() {
         let mut rng = seeded_rng(261);
         let state = zoo::cnn_mnist(0.1, &mut rng).state();
-        let frame = encode_state_v2(&state, Codec::DenseF32, None, None);
+        let frame = encode_state(&state);
+        assert_eq!(frame_codec(&frame), Ok(Codec::DenseF32));
         let decoded = decode_state_v2(&frame, None).expect("decode");
         assert_eq!(bits(&decoded), bits(&state));
         // Lossless codec ⇒ no residual accumulates.
         let mut ef = ErrorFeedback::new();
         codec_delivered(&state, Codec::DenseF32, None, Some(&mut ef));
         assert_eq!(ef.l1(), 0.0);
-    }
-
-    #[test]
-    fn v2_accepts_v1_frames() {
-        let mut rng = seeded_rng(262);
-        let state = zoo::cnn_mnist(0.1, &mut rng).state();
-        let frame = encode_state(&state);
-        let decoded = decode_state_v2(&frame, None).expect("v1 frame via v2 decoder");
-        assert_eq!(bits(&decoded), bits(&state));
-        assert_eq!(frame_codec(&frame), Ok(Codec::DenseF32));
     }
 
     #[test]
@@ -1280,6 +1061,13 @@ mod tests {
                     codec.label()
                 );
             }
+            // Pruning shrinks the frame under every codec, not just the
+            // analytic parameter count.
+            assert!(
+                wire_size_v2(&sub.state(), codec) < wire_size_v2(&m.state(), codec) / 2,
+                "{}",
+                codec.label()
+            );
         }
     }
 

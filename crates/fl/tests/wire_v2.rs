@@ -20,7 +20,7 @@
 
 use fedmp_fl::{
     codec_delivered, decode_state_v2, encode_state_v2, f16_bits_to_f32, f32_to_f16_bits,
-    frame_checksum_ok, wire_size_v2, Codec, ErrorFeedback,
+    frame_checksum_ok, wire_size_v2, Codec, ErrorFeedback, WireError,
 };
 use fedmp_nn::StateEntry;
 use fedmp_tensor::{seeded_rng, uniform_vec, Tensor};
@@ -127,6 +127,14 @@ proptest! {
         let codec = codec_from(codec_idx, keep);
         let frame = encode_state_v2(&state, codec, None, None);
         prop_assert_eq!(frame.len(), wire_size_v2(&state, codec), "{}", codec.label());
+        if codec == Codec::DenseF32 {
+            // Dense framing overhead is the header, the checksum and a
+            // name/shape record per entry — never a function of numel.
+            let payload = 4 * state.iter().map(|e| e.tensor.numel()).sum::<usize>();
+            let records: usize =
+                state.iter().map(|e| 4 + e.name.len() + 4 * e.tensor.dims().len()).sum();
+            prop_assert_eq!(frame.len(), 9 + records + payload + 4);
+        }
     }
 
     #[test]
@@ -148,6 +156,11 @@ proptest! {
         // the checksum; magic flips fail the magic check first).
         prop_assert!(!frame_checksum_ok(&bad), "flip at {} passed the checksum", pos);
         prop_assert!(decode_state_v2(&bad, None).is_err(), "flip at {} decoded", pos);
+        // The retired v1 magic is a foreign frame, not a legacy one.
+        let mut v1 = frame.to_vec();
+        v1[..4].copy_from_slice(&0xFED7_7A1Eu32.to_le_bytes());
+        prop_assert!(!frame_checksum_ok(&v1));
+        prop_assert_eq!(decode_state_v2(&v1, None).err(), Some(WireError::BadMagic));
     }
 
     #[test]
