@@ -1,6 +1,7 @@
 //! Shared engine plumbing: configuration, per-round worker execution and
 //! cost accounting.
 
+use crate::eval::evaluate_image;
 use crate::history::RoundRecord;
 use crate::local::LocalTrainConfig;
 use crate::task::ImageTask;
@@ -202,6 +203,21 @@ pub(crate) fn round_times(
 /// The round barrier `maxₙ Tₙ` over per-worker round times.
 pub(crate) fn barrier_time(times: &[RoundTime]) -> f64 {
     times.iter().map(|t| t.total()).fold(0.0, f64::max)
+}
+
+/// PS-side evaluation, when `round` is due one — every
+/// `cfg.eval_every`-th round and always the last: `(loss, accuracy)`
+/// of `model` on the task's test set.
+pub(crate) fn evaluate_if_due(
+    cfg: &FlConfig,
+    round: usize,
+    model: &mut Sequential,
+    task: &ImageTask,
+) -> Option<(f32, f32)> {
+    (round.is_multiple_of(cfg.eval_every) || round + 1 == cfg.rounds).then(|| {
+        let r = evaluate_image(model, &task.test, cfg.eval_batch, cfg.eval_max_samples);
+        (r.loss, r.accuracy)
+    })
 }
 
 // ---- observability hooks -------------------------------------------------

@@ -6,9 +6,9 @@
 use crate::aggregate::{average_states, mix_states, r2sp_aggregate};
 use crate::engine::{
     emit_aggregate, emit_kernel_dispatch, emit_local_train, emit_round_end, emit_round_start,
-    kernel_baseline, model_round_cost, worker_batches, worker_rng, FlConfig, FlSetup,
+    evaluate_if_due, kernel_baseline, model_round_cost, worker_batches, worker_rng, FlConfig,
+    FlSetup,
 };
-use crate::eval::evaluate_image;
 use crate::exec;
 use crate::history::{RoundRecord, RunHistory};
 use crate::local::local_train;
@@ -296,13 +296,7 @@ pub fn run_async(
             &mut dispatch_count,
         );
 
-        let eval = if round % cfg.eval_every == 0 || round + 1 == cfg.rounds {
-            let r =
-                evaluate_image(&mut global, &setup.task.test, cfg.eval_batch, cfg.eval_max_samples);
-            Some((r.loss, r.accuracy))
-        } else {
-            None
-        };
+        let eval = evaluate_if_due(cfg, round, &mut global, setup.task);
         emit_kernel_dispatch(round, &mut kstats);
         let rec = RoundRecord {
             round,

@@ -1,27 +1,27 @@
 //! FedMP (the paper's system): adaptive per-worker pruning ratios via
 //! E-UCB, distributed structured pruning, and R2SP aggregation.
+//!
+//! The round itself — Algorithm 1 with the §V-A deadline — lives in
+//! [`crate::runtime`]. This module holds the method's options and the
+//! loop engine [`run_fedmp`], which drives that round body through the
+//! *inline* exchange: every worker trains in-process on exactly what
+//! the [`codec_delivered`] oracle says it would decode. No frames, no
+//! threads of its own, no way to fail.
 
-use crate::aggregate::{bsp_aggregate, r2sp_aggregate};
-use crate::engine::worker_rng;
-use crate::engine::{
-    emit_aggregate, emit_codec_selected, emit_compression_applied, emit_kernel_dispatch,
-    emit_local_train, emit_quorum_aggregate, emit_round_end, emit_round_start,
-    emit_worker_excluded, kernel_baseline, model_round_cost, worker_batches, FlConfig, FlSetup,
-    SyncScheme,
-};
-use crate::eval::evaluate_image;
+use crate::chaos::ChaosOptions;
+use crate::engine::{worker_batches, FlConfig, FlSetup, SyncScheme};
 use crate::exec;
-use crate::history::{RoundRecord, RunHistory};
-use crate::local::{local_train, LocalOutcome};
-use crate::wire::{codec_delivered, wire_size_v2, Codec, CompressionPolicy, ErrorFeedback};
-use fedmp_bandit::{eucb_reward, Bandit, EUcbAgent, EUcbConfig, RewardConfig};
-use fedmp_edgesim::{deadline_for, FaultInjector};
-use fedmp_nn::{state_sub, Sequential, StateEntry};
-use fedmp_pruning::{
-    dequantize_state, extract_sequential, plan_sequential_with, quantize_state, recover_state,
-    sparse_state, Importance, PrunePlan,
+use crate::history::RunHistory;
+use crate::local::local_train;
+use crate::runtime::{run_rounds, Arrival, Exchange, Exchanged, WireBytes};
+use crate::wire::{
+    codec_delivered, wire_size_v2, Codec, CompressionPolicy, ErrorFeedback, LinkCodecs,
 };
-use fedmp_tensor::parallel::{sum_f32, sum_f64};
+use core::convert::Infallible;
+use fedmp_bandit::{EUcbConfig, RewardConfig};
+use fedmp_edgesim::FaultInjector;
+use fedmp_nn::Sequential;
+use fedmp_pruning::{Importance, PrunePlan};
 use serde::{Deserialize, Serialize};
 
 /// Fault-tolerance options implementing the paper's §V-A mechanism:
@@ -113,290 +113,97 @@ impl Default for FedMpOptions {
     }
 }
 
-/// One direction of a compressed exchange, for cost accounting and the
-/// `CompressionApplied` trace event.
-struct LinkApplied {
-    codec: Codec,
-    wire_bytes: u64,
-    dense_bytes: u64,
+/// The inline [`Exchange`]: "delivery" is the codec oracle applied in
+/// place, and the fleet is a fan-out over the round executor.
+struct InlineExchange<'a> {
+    cfg: &'a FlConfig,
+    setup: &'a FlSetup<'a>,
+    compressed: bool,
+    /// Per-worker uplink error feedback, persistent across rounds.
+    feedbacks: Vec<ErrorFeedback>,
 }
 
-/// Everything one worker's fanned-out round work produces.
-struct WorkerRound {
-    sub: Sequential,
-    outcome: LocalOutcome,
-    plan: PrunePlan,
-    residual: Vec<StateEntry>,
-    feedback: ErrorFeedback,
-    down: Option<LinkApplied>,
-    up: Option<LinkApplied>,
+impl Exchange for InlineExchange<'_> {
+    type Upload = Sequential;
+    type Error = Infallible;
+
+    fn exchange(
+        &mut self,
+        round: usize,
+        online: &[usize],
+        links: &[LinkCodecs],
+        _plans: &[PrunePlan],
+        subs: Vec<Sequential>,
+    ) -> Result<Vec<Exchanged<Sequential>>, Infallible> {
+        let (cfg, task, compressed) = (self.cfg, self.setup.task, self.compressed);
+        let work: Vec<(usize, Sequential, ErrorFeedback)> = online
+            .iter()
+            .zip(subs)
+            .map(|(&w, sub)| (w, sub, std::mem::take(&mut self.feedbacks[w])))
+            .collect();
+        // Each slot reads only the task and config plus its own worker's
+        // sub-model and feedback state, so it is a pure function of its
+        // inputs wherever the executor runs it.
+        let results = exec::ordered_map(work, |_, (w, mut sub, mut feedback)| {
+            let pair = links[w];
+            // Downlink: the worker trains on what it *decodes*, which
+            // the PS predicts exactly via the codec oracle. No error
+            // feedback on the downlink — the PS state is authoritative
+            // and a fresh sub-model is extracted every round.
+            let down = compressed.then(|| {
+                let sub_state = sub.state();
+                let received = codec_delivered(&sub_state, pair.downlink, None, None);
+                sub.load_state(&received);
+                let down = wire_size_v2(&sub_state, pair.downlink) as u64;
+                (received, down, wire_size_v2(&sub_state, Codec::DenseF32) as u64)
+            });
+            let mut batches = worker_batches(task, w, cfg.local.batch, cfg.seed, round);
+            let outcome = local_train(&mut sub, &mut batches, &cfg.local);
+            // Uplink: a delta against the model the worker received,
+            // folded through its persistent error-feedback state. The
+            // upload is the *delivered* reconstruction — exactly what
+            // the PS would decode off the wire.
+            let wire = down.map(|(received, down, dense)| {
+                let trained = sub.state();
+                let delivered =
+                    codec_delivered(&trained, pair.uplink, Some(&received), Some(&mut feedback));
+                sub.load_state(&delivered);
+                WireBytes { down, up: wire_size_v2(&trained, pair.uplink) as u64, dense }
+            });
+            (Arrival { upload: sub, outcome, wire }, feedback)
+        });
+        // Error-feedback state flows back to its worker slot (worker
+        // order — pure data movement, no float arithmetic).
+        let mut exchanged = Vec::with_capacity(online.len());
+        for (&w, (arrival, feedback)) in online.iter().zip(results) {
+            self.feedbacks[w] = feedback;
+            exchanged.push(Exchanged { retransmits: 0, result: Ok(arrival) });
+        }
+        Ok(exchanged)
+    }
+
+    fn reconstruct(upload: Sequential) -> Result<Sequential, Infallible> {
+        Ok(upload)
+    }
 }
 
 /// Runs FedMP for `cfg.rounds` rounds starting from `global`.
 pub fn run_fedmp(
     cfg: &FlConfig,
     setup: &FlSetup<'_>,
-    mut global: Sequential,
+    global: Sequential,
     opts: &FedMpOptions,
 ) -> RunHistory {
-    let workers = setup.workers();
-    let mut history = RunHistory::new(match opts.sync {
-        SyncScheme::R2SP => "FedMP",
-        SyncScheme::BSP => "FedMP-BSP",
-    });
-    let mut sim_time = 0.0f64;
-
-    // ① One E-UCB agent per worker (§IV-C).
-    let mut agents: Vec<EUcbAgent> = (0..workers)
-        .map(|w| {
-            let mut c = opts.eucb;
-            c.seed = c.seed.wrapping_add(w as u64).wrapping_add(cfg.seed);
-            EUcbAgent::new(c)
-        })
-        .collect();
-
-    let mut injector = opts.faults.map(|f| f.injector(workers));
-    let mut fault_rng = fedmp_tensor::seeded_rng(cfg.seed ^ 0xFA17);
-    let mut kstats = kernel_baseline();
-
-    // Wire-format-v2 compression: per-worker codec pairs from the
-    // bandwidth policy, plus per-worker error-feedback accumulators
-    // that persist across rounds. With the default dense policy the
-    // whole path below is byte-identical to the legacy engine.
-    let compression = opts.compression;
-    let compressed = !compression.is_dense();
-    let mut feedbacks: Vec<ErrorFeedback> = vec![ErrorFeedback::new(); workers];
-
-    for round in 0..cfg.rounds {
-        // §V-A: failed workers sit the round out. (`step` emits the
-        // FaultInjected/FaultRecovered trace events, so they precede
-        // this round's RoundStart.)
-        let online: Vec<usize> = match injector.as_mut() {
-            Some(inj) => inj.step(&mut fault_rng),
-            None => (0..workers).collect(),
-        };
-        emit_round_start(round, sim_time, &online);
-        if online.is_empty() {
-            let rec = RoundRecord { round, sim_time, ..Default::default() };
-            emit_kernel_dispatch(round, &mut kstats);
-            emit_round_end(&rec);
-            history.rounds.push(rec);
-            continue;
-        }
-
-        // ① Adaptive model pruning: choose ratios, build sub-models.
-        let ratios: Vec<f32> = online
-            .iter()
-            .map(|&w| match opts.fixed_ratio {
-                Some(r) => r,
-                None => agents[w].select(),
-            })
-            .collect();
-        // Per-worker codec pairs for the round (pure function of the
-        // device profiles, resolved PS-side in worker order).
-        let pairs: Vec<crate::wire::LinkCodecs> =
-            online.iter().map(|&w| compression.select(&setup.devices[w])).collect();
-        if compressed {
-            for (i, &w) in online.iter().enumerate() {
-                let slow = setup.devices[w].is_slow_link(compression.slow_link_bps);
-                emit_codec_selected(round, w, &pairs[i], slow);
-            }
-        }
-        // ② Per-worker round work, fanned across the round executor:
-        // plan and extract the sub-model, form the PS-side residual
-        // (kept until aggregation, §III-C, optionally 8-bit quantized
-        // to cut PS memory 4×), and run local training. Every input is
-        // read-only (`global`, task, config) plus the worker's own
-        // ratio, so each result is a pure function of its slot;
-        // order-sensitive steps — bandit selection above, timing,
-        // aggregation and trace emission below — stay on this thread
-        // in worker order.
-        let work: Vec<(usize, f32, ErrorFeedback)> = online
-            .iter()
-            .copied()
-            .zip(ratios.iter().copied())
-            .map(|(w, r)| (w, r, std::mem::take(&mut feedbacks[w])))
-            .collect();
-        let mut results = exec::ordered_map(work, |i, (w, ratio, mut feedback)| {
-            let plan = plan_sequential_with(&global, setup.task.input_chw, ratio, opts.importance);
-            let mut sub: Sequential = extract_sequential(&global, &plan);
-            let residual = state_sub(&global.state(), &sparse_state(&global, &plan));
-            let residual = if opts.quantize_residuals {
-                dequantize_state(&quantize_state(&residual))
-            } else {
-                residual
-            };
-            // Downlink: the worker trains on what it *decodes*, which
-            // the PS predicts exactly via the codec oracle. No error
-            // feedback on the downlink — the PS state is authoritative
-            // and a fresh sub-model is extracted every round.
-            let pair = pairs[i];
-            let (received, down) = if compressed {
-                let sub_state = sub.state();
-                let delivered = codec_delivered(&sub_state, pair.downlink, None, None);
-                sub.load_state(&delivered);
-                let link = LinkApplied {
-                    codec: pair.downlink,
-                    wire_bytes: wire_size_v2(&sub_state, pair.downlink) as u64,
-                    dense_bytes: wire_size_v2(&sub_state, Codec::DenseF32) as u64,
-                };
-                (Some(delivered), Some(link))
-            } else {
-                (None, None)
-            };
-            let mut batches = worker_batches(setup.task, w, cfg.local.batch, cfg.seed, round);
-            let outcome = local_train(&mut sub, &mut batches, &cfg.local);
-            // Uplink: a delta against the model the worker received,
-            // folded through its persistent error-feedback state. The
-            // engine continues with the *delivered* reconstruction —
-            // exactly what the PS would decode off the wire.
-            let up = if compressed {
-                let trained = sub.state();
-                let delivered = codec_delivered(
-                    &trained,
-                    pair.uplink,
-                    received.as_deref(),
-                    Some(&mut feedback),
-                );
-                sub.load_state(&delivered);
-                Some(LinkApplied {
-                    codec: pair.uplink,
-                    wire_bytes: wire_size_v2(&trained, pair.uplink) as u64,
-                    dense_bytes: wire_size_v2(&trained, Codec::DenseF32) as u64,
-                })
-            } else {
-                None
-            };
-            WorkerRound { sub, outcome, plan, residual, feedback, down, up }
-        });
-        // Error-feedback state flows back to its worker slot (worker
-        // order — pure data movement, no float arithmetic).
-        for (i, &w) in online.iter().enumerate() {
-            feedbacks[w] = std::mem::take(&mut results[i].feedback);
-        }
-
-        // Timing from each sub-model's actual cost (Eq. 5).
-        let mut times = Vec::with_capacity(online.len());
-        let mut mean_comp = 0.0;
-        let mut mean_comm = 0.0;
-        for (i, (r, &w)) in results.iter().zip(online.iter()).enumerate() {
-            let mut cost = model_round_cost(&r.sub, setup.task.input_chw, &cfg.local);
-            // Compressed links pay their actual encoded frame sizes in
-            // Eq. 5, not the dense parameter bytes.
-            if let (Some(down), Some(up)) = (&r.down, &r.up) {
-                cost.download_bytes = down.wire_bytes as f64;
-                cost.upload_bytes = up.wire_bytes as f64;
-                emit_compression_applied(
-                    round,
-                    w,
-                    "down",
-                    down.codec,
-                    down.dense_bytes,
-                    down.wire_bytes,
-                );
-                emit_compression_applied(round, w, "up", up.codec, up.dense_bytes, up.wire_bytes);
-            }
-            let mut rng = worker_rng(cfg.seed ^ 0xA5A5, round, w);
-            let t = setup.simulate_round(w, &cost, &mut rng);
-            mean_comp += t.comp;
-            mean_comm += t.comm;
-            emit_local_train(
-                round,
-                w,
-                ratios[i],
-                r.outcome.mean_loss,
-                r.outcome.delta_loss(),
-                cfg.local.tau,
-                r.outcome.samples,
-                &t,
-                &setup.scaled_cost(&cost),
-            );
-            times.push(t.total());
-        }
-        mean_comp /= online.len() as f64;
-        mean_comm /= online.len() as f64;
-
-        // §V-A deadline: arrivals after `factor · d` are discarded.
-        let deadline =
-            opts.faults.and_then(|f| deadline_for(&times, f.deadline_frac, f.deadline_factor));
-        let kept: Vec<usize> = match deadline {
-            Some(d) => (0..online.len()).filter(|&i| times[i] <= d).collect(),
-            None => (0..online.len()).collect(),
-        };
-        let round_time = match deadline {
-            Some(d) => times.iter().copied().fold(0.0, f64::max).min(d),
-            None => times.iter().copied().fold(0.0, f64::max),
-        };
-        sim_time += round_time;
-        // Deadline stragglers still trained (and get bandit feedback
-        // below) but their models are discarded for the round.
-        if kept.len() < online.len() {
-            for (i, &w) in online.iter().enumerate() {
-                if !kept.contains(&i) {
-                    emit_worker_excluded(round, w, "deadline");
-                }
-            }
-        }
-
-        // Bandit feedback (Eq. 8) for every online worker.
-        if opts.fixed_ratio.is_none() {
-            let t_avg = sum_f64(times.iter().copied()) / online.len() as f64;
-            for (i, &w) in online.iter().enumerate() {
-                let delta = results[i].outcome.delta_loss();
-                agents[w].observe(eucb_reward(delta, times[i], t_avg, &opts.reward));
-            }
-        }
-
-        // ③ Model aggregation over the kept arrivals.
-        let recovered: Vec<_> = kept
-            .iter()
-            .map(|&i| recover_state(&results[i].sub, &results[i].plan, &global))
-            .collect();
-        let kept_residuals: Vec<_> = kept.iter().map(|&i| results[i].residual.clone()).collect();
-        let new_state = match opts.sync {
-            SyncScheme::R2SP => r2sp_aggregate(&recovered, &kept_residuals),
-            SyncScheme::BSP => bsp_aggregate(&recovered),
-        };
-        global.load_state(&new_state);
-        if kept.len() < online.len() {
-            emit_quorum_aggregate(round, 1, kept.len(), online.len() - kept.len());
-        }
-        emit_aggregate(
-            round,
-            match opts.sync {
-                SyncScheme::R2SP => "R2SP",
-                SyncScheme::BSP => "BSP",
-            },
-            kept.len(),
-        );
-
-        let train_loss =
-            sum_f32(kept.iter().map(|&i| results[i].outcome.mean_loss)) / kept.len() as f32;
-        let eval = if round % cfg.eval_every == 0 || round + 1 == cfg.rounds {
-            let r =
-                evaluate_image(&mut global, &setup.task.test, cfg.eval_batch, cfg.eval_max_samples);
-            Some((r.loss, r.accuracy))
-        } else {
-            None
-        };
-        emit_kernel_dispatch(round, &mut kstats);
-        let rec = RoundRecord {
-            round,
-            sim_time,
-            round_time,
-            mean_comp,
-            mean_comm,
-            train_loss,
-            eval,
-            ratios,
-            participants: kept.len(),
-            retries: 0,
-            exclusions: online.len() - kept.len(),
-        };
-        emit_round_end(&rec);
-        history.rounds.push(rec);
+    let mut inline = InlineExchange {
+        cfg,
+        setup,
+        compressed: !opts.compression.is_dense(),
+        feedbacks: vec![ErrorFeedback::new(); setup.workers()],
+    };
+    match run_rounds(cfg, setup, global, opts, &ChaosOptions::none(), &mut inline) {
+        Ok(history) => history,
+        Err(never) => match never {},
     }
-    history
 }
 
 #[cfg(test)]

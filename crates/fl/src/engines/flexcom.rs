@@ -6,10 +6,9 @@
 use crate::aggregate::average_states;
 use crate::engine::{
     barrier_time, emit_aggregate, emit_kernel_dispatch, emit_local_train, emit_round_end,
-    emit_round_start_all, kernel_baseline, model_round_cost, round_times, worker_batches, FlConfig,
-    FlSetup,
+    emit_round_start_all, evaluate_if_due, kernel_baseline, model_round_cost, round_times,
+    worker_batches, FlConfig, FlSetup,
 };
-use crate::eval::evaluate_image;
 use crate::exec;
 use crate::history::{RoundRecord, RunHistory};
 use crate::local::local_train;
@@ -116,13 +115,7 @@ pub fn run_flexcom(
         emit_aggregate(round, "FedAvg+topk", workers);
 
         let train_loss = sum_f32(results.iter().map(|(_, o)| o.mean_loss)) / workers as f32;
-        let eval = if round % cfg.eval_every == 0 || round + 1 == cfg.rounds {
-            let r =
-                evaluate_image(&mut global, &setup.task.test, cfg.eval_batch, cfg.eval_max_samples);
-            Some((r.loss, r.accuracy))
-        } else {
-            None
-        };
+        let eval = evaluate_if_due(cfg, round, &mut global, setup.task);
         emit_kernel_dispatch(round, &mut kstats);
         let rec = RoundRecord {
             round,

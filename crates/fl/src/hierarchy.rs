@@ -53,10 +53,9 @@ use crate::engine::{
     emit_aggregate, emit_codec_selected, emit_cohort_sampled, emit_compression_applied,
     emit_edge_aggregate, emit_frame_retransmit, emit_kernel_dispatch, emit_local_train,
     emit_quorum_aggregate, emit_round_end, emit_round_start, emit_shard_reduced,
-    emit_worker_excluded, kernel_baseline, model_round_cost, worker_batches, worker_rng, CostScale,
-    FlConfig,
+    emit_worker_excluded, evaluate_if_due, kernel_baseline, model_round_cost, worker_batches,
+    worker_rng, CostScale, FlConfig,
 };
-use crate::eval::evaluate_image;
 use crate::exec;
 use crate::history::{RoundRecord, RunHistory};
 use crate::local::local_train;
@@ -64,6 +63,7 @@ use crate::runtime::{LiveThreadGuard, RuntimeError};
 use crate::task::ImageTask;
 use crate::wire::{codec_delivered, wire_size_v2, Codec, CompressionPolicy, LinkCodecs};
 use bytes::Bytes;
+use core::convert::Infallible;
 use crossbeam::channel::{bounded, Receiver, Sender};
 use fedmp_bandit::{eucb_reward, Bandit, EUcbAgent, EUcbConfig, RewardConfig};
 use fedmp_edgesim::{
@@ -784,12 +784,7 @@ fn finish_round(
     } else {
         sum_f32(trained.iter().map(|m| m.mean_loss)) / trained.len() as f32
     };
-    let eval = if aggregated && (round.is_multiple_of(cfg.eval_every) || round + 1 == cfg.rounds) {
-        let r = evaluate_image(global, &setup.task.test, cfg.eval_batch, cfg.eval_max_samples);
-        Some((r.loss, r.accuracy))
-    } else {
-        None
-    };
+    let eval = if aggregated { evaluate_if_due(cfg, round, global, setup.task) } else { None };
     emit_kernel_dispatch(round, kstats);
     let client_retries: u32 = metrics.iter().map(|m| m.fate.retries()).sum();
     let rec = RoundRecord {
@@ -871,22 +866,47 @@ fn class_plans(
     (plans, present)
 }
 
-// ---- the loop engine -----------------------------------------------------
+// ---- the round loop ------------------------------------------------------
 
-/// Runs population-scale FedMP for `cfg.rounds` rounds: per round a
-/// sampled cohort streams through shard reducers fanned out on the
-/// deterministic round executor, shard partials merge at the edges and
-/// the cloud finalises the exact R2SP mean.
-pub fn run_fedmp_hier(
+/// Everything a round's gather step reads: the run's fixed inputs plus
+/// this round's cohort, global model (and its state as the accumulator
+/// template) and per-class plans.
+#[derive(Clone, Copy)]
+struct RoundInputs<'a> {
+    cfg: &'a FlConfig,
+    setup: &'a HierSetup<'a>,
+    opts: &'a HierarchyOptions,
+    client_plan: &'a ChaosPlan,
+    edge_plan: &'a ChaosPlan,
+    round: usize,
+    global: &'a Sequential,
+    template: &'a [StateEntry],
+    cohort: &'a [u64],
+    classes: &'a BTreeMap<usize, ClassPlan>,
+}
+
+/// The round loop both engines share: cohort sampling, per-class plans,
+/// codec and compression events, and the [`finish_round`] epilogue,
+/// around the one step that differs — how `gather` produces the
+/// round's [`RoundGather`] ([`gather_shards`] or
+/// [`run_edges_threaded`]).
+fn run_hier_rounds<E>(
     cfg: &FlConfig,
     setup: &HierSetup<'_>,
     mut global: Sequential,
     opts: &HierarchyOptions,
-) -> RunHistory {
+    gather: impl Fn(RoundInputs<'_>) -> Result<RoundGather, E>,
+) -> Result<RunHistory, E> {
     opts.validate(&setup.population);
     let mut history = RunHistory::new("FedMP-Hier");
     let mut sim_time = 0.0f64;
-    let mut agents = class_agents(cfg, opts);
+    let mut agents: Vec<EUcbAgent> = (0..CLASS_COUNT)
+        .map(|c| {
+            let mut e = opts.eucb;
+            e.seed = e.seed.wrapping_add(c as u64).wrapping_add(cfg.seed);
+            EUcbAgent::new(e)
+        })
+        .collect();
     let mut kstats = kernel_baseline();
     let client_plan = ChaosPlan::new(cfg.seed, &opts.chaos_client);
     let edge_plan = ChaosPlan::new(cfg.seed ^ 0xED6E_0000, &opts.chaos_edge);
@@ -908,32 +928,25 @@ pub fn run_fedmp_hier(
             }
         }
 
-        // Shard fan-out over the round executor: each slot streams its
-        // contiguous cohort slice into one exact accumulator.
         let template = global.state();
-        let shard_ids: Vec<usize> = (0..opts.shards).collect();
-        let outputs = exec::ordered_map(shard_ids, |_, s| {
-            reduce_shard(
-                cfg,
-                setup,
-                &global,
-                &template,
-                &cohort,
-                partition_range(cohort.len(), opts.shards, s),
-                &classes,
-                &client_plan,
-                round,
-                compressed,
-            )
-        });
+        let gathered = gather(RoundInputs {
+            cfg,
+            setup,
+            opts,
+            client_plan: &client_plan,
+            edge_plan: &edge_plan,
+            round,
+            global: &global,
+            template: &template,
+            cohort: &cohort,
+            classes: &classes,
+        })?;
 
         // Per-delivered-client compression events need the class-side
         // downlink sizes; emit them here in cohort order before the
-        // shared epilogue (which emits LocalTrain etc.).
-        let metrics: Vec<ClientMetric> =
-            outputs.iter().flat_map(|o| o.metrics.iter().cloned()).collect();
+        // epilogue (which emits LocalTrain etc.).
         if compressed {
-            for m in &metrics {
+            for m in &gathered.metrics {
                 if !m.fate.trained() {
                     continue;
                 }
@@ -957,38 +970,13 @@ pub fn run_fedmp_hier(
             }
         }
 
-        // Edge tier: merge each edge's shard accumulators (exact), then
-        // apply the edge-tier chaos fates.
-        let mut partials: Vec<Option<ExactState>> = Vec::with_capacity(opts.edges);
-        let mut edge_fates = Vec::with_capacity(opts.edges);
-        let mut edge_shards = Vec::with_capacity(opts.edges);
-        let mut edge_clients = Vec::with_capacity(opts.edges);
-        for e in 0..opts.edges {
-            let range = partition_range(opts.shards, opts.edges, e);
-            edge_shards.push(range.len());
-            let mut merged: Option<ExactState> = None;
-            let mut clients = 0usize;
-            for s in range {
-                clients += outputs[s].folded;
-                match merged.as_mut() {
-                    Some(m) => m.merge(&outputs[s].acc),
-                    None => merged = Some(outputs[s].acc.clone()),
-                }
-            }
-            edge_clients.push(clients);
-            partials.push(merged);
-            edge_fates.push(EdgeFate::from_draw(&edge_plan.draw(round, e), &opts.chaos_edge));
-        }
-        let shard_meta: Vec<(usize, u64)> =
-            outputs.iter().map(|o| (o.folded, o.peak_bytes)).collect();
-
         finish_round(
             cfg,
             setup,
             opts,
             round,
             &cohort,
-            RoundGather { shard_meta, metrics, partials, edge_fates, edge_shards, edge_clients },
+            gathered,
             &mut agents,
             &selected,
             &mut global,
@@ -997,17 +985,76 @@ pub fn run_fedmp_hier(
             &mut history,
         );
     }
-    history
+    Ok(history)
 }
 
-fn class_agents(cfg: &FlConfig, opts: &HierarchyOptions) -> Vec<EUcbAgent> {
-    (0..CLASS_COUNT)
-        .map(|c| {
-            let mut e = opts.eucb;
-            e.seed = e.seed.wrapping_add(c as u64).wrapping_add(cfg.seed);
-            EUcbAgent::new(e)
-        })
-        .collect()
+// ---- the loop engine -----------------------------------------------------
+
+/// Runs population-scale FedMP for `cfg.rounds` rounds: per round a
+/// sampled cohort streams through shard reducers fanned out on the
+/// deterministic round executor, shard partials merge at the edges and
+/// the cloud finalises the exact R2SP mean.
+pub fn run_fedmp_hier(
+    cfg: &FlConfig,
+    setup: &HierSetup<'_>,
+    global: Sequential,
+    opts: &HierarchyOptions,
+) -> RunHistory {
+    match run_hier_rounds(cfg, setup, global, opts, gather_shards) {
+        Ok(history) => history,
+        Err(never) => match never {},
+    }
+}
+
+/// The loop engine's gather: shard fan-out over the round executor,
+/// then the edge tier decided purely by its chaos draws.
+fn gather_shards(r: RoundInputs<'_>) -> Result<RoundGather, Infallible> {
+    let RoundInputs { opts, cohort, round, .. } = r;
+    // Each slot streams its contiguous cohort slice into one exact
+    // accumulator.
+    let compressed = !opts.compression.is_dense();
+    let shard_ids: Vec<usize> = (0..opts.shards).collect();
+    let outputs = exec::ordered_map(shard_ids, |_, s| {
+        reduce_shard(
+            r.cfg,
+            r.setup,
+            r.global,
+            r.template,
+            cohort,
+            partition_range(cohort.len(), opts.shards, s),
+            r.classes,
+            r.client_plan,
+            round,
+            compressed,
+        )
+    });
+    let metrics: Vec<ClientMetric> =
+        outputs.iter().flat_map(|o| o.metrics.iter().cloned()).collect();
+
+    // Edge tier: merge each edge's shard accumulators (exact), then
+    // apply the edge-tier chaos fates.
+    let mut partials: Vec<Option<ExactState>> = Vec::with_capacity(opts.edges);
+    let mut edge_fates = Vec::with_capacity(opts.edges);
+    let mut edge_shards = Vec::with_capacity(opts.edges);
+    let mut edge_clients = Vec::with_capacity(opts.edges);
+    for e in 0..opts.edges {
+        let range = partition_range(opts.shards, opts.edges, e);
+        edge_shards.push(range.len());
+        let mut merged: Option<ExactState> = None;
+        let mut clients = 0usize;
+        for s in range {
+            clients += outputs[s].folded;
+            match merged.as_mut() {
+                Some(m) => m.merge(&outputs[s].acc),
+                None => merged = Some(outputs[s].acc.clone()),
+            }
+        }
+        edge_clients.push(clients);
+        partials.push(merged);
+        edge_fates.push(EdgeFate::from_draw(&r.edge_plan.draw(round, e), &opts.chaos_edge));
+    }
+    let shard_meta: Vec<(usize, u64)> = outputs.iter().map(|o| (o.folded, o.peak_bytes)).collect();
+    Ok(RoundGather { shard_meta, metrics, partials, edge_fates, edge_shards, edge_clients })
 }
 
 // ---- the threaded engine -------------------------------------------------
@@ -1049,22 +1096,8 @@ enum EdgeCtl {
 /// upload protocol against its chaos draw. The metrics plane is
 /// simulation bookkeeping and always reaches the PS; only the model
 /// payload is subject to transport faults.
-#[allow(clippy::too_many_arguments)]
-fn edge_round(
-    e: usize,
-    cfg: &FlConfig,
-    setup: &HierSetup<'_>,
-    global: &Sequential,
-    template: &[StateEntry],
-    cohort: &[u64],
-    classes: &BTreeMap<usize, ClassPlan>,
-    opts: &HierarchyOptions,
-    client_plan: &ChaosPlan,
-    edge_plan: &ChaosPlan,
-    round: usize,
-    up: &Sender<EdgeMsg>,
-    ctl: &Receiver<EdgeCtl>,
-) {
+fn edge_round(e: usize, r: RoundInputs<'_>, up: &Sender<EdgeMsg>, ctl: &Receiver<EdgeCtl>) {
+    let RoundInputs { opts, cohort, round, template, .. } = r;
     let _guard = LiveThreadGuard::register();
     let compressed = !opts.compression.is_dense();
     let mut shard_meta = Vec::new();
@@ -1072,14 +1105,14 @@ fn edge_round(
     let mut merged: Option<ExactState> = None;
     for s in partition_range(opts.shards, opts.edges, e) {
         let out = reduce_shard(
-            cfg,
-            setup,
-            global,
+            r.cfg,
+            r.setup,
+            r.global,
             template,
             cohort,
             partition_range(cohort.len(), opts.shards, s),
-            classes,
-            client_plan,
+            r.classes,
+            r.client_plan,
             round,
             compressed,
         );
@@ -1090,7 +1123,7 @@ fn edge_round(
             None => merged = Some(out.acc),
         }
     }
-    let draw = edge_plan.draw(round, e);
+    let draw = r.edge_plan.draw(round, e);
     let sending = !(draw.crash || draw.drop_up || draw.drop_down);
     if up.send(EdgeMsg::Report { edge: e, shard_meta, metrics, sending }).is_err() {
         return; // PS abandoned the round; exit quietly.
@@ -1127,89 +1160,10 @@ fn edge_round(
 pub fn run_fedmp_hier_threaded(
     cfg: &FlConfig,
     setup: &HierSetup<'_>,
-    mut global: Sequential,
+    global: Sequential,
     opts: &HierarchyOptions,
 ) -> Result<RunHistory, RuntimeError> {
-    opts.validate(&setup.population);
-    let mut history = RunHistory::new("FedMP-Hier");
-    let mut sim_time = 0.0f64;
-    let mut agents = class_agents(cfg, opts);
-    let mut kstats = kernel_baseline();
-    let client_plan = ChaosPlan::new(cfg.seed, &opts.chaos_client);
-    let edge_plan = ChaosPlan::new(cfg.seed ^ 0xED6E_0000, &opts.chaos_edge);
-    let compressed = !opts.compression.is_dense();
-
-    for round in 0..cfg.rounds {
-        let cohort = setup.population.sample_cohort(round, opts.cohort);
-        emit_cohort_sampled(round, setup.population.size, cohort.len(), opts.shards, opts.edges);
-        let online: Vec<usize> = cohort.iter().map(|&id| id as usize).collect();
-        emit_round_start(round, sim_time, &online);
-
-        let (classes, selected) = class_plans(setup, opts, &global, &cohort, &mut agents);
-        if compressed {
-            for &id in &cohort {
-                let device = setup.population.device(id);
-                let cr = &classes[&class_of(&device)];
-                let slow = device.is_slow_link(opts.compression.slow_link_bps);
-                emit_codec_selected(round, id as usize, &cr.pair, slow);
-            }
-        }
-
-        let template = global.state();
-        let gather = run_edges_threaded(
-            cfg,
-            setup,
-            &global,
-            &template,
-            &cohort,
-            &classes,
-            opts,
-            &client_plan,
-            &edge_plan,
-            round,
-        )?;
-
-        if compressed {
-            for m in &gather.metrics {
-                if !m.fate.trained() {
-                    continue;
-                }
-                let cr = &classes[&m.class];
-                emit_compression_applied(
-                    round,
-                    m.id as usize,
-                    "down",
-                    cr.pair.downlink,
-                    cr.down_dense,
-                    cr.down_wire,
-                );
-                emit_compression_applied(
-                    round,
-                    m.id as usize,
-                    "up",
-                    m.up_codec,
-                    m.up_dense,
-                    m.up_wire,
-                );
-            }
-        }
-
-        finish_round(
-            cfg,
-            setup,
-            opts,
-            round,
-            &cohort,
-            gather,
-            &mut agents,
-            &selected,
-            &mut global,
-            &mut sim_time,
-            &mut kstats,
-            &mut history,
-        );
-    }
-    Ok(history)
+    run_hier_rounds(cfg, setup, global, opts, run_edges_threaded)
 }
 
 /// One round of the edge-thread protocol: spawn an aggregator per
@@ -1218,19 +1172,8 @@ pub fn run_fedmp_hier_threaded(
 /// builds. Threads always join before this returns (structurally: the
 /// scope ends after every control sender has issued `Done` or
 /// dropped).
-#[allow(clippy::too_many_arguments)]
-fn run_edges_threaded(
-    cfg: &FlConfig,
-    setup: &HierSetup<'_>,
-    global: &Sequential,
-    template: &[StateEntry],
-    cohort: &[u64],
-    classes: &BTreeMap<usize, ClassPlan>,
-    opts: &HierarchyOptions,
-    client_plan: &ChaosPlan,
-    edge_plan: &ChaosPlan,
-    round: usize,
-) -> Result<RoundGather, RuntimeError> {
+fn run_edges_threaded(r: RoundInputs<'_>) -> Result<RoundGather, RuntimeError> {
+    let RoundInputs { opts, cohort, round, template, edge_plan, .. } = r;
     let edges = opts.edges;
     let acc_template = ExactState::like(template);
     let mut shard_meta_by_edge: Vec<Option<Vec<(usize, u64)>>> = (0..edges).map(|_| None).collect();
@@ -1246,23 +1189,7 @@ fn run_edges_threaded(
             let (ctl_tx, ctl_rx) = bounded::<EdgeCtl>(2);
             ctls.push(Some(ctl_tx));
             let up = up_tx.clone();
-            scope.spawn(move || {
-                edge_round(
-                    e,
-                    cfg,
-                    setup,
-                    global,
-                    template,
-                    cohort,
-                    classes,
-                    opts,
-                    client_plan,
-                    edge_plan,
-                    round,
-                    &up,
-                    &ctl_rx,
-                );
-            });
+            scope.spawn(move || edge_round(e, r, &up, &ctl_rx));
         }
         drop(up_tx);
 

@@ -1,34 +1,41 @@
-//! Threaded PS/worker runtime: the closest in-process analogue of the
-//! paper's physical prototype (one PS process + 30 Jetson workers).
+//! The FedMP parameter server: the one round body every FedMP driver
+//! runs, and the threaded PS/worker runtime — the closest in-process
+//! analogue of the paper's physical prototype (one PS process + 30
+//! Jetson workers).
 //!
-//! Unlike the in-process loop engines, this runtime spawns **one OS
-//! thread per worker** and moves models over channels as real
-//! [`crate::wire`] frames — every sub-model download and trained-model
-//! upload is one serialised, checksummed frame, exactly as a networked
-//! deployment would move it. A worker is handed the global
-//! *architecture* once, when it starts; per round it receives only the
-//! frame and the pruning plan, and rebuilds its sub-model from those.
-//! Simulated time still comes from `fedmp-edgesim` (threads run as fast
-//! as the host allows; the virtual clock stays authoritative for
-//! completion-time results).
+//! [`run_rounds`] is Algorithm 1 with the §V-A deadline: pick ratios →
+//! prune → exchange → Eq. 5 timing → `factor · d` deadline → Eq. 8
+//! reward → quorum R2SP/BSP → evaluate. It asks its driver for one
+//! thing through [`Exchange`]: *move this round's sub-models to their
+//! workers and bring back what each one trained*. The **inline**
+//! exchange of [`crate::run_fedmp`] trains in-process on the codec
+//! oracle — no frames, cannot fail. The **framed** exchange defined
+//! here spawns **one OS thread per worker** (or, via `fl::transport`,
+//! one process) and moves models as real [`crate::wire`] frames — every
+//! sub-model download and trained-model upload is one serialised,
+//! checksummed frame, exactly as a networked deployment would move it.
+//! A worker is handed the global *architecture* once, when it starts;
+//! per round it receives only the frame and the pruning plan, and
+//! rebuilds its sub-model from those. Simulated time still comes from
+//! `fedmp-edgesim` (threads run as fast as the host allows; the virtual
+//! clock stays authoritative for completion-time results).
 //!
 //! # Fault tolerance
 //!
-//! The runtime degrades gracefully instead of failing terminally. Two
+//! The round degrades gracefully instead of failing terminally. Two
 //! independent fault sources compose:
 //!
-//! - **Worker churn** (`opts.faults`, §V-A): the same
-//!   [`FaultInjector`] the loop engine uses takes workers offline for
-//!   whole rounds, and [`deadline_for`] sets the per-round arrival
-//!   deadline after which stragglers are excluded from aggregation.
-//! - **Transport chaos** ([`ChaosOptions`]): a seeded
-//!   [`ChaosPlan`](crate::chaos::ChaosPlan) corrupts upload frames
-//!   (detected by the wire checksum; the PS requests bounded
-//!   retransmits with exponential virtual-clock backoff), drops
-//!   downlinks/uplinks, delays arrivals past the deadline, and crashes
-//!   worker threads mid-round. A crashed worker is restarted with a
-//!   fresh channel pair at the start of the next round and re-enters
-//!   the fleet (`WorkerRejoined`).
+//! - **Worker churn** (`opts.faults`, §V-A): a `FaultInjector` takes
+//!   workers offline for whole rounds, and [`deadline_for`] sets the
+//!   per-round arrival deadline after which stragglers are excluded
+//!   from aggregation.
+//! - **Transport chaos** ([`ChaosOptions`], framed exchange only): a
+//!   seeded [`ChaosPlan`] corrupts upload frames (detected by the wire
+//!   checksum; the PS requests bounded retransmits with exponential
+//!   virtual-clock backoff), drops downlinks/uplinks, delays arrivals
+//!   past the deadline, and crashes worker threads mid-round. A crashed
+//!   worker is restarted with a fresh channel pair at the start of the
+//!   next round and re-enters the fleet (`WorkerRejoined`).
 //!
 //! A round aggregates when at least `ChaosOptions::quorum(online)`
 //! models survive exclusion — R2SP-style partial aggregation via
@@ -42,12 +49,13 @@
 //!
 //! Chaos draws are a pure function of `(seed, round, worker)`, all
 //! order-sensitive state (bandit, injector, trace emission,
-//! aggregation) lives PS-side in worker order, and the collection loop
-//! is a barrier that does no order-sensitive processing — so the same
-//! seed yields bit-identical histories and trace streams at any
-//! executor thread count, faults or not. With chaos disabled the
-//! runtime is bit-identical to [`crate::run_fedmp`] under the same
-//! options, **including** `opts.faults` — tested below.
+//! aggregation) lives in the round body in worker order, and the framed
+//! exchange's collection loop is a barrier that does no order-sensitive
+//! processing — so the same seed yields bit-identical histories and
+//! trace streams at any executor thread count, faults or not. Chaos-off,
+//! every driver produces the same bits: the bookkeeping agrees by
+//! construction (it is one function), and what the identity tests below
+//! still compare independently is the exchange — oracle vs real frames.
 //!
 //! # Join guarantee
 //!
@@ -59,15 +67,14 @@
 //! the leak regression test.
 
 use crate::aggregate::{bsp_aggregate, quorum_aggregate};
-use crate::chaos::{corrupted_copy, ChaosOptions};
+use crate::chaos::{corrupted_copy, ChaosOptions, ChaosPlan};
 use crate::engine::{
     emit_aggregate, emit_codec_selected, emit_compression_applied, emit_frame_retransmit,
     emit_kernel_dispatch, emit_local_train, emit_quorum_aggregate, emit_round_end,
-    emit_round_start, emit_worker_excluded, emit_worker_rejoined, kernel_baseline,
+    emit_round_start, emit_worker_excluded, emit_worker_rejoined, evaluate_if_due, kernel_baseline,
     model_round_cost, worker_batches, worker_rng, FlConfig, FlSetup, SyncScheme,
 };
 use crate::engines::fedmp::FedMpOptions;
-use crate::eval::evaluate_image;
 use crate::exec;
 use crate::history::{RoundRecord, RunHistory};
 use crate::local::{local_train, LocalOutcome, LocalTrainConfig};
@@ -87,6 +94,344 @@ use fedmp_pruning::{
 };
 use fedmp_tensor::parallel::{sum_f32, sum_f64};
 use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// Encoded frame sizes of one exchange, for the Eq. 5 communication
+/// terms and the `CompressionApplied` events of a compressed run.
+pub(crate) struct WireBytes {
+    /// The dispatched sub-model frame.
+    pub(crate) down: u64,
+    /// The trained-model upload frame.
+    pub(crate) up: u64,
+    /// Either frame under `Codec::DenseF32` (the trained model has the
+    /// sub-model's shapes, so both directions share it).
+    pub(crate) dense: u64,
+}
+
+/// What came back from one worker.
+pub(crate) struct Arrival<U> {
+    /// The upload as it arrived; [`Exchange::reconstruct`] turns it
+    /// into the trained sub-model once it survives the deadline.
+    pub(crate) upload: U,
+    /// The worker's training outcome.
+    pub(crate) outcome: LocalOutcome,
+    /// `None` when the exchange moved no frames and had no reason to
+    /// size them (the inline exchange under the dense policy, which
+    /// Eq. 5 prices analytically).
+    pub(crate) wire: Option<WireBytes>,
+}
+
+/// One online worker's exchange, driven to a terminal outcome.
+pub(crate) struct Exchanged<U> {
+    /// Retransmit requests the exchange cost, delivered or not.
+    pub(crate) retransmits: u32,
+    /// The arrival, or why the worker is excluded from the round
+    /// (`"dropped"`, `"corrupt"`, `"crashed"`).
+    pub(crate) result: Result<Arrival<U>, &'static str>,
+}
+
+/// How a round's sub-models reach their workers and come back — the
+/// one thing a FedMP driver supplies to [`run_rounds`].
+pub(crate) trait Exchange {
+    /// A delivered upload before the PS reconstructs it.
+    type Upload: Send;
+    /// Terminal (unrecoverable) exchange failures; uninhabited for the
+    /// inline exchange.
+    type Error: Send;
+
+    /// Restarts the workers that crashed last round, before this round
+    /// begins; they are dispatched this round's model like everyone
+    /// else. Default: nothing can crash.
+    fn rejoin(&mut self, round: usize) -> Result<(), Self::Error> {
+        let _ = round;
+        Ok(())
+    }
+
+    /// Delivers `subs[i]` (extracted under `plans[i]`) to worker
+    /// `online[i]` over its `links[online[i]]` codec pair, has it
+    /// trained, and returns every worker's outcome in the same order.
+    fn exchange(
+        &mut self,
+        round: usize,
+        online: &[usize],
+        links: &[LinkCodecs],
+        plans: &[PrunePlan],
+        subs: Vec<Sequential>,
+    ) -> Result<Vec<Exchanged<Self::Upload>>, Self::Error>;
+
+    /// The trained sub-model exactly as the PS reconstructs it from
+    /// `upload`. Called (fanned out) only for uploads that survive the
+    /// deadline.
+    fn reconstruct(upload: Self::Upload) -> Result<Sequential, Self::Error>;
+
+    /// Notification that `worker`'s contribution is excluded for
+    /// `reason`, immediately before the body's `WorkerExcluded` event.
+    /// Default: nothing.
+    fn note_excluded(&mut self, round: usize, worker: usize, reason: &str) {
+        let _ = (round, worker, reason);
+    }
+}
+
+/// Per-worker codec pairs: a pure function of the device profiles, so
+/// fixed for the whole run.
+pub(crate) fn link_codecs(setup: &FlSetup<'_>, opts: &FedMpOptions) -> Vec<LinkCodecs> {
+    setup.devices.iter().map(|d| opts.compression.select(d)).collect()
+}
+
+/// Runs FedMP for `cfg.rounds` rounds starting from `global`, moving
+/// models through `exchange`. `chaos` supplies the virtual-clock
+/// penalties (injected delay, retransmit backoff) and the aggregation
+/// quorum; [`ChaosOptions::none`] makes all three vanish.
+pub(crate) fn run_rounds<X: Exchange>(
+    cfg: &FlConfig,
+    setup: &FlSetup<'_>,
+    mut global: Sequential,
+    opts: &FedMpOptions,
+    chaos: &ChaosOptions,
+    exchange: &mut X,
+) -> Result<RunHistory, X::Error> {
+    let workers = setup.workers();
+    let (method, scheme) = match opts.sync {
+        SyncScheme::R2SP => ("FedMP", "R2SP"),
+        SyncScheme::BSP => ("FedMP-BSP", "BSP"),
+    };
+    let mut history = RunHistory::new(method);
+    let mut sim_time = 0.0f64;
+
+    // One E-UCB agent per worker (§IV-C).
+    let mut agents: Vec<EUcbAgent> = (0..workers)
+        .map(|w| {
+            let mut c = opts.eucb;
+            c.seed = c.seed.wrapping_add(w as u64).wrapping_add(cfg.seed);
+            EUcbAgent::new(c)
+        })
+        .collect();
+
+    let mut injector = opts.faults.map(|f| f.injector(workers));
+    let mut fault_rng = fedmp_tensor::seeded_rng(cfg.seed ^ 0xFA17);
+    let plan = ChaosPlan::new(cfg.seed, chaos);
+    // Every link moves the same models either way; `compressed` only
+    // decides whether Eq. 5 pays encoded frame sizes (and says so in
+    // the trace) or the analytic 4 bytes per parameter.
+    let compressed = !opts.compression.is_dense();
+    let links = link_codecs(setup, opts);
+    // Trace events are emitted here only, after the exchange returns,
+    // so event order is deterministic and the per-round kernel deltas
+    // are exact (all worker kernels for the round have run by then).
+    let mut kstats = kernel_baseline();
+
+    for round in 0..cfg.rounds {
+        exchange.rejoin(round)?;
+
+        // §V-A churn: failed workers sit the round out. (`step` emits
+        // the FaultInjected/FaultRecovered trace events, so they
+        // precede this round's RoundStart.)
+        let online: Vec<usize> = match injector.as_mut() {
+            Some(inj) => inj.step(&mut fault_rng),
+            None => (0..workers).collect(),
+        };
+        emit_round_start(round, sim_time, &online);
+        if online.is_empty() {
+            let rec = RoundRecord { round, sim_time, ..Default::default() };
+            emit_kernel_dispatch(round, &mut kstats);
+            emit_round_end(&rec);
+            history.rounds.push(rec);
+            continue;
+        }
+        if compressed {
+            for &w in &online {
+                let slow = setup.devices[w].is_slow_link(opts.compression.slow_link_bps);
+                emit_codec_selected(round, w, &links[w], slow);
+            }
+        }
+
+        // ① Adaptive model pruning: choose ratios (serially — the
+        // bandit is order-sensitive), then fan the per-worker PS work
+        // across the round executor: plan and extract the sub-model,
+        // form the residual kept until aggregation (§III-C, optionally
+        // 8-bit quantized to cut PS memory 4×) and price the sub-model
+        // (Eq. 5). Every input is read-only, so each slot is a pure
+        // function of its ratio.
+        let ratios: Vec<f32> = online
+            .iter()
+            .map(|&w| match opts.fixed_ratio {
+                Some(r) => r,
+                None => agents[w].select(),
+            })
+            .collect();
+        let prepared = exec::ordered_map(ratios.clone(), |_, ratio| {
+            let plan = plan_sequential_with(&global, setup.task.input_chw, ratio, opts.importance);
+            let sub = extract_sequential(&global, &plan);
+            let residual = state_sub(&global.state(), &sparse_state(&global, &plan));
+            let residual = if opts.quantize_residuals {
+                dequantize_state(&quantize_state(&residual))
+            } else {
+                residual
+            };
+            let cost = model_round_cost(&sub, setup.task.input_chw, &cfg.local);
+            ((plan, sub), (residual, cost))
+        });
+        let ((plans, subs), (residuals, costs)): ((Vec<_>, Vec<_>), (Vec<_>, Vec<_>)) =
+            prepared.into_iter().unzip();
+
+        // ② The exchange; its outcomes fold in worker order. A worker
+        // whose outcome never arrived (lost, corrupt beyond the budget,
+        // crashed) abandons its bandit pull — no reward can honestly
+        // be assigned to it.
+        let exchanged = exchange.exchange(round, &online, &links, &plans, subs)?;
+        let mut retries = Vec::with_capacity(online.len());
+        let mut excluded = vec![None::<&'static str>; online.len()];
+        let mut deliveries: Vec<(usize, Arrival<X::Upload>)> = Vec::with_capacity(online.len());
+        for (i, e) in exchanged.into_iter().enumerate() {
+            retries.push(e.retransmits);
+            match e.result {
+                Ok(arrival) => deliveries.push((i, arrival)),
+                Err(reason) => {
+                    excluded[i] = Some(reason);
+                    agents[online[i]].abandon();
+                }
+            }
+        }
+
+        // Virtual-clock accounting for delivered uploads from each
+        // sub-model's actual cost (Eq. 5), plus the chaos penalties:
+        // retransmit backoff and injected delay.
+        let mut times = Vec::with_capacity(deliveries.len());
+        let mut mean_comp = 0.0;
+        let mut mean_comm = 0.0;
+        for (i, a) in &deliveries {
+            let w = online[*i];
+            let mut cost = costs[*i];
+            if let (true, Some(wire)) = (compressed, &a.wire) {
+                cost.download_bytes = wire.down as f64;
+                cost.upload_bytes = wire.up as f64;
+                let pair = links[w];
+                emit_compression_applied(round, w, "down", pair.downlink, wire.dense, wire.down);
+                emit_compression_applied(round, w, "up", pair.uplink, wire.dense, wire.up);
+            }
+            let mut rng = worker_rng(cfg.seed ^ 0xA5A5, round, w);
+            let t = setup.simulate_round(w, &cost, &mut rng);
+            mean_comp += t.comp;
+            mean_comm += t.comm;
+            emit_local_train(
+                round,
+                w,
+                ratios[*i],
+                a.outcome.mean_loss,
+                a.outcome.delta_loss(),
+                cfg.local.tau,
+                a.outcome.samples,
+                &t,
+                &setup.scaled_cost(&cost),
+            );
+            let draw = plan.draw(round, w);
+            times.push(t.total() + draw.delay_secs + chaos.backoff_total(retries[*i]));
+        }
+        let dn = deliveries.len().max(1) as f64;
+        mean_comp /= dn;
+        mean_comm /= dn;
+        for (i, &r) in retries.iter().enumerate() {
+            for attempt in 1..=r {
+                emit_frame_retransmit(round, online[i], attempt, chaos.backoff_for(attempt));
+            }
+        }
+
+        // §V-A deadline over the delivered arrivals: stragglers past
+        // `factor · d` are excluded from aggregation, but they trained
+        // and still teach the bandit below.
+        let deadline =
+            opts.faults.and_then(|f| deadline_for(&times, f.deadline_frac, f.deadline_factor));
+        let max_t = times.iter().copied().fold(0.0, f64::max);
+        let round_time = match deadline {
+            // With lost exchanges the PS waits the whole deadline
+            // window for arrivals that never come.
+            Some(d) if deliveries.len() < online.len() => d,
+            Some(d) => max_t.min(d),
+            None => max_t,
+        };
+        sim_time += round_time;
+
+        // Exclusion events, worker order: exchange exclusions and
+        // deadline stragglers merged by online position. What is left
+        // unmarked is kept for aggregation.
+        for ((i, _), &t) in deliveries.iter().zip(&times) {
+            if deadline.is_some_and(|d| t > d) {
+                excluded[*i] = Some("deadline");
+            }
+        }
+        for (i, reason) in excluded.iter().enumerate() {
+            if let Some(reason) = reason {
+                exchange.note_excluded(round, online[i], reason);
+                emit_worker_excluded(round, online[i], reason);
+            }
+        }
+        let kept = excluded.iter().filter(|e| e.is_none()).count();
+
+        // Bandit feedback (Eq. 8) for every delivered worker.
+        if opts.fixed_ratio.is_none() && !deliveries.is_empty() {
+            let t_avg = sum_f64(times.iter().copied()) / deliveries.len() as f64;
+            for (k, (i, a)) in deliveries.iter().enumerate() {
+                let reward = eucb_reward(a.outcome.delta_loss(), times[k], t_avg, &opts.reward);
+                agents[online[*i]].observe(reward);
+            }
+        }
+
+        // ③ Reconstruct the kept uploads and aggregate under the
+        // quorum. Reconstruction and state recovery fan out; the
+        // fallible results come back in worker order.
+        let (kept_uploads, kept_losses): (Vec<(usize, X::Upload)>, Vec<f32>) = deliveries
+            .into_iter()
+            .filter(|(i, _)| excluded[*i].is_none())
+            .map(|(i, a)| ((i, a.upload), a.outcome.mean_loss))
+            .unzip();
+        let train_loss = sum_f32(kept_losses) / kept as f32;
+        let kept_residuals: Vec<_> =
+            kept_uploads.iter().map(|(i, _)| residuals[*i].clone()).collect();
+        let mut recovered = Vec::with_capacity(kept);
+        for r in exec::ordered_map(kept_uploads, |_, (i, upload)| {
+            X::reconstruct(upload).map(|model| recover_state(&model, &plans[i], &global))
+        }) {
+            recovered.push(r?);
+        }
+        let quorum = chaos.quorum(online.len());
+        let new_state = match opts.sync {
+            SyncScheme::R2SP => quorum_aggregate(&recovered, &kept_residuals, quorum),
+            SyncScheme::BSP => (!recovered.is_empty() && recovered.len() >= quorum)
+                .then(|| bsp_aggregate(&recovered)),
+        };
+        let participants = match new_state {
+            Some(s) => {
+                global.load_state(&s);
+                if kept < online.len() {
+                    emit_quorum_aggregate(round, quorum, kept, online.len() - kept);
+                }
+                emit_aggregate(round, scheme, kept);
+                kept
+            }
+            // Below quorum: the round's uploads are discarded and the
+            // global model carries over unchanged.
+            None => 0,
+        };
+
+        let eval = evaluate_if_due(cfg, round, &mut global, setup.task);
+        emit_kernel_dispatch(round, &mut kstats);
+        let rec = RoundRecord {
+            round,
+            sim_time,
+            round_time,
+            mean_comp,
+            mean_comm,
+            train_loss,
+            eval,
+            ratios,
+            participants,
+            retries: retries.iter().map(|&r| r as usize).sum(),
+            exclusions: online.len() - kept,
+        };
+        emit_round_end(&rec);
+        history.rounds.push(rec);
+    }
+    Ok(history)
+}
 
 /// A PS → worker message. Shared with `fl::transport`, which carries
 /// the same protocol over sockets.
@@ -242,7 +587,7 @@ pub(crate) struct WorkerProtocol<'a> {
     arch: &'a Sequential,
     local: LocalTrainConfig,
     seed: u64,
-    plan: crate::chaos::ChaosPlan,
+    plan: ChaosPlan,
     link: LinkCodecs,
     /// The clean upload frame of the current round plus how many times
     /// it has been sent — the retransmission source.
@@ -272,7 +617,7 @@ impl<'a> WorkerProtocol<'a> {
         arch: &'a Sequential,
         local: LocalTrainConfig,
         seed: u64,
-        plan: crate::chaos::ChaosPlan,
+        plan: ChaosPlan,
         link: LinkCodecs,
     ) -> Self {
         WorkerProtocol {
@@ -373,20 +718,12 @@ impl<'a> WorkerProtocol<'a> {
 /// sides draw the same per-(round, worker) faults). Exits when its
 /// downlink closes, when the uplink receiver is gone, or when the plan
 /// crashes it.
-#[allow(clippy::too_many_arguments)]
 fn worker_loop(
-    w: usize,
+    mut proto: WorkerProtocol<'_>,
     down_rx: Receiver<DownlinkMsg>,
     uplink_tx: Sender<UplinkMsg>,
-    task: &ImageTask,
-    arch: &Sequential,
-    local: LocalTrainConfig,
-    seed: u64,
-    plan: crate::chaos::ChaosPlan,
-    link: LinkCodecs,
 ) {
-    LIVE_WORKERS.fetch_add(1, Ordering::SeqCst);
-    let mut proto = WorkerProtocol::new(w, task, arch, local, seed, plan, link);
+    let _live = LiveThreadGuard::register();
     while let Ok(msg) = down_rx.recv() {
         let step = match msg {
             DownlinkMsg::Dispatch { round, frame, plan, lost } => {
@@ -409,57 +746,33 @@ fn worker_loop(
             }
         }
     }
-    LIVE_WORKERS.fetch_sub(1, Ordering::SeqCst);
 }
 
-/// A delivered (checksum-verified) upload, in worker order.
-struct Delivery {
-    /// Position in this round's online list.
-    pos: usize,
+/// A delivered (checksum-verified) upload together with the PS-side
+/// record of its dispatch — everything [`Exchange::reconstruct`] needs.
+pub(crate) struct FramedUpload {
+    worker: usize,
+    round: usize,
     frame: Bytes,
-    outcome: LocalOutcome,
-}
-
-/// PS-side record of one dispatch: the sub-model that was extracted
-/// (its architecture prices the round and receives the decoded upload),
-/// the snapshot the worker reconstructs from the frame (via the
-/// [`codec_delivered`] oracle — the uplink delta reference), and the
-/// byte accounting for `CompressionApplied` events and the Eq. 5
-/// communication terms.
-struct Dispatched {
+    /// The sub-model that was extracted and dispatched; its
+    /// architecture receives the decoded upload.
     sub: Sequential,
+    /// The snapshot the worker reconstructed from the dispatched frame
+    /// (via the [`codec_delivered`] oracle) — the uplink delta
+    /// reference.
     received: Vec<StateEntry>,
-    wire_bytes: u64,
-    dense_bytes: u64,
 }
 
-/// Runs FedMP on the threaded runtime with no transport chaos.
-/// Produces a history bit-identical to [`crate::run_fedmp`] under the
-/// same options, including fault injection (`opts.faults`).
-///
-/// # Errors
-/// See [`run_fedmp_threaded_chaos`].
-pub fn run_fedmp_threaded(
-    cfg: &FlConfig,
-    setup: &FlSetup<'_>,
-    global: Sequential,
-    opts: &FedMpOptions,
-) -> Result<RunHistory, RuntimeError> {
-    run_fedmp_threaded_chaos(cfg, setup, global, opts, &ChaosOptions::none())
-}
-
-/// The transport a [`run_recovery_rounds`] PS drives. Everything
+/// The transport the framed exchange drives. Everything
 /// order-sensitive — chaos draws, bandit updates, trace emission,
-/// aggregation — stays in the shared recovery core; a fleet only moves
-/// frames and restarts dead workers. Implemented by the in-process
-/// [`ChannelFleet`] and by `fl::transport`'s socket fleet, which is
-/// what makes chaos-off socket traces bit-identical to the loop
-/// engine: both transports literally run the same PS code.
+/// aggregation — stays PS-side; a fleet only moves frames and restarts
+/// dead workers. Implemented by the in-process [`ChannelFleet`] and by
+/// `fl::transport`'s socket fleet.
 pub(crate) trait Fleet {
     /// Restarts a crashed worker before the round begins (thread
     /// respawn / process restart + reconnect). Transport-level trace
     /// events (`NodeRespawned`, `ConnEstablished`) are emitted here;
-    /// the core emits the `WorkerRejoined` that follows.
+    /// the exchange emits the `WorkerRejoined` that follows.
     fn respawn(&mut self, round: usize, worker: usize) -> Result<(), RuntimeError>;
     /// Sends this round's dispatch. `lost` means the chaos plan drops
     /// the downlink: the payload must not reach the worker's protocol
@@ -480,149 +793,75 @@ pub(crate) trait Fleet {
     fn recv(&mut self, round: usize) -> Result<UplinkMsg, RuntimeError>;
     /// Post-barrier notification that `worker`'s contribution was
     /// excluded for `reason` — the hook the socket fleet uses to emit
-    /// `FrameTimeout`/`ConnReset` immediately before the core's
+    /// `FrameTimeout`/`ConnReset` immediately before the round body's
     /// `WorkerExcluded`. Default: nothing.
     fn note_excluded(&mut self, round: usize, worker: usize, reason: &str) {
         let _ = (round, worker, reason);
     }
 }
 
-/// The PS-side recovery policy, shared by every transport: §V-A churn
-/// and deadlines, bounded retransmits with exponential backoff, quorum
-/// partial aggregation, worker exclusion and rejoin, honest bandit
-/// feedback, and all trace emission — exactly the loop-engine
-/// semantics, driven over whatever the [`Fleet`] moves frames with.
-pub(crate) fn run_recovery_rounds<F: Fleet>(
-    cfg: &FlConfig,
-    setup: &FlSetup<'_>,
-    mut global: Sequential,
-    opts: &FedMpOptions,
-    chaos: &ChaosOptions,
-    fleet: &mut F,
-) -> Result<RunHistory, RuntimeError> {
-    let workers = setup.workers();
-    let mut history = RunHistory::new(match opts.sync {
-        SyncScheme::R2SP => "FedMP",
-        SyncScheme::BSP => "FedMP-BSP",
-    });
-    let mut sim_time = 0.0f64;
+/// The framed [`Exchange`]: every sub-model crosses the [`Fleet`] as
+/// one wire frame and every trained model comes back as one, with the
+/// PS-side recovery policy in between — bounded retransmits of
+/// checksum-failed uploads, exclusion of lost and crashed exchanges,
+/// and restart of crashed workers at the next round.
+struct FramedExchange<'f, F: Fleet> {
+    fleet: &'f mut F,
+    plan: ChaosPlan,
+    max_retransmits: u32,
+    /// Workers that announced a crash and await [`Exchange::rejoin`].
+    crashed: Vec<bool>,
+}
 
-    let mut agents: Vec<EUcbAgent> = (0..workers)
-        .map(|w| {
-            let mut c = opts.eucb;
-            c.seed = c.seed.wrapping_add(w as u64).wrapping_add(cfg.seed);
-            EUcbAgent::new(c)
-        })
-        .collect();
+impl<F: Fleet> Exchange for FramedExchange<'_, F> {
+    type Upload = FramedUpload;
+    type Error = RuntimeError;
 
-    // §V-A worker churn: same injector, same RNG stream as the loop
-    // engine, so fault schedules line up bit-for-bit.
-    let mut injector = opts.faults.map(|f| f.injector(workers));
-    let mut fault_rng = fedmp_tensor::seeded_rng(cfg.seed ^ 0xFA17);
-    let plan = crate::chaos::ChaosPlan::new(cfg.seed, chaos);
-    // Per-worker codec pairs are a pure function of the device profile,
-    // so they are fixed for the whole run. Every link moves the same
-    // frames either way; `compressed` only decides, exactly as in the
-    // loop engine, whether Eq. 5 pays encoded frame sizes (and says so
-    // in the trace) or the analytic 4 bytes per parameter.
-    let compression = opts.compression;
-    let compressed = !compression.is_dense();
-    let links: Vec<LinkCodecs> =
-        (0..workers).map(|w| compression.select(&setup.devices[w])).collect();
-    // Trace events are emitted PS-side only, after the round's
-    // collection barrier, so event order is deterministic and the
-    // per-round kernel deltas are exact (all worker kernels for the
-    // round have run by the time the barrier clears).
-    let mut kstats = kernel_baseline();
-    let mut crashed = vec![false; workers];
-
-    for round in 0..cfg.rounds {
-        // Rejoin: restart last round's crashed workers; they
-        // get this round's global model re-dispatched like
-        // everyone else.
-        for (w, down) in crashed.iter_mut().enumerate() {
+    fn rejoin(&mut self, round: usize) -> Result<(), RuntimeError> {
+        for (w, down) in self.crashed.iter_mut().enumerate() {
             if !*down {
                 continue;
             }
-            fleet.respawn(round, w)?;
+            self.fleet.respawn(round, w)?;
             *down = false;
             emit_worker_rejoined(round, w);
         }
+        Ok(())
+    }
 
-        // §V-A churn: offline workers are not dispatched.
-        let online: Vec<usize> = match injector.as_mut() {
-            Some(inj) => inj.step(&mut fault_rng),
-            None => (0..workers).collect(),
-        };
-        emit_round_start(round, sim_time, &online);
-        if online.is_empty() {
-            let rec = RoundRecord { round, sim_time, ..Default::default() };
-            emit_kernel_dispatch(round, &mut kstats);
-            emit_round_end(&rec);
-            history.rounds.push(rec);
-            continue;
-        }
-        if compressed {
-            for &w in &online {
-                let slow = setup.devices[w].is_slow_link(compression.slow_link_bps);
-                emit_codec_selected(round, w, &links[w], slow);
-            }
-        }
-
-        // ① PS side: ratios, plans, residuals for the online
-        // fleet (same order and formulas as the loop engine).
-        let ratios: Vec<f32> = online
-            .iter()
-            .map(|&w| match opts.fixed_ratio {
-                Some(r) => r,
-                None => agents[w].select(),
-            })
-            .collect();
-        let plans: Vec<_> = ratios
-            .iter()
-            .map(|&r| plan_sequential_with(&global, setup.task.input_chw, r, opts.importance))
-            .collect();
-        let residuals: Vec<_> = plans
-            .iter()
-            .map(|p| {
-                let r = state_sub(&global.state(), &sparse_state(&global, p));
-                if opts.quantize_residuals {
-                    dequantize_state(&quantize_state(&r))
-                } else {
-                    r
-                }
-            })
-            .collect();
-
-        // Dispatch frames: sub-model extraction and wire
-        // encoding fan out across the round executor, then the
-        // sends happen serially in worker order.
-        let prepared = exec::ordered_map((0..online.len()).collect(), |_, i| {
-            let sub = extract_sequential(&global, &plans[i]);
+    fn exchange(
+        &mut self,
+        round: usize,
+        online: &[usize],
+        links: &[LinkCodecs],
+        plans: &[PrunePlan],
+        subs: Vec<Sequential>,
+    ) -> Result<Vec<Exchanged<FramedUpload>>, RuntimeError> {
+        let workers = links.len();
+        // Dispatch frames: wire encoding fans out across the round
+        // executor, then the sends happen serially in worker order.
+        let work: Vec<(usize, Sequential)> = online.iter().copied().zip(subs).collect();
+        let prepared = exec::ordered_map(work, |_, (w, sub)| {
             let sub_state = sub.state();
-            let downlink = links[online[i]].downlink;
+            let downlink = links[w].downlink;
             let frame = encode_state_v2(&sub_state, downlink, None, None);
-            let sent = Dispatched {
-                received: codec_delivered(&sub_state, downlink, None, None),
-                wire_bytes: frame.len() as u64,
-                dense_bytes: wire_size_v2(&sub_state, Codec::DenseF32) as u64,
-                sub,
-            };
-            (frame, sent)
+            let received = codec_delivered(&sub_state, downlink, None, None);
+            let dense = wire_size_v2(&sub_state, Codec::DenseF32) as u64;
+            (frame, sub, received, dense)
         });
-        let mut dispatched: Vec<Dispatched> = Vec::with_capacity(online.len());
-        for (i, (frame, sent)) in prepared.into_iter().enumerate() {
+        let mut dispatched = Vec::with_capacity(online.len());
+        for (i, (frame, sub, received, dense)) in prepared.into_iter().enumerate() {
             let w = online[i];
-            dispatched.push(sent);
-            let lost = plan.draw(round, w).drop_down;
-            fleet.dispatch(round, w, frame, &plans[i], lost)?;
+            dispatched.push((sub, received, frame.len() as u64, dense));
+            let lost = self.plan.draw(round, w).drop_down;
+            self.fleet.dispatch(round, w, frame, &plans[i], lost)?;
         }
 
-        // Collection barrier: drive every dispatched exchange
-        // to a terminal outcome (delivered / excluded). This
-        // loop does **no** order-sensitive processing — arrival
-        // order varies run to run; everything deterministic
-        // happens after the barrier, in worker order.
+        // Collection barrier: drive every dispatched exchange to a
+        // terminal outcome (delivered / excluded). This loop does
+        // **no** order-sensitive processing — arrival order varies run
+        // to run; everything deterministic happens after the barrier,
+        // in worker order.
         enum Slot {
             Waiting,
             PendingRetry { outcome: LocalOutcome },
@@ -637,11 +876,11 @@ pub(crate) fn run_recovery_rounds<F: Fleet>(
         let mut retries = vec![0u32; online.len()];
         let mut outstanding = online.len();
         while outstanding > 0 {
-            let msg = fleet.recv(round)?;
+            let msg = self.fleet.recv(round)?;
             let w = msg.worker;
             if msg.round != round || w >= workers || pos[w] == usize::MAX {
-                // Stale or phantom message — the lock-step
-                // protocol cannot produce one; skip defensively.
+                // Stale or phantom message — the lock-step protocol
+                // cannot produce one; skip defensively.
                 continue;
             }
             let i = pos[w];
@@ -650,8 +889,8 @@ pub(crate) fn run_recovery_rounds<F: Fleet>(
                 UplinkBody::Frame { frame } => {
                     match std::mem::replace(&mut slots[i], Slot::Waiting) {
                         Slot::PendingRetry { outcome } => Some((frame, outcome)),
-                        // A retransmission with nothing pending
-                        // is a protocol violation.
+                        // A retransmission with nothing pending is a
+                        // protocol violation.
                         _ => return Err(RuntimeError::CorruptFrame { worker: w, round }),
                     }
                 }
@@ -661,7 +900,7 @@ pub(crate) fn run_recovery_rounds<F: Fleet>(
                     None
                 }
                 UplinkBody::Crashed => {
-                    crashed[w] = true;
+                    self.crashed[w] = true;
                     slots[i] = Slot::Excluded("crashed");
                     outstanding -= 1;
                     None
@@ -674,12 +913,12 @@ pub(crate) fn run_recovery_rounds<F: Fleet>(
                 if frame_checksum_ok(&frame) {
                     slots[i] = Slot::Delivered { frame, outcome };
                     outstanding -= 1;
-                } else if retries[i] < chaos.max_retransmits {
-                    // Bounded retransmit: ask the worker to
-                    // resend its cached clean frame.
+                } else if retries[i] < self.max_retransmits {
+                    // Bounded retransmit: ask the worker to resend its
+                    // cached clean frame.
                     retries[i] += 1;
                     slots[i] = Slot::PendingRetry { outcome };
-                    fleet.retransmit(round, w)?;
+                    self.fleet.retransmit(round, w)?;
                 } else {
                     slots[i] = Slot::Excluded("corrupt");
                     outstanding -= 1;
@@ -687,231 +926,77 @@ pub(crate) fn run_recovery_rounds<F: Fleet>(
             }
         }
 
-        // Post-barrier: fold the outcomes in worker order.
-        let mut deliveries: Vec<Delivery> = Vec::with_capacity(online.len());
-        let mut transport_excluded: Vec<(usize, &'static str)> = Vec::new();
-        for (i, slot) in slots.into_iter().enumerate() {
-            match slot {
-                Slot::Delivered { frame, outcome } => {
-                    deliveries.push(Delivery { pos: i, frame, outcome });
-                }
-                Slot::Excluded(reason) => transport_excluded.push((i, reason)),
+        // Post-barrier: report the outcomes in worker order.
+        let mut exchanged = Vec::with_capacity(online.len());
+        for (i, (slot, (sub, received, down, dense))) in
+            slots.into_iter().zip(dispatched).enumerate()
+        {
+            let worker = online[i];
+            let result = match slot {
+                Slot::Delivered { frame, outcome } => Ok(Arrival {
+                    wire: Some(WireBytes { down, up: frame.len() as u64, dense }),
+                    upload: FramedUpload { worker, round, frame, sub, received },
+                    outcome,
+                }),
+                Slot::Excluded(reason) => Err(reason),
                 // The barrier drives every slot terminal.
                 Slot::Waiting | Slot::PendingRetry { .. } => {
-                    return Err(RuntimeError::WorkerLost { worker: online[i] })
+                    return Err(RuntimeError::WorkerLost { worker })
                 }
-            }
+            };
+            exchanged.push(Exchanged { retransmits: retries[i], result });
         }
-
-        // Virtual-clock accounting for delivered uploads (same
-        // formulas as the loop engine), plus the chaos
-        // penalties: retransmit backoff and injected delay.
-        let mut times = Vec::with_capacity(deliveries.len());
-        let mut mean_comp = 0.0;
-        let mut mean_comm = 0.0;
-        for d in &deliveries {
-            let w = online[d.pos];
-            let sent = &dispatched[d.pos];
-            let mut cost = model_round_cost(&sent.sub, setup.task.input_chw, &cfg.local);
-            // Compressed links pay their actual encoded frame
-            // sizes in Eq. 5 (same override as the loop engine).
-            if compressed {
-                cost.download_bytes = sent.wire_bytes as f64;
-                cost.upload_bytes = d.frame.len() as f64;
-                let pair = links[w];
-                emit_compression_applied(
-                    round,
-                    w,
-                    "down",
-                    pair.downlink,
-                    sent.dense_bytes,
-                    sent.wire_bytes,
-                );
-                // The trained model has the sub-model's shapes, so its
-                // dense frame is the same size.
-                emit_compression_applied(
-                    round,
-                    w,
-                    "up",
-                    pair.uplink,
-                    sent.dense_bytes,
-                    d.frame.len() as u64,
-                );
-            }
-            let mut rng = worker_rng(cfg.seed ^ 0xA5A5, round, w);
-            let t = setup.simulate_round(w, &cost, &mut rng);
-            mean_comp += t.comp;
-            mean_comm += t.comm;
-            emit_local_train(
-                round,
-                w,
-                ratios[d.pos],
-                d.outcome.mean_loss,
-                d.outcome.delta_loss(),
-                cfg.local.tau,
-                d.outcome.samples,
-                &t,
-                &setup.scaled_cost(&cost),
-            );
-            let draw = plan.draw(round, w);
-            times.push(t.total() + draw.delay_secs + chaos.backoff_total(retries[d.pos]));
-        }
-        let dn = deliveries.len().max(1) as f64;
-        mean_comp /= dn;
-        mean_comm /= dn;
-        for (i, &r) in retries.iter().enumerate() {
-            for attempt in 1..=r {
-                emit_frame_retransmit(round, online[i], attempt, chaos.backoff_for(attempt));
-            }
-        }
-
-        // §V-A deadline over the delivered arrivals: stragglers
-        // past `factor · d` are excluded from aggregation (but
-        // still trained and still teach the bandit, exactly
-        // like the loop engine).
-        let deadline =
-            opts.faults.and_then(|f| deadline_for(&times, f.deadline_frac, f.deadline_factor));
-        let kept: Vec<usize> = match deadline {
-            Some(d) => (0..deliveries.len()).filter(|&k| times[k] <= d).collect(),
-            None => (0..deliveries.len()).collect(),
-        };
-        let max_t = times.iter().copied().fold(0.0, f64::max);
-        let undelivered = online.len() - deliveries.len();
-        let round_time = match deadline {
-            // With lost exchanges the PS waits the whole
-            // deadline window for arrivals that never come.
-            Some(d) if undelivered > 0 => d,
-            Some(d) => max_t.min(d),
-            None => max_t,
-        };
-        sim_time += round_time;
-
-        // Exclusion events, worker order: transport exclusions
-        // then deadline stragglers, merged by online position.
-        let mut excluded = vec![None::<&'static str>; online.len()];
-        for &(i, reason) in &transport_excluded {
-            excluded[i] = Some(reason);
-        }
-        for (k, d) in deliveries.iter().enumerate() {
-            if !kept.contains(&k) {
-                excluded[d.pos] = Some("deadline");
-            }
-        }
-        for (i, reason) in excluded.iter().enumerate() {
-            if let Some(reason) = reason {
-                fleet.note_excluded(round, online[i], reason);
-                emit_worker_excluded(round, online[i], reason);
-            }
-        }
-
-        // Bandit feedback (Eq. 8) for every delivered worker;
-        // a worker whose outcome never arrived (lost, corrupt
-        // beyond the budget, crashed) abandons its pull — no
-        // reward can honestly be assigned to it.
-        if opts.fixed_ratio.is_none() {
-            let mut delivered = vec![false; online.len()];
-            for d in &deliveries {
-                delivered[d.pos] = true;
-            }
-            if !deliveries.is_empty() {
-                let t_avg = sum_f64(times.iter().copied()) / deliveries.len() as f64;
-                for (k, d) in deliveries.iter().enumerate() {
-                    agents[online[d.pos]].observe(eucb_reward(
-                        d.outcome.delta_loss(),
-                        times[k],
-                        t_avg,
-                        &opts.reward,
-                    ));
-                }
-            }
-            for (i, &w) in online.iter().enumerate() {
-                if !delivered[i] {
-                    agents[w].abandon();
-                }
-            }
-        }
-
-        // ③ Decode the kept uploads and aggregate under the
-        // quorum. Frame decode and state recovery fan out; the
-        // fallible results come back in worker order.
-        let decoded =
-            exec::ordered_map(kept.iter().map(|&k| &deliveries[k]).collect(), |_, d: &Delivery| {
-                // Uplinks decode against the snapshot the worker
-                // trained from (its decoded downlink, which
-                // `codec_delivered` predicted exactly).
-                let sent = &dispatched[d.pos];
-                decode_state_v2(&d.frame, Some(&sent.received)).map(|state| {
-                    let mut model = sent.sub.clone();
-                    model.load_state(&state);
-                    recover_state(&model, &plans[d.pos], &global)
-                })
-            });
-        let mut recovered = Vec::with_capacity(kept.len());
-        for (k, dec) in kept.iter().zip(decoded) {
-            let w = online[deliveries[*k].pos];
-            recovered.push(dec.map_err(|_| RuntimeError::CorruptFrame { worker: w, round })?);
-        }
-        let kept_residuals: Vec<_> =
-            kept.iter().map(|&k| residuals[deliveries[k].pos].clone()).collect();
-        let quorum = chaos.quorum(online.len());
-        let new_state = match opts.sync {
-            SyncScheme::R2SP => quorum_aggregate(&recovered, &kept_residuals, quorum),
-            SyncScheme::BSP => {
-                if recovered.is_empty() || recovered.len() < quorum {
-                    None
-                } else {
-                    Some(bsp_aggregate(&recovered))
-                }
-            }
-        };
-        let participants = match new_state {
-            Some(s) => {
-                global.load_state(&s);
-                if kept.len() < online.len() {
-                    emit_quorum_aggregate(round, quorum, kept.len(), online.len() - kept.len());
-                }
-                emit_aggregate(
-                    round,
-                    match opts.sync {
-                        SyncScheme::R2SP => "R2SP",
-                        SyncScheme::BSP => "BSP",
-                    },
-                    kept.len(),
-                );
-                kept.len()
-            }
-            // Below quorum: the round's uploads are discarded
-            // and the global model carries over unchanged.
-            None => 0,
-        };
-
-        let train_loss =
-            sum_f32(kept.iter().map(|&k| deliveries[k].outcome.mean_loss)) / kept.len() as f32;
-        let eval = if round % cfg.eval_every == 0 || round + 1 == cfg.rounds {
-            let r =
-                evaluate_image(&mut global, &setup.task.test, cfg.eval_batch, cfg.eval_max_samples);
-            Some((r.loss, r.accuracy))
-        } else {
-            None
-        };
-        emit_kernel_dispatch(round, &mut kstats);
-        let rec = RoundRecord {
-            round,
-            sim_time,
-            round_time,
-            mean_comp,
-            mean_comm,
-            train_loss,
-            eval,
-            ratios,
-            participants,
-            retries: retries.iter().map(|&r| r as usize).sum(),
-            exclusions: online.len() - kept.len(),
-        };
-        emit_round_end(&rec);
-        history.rounds.push(rec);
+        Ok(exchanged)
     }
-    Ok(history)
+
+    fn reconstruct(upload: FramedUpload) -> Result<Sequential, RuntimeError> {
+        let FramedUpload { worker, round, frame, sub: mut model, received } = upload;
+        // Uplinks decode against the snapshot the worker trained from
+        // (its decoded downlink, which `codec_delivered` predicted
+        // exactly).
+        let state = decode_state_v2(&frame, Some(&received))
+            .map_err(|_| RuntimeError::CorruptFrame { worker, round })?;
+        model.load_state(&state);
+        Ok(model)
+    }
+
+    fn note_excluded(&mut self, round: usize, worker: usize, reason: &str) {
+        self.fleet.note_excluded(round, worker, reason);
+    }
+}
+
+/// Runs the shared round body ([`run_rounds`]) with the framed exchange
+/// over `fleet` — the PS of both the channel and the socket runtime.
+pub(crate) fn run_framed_rounds<F: Fleet>(
+    cfg: &FlConfig,
+    setup: &FlSetup<'_>,
+    global: Sequential,
+    opts: &FedMpOptions,
+    chaos: &ChaosOptions,
+    fleet: &mut F,
+) -> Result<RunHistory, RuntimeError> {
+    let mut framed = FramedExchange {
+        fleet,
+        plan: ChaosPlan::new(cfg.seed, chaos),
+        max_retransmits: chaos.max_retransmits,
+        crashed: vec![false; setup.workers()],
+    };
+    run_rounds(cfg, setup, global, opts, chaos, &mut framed)
+}
+
+/// Runs FedMP on the threaded runtime with no transport chaos.
+/// Produces a history bit-identical to [`crate::run_fedmp`] under the
+/// same options, including fault injection (`opts.faults`).
+///
+/// # Errors
+/// See [`run_fedmp_threaded_chaos`].
+pub fn run_fedmp_threaded(
+    cfg: &FlConfig,
+    setup: &FlSetup<'_>,
+    global: Sequential,
+    opts: &FedMpOptions,
+) -> Result<RunHistory, RuntimeError> {
+    run_fedmp_threaded_chaos(cfg, setup, global, opts, &ChaosOptions::none())
 }
 
 /// The in-process [`Fleet`]: crossbeam channels to scoped worker
@@ -926,7 +1011,7 @@ struct ChannelFleet<'a, 'scope, 'env> {
     arch: &'env Sequential,
     local: LocalTrainConfig,
     seed: u64,
-    plan: crate::chaos::ChaosPlan,
+    plan: ChaosPlan,
     links: &'a [LinkCodecs],
 }
 
@@ -936,14 +1021,16 @@ impl ChannelFleet<'_, '_, '_> {
     fn spawn(&self, worker: usize) -> Sender<DownlinkMsg> {
         let (down_tx, down_rx) = bounded::<DownlinkMsg>(2);
         let utx = self.uplink_tx.clone();
-        let task = self.task;
-        let arch = self.arch;
-        let local = self.local;
-        let seed = self.seed;
-        let plan = self.plan;
-        let link = self.links[worker];
-        self.scope
-            .spawn(move || worker_loop(worker, down_rx, utx, task, arch, local, seed, plan, link));
+        let proto = WorkerProtocol::new(
+            worker,
+            self.task,
+            self.arch,
+            self.local,
+            self.seed,
+            self.plan,
+            self.links[worker],
+        );
+        self.scope.spawn(move || worker_loop(proto, down_rx, utx));
         down_tx
     }
 }
@@ -999,12 +1086,10 @@ pub fn run_fedmp_threaded_chaos(
     chaos: &ChaosOptions,
 ) -> Result<RunHistory, RuntimeError> {
     let workers = setup.workers();
-    let plan = crate::chaos::ChaosPlan::new(cfg.seed, chaos);
-    // Per-worker codec pairs are a pure function of the device profile,
-    // so they are fixed for the whole run and can be handed to the
-    // worker threads at spawn time — as is the architecture.
-    let links: Vec<LinkCodecs> =
-        (0..workers).map(|w| opts.compression.select(&setup.devices[w])).collect();
+    let plan = ChaosPlan::new(cfg.seed, chaos);
+    // Codec pairs are fixed for the whole run, so they can be handed
+    // to the worker threads at spawn time — as is the architecture.
+    let links = link_codecs(setup, opts);
     let arch = global.clone();
 
     std::thread::scope(|scope| {
@@ -1030,7 +1115,7 @@ pub fn run_fedmp_threaded_chaos(
         // Protocol violations come back as a typed `RuntimeError`
         // value, never an early return: the channels are torn down
         // after the PS loop on *every* exit path (see below).
-        let ps = run_recovery_rounds(cfg, setup, global, opts, chaos, &mut fleet);
+        let ps = run_framed_rounds(cfg, setup, global, opts, chaos, &mut fleet);
 
         // Join guarantee, on BOTH exit paths: closing every downlink
         // ends each worker's receive loop, and dropping the uplink

@@ -38,13 +38,13 @@
 //!
 //! # Determinism
 //!
-//! The PS drives [`crate::runtime::run_recovery_rounds`] — literally
-//! the same recovery core as the channel runtime — through a
-//! [`Fleet`] implementation whose only nondeterminism (uplink arrival
-//! order, connection acceptance order) is confined to the collection
-//! barrier, which does no order-sensitive processing. Chaos-off socket
-//! runs are therefore bit-identical (history and trace alike) to the
-//! loop engine; seeded chaos runs are bit-identical run to run.
+//! The PS is the one round body every FedMP driver runs
+//! ([`crate::runtime`]), with the framed exchange over a [`Fleet`]
+//! whose only nondeterminism (uplink arrival order, connection
+//! acceptance order) is confined to the collection barrier, which does
+//! no order-sensitive processing. Chaos-off socket runs are therefore
+//! bit-identical (history and trace alike) to the loop engine; seeded
+//! chaos runs are bit-identical run to run.
 
 use crate::chaos::{backoff, ChaosOptions};
 use crate::checksum::fnv1a64;
@@ -56,7 +56,7 @@ use crate::engines::fedmp::FedMpOptions;
 use crate::history::RunHistory;
 use crate::local::{LocalOutcome, LocalTrainConfig};
 use crate::runtime::{
-    run_recovery_rounds, Fleet, LiveThreadGuard, RuntimeError, UplinkBody, UplinkMsg,
+    link_codecs, run_framed_rounds, Fleet, LiveThreadGuard, RuntimeError, UplinkBody, UplinkMsg,
     WorkerProtocol, WorkerStep,
 };
 use crate::task::ImageTask;
@@ -1036,7 +1036,6 @@ pub fn run_fedmp_sockets<S: NodeSpawner>(
     sock: &SocketRunOptions,
     spawner: &mut S,
 ) -> Result<RunHistory, RuntimeError> {
-    let workers = setup.workers();
     // A stale socket file from a crashed previous run would make bind
     // fail; removing a path nothing listens on is safe.
     let _ = std::fs::remove_file(&sock.socket);
@@ -1049,15 +1048,14 @@ pub fn run_fedmp_sockets<S: NodeSpawner>(
             .set_nonblocking(true)
             .map_err(|_| RuntimeError::Transport { worker: 0, fault: TransportFault::Bind })?;
         let plan = crate::chaos::ChaosPlan::new(cfg.seed, chaos);
-        let links: Vec<LinkCodecs> =
-            (0..workers).map(|w| opts.compression.select(&setup.devices[w])).collect();
+        let links = link_codecs(setup, opts);
         let arch = global.clone();
         let mut fleet = SocketFleet::new(
             &listener, sock, spawner, cfg.seed, cfg.local, *chaos, plan, &links, &arch,
         );
         let run = fleet
             .bring_up()
-            .and_then(|_| run_recovery_rounds(cfg, setup, global, opts, chaos, &mut fleet));
+            .and_then(|_| run_framed_rounds(cfg, setup, global, opts, chaos, &mut fleet));
         // Teardown runs on BOTH exit paths; a run error outranks a
         // teardown error.
         let td = fleet.teardown();

@@ -47,14 +47,17 @@ impl ReLU {
 pub struct Dropout {
     /// Drop probability in `[0, 1)`.
     pub p: f32,
-    #[serde(skip, default = "default_dropout_rng")]
-    rng: StdRng,
+    /// Seed of the mask generator. Serialised (old JSON without it
+    /// loads as 0), so a layer that crosses a process boundary draws
+    /// the same masks as the one it was copied from.
+    #[serde(default)]
+    seed: u64,
+    /// Built from `seed` by the first training forward; a `Clone`
+    /// carries the advanced state, JSON restarts from the seed.
+    #[serde(skip)]
+    rng: Option<StdRng>,
     #[serde(skip)]
     mask: Option<Vec<f32>>,
-}
-
-fn default_dropout_rng() -> StdRng {
-    seeded_rng(0)
 }
 
 impl Dropout {
@@ -62,7 +65,7 @@ impl Dropout {
     /// reproducibility.
     pub fn new(p: f32, seed: u64) -> Self {
         assert!((0.0..1.0).contains(&p), "dropout p must be in [0, 1)");
-        Dropout { p, rng: seeded_rng(seed), mask: None }
+        Dropout { p, seed, rng: None, mask: None }
     }
 
     /// Forward pass.
@@ -73,9 +76,9 @@ impl Dropout {
         }
         let keep = 1.0 - self.p;
         let scale = 1.0 / keep;
-        let mask: Vec<f32> = (0..input.numel())
-            .map(|_| if self.rng.gen::<f32>() < keep { scale } else { 0.0 })
-            .collect();
+        let rng = self.rng.get_or_insert_with(|| seeded_rng(self.seed));
+        let mask: Vec<f32> =
+            (0..input.numel()).map(|_| if rng.gen::<f32>() < keep { scale } else { 0.0 }).collect();
         let mut out = input.clone();
         for (v, &m) in out.data_mut().iter_mut().zip(mask.iter()) {
             *v *= m;
@@ -135,6 +138,20 @@ mod tests {
         for (gv, yv) in g.data().iter().zip(y.data().iter()) {
             assert_eq!(*gv == 0.0, *yv == 0.0);
         }
+    }
+
+    #[test]
+    fn dropout_mask_survives_serialisation() {
+        // A socket worker receives the architecture as JSON (the text
+        // form of this value tree); its masks must be the ones the
+        // PS-side clone draws.
+        let mut original = Dropout::new(0.4, 17);
+        let mut revived = Dropout::from_value(&original.to_value()).unwrap();
+        let x = Tensor::ones(&[256]);
+        assert_eq!(revived.forward(&x, true), original.forward(&x, true));
+        // A record written before the seed was serialised still loads.
+        let legacy = serde::Value::Object(vec![("p".to_string(), 0.4f32.to_value())]);
+        assert_eq!(Dropout::from_value(&legacy).unwrap().seed, 0);
     }
 
     #[test]
