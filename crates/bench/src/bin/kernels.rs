@@ -5,6 +5,8 @@
 //! scalar kernels and the AVX2/FMA microkernels on the GEMM shapes the
 //! width-1.0 model zoo actually runs (im2col convolutions and linear
 //! layers, batch 64), plus the conv2d forward pass itself, then
+//! the conv backward passes beside it (weight gradient, input gradient
+//! and the `col2im` fold's share of the latter), then
 //! measures what structured pruning buys at the kernel level: a
 //! ρ-pruned conv/FC layer through `conv2d_forward_pruned` /
 //! `matmul_nt_pruned` against its dense baseline. Writes everything to
@@ -16,8 +18,9 @@
 //!
 //! Set `FEDMP_BENCH_SMOKE=1` (CI) to cut repetitions and skip the
 //! timing-based gates; the *equivalence* gates — every path against the
-//! reference oracle, every pruned run bitwise against dense-on-extracted
-//! — always run, so a smoke pass still proves the kernels compute the
+//! reference oracle, every pruned run bitwise against dense-on-extracted,
+//! the `col2im` row fold bitwise against an element-by-element fold —
+//! always run, so a smoke pass still proves the kernels compute the
 //! same numbers. Timing gates in full mode: on AVX2 hosts the headline
 //! SIMD GEMM must beat the scalar blocked kernel ≥ 2×, and the
 //! 70 %-pruned (out-only) layers must cost ≤ 40 % of their dense time
@@ -28,8 +31,9 @@ use std::time::Instant;
 use fedmp_pruning::ratio_keep_count;
 use fedmp_tensor::simd::{self, SimdPath};
 use fedmp_tensor::{
-    conv2d_forward, conv2d_forward_pruned, im2col, matmul_nt_pruned, matmul_nt_reference,
-    matmul_reference, matmul_tn_reference, parallel, seeded_rng, Conv2dSpec, Tensor,
+    col2im_into, conv2d_backward_input, conv2d_backward_weight, conv2d_forward,
+    conv2d_forward_pruned, im2col, matmul_nt_pruned, matmul_nt_reference, matmul_reference,
+    matmul_tn_reference, parallel, seeded_rng, Conv2dSpec, Tensor,
 };
 use serde_json::json;
 
@@ -358,6 +362,75 @@ fn main() {
         }));
     }
 
+    // Conv backward under the default dispatch: what the two gradient
+    // passes cost beside the forward, and how much of the input-gradient
+    // pass is the `col2im` fold — on the two stages above and on the two
+    // conv layers of the benchmark's sub-model (cnn_mnist width 0.25
+    // pruned at ratio 0.4, batch 16). One kernel thread, so the fold
+    // timed alone is a true share of the batch-parallel pass.
+    let mut conv_bwd_rows = Vec::new();
+    parallel::override_threads(Some(1));
+    for (name, n, c, hw, oc, k, padding) in [
+        ("cnn_mnist/conv2_b8", 8usize, 32usize, 14usize, 64usize, 5usize, 2usize),
+        ("alexnet/conv2_b8", 8, 64, 16, 192, 3, 1),
+        ("cnn_mnist_w0.25_r0.4/conv1_b16", 16, 1, 28, 5, 5, 2),
+        ("cnn_mnist_w0.25_r0.4/conv2_b16", 16, 5, 14, 10, 5, 2),
+    ] {
+        let spec = Conv2dSpec { kh: k, kw: k, stride: 1, padding };
+        let (oh, ow) = spec.out_hw(hw, hw);
+        let input = Tensor::randn(&[n, c, hw, hw], &mut rng);
+        let weight = Tensor::randn(&[oc, c, k, k], &mut rng);
+        let bias = Tensor::zeros(&[oc]);
+        let grad_out = Tensor::randn(&[n, oc, oh, ow], &mut rng);
+        let cols = Tensor::randn(&[c * k * k, oh * ow], &mut rng);
+
+        // Bitwise gate (always): the stride-1 row fold against a fold
+        // that adds one column element at a time, in row-major column
+        // order — ascending `(ky, kx)` per image element. Where each
+        // column element lands is read off `im2col` of an image holding
+        // its own 1-based offsets (0 marks a padding tap).
+        let offsets: Vec<f32> = (1..=c * hw * hw).map(|i| i as f32).collect();
+        let landing = im2col(&offsets, c, hw, hw, &spec);
+        let mut want = Tensor::zeros(&[c, hw, hw]);
+        for (&v, &j) in cols.data().iter().zip(landing.data()) {
+            if j > 0.0 {
+                want.data_mut()[j as usize - 1] += v;
+            }
+        }
+        let mut folded = Tensor::zeros(&[c, hw, hw]);
+        col2im_into(cols.data(), c, hw, hw, &spec, folded.data_mut());
+        assert_bits_eq(&folded, &want, &format!("{name}/col2im"));
+
+        let reps = if smoke { 1 } else { 20 };
+        let forward_ms = time_ms(reps, || conv2d_forward(&input, &weight, &bias, &spec));
+        let bwd_weight_ms =
+            time_ms(reps, || conv2d_backward_weight(&grad_out, &input, weight.dims(), &spec));
+        let bwd_input_ms =
+            time_ms(reps, || conv2d_backward_input(&grad_out, &weight, input.dims(), &spec));
+        let col2im_ms = time_ms(reps, || {
+            for _ in 0..n {
+                col2im_into(cols.data(), c, hw, hw, &spec, folded.data_mut());
+            }
+        });
+        let col2im_share = col2im_ms / bwd_input_ms;
+        let bwd_over_fwd = (bwd_weight_ms + bwd_input_ms) / forward_ms;
+        println!(
+            "conv-bwd {name:<32} fwd {forward_ms:7.3} ms  bwd_weight {bwd_weight_ms:7.3} ms  bwd_input {bwd_input_ms:7.3} ms  (col2im {:.0}%)  bwd/fwd {bwd_over_fwd:4.2}x",
+            col2im_share * 100.0,
+        );
+        conv_bwd_rows.push(json!({
+            "name": name,
+            "batch": n, "in_channels": c, "h": hw, "w": hw,
+            "out_channels": oc, "kernel": k, "stride": 1, "padding": padding,
+            "forward_ms": forward_ms,
+            "bwd_weight_ms": bwd_weight_ms,
+            "bwd_input_ms": bwd_input_ms,
+            "col2im_share": col2im_share,
+            "bwd_over_fwd": bwd_over_fwd,
+        }));
+    }
+    parallel::override_threads(None);
+
     // ------------------------------------------------------------------
     // Pruning-aware fast paths: what does a ρ-pruned layer actually
     // cost, relative to its dense self, under the default dispatch?
@@ -505,6 +578,7 @@ fn main() {
         },
         "gemm": gemm_rows,
         "conv": conv_rows,
+        "conv_backward": conv_bwd_rows,
         "pruned": pruned_rows,
         "headline": {
             "shape": headline_name,

@@ -72,7 +72,7 @@ pub fn local_train(
         model.zero_grad();
         let logits = model.forward(&x, true);
         let out = cross_entropy_loss(&logits, &labels);
-        model.backward(&out.grad_logits);
+        model.backward_params(&out.grad_logits);
         if cfg.prox_mu > 0.0 {
             add_proximal_grad(model, &anchor, cfg.prox_mu);
         }

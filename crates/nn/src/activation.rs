@@ -18,12 +18,11 @@ impl ReLU {
         ReLU { mask: None }
     }
 
-    /// Forward pass.
-    pub fn forward(&mut self, input: &Tensor, _training: bool) -> Tensor {
-        let mask: Vec<bool> = input.data().iter().map(|&v| v > 0.0).collect();
-        let out = input.map(|v| if v > 0.0 { v } else { 0.0 });
-        self.mask = Some(mask);
-        out
+    /// Forward pass. Only a training forward records the gate mask for
+    /// [`Self::backward`]; an inference forward clears it.
+    pub fn forward(&mut self, input: &Tensor, training: bool) -> Tensor {
+        self.mask = training.then(|| input.data().iter().map(|&v| v > 0.0).collect());
+        input.map(|v| if v > 0.0 { v } else { 0.0 })
     }
 
     /// Backward pass: zeroes gradients where the input was non-positive.
@@ -31,12 +30,17 @@ impl ReLU {
         let mask = self.mask.as_ref().expect("relu backward before forward");
         assert_eq!(mask.len(), grad_out.numel(), "relu backward: shape changed");
         let mut g = grad_out.clone();
-        for (v, &keep) in g.data_mut().iter_mut().zip(mask.iter()) {
-            if !keep {
-                *v = 0.0;
-            }
-        }
+        gate_grad(g.data_mut(), mask);
         g
+    }
+}
+
+/// Zeroes `grad` wherever `mask` is closed. A select, not a conditional
+/// store (which blocks vectorisation) and not a multiply by 0/1: a NaN or
+/// infinite gradient under a closed gate must still become `0.0`.
+pub(crate) fn gate_grad(grad: &mut [f32], mask: &[bool]) {
+    for (v, &keep) in grad.iter_mut().zip(mask) {
+        *v = if keep { *v } else { 0.0 };
     }
 }
 
@@ -89,17 +93,14 @@ impl Dropout {
 
     /// Backward pass: applies the same mask to the gradient.
     pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        match &self.mask {
-            None => grad_out.clone(),
-            Some(mask) => {
-                assert_eq!(mask.len(), grad_out.numel(), "dropout backward: shape changed");
-                let mut g = grad_out.clone();
-                for (v, &m) in g.data_mut().iter_mut().zip(mask.iter()) {
-                    *v *= m;
-                }
-                g
+        let mut g = grad_out.clone();
+        if let Some(mask) = &self.mask {
+            assert_eq!(mask.len(), g.numel(), "dropout backward: shape changed");
+            for (v, &m) in g.data_mut().iter_mut().zip(mask.iter()) {
+                *v *= m;
             }
         }
+        g
     }
 }
 
@@ -115,6 +116,31 @@ mod tests {
         assert_eq!(y.data(), &[0.0, 0.0, 2.0]);
         let g = relu.backward(&Tensor::ones(&[3]));
         assert_eq!(g.data(), &[0.0, 0.0, 1.0]);
+    }
+
+    /// The select returns the bits the old conditional store did, for
+    /// every gradient class under both gate positions — in particular a
+    /// NaN or infinity under a closed gate becomes `+0.0`, which a
+    /// multiply by a 0/1 mask would not give.
+    #[test]
+    fn relu_backward_keeps_the_old_loops_bits_on_special_values() {
+        let specials = [-0.0f32, 0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 1.5, -2.5e-40];
+        let n = specials.len();
+        // Every special once under an open gate, once under a closed one.
+        let grad: Vec<f32> = specials.iter().chain(specials.iter()).copied().collect();
+        let gates: Vec<f32> = (0..2 * n).map(|i| if i < n { 1.0 } else { -1.0 }).collect();
+        let mut relu = ReLU::new();
+        relu.forward(&Tensor::from_vec(gates.clone(), &[2 * n]).unwrap(), true);
+        let got = relu.backward(&Tensor::from_vec(grad.clone(), &[2 * n]).unwrap());
+
+        let mut want = grad;
+        for (v, &x) in want.iter_mut().zip(gates.iter()) {
+            if x <= 0.0 {
+                *v = 0.0;
+            }
+        }
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(got.data()), bits(&want));
     }
 
     #[test]

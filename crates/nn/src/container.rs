@@ -10,7 +10,7 @@
 //!   format),
 //! * `for_each_param_mut` — optimizer access in deterministic order.
 
-use crate::activation::{Dropout, ReLU};
+use crate::activation::{gate_grad, Dropout, ReLU};
 use crate::batchnorm::BatchNorm2d;
 use crate::conv_layer::Conv2d;
 use crate::flatten::Flatten;
@@ -71,6 +71,19 @@ impl LayerNode {
             LayerNode::AvgPool2d(l) => l.backward(grad_out),
             LayerNode::Flatten(l) => l.backward(grad_out),
             LayerNode::Residual(l) => l.backward(grad_out),
+        }
+    }
+
+    /// [`Self::backward`] for a node whose input gradient nobody reads:
+    /// accumulates the same parameter gradients, and the two layer kinds
+    /// that open the zoo's models skip forming ∂L/∂input.
+    pub fn backward_params(&mut self, grad_out: &Tensor) {
+        match self {
+            LayerNode::Conv2d(l) => l.backward_params(grad_out),
+            LayerNode::Linear(l) => l.backward_params(grad_out),
+            other => {
+                other.backward(grad_out);
+            }
         }
     }
 
@@ -215,11 +228,7 @@ impl ResidualBlock {
     pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let mask = self.relu_mask.as_ref().expect("residual backward before forward");
         let mut g = grad_out.clone();
-        for (v, &keep) in g.data_mut().iter_mut().zip(mask.iter()) {
-            if !keep {
-                *v = 0.0;
-            }
-        }
+        gate_grad(g.data_mut(), mask);
         let mut g_body = g.clone();
         for l in self.body.iter_mut().rev() {
             g_body = l.backward(&g_body);
@@ -294,6 +303,19 @@ impl Sequential {
             g = l.backward(&g);
         }
         g
+    }
+
+    /// [`Self::backward`] for a caller that reads only `Param::grad`:
+    /// every parameter gradient is accumulated by the same calls in the
+    /// same order, but the *first* layer's input gradient — ∂L/∂(model
+    /// input), which no layer consumes — is never formed.
+    pub fn backward_params(&mut self, grad_out: &Tensor) {
+        let Some((first, rest)) = self.layers.split_first_mut() else { return };
+        let mut g = grad_out.clone();
+        for l in rest.iter_mut().rev() {
+            g = l.backward(&g);
+        }
+        first.backward_params(&g);
     }
 
     /// Visits every trainable parameter in deterministic order.

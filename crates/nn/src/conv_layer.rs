@@ -69,18 +69,34 @@ impl Conv2d {
     }
 
     /// Forward pass: `[n, ic, h, w] -> [n, oc, oh, ow]`.
-    pub fn forward(&mut self, input: &Tensor, _training: bool) -> Tensor {
-        self.cached_input = Some(input.clone());
+    ///
+    /// Only a training forward keeps the input for [`Self::backward`]; an
+    /// inference forward clears it.
+    pub fn forward(&mut self, input: &Tensor, training: bool) -> Tensor {
+        self.cached_input = training.then(|| input.clone());
         conv2d_forward(input, &self.weight.value, &self.bias.value, &self.spec)
     }
 
     /// Backward pass; accumulates parameter gradients, returns input grad.
     pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        self.backward_params(grad_out);
+        self.backward_input(grad_out)
+    }
+
+    /// The parameter half of [`Self::backward`]: accumulates the weight
+    /// and bias gradients.
+    pub fn backward_params(&mut self, grad_out: &Tensor) {
         let input = self.cached_input.as_ref().expect("conv backward before forward");
         let (gw, gb) =
             conv2d_backward_weight(grad_out, input, self.weight.value.dims(), &self.spec);
         self.weight.grad.add_assign(&gw);
         self.bias.grad.add_assign(&gb);
+    }
+
+    /// The input half of [`Self::backward`]: forms ∂L/∂input and touches
+    /// no parameter gradient.
+    pub fn backward_input(&self, grad_out: &Tensor) -> Tensor {
+        let input = self.cached_input.as_ref().expect("conv backward before forward");
         conv2d_backward_input(grad_out, &self.weight.value, input.dims(), &self.spec)
     }
 

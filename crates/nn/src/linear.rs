@@ -49,10 +49,13 @@ impl Linear {
     }
 
     /// Forward pass: `[batch, in] -> [batch, out]`.
-    pub fn forward(&mut self, input: &Tensor, _training: bool) -> Tensor {
+    ///
+    /// Only a training forward keeps the input for [`Self::backward`]; an
+    /// inference forward clears it.
+    pub fn forward(&mut self, input: &Tensor, training: bool) -> Tensor {
         assert_eq!(input.shape().rank(), 2, "linear input must be [batch, features]");
         assert_eq!(input.dims()[1], self.in_features(), "linear: feature count mismatch");
-        self.cached_input = Some(input.clone());
+        self.cached_input = training.then(|| input.clone());
         let mut out = input.matmul_nt(&self.weight.value);
         let (batch, of) = (out.dims()[0], out.dims()[1]);
         let bias = self.bias.value.data();
@@ -91,6 +94,13 @@ impl Linear {
     /// Backward pass; accumulates weight/bias gradients and returns the
     /// input gradient.
     pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        self.backward_params(grad_out);
+        self.backward_input(grad_out)
+    }
+
+    /// The parameter half of [`Self::backward`]: accumulates the weight
+    /// and bias gradients.
+    pub fn backward_params(&mut self, grad_out: &Tensor) {
         let input = self.cached_input.as_ref().expect("linear backward before forward");
         // dW = grad_outᵀ @ input  → [out, in]
         self.weight.grad.add_assign(&grad_out.matmul_tn(input));
@@ -103,6 +113,11 @@ impl Linear {
                 *g += v;
             }
         }
+    }
+
+    /// The input half of [`Self::backward`]: forms ∂L/∂input and touches
+    /// no parameter gradient.
+    pub fn backward_input(&self, grad_out: &Tensor) -> Tensor {
         // dX = grad_out @ W  → [batch, in]
         grad_out.matmul(&self.weight.value)
     }

@@ -23,10 +23,11 @@ impl MaxPool2d {
         MaxPool2d { spec: Pool2dSpec::square(k), argmax: None, input_dims: None }
     }
 
-    /// Forward pass.
-    pub fn forward(&mut self, input: &Tensor, _training: bool) -> Tensor {
+    /// Forward pass. Only a training forward keeps the argmax routes
+    /// for [`Self::backward`]; an inference forward clears them.
+    pub fn forward(&mut self, input: &Tensor, training: bool) -> Tensor {
         let (out, argmax) = max_pool2d_forward(input, &self.spec);
-        self.argmax = Some(argmax);
+        self.argmax = training.then_some(argmax);
         self.input_dims = Some(input.dims().to_vec());
         out
     }

@@ -7,10 +7,22 @@
 //! The im2col transform turns convolution into one GEMM per image, which
 //! keeps the hot loop inside the blocked kernel of [`crate::matmul`].
 //!
-//! Forward and input-gradient passes parallelise over the batch via
-//! [`crate::parallel`]: each image owns a disjoint slice of the output,
-//! and the per-image GEMMs run sequentially inside the band workers, so
-//! results are bit-identical at any thread count.
+//! Three rules keep every pass bit-identical at any thread count and
+//! under any faster walk of the same data:
+//!
+//! 1. **Per-image GEMM order.** Forward and input-gradient passes
+//!    parallelise over the batch via [`crate::parallel`]: each image owns
+//!    a disjoint slice of the output, and the per-image GEMMs run
+//!    sequentially inside the band workers.
+//! 2. **The weight-gradient batch loop stays sequential.**
+//!    [`conv2d_backward_weight`] sums one product per image into the same
+//!    accumulator, image 0 first; batching the images into one GEMM or
+//!    flipping its orientation would change the f32 summation order.
+//! 3. **`col2im` tap order.** [`col2im_into`] visits taps in ascending
+//!    `(ky, kx)` order and each tap adds at most one value to an image
+//!    element, so an element's sum depends only on that order — not on how
+//!    the positions *within* a tap are walked. The stride-1 path folds
+//!    whole rows per tap on exactly that licence.
 //!
 //! Per-image scratch (column buffers, GEMM products, packed transposes)
 //! comes from the calling thread's [`crate::workspace`] pool rather
@@ -86,14 +98,34 @@ pub fn im2col_into(
     }
 }
 
+/// At stride 1, output row `oy` of tap `(ky, kx)` maps to one
+/// *contiguous* image segment. Yields `(image offset, column offset,
+/// len)` for every output row whose in-bounds span is non-empty; rows or
+/// whole taps that fall in the padding yield nothing.
+fn stride1_spans(
+    h: usize,
+    w: usize,
+    spec: &Conv2dSpec,
+    (ky, kx): (usize, usize),
+    (oh, ow): (usize, usize),
+) -> impl Iterator<Item = (usize, usize, usize)> {
+    let p = spec.padding;
+    // ix = ox + kx - padding must lie in [0, w): solve for ox.
+    let ox_lo = p.saturating_sub(kx);
+    let ox_hi = (w + p).saturating_sub(kx).min(ow);
+    (0..oh).filter_map(move |oy| {
+        let iy = (oy + ky).checked_sub(p).filter(|&iy| iy < h)?;
+        (ox_lo < ox_hi).then(|| (iy * w + ox_lo + kx - p, oy * ow + ox_lo, ox_hi - ox_lo))
+    })
+}
+
 /// Writes one `(ky, kx)` tap of the unfold: for every output position,
 /// copies the in-bounds source element into `out_row[oy*ow + ox]`,
 /// leaving padding taps untouched (the caller's buffer is zeroed).
 ///
-/// At stride 1 each output row maps to a *contiguous* source segment,
-/// so the in-bounds span collapses to one `copy_from_slice` — the same
-/// elements land in the same slots as the per-element loop, so outputs
-/// are bit-identical either way.
+/// At stride 1 each in-bounds span collapses to one `copy_from_slice`
+/// ([`stride1_spans`]) — the same elements land in the same slots as the
+/// per-element loop, so outputs are bit-identical either way.
 #[allow(clippy::too_many_arguments)]
 fn unfold_tap(
     img_ch: &[f32],
@@ -107,18 +139,8 @@ fn unfold_tap(
     out_row: &mut [f32],
 ) {
     if spec.stride == 1 {
-        // ix = ox + kx - padding must lie in [0, w): solve for ox.
-        let ox_lo = spec.padding.saturating_sub(kx);
-        let ox_hi = (w + spec.padding).saturating_sub(kx).min(ow);
-        for oy in 0..oh {
-            let iy = (oy + ky) as isize - spec.padding as isize;
-            if iy < 0 || iy >= h as isize || ox_lo >= ox_hi {
-                continue;
-            }
-            let ix0 = ox_lo + kx - spec.padding;
-            let len = ox_hi - ox_lo;
-            let src = &img_ch[iy as usize * w + ix0..iy as usize * w + ix0 + len];
-            out_row[oy * ow + ox_lo..oy * ow + ox_hi].copy_from_slice(src);
+        for (img, col, len) in stride1_spans(h, w, spec, (ky, kx), (oh, ow)) {
+            out_row[col..col + len].copy_from_slice(&img_ch[img..img + len]);
         }
         return;
     }
@@ -192,6 +214,12 @@ pub fn col2im(cols: &Tensor, c: usize, h: usize, w: usize, spec: &Conv2dSpec) ->
 /// [`col2im`] accumulating into a caller-provided image buffer of
 /// `c*h*w` elements (`+=` per tap, so start from zeros for the plain
 /// adjoint).
+///
+/// Taps are folded in ascending `(ky, kx)` order and a tap adds at most
+/// one value to any image element, so the f32 sum an element ends with is
+/// fixed by the tap order alone. At stride 1 each tap therefore folds
+/// whole contiguous rows (`stride1_spans`) and stays bit-identical to
+/// the per-element loop, which stride > 1 still uses.
 pub fn col2im_into(
     data: &[f32],
     c: usize,
@@ -211,6 +239,16 @@ pub fn col2im_into(
             for kx in 0..spec.kw {
                 let row = (ch * spec.kh + ky) * spec.kw + kx;
                 let col_row = &data[row * col_cols..(row + 1) * col_cols];
+                if spec.stride == 1 {
+                    for (img, col, len) in stride1_spans(h, w, spec, (ky, kx), (oh, ow)) {
+                        for (d, &s) in
+                            img_ch[img..img + len].iter_mut().zip(&col_row[col..col + len])
+                        {
+                            *d += s;
+                        }
+                    }
+                    continue;
+                }
                 for oy in 0..oh {
                     let iy = (oy * spec.stride + ky) as isize - spec.padding as isize;
                     if iy < 0 || iy >= h as isize {

@@ -2,8 +2,8 @@
 //! kernel / reference kernel equivalence.
 
 use fedmp_tensor::{
-    conv2d_forward, im2col, matmul_nt_reference, matmul_reference, matmul_tn_reference, parallel,
-    seeded_rng, softmax_rows, Conv2dSpec, Tensor,
+    col2im_into, conv2d_backward_input, conv2d_forward, im2col, matmul_nt_reference,
+    matmul_reference, matmul_tn_reference, parallel, seeded_rng, softmax_rows, Conv2dSpec, Tensor,
 };
 use proptest::prelude::*;
 
@@ -216,6 +216,128 @@ proptest! {
         if let Err(e) = close_or_explain(&got, &want, "conv") {
             prop_assert!(false, "{}", e);
         }
+    }
+
+    /// The stride-1 row fold is bit-equal to the per-element fold,
+    /// including paddings so wide that whole taps miss the image.
+    #[test]
+    fn stride1_col2im_is_bit_equal_to_reference_fold(
+        c in 1usize..4,
+        h in 3usize..12,
+        w in 3usize..12,
+        k_pick in 0usize..3,
+        pad_pick in 0usize..6,
+        s in 0u64..1 << 32,
+    ) {
+        let k = [1usize, 3, 5][k_pick];
+        // 0..=k, raised to the least padding a 5×5 kernel needs on a
+        // 3- or 4-wide image for the output to exist at all.
+        let padding = (pad_pick % (k + 1)).max(k.saturating_sub(h.min(w)).div_ceil(2));
+        if let Err(e) = stride1_fold_matches_reference(c, h, w, k, padding, s) {
+            prop_assert!(false, "{}", e);
+        }
+    }
+}
+
+/// Geometries where whole taps, or whole rows of a tap, lie in the
+/// padding — the spans the row fold must skip, pinned so they are hit
+/// whatever the proptest above draws.
+#[test]
+fn stride1_col2im_skips_taps_that_miss_the_image() {
+    for (h, w, k, padding) in [(3, 3, 5, 1), (4, 3, 5, 1), (3, 4, 5, 5), (3, 3, 3, 3), (5, 4, 1, 1)]
+    {
+        stride1_fold_matches_reference(2, h, w, k, padding, 31).unwrap();
+    }
+}
+
+fn stride1_fold_matches_reference(
+    c: usize,
+    h: usize,
+    w: usize,
+    k: usize,
+    padding: usize,
+    seed: u64,
+) -> Result<(), String> {
+    let spec = Conv2dSpec { kh: k, kw: k, stride: 1, padding };
+    let (oh, ow) = spec.out_hw(h, w);
+    let cols = tensor(&[c * k * k, oh * ow], seed);
+    // A non-zero start: `col2im_into` accumulates.
+    let start = tensor(&[c, h, w], seed ^ 0x5eed);
+    let mut got = start.data().to_vec();
+    col2im_into(cols.data(), c, h, w, &spec, &mut got);
+    let mut want = start.data().to_vec();
+    col2im_reference(cols.data(), c, h, w, &spec, &mut want);
+    match got.iter().zip(want.iter()).position(|(g, e)| g.to_bits() != e.to_bits()) {
+        None => Ok(()),
+        Some(i) => Err(format!(
+            "c {c} h {h} w {w} k {k} padding {padding}: element {i} is {}, want {}",
+            got[i], want[i]
+        )),
+    }
+}
+
+/// The per-element fold `col2im_into` ran at every stride before its
+/// stride-1 row path — kept here as the oracle.
+fn col2im_reference(
+    data: &[f32],
+    c: usize,
+    h: usize,
+    w: usize,
+    spec: &Conv2dSpec,
+    image: &mut [f32],
+) {
+    let (oh, ow) = spec.out_hw(h, w);
+    for ch in 0..c {
+        for ky in 0..spec.kh {
+            for kx in 0..spec.kw {
+                let row = (ch * spec.kh + ky) * spec.kw + kx;
+                for oy in 0..oh {
+                    for ox in 0..ow {
+                        let iy = (oy * spec.stride + ky) as isize - spec.padding as isize;
+                        let ix = (ox * spec.stride + kx) as isize - spec.padding as isize;
+                        if iy < 0 || iy >= h as isize || ix < 0 || ix >= w as isize {
+                            continue;
+                        }
+                        image[(ch * h + iy as usize) * w + ix as usize] +=
+                            data[row * oh * ow + oy * ow + ox];
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// `conv2d_backward_input` against its formulation before the row fold
+/// (`weightᵀ @ grad` per image, then the per-element fold), bit for bit,
+/// on the seven conv geometries of the benchmark's two sub-models
+/// (cnn_mnist 0.25 and alexnet_cifar 0.08, both pruned at ratio 0.4).
+#[test]
+fn conv_backward_input_is_bit_equal_to_old_formulation() {
+    let mut rng = seeded_rng(23);
+    // (out channels, in channels, input h = w, kernel, padding)
+    for (oc, c, hw, k, padding) in [
+        (5, 1, 28, 5, 2),
+        (10, 5, 14, 5, 2),
+        (3, 3, 32, 3, 1),
+        (9, 3, 16, 3, 1),
+        (19, 9, 8, 3, 1),
+        (12, 19, 8, 3, 1),
+        (12, 12, 8, 3, 1),
+    ] {
+        let spec = Conv2dSpec { kh: k, kw: k, stride: 1, padding };
+        let (n, (oh, ow)) = (3, spec.out_hw(hw, hw));
+        let weight = Tensor::randn(&[oc, c, k, k], &mut rng);
+        let grad_out = Tensor::randn(&[n, oc, oh, ow], &mut rng);
+        let got = conv2d_backward_input(&grad_out, &weight, &[n, c, hw, hw], &spec);
+
+        let w_mat = weight.reshape(&[oc, c * k * k]);
+        let mut want = vec![0.0f32; n * c * hw * hw];
+        for (go, dst) in grad_out.data().chunks(oc * oh * ow).zip(want.chunks_mut(c * hw * hw)) {
+            let go = Tensor::from_vec(go.to_vec(), &[oc, oh * ow]).unwrap();
+            col2im_reference(w_mat.matmul_tn(&go).data(), c, hw, hw, &spec, dst);
+        }
+        let same = got.data().iter().zip(want.iter()).all(|(g, e)| g.to_bits() == e.to_bits());
+        assert!(same, "geometry oc {oc} c {c} hw {hw} k {k}");
     }
 }
 

@@ -113,3 +113,45 @@ proptest! {
         }
     }
 }
+
+/// `local_train` runs the parameter-only backward; the full
+/// `Sequential::backward`, which also forms the gradient of the model
+/// input, stays alive here as its reference. τ steps of each — FedProx
+/// term and clipping on, AlexNet so the dropout masks are in play — must
+/// leave the same bits in every weight.
+#[test]
+fn local_train_matches_a_full_backward_loop() {
+    use fedmp::data::{cifar_like, iid_partition, BatchIter};
+    use fedmp::fl::{local_train, LocalTrainConfig};
+    use fedmp::nn::{add_proximal_grad, clip_grad_norm, snapshot_params, Sgd};
+    use fedmp::tensor::cross_entropy_loss;
+
+    let (train, _) = cifar_like(0.05, 60).generate();
+    let shard = iid_partition(&train, 2, &mut seeded_rng(61)).swap_remove(0);
+    let cfg = LocalTrainConfig { tau: 4, batch: 8, prox_mu: 0.1, ..Default::default() };
+    let batches = || BatchIter::new(&train, shard.clone(), cfg.batch, seeded_rng(62));
+    let mut fast = zoo::alexnet_cifar(0.08, &mut seeded_rng(63));
+    let mut full = fast.clone();
+
+    local_train(&mut fast, &mut batches(), &cfg);
+
+    let mut it = batches();
+    let anchor = snapshot_params(&mut full);
+    let mut opt = Sgd::with_momentum(cfg.lr, cfg.momentum, 0.0);
+    for _ in 0..cfg.tau {
+        let (x, labels) = it.next_batch();
+        full.zero_grad();
+        let out = cross_entropy_loss(&full.forward(&x, true), &labels);
+        let grad_x = full.backward(&out.grad_logits);
+        assert_eq!(grad_x.dims(), x.dims());
+        add_proximal_grad(&mut full, &anchor, cfg.prox_mu);
+        clip_grad_norm(&mut full, cfg.clip);
+        opt.step(&mut full);
+    }
+
+    for (a, b) in fast.state().iter().zip(full.state().iter()) {
+        let same =
+            a.tensor.data().iter().zip(b.tensor.data()).all(|(x, y)| x.to_bits() == y.to_bits());
+        assert!(same && a.tensor.dims() == b.tensor.dims(), "{} differs", a.name);
+    }
+}
