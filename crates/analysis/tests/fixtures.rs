@@ -60,8 +60,9 @@ fn unsafe_hygiene_fixture_covers_both_failure_modes() {
             ("crates/app/src/bad.rs".to_string(), 14, "unsafe-hygiene".to_string()),
             ("crates/low/src/sched.rs".to_string(), 10, "unsafe-hygiene".to_string()),
             ("crates/low/src/simd.rs".to_string(), 15, "unsafe-hygiene".to_string()),
+            ("crates/low/src/simd.rs".to_string(), 21, "unsafe-hygiene".to_string()),
         ],
-        "outside allowlist (incl. tests), allowlisted-but-undocumented, and an un-commented SIMD intrinsic load"
+        "outside allowlist (incl. tests), allowlisted-but-undocumented, and un-commented SIMD intrinsic loads (plain and masked)"
     );
 }
 

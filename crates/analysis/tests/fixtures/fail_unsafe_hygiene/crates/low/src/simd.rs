@@ -14,3 +14,9 @@ pub fn undocumented_load(s: &[f32]) -> f32 {
     let chunk = &s[..8];
     unsafe { core::ptr::read_unaligned(chunk.as_ptr()) } // line 15: allowlisted, but no SAFETY comment
 }
+
+#[target_feature(enable = "avx2")]
+pub fn undocumented_masked_load(s: &[f32], live: usize, mask: core::arch::x86_64::__m256i) {
+    let lanes = &s[..live];
+    let _ = unsafe { core::arch::x86_64::_mm256_maskload_ps(lanes.as_ptr(), mask) }; // line 21: a masked load is still a pointer load
+}

@@ -4,7 +4,10 @@
 //! Times the naive `*_reference` GEMM kernels against the cache-blocked
 //! scalar kernels and the AVX2/FMA microkernels on the GEMM shapes the
 //! width-1.0 model zoo actually runs (im2col convolutions and linear
-//! layers, batch 64), plus the conv2d forward pass itself, then
+//! layers, batch 64), then the `ragged` table — the GEMMs the two
+//! benchmark sub-models (ratio 0.4) issue, each beside the neighbour
+//! padded up to whole 16-column strips and 4-row multiples — plus the
+//! conv2d forward pass itself, then
 //! the conv backward passes beside it (weight gradient, input gradient
 //! and the `col2im` fold's share of the latter), then
 //! measures what structured pruning buys at the kernel level: a
@@ -18,11 +21,16 @@
 //!
 //! Set `FEDMP_BENCH_SMOKE=1` (CI) to cut repetitions and skip the
 //! timing-based gates; the *equivalence* gates — every path against the
-//! reference oracle, every pruned run bitwise against dense-on-extracted,
-//! the `col2im` row fold bitwise against an element-by-element fold —
-//! always run, so a smoke pass still proves the kernels compute the
-//! same numbers. Timing gates in full mode: on AVX2 hosts the headline
-//! SIMD GEMM must beat the scalar blocked kernel ≥ 2×, and the
+//! reference oracle, every ragged shape bitwise against a scalar
+//! ascending-`k` chain, every pruned run bitwise against
+//! dense-on-extracted, the `col2im` row fold bitwise against an
+//! element-by-element fold — always run, so a smoke pass still proves
+//! the kernels compute the same numbers. Timing gates in full mode: on
+//! AVX2 hosts the headline SIMD GEMM must beat the scalar blocked
+//! kernel ≥ 2×, no `gemm` row's SIMD-over-scalar speed-up may fall more
+//! than 10 % below the checked-in `kernels.json`, a ragged shape may
+//! cost ≤ 1.25 × its padded neighbour (pruning must not be slower than
+//! padding), and the
 //! 70 %-pruned (out-only) layers must cost ≤ 40 % of their dense time
 //! (the kept-FLOPs fraction is 30 % — time must track FLOPs).
 
@@ -74,6 +82,65 @@ const GEMM_CASES: &[GemmCase] = &[
     GemmCase { name: "alexnet/fc1_wgrad_b64", op: Op::Tn, m: 512, k: 64, n: 4096 },
     GemmCase { name: "vgg/conv_s3_fwd", op: Op::Nn, m: 256, k: 1152, n: 49 },
 ];
+
+/// The conv layers of the two benchmark sub-models — cnn_mnist width
+/// 0.25 and alexnet width 0.08, every layer pruned at ratio 0.4 — as
+/// `(layer, kept filters, kept c_in·kh·kw, output positions)`. Per
+/// image: forward `[oc, ck] × [ck, pos]`, weight gradient
+/// `[oc, pos] × [pos, ck]`, input gradient `[ck, oc] × [oc, pos]`.
+const RAGGED_CONVS: &[(&str, usize, usize, usize)] = &[
+    ("cnn_mnist/conv1", 5, 25, 784),
+    ("cnn_mnist/conv2", 10, 125, 196),
+    ("alexnet/conv0", 3, 27, 1024),
+    ("alexnet/conv1", 9, 27, 256),
+    ("alexnet/conv2", 19, 81, 64),
+    ("alexnet/conv3", 12, 171, 64),
+    ("alexnet/conv4", 12, 108, 64),
+];
+
+/// Their first FC layers as `(layer, batch, kept in, kept out)`:
+/// forward `[b, in] × [in, out]`, weight gradient `[out, b] × [b, in]`,
+/// input gradient `[b, out] × [out, in]`.
+const RAGGED_FCS: &[(&str, usize, usize, usize)] =
+    &[("cnn_mnist/fc1", 16, 490, 39), ("alexnet/fc1", 16, 192, 25)];
+
+/// `(name, m, k, n)` of every GEMM in [`RAGGED_CONVS`] / [`RAGGED_FCS`].
+fn ragged_cases() -> Vec<(String, usize, usize, usize)> {
+    let mut cases = Vec::new();
+    for &(layer, oc, ck, pos) in RAGGED_CONVS {
+        cases.push((format!("{layer}_fwd"), oc, ck, pos));
+        cases.push((format!("{layer}_dw"), oc, pos, ck));
+        cases.push((format!("{layer}_dx"), ck, oc, pos));
+    }
+    for &(layer, b, fin, fout) in RAGGED_FCS {
+        cases.push((format!("{layer}_fwd"), b, fin, fout));
+        cases.push((format!("{layer}_dw"), fout, b, fin));
+        cases.push((format!("{layer}_dx"), b, fout, fin));
+    }
+    cases
+}
+
+/// What `path` must produce for `a @ b`, exactly: per element one chain
+/// from `+0.0` ascending `k`, fused on AVX2, multiply-then-add on the
+/// scalar kernel (the oracle of `tensor/tests/simd_gemm.rs`).
+fn chain_oracle(path: SimdPath, a: &Tensor, b: &Tensor) -> Tensor {
+    let (m, k, n) = (a.dims()[0], a.dims()[1], b.dims()[1]);
+    let mut out = Tensor::zeros(&[m, n]);
+    for i in 0..m {
+        for j in 0..n {
+            let mut acc = 0.0f32;
+            for p in 0..k {
+                let (x, y) = (a.data()[i * k + p], b.data()[p * n + j]);
+                acc = match path {
+                    SimdPath::Avx2 => x.mul_add(y, acc),
+                    SimdPath::Scalar => acc + x * y,
+                };
+            }
+            out.data_mut()[i * n + j] = acc;
+        }
+    }
+    out
+}
 
 /// Best-of-reps wall clock for `f`, in milliseconds.
 fn time_ms<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
@@ -235,6 +302,19 @@ fn main() {
     let selected = simd::active_path();
     println!("cpu: detected {detected}, dispatch selects `{}`", selected.name());
 
+    // The checked-in report this run replaces: its `gemm` rows are the
+    // floor the full-mode regression gate holds the new ones to. The
+    // gate reads time in units of the scalar kernel on the same run —
+    // absolute milliseconds on a shared host swing far more than 10 %
+    // between runs of one binary.
+    let path = "bench-results/kernels.json";
+    let checked_in: Option<serde_json::Value> =
+        std::fs::read_to_string(path).ok().and_then(|text| serde_json::from_str(&text).ok());
+    let checked_in_simd_speedup = |name: &str| -> Option<f64> {
+        let rows = checked_in.as_ref()?.get("gemm")?.as_array()?;
+        rows.iter().find(|r| r["name"] == *name)?.get("speedup_simd_vs_scalar")?.as_f64()
+    };
+
     let mut rng = seeded_rng(0xBE7C);
     let mut gemm_rows = Vec::new();
     let mut headline: Option<(String, usize, f64, Option<f64>)> = None;
@@ -270,15 +350,24 @@ fn main() {
             });
         }
 
-        let reps = if smoke { 2 } else { (200_000_000 / flops).clamp(3, 50) };
+        let reps = if smoke { 2 } else { (2_000_000_000 / flops).clamp(10, 200) };
         let reference_ms = time_ms(reps, || match case.op {
             Op::Nn => matmul_reference(&a, &b),
             Op::Nt => matmul_nt_reference(&a, &b),
             Op::Tn => matmul_tn_reference(&a, &b),
         });
-        let scalar_ms = with_path(SimdPath::Scalar, || time_ms(reps, || run(case.op)));
-        let simd_ms =
-            has_avx2.then(|| with_path(SimdPath::Avx2, || time_ms(reps, || run(case.op))));
+        // The two paths alternate inside one window: their ratio is what
+        // the headline and regression gates read.
+        let (scalar_ms, simd_ms) = if has_avx2 {
+            let (scalar_ms, simd_ms) = time_pair_ms(
+                reps,
+                || with_path(SimdPath::Scalar, || run(case.op)),
+                || with_path(SimdPath::Avx2, || run(case.op)),
+            );
+            (scalar_ms, Some(simd_ms))
+        } else {
+            (with_path(SimdPath::Scalar, || time_ms(reps, || run(case.op))), None)
+        };
         let gflops = |ms: f64| flops as f64 / (ms * 1e6);
         let speedup = reference_ms / scalar_ms;
         let simd_speedup = simd_ms.map(|s| scalar_ms / s);
@@ -289,6 +378,13 @@ fn main() {
             simd_ms.map_or("     n/a".into(), |s| format!("{s:8.3} ms")),
             simd_speedup.map_or(String::new(), |s| format!("  {s:5.2}x scalar/simd")),
         );
+        if let (Some(now), Some(before)) = (simd_speedup, checked_in_simd_speedup(case.name)) {
+            assert!(
+                smoke || now >= 0.90 * before,
+                "gemm gate: {} simd is {now:.2}x the scalar kernel, > 10% below the checked-in {before:.2}x",
+                case.name
+            );
+        }
         if headline.as_ref().is_none_or(|&(_, f, _, _)| flops > f) {
             headline = Some((case.name.to_string(), flops, speedup, simd_speedup));
         }
@@ -306,6 +402,57 @@ fn main() {
             "speedup_simd_vs_scalar": simd_speedup,
         }));
     }
+
+    // Ragged shapes: what the benchmark's pruned sub-models actually
+    // hand the kernel, each beside its padded-up neighbour (`m` to the
+    // next multiple of 4, `n` to the next multiple of 16). One kernel
+    // thread, default dispatch, the pair interleaved so a frequency dip
+    // hits both sides alike.
+    let mut ragged_rows = Vec::new();
+    parallel::override_threads(Some(1));
+    for (name, m, k, n) in ragged_cases() {
+        let (m_pad, n_pad) = (m.next_multiple_of(4), n.next_multiple_of(16));
+        let a = Tensor::randn(&[m, k], &mut rng);
+        let b = Tensor::randn(&[k, n], &mut rng);
+        // Bitwise gate (always): both paths against the scalar chain.
+        for path in [SimdPath::Scalar, SimdPath::Avx2] {
+            if path == SimdPath::Avx2 && !has_avx2 {
+                continue;
+            }
+            let got = with_path(path, || a.matmul(&b));
+            assert_bits_eq(&got, &chain_oracle(path, &a, &b), &format!("{name}/{}", path.name()));
+        }
+        if (m_pad, n_pad) == (m, n) {
+            continue; // already whole strips and blocks: nothing to compare
+        }
+        let a_pad = Tensor::randn(&[m_pad, k], &mut rng);
+        let b_pad = Tensor::randn(&[k, n_pad], &mut rng);
+        let reps = if smoke { 2 } else { 2000 };
+        let (ragged_ms, padded_ms) = time_pair_ms(reps, || a.matmul(&b), || a_pad.matmul(&b_pad));
+        let ratio = ragged_ms / padded_ms;
+        let gflops = (2 * m * k * n) as f64 / (ragged_ms * 1e6);
+        println!(
+            "ragged {name:<20} {m:3}x{k:4}x{n:4}: {:8.2} us ({gflops:5.1} GFLOP/s)  padded {m_pad:3}x{k:4}x{n_pad:4}: {:8.2} us  {ratio:4.2}x",
+            ragged_ms * 1e3,
+            padded_ms * 1e3,
+        );
+        if !smoke && selected == SimdPath::Avx2 {
+            assert!(
+                ratio <= 1.25,
+                "ragged gate: {name} {m}x{k}x{n} costs {ratio:.2}x its padded neighbour {m_pad}x{k}x{n_pad} (> 1.25x)"
+            );
+        }
+        ragged_rows.push(json!({
+            "name": name,
+            "m": m, "k": k, "n": n,
+            "m_padded": m_pad, "n_padded": n_pad,
+            "ragged_us": ragged_ms * 1e3,
+            "padded_us": padded_ms * 1e3,
+            "gflops": gflops,
+            "ragged_over_padded": ratio,
+        }));
+    }
+    parallel::override_threads(None);
 
     // Conv forward on the two conv-heavy zoo stages, full batch.
     let mut conv_rows = Vec::new();
@@ -577,6 +724,7 @@ fn main() {
             "avx2": has_avx2,
         },
         "gemm": gemm_rows,
+        "ragged": ragged_rows,
         "conv": conv_rows,
         "conv_backward": conv_bwd_rows,
         "pruned": pruned_rows,
@@ -588,7 +736,6 @@ fn main() {
         },
     });
     std::fs::create_dir_all("bench-results").expect("create bench-results/");
-    let path = "bench-results/kernels.json";
     std::fs::write(path, serde_json::to_string_pretty(&report).expect("serialise"))
         .expect("write kernels.json");
     println!(

@@ -298,18 +298,16 @@ pub fn conv2d_forward(input: &Tensor, weight: &Tensor, bias: &Tensor, spec: &Con
         with_thread_workspace(|ws| {
             let mut cols = ws.take_zeroed(ck * oh * ow);
             im2col_into(&input_data[i * in_img..(i + 1) * in_img], c, h, w, spec, &mut cols);
-            let mut res = ws.take_zeroed(oc * oh * ow); // [oc, oh*ow]
-            gemm_nn_into(weight_data, &cols, oc, ck, oh * ow, &mut res);
-            for f in 0..oc {
-                let b = bias_data[f];
-                let src = &res[f * oh * ow..(f + 1) * oh * ow];
-                let d = &mut dst[f * oh * ow..(f + 1) * oh * ow];
-                for (dv, &sv) in d.iter_mut().zip(src.iter()) {
-                    *dv = sv + b;
+            // `dst` is this image's `[oc, oh*ow]` slice of the
+            // zero-initialised output, so the GEMM accumulates straight
+            // into it and the bias is added in place.
+            gemm_nn_into(weight_data, &cols, oc, ck, oh * ow, dst);
+            for (d, &b) in dst.chunks_exact_mut(oh * ow).zip(bias_data) {
+                for dv in d {
+                    *dv += b;
                 }
             }
             ws.give(cols);
-            ws.give(res);
         });
     });
     out
@@ -389,18 +387,16 @@ pub fn conv2d_forward_pruned(
             } else {
                 im2col_into(image, ki, h, w, spec, &mut cols);
             }
-            let mut res = ws.take_zeroed(ko * oh * ow); // [ko, oh*ow]
-            gemm_nn_into_tagged(wp_ref, &cols, ko, ck, oh * ow, &mut res, true);
-            for (f, &of) in kept_out.iter().enumerate() {
+            // As in `conv2d_forward`: accumulate into the image's
+            // `[ko, oh*ow]` output slice, then add the kept biases.
+            gemm_nn_into_tagged(wp_ref, &cols, ko, ck, oh * ow, dst, true);
+            for (d, &of) in dst.chunks_exact_mut(oh * ow).zip(kept_out) {
                 let b = bias_data[of];
-                let src = &res[f * oh * ow..(f + 1) * oh * ow];
-                let d = &mut dst[f * oh * ow..(f + 1) * oh * ow];
-                for (dv, &sv) in d.iter_mut().zip(src.iter()) {
-                    *dv = sv + b;
+                for dv in d {
+                    *dv += b;
                 }
             }
             ws.give(cols);
-            ws.give(res);
         });
     });
     with_thread_workspace(|ws| ws.give(wp));

@@ -51,8 +51,11 @@ pub fn max_pool2d_forward(input: &Tensor, spec: &Pool2dSpec) -> (Tensor, Vec<usi
             let base = (i * c + ch) * h * w;
             for oy in 0..oh {
                 for ox in 0..ow {
+                    // Seeded with the window's own first offset, so a
+                    // window with nothing above -inf (all NaN / -inf)
+                    // still reports an element of this image.
                     let mut best = f32::NEG_INFINITY;
-                    let mut best_idx = 0usize;
+                    let mut best_idx = base + oy * spec.stride * w + ox * spec.stride;
                     for ky in 0..spec.kh {
                         let iy = oy * spec.stride + ky;
                         for kx in 0..spec.kw {
@@ -192,6 +195,31 @@ mod tests {
         let grad_out = Tensor::from_vec(vec![5.0], &[1, 1, 1, 1]).unwrap();
         let gi = max_pool2d_backward(&grad_out, &argmax, input.dims());
         assert_eq!(gi.data(), &[0.0, 0.0, 5.0, 0.0]);
+    }
+
+    /// A window with no element above -inf must still pool — and route
+    /// its gradient — inside its own image, not to offset 0 of the batch.
+    #[test]
+    fn max_pool_of_all_nan_or_neg_inf_window_stays_in_its_image() {
+        let spec = Pool2dSpec::square(2);
+        for fill in [f32::NAN, f32::NEG_INFINITY] {
+            let mut data = vec![7.0, 1.0, 2.0, 3.0];
+            data.extend([fill; 4]);
+            data.extend([4.0, 9.0, 5.0, 6.0]);
+            let input = Tensor::from_vec(data, &[3, 1, 2, 2]).unwrap();
+            let (out, argmax) = max_pool2d_forward(&input, &spec);
+            assert_eq!(argmax, vec![0, 4, 9], "fill {fill}");
+            assert_eq!(out.data()[0], 7.0);
+            assert_eq!(out.data()[1].to_bits(), fill.to_bits(), "the window's own element");
+            assert_eq!(out.data()[2], 9.0);
+            let grad_out = Tensor::from_vec(vec![1.0, 2.0, 3.0], &[3, 1, 1, 1]).unwrap();
+            let gi = max_pool2d_backward(&grad_out, &argmax, input.dims());
+            assert_eq!(
+                gi.data(),
+                &[1.0, 0.0, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0, 0.0, 3.0, 0.0, 0.0],
+                "fill {fill}"
+            );
+        }
     }
 
     #[test]

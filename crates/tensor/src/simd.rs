@@ -2,10 +2,12 @@
 //!
 //! The blocked scalar kernel in `crate::matmul` is what LLVM
 //! auto-vectorises against the x86-64 baseline (SSE2). This module adds
-//! a hand-written AVX2/FMA band kernel — 4×16 register-blocked, eight
-//! YMM accumulators held across each `KC`-sized `k` tile — plus the
-//! runtime machinery that decides, once per process, which kernel the
-//! dispatch in `matmul::gemm_nn_into` uses:
+//! a hand-written AVX2/FMA band kernel — one register block of 1–6
+//! rows × 1–2 eight-lane vectors (up to twelve YMM accumulators held
+//! across each `KC`-sized `k` tile), its last vector masked where the
+//! column count is not a multiple of 8 — plus the runtime machinery
+//! that decides, once per process, which kernel the dispatch in
+//! `matmul::gemm_nn_into` uses:
 //!
 //! 1. a test/bench override ([`override_path`]),
 //! 2. the `FEDMP_SIMD` environment variable (`auto` | `avx2` | `scalar`),
@@ -27,9 +29,14 @@
 //!   are no horizontal sums, so lanes never interact. The `KC` tiling
 //!   only inserts exact f32 store/load round-trips of the running value
 //!   between tiles — tile boundaries are a function of `k` alone;
-//! * which sub-kernel (16-wide / 8-wide / scalar-tail) owns an element
-//!   is a function of the shape alone, never of the thread count — the
-//!   band decomposition above this kernel is likewise shape-only;
+//! * which register block (1–6 rows high, split near-equally), column
+//!   strip (16-wide, or the one strip of 1–15 left over) and lane mask
+//!   own an element is a function of `(rows, n)` alone, never of the
+//!   thread count — the band decomposition above this kernel is
+//!   likewise shape-only. And it could not matter if it were not: the
+//!   chain above reads row `i` of A, column `j` of B and `k`, nothing
+//!   of the block around it, and a masked-off lane is neither loaded
+//!   from nor stored to memory;
 //! * FMA is an IEEE 754 fused operation (one rounding), so each chain
 //!   is a pure function of its inputs.
 //!
@@ -44,7 +51,7 @@ use std::sync::OnceLock;
 /// Which inner GEMM kernel the dispatch uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimdPath {
-    /// Hand-written AVX2/FMA 4×16 register-blocked kernel.
+    /// Hand-written AVX2/FMA register-blocked kernel.
     Avx2,
     /// The portable blocked scalar kernel (LLVM auto-vectorised against
     /// the target baseline).
@@ -246,9 +253,9 @@ mod x86 {
     //! through the runtime-detection gate in the parent module.
 
     use core::arch::x86_64::{
-        __m256, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_permute2f128_ps, _mm256_set1_ps,
-        _mm256_setzero_ps, _mm256_shuffle_ps, _mm256_storeu_ps, _mm256_unpackhi_ps,
-        _mm256_unpacklo_ps,
+        __m256, __m256i, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_loadu_si256, _mm256_maskload_ps,
+        _mm256_maskstore_ps, _mm256_permute2f128_ps, _mm256_set1_ps, _mm256_setzero_ps,
+        _mm256_shuffle_ps, _mm256_storeu_ps, _mm256_unpackhi_ps, _mm256_unpacklo_ps,
     };
 
     /// Cache-tiled transpose with an 8×8 in-register inner block
@@ -396,47 +403,74 @@ mod x86 {
     /// band traverses it.
     const KC: usize = 256;
 
+    /// Tallest register block: `6 × 2` accumulators, two B vectors and
+    /// one A broadcast fill 15 of the 16 YMM registers.
+    const MR_MAX: usize = 6;
+
+    /// Lane-mask source: the eight words starting at `8 - live` have the
+    /// sign bit set in exactly the first `live` lanes.
+    const LANE_MASKS: [i32; 16] = [-1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0];
+
+    /// The last vector of a column strip: how many of its lanes hold
+    /// columns of the matrix (`1..=8`) and the mask enabling exactly
+    /// those. Only [`Lanes::first`] builds one, which is what lets the
+    /// masked load/store trust `mask` against a slice of `live` floats.
+    #[derive(Clone, Copy)]
+    struct Lanes {
+        live: usize,
+        mask: __m256i,
+    }
+
+    impl Lanes {
+        #[target_feature(enable = "avx2", enable = "fma")]
+        fn first(live: usize) -> Self {
+            assert!((1..=8).contains(&live), "Lanes::first: {live} of 8 lanes");
+            let words = &LANE_MASKS[8 - live..16 - live];
+            // SAFETY: `words` is a checked slice of exactly 8 i32s; the
+            // unaligned load reads precisely those 32 bytes.
+            let mask = unsafe { _mm256_loadu_si256(words.as_ptr().cast()) };
+            Lanes { live, mask }
+        }
+    }
+
+    /// One `k` tile `p0..p1` of a `[_, k] × [k, n]` product.
+    #[derive(Clone, Copy)]
+    struct Tile {
+        k: usize,
+        n: usize,
+        p0: usize,
+        p1: usize,
+    }
+
     /// Entry point: `KC`-sized `k` tiles; inside each tile the column
     /// strips are the outer loop (so a strip's B panel is reused by all
-    /// row blocks straight out of L1) and the 4-row/1-row blocks the
-    /// inner one. Tiling only inserts exact f32 store/load round-trips
-    /// of the running C value between tiles — the per-element FMA chain
-    /// still consumes `k` in ascending order. The caller
-    /// (`gemm_band_avx2`) has asserted all slice geometry.
+    /// row blocks straight out of L1) and the row blocks the inner one.
+    /// Columns are cut into 16-wide strips plus one strip for the 1–15
+    /// left over, whose last vector is masked unless 8 are left; rows
+    /// are cut by [`strip`]. Both cuts read `(rows, n)` only. Tiling
+    /// only inserts exact f32 store/load round-trips of the running C
+    /// value between tiles — the per-element FMA chain still consumes
+    /// `k` in ascending order. The caller (`gemm_band_avx2`) has
+    /// asserted all slice geometry.
     #[target_feature(enable = "avx2", enable = "fma")]
     pub(super) fn gemm_band(a: &[f32], b: &[f32], rows: usize, k: usize, n: usize, c: &mut [f32]) {
+        if rows == 0 || n == 0 {
+            return;
+        }
+        let left = n % 16;
+        let full = Lanes::first(8);
         let mut p0 = 0;
         loop {
             let p1 = (p0 + KC).min(k);
-            let mut j = 0;
-            while j + 16 <= n {
-                let mut i = 0;
-                while i + 4 <= rows {
-                    rows4(a, b, i, k, p0, p1, n, j, c);
-                    i += 4;
-                }
-                while i < rows {
-                    rows1(a, b, i, k, p0, p1, n, j, c);
-                    i += 1;
-                }
-                j += 16;
+            let t = Tile { k, n, p0, p1 };
+            for j in (0..n - left).step_by(16) {
+                strip::<2, false>(a, b, c, rows, t, j, full);
             }
-            while j + 8 <= n {
-                let mut i = 0;
-                while i + 4 <= rows {
-                    rows4_w8(a, b, i, k, p0, p1, n, j, c);
-                    i += 4;
-                }
-                while i < rows {
-                    rows1_w8(a, b, i, k, p0, p1, n, j, c);
-                    i += 1;
-                }
-                j += 8;
-            }
-            if j < n {
-                for i in 0..rows {
-                    tail_cols(a, b, i, k, p0, p1, n, j, c);
-                }
+            match left {
+                0 => {}
+                1..=7 => strip::<1, true>(a, b, c, rows, t, n - left, Lanes::first(left)),
+                8 => strip::<1, false>(a, b, c, rows, t, n - left, full),
+                _ => strip::<2, true>(a, b, c, rows, t, n - left, Lanes::first(left - 8)),
             }
             p0 = p1;
             if p0 >= k {
@@ -445,157 +479,119 @@ mod x86 {
         }
     }
 
-    /// 4×16 block at rows `i..i+4`, columns `j..j+16`, over the `k`
-    /// tile `p0..p1`: eight YMM accumulators live across the tile.
-    /// Each element is one FMA chain ascending in `k` in a fixed lane.
+    /// All row blocks of the strip starting at column `j`: `rows` is cut
+    /// into `ceil(rows / 6)` blocks of near-equal height (taller ones
+    /// first), so no block is ever a lone leftover row — 5 → 5,
+    /// 10 → 5+5, 39 → 6+6+6+6+5+5+5.
     #[target_feature(enable = "avx2", enable = "fma")]
-    #[allow(clippy::too_many_arguments)]
-    fn rows4(
+    fn strip<const NV: usize, const MASKED: bool>(
         a: &[f32],
         b: &[f32],
-        i: usize,
-        k: usize,
-        p0: usize,
-        p1: usize,
-        n: usize,
-        j: usize,
         c: &mut [f32],
+        rows: usize,
+        t: Tile,
+        j: usize,
+        lanes: Lanes,
     ) {
-        let bp = b.as_ptr();
-        let mut acc = [[_mm256_setzero_ps(); 2]; 4];
-        for (r, accr) in acc.iter_mut().enumerate() {
-            *accr = [load8(c, (i + r) * n + j), load8(c, (i + r) * n + j + 8)];
+        let blocks = rows.div_ceil(MR_MAX);
+        let (height, taller) = (rows / blocks, rows % blocks);
+        let mut i = 0;
+        for q in 0..blocks {
+            let mr = height + usize::from(q < taller);
+            match mr {
+                1 => block::<1, NV, MASKED>(a, b, c, i, t, j, lanes),
+                2 => block::<2, NV, MASKED>(a, b, c, i, t, j, lanes),
+                3 => block::<3, NV, MASKED>(a, b, c, i, t, j, lanes),
+                4 => block::<4, NV, MASKED>(a, b, c, i, t, j, lanes),
+                5 => block::<5, NV, MASKED>(a, b, c, i, t, j, lanes),
+                6 => block::<6, NV, MASKED>(a, b, c, i, t, j, lanes),
+                _ => unreachable!("block height {mr} outside 1..={MR_MAX}"),
+            }
+            i += mr;
         }
-        for p in p0..p1 {
-            let base = p * n + j;
-            // SAFETY: p < k and j + 16 <= n, so base + 16 <=
-            // k * n == b.len(); unaligned loads are permitted.
-            let b0 = unsafe { _mm256_loadu_ps(bp.add(base)) };
-            // SAFETY: as above — base + 8 + 8 <= b.len().
-            let b1 = unsafe { _mm256_loadu_ps(bp.add(base + 8)) };
-            for (r, accr) in acc.iter_mut().enumerate() {
-                let av = _mm256_set1_ps(a[(i + r) * k + p]);
-                accr[0] = _mm256_fmadd_ps(av, b0, accr[0]);
-                accr[1] = _mm256_fmadd_ps(av, b1, accr[1]);
+    }
+
+    /// The register block: rows `i..i+MR`, `NV` vectors of columns from
+    /// `j`, over one `k` tile, with `MR × NV` YMM accumulators live
+    /// across the tile. Each element is one FMA chain ascending in `k`
+    /// in a fixed lane. With `MASKED` the last vector holds only
+    /// `lanes.live` columns: its other lanes are never loaded from or
+    /// stored to memory, and no lane reads another, so what they
+    /// accumulate is discarded unseen.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    fn block<const MR: usize, const NV: usize, const MASKED: bool>(
+        a: &[f32],
+        b: &[f32],
+        c: &mut [f32],
+        i: usize,
+        t: Tile,
+        j: usize,
+        lanes: Lanes,
+    ) {
+        let w = 8 * (NV - 1) + lanes.live;
+        let mut acc = [[_mm256_setzero_ps(); NV]; MR];
+        for (r, accr) in acc.iter_mut().enumerate() {
+            *accr = load_row::<NV, MASKED>(&c[(i + r) * t.n + j..][..w], lanes);
+        }
+        let mut a_rows = [&a[..0]; MR];
+        for (r, a_row) in a_rows.iter_mut().enumerate() {
+            *a_row = &a[(i + r) * t.k + t.p0..(i + r) * t.k + t.p1];
+        }
+        for (p, b_row) in b[t.p0 * t.n..t.p1 * t.n].chunks_exact(t.n).enumerate() {
+            let bv = load_row::<NV, MASKED>(&b_row[j..j + w], lanes);
+            for (accr, a_row) in acc.iter_mut().zip(a_rows) {
+                let av = _mm256_set1_ps(a_row[p]);
+                for (x, &bx) in accr.iter_mut().zip(&bv) {
+                    *x = _mm256_fmadd_ps(av, bx, *x);
+                }
             }
         }
         for (r, accr) in acc.iter().enumerate() {
-            store8(c, (i + r) * n + j, accr[0]);
-            store8(c, (i + r) * n + j + 8, accr[1]);
+            store_row::<NV, MASKED>(&mut c[(i + r) * t.n + j..][..w], accr, lanes);
         }
     }
 
-    /// 4×8 block (column tail) at rows `i..i+4`, columns `j..j+8`.
+    /// `NV` vectors from a row segment of `8 * (NV - 1) + lanes.live`
+    /// floats; with `MASKED` the last one is a masked load.
+    #[inline]
     #[target_feature(enable = "avx2", enable = "fma")]
-    #[allow(clippy::too_many_arguments)]
-    fn rows4_w8(
-        a: &[f32],
-        b: &[f32],
-        i: usize,
-        k: usize,
-        p0: usize,
-        p1: usize,
-        n: usize,
-        j: usize,
-        c: &mut [f32],
-    ) {
-        let bp = b.as_ptr();
-        let mut acc = [_mm256_setzero_ps(); 4];
-        for (r, accr) in acc.iter_mut().enumerate() {
-            *accr = load8(c, (i + r) * n + j);
+    fn load_row<const NV: usize, const MASKED: bool>(s: &[f32], lanes: Lanes) -> [__m256; NV] {
+        let mut v = [_mm256_setzero_ps(); NV];
+        for (q, vq) in v.iter_mut().enumerate() {
+            *vq = if MASKED && q == NV - 1 {
+                let live = &s[8 * q..8 * q + lanes.live];
+                // SAFETY: `live` is a checked slice of `lanes.live`
+                // f32s and `lanes.mask` enables exactly that many
+                // leading lanes (`Lanes::first`); a masked load neither
+                // reads nor faults on the lanes it disables.
+                unsafe { _mm256_maskload_ps(live.as_ptr(), lanes.mask) }
+            } else {
+                load8(s, 8 * q)
+            };
         }
-        for p in p0..p1 {
-            let base = p * n + j;
-            // SAFETY: p < k and j + 8 <= n, so base + 8 <= b.len().
-            let bv = unsafe { _mm256_loadu_ps(bp.add(base)) };
-            for (r, accr) in acc.iter_mut().enumerate() {
-                *accr = _mm256_fmadd_ps(_mm256_set1_ps(a[(i + r) * k + p]), bv, *accr);
+        v
+    }
+
+    /// Stores what [`load_row`] loaded, back to the same segment.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    fn store_row<const NV: usize, const MASKED: bool>(
+        s: &mut [f32],
+        v: &[__m256; NV],
+        lanes: Lanes,
+    ) {
+        for (q, &vq) in v.iter().enumerate() {
+            if MASKED && q == NV - 1 {
+                let live = &mut s[8 * q..8 * q + lanes.live];
+                // SAFETY: `live` is a checked slice of `lanes.live`
+                // f32s and `lanes.mask` enables exactly that many
+                // leading lanes (`Lanes::first`); a masked store writes
+                // only enabled lanes and does not fault on the rest.
+                unsafe { _mm256_maskstore_ps(live.as_mut_ptr(), lanes.mask, vq) }
+            } else {
+                store8(s, 8 * q, vq);
             }
-        }
-        for (r, accr) in acc.iter().enumerate() {
-            store8(c, (i + r) * n + j, *accr);
-        }
-    }
-
-    /// 1×16 block (row tail) at row `i`, columns `j..j+16`.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    #[allow(clippy::too_many_arguments)]
-    fn rows1(
-        a: &[f32],
-        b: &[f32],
-        i: usize,
-        k: usize,
-        p0: usize,
-        p1: usize,
-        n: usize,
-        j: usize,
-        c: &mut [f32],
-    ) {
-        let bp = b.as_ptr();
-        let mut acc0 = load8(c, i * n + j);
-        let mut acc1 = load8(c, i * n + j + 8);
-        for p in p0..p1 {
-            let base = p * n + j;
-            // SAFETY: p < k and j + 16 <= n, so base + 16 <= b.len().
-            let b0 = unsafe { _mm256_loadu_ps(bp.add(base)) };
-            // SAFETY: as above — base + 8 + 8 <= b.len().
-            let b1 = unsafe { _mm256_loadu_ps(bp.add(base + 8)) };
-            let av = _mm256_set1_ps(a[i * k + p]);
-            acc0 = _mm256_fmadd_ps(av, b0, acc0);
-            acc1 = _mm256_fmadd_ps(av, b1, acc1);
-        }
-        store8(c, i * n + j, acc0);
-        store8(c, i * n + j + 8, acc1);
-    }
-
-    /// 1×8 block (row and column tail) at row `i`, columns `j..j+8`.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    #[allow(clippy::too_many_arguments)]
-    fn rows1_w8(
-        a: &[f32],
-        b: &[f32],
-        i: usize,
-        k: usize,
-        p0: usize,
-        p1: usize,
-        n: usize,
-        j: usize,
-        c: &mut [f32],
-    ) {
-        let bp = b.as_ptr();
-        let mut acc = load8(c, i * n + j);
-        for p in p0..p1 {
-            let base = p * n + j;
-            // SAFETY: p < k and j + 8 <= n, so base + 8 <= b.len().
-            let bv = unsafe { _mm256_loadu_ps(bp.add(base)) };
-            acc = _mm256_fmadd_ps(_mm256_set1_ps(a[i * k + p]), bv, acc);
-        }
-        store8(c, i * n + j, acc);
-    }
-
-    /// Scalar tail columns `j0..n` of row `i` over the `k` tile
-    /// `p0..p1`, with the same fused multiply-add and ascending-`k`
-    /// chain as the vector lanes (`mul_add` compiles to `vfmadd` under
-    /// the enabled features).
-    #[target_feature(enable = "avx2", enable = "fma")]
-    #[allow(clippy::too_many_arguments)]
-    fn tail_cols(
-        a: &[f32],
-        b: &[f32],
-        i: usize,
-        k: usize,
-        p0: usize,
-        p1: usize,
-        n: usize,
-        j0: usize,
-        c: &mut [f32],
-    ) {
-        for jj in j0..n {
-            let mut acc = c[i * n + jj];
-            for p in p0..p1 {
-                acc = a[i * k + p].mul_add(b[p * n + jj], acc);
-            }
-            c[i * n + jj] = acc;
         }
     }
 
@@ -659,8 +655,8 @@ mod tests {
         if !avx2_supported() {
             return;
         }
-        // 5 rows exercises the 4-row block plus a 1-row tail; n = 21
-        // exercises 16-wide, (no 8-wide), and 5 scalar tail columns.
+        // 5 rows is a single 5-row block; n = 21 is one 16-wide strip
+        // plus a one-vector strip with 5 of its 8 lanes enabled.
         let (rows, k, n) = (5, 7, 21);
         let a: Vec<f32> = (0..rows * k).map(|v| (v as f32 * 0.37).sin()).collect();
         let b: Vec<f32> = (0..k * n).map(|v| (v as f32 * 0.21).cos()).collect();

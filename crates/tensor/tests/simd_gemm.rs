@@ -1,16 +1,22 @@
 //! SIMD microkernel contract tests.
 //!
-//! Three obligations, mirroring `tensor::simd`'s module doc:
+//! Four obligations, mirroring `tensor::simd`'s module doc:
 //!
-//! 1. **Accuracy** — the AVX2 kernel agrees with the naive reference
-//!    oracles within tolerance on every transpose variant, with shapes
-//!    drawn to straddle the microkernel's column widths (16/8/scalar
-//!    tail) and row block (4): ones, primes, and block-size ± 1.
-//! 2. **Determinism** — for a *fixed* path the result is bit-identical
+//! 1. **Exactness** — on each path every output element equals, bit for
+//!    bit, a test-only scalar chain from `+0.0` ascending `k` (fused
+//!    `mul_add` for AVX2, multiply-then-add for the scalar kernel), on
+//!    every shape of a grid that crosses all register-block heights
+//!    (1–6 rows, split near-equally), strip widths (16-wide, 8-wide,
+//!    masked 1–7 and 9–15) and `KC` tile edges — and the same A row and
+//!    B column give the same bits wherever they sit in `(m, n)`.
+//! 2. **Accuracy** — both paths agree with the naive reference oracles
+//!    within tolerance on every transpose variant: ones, primes, and
+//!    block-size ± 1.
+//! 3. **Determinism** — for a *fixed* path the result is bit-identical
 //!    run-to-run and across thread counts (each output element is one
 //!    fixed-lane FMA chain ascending `k`; band ownership is a function
 //!    of shape only).
-//! 3. **Fallback** — the forced-scalar path is the pre-SIMD blocked
+//! 4. **Fallback** — the forced-scalar path is the pre-SIMD blocked
 //!    kernel, so it stays bit-invariant across thread counts too (the
 //!    whole tier-1 suite re-runs under `FEDMP_SIMD=scalar` in CI to pin
 //!    its values against the golden tests).
@@ -32,7 +38,7 @@ static PATH_LOCK: Mutex<()> = Mutex::new(());
 
 /// Shapes that straddle every boundary the SIMD microkernel cares
 /// about: degenerate 1s, primes (never a multiple of anything), and
-/// the 16-wide / 8-wide column blocks, 4-row block and 64-row band
+/// the 16-wide / 8-wide column strips, 6-row block and 64-row band
 /// each at −1 / exact / +1.
 const EDGE_SIZES: &[usize] = &[1, 2, 3, 5, 7, 8, 9, 13, 15, 16, 17, 31, 63, 64, 65, 127, 128, 129];
 
@@ -193,21 +199,161 @@ fn forced_scalar_is_the_blocked_kernel() {
 /// The two paths agree within tolerance but are *not* promised to be
 /// bitwise equal to each other (FMA fuses the multiply-add rounding);
 /// this pins the tolerance contract the cross-path comparison relies
-/// on at a shape exercising all three column sub-kernels.
+/// on at a shape exercising a full strip and a masked two-vector one.
 #[test]
-fn paths_agree_within_tolerance_across_column_subkernels() {
+fn paths_agree_within_tolerance_across_column_strips() {
     if !simd::avx2_supported() {
         eprintln!("skipping: AVX2+FMA not available on this host");
         return;
     }
     let _guard = PATH_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let mut rng = seeded_rng(43);
-    // n = 16 + 8 + 3: one full 16-wide block, one 8-wide, a scalar tail.
+    // n = 16 + 11: one full 16-wide strip, then 8 + 3 masked lanes.
     let a = Tensor::randn(&[9, 257], &mut rng);
     let b = Tensor::randn(&[257, 27], &mut rng);
     let simd_out = with_path(SimdPath::Avx2, || a.matmul(&b));
     let scalar_out = with_path(SimdPath::Scalar, || a.matmul(&b));
     for (i, (x, y)) in simd_out.data().iter().zip(scalar_out.data().iter()).enumerate() {
         assert!((x - y).abs() <= TOL, "element {i}: simd {x} vs scalar {y}");
+    }
+}
+
+/// What the kernel on `path` must produce for `A[m, k] @ B[k, n]`,
+/// exactly: each element one chain from `+0.0`, ascending `k` — fused
+/// on AVX2, multiply-then-add on the scalar kernel. Written as the
+/// plainest possible triple loop, sharing nothing with either kernel.
+fn chain_oracle(path: SimdPath, a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+    let mut c = vec![0.0f32; m * n];
+    for i in 0..m {
+        for j in 0..n {
+            let mut acc = 0.0f32;
+            for p in 0..k {
+                let (x, y) = (a[i * k + p], b[p * n + j]);
+                acc = match path {
+                    SimdPath::Avx2 => x.mul_add(y, acc),
+                    SimdPath::Scalar => acc + x * y,
+                };
+            }
+            c[i * n + j] = acc;
+        }
+    }
+    c
+}
+
+/// Bitwise equality, except that any NaN equals any NaN (which payload
+/// an invalid operation produces is the one thing IEEE 754 leaves open).
+fn same_bits(x: f32, y: f32) -> bool {
+    x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan())
+}
+
+/// `len` operand values: normal draws salted with subnormals, both
+/// zeros, and tiny values whose products underflow.
+fn salted(len: usize, seed: u64) -> Vec<f32> {
+    let mut rng = seeded_rng(seed);
+    let mut v = Tensor::randn(&[len], &mut rng).into_vec();
+    for (i, x) in v.iter_mut().enumerate() {
+        match i % 11 {
+            3 => *x = f32::from_bits(1 + (i as u32).wrapping_mul(7919) % 0x007f_ffff),
+            5 => *x = 0.0,
+            7 => *x = -0.0,
+            9 => *x *= 1e-30,
+            _ => {}
+        }
+    }
+    v
+}
+
+/// The exact oracle over the whole tail grid: rows 1..=13 (every block
+/// height and split), n 1..=40 (every strip width and mask), `k` on
+/// both sides of the 256-wide tile edge; all three transpose variants;
+/// 1 and 4 threads. B's first column holds an `inf` and its last a NaN:
+/// those are the floats that sit, in memory, right where a masked-off
+/// lane of the neighbouring row's last vector would read or write, so a
+/// leaking mask shows up as a non-finite value in a finite column.
+#[test]
+fn every_element_is_the_exact_ascending_k_chain() {
+    let _guard = PATH_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    for path in forced_paths() {
+        for k in [1usize, 7, 255, 256, 257, 513] {
+            for m in 1..=13usize {
+                let a = salted(m * k, (m * 1000 + k) as u64);
+                let a_t = Tensor::from_vec(a.clone(), &[m, k]).unwrap();
+                let at_t = a_t.transpose();
+                for n in 1..=40usize {
+                    let mut b = salted(k * n, (n * 1000 + k) as u64 ^ 0xB);
+                    b[0] = f32::INFINITY;
+                    b[k * n - 1] = f32::NAN;
+                    let want = chain_oracle(path, &a, &b, m, k, n);
+                    let b_t = Tensor::from_vec(b, &[k, n]).unwrap();
+                    let bt_t = b_t.transpose();
+                    for threads in [1usize, 4] {
+                        let got = with_path(path, || {
+                            parallel::override_threads(Some(threads));
+                            let got =
+                                [a_t.matmul(&b_t), a_t.matmul_nt(&bt_t), at_t.matmul_tn(&b_t)];
+                            parallel::override_threads(None);
+                            got
+                        });
+                        for (op, got) in ["nn", "nt", "tn"].iter().zip(&got) {
+                            assert_eq!(got.dims(), &[m, n]);
+                            for (e, (&x, &y)) in got.data().iter().zip(&want).enumerate() {
+                                assert!(
+                                    same_bits(x, y),
+                                    "{}/{op} {m}x{k}x{n} @ {threads} threads: element {e}: \
+                                     {x:e} ({:#010x}) vs chain {y:e} ({:#010x})",
+                                    path.name(),
+                                    x.to_bits(),
+                                    y.to_bits(),
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Embedding invariance: one A row and one B column give the same bits
+/// wherever they are placed in `(m, n)` — whichever block height, strip,
+/// mask or 64-row band ends up owning the element. This is the property
+/// the kernel's bit-identity argument rests on.
+#[test]
+fn an_element_does_not_depend_on_where_it_sits() {
+    let _guard = PATH_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    // (m, n, row, column)
+    const PLACES: &[(usize, usize, usize, usize)] = &[
+        (1, 1, 0, 0),
+        (3, 27, 2, 8),
+        (5, 39, 4, 38),
+        (6, 16, 0, 15),
+        (10, 125, 9, 124),
+        (13, 40, 7, 16),
+        (64, 17, 63, 16),
+        (70, 25, 66, 24),
+    ];
+    for path in forced_paths() {
+        for k in [7usize, 257, 513] {
+            let row = salted(k, k as u64);
+            let col = salted(k, k as u64 ^ 0xC);
+            let want = chain_oracle(path, &row, &col, 1, k, 1)[0];
+            for &(m, n, i, j) in PLACES {
+                let mut a = salted(m * k, (m * n) as u64);
+                a[i * k..(i + 1) * k].copy_from_slice(&row);
+                let mut b = salted(k * n, (m + n) as u64);
+                for (p, &v) in col.iter().enumerate() {
+                    b[p * n + j] = v;
+                }
+                let a = Tensor::from_vec(a, &[m, k]).unwrap();
+                let b = Tensor::from_vec(b, &[k, n]).unwrap();
+                let got = with_path(path, || a.matmul(&b)).data()[i * n + j];
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "{}: k {k}, element ({i}, {j}) of {m}x{n}: {got:e} vs {want:e}",
+                    path.name()
+                );
+            }
+        }
     }
 }
