@@ -1,5 +1,5 @@
 //! Reference vs scalar-blocked vs SIMD kernel benchmark, plus the
-//! pruning-aware fast-path table.
+//! cost-tracks-kept-FLOPs table.
 //!
 //! Times the naive `*_reference` GEMM kernels against the cache-blocked
 //! scalar kernels and the AVX2/FMA microkernels on the GEMM shapes the
@@ -10,9 +10,10 @@
 //! conv2d forward pass itself, then
 //! the conv backward passes beside it (weight gradient, input gradient
 //! and the `col2im` fold's share of the latter), then
-//! measures what structured pruning buys at the kernel level: a
-//! ρ-pruned conv/FC layer through `conv2d_forward_pruned` /
-//! `matmul_nt_pruned` against its dense baseline. Writes everything to
+//! measures what structured pruning buys at the kernel level: the
+//! ordinary `conv2d_forward` / `matmul_nt` at the shape a ρ-pruned
+//! conv/FC layer is extracted to, against the same kernel at the full
+//! shape (the `pruned` table). Writes everything to
 //! `bench-results/kernels.json`. Run with:
 //!
 //! ```text
@@ -22,8 +23,7 @@
 //! Set `FEDMP_BENCH_SMOKE=1` (CI) to cut repetitions and skip the
 //! timing-based gates; the *equivalence* gates — every path against the
 //! reference oracle, every ragged shape bitwise against a scalar
-//! ascending-`k` chain, every pruned run bitwise against
-//! dense-on-extracted, the `col2im` row fold bitwise against an
+//! ascending-`k` chain, the `col2im` row fold bitwise against an
 //! element-by-element fold — always run, so a smoke pass still proves
 //! the kernels compute the same numbers. Timing gates in full mode: on
 //! AVX2 hosts the headline SIMD GEMM must beat the scalar blocked
@@ -39,9 +39,9 @@ use std::time::Instant;
 use fedmp_pruning::ratio_keep_count;
 use fedmp_tensor::simd::{self, SimdPath};
 use fedmp_tensor::{
-    col2im_into, conv2d_backward_input, conv2d_backward_weight, conv2d_forward,
-    conv2d_forward_pruned, im2col, matmul_nt_pruned, matmul_nt_reference, matmul_reference,
-    matmul_tn_reference, parallel, seeded_rng, Conv2dSpec, Tensor,
+    col2im_into, conv2d_backward_input, conv2d_backward_weight, conv2d_forward, im2col,
+    matmul_nt_reference, matmul_reference, matmul_tn_reference, parallel, seeded_rng, Conv2dSpec,
+    Tensor,
 };
 use serde_json::json;
 
@@ -155,10 +155,11 @@ fn time_ms<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
 }
 
 /// Best-of-reps for a *pair* of kernels, alternating them within one
-/// measurement window (`d p d p …`). The pruned table gates on the
-/// ratio of the two, and on a shared host a frequency dip during one
-/// side's window would skew a ratio of separately-timed bests;
-/// interleaving makes any dip hit both sides alike.
+/// measurement window (`d p d p …`). The `gemm`, `ragged` and `pruned`
+/// tables gate on the ratio of the two, and on a shared host a
+/// frequency dip during one side's window would skew a ratio of
+/// separately-timed bests; interleaving makes any dip hit both sides
+/// alike.
 fn time_pair_ms<R1, R2>(
     reps: usize,
     mut d: impl FnMut() -> R1,
@@ -198,8 +199,8 @@ fn assert_close(got: &Tensor, want: &Tensor, what: &str) {
     }
 }
 
-/// Bitwise gate: the pruned fast path must match the dense kernel on
-/// physically extracted operands down to the last ulp.
+/// Bitwise gate: `got` must match its exact oracle (the ascending-`k`
+/// chain, the element-by-element `col2im` fold) down to the last ulp.
 fn assert_bits_eq(got: &Tensor, want: &Tensor, what: &str) {
     assert_eq!(got.dims(), want.dims(), "{what}: dims");
     for (i, (x, y)) in got.data().iter().zip(want.data().iter()).enumerate() {
@@ -232,64 +233,6 @@ fn conv2d_forward_reference(
             for (dv, &sv) in dst[f * oh * ow..(f + 1) * oh * ow].iter_mut().zip(src.iter()) {
                 *dv = sv + b;
             }
-        }
-    }
-    out
-}
-
-/// Physically extracts the kept rows/columns of a `[out, in]` weight.
-fn gather_2d(w: &Tensor, kept_out: &[usize], kept_in: &[usize]) -> Tensor {
-    let inf = w.dims()[1];
-    let mut out = Tensor::zeros(&[kept_out.len(), kept_in.len()]);
-    for (r, &fo) in kept_out.iter().enumerate() {
-        for (c, &fi) in kept_in.iter().enumerate() {
-            out.data_mut()[r * kept_in.len() + c] = w.data()[fo * inf + fi];
-        }
-    }
-    out
-}
-
-/// Physically extracts kept filters/channels of an `[oc, c, kh, kw]`
-/// conv weight.
-fn gather_conv_weight(w: &Tensor, kept_out: &[usize], kept_in: &[usize]) -> Tensor {
-    let d = w.dims();
-    let (c, kh, kw) = (d[1], d[2], d[3]);
-    let k2 = kh * kw;
-    let mut out = Tensor::zeros(&[kept_out.len(), kept_in.len(), kh, kw]);
-    for (r, &fo) in kept_out.iter().enumerate() {
-        for (j, &fi) in kept_in.iter().enumerate() {
-            let src = &w.data()[(fo * c + fi) * k2..(fo * c + fi + 1) * k2];
-            let base = (r * kept_in.len() + j) * k2;
-            out.data_mut()[base..base + k2].copy_from_slice(src);
-        }
-    }
-    out
-}
-
-/// Gathers kept channels of an `[n, c, h, w]` activation.
-fn gather_channels(x: &Tensor, kept: &[usize]) -> Tensor {
-    let d = x.dims();
-    let (n, c, h, w) = (d[0], d[1], d[2], d[3]);
-    let img = h * w;
-    let mut out = Tensor::zeros(&[n, kept.len(), h, w]);
-    for i in 0..n {
-        for (j, &ch) in kept.iter().enumerate() {
-            let src = &x.data()[(i * c + ch) * img..(i * c + ch + 1) * img];
-            let base = (i * kept.len() + j) * img;
-            out.data_mut()[base..base + img].copy_from_slice(src);
-        }
-    }
-    out
-}
-
-/// Gathers kept columns of an `[m, f]` activation matrix.
-fn gather_cols(x: &Tensor, kept: &[usize]) -> Tensor {
-    let d = x.dims();
-    let (m, f) = (d[0], d[1]);
-    let mut out = Tensor::zeros(&[m, kept.len()]);
-    for r in 0..m {
-        for (c, &fi) in kept.iter().enumerate() {
-            out.data_mut()[r * kept.len() + c] = x.data()[r * f + fi];
         }
     }
     out
@@ -579,8 +522,11 @@ fn main() {
     parallel::override_threads(None);
 
     // ------------------------------------------------------------------
-    // Pruning-aware fast paths: what does a ρ-pruned layer actually
-    // cost, relative to its dense self, under the default dispatch?
+    // Cost tracks kept FLOPs: what does a ρ-pruned layer cost, relative
+    // to its dense self, under the default dispatch? A pruned layer *is*
+    // the ordinary kernel at the extracted shape, so each row times that
+    // kernel on fresh operands of the shrunk shape beside the full one
+    // (timing does not need the gathered values).
     //
     // `out_only` prunes the filter/neuron dimension alone (kept-FLOPs
     // fraction = 1−ρ — the linearity the paper's cost model assumes);
@@ -591,9 +537,9 @@ fn main() {
     let pruned_reps = if smoke { 1 } else { 7 };
 
     // Conv layer: alexnet/conv2 geometry, batch 8.
-    let (cn, cc, chh, cww, coc, ckh) = (8usize, 64usize, 16usize, 16usize, 192usize, 3usize);
+    let (cn, cc, chw, coc, ckh) = (8usize, 64usize, 16usize, 192usize, 3usize);
     let cspec = Conv2dSpec { kh: ckh, kw: ckh, stride: 1, padding: 1 };
-    let cinput = Tensor::randn(&[cn, cc, chh, cww], &mut rng);
+    let cinput = Tensor::randn(&[cn, cc, chw, chw], &mut rng);
     let cweight = Tensor::randn(&[coc, cc, ckh, ckh], &mut rng);
     let cbias = Tensor::randn(&[coc], &mut rng);
 
@@ -604,101 +550,52 @@ fn main() {
 
     for ratio in [0.3f32, 0.5, 0.7] {
         for chained in [false, true] {
-            let ko_c = ratio_keep_count(coc, ratio);
-            let ki_c = if chained { ratio_keep_count(cc, ratio) } else { cc };
-            let kept_out: Vec<usize> = (0..ko_c).collect();
-            let kept_in: Vec<usize> = (0..ki_c).collect();
-
-            // Bitwise gate: pruned kernel == dense kernel on extracted
-            // operands (always, smoke included).
-            let got = conv2d_forward_pruned(&cinput, &cweight, &cbias, &cspec, &kept_out, &kept_in);
-            let sub_w = gather_conv_weight(&cweight, &kept_out, &kept_in);
-            let sub_b = {
-                let mut b = Tensor::zeros(&[ko_c]);
-                for (i, &f) in kept_out.iter().enumerate() {
-                    b.data_mut()[i] = cbias.data()[f];
+            for (layer, kind, out_full, in_full) in
+                [("alexnet/conv2_b8", "conv", coc, cc), ("alexnet/fc1_b64", "linear", lof, lif)]
+            {
+                let ko = ratio_keep_count(out_full, ratio);
+                let ki = if chained { ratio_keep_count(in_full, ratio) } else { in_full };
+                let (dense_ms, pruned_ms) = if kind == "conv" {
+                    let sub_in = Tensor::randn(&[cn, ki, chw, chw], &mut rng);
+                    let sub_w = Tensor::randn(&[ko, ki, ckh, ckh], &mut rng);
+                    let sub_b = Tensor::randn(&[ko], &mut rng);
+                    time_pair_ms(
+                        pruned_reps,
+                        || conv2d_forward(&cinput, &cweight, &cbias, &cspec),
+                        || conv2d_forward(&sub_in, &sub_w, &sub_b, &cspec),
+                    )
+                } else {
+                    let sub_x = Tensor::randn(&[lm, ki], &mut rng);
+                    let sub_w = Tensor::randn(&[ko, ki], &mut rng);
+                    time_pair_ms(pruned_reps, || lx.matmul_nt(&lw), || sub_x.matmul_nt(&sub_w))
+                };
+                let variant = if chained { "chained" } else { "out_only" };
+                let kept_flops_frac = (ko * ki) as f64 / (out_full * in_full) as f64;
+                let time_frac = pruned_ms / dense_ms;
+                println!(
+                    "pruned {kind:<6} ratio {ratio:.1} {variant:<8} kept {ko:3}/{out_full} x {ki:4}/{in_full}: {pruned_ms:8.3} ms  ({:.1}% of dense, {:.1}% of FLOPs)",
+                    time_frac * 100.0,
+                    kept_flops_frac * 100.0,
+                );
+                pruned_rows.push(json!({
+                    "layer": layer,
+                    "kind": kind,
+                    "ratio": ratio,
+                    "variant": variant,
+                    "kept_out": ko, "out_full": out_full,
+                    "kept_in": ki, "in_full": in_full,
+                    "kept_flops_frac": kept_flops_frac,
+                    "dense_ms": dense_ms,
+                    "pruned_ms": pruned_ms,
+                    "time_frac": time_frac,
+                }));
+                if !smoke && !chained && (ratio - 0.7).abs() < 1e-6 {
+                    assert!(
+                        time_frac <= 0.40,
+                        "pruned {kind} gate: 70%-pruned layer cost {:.1}% of dense (> 40%)",
+                        time_frac * 100.0
+                    );
                 }
-                b
-            };
-            let sub_in =
-                if ki_c == cc { cinput.clone() } else { gather_channels(&cinput, &kept_in) };
-            let want = conv2d_forward(&sub_in, &sub_w, &sub_b, &cspec);
-            let variant = if chained { "chained" } else { "out_only" };
-            assert_bits_eq(&got, &want, &format!("conv ratio {ratio} {variant}"));
-
-            let (conv_dense_ms, pruned_ms) = time_pair_ms(
-                pruned_reps,
-                || conv2d_forward(&cinput, &cweight, &cbias, &cspec),
-                || conv2d_forward_pruned(&cinput, &cweight, &cbias, &cspec, &kept_out, &kept_in),
-            );
-            let kept_flops_frac = (ko_c * ki_c) as f64 / (coc * cc) as f64;
-            let time_frac = pruned_ms / conv_dense_ms;
-            println!(
-                "pruned conv  ratio {ratio:.1} {variant:<8} kept {ko_c:3}/{coc} x {ki_c:3}/{cc}: {pruned_ms:8.3} ms  ({:.1}% of dense, {:.1}% of FLOPs)",
-                time_frac * 100.0,
-                kept_flops_frac * 100.0,
-            );
-            pruned_rows.push(json!({
-                "layer": "alexnet/conv2_b8",
-                "kind": "conv",
-                "ratio": ratio,
-                "variant": variant,
-                "kept_out": ko_c, "out_full": coc,
-                "kept_in": ki_c, "in_full": cc,
-                "kept_flops_frac": kept_flops_frac,
-                "dense_ms": conv_dense_ms,
-                "pruned_ms": pruned_ms,
-                "time_frac": time_frac,
-            }));
-            if !smoke && !chained && (ratio - 0.7).abs() < 1e-6 {
-                assert!(
-                    time_frac <= 0.40,
-                    "pruned conv gate: 70%-pruned layer cost {:.1}% of dense (> 40%)",
-                    time_frac * 100.0
-                );
-            }
-
-            // Linear layer, same kept-set construction.
-            let ko_l = ratio_keep_count(lof, ratio);
-            let ki_l = if chained { ratio_keep_count(lif, ratio) } else { lif };
-            let kept_out_l: Vec<usize> = (0..ko_l).collect();
-            let kept_in_l: Vec<usize> = (0..ki_l).collect();
-            let got = matmul_nt_pruned(&lx, &lw, &kept_out_l, &kept_in_l);
-            let sub_w = gather_2d(&lw, &kept_out_l, &kept_in_l);
-            let sub_x = if ki_l == lif { lx.clone() } else { gather_cols(&lx, &kept_in_l) };
-            let want = sub_x.matmul_nt(&sub_w);
-            assert_bits_eq(&got, &want, &format!("linear ratio {ratio} {variant}"));
-
-            let (lin_dense_ms, pruned_ms) = time_pair_ms(
-                pruned_reps,
-                || lx.matmul_nt(&lw),
-                || matmul_nt_pruned(&lx, &lw, &kept_out_l, &kept_in_l),
-            );
-            let kept_flops_frac = (ko_l * ki_l) as f64 / (lof * lif) as f64;
-            let time_frac = pruned_ms / lin_dense_ms;
-            println!(
-                "pruned fc    ratio {ratio:.1} {variant:<8} kept {ko_l:3}/{lof} x {ki_l:4}/{lif}: {pruned_ms:8.3} ms  ({:.1}% of dense, {:.1}% of FLOPs)",
-                time_frac * 100.0,
-                kept_flops_frac * 100.0,
-            );
-            pruned_rows.push(json!({
-                "layer": "alexnet/fc1_b64",
-                "kind": "linear",
-                "ratio": ratio,
-                "variant": variant,
-                "kept_out": ko_l, "out_full": lof,
-                "kept_in": ki_l, "in_full": lif,
-                "kept_flops_frac": kept_flops_frac,
-                "dense_ms": lin_dense_ms,
-                "pruned_ms": pruned_ms,
-                "time_frac": time_frac,
-            }));
-            if !smoke && !chained && (ratio - 0.7).abs() < 1e-6 {
-                assert!(
-                    time_frac <= 0.40,
-                    "pruned fc gate: 70%-pruned layer cost {:.1}% of dense (> 40%)",
-                    time_frac * 100.0
-                );
             }
         }
     }

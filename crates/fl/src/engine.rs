@@ -428,16 +428,12 @@ pub(crate) fn emit_kernel_dispatch(round: usize, prev: &mut KernelStats) {
     let bands = now.bands - prev.bands;
     let gemm_simd_dense = now.gemm_simd_dense - prev.gemm_simd_dense;
     let gemm_scalar_dense = now.gemm_scalar_dense - prev.gemm_scalar_dense;
-    let gemm_simd_pruned = now.gemm_simd_pruned - prev.gemm_simd_pruned;
-    let gemm_scalar_pruned = now.gemm_scalar_pruned - prev.gemm_scalar_pruned;
     fedmp_obs::emit(|| TraceEvent::KernelDispatch {
         round,
         dispatches,
         bands,
         gemm_simd_dense,
         gemm_scalar_dense,
-        gemm_simd_pruned,
-        gemm_scalar_pruned,
     });
     *prev = now;
 }

@@ -78,6 +78,28 @@ fn trace_summarize_matches_totals_and_stream_is_thread_invariant() {
     assert_eq!(d.manifest_notes.len(), 1, "{:?}", d.manifest_notes);
     assert!(d.manifest_notes[0].contains("threads"), "{:?}", d.manifest_notes);
 
+    // ── a trace recorded before the `*_pruned` path counters were
+    //    retired (two always-zero keys closing every `KernelDispatch`
+    //    line) loads, and diffs clean against today's run ────────────
+    let legacy: Vec<String> = trace
+        .event_lines
+        .iter()
+        .map(|line| {
+            if line.starts_with("{\"KernelDispatch\"") {
+                line.replace("}}", ",\"gemm_simd_pruned\":0,\"gemm_scalar_pruned\":0}}")
+            } else {
+                line.clone()
+            }
+        })
+        .collect();
+    let legacy: Trace = legacy.join("\n").parse().expect("pre-retirement trace still loads");
+    assert_eq!(
+        legacy.event_lines.iter().filter(|l| l.contains("gemm_simd_pruned")).count(),
+        ROUNDS
+    );
+    let d = diff(&legacy, &trace);
+    assert!(!d.is_divergent(), "retired keys read as divergence: {:?}", d.divergence);
+
     // ── a different seed must diverge ───────────────────────────────
     let (_h, other) = run_traced(1, 43, &FedMpOptions::default());
     assert!(diff(&trace, &other).is_divergent());

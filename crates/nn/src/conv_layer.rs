@@ -2,8 +2,7 @@
 
 use crate::param::Param;
 use fedmp_tensor::{
-    conv2d_backward_input, conv2d_backward_weight, conv2d_forward, conv2d_forward_pruned,
-    Conv2dSpec, Tensor,
+    conv2d_backward_input, conv2d_backward_weight, conv2d_forward, Conv2dSpec, Tensor,
 };
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
@@ -98,24 +97,6 @@ impl Conv2d {
     pub fn backward_input(&self, grad_out: &Tensor) -> Tensor {
         let input = self.cached_input.as_ref().expect("conv backward before forward");
         conv2d_backward_input(grad_out, &self.weight.value, input.dims(), &self.spec)
-    }
-
-    /// Pruning-aware **inference** forward: computes only the
-    /// `kept_out` filters over the `kept_in` channels of this layer's
-    /// full-size parameters, bit-identical to extracting the sub-model
-    /// and running its dense [`Self::forward`]. The input is never
-    /// cached (no backward through this path), and `input` may carry
-    /// either the full channel count or exactly `kept_in.len()`
-    /// channels — see `conv2d_forward_pruned`.
-    pub fn forward_pruned(&self, input: &Tensor, kept_out: &[usize], kept_in: &[usize]) -> Tensor {
-        conv2d_forward_pruned(
-            input,
-            &self.weight.value,
-            &self.bias.value,
-            &self.spec,
-            kept_out,
-            kept_in,
-        )
     }
 }
 

@@ -1,7 +1,7 @@
 //! Fully connected (dense) layer.
 
 use crate::param::Param;
-use fedmp_tensor::{matmul_nt_pruned, Tensor};
+use fedmp_tensor::Tensor;
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 
@@ -62,29 +62,6 @@ impl Linear {
         let data = out.data_mut();
         for r in 0..batch {
             for (o, &b) in data[r * of..(r + 1) * of].iter_mut().zip(bias.iter()) {
-                *o += b;
-            }
-        }
-        out
-    }
-
-    /// Pruning-aware **inference** forward: computes only the
-    /// `kept_out` neurons over the `kept_in` features of this layer's
-    /// full-size parameters, bit-identical to extracting the sub-model
-    /// and running its dense [`Self::forward`] (same GEMM on the same
-    /// gathered bytes, same bias-add loop). The input is never cached,
-    /// and may carry either the full feature count or exactly
-    /// `kept_in.len()` features — see `matmul_nt_pruned`.
-    pub fn forward_pruned(&self, input: &Tensor, kept_out: &[usize], kept_in: &[usize]) -> Tensor {
-        assert_eq!(input.shape().rank(), 2, "linear input must be [batch, features]");
-        let mut out = matmul_nt_pruned(input, &self.weight.value, kept_out, kept_in);
-        let (batch, of) = (out.dims()[0], out.dims()[1]);
-        let bias = self.bias.value.data();
-        let data = out.data_mut();
-        for r in 0..batch {
-            for (o, &b) in
-                data[r * of..(r + 1) * of].iter_mut().zip(kept_out.iter().map(|&i| &bias[i]))
-            {
                 *o += b;
             }
         }

@@ -266,11 +266,14 @@ pub enum TraceEvent {
     /// `for_each_band` invocations and the bands each decomposed into,
     /// both functions of problem shape only — so same-seed runs at
     /// different `FEDMP_THREADS` produce identical events.
-    /// The four `gemm_*` path counters record which kernel the GEMM
-    /// dispatch selected (`simd`/`scalar` × `dense`/`pruned`); they are
+    /// The two `gemm_*` path counters record which kernel the GEMM
+    /// dispatch selected (`simd` or `scalar`); they are
     /// thread-count-invariant for a fixed `FEDMP_SIMD` setting but —
     /// like the thread count itself — differ across settings, so trace
-    /// diffs must compare runs with the same `FEDMP_SIMD`.
+    /// diffs must compare runs with the same `FEDMP_SIMD`. Traces
+    /// recorded before the gather-at-the-kernel path was deleted carry
+    /// two more keys, `gemm_simd_pruned` / `gemm_scalar_pruned` (always
+    /// 0); they are ignored on load.
     KernelDispatch {
         /// Round index.
         round: usize,
@@ -278,18 +281,12 @@ pub enum TraceEvent {
         dispatches: u64,
         /// Output bands those invocations decomposed into.
         bands: u64,
-        /// GEMMs that ran the SIMD kernel on dense operands.
+        /// GEMMs that ran the SIMD kernel.
         #[serde(default)]
         gemm_simd_dense: u64,
-        /// GEMMs that ran the scalar kernel on dense operands.
+        /// GEMMs that ran the scalar kernel.
         #[serde(default)]
         gemm_scalar_dense: u64,
-        /// GEMMs that ran the SIMD kernel on a pruning-aware fast path.
-        #[serde(default)]
-        gemm_simd_pruned: u64,
-        /// GEMMs that ran the scalar kernel on a pruning-aware fast path.
-        #[serde(default)]
-        gemm_scalar_pruned: u64,
     },
     /// A round completed; mirrors the engine's `RoundRecord`.
     RoundEnd {
@@ -436,8 +433,6 @@ impl TraceEvent {
                 bands: 384,
                 gemm_simd_dense: 60,
                 gemm_scalar_dense: 0,
-                gemm_simd_pruned: 12,
-                gemm_scalar_pruned: 0,
             },
             TraceEvent::RoundEnd {
                 round: 0,

@@ -36,8 +36,8 @@ impl fmt::Display for TraceError {
 impl std::error::Error for TraceError {}
 
 /// A parsed trace: the manifest (when present) plus every event, both
-/// typed and as the raw JSONL lines they came from (the unit [`diff`]
-/// compares, so formatting differences count as differences).
+/// typed and as the raw JSONL lines they came from ([`diff`] compares
+/// the lines first and reports them on divergence).
 #[derive(Debug, Clone)]
 pub struct Trace {
     /// The first-line manifest, if the trace has one.
@@ -171,9 +171,12 @@ impl TraceDiff {
     }
 }
 
-/// Compares two traces event-by-event (raw JSONL lines, in order) and
-/// reports the first index where they disagree; a trace that is a
-/// strict prefix of the other diverges at the shorter length.
+/// Compares two traces event-by-event, in order, and reports the first
+/// index where they disagree; a trace that is a strict prefix of the
+/// other diverges at the shorter length. Two lines agree when their raw
+/// text is equal or they parse to the same event under the current
+/// schema — so a trace recorded before a field was retired (its key is
+/// ignored on load) still diffs clean against one recorded after.
 pub fn diff(a: &Trace, b: &Trace) -> TraceDiff {
     let mut manifest_notes = Vec::new();
     match (&a.manifest, &b.manifest) {
@@ -195,7 +198,7 @@ pub fn diff(a: &Trace, b: &Trace) -> TraceDiff {
     for i in 0..n {
         let la = a.event_lines.get(i);
         let lb = b.event_lines.get(i);
-        if la != lb {
+        if la != lb && a.events.get(i) != b.events.get(i) {
             divergence = Some(Divergence {
                 index: i,
                 a: la.cloned().unwrap_or_else(|| end.clone()),
@@ -275,6 +278,31 @@ mod tests {
         let div = short.divergence.unwrap();
         assert_eq!(div.index, 2);
         assert_eq!(div.a, "<end of trace>");
+    }
+
+    #[test]
+    fn retired_keys_load_and_do_not_diverge() {
+        // A line recorded before the `*_pruned` path counters were
+        // retired (parent of that change, `trace record --seed 3`).
+        let legacy = r#"{"KernelDispatch":{"round":0,"dispatches":2004,"bands":4958,"gemm_simd_dense":1848,"gemm_scalar_dense":0,"gemm_simd_pruned":0,"gemm_scalar_pruned":0}}"#;
+        let today = |gemm_simd_dense| {
+            let ev = TraceEvent::KernelDispatch {
+                round: 0,
+                dispatches: 2004,
+                bands: 4958,
+                gemm_simd_dense,
+                gemm_scalar_dense: 0,
+            };
+            trace_of(&[serde_json::to_string(&ev).unwrap()], None)
+        };
+        let old = trace_of(&[legacy.to_string()], None);
+        assert_eq!(old.events, today(1848).events);
+        assert_ne!(old.event_lines, today(1848).event_lines);
+        assert!(!diff(&old, &today(1848)).is_divergent());
+
+        // A value that differs still diverges, and is reported raw.
+        let div = diff(&old, &today(1849)).divergence.expect("counter moved");
+        assert_eq!((div.index, div.a.as_str()), (0, legacy));
     }
 
     #[test]

@@ -26,24 +26,26 @@
 //! ```
 //!
 //! The crate also implements **ISS pruning** for the §VI LSTM extension
-//! ([`plan_lstm`], [`extract_lstm`], [`recover_lstm_state`]), magnitude
-//! (unstructured) pruning for comparison, and top-k gradient
-//! sparsification with error feedback — the substrate of the FlexCom
-//! baseline.
+//! ([`plan_lstm`], [`extract_lstm`], [`recover_lstm_state`]) and top-k
+//! gradient sparsification with error feedback — the substrate of the
+//! FlexCom baseline.
+//!
+//! A pruned model runs exactly one way: as the extracted, physically
+//! smaller **dense** network through the ordinary `fedmp-tensor`
+//! kernels. The sparse full-width model is the paper's definition of
+//! the same network and the oracle `rebuild`'s tests hold extraction to,
+//! bit for bit.
 
 // No `unsafe` anywhere in this crate: the only sanctioned unsafe code
 // in the workspace lives in `fedmp-tensor`'s band scheduler. Backed
 // statically by the `unsafe-hygiene` lint in `fedmp-analysis`.
 #![forbid(unsafe_code)]
-mod fastpath;
 mod iss;
 mod plan;
 mod quant;
 mod rebuild;
 mod topk;
-mod unstructured;
 
-pub use fastpath::{forward_pruned, lstm_decoder_pruned};
 pub use iss::{extract_lstm, plan_lstm, recover_lstm_state, sparse_lstm_state, LstmPlan};
 pub use plan::{
     plan_sequential, plan_sequential_with, ratio_keep_count, Importance, LayerPlan, PrunePlan,
@@ -51,4 +53,3 @@ pub use plan::{
 pub use quant::{dequantize_state, quant_error_bound, quantize_state, QuantState, QuantTensor};
 pub use rebuild::{extract_sequential, recover_state, sparse_state};
 pub use topk::{densify_into_state, topk_sparsify, SparseUpdate, TopKCompressor};
-pub use unstructured::{apply_mask, magnitude_mask, mask_density, WeightMask};

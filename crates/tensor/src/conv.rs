@@ -31,7 +31,7 @@
 //! `workspace_path_is_bit_identical` test below proves it against a
 //! fresh thread with an empty pool.
 
-use crate::matmul::{gemm_nn_into, gemm_nn_into_tagged, pack_transpose_into};
+use crate::matmul::{gemm_nn_into, pack_transpose_into};
 use crate::parallel;
 use crate::tensor::Tensor;
 use crate::workspace::with_thread_workspace;
@@ -160,49 +160,6 @@ fn unfold_tap(
     }
 }
 
-/// [`im2col_into`] over a **channel subset**: unfolds only the channels
-/// listed in `kept_in` (full-model indices into a `c_full`-channel
-/// image), producing `kept_in.len()*kh*kw × oh*ow` columns with rows
-/// ordered by position in `kept_in`.
-///
-/// The output is bit-identical to first gathering the kept channels
-/// into a dense image and then running [`im2col_into`] — both are pure
-/// copies of the same source elements into the same destinations — but
-/// skips materialising the gathered image. This is what lets the
-/// pruning-aware conv path consume a full-width activation map while
-/// paying only for the kept channels. `data` must be zeroed, as for
-/// [`im2col_into`].
-pub fn im2col_pruned_into(
-    image: &[f32],
-    c_full: usize,
-    h: usize,
-    w: usize,
-    spec: &Conv2dSpec,
-    kept_in: &[usize],
-    data: &mut [f32],
-) {
-    let (oh, ow) = spec.out_hw(h, w);
-    let col_cols = oh * ow;
-    assert_eq!(image.len(), c_full * h * w, "im2col_pruned_into: image size");
-    assert_eq!(
-        data.len(),
-        kept_in.len() * spec.kh * spec.kw * col_cols,
-        "im2col_pruned_into: buffer size"
-    );
-
-    for (jc, &ch) in kept_in.iter().enumerate() {
-        assert!(ch < c_full, "im2col_pruned_into: channel {ch} out of {c_full}");
-        let img_ch = &image[ch * h * w..(ch + 1) * h * w];
-        for ky in 0..spec.kh {
-            for kx in 0..spec.kw {
-                let row = (jc * spec.kh + ky) * spec.kw + kx;
-                let out_row = &mut data[row * col_cols..(row + 1) * col_cols];
-                unfold_tap(img_ch, h, w, spec, ky, kx, oh, ow, out_row);
-            }
-        }
-    }
-}
-
 /// Folds columns `[c*kh*kw, oh*ow]` back into an image `[c, h, w]`,
 /// accumulating overlapping taps — the adjoint of [`im2col`].
 pub fn col2im(cols: &Tensor, c: usize, h: usize, w: usize, spec: &Conv2dSpec) -> Vec<f32> {
@@ -310,96 +267,6 @@ pub fn conv2d_forward(input: &Tensor, weight: &Tensor, bias: &Tensor, spec: &Con
             ws.give(cols);
         });
     });
-    out
-}
-
-/// Pruning-aware convolution forward: computes only the kept filters
-/// over the kept input channels of a **full-size** weight/bias, without
-/// materialising the extracted sub-model.
-///
-/// * `input` — `[n, c, h, w]` where `c` is either the full channel
-///   count (`weight.dims()[1]`, "masked" mode: pruned channels are
-///   present but skipped by [`im2col_pruned_into`]) or exactly
-///   `kept_in.len()` ("chain" mode: the input already flows through a
-///   pruned pipeline).
-/// * `weight` — full `[oc, ic, kh, kw]`; `bias` — full `[oc]`.
-/// * `kept_out` / `kept_in` — full-model filter/channel indices, as in
-///   a `PrunePlan` layer.
-///
-/// Returns `[n, kept_out.len(), oh, ow]`, **bit-identical** to
-/// [`conv2d_forward`] on the extracted sub-model (gathered weight/bias,
-/// kept-channel input): the gathered weight panel and columns are pure
-/// element copies of the same values, the GEMM is the same deterministic
-/// kernel over the same band geometry, and the bias add reads the same
-/// scalars. The GEMM is tagged `pruned` in the dispatch-path counters.
-pub fn conv2d_forward_pruned(
-    input: &Tensor,
-    weight: &Tensor,
-    bias: &Tensor,
-    spec: &Conv2dSpec,
-    kept_out: &[usize],
-    kept_in: &[usize],
-) -> Tensor {
-    let (n, c, h, w) = nchw(input);
-    assert_eq!(weight.shape().rank(), 4, "conv2d pruned: weight must be [oc, ic, kh, kw]");
-    let (oc_full, ic_full) = (weight.dims()[0], weight.dims()[1]);
-    assert_eq!(weight.dims()[2], spec.kh);
-    assert_eq!(weight.dims()[3], spec.kw);
-    assert_eq!(bias.numel(), oc_full, "conv2d pruned: bias length mismatch");
-    let (ko, ki) = (kept_out.len(), kept_in.len());
-    assert!(ko >= 1 && ki >= 1, "conv2d pruned: empty kept set");
-    assert!(kept_out.iter().all(|&f| f < oc_full), "conv2d pruned: kept_out out of range");
-    assert!(kept_in.iter().all(|&ch| ch < ic_full), "conv2d pruned: kept_in out of range");
-    let masked = c == ic_full && ic_full != ki;
-    assert!(
-        c == ic_full || c == ki,
-        "conv2d pruned: input has {c} channels, expected {ic_full} (masked) or {ki} (pruned chain)"
-    );
-    let (oh, ow) = spec.out_hw(h, w);
-
-    // Gather the kept weight panel once, outside the band workers —
-    // byte-for-byte the `[ko, ki*kh*kw]` row-major view of the
-    // extracted sub-model's weight.
-    let k2 = spec.kh * spec.kw;
-    let ck = ki * k2;
-    let weight_data = weight.data();
-    let mut wp = with_thread_workspace(|ws| ws.take_zeroed(ko * ck));
-    for (i, &f) in kept_out.iter().enumerate() {
-        for (j, &ch) in kept_in.iter().enumerate() {
-            let src = &weight_data[(f * ic_full + ch) * k2..(f * ic_full + ch + 1) * k2];
-            wp[(i * ki + j) * k2..(i * ki + j + 1) * k2].copy_from_slice(src);
-        }
-    }
-
-    let mut out = Tensor::zeros(&[n, ko, oh, ow]);
-    let out_img = ko * oh * ow;
-    let in_img = c * h * w;
-    let input_data = input.data();
-    let bias_data = bias.data();
-    let work = 2 * n * out_img * ck;
-    let wp_ref = &wp;
-    parallel::for_each_band(out.data_mut(), n, out_img, 1, work, |i, dst| {
-        with_thread_workspace(|ws| {
-            let mut cols = ws.take_zeroed(ck * oh * ow);
-            let image = &input_data[i * in_img..(i + 1) * in_img];
-            if masked {
-                im2col_pruned_into(image, c, h, w, spec, kept_in, &mut cols);
-            } else {
-                im2col_into(image, ki, h, w, spec, &mut cols);
-            }
-            // As in `conv2d_forward`: accumulate into the image's
-            // `[ko, oh*ow]` output slice, then add the kept biases.
-            gemm_nn_into_tagged(wp_ref, &cols, ko, ck, oh * ow, dst, true);
-            for (d, &of) in dst.chunks_exact_mut(oh * ow).zip(kept_out) {
-                let b = bias_data[of];
-                for dv in d {
-                    *dv += b;
-                }
-            }
-            ws.give(cols);
-        });
-    });
-    with_thread_workspace(|ws| ws.give(wp));
     out
 }
 
@@ -652,72 +519,6 @@ mod tests {
         assert_eq!(dirty.1, fresh.1, "grad input");
         assert_eq!(dirty.2, fresh.2, "grad weight");
         assert_eq!(dirty.3, fresh.3, "grad bias");
-    }
-
-    /// Gathers kept channels of one `[c, h, w]` image into a dense
-    /// `[ki, h, w]` image — the reference the pruned path must match.
-    fn gather_channels(image: &[f32], h: usize, w: usize, kept: &[usize]) -> Vec<f32> {
-        let mut out = Vec::with_capacity(kept.len() * h * w);
-        for &ch in kept {
-            out.extend_from_slice(&image[ch * h * w..(ch + 1) * h * w]);
-        }
-        out
-    }
-
-    #[test]
-    fn im2col_pruned_matches_gather_then_im2col_bitwise() {
-        let mut rng = seeded_rng(18);
-        let spec = Conv2dSpec { kh: 3, kw: 3, stride: 2, padding: 1 };
-        let (c, h, w) = (5, 7, 6);
-        let x = Tensor::randn(&[c, h, w], &mut rng);
-        let kept = vec![0, 2, 4];
-        let gathered = gather_channels(x.data(), h, w, &kept);
-        let dense = im2col(&gathered, kept.len(), h, w, &spec);
-        let mut pruned = vec![0.0f32; dense.numel()];
-        im2col_pruned_into(x.data(), c, h, w, &spec, &kept, &mut pruned);
-        assert_eq!(pruned, dense.data());
-    }
-
-    #[test]
-    fn pruned_forward_is_bitwise_identical_to_extracted_dense() {
-        let mut rng = seeded_rng(19);
-        let spec = Conv2dSpec { kh: 3, kw: 3, stride: 1, padding: 1 };
-        let (n, c, h, w, oc) = (2, 6, 8, 8, 8);
-        let input = Tensor::randn(&[n, c, h, w], &mut rng);
-        let weight = Tensor::randn(&[oc, c, 3, 3], &mut rng);
-        let bias = Tensor::randn(&[oc], &mut rng);
-        let kept_out = vec![1, 2, 5, 7];
-        let kept_in = vec![0, 3, 4];
-
-        // Reference: dense kernel on the physically extracted operands.
-        let mut sub_w = Vec::new();
-        for &f in &kept_out {
-            for &ch in &kept_in {
-                sub_w.extend_from_slice(&weight.data()[(f * c + ch) * 9..(f * c + ch + 1) * 9]);
-            }
-        }
-        let sub_w = Tensor::from_vec(sub_w, &[kept_out.len(), kept_in.len(), 3, 3]).unwrap();
-        let sub_b =
-            Tensor::from_vec(kept_out.iter().map(|&f| bias.data()[f]).collect(), &[kept_out.len()])
-                .unwrap();
-        let mut sub_x = Vec::new();
-        for i in 0..n {
-            sub_x.extend(gather_channels(
-                &input.data()[i * c * h * w..(i + 1) * c * h * w],
-                h,
-                w,
-                &kept_in,
-            ));
-        }
-        let sub_x = Tensor::from_vec(sub_x, &[n, kept_in.len(), h, w]).unwrap();
-        let dense = conv2d_forward(&sub_x, &sub_w, &sub_b, &spec);
-
-        // Masked mode: full-width input, channels skipped in im2col.
-        let masked = conv2d_forward_pruned(&input, &weight, &bias, &spec, &kept_out, &kept_in);
-        assert_eq!(masked, dense, "masked mode");
-        // Chain mode: pre-gathered input.
-        let chained = conv2d_forward_pruned(&sub_x, &weight, &bias, &spec, &kept_out, &kept_in);
-        assert_eq!(chained, dense, "chain mode");
     }
 
     #[test]

@@ -46,12 +46,12 @@ mod tensor;
 pub mod workspace;
 
 pub use conv::{
-    col2im, col2im_into, conv2d_backward_input, conv2d_backward_weight, conv2d_forward,
-    conv2d_forward_pruned, im2col, im2col_into, im2col_pruned_into, Conv2dSpec,
+    col2im, col2im_into, conv2d_backward_input, conv2d_backward_weight, conv2d_forward, im2col,
+    im2col_into, Conv2dSpec,
 };
 pub use error::TensorError;
 pub use exact::{exact_sum_f32, ExactSum};
-pub use matmul::{matmul_nt_pruned, matmul_nt_reference, matmul_reference, matmul_tn_reference};
+pub use matmul::{matmul_nt_reference, matmul_reference, matmul_tn_reference};
 pub use ops::{cross_entropy_loss, log_softmax_rows, softmax_rows, CrossEntropyOutput};
 pub use pool::{
     avg_pool2d_backward, avg_pool2d_forward, max_pool2d_backward, max_pool2d_forward, Pool2dSpec,

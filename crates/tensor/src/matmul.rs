@@ -43,30 +43,15 @@ const BAND_ROWS: usize = 64;
 /// Blocked `C += A @ B` on row-major slices: `[m, k] x [k, n]`, banded
 /// over output rows. `c` must be zero-initialised by the caller.
 /// Crate-visible so the conv kernels can run the exact same GEMM into
-/// workspace-pooled buffers without building `Tensor` operands.
+/// workspace-pooled buffers without building `Tensor` operands. The
+/// active [`SimdPath`] is resolved **once per call** so every band of
+/// one GEMM runs the same kernel even if a test flips the override
+/// concurrently.
 pub(crate) fn gemm_nn_into(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, c: &mut [f32]) {
-    gemm_nn_into_tagged(a, b, m, k, n, c, false);
-}
-
-/// [`gemm_nn_into`] with a dispatch tag: `pruned` marks calls made by
-/// the pruning-aware fast paths so the path counters in
-/// [`crate::parallel`] distinguish dense from pruned work. The kernel
-/// itself is identical; the active [`SimdPath`] is resolved **once per
-/// call** so every band of one GEMM runs the same kernel even if a
-/// test flips the override concurrently.
-pub(crate) fn gemm_nn_into_tagged(
-    a: &[f32],
-    b: &[f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    c: &mut [f32],
-    pruned: bool,
-) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
     let path = simd::active_path();
-    parallel::record_gemm_path(path == SimdPath::Avx2, pruned);
+    parallel::record_gemm_path(path == SimdPath::Avx2);
     let work = 2 * m * n * k;
     parallel::for_each_band(c, m, n, BAND_ROWS, work, |row0, band| {
         let rows = band.len() / n;
@@ -152,38 +137,6 @@ pub(crate) fn pack_transpose_into(src: &[f32], rows: usize, cols: usize, dst: &m
     }
 }
 
-/// [`pack_transpose_into`] over a **row subset**: packs the transpose
-/// of the logical `[row_ids.len(), src_cols]` matrix whose row `i` is
-/// row `row_ids[i]` of `src`, without materialising the gathered
-/// matrix. Pure element copies either way, so the output is
-/// bit-identical to gather-then-[`pack_transpose_into`] on both
-/// dispatch paths; skipping the intermediate copy is what lets the
-/// pruned NT fast path beat its FLOP fraction.
-pub(crate) fn pack_transpose_rows_into(
-    src: &[f32],
-    src_cols: usize,
-    row_ids: &[usize],
-    dst: &mut [f32],
-) {
-    const TILE: usize = 32;
-    let rows = row_ids.len();
-    debug_assert_eq!(dst.len(), rows * src_cols);
-    if simd::active_path() == SimdPath::Avx2 {
-        simd::transpose_rows_avx2(src, src_cols, row_ids, dst);
-        return;
-    }
-    for r0 in (0..rows).step_by(TILE) {
-        for c0 in (0..src_cols).step_by(TILE) {
-            for r in r0..(r0 + TILE).min(rows) {
-                let row = &src[row_ids[r] * src_cols..(row_ids[r] + 1) * src_cols];
-                for c in c0..(c0 + TILE).min(src_cols) {
-                    dst[c * rows + r] = row[c];
-                }
-            }
-        }
-    }
-}
-
 impl Tensor {
     /// `self @ other` for rank-2 tensors: `[m, k] x [k, n] -> [m, n]`.
     ///
@@ -242,88 +195,6 @@ impl Tensor {
         }
         out
     }
-}
-
-/// Pruning-aware `x @ Wᵀ` against a **full-size** weight: computes only
-/// the kept output neurons over the kept input features, without
-/// materialising the extracted sub-weight.
-///
-/// * `input` — `[m, f]` where `f` is either the full feature count
-///   (`weight.dims()[1]`, "masked" mode: pruned features present but
-///   skipped by the gather) or exactly `kept_in.len()` ("chain" mode).
-/// * `weight` — full `[out_features, in_features]`.
-///
-/// Returns `[m, kept_out.len()]` (no bias), **bit-identical** to
-/// [`Tensor::matmul_nt`] between the gathered input and the gathered
-/// sub-weight: the packed-transpose panel built here contains exactly
-/// the bytes `pack_transpose` would produce from the gathered weight,
-/// and the GEMM is the same deterministic kernel. Tagged `pruned` in
-/// the dispatch-path counters.
-pub fn matmul_nt_pruned(
-    input: &Tensor,
-    weight: &Tensor,
-    kept_out: &[usize],
-    kept_in: &[usize],
-) -> Tensor {
-    assert_eq!(input.shape().rank(), 2, "matmul_nt_pruned input must be rank-2");
-    assert_eq!(weight.shape().rank(), 2, "matmul_nt_pruned weight must be rank-2");
-    let (m, f) = (input.dims()[0], input.dims()[1]);
-    let (of_full, if_full) = (weight.dims()[0], weight.dims()[1]);
-    let (ko, ki) = (kept_out.len(), kept_in.len());
-    assert!(ko >= 1 && ki >= 1, "matmul_nt_pruned: empty kept set");
-    assert!(kept_out.iter().all(|&o| o < of_full), "matmul_nt_pruned: kept_out out of range");
-    assert!(kept_in.iter().all(|&j| j < if_full), "matmul_nt_pruned: kept_in out of range");
-    let masked = f == if_full && if_full != ki;
-    assert!(
-        f == if_full || f == ki,
-        "matmul_nt_pruned: input has {f} features, expected {if_full} (masked) or {ki} (chain)"
-    );
-
-    let mut out = Tensor::zeros(&[m, ko]);
-    if m == 0 {
-        return out;
-    }
-    let w = weight.data();
-    crate::workspace::with_thread_workspace(|ws| {
-        // Build the `[ki, ko]` packed panel of the gathered sub-weight.
-        // Unpruned input features: transpose straight out of the kept
-        // rows of `w` (no intermediate gather). Pruned input features:
-        // gather the `[ko, ki]` sub-weight first, then run the same
-        // tiled/SIMD `pack_transpose_into` as the dense path. All
-        // routes are element copies, so `bt` holds exactly the bytes
-        // `pack_transpose` would produce from the gathered sub-weight.
-        let mut bt = ws.take_zeroed(ki * ko);
-        if ki == if_full {
-            pack_transpose_rows_into(w, if_full, kept_out, &mut bt);
-        } else {
-            let mut sub = ws.take_zeroed(ko * ki);
-            for (i, &of) in kept_out.iter().enumerate() {
-                let row = &w[of * if_full..(of + 1) * if_full];
-                for (d, &jf) in sub[i * ki..(i + 1) * ki].iter_mut().zip(kept_in.iter()) {
-                    *d = row[jf];
-                }
-            }
-            pack_transpose_into(&sub, ko, ki, &mut bt);
-            ws.give(sub);
-        }
-        if masked {
-            let x = input.data();
-            let mut xs = ws.take_zeroed(m * ki);
-            for r in 0..m {
-                let row = &x[r * f..(r + 1) * f];
-                let dst = &mut xs[r * ki..(r + 1) * ki];
-                for (d, &jf) in dst.iter_mut().zip(kept_in.iter()) {
-                    *d = row[jf];
-                }
-            }
-            gemm_nn_into_tagged(&xs, &bt, m, ki, ko, out.data_mut(), true);
-            ws.give(xs);
-        } else {
-            gemm_nn_into_tagged(input.data(), &bt, m, ki, ko, out.data_mut(), true);
-        }
-        ws.give(bt);
-    });
-    out
 }
 
 /// Naive i-k-j `[m, k] x [k, n]` GEMM: the pre-blocking kernel, kept as
@@ -501,36 +372,6 @@ mod tests {
             let at = Tensor::zeros(&[k, m]);
             assert_eq!(at.matmul_tn(&b).dims(), &[m, n]);
         }
-    }
-
-    #[test]
-    fn nt_pruned_is_bitwise_identical_to_extracted_dense() {
-        let mut rng = seeded_rng(11);
-        let (m, of, inf) = (5, 9, 12);
-        let x = Tensor::randn(&[m, inf], &mut rng);
-        let w = Tensor::randn(&[of, inf], &mut rng);
-        let kept_out = vec![0, 3, 4, 8];
-        let kept_in = vec![1, 2, 5, 9, 11];
-
-        // Reference: dense matmul_nt on gathered operands.
-        let mut sub_w = Vec::new();
-        for &o in &kept_out {
-            for &j in &kept_in {
-                sub_w.push(w.data()[o * inf + j]);
-            }
-        }
-        let sub_w = Tensor::from_vec(sub_w, &[kept_out.len(), kept_in.len()]).unwrap();
-        let mut sub_x = Vec::new();
-        for r in 0..m {
-            for &j in &kept_in {
-                sub_x.push(x.data()[r * inf + j]);
-            }
-        }
-        let sub_x = Tensor::from_vec(sub_x, &[m, kept_in.len()]).unwrap();
-        let dense = sub_x.matmul_nt(&sub_w);
-
-        assert_eq!(matmul_nt_pruned(&x, &w, &kept_out, &kept_in), dense, "masked mode");
-        assert_eq!(matmul_nt_pruned(&sub_x, &w, &kept_out, &kept_in), dense, "chain mode");
     }
 
     #[test]

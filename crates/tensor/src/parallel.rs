@@ -38,16 +38,17 @@ static BANDS: AtomicU64 = AtomicU64::new(0);
 
 static GEMM_SIMD_DENSE: AtomicU64 = AtomicU64::new(0);
 static GEMM_SCALAR_DENSE: AtomicU64 = AtomicU64::new(0);
-static GEMM_SIMD_PRUNED: AtomicU64 = AtomicU64::new(0);
-static GEMM_SCALAR_PRUNED: AtomicU64 = AtomicU64::new(0);
 
 /// Monotonic process-wide kernel-scheduler counters, read by the
 /// observability layer (`fedmp-obs`) to emit per-round `KernelDispatch`
 /// events as deltas between two snapshots.
 ///
-/// Both counters are **thread-count-invariant**: they count
-/// [`for_each_band`] invocations and the bands each call decomposes its
-/// output into — functions of the problem shape only, identical whether
+/// Two groups. `dispatches` / `bands` count [`for_each_band`]
+/// invocations and the bands each call decomposes its output into;
+/// `gemm_simd_dense` / `gemm_scalar_dense` count GEMM calls by the
+/// kernel path that ran them, once per call before banding. Both groups
+/// are **thread-count-invariant** — functions of the problem shape (and,
+/// for the second, of the `FEDMP_SIMD` setting) only, identical whether
 /// the bands then run sequentially or across workers. That keeps traces
 /// byte-identical across `FEDMP_THREADS` settings.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -56,15 +57,15 @@ pub struct KernelStats {
     pub dispatches: u64,
     /// Total bands those invocations were decomposed into.
     pub bands: u64,
-    /// GEMM dispatches that ran the SIMD kernel on dense operands.
+    /// GEMM calls that ran the SIMD kernel.
     pub gemm_simd_dense: u64,
-    /// GEMM dispatches that ran the scalar kernel on dense operands.
+    /// GEMM calls that ran the scalar kernel.
     pub gemm_scalar_dense: u64,
-    /// GEMM dispatches that ran the SIMD kernel for a pruning-aware
-    /// fast path (shape-shrunken conv/FC submodel work).
+    /// Always 0: nothing tags a GEMM pruned any more; removed together
+    /// with the `tensor.gemm_calls_*_pruned` metrics by the `[benchmark]`
+    /// hygiene PR of ROADMAP item 1 (`benchmark/src/probes.rs` reads it).
     pub gemm_simd_pruned: u64,
-    /// GEMM dispatches that ran the scalar kernel for a pruning-aware
-    /// fast path.
+    /// Always 0, kept for the same reader as `gemm_simd_pruned`.
     pub gemm_scalar_pruned: u64,
 }
 
@@ -75,23 +76,18 @@ pub fn kernel_stats() -> KernelStats {
         bands: BANDS.load(Ordering::Relaxed),
         gemm_simd_dense: GEMM_SIMD_DENSE.load(Ordering::Relaxed),
         gemm_scalar_dense: GEMM_SCALAR_DENSE.load(Ordering::Relaxed),
-        gemm_simd_pruned: GEMM_SIMD_PRUNED.load(Ordering::Relaxed),
-        gemm_scalar_pruned: GEMM_SCALAR_PRUNED.load(Ordering::Relaxed),
+        gemm_simd_pruned: 0,
+        gemm_scalar_pruned: 0,
     }
 }
 
-/// Records which GEMM kernel path a dispatch selected
-/// (`simd`/`scalar` × `dense`/`pruned`). Counted once per GEMM call,
-/// before banding, so the numbers are thread-count-invariant for a
-/// fixed `FEDMP_SIMD` setting (they *do* differ across settings — path
-/// choice is configuration, like the thread count itself).
-pub fn record_gemm_path(simd: bool, pruned: bool) {
-    let counter = match (simd, pruned) {
-        (true, false) => &GEMM_SIMD_DENSE,
-        (false, false) => &GEMM_SCALAR_DENSE,
-        (true, true) => &GEMM_SIMD_PRUNED,
-        (false, true) => &GEMM_SCALAR_PRUNED,
-    };
+/// Records which GEMM kernel path a dispatch selected. Counted once
+/// per GEMM call, before banding, so the numbers are
+/// thread-count-invariant for a fixed `FEDMP_SIMD` setting (they *do*
+/// differ across settings — path choice is configuration, like the
+/// thread count itself).
+pub(crate) fn record_gemm_path(simd: bool) {
+    let counter = if simd { &GEMM_SIMD_DENSE } else { &GEMM_SCALAR_DENSE };
     counter.fetch_add(1, Ordering::Relaxed);
 }
 

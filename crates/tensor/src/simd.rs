@@ -215,37 +215,6 @@ pub(crate) fn transpose_avx2(src: &[f32], rows: usize, cols: usize, dst: &mut [f
     unreachable!("avx2_supported() is false on non-x86_64, so the assert above already fired");
 }
 
-/// [`transpose_avx2`] over a **row subset**: transposes the logical
-/// `[row_ids.len(), src_cols]` matrix whose row `i` is row `row_ids[i]`
-/// of `src`, without materialising the gathered matrix first. Pure
-/// element copies — bit-identical to gather-then-transpose.
-///
-/// # Panics
-/// Panics if any row id is out of range, if `dst` is not
-/// `row_ids.len() * src_cols` long, or if called on a host without
-/// avx2+fma (dispatch must check [`active_path`] first).
-pub(crate) fn transpose_rows_avx2(
-    src: &[f32],
-    src_cols: usize,
-    row_ids: &[usize],
-    dst: &mut [f32],
-) {
-    assert!(
-        row_ids.iter().all(|&r| (r + 1) * src_cols <= src.len()),
-        "transpose_rows_avx2: row id out of range"
-    );
-    assert_eq!(dst.len(), row_ids.len() * src_cols, "transpose_rows_avx2: dst len");
-    assert!(avx2_supported(), "transpose_rows_avx2 selected without avx2+fma");
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: the assert above proves the host supports avx2+fma at
-    // runtime, which is the only precondition of the target_feature fn.
-    unsafe {
-        x86::transpose_rows(src, src_cols, row_ids, dst)
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    unreachable!("avx2_supported() is false on non-x86_64, so the assert above already fired");
-}
-
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     //! The AVX2/FMA band kernel proper. Everything here is compiled
@@ -303,25 +272,6 @@ mod x86 {
         store_t8x8(shuffle8(i), dst, rows, r, c);
     }
 
-    /// [`t8x8`] with the 8 source rows at arbitrary row bases
-    /// (`row_ids[q] * cols`) — the gathered-row transpose inner block.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    fn t8x8_rows(
-        src: &[f32],
-        cols: usize,
-        row_ids: &[usize],
-        rows: usize,
-        r: usize,
-        c: usize,
-        dst: &mut [f32],
-    ) {
-        let mut i = [_mm256_setzero_ps(); 8];
-        for (q, iq) in i.iter_mut().enumerate() {
-            *iq = load8(src, row_ids[r + q] * cols + c);
-        }
-        store_t8x8(shuffle8(i), dst, rows, r, c);
-    }
-
     /// The classic AVX 8×8 transpose shuffle network (unpack / shuffle
     /// / 128-bit-lane permute): returns the transposed registers.
     #[target_feature(enable = "avx2", enable = "fma")]
@@ -360,40 +310,6 @@ mod x86 {
     fn store_t8x8(o: [__m256; 8], dst: &mut [f32], rows: usize, r: usize, c: usize) {
         for (q, oq) in o.iter().enumerate() {
             store8(dst, (c + q) * rows + r, *oq);
-        }
-    }
-
-    /// Gathered-row variant of [`transpose`]: logical row `i` lives at
-    /// `src[row_ids[i] * src_cols ..]`. Same tiling, same element
-    /// copies, bit-identical output.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) fn transpose_rows(src: &[f32], src_cols: usize, row_ids: &[usize], dst: &mut [f32]) {
-        const TILE: usize = 32;
-        let (rows, cols) = (row_ids.len(), src_cols);
-        for r0 in (0..rows).step_by(TILE) {
-            let r_end = (r0 + TILE).min(rows);
-            for c0 in (0..cols).step_by(TILE) {
-                let c_end = (c0 + TILE).min(cols);
-                let mut r = r0;
-                while r + 8 <= r_end {
-                    let mut c = c0;
-                    while c + 8 <= c_end {
-                        t8x8_rows(src, cols, row_ids, rows, r, c, dst);
-                        c += 8;
-                    }
-                    for rr in r..r + 8 {
-                        for cc in c..c_end {
-                            dst[cc * rows + rr] = src[row_ids[rr] * cols + cc];
-                        }
-                    }
-                    r += 8;
-                }
-                for rr in r..r_end {
-                    for cc in c0..c_end {
-                        dst[cc * rows + rr] = src[row_ids[rr] * cols + cc];
-                    }
-                }
-            }
         }
     }
 
