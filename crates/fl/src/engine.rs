@@ -21,8 +21,8 @@ pub struct FlConfig {
     pub rounds: usize,
     /// Local-update hyper-parameters.
     pub local: LocalTrainConfig,
-    /// Evaluate the global model every this many rounds (1 = every
-    /// round).
+    /// Evaluate the global model every this many rounds and always
+    /// after the last (1 = every round, 0 = first and last only).
     pub eval_every: usize,
     /// Evaluation batch size.
     pub eval_batch: usize,
@@ -200,21 +200,21 @@ pub(crate) fn round_times(
     (times, comp_sum / n, comm_sum / n)
 }
 
-/// The round barrier `maxₙ Tₙ` over per-worker round times.
-pub(crate) fn barrier_time(times: &[RoundTime]) -> f64 {
-    times.iter().map(|t| t.total()).fold(0.0, f64::max)
+/// Whether `round` of `rounds` is evaluated: every `every`-th and always
+/// the last; 0 means first and last only (only 0 is a multiple of 0).
+pub(crate) fn eval_due(round: usize, every: usize, rounds: usize) -> bool {
+    round.is_multiple_of(every) || round + 1 == rounds
 }
 
-/// PS-side evaluation, when `round` is due one — every
-/// `cfg.eval_every`-th round and always the last: `(loss, accuracy)`
-/// of `model` on the task's test set.
+/// PS-side evaluation, when `round` is due one ([`eval_due`]):
+/// `(loss, accuracy)` of `model` on the task's test set.
 pub(crate) fn evaluate_if_due(
     cfg: &FlConfig,
     round: usize,
     model: &mut Sequential,
     task: &ImageTask,
 ) -> Option<(f32, f32)> {
-    (round.is_multiple_of(cfg.eval_every) || round + 1 == cfg.rounds).then(|| {
+    eval_due(round, cfg.eval_every, cfg.rounds).then(|| {
         let r = evaluate_image(model, &task.test, cfg.eval_batch, cfg.eval_max_samples);
         (r.loss, r.accuracy)
     })
@@ -228,14 +228,9 @@ pub(crate) fn evaluate_if_due(
 // KernelDispatch → RoundEnd. All are no-ops (one relaxed atomic load)
 // while no trace session is active.
 
-/// Emits `RoundStart` with an explicit online set.
+/// Emits `RoundStart`.
 pub(crate) fn emit_round_start(round: usize, sim_time: f64, online: &[usize]) {
     fedmp_obs::emit(|| TraceEvent::RoundStart { round, sim_time, online: online.to_vec() });
-}
-
-/// Emits `RoundStart` with every worker online.
-pub(crate) fn emit_round_start_all(round: usize, sim_time: f64, workers: usize) {
-    fedmp_obs::emit(|| TraceEvent::RoundStart { round, sim_time, online: (0..workers).collect() });
 }
 
 /// Emits one worker's `LocalTrain` event from its outcome, virtual

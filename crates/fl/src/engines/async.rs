@@ -12,6 +12,7 @@ use crate::engine::{
 use crate::exec;
 use crate::history::{RoundRecord, RunHistory};
 use crate::local::local_train;
+use crate::runtime::seeded_agents;
 use fedmp_bandit::{eucb_reward, Bandit, EUcbAgent, EUcbConfig, RewardConfig};
 use fedmp_edgesim::ArrivalQueue;
 use fedmp_nn::{state_sub, Sequential, StateEntry};
@@ -105,13 +106,7 @@ pub fn run_async(
         AsyncMode::AsynFedMp => "Asyn-FedMP",
     });
 
-    let mut agents: Vec<EUcbAgent> = (0..workers)
-        .map(|w| {
-            let mut c = opts.eucb;
-            c.seed = c.seed.wrapping_add(w as u64).wrapping_add(cfg.seed);
-            EUcbAgent::new(c)
-        })
-        .collect();
+    let mut agents = seeded_agents(opts.eucb, workers, cfg.seed);
 
     // Dispatch: trains the worker on the *current* global and schedules
     // its arrival. Dispatch counter feeds the per-job RNG coordinates.
@@ -372,7 +367,7 @@ mod tests {
             global.clone(),
             &AsyncOptions { m: 2, mode: AsyncMode::AsynFl, ..Default::default() },
         );
-        let syn = crate::engines::synfl::run_synfl(&cfg, &setup, global);
+        let syn = crate::engines::baselines::run_synfl(&cfg, &setup, global);
         // First aggregation happens as soon as the 2 fast workers finish,
         // well before the full barrier.
         assert!(asyn.rounds[0].sim_time < syn.rounds[0].sim_time);

@@ -6,14 +6,15 @@
 //! loop engine [`run_fedmp`], which drives that round body through the
 //! *inline* exchange: every worker trains in-process on exactly what
 //! the [`codec_delivered`] oracle says it would decode. No frames, no
-//! threads of its own, no way to fail.
+//! threads of its own, no way to fail; `engines::baselines` runs over
+//! it too ([`run_inline`]).
 
 use crate::chaos::ChaosOptions;
 use crate::engine::{worker_batches, FlConfig, FlSetup, SyncScheme};
 use crate::exec;
 use crate::history::RunHistory;
-use crate::local::local_train;
-use crate::runtime::{run_rounds, Arrival, Exchange, Exchanged, WireBytes};
+use crate::local::{local_train, LocalTrainConfig};
+use crate::runtime::{run_rounds, Arrival, Exchange, Exchanged, RoundMethod, WireBytes};
 use crate::wire::{
     codec_delivered, wire_size_v2, Codec, CompressionPolicy, ErrorFeedback, LinkCodecs,
 };
@@ -119,6 +120,8 @@ struct InlineExchange<'a> {
     cfg: &'a FlConfig,
     setup: &'a FlSetup<'a>,
     compressed: bool,
+    /// The method's local step per worker.
+    locals: Vec<LocalTrainConfig>,
     /// Per-worker uplink error feedback, persistent across rounds.
     feedbacks: Vec<ErrorFeedback>,
 }
@@ -135,7 +138,8 @@ impl Exchange for InlineExchange<'_> {
         _plans: &[PrunePlan],
         subs: Vec<Sequential>,
     ) -> Result<Vec<Exchanged<Sequential>>, Infallible> {
-        let (cfg, task, compressed) = (self.cfg, self.setup.task, self.compressed);
+        let (cfg, task, compressed, locals) =
+            (self.cfg, self.setup.task, self.compressed, &self.locals);
         let work: Vec<(usize, Sequential, ErrorFeedback)> = online
             .iter()
             .zip(subs)
@@ -157,8 +161,8 @@ impl Exchange for InlineExchange<'_> {
                 let down = wire_size_v2(&sub_state, pair.downlink) as u64;
                 (received, down, wire_size_v2(&sub_state, Codec::DenseF32) as u64)
             });
-            let mut batches = worker_batches(task, w, cfg.local.batch, cfg.seed, round);
-            let outcome = local_train(&mut sub, &mut batches, &cfg.local);
+            let mut batches = worker_batches(task, w, locals[w].batch, cfg.seed, round);
+            let outcome = local_train(&mut sub, &mut batches, &locals[w]);
             // Uplink: a delta against the model the worker received,
             // folded through its persistent error-feedback state. The
             // upload is the *delivered* reconstruction — exactly what
@@ -187,6 +191,28 @@ impl Exchange for InlineExchange<'_> {
     }
 }
 
+/// Runs `method` over the inline exchange: the loop engine of FedMP and
+/// of every baseline that is Algorithm 1 with a different ρ-picker.
+pub(crate) fn run_inline(
+    cfg: &FlConfig,
+    setup: &FlSetup<'_>,
+    global: Sequential,
+    opts: &FedMpOptions,
+    method: RoundMethod,
+) -> RunHistory {
+    let mut inline = InlineExchange {
+        cfg,
+        setup,
+        compressed: !opts.compression.is_dense(),
+        locals: method.locals.clone(),
+        feedbacks: vec![ErrorFeedback::new(); setup.workers()],
+    };
+    match run_rounds(cfg, setup, global, opts, method, &ChaosOptions::none(), &mut inline) {
+        Ok(history) => history,
+        Err(never) => match never {},
+    }
+}
+
 /// Runs FedMP for `cfg.rounds` rounds starting from `global`.
 pub fn run_fedmp(
     cfg: &FlConfig,
@@ -194,16 +220,7 @@ pub fn run_fedmp(
     global: Sequential,
     opts: &FedMpOptions,
 ) -> RunHistory {
-    let mut inline = InlineExchange {
-        cfg,
-        setup,
-        compressed: !opts.compression.is_dense(),
-        feedbacks: vec![ErrorFeedback::new(); setup.workers()],
-    };
-    match run_rounds(cfg, setup, global, opts, &ChaosOptions::none(), &mut inline) {
-        Ok(history) => history,
-        Err(never) => match never {},
-    }
+    run_inline(cfg, setup, global, opts, RoundMethod::fedmp(cfg, setup.workers(), opts))
 }
 
 #[cfg(test)]
@@ -267,7 +284,7 @@ mod tests {
         let cfg = FlConfig { rounds: 4, ..Default::default() };
         let opts = FedMpOptions { fixed_ratio: Some(0.6), ..Default::default() };
         let pruned = run_fedmp(&cfg, &setup, global.clone(), &opts);
-        let full = crate::engines::synfl::run_synfl(&cfg, &setup, global);
+        let full = crate::engines::baselines::run_synfl(&cfg, &setup, global);
         assert!(
             pruned.total_time() < 0.8 * full.total_time(),
             "pruning saved too little: {} vs {}",

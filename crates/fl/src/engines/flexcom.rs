@@ -5,9 +5,9 @@
 
 use crate::aggregate::average_states;
 use crate::engine::{
-    barrier_time, emit_aggregate, emit_kernel_dispatch, emit_local_train, emit_round_end,
-    emit_round_start_all, evaluate_if_due, kernel_baseline, model_round_cost, round_times,
-    worker_batches, FlConfig, FlSetup,
+    emit_aggregate, emit_kernel_dispatch, emit_local_train, emit_round_end, emit_round_start,
+    evaluate_if_due, kernel_baseline, model_round_cost, round_times, worker_batches, FlConfig,
+    FlSetup,
 };
 use crate::exec;
 use crate::history::{RoundRecord, RunHistory};
@@ -55,14 +55,15 @@ pub fn run_flexcom(
         keep.iter().map(|&k| TopKCompressor::new(k)).collect();
 
     let mut kstats = kernel_baseline();
+    let everyone: Vec<usize> = (0..workers).collect();
 
     for round in 0..cfg.rounds {
-        emit_round_start_all(round, sim_time, workers);
+        emit_round_start(round, sim_time, &everyone);
         let global_state = global.state();
         // Full local training, fanned across the round executor. The
         // compressors stay out of the closure: they carry error-feedback
         // state across rounds, so they run sequentially below.
-        let results = exec::ordered_map((0..workers).collect(), |_, w| {
+        let results = exec::ordered_map(everyone.clone(), |_, w| {
             let mut model = global.clone();
             let mut batches = worker_batches(setup.task, w, cfg.local.batch, cfg.seed, round);
             let outcome = local_train(&mut model, &mut batches, &cfg.local);
@@ -88,7 +89,7 @@ pub fn run_flexcom(
             })
             .collect();
         let (times, mean_comp, mean_comm) = round_times(setup, &costs, cfg.seed, round);
-        let round_time = barrier_time(&times);
+        let round_time = times.iter().map(|t| t.total()).fold(0.0, f64::max);
         sim_time += round_time;
         for (w, ((_, o), t)) in results.iter().zip(times.iter()).enumerate() {
             let scaled = setup.scaled_cost(&costs[w]);
@@ -162,7 +163,7 @@ mod tests {
         assert!(h.final_accuracy().unwrap() > 0.4, "accuracy {:?}", h.final_accuracy());
 
         // Communication time is lower than Syn-FL's, compute identical.
-        let syn = crate::engines::synfl::run_synfl(&cfg, &setup, global);
+        let syn = crate::engines::baselines::run_synfl(&cfg, &setup, global);
         assert!(h.rounds[0].mean_comm < syn.rounds[0].mean_comm);
         assert!((h.rounds[0].mean_comp - syn.rounds[0].mean_comp).abs() < 1e-9);
     }

@@ -59,7 +59,7 @@ use crate::engine::{
 use crate::exec;
 use crate::history::{RoundRecord, RunHistory};
 use crate::local::local_train;
-use crate::runtime::{LiveThreadGuard, RuntimeError};
+use crate::runtime::{seeded_agents, LiveThreadGuard, RuntimeError};
 use crate::task::ImageTask;
 use crate::wire::{codec_delivered, wire_size_v2, Codec, CompressionPolicy, LinkCodecs};
 use bytes::Bytes;
@@ -900,13 +900,7 @@ fn run_hier_rounds<E>(
     opts.validate(&setup.population);
     let mut history = RunHistory::new("FedMP-Hier");
     let mut sim_time = 0.0f64;
-    let mut agents: Vec<EUcbAgent> = (0..CLASS_COUNT)
-        .map(|c| {
-            let mut e = opts.eucb;
-            e.seed = e.seed.wrapping_add(c as u64).wrapping_add(cfg.seed);
-            EUcbAgent::new(e)
-        })
-        .collect();
+    let mut agents = seeded_agents(opts.eucb, CLASS_COUNT, cfg.seed);
     let mut kstats = kernel_baseline();
     let client_plan = ChaosPlan::new(cfg.seed, &opts.chaos_client);
     let edge_plan = ChaosPlan::new(cfg.seed ^ 0xED6E_0000, &opts.chaos_edge);

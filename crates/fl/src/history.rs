@@ -4,7 +4,7 @@
 use serde::{Deserialize, Serialize};
 
 /// One aggregation round's record.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct RoundRecord {
     /// Round index k.
     pub round: usize,
@@ -17,7 +17,7 @@ pub struct RoundRecord {
     pub mean_comp: f64,
     /// Mean communication seconds across participating workers.
     pub mean_comm: f64,
-    /// Mean local training loss this round.
+    /// Mean local training loss this round (NaN when nothing was kept).
     pub train_loss: f32,
     /// Test metrics, when this round was evaluated. For classifiers the
     /// pair is `(loss, accuracy)`; for language models `(loss,
@@ -29,16 +29,39 @@ pub struct RoundRecord {
     /// Models actually merged into the global model this round (0 when
     /// the round skipped aggregation, e.g. all workers offline or a
     /// quorum miss).
-    #[serde(default)]
     pub participants: usize,
     /// Frame retransmissions the PS requested this round (threaded
     /// runtime; always 0 for the loop engines).
-    #[serde(default)]
     pub retries: usize,
     /// Online workers whose contribution was discarded this round
     /// (deadline, corruption, loss or crash).
-    #[serde(default)]
     pub exclusions: usize,
+}
+
+/// What `derive(Deserialize)` would write, but for `train_loss`: JSON
+/// has no NaN, so an empty round's loss is written as `null` and must
+/// read back as NaN — a history has to survive its own JSON. (The last
+/// three fields are newer than some stored histories, hence optional.)
+impl Deserialize for RoundRecord {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
+        const TY: &str = "RoundRecord";
+        let o =
+            v.as_object().ok_or_else(|| serde::DeError::new("expected object for RoundRecord"))?;
+        let train_loss: Option<f32> = serde::__get_field(o, "train_loss", TY)?;
+        Ok(RoundRecord {
+            round: serde::__get_field(o, "round", TY)?,
+            sim_time: serde::__get_field(o, "sim_time", TY)?,
+            round_time: serde::__get_field(o, "round_time", TY)?,
+            mean_comp: serde::__get_field(o, "mean_comp", TY)?,
+            mean_comm: serde::__get_field(o, "mean_comm", TY)?,
+            train_loss: train_loss.unwrap_or(f32::NAN),
+            eval: serde::__get_field(o, "eval", TY)?,
+            ratios: serde::__get_field(o, "ratios", TY)?,
+            participants: serde::__get_field_or_default(o, "participants", TY)?,
+            retries: serde::__get_field_or_default(o, "retries", TY)?,
+            exclusions: serde::__get_field_or_default(o, "exclusions", TY)?,
+        })
+    }
 }
 
 impl Default for RoundRecord {

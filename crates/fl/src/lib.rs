@@ -8,9 +8,9 @@
 //! | engine | paper reference |
 //! |---|---|
 //! | [`run_fedmp`] | FedMP (Fig. 1, §III–§IV): per-worker E-UCB ratios, structured pruning, R2SP |
-//! | [`run_synfl`] | Syn-FL baseline \[5\]: full-model FedAvg |
-//! | [`run_upfl`] | UP-FL baseline \[15\]: uniform adaptive pruning ratio |
-//! | [`run_fedprox`] | FedProx baseline \[19\]: proximal term + capability-scaled local iterations |
+//! | [`run_synfl`] | Syn-FL baseline \[5\]: full-model FedAvg — FedMP's round at ρ ≡ 0 |
+//! | [`run_upfl`] | UP-FL baseline \[15\]: uniform adaptive pruning ratio — the same round, one shared ρ |
+//! | [`run_fedprox`] | FedProx baseline \[19\]: the same round at ρ ≡ 0 with a proximal term + capability-scaled local iterations |
 //! | [`run_flexcom`] | FlexCom baseline \[13\]: heterogeneous top-k upload compression |
 //! | [`run_async`] | Asyn-FL \[43\] and Asyn-FedMP (Algorithm 2): m-of-N arrival aggregation |
 //! | [`run_lm`] | §VI LSTM extension: Syn-FL / UP-FL / FedMP with ISS pruning |
@@ -46,12 +46,10 @@ mod wire;
 pub use aggregate::{average_states, bsp_aggregate, mix_states, quorum_aggregate, r2sp_aggregate};
 pub use chaos::{backoff, backoff_scale, ChaosDraw, ChaosOptions, ChaosPlan};
 pub use engine::{CostScale, FlConfig, FlSetup, SyncScheme};
+pub use engines::baselines::{run_fedprox, run_synfl, run_upfl, FedProxOptions, UpFlOptions};
 pub use engines::fedmp::{run_fedmp, FaultOptions, FedMpOptions};
-pub use engines::fedprox::{run_fedprox, FedProxOptions};
 pub use engines::flexcom::{run_flexcom, FlexComOptions};
 pub use engines::r#async::{run_async, AsyncMode, AsyncOptions};
-pub use engines::synfl::run_synfl;
-pub use engines::upfl::{run_upfl, UpFlOptions};
 pub use eval::{evaluate_image, evaluate_lm, EvalResult};
 pub use hierarchy::{
     run_fedmp_hier, run_fedmp_hier_threaded, ExactState, HierSetup, HierarchyOptions,

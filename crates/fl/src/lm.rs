@@ -4,19 +4,20 @@
 
 use crate::aggregate::{average_states, r2sp_aggregate};
 use crate::engine::{
-    emit_aggregate, emit_kernel_dispatch, emit_local_train, emit_round_end, emit_round_start_all,
-    kernel_baseline,
+    emit_aggregate, emit_kernel_dispatch, emit_local_train, emit_round_end, emit_round_start,
+    eval_due, kernel_baseline,
 };
 use crate::eval::evaluate_lm;
 use crate::exec;
 use crate::history::{RoundRecord, RunHistory};
-use fedmp_bandit::{eucb_reward, Bandit, EUcbAgent, EUcbConfig, RewardConfig};
+use crate::runtime::{seeded_agent, RatioPolicy};
+use fedmp_bandit::{EUcbConfig, RewardConfig};
 use fedmp_data::TextBatch;
 use fedmp_edgesim::{DeviceProfile, RoundCost, TimeModel};
 use fedmp_nn::{clip_grad_norm, lstm_cost_per_token, state_sub, LstmLm, Sgd};
 use fedmp_pruning::{extract_lstm, plan_lstm, recover_lstm_state, sparse_lstm_state};
 use fedmp_tensor::cross_entropy_loss;
-use fedmp_tensor::parallel::{sum_f32, sum_f64};
+use fedmp_tensor::parallel::sum_f32;
 use serde::{Deserialize, Serialize};
 
 /// Which method trains the language model (the Table IV rows).
@@ -65,7 +66,8 @@ pub struct LmOptions {
     pub tau: usize,
     /// Learning rate.
     pub lr: f32,
-    /// Evaluate every this many rounds.
+    /// Evaluate every this many rounds, and always the last (0 = first
+    /// and last only).
     pub eval_every: usize,
     /// Max evaluation batches per evaluation.
     pub eval_max_batches: usize,
@@ -149,29 +151,19 @@ pub fn run_lm(
     let mut history = RunHistory::new(method.name());
     let mut sim_time = 0.0f64;
 
-    let mut agents: Vec<EUcbAgent> = (0..workers)
-        .map(|w| {
-            let mut c = opts.eucb;
-            c.seed = c.seed.wrapping_add(w as u64).wrapping_add(opts.seed);
-            EUcbAgent::new(c)
-        })
-        .collect();
-    let mut shared_agent = {
-        let mut c = opts.eucb;
-        c.seed = c.seed.wrapping_add(opts.seed);
-        EUcbAgent::new(c)
+    // The image methods' ρ-pickers; the round is this module's own.
+    let mut policy = match method {
+        LmMethod::SynFl => RatioPolicy::Fixed(0.0),
+        LmMethod::UpFl => RatioPolicy::Shared(seeded_agent(opts.eucb, opts.seed)),
+        LmMethod::FedMp => RatioPolicy::per_worker(opts.eucb, opts.reward, workers, opts.seed),
     };
+    let everyone: Vec<usize> = (0..workers).collect();
 
     let mut kstats = kernel_baseline();
 
     for round in 0..opts.rounds {
-        emit_round_start_all(round, sim_time, workers);
-        // Choose ratios.
-        let ratios: Vec<f32> = match method {
-            LmMethod::SynFl => vec![0.0; workers],
-            LmMethod::UpFl => vec![shared_agent.select(); workers],
-            LmMethod::FedMp => agents.iter_mut().map(|a| a.select()).collect(),
-        };
+        emit_round_start(round, sim_time, &everyone);
+        let ratios = policy.select(&everyone);
 
         // Per-worker round work, fanned across the round executor:
         // build the (possibly pruned) sub-model and residual from the
@@ -223,19 +215,9 @@ pub fn run_lm(
         sim_time += round_time;
 
         // Rewards.
-        match method {
-            LmMethod::SynFl => {}
-            LmMethod::UpFl => {
-                let mean_delta = sum_f32(results.iter().map(|(_, _, _, d, _)| *d)) / workers as f32;
-                shared_agent.observe(mean_delta / round_time.max(1e-6) as f32);
-            }
-            LmMethod::FedMp => {
-                let t_avg = sum_f64(times.iter().copied()) / workers as f64;
-                for (w, agent) in agents.iter_mut().enumerate() {
-                    agent.observe(eucb_reward(results[w].3, times[w], t_avg, &opts.reward));
-                }
-            }
-        }
+        let delivered: Vec<(usize, f32, f64)> =
+            results.iter().zip(&times).enumerate().map(|(w, (r, &t))| (w, r.3, t)).collect();
+        policy.observe(&delivered, round_time);
 
         // Aggregation.
         let mut recovered = Vec::with_capacity(workers);
@@ -262,12 +244,10 @@ pub fn run_lm(
         emit_aggregate(round, if method == LmMethod::SynFl { "FedAvg" } else { "R2SP" }, workers);
 
         let train_loss = sum_f32(results.iter().map(|(_, _, _, _, m)| *m)) / workers as f32;
-        let eval = if round % opts.eval_every == 0 || round + 1 == opts.rounds {
+        let eval = eval_due(round, opts.eval_every, opts.rounds).then(|| {
             let r = evaluate_lm(&mut global, &setup.eval_batches, opts.eval_max_batches);
-            Some((r.loss, r.accuracy)) // accuracy slot holds perplexity
-        } else {
-            None
-        };
+            (r.loss, r.accuracy) // accuracy slot holds perplexity
+        });
         emit_kernel_dispatch(round, &mut kstats);
         let rec = RoundRecord {
             round,

@@ -1,13 +1,16 @@
 //! The FedMP parameter server: the one round body every FedMP driver
-//! runs, and the threaded PS/worker runtime — the closest in-process
-//! analogue of the paper's physical prototype (one PS process + 30
-//! Jetson workers).
+//! and every synchronous baseline runs, and the threaded PS/worker
+//! runtime — the closest in-process analogue of the paper's physical
+//! prototype (one PS process + 30 Jetson workers).
 //!
 //! [`run_rounds`] is Algorithm 1 with the §V-A deadline: pick ratios →
 //! prune → exchange → Eq. 5 timing → `factor · d` deadline → Eq. 8
-//! reward → quorum R2SP/BSP → evaluate. It asks its driver for one
-//! thing through [`Exchange`]: *move this round's sub-models to their
-//! workers and bring back what each one trained*. The **inline**
+//! reward → quorum R2SP/BSP → evaluate. A [`RoundMethod`] says how ρ
+//! is picked and rewarded and what each worker's local step is: FedMP,
+//! or a baseline that is one of its corners (`engines::baselines`). It
+//! asks its driver for one thing through [`Exchange`]: *move this
+//! round's sub-models to their workers and bring back what each one
+//! trained*. The **inline**
 //! exchange of [`crate::run_fedmp`] trains in-process on the codec
 //! oracle — no frames, cannot fail. The **framed** exchange defined
 //! here spawns **one OS thread per worker** (or, via `fl::transport`,
@@ -85,7 +88,7 @@ use crate::wire::{
 };
 use bytes::Bytes;
 use crossbeam::channel::{bounded, Receiver, Sender};
-use fedmp_bandit::{eucb_reward, Bandit, EUcbAgent};
+use fedmp_bandit::{eucb_reward, Bandit, EUcbAgent, EUcbConfig, RewardConfig};
 use fedmp_edgesim::deadline_for;
 use fedmp_nn::{state_sub, Sequential, StateEntry};
 use fedmp_pruning::{
@@ -171,40 +174,133 @@ pub(crate) trait Exchange {
     }
 }
 
+/// How a round's pruning ratios are picked and how the picker learns
+/// from what came back — the one answer that separates FedMP from the
+/// synchronous baselines. [`crate::run_lm`] shares it (not the body).
+pub(crate) enum RatioPolicy {
+    /// FedMP (§IV-C): an E-UCB agent per worker, rewarded by Eq. 8.
+    PerWorker { agents: Vec<EUcbAgent>, reward: RewardConfig },
+    /// UP-FL: one agent, one pull per round, rewarded by the mean
+    /// ΔLoss per unit of round time — Eq. 8's uniform-ratio analogue
+    /// (no per-worker time gap exists when everyone trains one model).
+    Shared(EUcbAgent),
+    /// One ρ for everyone, always (Fig. 2 / Fig. 5 sweeps, LM Syn-FL).
+    Fixed(f32),
+    /// ρ ≡ 0 for a method that does not prune: the round records no
+    /// ratios at all (Syn-FL, FedProx).
+    Dense,
+}
+
+/// An agent seeded `eucb.seed + offset` — with [`seeded_agents`], the
+/// one place a run's seed reaches a bandit.
+pub(crate) fn seeded_agent(mut eucb: EUcbConfig, offset: u64) -> EUcbAgent {
+    eucb.seed = eucb.seed.wrapping_add(offset);
+    EUcbAgent::new(eucb)
+}
+
+/// `n` agents, the `i`-th seeded `eucb.seed + i + seed`.
+pub(crate) fn seeded_agents(eucb: EUcbConfig, n: usize, seed: u64) -> Vec<EUcbAgent> {
+    (0..n as u64).map(|i| seeded_agent(eucb, i.wrapping_add(seed))).collect()
+}
+
+impl RatioPolicy {
+    /// FedMP's policy over `n` workers.
+    pub(crate) fn per_worker(eucb: EUcbConfig, reward: RewardConfig, n: usize, seed: u64) -> Self {
+        Self::PerWorker { agents: seeded_agents(eucb, n, seed), reward }
+    }
+
+    /// This round's ratio for each of the (non-empty) `online` workers.
+    pub(crate) fn select(&mut self, online: &[usize]) -> Vec<f32> {
+        match self {
+            Self::PerWorker { agents, .. } => online.iter().map(|&w| agents[w].select()).collect(),
+            Self::Shared(agent) => vec![agent.select(); online.len()],
+            Self::Fixed(ratio) => vec![*ratio; online.len()],
+            Self::Dense => vec![0.0; online.len()],
+        }
+    }
+
+    /// `worker`'s outcome never arrived: its own pull, if it has one,
+    /// is discarded — no reward can honestly be assigned to it.
+    pub(crate) fn abandon(&mut self, worker: usize) {
+        if let Self::PerWorker { agents, .. } = self {
+            agents[worker].abandon();
+        }
+    }
+
+    /// Feedback from the round's delivered `(worker, ΔLoss, completion
+    /// time)` triples, in worker order.
+    pub(crate) fn observe(&mut self, delivered: &[(usize, f32, f64)], round_time: f64) {
+        let n = delivered.len();
+        match self {
+            Self::PerWorker { agents, reward } => {
+                let t_avg = sum_f64(delivered.iter().map(|d| d.2)) / n as f64;
+                for &(w, delta, t) in delivered {
+                    agents[w].observe(eucb_reward(delta, t, t_avg, reward));
+                }
+            }
+            // Nobody delivered: the shared pull taught nothing.
+            Self::Shared(agent) if n == 0 => agent.abandon(),
+            Self::Shared(agent) => {
+                let mean_delta = sum_f32(delivered.iter().map(|d| d.1)) / n as f32;
+                agent.observe(mean_delta / round_time.max(1e-6) as f32);
+            }
+            Self::Fixed(_) | Self::Dense => {}
+        }
+    }
+}
+
+/// What distinguishes one synchronous method from another inside
+/// [`run_rounds`]; everything else about the round is shared.
+pub(crate) struct RoundMethod {
+    /// The history's method name.
+    pub(crate) name: &'static str,
+    /// The `Aggregate` event's scheme label.
+    pub(crate) scheme: &'static str,
+    pub(crate) policy: RatioPolicy,
+    /// Each worker's local step. Framed workers are handed `cfg.local`
+    /// at start-up, so only the inline exchange may meet anything else.
+    pub(crate) locals: Vec<LocalTrainConfig>,
+}
+
+impl RoundMethod {
+    /// FedMP as `opts` configures it — all the framed exchange runs.
+    pub(crate) fn fedmp(cfg: &FlConfig, workers: usize, opts: &FedMpOptions) -> Self {
+        let (name, scheme) = match opts.sync {
+            SyncScheme::R2SP => ("FedMP", "R2SP"),
+            SyncScheme::BSP => ("FedMP-BSP", "BSP"),
+        };
+        let policy = match opts.fixed_ratio {
+            Some(ratio) => RatioPolicy::Fixed(ratio),
+            None => RatioPolicy::per_worker(opts.eucb, opts.reward, workers, cfg.seed),
+        };
+        RoundMethod { name, scheme, policy, locals: vec![cfg.local; workers] }
+    }
+}
+
 /// Per-worker codec pairs: a pure function of the device profiles, so
 /// fixed for the whole run.
 pub(crate) fn link_codecs(setup: &FlSetup<'_>, opts: &FedMpOptions) -> Vec<LinkCodecs> {
     setup.devices.iter().map(|d| opts.compression.select(d)).collect()
 }
 
-/// Runs FedMP for `cfg.rounds` rounds starting from `global`, moving
-/// models through `exchange`. `chaos` supplies the virtual-clock
-/// penalties (injected delay, retransmit backoff) and the aggregation
-/// quorum; [`ChaosOptions::none`] makes all three vanish.
+/// Runs `method` for `cfg.rounds` rounds starting from `global`, moving
+/// models through `exchange`. `opts` supplies the rest of the round
+/// (sync, residuals, faults, importance, compression); `chaos` the
+/// virtual-clock penalties (injected delay, retransmit backoff) and the
+/// aggregation quorum; [`ChaosOptions::none`] makes all three vanish.
 pub(crate) fn run_rounds<X: Exchange>(
     cfg: &FlConfig,
     setup: &FlSetup<'_>,
     mut global: Sequential,
     opts: &FedMpOptions,
+    method: RoundMethod,
     chaos: &ChaosOptions,
     exchange: &mut X,
 ) -> Result<RunHistory, X::Error> {
     let workers = setup.workers();
-    let (method, scheme) = match opts.sync {
-        SyncScheme::R2SP => ("FedMP", "R2SP"),
-        SyncScheme::BSP => ("FedMP-BSP", "BSP"),
-    };
-    let mut history = RunHistory::new(method);
+    let RoundMethod { name, scheme, mut policy, locals } = method;
+    let mut history = RunHistory::new(name);
     let mut sim_time = 0.0f64;
-
-    // One E-UCB agent per worker (§IV-C).
-    let mut agents: Vec<EUcbAgent> = (0..workers)
-        .map(|w| {
-            let mut c = opts.eucb;
-            c.seed = c.seed.wrapping_add(w as u64).wrapping_add(cfg.seed);
-            EUcbAgent::new(c)
-        })
-        .collect();
 
     let mut injector = opts.faults.map(|f| f.injector(workers));
     let mut fault_rng = fedmp_tensor::seeded_rng(cfg.seed ^ 0xFA17);
@@ -251,14 +347,8 @@ pub(crate) fn run_rounds<X: Exchange>(
         // 8-bit quantized to cut PS memory 4×) and price the sub-model
         // (Eq. 5). Every input is read-only, so each slot is a pure
         // function of its ratio.
-        let ratios: Vec<f32> = online
-            .iter()
-            .map(|&w| match opts.fixed_ratio {
-                Some(r) => r,
-                None => agents[w].select(),
-            })
-            .collect();
-        let prepared = exec::ordered_map(ratios.clone(), |_, ratio| {
+        let ratios = policy.select(&online);
+        let prepared = exec::ordered_map(ratios.clone(), |i, ratio| {
             let plan = plan_sequential_with(&global, setup.task.input_chw, ratio, opts.importance);
             let sub = extract_sequential(&global, &plan);
             let residual = state_sub(&global.state(), &sparse_state(&global, &plan));
@@ -267,7 +357,7 @@ pub(crate) fn run_rounds<X: Exchange>(
             } else {
                 residual
             };
-            let cost = model_round_cost(&sub, setup.task.input_chw, &cfg.local);
+            let cost = model_round_cost(&sub, setup.task.input_chw, &locals[online[i]]);
             ((plan, sub), (residual, cost))
         });
         let ((plans, subs), (residuals, costs)): ((Vec<_>, Vec<_>), (Vec<_>, Vec<_>)) =
@@ -287,7 +377,7 @@ pub(crate) fn run_rounds<X: Exchange>(
                 Ok(arrival) => deliveries.push((i, arrival)),
                 Err(reason) => {
                     excluded[i] = Some(reason);
-                    agents[online[i]].abandon();
+                    policy.abandon(online[i]);
                 }
             }
         }
@@ -296,6 +386,7 @@ pub(crate) fn run_rounds<X: Exchange>(
         // sub-model's actual cost (Eq. 5), plus the chaos penalties:
         // retransmit backoff and injected delay.
         let mut times = Vec::with_capacity(deliveries.len());
+        let mut delivered = Vec::with_capacity(deliveries.len());
         let mut mean_comp = 0.0;
         let mut mean_comm = 0.0;
         for (i, a) in &deliveries {
@@ -318,13 +409,14 @@ pub(crate) fn run_rounds<X: Exchange>(
                 ratios[*i],
                 a.outcome.mean_loss,
                 a.outcome.delta_loss(),
-                cfg.local.tau,
+                locals[w].tau,
                 a.outcome.samples,
                 &t,
                 &setup.scaled_cost(&cost),
             );
-            let draw = plan.draw(round, w);
-            times.push(t.total() + draw.delay_secs + chaos.backoff_total(retries[*i]));
+            let t_n = t.total() + plan.draw(round, w).delay_secs + chaos.backoff_total(retries[*i]);
+            times.push(t_n);
+            delivered.push((w, a.outcome.delta_loss(), t_n));
         }
         let dn = deliveries.len().max(1) as f64;
         mean_comp /= dn;
@@ -366,14 +458,8 @@ pub(crate) fn run_rounds<X: Exchange>(
         }
         let kept = excluded.iter().filter(|e| e.is_none()).count();
 
-        // Bandit feedback (Eq. 8) for every delivered worker.
-        if opts.fixed_ratio.is_none() && !deliveries.is_empty() {
-            let t_avg = sum_f64(times.iter().copied()) / deliveries.len() as f64;
-            for (k, (i, a)) in deliveries.iter().enumerate() {
-                let reward = eucb_reward(a.outcome.delta_loss(), times[k], t_avg, &opts.reward);
-                agents[online[*i]].observe(reward);
-            }
-        }
+        // Policy feedback (Eq. 8 for FedMP) from every delivered worker.
+        policy.observe(&delivered, round_time);
 
         // ③ Reconstruct the kept uploads and aggregate under the
         // quorum. Reconstruction and state recovery fan out; the
@@ -422,7 +508,7 @@ pub(crate) fn run_rounds<X: Exchange>(
             mean_comm,
             train_loss,
             eval,
-            ratios,
+            ratios: if matches!(policy, RatioPolicy::Dense) { vec![] } else { ratios },
             participants,
             retries: retries.iter().map(|&r| r as usize).sum(),
             exclusions: online.len() - kept,
@@ -981,7 +1067,8 @@ pub(crate) fn run_framed_rounds<F: Fleet>(
         max_retransmits: chaos.max_retransmits,
         crashed: vec![false; setup.workers()],
     };
-    run_rounds(cfg, setup, global, opts, chaos, &mut framed)
+    let method = RoundMethod::fedmp(cfg, setup.workers(), opts);
+    run_rounds(cfg, setup, global, opts, method, chaos, &mut framed)
 }
 
 /// Runs FedMP on the threaded runtime with no transport chaos.

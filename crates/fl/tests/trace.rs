@@ -9,10 +9,10 @@
 use fedmp_data::{iid_partition, mnist_like};
 use fedmp_edgesim::{tx2_profile, ComputeMode, LinkQuality, TimeModel};
 use fedmp_fl::{
-    resource_totals, run_fedmp, FaultOptions, FedMpOptions, FlConfig, FlSetup, ImageTask,
-    RunHistory,
+    resource_totals, run_fedmp, run_fedprox, run_synfl, FaultOptions, FedMpOptions, FedProxOptions,
+    FlConfig, FlSetup, ImageTask, RunHistory,
 };
-use fedmp_nn::zoo;
+use fedmp_nn::{zoo, Sequential};
 use fedmp_obs::{diff, summarize, RunManifest, Trace, TraceEvent, TraceSession};
 use fedmp_tensor::seeded_rng;
 
@@ -20,6 +20,15 @@ const WORKERS: usize = 4;
 const ROUNDS: usize = 5;
 
 fn run_traced(threads: usize, seed: u64, opts: &FedMpOptions) -> (RunHistory, Trace) {
+    run_traced_with(threads, seed, |cfg, setup, global| run_fedmp(cfg, setup, global, opts))
+}
+
+/// Records `engine` on the shared 4-device fleet (Mode0 … Mode3).
+fn run_traced_with(
+    threads: usize,
+    seed: u64,
+    engine: impl FnOnce(&FlConfig, &FlSetup<'_>, Sequential) -> RunHistory,
+) -> (RunHistory, Trace) {
     fedmp_tensor::parallel::override_threads(Some(threads));
     let (train, test) = mnist_like(0.1, seed).generate();
     let mut rng = seeded_rng(seed);
@@ -37,7 +46,7 @@ fn run_traced(threads: usize, seed: u64, opts: &FedMpOptions) -> (RunHistory, Tr
 
     let manifest = RunManifest::new("FedMP", seed, WORKERS, ROUNDS, threads);
     let session = TraceSession::capture(&manifest);
-    let history = run_fedmp(&cfg, &setup, global, opts);
+    let history = engine(&cfg, &setup, global);
     let trace = session.finish();
     fedmp_tensor::parallel::override_threads(None);
     (history, trace)
@@ -118,4 +127,39 @@ fn trace_summarize_matches_totals_and_stream_is_thread_invariant() {
     let recovered = ft.events.iter().filter(|e| e.kind() == "FaultRecovered").count();
     assert!(injected > 0, "no faults materialised at fail_prob=0.3 over {ROUNDS} rounds");
     assert!(recovered <= injected);
+
+    // ── FedProx: `LocalTrain.tau` is the worker's own τₙ, not τ ─────
+    let (_h, prox) = run_traced_with(1, 45, |cfg, setup, global| {
+        run_fedprox(cfg, setup, global, &FedProxOptions::default())
+    });
+    let flops = [ComputeMode::Mode0, ComputeMode::Mode1, ComputeMode::Mode2, ComputeMode::Mode3]
+        .map(|m| tx2_profile(m, LinkQuality::Near).flops());
+    let tau = FlConfig::default().local.tau;
+    let taus = flops.map(|f| ((tau as f64 * f / flops[0]).round() as usize).max(1));
+    assert!(taus[3] < taus[0] && taus[0] == tau, "fleet does not spread τₙ: {taus:?}");
+    let seen: Vec<(usize, usize)> = prox
+        .events
+        .iter()
+        .filter_map(|e| match e {
+            TraceEvent::LocalTrain { worker, tau, .. } => Some((*worker, *tau)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(seen.len(), ROUNDS * WORKERS);
+    assert!(seen.iter().all(|&(w, t)| t == taus[w]), "LocalTrain carries τ, not τₙ: {seen:?}");
+
+    // ── Syn-FL is FedMP at ρ ≡ 0: the two event streams differ in the
+    //    `Aggregate` scheme label and nowhere else ────────────────────
+    let (_h, syn) = run_traced_with(1, 46, run_synfl);
+    let fixed0 = FedMpOptions { fixed_ratio: Some(0.0), ..Default::default() };
+    let (_h, fixed) = run_traced(1, 46, &fixed0);
+    assert_eq!(syn.event_lines.len(), fixed.event_lines.len());
+    for (s, f) in syn.event_lines.iter().zip(&fixed.event_lines) {
+        if s.starts_with("{\"Aggregate\"") {
+            assert!(s.contains("\"FedAvg\"") && f.contains("\"R2SP\""), "{s} / {f}");
+            assert_eq!(&s.replace("\"FedAvg\"", "\"R2SP\""), f);
+        } else {
+            assert_eq!(s, f);
+        }
+    }
 }

@@ -4,7 +4,7 @@
 
 use fedmp::prelude::*;
 use fedmp_core::run_fedmp_custom;
-use fedmp_fl::{FedMpOptions, SyncScheme};
+use fedmp_fl::{run_fedprox, run_synfl, FaultOptions, FedMpOptions, FedProxOptions, SyncScheme};
 
 fn quick_spec(task: TaskKind, rounds: usize) -> ExperimentSpec {
     let mut spec = ExperimentSpec::small(task);
@@ -93,6 +93,56 @@ fn async_engine_uses_m_arrivals_and_advances_clock() {
     assert!(h.rounds.windows(2).all(|w| w[1].sim_time >= w[0].sim_time));
 }
 
+/// Every numeric field of every round, as bits (`eval` packed into one
+/// word, all-ones when the round was not evaluated).
+fn numeric_bits(h: &RunHistory) -> Vec<[u64; 6]> {
+    let f = |x: f32| u64::from(x.to_bits());
+    h.rounds
+        .iter()
+        .map(|r| {
+            [
+                r.sim_time.to_bits(),
+                r.round_time.to_bits(),
+                r.mean_comp.to_bits(),
+                r.mean_comm.to_bits(),
+                f(r.train_loss),
+                r.eval.map_or(u64::MAX, |(loss, acc)| f(loss) << 32 | f(acc)),
+            ]
+        })
+        .collect()
+}
+
+#[test]
+fn synfl_is_fedmp_at_ratio_zero_and_fedprox_at_mu_zero() {
+    // The synchronous baselines are corners of Algorithm 1. Syn-FL is
+    // ρ ≡ 0: R2SP with an all-zero residual is FedAvg, bit for bit
+    // (`ExactSum` ignores ±0). What may differ is the history's name
+    // and the recorded ratios — `[]` for a method that does not prune.
+    let spec = quick_spec(TaskKind::CnnMnist, 4);
+    let syn = run_method(&spec, Method::SynFl);
+    let fixed = run_method(&spec, Method::FedMpFixed(0.0));
+    assert_eq!(numeric_bits(&syn), numeric_bits(&fixed));
+    assert_eq!((syn.method.as_str(), fixed.method.as_str()), ("Syn-FL", "FedMP"));
+    for (s, f) in syn.rounds.iter().zip(&fixed.rounds) {
+        assert!(s.ratios.is_empty());
+        assert_eq!(f.ratios, vec![0.0; spec.workers]);
+        assert_eq!(
+            (s.participants, s.retries, s.exclusions),
+            (f.participants, f.retries, f.exclusions)
+        );
+    }
+
+    // FedProx is Syn-FL with τₙ = τ·φₙ/φ_max and a proximal term: on a
+    // homogeneous fleet with μ = 0 both vanish.
+    let built = spec.build();
+    let fleet = vec![built.devices[0]; spec.workers];
+    let setup = FlSetup::with_cost_scale(&built.task, fleet, built.time, built.cost_scale);
+    let syn = run_synfl(&spec.fl, &setup, built.model.clone());
+    let prox = run_fedprox(&spec.fl, &setup, built.model, &FedProxOptions { mu: 0.0, min_tau: 1 });
+    assert_eq!(numeric_bits(&syn), numeric_bits(&prox));
+    assert!(prox.rounds.iter().all(|r| r.ratios.is_empty()));
+}
+
 #[test]
 fn histories_serialise_to_json() {
     let spec = quick_spec(TaskKind::CnnMnist, 3);
@@ -101,6 +151,16 @@ fn histories_serialise_to_json() {
     let back: RunHistory = serde_json::from_str(&json).expect("deserialise history");
     assert_eq!(back.rounds.len(), h.rounds.len());
     assert_eq!(back.method, "FedMP");
+
+    // A round with nobody online records a NaN training loss, which
+    // JSON can only carry as `null`; the history must read it back.
+    let faults = FaultOptions { fail_prob: 0.8, recover_rounds: 2, ..Default::default() };
+    let spec = quick_spec(TaskKind::CnnMnist, 8);
+    let h = run_fedmp_custom(&spec, &FedMpOptions { faults: Some(faults), ..Default::default() });
+    assert!(h.rounds.iter().any(|r| r.train_loss.is_nan()), "no all-offline round");
+    let json = serde_json::to_string(&h).expect("serialise faulted history");
+    let back: RunHistory = serde_json::from_str(&json).expect("deserialise faulted history");
+    assert_eq!(serde_json::to_string(&back).expect("re-serialise"), json);
 }
 
 #[test]

@@ -66,6 +66,25 @@ fn fedmp_lstm_round_is_faster_than_synfl() {
 }
 
 #[test]
+fn eval_every_zero_means_first_and_last_round_in_every_engine() {
+    // One rule (`engine::eval_due`) for the LM loop and the image round
+    // body: 0 is a multiple of 0 and nothing else is — no `round % 0`.
+    let evaluated = |h: &fedmp::fl::RunHistory| -> Vec<usize> {
+        h.rounds.iter().filter(|r| r.eval.is_some()).map(|r| r.round).collect()
+    };
+    let setup = setup(2, 6_000);
+    let global = zoo::lstm_ptb(30, 0.15, &mut seeded_rng(21));
+    let opts = LmOptions { rounds: 4, eval_every: 0, ..Default::default() };
+    assert_eq!(evaluated(&run_lm(&setup, &opts, LmMethod::UpFl, global)), [0, 3]);
+
+    use fedmp::core::{run_method, ExperimentSpec, Method, TaskKind};
+    let mut spec = ExperimentSpec::small(TaskKind::CnnMnist);
+    spec.fl.rounds = 4;
+    spec.fl.eval_every = 0;
+    assert_eq!(evaluated(&run_method(&spec, Method::FedMp)), [0, 3]);
+}
+
+#[test]
 fn iss_pruning_preserves_model_shape_claims() {
     // The extracted sub-model must remain a valid 2-layer LSTM whose
     // stacked dimensions agree, at any ratio.
