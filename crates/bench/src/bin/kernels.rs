@@ -8,8 +8,11 @@
 //! benchmark sub-models (ratio 0.4) issue, each beside the neighbour
 //! padded up to whole 16-column strips and 4-row multiples — plus the
 //! conv2d forward pass itself, then
-//! the conv backward passes beside it (weight gradient, input gradient
-//! and the `col2im` fold's share of the latter), then
+//! the conv backward passes beside it (weight gradient, input gradient,
+//! and what share of each pass is data movement around its GEMM: the
+//! unfold in the forward, the gradient transpose + product add in the
+//! weight gradient, the `col2im` fold in the input gradient), then
+//! `max_pool2d_forward` beside the branchy window scan it replaced, then
 //! measures what structured pruning buys at the kernel level: the
 //! ordinary `conv2d_forward` / `matmul_nt` at the shape a ρ-pruned
 //! conv/FC layer is extracted to, against the same kernel at the full
@@ -24,13 +27,17 @@
 //! timing-based gates; the *equivalence* gates — every path against the
 //! reference oracle, every ragged shape bitwise against a scalar
 //! ascending-`k` chain, the `col2im` row fold bitwise against an
-//! element-by-element fold — always run, so a smoke pass still proves
-//! the kernels compute the same numbers. Timing gates in full mode: on
+//! element-by-element fold, the padded unfold into a NaN-poisoned buffer
+//! bitwise against a per-element unfold, the max-pool select scan
+//! against the branchy scan kept here — always run, so a smoke pass
+//! still proves the kernels compute the same numbers. Timing gates in
+//! full mode: on
 //! AVX2 hosts the headline SIMD GEMM must beat the scalar blocked
 //! kernel ≥ 2×, no `gemm` row's SIMD-over-scalar speed-up may fall more
 //! than 10 % below the checked-in `kernels.json`, a ragged shape may
 //! cost ≤ 1.25 × its padded neighbour (pruning must not be slower than
-//! padding), and the
+//! padding), the max-pool select scan must cost ≤ 0.85 × the branchy
+//! scan timed in the same window, and the
 //! 70 %-pruned (out-only) layers must cost ≤ 40 % of their dense time
 //! (the kept-FLOPs fraction is 30 % — time must track FLOPs).
 
@@ -40,8 +47,8 @@ use fedmp_pruning::ratio_keep_count;
 use fedmp_tensor::simd::{self, SimdPath};
 use fedmp_tensor::{
     col2im_into, conv2d_backward_input, conv2d_backward_weight, conv2d_forward, im2col,
-    matmul_nt_reference, matmul_reference, matmul_tn_reference, parallel, seeded_rng, Conv2dSpec,
-    Tensor,
+    im2col_into, matmul_nt_reference, matmul_reference, matmul_tn_reference, max_pool2d_forward,
+    parallel, seeded_rng, Conv2dSpec, Pool2dSpec, Tensor,
 };
 use serde_json::json;
 
@@ -87,7 +94,8 @@ const GEMM_CASES: &[GemmCase] = &[
 /// 0.25 and alexnet width 0.08, every layer pruned at ratio 0.4 — as
 /// `(layer, kept filters, kept c_in·kh·kw, output positions)`. Per
 /// image: forward `[oc, ck] × [ck, pos]`, weight gradient
-/// `[oc, pos] × [pos, ck]`, input gradient `[ck, oc] × [oc, pos]`.
+/// `[ck, pos] × [pos, oc]` (the columns as unfolded times the transposed
+/// gradient block), input gradient `[ck, oc] × [oc, pos]`.
 const RAGGED_CONVS: &[(&str, usize, usize, usize)] = &[
     ("cnn_mnist/conv1", 5, 25, 784),
     ("cnn_mnist/conv2", 10, 125, 196),
@@ -109,7 +117,7 @@ fn ragged_cases() -> Vec<(String, usize, usize, usize)> {
     let mut cases = Vec::new();
     for &(layer, oc, ck, pos) in RAGGED_CONVS {
         cases.push((format!("{layer}_fwd"), oc, ck, pos));
-        cases.push((format!("{layer}_dw"), oc, pos, ck));
+        cases.push((format!("{layer}_dw"), ck, pos, oc));
         cases.push((format!("{layer}_dx"), ck, oc, pos));
     }
     for &(layer, b, fin, fout) in RAGGED_FCS {
@@ -236,6 +244,70 @@ fn conv2d_forward_reference(
         }
     }
     out
+}
+
+/// The unfold one element at a time, bounds-tested per tap — what
+/// `im2col_into` must reproduce bit for bit in a buffer nobody zeroed.
+fn im2col_per_element(image: &[f32], c: usize, h: usize, w: usize, spec: &Conv2dSpec) -> Tensor {
+    let (oh, ow) = spec.out_hw(h, w);
+    let mut cols = Tensor::zeros(&[c * spec.kh * spec.kw, oh * ow]);
+    for ch in 0..c {
+        for ky in 0..spec.kh {
+            for kx in 0..spec.kw {
+                let row = (ch * spec.kh + ky) * spec.kw + kx;
+                for oy in 0..oh {
+                    for ox in 0..ow {
+                        let iy = (oy * spec.stride + ky) as isize - spec.padding as isize;
+                        let ix = (ox * spec.stride + kx) as isize - spec.padding as isize;
+                        if iy < 0 || iy >= h as isize || ix < 0 || ix >= w as isize {
+                            continue;
+                        }
+                        cols.data_mut()[row * oh * ow + oy * ow + ox] =
+                            image[(ch * h + iy as usize) * w + ix as usize];
+                    }
+                }
+            }
+        }
+    }
+    cols
+}
+
+/// `max_pool2d_forward` as it was before its window scan was written
+/// with selects: the same row-major visit, a branch on the same strict
+/// `>`, then the same gather. Oracle and timing baseline of the `pool`
+/// table.
+fn max_pool2d_forward_branchy(input: &Tensor, spec: &Pool2dSpec) -> (Tensor, Vec<usize>) {
+    let d = input.dims();
+    let (n, c, h, w) = (d[0], d[1], d[2], d[3]);
+    let (oh, ow) = spec.out_hw(h, w);
+    let src = input.data();
+    let mut argmax = vec![0usize; n * c * oh * ow];
+    let mut o = 0;
+    for plane in 0..n * c {
+        let base = plane * h * w;
+        for oy in 0..oh {
+            for ox in 0..ow {
+                let mut best = f32::NEG_INFINITY;
+                let mut best_idx = base + oy * spec.stride * w + ox * spec.stride;
+                for ky in 0..spec.kh {
+                    for kx in 0..spec.kw {
+                        let idx = base + (oy * spec.stride + ky) * w + ox * spec.stride + kx;
+                        if src[idx] > best {
+                            best = src[idx];
+                            best_idx = idx;
+                        }
+                    }
+                }
+                argmax[o] = best_idx;
+                o += 1;
+            }
+        }
+    }
+    let mut out = Tensor::zeros(&[n, c, oh, ow]);
+    for (dv, &idx) in out.data_mut().iter_mut().zip(&argmax) {
+        *dv = src[idx];
+    }
+    (out, argmax)
 }
 
 fn main() {
@@ -453,10 +525,12 @@ fn main() {
     }
 
     // Conv backward under the default dispatch: what the two gradient
-    // passes cost beside the forward, and how much of the input-gradient
-    // pass is the `col2im` fold — on the two stages above and on the two
-    // conv layers of the benchmark's sub-model (cnn_mnist width 0.25
-    // pruned at ratio 0.4, batch 16). One kernel thread, so the fold
+    // passes cost beside the forward, and how much of each pass is data
+    // movement around its GEMM — the unfold in the forward, the gradient
+    // transpose + product add in the weight gradient, the `col2im` fold
+    // in the input gradient — on the two stages above and on the
+    // two conv layers of the benchmark's sub-model (cnn_mnist width 0.25
+    // pruned at ratio 0.4, batch 16). One kernel thread, so a walk
     // timed alone is a true share of the batch-parallel pass.
     let mut conv_bwd_rows = Vec::new();
     parallel::override_threads(Some(1));
@@ -491,6 +565,19 @@ fn main() {
         col2im_into(cols.data(), c, hw, hw, &spec, folded.data_mut());
         assert_bits_eq(&folded, &want, &format!("{name}/col2im"));
 
+        // Bitwise gate (always): the unfold is handed buffers nobody
+        // zeroed, so it must write every column element — padding taps
+        // included — exactly as the per-element unfold does. At this
+        // row's stride 1 and at stride 2.
+        let image = &input.data()[..c * hw * hw];
+        for stride in [1, 2] {
+            let spec = Conv2dSpec { stride, ..spec };
+            let want = im2col_per_element(image, c, hw, hw, &spec);
+            let mut got = Tensor::full(want.dims(), f32::NAN);
+            im2col_into(image, c, hw, hw, &spec, got.data_mut());
+            assert_bits_eq(&got, &want, &format!("{name}/unfold stride {stride}"));
+        }
+
         let reps = if smoke { 1 } else { 20 };
         let forward_ms = time_ms(reps, || conv2d_forward(&input, &weight, &bias, &spec));
         let bwd_weight_ms =
@@ -503,9 +590,48 @@ fn main() {
             }
         });
         let col2im_share = col2im_ms / bwd_input_ms;
+        let mut unfolded = vec![f32::NAN; cols.numel()];
+        let unfold_ms = time_ms(reps, || {
+            for image in input.data().chunks_exact(c * hw * hw) {
+                im2col_into(image, c, hw, hw, &spec, &mut unfolded);
+            }
+        });
+        let unfold_share = unfold_ms / forward_ms;
+        // What the weight gradient moves around its GEMM besides the
+        // unfold: per image, the `[oc, P]` gradient block transposed to
+        // `[P, oc]` and the `[ck, oc]` product added into the running
+        // sum; per call, that sum transposed into `gw[oc, ck]`. The
+        // kernel's own walks are private; these are the same ones,
+        // re-written (for ≥ 8 rows the kernel transposes through 8×8
+        // register tiles, so this is an upper bound there).
+        let (ck, positions) = (c * k * k, oh * ow);
+        let transpose = |src: &[f32], cols: usize, dst: &mut [f32]| {
+            let rows = src.len() / cols;
+            for (p, out) in dst.chunks_exact_mut(rows).enumerate() {
+                for (d, &v) in out.iter_mut().zip(src[p..].iter().step_by(cols)) {
+                    *d = v;
+                }
+            }
+        };
+        let mut go_t = vec![0.0f32; positions * oc];
+        let prod_t = vec![1.0f32; ck * oc];
+        let mut gw_t = vec![0.0f32; ck * oc];
+        let mut gw = vec![0.0f32; oc * ck];
+        let wgrad_pack_ms = time_ms(reps, || {
+            for go in grad_out.data().chunks_exact(oc * positions) {
+                transpose(go, positions, &mut go_t);
+                for (g, &p) in gw_t.iter_mut().zip(&prod_t) {
+                    *g += p;
+                }
+            }
+            transpose(&gw_t, oc, &mut gw);
+        });
+        let wgrad_pack_share = wgrad_pack_ms / bwd_weight_ms;
         let bwd_over_fwd = (bwd_weight_ms + bwd_input_ms) / forward_ms;
         println!(
-            "conv-bwd {name:<32} fwd {forward_ms:7.3} ms  bwd_weight {bwd_weight_ms:7.3} ms  bwd_input {bwd_input_ms:7.3} ms  (col2im {:.0}%)  bwd/fwd {bwd_over_fwd:4.2}x",
+            "conv-bwd {name:<32} fwd {forward_ms:7.3} ms (unfold {:.0}%)  bwd_weight {bwd_weight_ms:7.3} ms (transpose+add {:.0}%)  bwd_input {bwd_input_ms:7.3} ms (col2im {:.0}%)  bwd/fwd {bwd_over_fwd:4.2}x",
+            unfold_share * 100.0,
+            wgrad_pack_share * 100.0,
             col2im_share * 100.0,
         );
         conv_bwd_rows.push(json!({
@@ -515,8 +641,65 @@ fn main() {
             "forward_ms": forward_ms,
             "bwd_weight_ms": bwd_weight_ms,
             "bwd_input_ms": bwd_input_ms,
+            "unfold_share": unfold_share,
+            "wgrad_pack_share": wgrad_pack_share,
             "col2im_share": col2im_share,
             "bwd_over_fwd": bwd_over_fwd,
+        }));
+    }
+
+    // Max-pool forward beside the branchy scan it replaced, on the
+    // post-ReLU activations the zoo pools (about half the taps are
+    // exactly 0.0, so whether a tap beats the running maximum is a coin
+    // flip). Each side cycles through eight different inputs: on one
+    // repeated input the branch predictor learns the smaller shapes'
+    // whole outcome sequence and the branchy scan looks ~2× better than
+    // it is on data it has not seen. Still one kernel thread.
+    let mut pool_rows = Vec::new();
+    for (name, n, c, hw) in [
+        ("cnn_mnist_w0.25_r0.4/pool1_b16", 16usize, 5usize, 28usize),
+        ("cnn_mnist_w0.25_r0.4/pool2_b16", 16, 10, 14),
+        ("cnn_mnist_w0.25/pool1_b64", 64, 8, 28),
+        ("cnn_mnist_w0.25/pool2_b64", 64, 16, 14),
+    ] {
+        let spec = Pool2dSpec::square(2);
+        let inputs: Vec<Tensor> =
+            (0..8).map(|_| Tensor::randn(&[n, c, hw, hw], &mut rng).map(|v| v.max(0.0))).collect();
+        // Bitwise gate (always): same argmax, same pooled values — on
+        // the 2×2/2 window and on an overlapping 3×3/2 one.
+        for spec in [spec, Pool2dSpec { kh: 3, kw: 3, stride: 2 }] {
+            let (got, got_at) = max_pool2d_forward(&inputs[0], &spec);
+            let (want, want_at) = max_pool2d_forward_branchy(&inputs[0], &spec);
+            assert_eq!(got_at, want_at, "{name}/argmax {}x{}", spec.kh, spec.kw);
+            assert_bits_eq(&got, &want, &format!("{name}/pooled {}x{}", spec.kh, spec.kw));
+        }
+        let reps = if smoke { 2 } else { 400 };
+        let (mut next_b, mut next_s) = (0usize, 0usize);
+        let (branchy_ms, select_ms) = time_pair_ms(
+            reps,
+            || {
+                next_b += 1;
+                max_pool2d_forward_branchy(&inputs[next_b % inputs.len()], &spec)
+            },
+            || {
+                next_s += 1;
+                max_pool2d_forward(&inputs[next_s % inputs.len()], &spec)
+            },
+        );
+        let ratio = select_ms / branchy_ms;
+        println!(
+            "pool {name:<32} {n}x{c}x{hw}x{hw}: branchy {branchy_ms:7.4} ms  select {select_ms:7.4} ms  {ratio:4.2}x",
+        );
+        assert!(
+            smoke || ratio <= 0.85,
+            "pool gate: {name} select scan costs {ratio:.2}x the branchy scan (> 0.85x)"
+        );
+        pool_rows.push(json!({
+            "name": name,
+            "batch": n, "channels": c, "h": hw, "w": hw, "window": 2, "stride": 2,
+            "branchy_ms": branchy_ms,
+            "select_ms": select_ms,
+            "select_over_branchy": ratio,
         }));
     }
     parallel::override_threads(None);
@@ -624,6 +807,7 @@ fn main() {
         "ragged": ragged_rows,
         "conv": conv_rows,
         "conv_backward": conv_bwd_rows,
+        "pool": pool_rows,
         "pruned": pruned_rows,
         "headline": {
             "shape": headline_name,

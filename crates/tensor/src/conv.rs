@@ -7,7 +7,7 @@
 //! The im2col transform turns convolution into one GEMM per image, which
 //! keeps the hot loop inside the blocked kernel of [`crate::matmul`].
 //!
-//! Three rules keep every pass bit-identical at any thread count and
+//! Four rules keep every pass bit-identical at any thread count and
 //! under any faster walk of the same data:
 //!
 //! 1. **Per-image GEMM order.** Forward and input-gradient passes
@@ -16,20 +16,39 @@
 //!    sequentially inside the band workers.
 //! 2. **The weight-gradient batch loop stays sequential.**
 //!    [`conv2d_backward_weight`] sums one product per image into the same
-//!    accumulator, image 0 first; batching the images into one GEMM or
-//!    flipping its orientation would change the f32 summation order.
+//!    accumulator, image 0 first; batching the images into one GEMM
+//!    would change the f32 summation order.
 //! 3. **`col2im` tap order.** [`col2im_into`] visits taps in ascending
 //!    `(ky, kx)` order and each tap adds at most one value to an image
 //!    element, so an element's sum depends only on that order — not on how
 //!    the positions *within* a tap are walked. The stride-1 path folds
 //!    whole rows per tap on exactly that licence.
+//! 4. **Factor order inside a chain is free; chain order is not.** An
+//!    output element is one chain `acc ← acc + x·y` (fused or not) from
+//!    `+0.0`, ascending in the reduction index. `x·y` and `y·x` are the
+//!    same float, so *which operand of the GEMM* a matrix is — `A` or
+//!    `B` — cannot move a bit as long as every element still meets its
+//!    factors in the same order. The weight gradient uses this:
+//!    `(go · colsᵀ)ᵀ = cols · goᵀ` multiplies the columns exactly as
+//!    unfolded and transposes only the small gradient block, each
+//!    `gw[f, j]` still one chain ascending in the output position.
 //!
-//! Per-image scratch (column buffers, GEMM products, packed transposes)
-//! comes from the calling thread's [`crate::workspace`] pool rather
-//! than fresh allocations; every pooled buffer is zero-filled on take,
-//! so outputs are bit-identical to the allocating formulation — the
-//! `workspace_path_is_bit_identical` test below proves it against a
-//! fresh thread with an empty pool.
+//! Per-image scratch comes from the calling thread's
+//! [`crate::workspace`] pool rather than fresh allocations, under one of
+//! two contracts. Buffers a kernel **accumulates into or reads a
+//! background from** — the zero-bordered image copy, the weight
+//! gradient's running sum, the input gradient's column buffer — are
+//! taken zero-filled. Buffers whose **every element is overwritten
+//! before anything reads it** — the unfolded columns (the unfold copies
+//! the border's zeros for padding taps instead of relying on a zeroed
+//! background), the transposed gradient block, the per-image product
+//! (the batch loop zero-fills it before each GEMM) and the input
+//! gradient's packed weight transpose — are taken *dirty*, with
+//! whatever an earlier call left in them. Outputs are bit-identical to the allocating formulation
+//! either way: the `workspace_path_is_bit_identical` test below seeds
+//! the pool with NaN-filled buffers and compares against a fresh thread
+//! with an empty pool, and `padded_unfold_overwrites_a_poisoned_buffer`
+//! (`tests/proptests.rs`) proves every column element is written.
 
 use crate::matmul::{gemm_nn_into, pack_transpose_into};
 use crate::parallel;
@@ -52,10 +71,20 @@ pub struct Conv2dSpec {
 
 impl Conv2dSpec {
     /// Output spatial size for an input of `h × w`.
+    ///
+    /// # Panics
+    /// Panics if the kernel does not fit the padded input or the stride
+    /// is zero.
     pub fn out_hw(&self, h: usize, w: usize) -> (usize, usize) {
-        let oh = (h + 2 * self.padding - self.kh) / self.stride + 1;
-        let ow = (w + 2 * self.padding - self.kw) / self.stride + 1;
-        (oh, ow)
+        let Conv2dSpec { kh, kw, stride, padding } = *self;
+        let slack = (h + 2 * padding).checked_sub(kh).zip((w + 2 * padding).checked_sub(kw));
+        let Some((sh, sw)) = slack.filter(|_| stride > 0) else {
+            panic!(
+                "conv2d: a {kh}x{kw} kernel at stride {stride} does not fit \
+                 a {h}x{w} input padded by {padding}"
+            );
+        };
+        (sh / stride + 1, sw / stride + 1)
     }
 }
 
@@ -72,8 +101,8 @@ pub fn im2col(image: &[f32], c: usize, h: usize, w: usize, spec: &Conv2dSpec) ->
 }
 
 /// [`im2col`] into a caller-provided buffer of `c*kh*kw × oh*ow`
-/// elements, which must be **zeroed** (only in-bounds taps are written;
-/// padding taps rely on the zeroed background).
+/// elements. Every element is written (padding taps as `+0.0`), so the
+/// buffer's previous contents do not matter.
 pub fn im2col_into(
     image: &[f32],
     c: usize,
@@ -82,17 +111,74 @@ pub fn im2col_into(
     spec: &Conv2dSpec,
     data: &mut [f32],
 ) {
-    let (oh, ow) = spec.out_hw(h, w);
-    let col_cols = oh * ow;
-    assert_eq!(data.len(), c * spec.kh * spec.kw * col_cols, "im2col_into: buffer size");
+    let mut padded = with_thread_workspace(|ws| ws.take_zeroed(padded_len(c, h, w, spec)));
+    unfold(image, c, h, w, spec, &mut padded, data);
+    with_thread_workspace(|ws| ws.give(padded));
+}
 
-    for ch in 0..c {
-        let img_ch = &image[ch * h * w..(ch + 1) * h * w];
-        for ky in 0..spec.kh {
-            for kx in 0..spec.kw {
-                let row = (ch * spec.kh + ky) * spec.kw + kx;
-                let out_row = &mut data[row * col_cols..(row + 1) * col_cols];
-                unfold_tap(img_ch, h, w, spec, ky, kx, oh, ow, out_row);
+/// Size of the scratch [`unfold`] needs: the image with its zero border,
+/// `[c, h+2p, w+2p]` — nothing when there is no border to add.
+fn padded_len(c: usize, h: usize, w: usize, spec: &Conv2dSpec) -> usize {
+    match spec.padding {
+        0 => 0,
+        p => c * (h + 2 * p) * (w + 2 * p),
+    }
+}
+
+/// The unfold behind [`im2col_into`], with its scratch passed in (the
+/// conv kernels hold the thread's workspace already and cannot re-enter
+/// it).
+///
+/// `padded` is [`padded_len`] floats whose **border is zero**; the
+/// interior is overwritten with the image here, so one zeroed take
+/// serves any number of images of one geometry. Unfolding from that
+/// copy instead of the image makes every tap of every output row a
+/// fixed-length in-bounds walk — no per-span bounds arithmetic — that
+/// writes **every** element of `cols`: a padding tap copies a border
+/// zero, the same `+0.0` a zeroed background would have held.
+fn unfold(
+    image: &[f32],
+    c: usize,
+    h: usize,
+    w: usize,
+    spec: &Conv2dSpec,
+    padded: &mut [f32],
+    cols: &mut [f32],
+) {
+    let Conv2dSpec { kh, kw, stride, padding } = *spec;
+    let (oh, ow) = spec.out_hw(h, w);
+    let (hp, wp) = (h + 2 * padding, w + 2 * padding);
+    assert_eq!(image.len(), c * h * w, "im2col: image size");
+    assert_eq!(padded.len(), padded_len(c, h, w, spec), "im2col: padded scratch size");
+    assert_eq!(cols.len(), c * kh * kw * oh * ow, "im2col_into: buffer size");
+
+    let src: &[f32] = if padding == 0 {
+        image
+    } else {
+        for (ch, img_ch) in image.chunks_exact(h * w).enumerate() {
+            for (y, img_row) in img_ch.chunks_exact(w).enumerate() {
+                let at = (ch * hp + y + padding) * wp + padding;
+                padded[at..at + w].copy_from_slice(img_row);
+            }
+        }
+        padded
+    };
+    let mut taps = cols.chunks_exact_mut(oh * ow);
+    for plane in src.chunks_exact(hp * wp) {
+        for ky in 0..kh {
+            for kx in 0..kw {
+                let tap = taps.next().expect("cols holds c*kh*kw taps (asserted above)");
+                for (oy, out_row) in tap.chunks_exact_mut(ow).enumerate() {
+                    let from = (oy * stride + ky) * wp + kx;
+                    if stride == 1 {
+                        out_row.copy_from_slice(&plane[from..from + ow]);
+                    } else {
+                        let strided = plane[from..].iter().step_by(stride);
+                        for (d, &v) in out_row.iter_mut().zip(strided) {
+                            *d = v;
+                        }
+                    }
+                }
             }
         }
     }
@@ -117,47 +203,6 @@ fn stride1_spans(
         let iy = (oy + ky).checked_sub(p).filter(|&iy| iy < h)?;
         (ox_lo < ox_hi).then(|| (iy * w + ox_lo + kx - p, oy * ow + ox_lo, ox_hi - ox_lo))
     })
-}
-
-/// Writes one `(ky, kx)` tap of the unfold: for every output position,
-/// copies the in-bounds source element into `out_row[oy*ow + ox]`,
-/// leaving padding taps untouched (the caller's buffer is zeroed).
-///
-/// At stride 1 each in-bounds span collapses to one `copy_from_slice`
-/// ([`stride1_spans`]) — the same elements land in the same slots as the
-/// per-element loop, so outputs are bit-identical either way.
-#[allow(clippy::too_many_arguments)]
-fn unfold_tap(
-    img_ch: &[f32],
-    h: usize,
-    w: usize,
-    spec: &Conv2dSpec,
-    ky: usize,
-    kx: usize,
-    oh: usize,
-    ow: usize,
-    out_row: &mut [f32],
-) {
-    if spec.stride == 1 {
-        for (img, col, len) in stride1_spans(h, w, spec, (ky, kx), (oh, ow)) {
-            out_row[col..col + len].copy_from_slice(&img_ch[img..img + len]);
-        }
-        return;
-    }
-    for oy in 0..oh {
-        let iy = (oy * spec.stride + ky) as isize - spec.padding as isize;
-        if iy < 0 || iy >= h as isize {
-            continue;
-        }
-        let iy = iy as usize;
-        for ox in 0..ow {
-            let ix = (ox * spec.stride + kx) as isize - spec.padding as isize;
-            if ix < 0 || ix >= w as isize {
-                continue;
-            }
-            out_row[oy * ow + ox] = img_ch[iy * w + ix as usize];
-        }
-    }
 }
 
 /// Folds columns `[c*kh*kw, oh*ow]` back into an image `[c, h, w]`,
@@ -253,8 +298,10 @@ pub fn conv2d_forward(input: &Tensor, weight: &Tensor, bias: &Tensor, spec: &Con
     let work = 2 * n * out_img * ck;
     parallel::for_each_band(out.data_mut(), n, out_img, 1, work, |i, dst| {
         with_thread_workspace(|ws| {
-            let mut cols = ws.take_zeroed(ck * oh * ow);
-            im2col_into(&input_data[i * in_img..(i + 1) * in_img], c, h, w, spec, &mut cols);
+            let mut padded = ws.take_zeroed(padded_len(c, h, w, spec));
+            let mut cols = ws.take_dirty(ck * oh * ow);
+            let image = &input_data[i * in_img..(i + 1) * in_img];
+            unfold(image, c, h, w, spec, &mut padded, &mut cols);
             // `dst` is this image's `[oc, oh*ow]` slice of the
             // zero-initialised output, so the GEMM accumulates straight
             // into it and the bias is added in place.
@@ -265,6 +312,7 @@ pub fn conv2d_forward(input: &Tensor, weight: &Tensor, bias: &Tensor, spec: &Con
                 }
             }
             ws.give(cols);
+            ws.give(padded);
         });
     });
     out
@@ -290,8 +338,8 @@ pub fn conv2d_backward_input(
     // transpose once here instead of once per image inside the band
     // workers (same values, computed in one place).
     let ck = c * spec.kh * spec.kw;
-    let mut wt = with_thread_workspace(|ws| ws.take_zeroed(oc * ck));
-    pack_transpose_into(weight.data(), oc, ck, &mut wt); // [ck, oc]
+    let mut wt = with_thread_workspace(|ws| ws.take_dirty(oc * ck));
+    pack_transpose_into(weight.data(), oc, ck, &mut wt); // [ck, oc], every element written
     let mut grad_in = Tensor::zeros(&[n, c, h, w]);
     let in_img = c * h * w;
     let grad_data = grad_out.data();
@@ -329,44 +377,60 @@ pub fn conv2d_backward_weight(
 
     // The weight gradient accumulates across images, so the batch loop
     // stays sequential to keep one summation order; the per-image GEMMs
-    // below still use the blocked kernels, with all scratch (columns,
-    // packed transpose, per-image product) drawn from the thread pool.
+    // below still use the blocked kernels, with all scratch drawn from
+    // the thread pool. Per image the product is computed transposed,
+    // `cols · goᵀ = (go · colsᵀ)ᵀ` (rule 4 of the module docs): the
+    // `[ck, P]` columns are the GEMM's A operand exactly as unfolded and
+    // only the `[oc, P]` gradient block is transposed. The products are
+    // summed in that `[ck, oc]` layout too — element `[j, f]` takes the
+    // adds `gw[f, j]` used to, image 0 first — and the sum is transposed
+    // into place once, a pure copy.
     let ck = c * spec.kh * spec.kw;
+    let positions = oh * ow;
     let mut gw = Tensor::zeros(&[oc, ck]);
     let mut gb = Tensor::zeros(&[oc]);
     with_thread_workspace(|ws| {
-        let mut cols = ws.take_zeroed(ck * oh * ow);
-        let mut cols_t = ws.take_zeroed(ck * oh * ow);
-        let mut prod = ws.take_zeroed(oc * ck);
-        for i in 0..n {
-            cols.fill(0.0);
-            im2col_into(
-                &input.data()[i * c * h * w..(i + 1) * c * h * w],
-                c,
-                h,
-                w,
-                spec,
-                &mut cols,
-            );
-            let go = &grad_out.data()[i * oc * oh * ow..(i + 1) * oc * oh * ow]; // [oc, oh*ow]
-                                                                                 // grad @ colsᵀ, exactly as `matmul_nt` computes it: pack the
-                                                                                 // columns transposed, then run the blocked NN kernel.
-            pack_transpose_into(&cols, ck, oh * ow, &mut cols_t);
-            prod.fill(0.0);
-            gemm_nn_into(go, &cols_t, oc, oh * ow, ck, &mut prod);
-            for (g, &p) in gw.data_mut().iter_mut().zip(prod.iter()) {
+        let mut padded = ws.take_zeroed(padded_len(c, h, w, spec));
+        let mut cols = ws.take_dirty(ck * positions);
+        let mut go_t = ws.take_dirty(positions * oc);
+        let mut prod_t = ws.take_dirty(ck * oc); // zero-filled before each GEMM below
+        let mut gw_t = ws.take_zeroed(ck * oc);
+        let images = input.data().chunks_exact(c * h * w);
+        for (image, go) in images.zip(grad_out.data().chunks_exact(oc * positions)) {
+            unfold(image, c, h, w, spec, &mut padded, &mut cols);
+            transpose_rows(go, oc, positions, &mut go_t);
+            prod_t.fill(0.0);
+            gemm_nn_into(&cols, &go_t, ck, positions, oc, &mut prod_t);
+            for (g, &p) in gw_t.iter_mut().zip(prod_t.iter()) {
                 *g += p;
             }
-            for f in 0..oc {
-                gb.data_mut()[f] +=
-                    parallel::sum_f32(go[f * oh * ow..(f + 1) * oh * ow].iter().copied());
-            }
+            parallel::add_row_sums_f32(go, positions, gb.data_mut());
         }
-        ws.give(cols);
-        ws.give(cols_t);
-        ws.give(prod);
+        transpose_rows(&gw_t, ck, oc, gw.data_mut());
+        for buf in [padded, cols, go_t, prod_t, gw_t] {
+            ws.give(buf);
+        }
     });
     (gw.reshape(weight_dims), gb)
+}
+
+/// `dst[p, r] = src[r, p]` for a row-major `[rows, cols]` block — every
+/// element of `dst` written. The tiled [`pack_transpose_into`] moves
+/// 8×8 register blocks and falls back to its element tail when fewer
+/// than 8 rows exist, which is every pruned cnn_mnist layer; walking
+/// `dst` in order (one short strided gather per position) is the faster
+/// pure copy there. Bits are the same whichever branch runs.
+fn transpose_rows(src: &[f32], rows: usize, cols: usize, dst: &mut [f32]) {
+    if rows >= 8 {
+        return pack_transpose_into(src, rows, cols, dst);
+    }
+    assert_eq!(src.len(), rows * cols, "transpose_rows: src size");
+    assert_eq!(dst.len(), src.len(), "transpose_rows: dst size");
+    for (p, out) in dst.chunks_exact_mut(rows).enumerate() {
+        for (d, &v) in out.iter_mut().zip(src[p..].iter().step_by(cols)) {
+            *d = v;
+        }
+    }
 }
 
 fn nchw(t: &Tensor) -> (usize, usize, usize, usize) {
@@ -457,6 +521,24 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "5x3 kernel at stride 1 does not fit a 2x8 input padded by 1")]
+    fn out_hw_rejects_a_kernel_taller_than_the_padded_input() {
+        let _ = Conv2dSpec { kh: 5, kw: 3, stride: 1, padding: 1 }.out_hw(2, 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "3x5 kernel at stride 2 does not fit a 8x4 input padded by 0")]
+    fn out_hw_rejects_a_kernel_wider_than_the_padded_input() {
+        let _ = Conv2dSpec { kh: 3, kw: 5, stride: 2, padding: 0 }.out_hw(8, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "3x3 kernel at stride 0 does not fit")]
+    fn out_hw_rejects_a_zero_stride() {
+        let _ = Conv2dSpec { kh: 3, kw: 3, stride: 0, padding: 1 }.out_hw(8, 8);
+    }
+
+    #[test]
     fn col2im_is_adjoint_of_im2col() {
         // <im2col(x), y> == <x, col2im(y)> for random x, y — the defining
         // property the backward pass relies on.
@@ -480,7 +562,7 @@ mod tests {
         let (c, h, w) = (3, 7, 6);
         let x = Tensor::randn(&[c, h, w], &mut rng);
         let cols = im2col(x.data(), c, h, w, &spec);
-        let mut buf = vec![0.0f32; cols.numel()];
+        let mut buf = vec![f32::NAN; cols.numel()];
         im2col_into(x.data(), c, h, w, &spec, &mut buf);
         assert_eq!(buf, cols.data());
     }
@@ -488,8 +570,11 @@ mod tests {
     /// The workspace-pooled kernels must be *bit-identical* to the
     /// allocating formulation. A fresh thread starts with an empty pool
     /// (so every buffer it uses is freshly allocated and zeroed); the
-    /// main thread first pollutes its pool with differently-shaped conv
-    /// calls, then both compute the same passes and must agree exactly.
+    /// main thread first pollutes its pool — with differently-shaped
+    /// conv calls and with NaN-filled buffers of other sizes, which is
+    /// what the dirty takes would leak if any element they hand out
+    /// were read before it is written — then both compute the same
+    /// passes and must agree exactly.
     #[test]
     fn workspace_path_is_bit_identical() {
         let run = || {
@@ -512,6 +597,13 @@ mod tests {
         let small_in = Tensor::randn(&[2, 1, 5, 5], &mut rng);
         let small_w = Tensor::randn(&[2, 1, 3, 3], &mut rng);
         let _ = conv2d_forward(&small_in, &small_w, &Tensor::zeros(&[2]), &small_spec);
+        // Larger and smaller than every buffer `run` asks for (columns
+        // 50 × 81, padded image 2 × 13 × 13, gradient block 81 × 4, …).
+        with_thread_workspace(|ws| {
+            for len in [7, 300, 340, 4_050, 5_000, 20_000] {
+                ws.give(vec![f32::NAN; len]);
+            }
+        });
 
         let dirty = run();
         let fresh = std::thread::spawn(run).join().expect("fresh-thread run");

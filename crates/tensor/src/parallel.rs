@@ -247,6 +247,40 @@ pub fn sum_f32<I: IntoIterator<Item = f32>>(xs: I) -> f32 {
     xs.into_iter().fold(0.0f32, |acc, v| acc + v)
 }
 
+/// `acc[r] += sum_f32(row r)` for every row of a row-major
+/// `[acc.len(), row_len]` matrix — bit for bit what that expression
+/// gives, row by row.
+///
+/// Each row's sum is still its own strict left-to-right fold from
+/// `+0.0`; what changes is the schedule. [`sum_f32`] over one row is a
+/// single dependent chain, one add latency per element; here eight rows
+/// advance **in lock-step** — element `p` of each before element `p + 1`
+/// of any — so eight independent chains are in flight and the adds
+/// pipeline. No chain reads another, so no sum can differ. (The conv
+/// bias gradient sums `oc` rows of 196–1024 gradients per image.)
+pub fn add_row_sums_f32(xs: &[f32], row_len: usize, acc: &mut [f32]) {
+    const LANES: usize = 8;
+    assert_eq!(xs.len(), acc.len() * row_len, "add_row_sums_f32: matrix/accumulator mismatch");
+    for (group, out) in acc.chunks_mut(LANES).enumerate() {
+        let first = group * LANES;
+        // A short last group pads its lanes with the group's first row;
+        // those sums are computed and dropped.
+        let rows: [&[f32]; LANES] = std::array::from_fn(|lane| {
+            let r = first + if lane < out.len() { lane } else { 0 };
+            &xs[r * row_len..(r + 1) * row_len]
+        });
+        let mut sums = [0.0f32; LANES];
+        for p in 0..row_len {
+            for (s, row) in sums.iter_mut().zip(&rows) {
+                *s += row[p];
+            }
+        }
+        for (a, s) in out.iter_mut().zip(sums) {
+            *a += s;
+        }
+    }
+}
+
 /// Fixed-order `f64` sum: the [`sum_f32`] contract at double precision.
 pub fn sum_f64<I: IntoIterator<Item = f64>>(xs: I) -> f64 {
     xs.into_iter().fold(0.0f64, |acc, v| acc + v)

@@ -7,6 +7,7 @@
 use crate::parallel;
 use crate::tensor::Tensor;
 use serde::{Deserialize, Serialize};
+use std::hint::select_unpredictable;
 
 /// Geometry of a pooling window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -26,8 +27,17 @@ impl Pool2dSpec {
     }
 
     /// Output spatial size for an `h × w` input.
+    ///
+    /// # Panics
+    /// Panics if the window does not fit the input or the stride is
+    /// zero.
     pub fn out_hw(&self, h: usize, w: usize) -> (usize, usize) {
-        ((h - self.kh) / self.stride + 1, (w - self.kw) / self.stride + 1)
+        let Pool2dSpec { kh, kw, stride } = *self;
+        let slack = h.checked_sub(kh).zip(w.checked_sub(kw));
+        let Some((sh, sw)) = slack.filter(|_| stride > 0) else {
+            panic!("pool2d: a {kh}x{kw} window at stride {stride} does not fit a {h}x{w} input");
+        };
+        (sh / stride + 1, sw / stride + 1)
     }
 }
 
@@ -46,30 +56,21 @@ pub fn max_pool2d_forward(input: &Tensor, spec: &Pool2dSpec) -> (Tensor, Vec<usi
     // Pass 1 (batch-parallel): argmax offsets, one disjoint band of the
     // index buffer per image.
     parallel::for_each_band(&mut argmax, n, out_img, 1, work, |i, band| {
-        let mut o = 0usize;
-        for ch in 0..c {
+        let image = &src[i * c * h * w..(i + 1) * c * h * w];
+        for (ch, (plane, out)) in
+            image.chunks_exact(h * w).zip(band.chunks_exact_mut(oh * ow)).enumerate()
+        {
             let base = (i * c + ch) * h * w;
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    // Seeded with the window's own first offset, so a
-                    // window with nothing above -inf (all NaN / -inf)
-                    // still reports an element of this image.
-                    let mut best = f32::NEG_INFINITY;
-                    let mut best_idx = base + oy * spec.stride * w + ox * spec.stride;
-                    for ky in 0..spec.kh {
-                        let iy = oy * spec.stride + ky;
-                        for kx in 0..spec.kw {
-                            let ix = ox * spec.stride + kx;
-                            let idx = base + iy * w + ix;
-                            if src[idx] > best {
-                                best = src[idx];
-                                best_idx = idx;
-                            }
-                        }
-                    }
-                    band[o] = best_idx;
-                    o += 1;
-                }
+            // Every zoo model pools 2×2 at stride 2. Naming that window
+            // makes the scan's trip counts and strides compile-time
+            // constants there (the generic instantiation measured 2.5×
+            // behind it, 4.4–5.5 vs 1.6–2.2 ns per window); it is the
+            // same scan either way.
+            let common = Pool2dSpec::square(2);
+            if *spec == common {
+                argmax_plane(plane, w, ow, common, base, out);
+            } else {
+                argmax_plane(plane, w, ow, *spec, base, out);
             }
         }
     });
@@ -79,6 +80,47 @@ pub fn max_pool2d_forward(input: &Tensor, spec: &Pool2dSpec) -> (Tensor, Vec<usi
         *dv = src[idx];
     }
     (out, argmax)
+}
+
+/// Argmax offset (`base` + offset in `plane`) of every pooling window of
+/// one `[h, w]` plane, row-major into the `[oh, ow]` slice `out`.
+///
+/// A window is scanned row-major with a strict `>`, so the first
+/// maximum wins and a NaN never does; seeded with the window's own
+/// first offset, a window with nothing above `-inf` (all NaN / `-inf`)
+/// still reports an element of its own image.
+///
+/// Both updates are *selects* on that one comparison, not a branch
+/// around two stores: on post-ReLU activations whether a tap beats the
+/// running maximum is a coin flip, and a mispredicted branch per tap
+/// costs more than the scan. [`select_unpredictable`] says so to the
+/// compiler — a plain `if wins { .. } else { .. }` is turned back into
+/// the branch (measured: LLVM's select-to-branch heuristic fires on the
+/// index update because the compared value was just loaded).
+#[inline(always)]
+fn argmax_plane(
+    plane: &[f32],
+    w: usize,
+    ow: usize,
+    spec: Pool2dSpec,
+    base: usize,
+    out: &mut [usize],
+) {
+    for (oy, out_row) in out.chunks_exact_mut(ow).enumerate() {
+        for (ox, o) in out_row.iter_mut().enumerate() {
+            let first = oy * spec.stride * w + ox * spec.stride;
+            let (mut best, mut best_at) = (f32::NEG_INFINITY, first);
+            for ky in 0..spec.kh {
+                let row_at = first + ky * w;
+                for (kx, &v) in plane[row_at..row_at + spec.kw].iter().enumerate() {
+                    let wins = v > best;
+                    best = select_unpredictable(wins, v, best);
+                    best_at = select_unpredictable(wins, row_at + kx, best_at);
+                }
+            }
+            *o = base + best_at;
+        }
+    }
 }
 
 /// Max-pool backward: routes each output gradient to its argmax input.
@@ -185,6 +227,24 @@ mod tests {
         let (out, argmax) = max_pool2d_forward(&input, &Pool2dSpec::square(2));
         assert_eq!(out.data(), &[6.0, 8.0, 14.0, 16.0]);
         assert_eq!(argmax, vec![5, 7, 13, 15]);
+    }
+
+    #[test]
+    #[should_panic(expected = "3x2 window at stride 1 does not fit a 2x8 input")]
+    fn out_hw_rejects_a_window_taller_than_the_input() {
+        let _ = Pool2dSpec { kh: 3, kw: 2, stride: 1 }.out_hw(2, 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "2x3 window at stride 2 does not fit a 8x2 input")]
+    fn out_hw_rejects_a_window_wider_than_the_input() {
+        let _ = Pool2dSpec { kh: 2, kw: 3, stride: 2 }.out_hw(8, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "2x2 window at stride 0 does not fit")]
+    fn out_hw_rejects_a_zero_stride() {
+        let _ = Pool2dSpec { kh: 2, kw: 2, stride: 0 }.out_hw(8, 8);
     }
 
     #[test]

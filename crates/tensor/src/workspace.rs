@@ -1,19 +1,33 @@
 //! Per-thread scratch-buffer pools for the im2col/GEMM kernels.
 //!
 //! The convolution kernels need several short-lived `f32` buffers per
-//! image (unfolded columns, GEMM products, packed transposes). Under
-//! the round executor in `fedmp-fl`, one worker thread trains a whole
-//! local model — hundreds of such buffers per round — so allocating
-//! them afresh each call puts the allocator on the hot path and makes
-//! concurrent workers contend on it. A [`Workspace`] keeps returned
-//! buffers and hands them back on the next request.
+//! image (a zero-bordered copy of the image, unfolded columns, GEMM
+//! products, packed transposes). Under the round executor in
+//! `fedmp-fl`, one worker thread trains a whole local model — hundreds
+//! of such buffers per round — so allocating them afresh each call puts
+//! the allocator on the hot path and makes concurrent workers contend
+//! on it. A [`Workspace`] keeps returned buffers and hands them back on
+//! the next request, smallest sufficient capacity first.
 //!
-//! Determinism: [`Workspace::take_zeroed`] zero-fills every buffer it
-//! returns, which is exactly the state a fresh `vec![0.0; len]` starts
-//! in, so kernels built on the pool are bit-identical to their
-//! allocating counterparts — no data can leak between uses. The
-//! equivalence tests in the conv module assert this against runs on a
-//! fresh thread (whose pool is empty).
+//! Determinism rests on one of two contracts per buffer, chosen by the
+//! take:
+//!
+//! * [`Workspace::take_zeroed`] zero-fills what it returns — exactly the
+//!   state a fresh `vec![0.0; len]` starts in, so a kernel that
+//!   *accumulates* into the buffer (a running sum, a GEMM output, the
+//!   padded image's border) is bit-identical to its allocating
+//!   counterpart.
+//! * [`Workspace::take_dirty`] returns initialised floats of
+//!   **unspecified value** — whatever an earlier user left. It is for
+//!   buffers whose every element the taker overwrites before anything
+//!   reads it (the unfolded columns, a packed transpose); skipping the
+//!   fill is the point. Nothing can leak through such a buffer *if* the
+//!   overwrite really is total, so each dirty take in `conv.rs` is
+//!   covered by a test that poisons the buffer with NaN first
+//!   (`padded_unfold_overwrites_a_poisoned_buffer` in
+//!   `tests/proptests.rs`, `workspace_path_is_bit_identical` in the conv
+//!   module, which seeds the pool with NaN-filled buffers and compares
+//!   against a fresh thread whose pool is empty).
 //!
 //! The pool is reached through a thread-local via
 //! [`with_thread_workspace`]; each kernel borrows it for one leaf-level
@@ -23,7 +37,7 @@
 use std::cell::RefCell;
 
 /// Buffers kept per thread; beyond this, returned buffers are dropped.
-/// The conv kernels use at most four distinct buffers at a time, so a
+/// The conv kernels use at most five distinct buffers at a time, so a
 /// small cap bounds memory without ever thrashing.
 const MAX_POOLED: usize = 8;
 
@@ -43,18 +57,36 @@ impl Workspace {
     /// preferring a pooled buffer whose capacity already suffices.
     /// The contents are indistinguishable from `vec![0.0; len]`.
     pub fn take_zeroed(&mut self, len: usize) -> Vec<f32> {
-        let picked = self.pool.iter().position(|b| b.capacity() >= len);
-        let mut buf = match picked {
-            Some(i) => self.pool.swap_remove(i),
-            None => self.pool.pop().unwrap_or_default(),
-        };
+        let mut buf = self.pick(len);
         buf.clear();
         buf.resize(len, 0.0);
         buf
     }
 
-    /// Returns a buffer to the pool for reuse by a later
-    /// [`take_zeroed`](Self::take_zeroed).
+    /// Returns a buffer of exactly `len` initialised elements of
+    /// **unspecified value** (a previous user's data, zeros where the
+    /// buffer had to grow). For scratch the caller overwrites in full
+    /// before reading; see the module docs for the contract.
+    pub fn take_dirty(&mut self, len: usize) -> Vec<f32> {
+        let mut buf = self.pick(len);
+        buf.resize(len, 0.0);
+        buf
+    }
+
+    /// Removes the pooled buffer both takes start from: the one with
+    /// the **smallest** capacity that holds `len` (first-fit would hand
+    /// the big column buffer to the small padded-image request taken
+    /// just before it, and then allocate a second big one), else any
+    /// buffer to grow, else a new one.
+    fn pick(&mut self, len: usize) -> Vec<f32> {
+        let fits = self.pool.iter().enumerate().filter(|(_, b)| b.capacity() >= len);
+        match fits.min_by_key(|(_, b)| b.capacity()) {
+            Some((i, _)) => self.pool.swap_remove(i),
+            None => self.pool.pop().unwrap_or_default(),
+        }
+    }
+
+    /// Returns a buffer to the pool for reuse by a later take.
     pub fn give(&mut self, buf: Vec<f32>) {
         if buf.capacity() > 0 && self.pool.len() < MAX_POOLED {
             self.pool.push(buf);
@@ -107,6 +139,47 @@ mod tests {
         assert_eq!(small.capacity(), cap);
         ws.give(small);
         assert_eq!(ws.pooled(), 1);
+    }
+
+    #[test]
+    fn take_dirty_sizes_without_filling() {
+        let mut ws = Workspace::new();
+        // A fresh buffer has nothing to leak: it is zeros.
+        let mut a = ws.take_dirty(16);
+        assert_eq!(a, vec![0.0; 16]);
+        a.iter_mut().for_each(|v| *v = 7.0);
+        ws.give(a);
+        // Shrinking keeps the old data; growing appends zeros.
+        let b = ws.take_dirty(8);
+        assert_eq!(b, vec![7.0; 8]);
+        ws.give(b);
+        let c = ws.take_dirty(12);
+        assert_eq!(c[..8], [7.0; 8]);
+        assert_eq!(c[8..], [0.0; 4]);
+    }
+
+    /// Both takes pick the smallest sufficient capacity, so the conv
+    /// kernels' small-then-large sequence (padded image, then columns)
+    /// over a warmed pool never allocates. First-fit handed the large
+    /// buffer to the small request and grew the small one for the
+    /// large request.
+    #[test]
+    fn small_then_large_takes_reuse_a_warmed_pool() {
+        let mut ws = Workspace::new();
+        let (small, large) = (ws.take_zeroed(1_600), ws.take_dirty(24_500));
+        let caps = [small.capacity(), large.capacity()];
+        // Returned large-first, so a first-fit scan meets it first.
+        ws.give(large);
+        ws.give(small);
+        for round in 0..3 {
+            let small = ws.take_zeroed(1_600);
+            let large = ws.take_dirty(24_500);
+            assert_eq!([small.capacity(), large.capacity()], caps, "round {round}");
+            assert_eq!(ws.pooled(), 0, "both requests were served from the pool");
+            ws.give(large);
+            ws.give(small);
+            assert_eq!(ws.pooled(), 2);
+        }
     }
 
     #[test]

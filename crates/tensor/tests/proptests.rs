@@ -2,8 +2,9 @@
 //! kernel / reference kernel equivalence.
 
 use fedmp_tensor::{
-    col2im_into, conv2d_backward_input, conv2d_forward, im2col, matmul_nt_reference,
-    matmul_reference, matmul_tn_reference, parallel, seeded_rng, softmax_rows, Conv2dSpec, Tensor,
+    col2im_into, conv2d_backward_input, conv2d_forward, im2col, im2col_into, matmul_nt_reference,
+    matmul_reference, matmul_tn_reference, max_pool2d_forward, parallel, seeded_rng, softmax_rows,
+    Conv2dSpec, Pool2dSpec, Tensor,
 };
 use proptest::prelude::*;
 
@@ -218,6 +219,26 @@ proptest! {
         }
     }
 
+    /// The unfold writes **every** column element — it is handed buffers
+    /// nobody zeroed — and writes what the per-element definition says,
+    /// including paddings so wide that whole taps lie in the border.
+    #[test]
+    fn padded_unfold_overwrites_a_poisoned_buffer(
+        c in 1usize..4,
+        h in 3usize..12,
+        w in 3usize..12,
+        k_pick in 0usize..3,
+        pad_pick in 0usize..6,
+        stride in 1usize..3,
+        s in 0u64..1 << 32,
+    ) {
+        let k = [1usize, 3, 5][k_pick];
+        let padding = (pad_pick % (k + 1)).max(k.saturating_sub(h.min(w)).div_ceil(2));
+        if let Err(e) = unfold_matches_reference(c, h, w, k, stride, padding, s) {
+            prop_assert!(false, "{}", e);
+        }
+    }
+
     /// The stride-1 row fold is bit-equal to the per-element fold,
     /// including paddings so wide that whole taps miss the image.
     #[test]
@@ -240,13 +261,61 @@ proptest! {
 }
 
 /// Geometries where whole taps, or whole rows of a tap, lie in the
-/// padding — the spans the row fold must skip, pinned so they are hit
-/// whatever the proptest above draws.
+/// padding — the spans the row fold must skip and the unfold must fill
+/// with zeros, pinned so they are hit whatever the proptests above draw.
 #[test]
-fn stride1_col2im_skips_taps_that_miss_the_image() {
+fn taps_that_miss_the_image_are_skipped_by_the_fold_and_zeroed_by_the_unfold() {
     for (h, w, k, padding) in [(3, 3, 5, 1), (4, 3, 5, 1), (3, 4, 5, 5), (3, 3, 3, 3), (5, 4, 1, 1)]
     {
         stride1_fold_matches_reference(2, h, w, k, padding, 31).unwrap();
+        for stride in [1, 2] {
+            unfold_matches_reference(2, h, w, k, stride, padding, 31).unwrap();
+        }
+    }
+}
+
+/// `im2col_into` a NaN-poisoned buffer against the per-element unfold
+/// every stride ran before the padded-image walk, bit for bit.
+fn unfold_matches_reference(
+    c: usize,
+    h: usize,
+    w: usize,
+    k: usize,
+    stride: usize,
+    padding: usize,
+    seed: u64,
+) -> Result<(), String> {
+    let spec = Conv2dSpec { kh: k, kw: k, stride, padding };
+    let (oh, ow) = spec.out_hw(h, w);
+    let image = tensor(&[c, h, w], seed);
+    let mut got = vec![f32::NAN; c * k * k * oh * ow];
+    im2col_into(image.data(), c, h, w, &spec, &mut got);
+    let mut want = vec![0.0f32; got.len()];
+    for ch in 0..c {
+        for ky in 0..k {
+            for kx in 0..k {
+                let row = (ch * k + ky) * k + kx;
+                for oy in 0..oh {
+                    for ox in 0..ow {
+                        let iy = (oy * stride + ky) as isize - padding as isize;
+                        let ix = (ox * stride + kx) as isize - padding as isize;
+                        if iy < 0 || iy >= h as isize || ix < 0 || ix >= w as isize {
+                            continue;
+                        }
+                        want[row * oh * ow + oy * ow + ox] =
+                            image.data()[(ch * h + iy as usize) * w + ix as usize];
+                    }
+                }
+            }
+        }
+    }
+    match got.iter().zip(want.iter()).position(|(g, e)| g.to_bits() != e.to_bits()) {
+        None => Ok(()),
+        Some(i) => Err(format!(
+            "c {c} h {h} w {w} k {k} stride {stride} padding {padding}: column element {i} \
+             is {}, want {}",
+            got[i], want[i]
+        )),
     }
 }
 
@@ -363,5 +432,83 @@ fn degenerate_shapes_match_reference() {
         close_or_explain(&a.matmul_nt(&bt), &matmul_nt_reference(&a, &bt), "nt").unwrap();
         let at = Tensor::randn(&[k, m], &mut rng);
         close_or_explain(&at.matmul_tn(&b), &matmul_tn_reference(&at, &b), "tn").unwrap();
+    }
+}
+
+/// The max-pool scan before it was written with selects: the same
+/// row-major visit, a branch on the same strict `>`.
+fn max_pool_argmax_branchy(input: &Tensor, spec: &Pool2dSpec) -> Vec<usize> {
+    let d = input.dims();
+    let (n, c, h, w) = (d[0], d[1], d[2], d[3]);
+    let (oh, ow) = spec.out_hw(h, w);
+    let src = input.data();
+    let mut argmax = Vec::with_capacity(n * c * oh * ow);
+    for plane in 0..n * c {
+        let base = plane * h * w;
+        for oy in 0..oh {
+            for ox in 0..ow {
+                let mut best = f32::NEG_INFINITY;
+                let mut best_idx = base + oy * spec.stride * w + ox * spec.stride;
+                for ky in 0..spec.kh {
+                    for kx in 0..spec.kw {
+                        let idx = base + (oy * spec.stride + ky) * w + ox * spec.stride + kx;
+                        if src[idx] > best {
+                            best = src[idx];
+                            best_idx = idx;
+                        }
+                    }
+                }
+                argmax.push(best_idx);
+            }
+        }
+    }
+    argmax
+}
+
+/// Select scan vs branchy scan on inputs drawn from a handful of
+/// values, so nearly every window has a tie to break: equal finite
+/// maxima, `+0.0` beside `-0.0` (neither is greater: the first wins),
+/// NaN beside finite values (NaN never wins), and windows of nothing but
+/// NaN and `-inf` (which report their own first element, in every image
+/// of the batch) — through square, non-square, overlapping
+/// (`stride < k`) and gapped (`stride > k`) windows, the zoo's 2×2/2
+/// among them.
+#[test]
+fn max_pool_select_scan_matches_the_branchy_scan() {
+    const PALETTES: [&[f32]; 4] = [
+        &[0.0, -0.0, 1.5, 1.5, -2.0, f32::INFINITY, f32::NAN, f32::NEG_INFINITY],
+        &[0.0, -0.0, 1.5, -2.0, f32::NAN],
+        &[0.0, -0.0],
+        &[f32::NAN, f32::NEG_INFINITY],
+    ];
+    // (h, w, kh, kw, stride)
+    const CASES: [(usize, usize, usize, usize, usize); 9] = [
+        (6, 6, 2, 2, 2),
+        (7, 9, 2, 2, 2),
+        (7, 9, 3, 3, 2),
+        (6, 8, 3, 2, 1),
+        (5, 8, 2, 3, 2),
+        (6, 6, 1, 1, 1),
+        (9, 9, 3, 3, 3),
+        (8, 8, 2, 2, 3),
+        (4, 6, 4, 6, 1),
+    ];
+    let (n, c) = (3, 2);
+    for (case, &(h, w, kh, kw, stride)) in CASES.iter().enumerate() {
+        let spec = Pool2dSpec { kh, kw, stride };
+        for (round, palette) in PALETTES.iter().enumerate() {
+            let data = (0..(n * c * h * w) as u64)
+                .map(|i| {
+                    let pick = (i + 31 * case as u64).wrapping_mul(2_654_435_761) >> 7;
+                    palette[pick as usize % palette.len()]
+                })
+                .collect();
+            let input = Tensor::from_vec(data, &[n, c, h, w]).unwrap();
+            let (out, argmax) = max_pool2d_forward(&input, &spec);
+            assert_eq!(argmax, max_pool_argmax_branchy(&input, &spec), "case {case} round {round}");
+            for (o, &i) in out.data().iter().zip(&argmax) {
+                assert_eq!(o.to_bits(), input.data()[i].to_bits(), "case {case} round {round}");
+            }
+        }
     }
 }

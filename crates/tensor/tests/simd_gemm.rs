@@ -21,6 +21,12 @@
 //!    whole tier-1 suite re-runs under `FEDMP_SIMD=scalar` in CI to pin
 //!    its values against the golden tests).
 //!
+//! Two kernels built on those chains are held to their pre-PR-18
+//! formulations here as well, because both arguments are about chains:
+//! the conv weight gradient (factor order inside a chain is free) and
+//! the lock-step bias fold (scheduling independent chains together is
+//! free).
+//!
 //! The path override is process-global, so every test that flips it
 //! holds `PATH_LOCK` for its whole body; the proptest cases draw shapes
 //! but mutate the override only inside the lock.
@@ -29,7 +35,8 @@ use std::sync::Mutex;
 
 use fedmp_tensor::simd::{self, SimdPath};
 use fedmp_tensor::{
-    matmul_nt_reference, matmul_reference, matmul_tn_reference, parallel, seeded_rng, Tensor,
+    conv2d_backward_weight, im2col, matmul_nt_reference, matmul_reference, matmul_tn_reference,
+    parallel, seeded_rng, Conv2dSpec, Tensor,
 };
 use proptest::prelude::*;
 
@@ -352,6 +359,139 @@ fn an_element_does_not_depend_on_where_it_sits() {
                     want.to_bits(),
                     "{}: k {k}, element ({i}, {j}) of {m}x{n}: {got:e} vs {want:e}",
                     path.name()
+                );
+            }
+        }
+    }
+}
+
+/// The weight gradient as it was computed before PR 18: per image,
+/// unfold, pack the `[ck, P]` columns transposed, `go · colsᵀ` with the
+/// gradient block as the A operand (that is `matmul_nt`), add the
+/// product into `gw`, and one `sum_f32` chain per bias channel.
+fn backward_weight_transposed_columns(
+    grad_out: &Tensor,
+    input: &Tensor,
+    weight_dims: &[usize],
+    spec: &Conv2dSpec,
+) -> (Tensor, Tensor) {
+    let (n, c, h, w) = (input.dims()[0], input.dims()[1], input.dims()[2], input.dims()[3]);
+    let oc = weight_dims[0];
+    let positions = grad_out.numel() / (n * oc);
+    let mut gw = Tensor::zeros(&[oc, c * spec.kh * spec.kw]);
+    let mut gb = Tensor::zeros(&[oc]);
+    for (image, go) in input.data().chunks(c * h * w).zip(grad_out.data().chunks(oc * positions)) {
+        let cols = im2col(image, c, h, w, spec);
+        let go_mat = Tensor::from_vec(go.to_vec(), &[oc, positions]).unwrap();
+        let prod = go_mat.matmul_nt(&cols);
+        for (g, &p) in gw.data_mut().iter_mut().zip(prod.data()) {
+            *g += p;
+        }
+        for (g, row) in gb.data_mut().iter_mut().zip(go.chunks(positions)) {
+            *g += parallel::sum_f32(row.iter().copied());
+        }
+    }
+    (gw.reshape(weight_dims), gb)
+}
+
+/// `conv2d_backward_weight` multiplies the columns as unfolded
+/// (`cols · goᵀ`) where it used to multiply their transpose
+/// (`go · colsᵀ`). Only the order of the two factors inside each
+/// multiply flips, which is exact — so on both paths every `gw` and
+/// `gb` bit must equal the old formulation's, on the geometries of
+/// `tests/goldens.rs`, with operands that hold both zeros, subnormals,
+/// products that underflow, and an `inf` that meets the padding's zeros
+/// (`inf · 0`: any NaN equals any NaN).
+#[test]
+fn weight_gradient_equals_the_transposed_columns_formulation() {
+    let _guard = PATH_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    // (out channels, in channels, h, w, kernel, stride, padding)
+    const CASES: &[(usize, usize, usize, usize, usize, usize, usize)] = &[
+        (5, 1, 28, 28, 5, 1, 2),
+        (10, 5, 14, 14, 5, 1, 2),
+        (3, 3, 32, 32, 3, 1, 1),
+        (9, 3, 16, 16, 3, 1, 1),
+        (19, 9, 8, 8, 3, 1, 1),
+        (12, 19, 8, 8, 3, 1, 1),
+        (12, 12, 8, 8, 3, 1, 1),
+        (8, 1, 28, 28, 5, 1, 2),
+        (16, 8, 14, 14, 5, 1, 2),
+        (5, 3, 32, 32, 3, 1, 1),
+        (15, 5, 16, 16, 3, 1, 1),
+        (31, 15, 8, 8, 3, 1, 1),
+        (20, 31, 8, 8, 3, 1, 1),
+        (20, 20, 8, 8, 3, 1, 1),
+        (6, 4, 9, 12, 3, 2, 1),
+        (4, 3, 12, 12, 5, 1, 0),
+    ];
+    let n = 3;
+    for path in forced_paths() {
+        for (case, &(oc, c, h, w, k, stride, padding)) in CASES.iter().enumerate() {
+            let spec = Conv2dSpec { kh: k, kw: k, stride, padding };
+            let (oh, ow) = spec.out_hw(h, w);
+            let input =
+                Tensor::from_vec(salted(n * c * h * w, case as u64), &[n, c, h, w]).unwrap();
+            let mut go = salted(n * oc * oh * ow, case as u64 ^ 0x60);
+            // The first output position of a padded conv reads the
+            // zero border through its first taps.
+            go[0] = f32::INFINITY;
+            let grad_out = Tensor::from_vec(go, &[n, oc, oh, ow]).unwrap();
+            let dims = [oc, c, k, k];
+            let (want_w, want_b) = with_path(path, || {
+                backward_weight_transposed_columns(&grad_out, &input, &dims, &spec)
+            });
+            for threads in [1usize, 4] {
+                let (got_w, got_b) = with_path(path, || {
+                    parallel::override_threads(Some(threads));
+                    let got = conv2d_backward_weight(&grad_out, &input, &dims, &spec);
+                    parallel::override_threads(None);
+                    got
+                });
+                for (what, got, want) in [("gw", &got_w, &want_w), ("gb", &got_b, &want_b)] {
+                    assert_eq!(got.dims(), want.dims());
+                    for (e, (&x, &y)) in got.data().iter().zip(want.data()).enumerate() {
+                        assert!(
+                            same_bits(x, y),
+                            "{} case {case} @ {threads} threads: {what}[{e}] {x:e} ({:#010x}) \
+                             vs transposed-columns {y:e} ({:#010x})",
+                            path.name(),
+                            x.to_bits(),
+                            y.to_bits(),
+                        );
+                    }
+                }
+            }
+            if padding > 0 {
+                assert!(want_w.data()[0].is_nan(), "case {case}: inf never met a border zero");
+            }
+        }
+    }
+}
+
+/// The lock-step row fold is `sum_f32` per row, bit for bit: every
+/// group size around the 8-row lock-step width, rows shorter than,
+/// equal to and far longer than it, a non-zero accumulator to add into.
+#[test]
+fn lock_step_row_sums_equal_sum_f32_per_row() {
+    for rows in [1usize, 2, 5, 7, 8, 9, 10, 16, 17, 31] {
+        for row_len in [0usize, 1, 7, 8, 64, 196, 784] {
+            let mut xs = salted(rows * row_len, (rows * 1000 + row_len) as u64);
+            if let Some(x) = xs.get_mut(row_len / 2) {
+                *x = f32::INFINITY; // row 0 overflows; a later -inf makes a NaN
+            }
+            if let Some(x) = xs.get_mut(row_len.saturating_sub(1)) {
+                *x = f32::NEG_INFINITY;
+            }
+            let start = salted(rows, rows as u64 ^ 0xACC);
+            let mut got = start.clone();
+            parallel::add_row_sums_f32(&xs, row_len, &mut got);
+            for r in 0..rows {
+                let row = &xs[r * row_len..(r + 1) * row_len];
+                let want = start[r] + parallel::sum_f32(row.iter().copied());
+                assert!(
+                    same_bits(got[r], want),
+                    "{rows} rows of {row_len}: row {r} sums to {:e}, sum_f32 gives {want:e}",
+                    got[r]
                 );
             }
         }
