@@ -15,7 +15,7 @@
 //! |------|---------------------|
 //! | `determinism` | same seed ⇒ bit-identical results: no hasher-ordered iteration, clocks, thread ids or env reads on the simulation path |
 //! | `float-reduction` | reductions keep one fixed order at any thread count: float sums route through `fedmp_tensor::parallel::{sum_f32, sum_f64}` |
-//! | `unsafe-hygiene` | `unsafe` only in the allowlisted band scheduler, and every occurrence carries a `// SAFETY:` comment |
+//! | `unsafe-hygiene` | `unsafe` only in the allowlisted SIMD microkernels, and every occurrence carries a `// SAFETY:` comment |
 //! | `no-panic` | engines and the threaded runtime fail into typed errors, never aborts |
 //! | `trace-schema` | `TraceEvent::KINDS` and `docs/TRACE_SCHEMA.md` describe the same event set |
 //! | `suppression` | every inline `allow(...)` carries a written reason |
@@ -34,7 +34,7 @@
 //! silently narrowing it.
 
 // No `unsafe` anywhere in this crate: the only sanctioned unsafe code
-// in the workspace lives in `fedmp-tensor`'s band scheduler. Backed
+// in the workspace lives in `fedmp-tensor`'s SIMD microkernels. Backed
 // statically by the `unsafe-hygiene` lint in `fedmp-analysis`.
 #![forbid(unsafe_code)]
 

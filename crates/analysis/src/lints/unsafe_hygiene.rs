@@ -1,8 +1,8 @@
 //! L3 — unsafe hygiene.
 //!
-//! Only the band scheduler in `fedmp-tensor` is allowed to contain
-//! `unsafe` (it hands out disjoint raw-parts slices to worker
-//! threads); every other crate carries `#![forbid(unsafe_code)]`. This
+//! Only the SIMD microkernels in `fedmp-tensor` are allowed to contain
+//! `unsafe` (intrinsic loads and stores behind checked sub-slices);
+//! every other crate carries `#![forbid(unsafe_code)]`. This
 //! lint enforces the same rule statically across the whole tree —
 //! including code the compiler might not currently build (cfg'd-out
 //! modules, examples) — and additionally requires every `unsafe`

@@ -7,7 +7,7 @@
 //! Exit codes: 0 clean, 1 violations found, 2 usage/config error.
 
 // No `unsafe` anywhere in this crate: the only sanctioned unsafe code
-// in the workspace lives in `fedmp-tensor`'s band scheduler. Backed
+// in the workspace lives in `fedmp-tensor`'s SIMD microkernels. Backed
 // statically by the `unsafe-hygiene` lint in `fedmp-analysis`.
 #![forbid(unsafe_code)]
 

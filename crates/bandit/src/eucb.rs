@@ -29,7 +29,8 @@ pub struct EUcbConfig {
     pub explore_weight: f32,
     /// Split rule ablation: `false` (default) splits the chosen region
     /// at the pulled arm (Algorithm 1 line 8); `true` always splits at
-    /// the midpoint. Compared in `fedmp-bench --bin ablation_bandit`.
+    /// the midpoint. Compared by `paper -- ablation_bandit` in
+    /// `fedmp-bench`.
     pub split_at_midpoint: bool,
     /// RNG seed for within-region arm sampling.
     pub seed: u64,

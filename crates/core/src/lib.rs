@@ -14,17 +14,15 @@
 //! ```
 
 // No `unsafe` anywhere in this crate: the only sanctioned unsafe code
-// in the workspace lives in `fedmp-tensor`'s band scheduler. Backed
+// in the workspace lives in `fedmp-tensor`'s SIMD microkernels. Backed
 // statically by the `unsafe-hygiene` lint in `fedmp-analysis`.
 #![forbid(unsafe_code)]
-mod checkpoint;
 mod config;
 mod overhead;
 mod report;
 mod runner;
 mod trace;
 
-pub use checkpoint::{load_state, restore_lm, restore_model, save_model};
 pub use config::{BuiltExperiment, ExperimentSpec, TaskKind};
 pub use overhead::{measure_overhead, OverheadReport};
 pub use report::{ensure_dir, print_table, save_json};

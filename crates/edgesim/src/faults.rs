@@ -30,14 +30,6 @@ pub struct FaultInjector {
     pub fail_prob: f64,
     /// Rounds a failed worker stays offline.
     pub recover_rounds: u32,
-    /// When set, each failure's downtime is drawn from an exponential
-    /// distribution with this mean instead of the fixed
-    /// `recover_rounds`. The draw is clamped to ≥ 1 round: with a mean
-    /// of 0 every draw would truncate to 0, and a worker failing with 0
-    /// remaining down-rounds re-rolls the failure Bernoulli on its next
-    /// step — at `fail_prob` near 1 that leaves it offline forever.
-    #[serde(default)]
-    mean_down: Option<f64>,
     /// Remaining offline rounds per worker (0 = healthy).
     down: Vec<u32>,
     /// Whether each worker was offline in the previous round — the
@@ -53,34 +45,16 @@ impl FaultInjector {
         FaultInjector {
             fail_prob,
             recover_rounds,
-            mean_down: None,
             down: vec![0; workers],
             was_down: vec![false; workers],
         }
-    }
-
-    /// A fault injector whose downtimes are exponentially distributed
-    /// with mean `mean_down_rounds` (clamped per draw to ≥ 1 round).
-    pub fn with_mean_downtime(workers: usize, fail_prob: f64, mean_down_rounds: f64) -> Self {
-        let mut inj = Self::new(workers, fail_prob, 0);
-        inj.mean_down = Some(mean_down_rounds.max(0.0));
-        inj
-    }
-
-    /// Draws one downtime: exponential with mean `mean`, truncated to
-    /// whole rounds and clamped to ≥ 1 so a failed worker always
-    /// eventually rejoins (see `mean_down`).
-    fn draw_downtime(rng: &mut StdRng, mean: f64) -> u32 {
-        let u: f64 = rng.gen(); // in [0, 1)
-        ((-(1.0 - u).ln() * mean).floor() as u32).max(1)
     }
 
     /// Advances one round. Returns the indices of workers that are
     /// **online** this round. Emits `FaultInjected` / `FaultRecovered`
     /// trace events (in worker-index order) when tracing is enabled.
     pub fn step(&mut self, rng: &mut StdRng) -> Vec<usize> {
-        let recover_rounds = self.recover_rounds;
-        let mean_down = self.mean_down;
+        let down_rounds = self.recover_rounds;
         let mut online = Vec::with_capacity(self.down.len());
         for (i, d) in self.down.iter_mut().enumerate() {
             if *d > 0 {
@@ -92,10 +66,6 @@ impl FaultInjector {
                 fedmp_obs::emit(|| fedmp_obs::TraceEvent::FaultRecovered { worker: i });
             }
             if self.fail_prob > 0.0 && rng.gen::<f64>() < self.fail_prob {
-                let down_rounds = match mean_down {
-                    Some(m) => Self::draw_downtime(rng, m),
-                    None => recover_rounds,
-                };
                 *d = down_rounds;
                 fedmp_obs::emit(|| fedmp_obs::TraceEvent::FaultInjected { worker: i, down_rounds });
                 self.was_down[i] = true;
@@ -157,38 +127,6 @@ mod tests {
         inj.step(&mut rng);
         let online = inj.step(&mut rng);
         assert_eq!(online.len(), 200);
-    }
-
-    #[test]
-    fn zero_mean_downtime_cannot_strand_a_worker() {
-        // Regression: with mean_down_rounds = 0 the exponential draw
-        // truncates to 0 every time, so an unclamped injector would
-        // re-roll the failure Bernoulli forever at fail_prob = 1 and
-        // never bring the worker back. The ≥1-round clamp guarantees a
-        // recovery window once failures stop.
-        let mut inj = FaultInjector::with_mean_downtime(1, 1.0, 0.0);
-        let mut rng = StdRng::seed_from_u64(9);
-        assert!(inj.step(&mut rng).is_empty()); // fails; clamped to 1 down round
-        assert!(inj.is_down(0), "clamp must leave at least one down round");
-        inj.fail_prob = 0.0;
-        assert!(inj.step(&mut rng).is_empty()); // 1 → 0
-        assert_eq!(inj.step(&mut rng), vec![0]); // recovered
-    }
-
-    #[test]
-    fn mean_downtime_draws_average_out_near_the_mean() {
-        let mut rng = StdRng::seed_from_u64(10);
-        let n = 4000;
-        let mut total = 0.0;
-        for _ in 0..n {
-            let d = FaultInjector::draw_downtime(&mut rng, 3.0);
-            assert!(d >= 1);
-            total += d as f64;
-        }
-        // floor() biases the mean down by up to ~0.5; the clamp pulls
-        // short draws up. Just require the right ballpark.
-        let mean = total / n as f64;
-        assert!((2.0..4.5).contains(&mean), "mean downtime {mean} far from 3");
     }
 
     #[test]

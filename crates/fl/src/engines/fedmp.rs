@@ -40,11 +40,6 @@ pub struct FaultOptions {
     pub deadline_frac: f64,
     /// Deadline multiplier (the paper uses 1.5).
     pub deadline_factor: f64,
-    /// When set, downtime per failure is drawn from an exponential
-    /// distribution with this mean (clamped to ≥ 1 round) instead of
-    /// the fixed `recover_rounds`.
-    #[serde(default)]
-    pub mean_down_rounds: Option<f64>,
 }
 
 impl Default for FaultOptions {
@@ -54,19 +49,14 @@ impl Default for FaultOptions {
             recover_rounds: 2,
             deadline_frac: 0.85,
             deadline_factor: 1.5,
-            mean_down_rounds: None,
         }
     }
 }
 
 impl FaultOptions {
-    /// Builds the matching injector: fixed recovery delay, or the
-    /// exponential mean-downtime draw when `mean_down_rounds` is set.
+    /// Builds the matching injector.
     pub(crate) fn injector(&self, workers: usize) -> FaultInjector {
-        match self.mean_down_rounds {
-            Some(m) => FaultInjector::with_mean_downtime(workers, self.fail_prob, m),
-            None => FaultInjector::new(workers, self.fail_prob, self.recover_rounds),
-        }
+        FaultInjector::new(workers, self.fail_prob, self.recover_rounds)
     }
 }
 

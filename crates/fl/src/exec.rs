@@ -31,77 +31,27 @@
 //!
 //! # Scheduling
 //!
-//! The pool shares its design with `fedmp_tensor::parallel`'s band
-//! scheduler: scoped threads claim item indices from an atomic
-//! counter, the calling thread acts as the final worker, and a closure
-//! running on a pool worker is wrapped in
-//! [`parallel::with_nested_sequential`] so kernels beneath it (and any
-//! nested `ordered_map`) run inline instead of spawning their own
-//! workers — one level of the stack owns the threads. Spawning is
+//! The pool is `fedmp_tensor::parallel`'s — the same claim loop the
+//! band scheduler runs its bands through, re-exported here under the
+//! path the engines call: scoped threads claim item indices from an
+//! atomic counter, the calling thread acts as the final worker, and a
+//! closure running on a pool worker is wrapped in
+//! [`fedmp_tensor::parallel::with_nested_sequential`] so kernels beneath
+//! it (and any nested `ordered_map`) run inline instead of spawning
+//! their own workers — one level of the stack owns the threads. Spawning is
 //! per-call (threads are not parked between rounds), but per-thread
 //! state that matters for throughput — the `fedmp_tensor::workspace`
 //! scratch pools backing im2col/GEMM — lives for a worker's whole
 //! claim streak, so buffer reuse spans every batch of a worker's
 //! `local_train`.
 
-use fedmp_tensor::parallel;
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Maps `f` over `items` in parallel, returning results in input
-/// order. `f` receives `(index, item)`.
-///
-/// Runs inline (a plain sequential loop) when there is at most one
-/// item or configured thread, or when called from inside another
-/// parallel worker. The closure must keep order-sensitive side effects
-/// out of the fan-out — see the module docs for the contract.
-pub fn ordered_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, T) -> R + Sync,
-{
-    let n = items.len();
-    let threads = parallel::configured_threads().min(n);
-    if threads <= 1 || parallel::in_parallel_worker() {
-        return items.into_iter().enumerate().map(|(i, item)| f(i, item)).collect();
-    }
-
-    // One slot per item: workers take the item out, run `f` inside a
-    // nested-sequential scope, and park the result back in the same
-    // slot, so output order is input order however claims interleave.
-    type Slot<T, R> = (Mutex<Option<T>>, Mutex<Option<R>>);
-    let slots: Vec<Slot<T, R>> =
-        items.into_iter().map(|item| (Mutex::new(Some(item)), Mutex::new(None))).collect();
-    let next = AtomicUsize::new(0);
-    let worker = || {
-        parallel::with_nested_sequential(|| loop {
-            let idx = next.fetch_add(1, Ordering::Relaxed);
-            let Some((item_slot, result_slot)) = slots.get(idx) else { break };
-            let Some(item) = item_slot.lock().take() else { continue };
-            let result = f(idx, item);
-            *result_slot.lock() = Some(result);
-        })
-    };
-    std::thread::scope(|scope| {
-        for _ in 0..threads - 1 {
-            scope.spawn(worker);
-        }
-        // The calling thread is the final worker.
-        worker();
-    });
-
-    let out: Vec<R> = slots.into_iter().filter_map(|(_, result)| result.into_inner()).collect();
-    // Every index < n is claimed exactly once and `f` always returns,
-    // so no slot can be empty.
-    debug_assert_eq!(out.len(), n, "ordered_map: missing result slot");
-    out
-}
+pub use fedmp_tensor::parallel::ordered_map;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fedmp_tensor::parallel::override_threads;
+    use fedmp_tensor::parallel::{self, override_threads};
+    use std::sync::atomic::Ordering;
 
     #[test]
     fn results_come_back_in_input_order() {

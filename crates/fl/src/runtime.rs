@@ -1271,7 +1271,6 @@ mod tests {
                 recover_rounds: 1,
                 deadline_frac: 0.75,
                 deadline_factor: 1.2,
-                ..Default::default()
             }),
             ..Default::default()
         };

@@ -82,7 +82,6 @@ fn socket_runtime_matches_loop_engine_and_chaos_is_deterministic() {
             recover_rounds: 1,
             deadline_frac: 0.75,
             deadline_factor: 1.2,
-            ..Default::default()
         }),
         ..Default::default()
     };

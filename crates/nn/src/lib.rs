@@ -26,11 +26,10 @@
 //! ```
 
 // No `unsafe` anywhere in this crate: the only sanctioned unsafe code
-// in the workspace lives in `fedmp-tensor`'s band scheduler. Backed
+// in the workspace lives in `fedmp-tensor`'s SIMD microkernels. Backed
 // statically by the `unsafe-hygiene` lint in `fedmp-analysis`.
 #![forbid(unsafe_code)]
 mod activation;
-mod adam;
 mod batchnorm;
 mod container;
 mod conv_layer;
@@ -44,7 +43,6 @@ mod pool_layer;
 pub mod zoo;
 
 pub use activation::{Dropout, ReLU};
-pub use adam::{Adam, LrSchedule};
 pub use batchnorm::BatchNorm2d;
 pub use container::{LayerNode, ResidualBlock, Sequential};
 pub use conv_layer::Conv2d;

@@ -25,8 +25,8 @@
 //! assert_eq!(c.data(), a.data());
 //! ```
 
-// The only crate in the workspace allowed to contain `unsafe` (the band
-// scheduler in `parallel`); every other crate carries
+// The only crate in the workspace allowed to contain `unsafe` (the SIMD
+// microkernels in `simd`); every other crate carries
 // `#![forbid(unsafe_code)]`. Operations inside `unsafe fn` still need
 // their own `unsafe {}` blocks so each one carries a SAFETY comment —
 // backed statically by the `unsafe-hygiene` lint in `fedmp-analysis`.

@@ -24,7 +24,7 @@
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// Minimum number of scalar operations before a kernel is worth
 /// parallelising; below this, thread launch overhead dominates.
@@ -148,36 +148,69 @@ pub fn override_threads(n: Option<usize>) {
     OVERRIDE.store(n.unwrap_or(0), Ordering::Relaxed);
 }
 
-/// Hands out band indices to workers; bands are pre-sliced disjoint
-/// sub-slices of one output buffer, stored as raw parts so the queue
-/// can be shared. Safety rests on the disjointness `chunks_mut`
-/// guarantees.
-struct BandQueue<T> {
-    bands: Vec<(usize, *mut T, usize)>,
-    next: AtomicUsize,
-}
-
-// SAFETY: the queue is only shared between scoped worker threads, and
-// the raw (ptr, len) pairs it hands out come from `chunks_mut` over one
-// exclusively borrowed buffer — disjoint regions, each claimed by
-// exactly one worker via the atomic counter. `T: Send` is required so a
-// band may be written from a thread other than the buffer's owner.
-unsafe impl<T: Send> Sync for BandQueue<T> {}
-
-impl<T> BandQueue<T> {
-    fn run(&self, f: &(impl Fn(usize, &mut [T]) + Sync)) {
-        IN_BAND_WORKER.with(|flag| flag.set(true));
-        loop {
-            let idx = self.next.fetch_add(1, Ordering::Relaxed);
-            let Some(&(start_row, ptr, len)) = self.bands.get(idx) else { break };
-            // SAFETY: each (ptr, len) came from `chunks_mut`, so the
-            // slices are disjoint, and `fetch_add` hands each index to
-            // exactly one worker. The scope below outlives no band.
-            let band = unsafe { std::slice::from_raw_parts_mut(ptr, len) };
-            f(start_row, band);
-        }
-        IN_BAND_WORKER.with(|flag| flag.set(false));
+/// Maps `f` over `items` in parallel, returning results in input
+/// order. `f` receives `(index, item)`. This is the one claim loop of
+/// the workspace: [`for_each_band`] runs its bands through it, and the
+/// round executor (`fedmp_fl::exec`, which re-exports it and documents
+/// the determinism contract closures must keep) its per-worker work.
+///
+/// Runs inline (a plain sequential loop) when there is at most one
+/// item or configured thread, or when called from inside another
+/// parallel worker. Otherwise scoped threads claim item indices from an
+/// atomic counter, the calling thread acts as the final worker, and
+/// each closure runs inside [`with_nested_sequential`], so kernels (and
+/// maps) beneath it run inline — one level of the stack owns the
+/// threads.
+pub fn ordered_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(usize, T) -> R + Sync,
+{
+    let n = items.len();
+    let threads = configured_threads().min(n);
+    if threads <= 1 || in_parallel_worker() {
+        return items.into_iter().enumerate().map(|(i, item)| f(i, item)).collect();
     }
+
+    // One slot per item: workers take the item out, run `f` inside a
+    // nested-sequential scope, and park the result back in the same
+    // slot, so output order is input order however claims interleave.
+    // No lock is held across `f`, and each critical section is one
+    // whole-value move, so a slot cannot be left poisoned or torn; the
+    // guard is recovered rather than unwrapped to keep this path free of
+    // a panic branch (a panicking `f` resurfaces when the scope joins).
+    type Slot<T, R> = (Mutex<Option<T>>, Mutex<Option<R>>);
+    let slots: Vec<Slot<T, R>> =
+        items.into_iter().map(|item| (Mutex::new(Some(item)), Mutex::new(None))).collect();
+    let next = AtomicUsize::new(0);
+    let worker = || {
+        with_nested_sequential(|| loop {
+            let idx = next.fetch_add(1, Ordering::Relaxed);
+            let Some((item_slot, result_slot)) = slots.get(idx) else { break };
+            let Some(item) = item_slot.lock().unwrap_or_else(PoisonError::into_inner).take() else {
+                continue;
+            };
+            let result = f(idx, item);
+            *result_slot.lock().unwrap_or_else(PoisonError::into_inner) = Some(result);
+        })
+    };
+    std::thread::scope(|scope| {
+        for _ in 0..threads - 1 {
+            scope.spawn(worker);
+        }
+        // The calling thread is the final worker.
+        worker();
+    });
+
+    let out: Vec<R> = slots
+        .into_iter()
+        .filter_map(|(_, result)| result.into_inner().unwrap_or_else(PoisonError::into_inner))
+        .collect();
+    // Every index < n is claimed exactly once and `f` always returns,
+    // so no slot can be empty.
+    debug_assert_eq!(out.len(), n, "ordered_map: missing result slot");
+    out
 }
 
 /// Splits `out` (logically `rows × row_len`) into bands of `band_rows`
@@ -202,7 +235,7 @@ pub fn for_each_band<T, F>(
     }
     let band_rows = band_rows.max(1);
     let threads = configured_threads();
-    let nested = IN_BAND_WORKER.with(|flag| flag.get());
+    let nested = in_parallel_worker();
     let n_bands = rows.div_ceil(band_rows);
     // Counted before the sequential/parallel branch so the numbers are
     // identical at every thread count.
@@ -215,20 +248,14 @@ pub fn for_each_band<T, F>(
         return;
     }
 
-    let bands: Vec<(usize, *mut T, usize)> = out
+    // Bands from `chunks_mut` are disjoint `&mut` slices — plain `Send`
+    // items for the claim loop.
+    let bands: Vec<(usize, &mut [T])> = out
         .chunks_mut(band_rows * row_len)
         .enumerate()
-        .map(|(i, band)| (i * band_rows, band.as_mut_ptr(), band.len()))
+        .map(|(i, band)| (i * band_rows, band))
         .collect();
-    let queue = BandQueue { bands, next: AtomicUsize::new(0) };
-    let extra = threads.min(n_bands) - 1;
-    std::thread::scope(|scope| {
-        for _ in 0..extra {
-            scope.spawn(|| queue.run(&f));
-        }
-        // The calling thread is the final worker.
-        queue.run(&f);
-    });
+    ordered_map(bands, |_, (row0, band)| f(row0, band));
 }
 
 /// Fixed-order `f32` sum: a strict left-to-right fold in the order the

@@ -51,3 +51,27 @@ fn readme_doc_links_resolve() {
     }
     assert!(checked >= 4, "expected ≥4 docs/ references, found {checked}");
 }
+
+/// The crate map lives once, in docs/ARCHITECTURE.md (README and DESIGN
+/// link to it instead of carrying their own): every `crates/*`
+/// directory must be named there.
+#[test]
+fn every_crate_is_in_the_architecture_crate_map() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let map = fs::read_to_string(root.join("docs/ARCHITECTURE.md")).expect("read ARCHITECTURE.md");
+    let mut seen = 0usize;
+    for entry in fs::read_dir(root.join("crates")).expect("list crates/") {
+        let entry = entry.expect("crates/ entry");
+        if !entry.file_type().expect("file type").is_dir() {
+            continue;
+        }
+        seen += 1;
+        let heading = format!("### `crates/{}`", entry.file_name().to_str().expect("utf-8 name"));
+        assert!(map.contains(&heading), "docs/ARCHITECTURE.md has no `{heading}` section");
+    }
+    assert!(seen >= 11, "expected the 11 workspace crates, found {seen}");
+    for doc in ["README.md", "DESIGN.md"] {
+        let body = fs::read_to_string(root.join(doc)).expect("read doc");
+        assert!(body.contains("docs/ARCHITECTURE.md"), "{doc} must link to the crate map");
+    }
+}

@@ -108,7 +108,6 @@ fn loop_threads_and_sockets_agree_bit_for_bit() {
             recover_rounds: 1,
             deadline_frac: 0.75,
             deadline_factor: 1.2,
-            ..Default::default()
         }),
         ..Default::default()
     };
