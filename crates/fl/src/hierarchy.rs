@@ -47,6 +47,7 @@
 //! every fault is a pure function of the seed and every reduction is
 //! exact.
 
+use crate::barrier::{Action, Barrier, Event};
 use crate::chaos::{corrupted_copy, ChaosDraw, ChaosOptions, ChaosPlan};
 use crate::checksum::fnv1a64;
 use crate::engine::{
@@ -372,9 +373,14 @@ struct ClassPlan {
     down_dense: u64,
 }
 
-/// How a client's round ended, decided purely by the chaos draw.
+/// How a client's round — or an edge aggregator's cloud upload — ended.
+/// [`ClientFate::from_draw`] decides it purely from the chaos draw: the
+/// closed form of what [`crate::barrier::Barrier`] concludes from the
+/// transcript that draw produces (a test in `barrier.rs` holds the two
+/// together), for the tiers that simulate their uploads instead of
+/// moving them.
 #[derive(Debug, Clone, Copy, PartialEq)]
-enum ClientFate {
+pub(crate) enum ClientFate {
     /// Upload reached its shard reducer after `retries` retransmits.
     Delivered {
         /// Checksum-failure retransmits charged to the arrival time.
@@ -383,7 +389,8 @@ enum ClientFate {
     /// Contribution lost; `trained` distinguishes crash/downlink loss
     /// (no local step at all) from uplink-side losses.
     Lost {
-        /// `"crashed"`, `"dropped"` or `"corrupt"`.
+        /// `"crashed"`, `"dropped"`, `"corrupt"` (or, observed from a
+        /// real peer only, `"protocol"`).
         reason: &'static str,
         /// Retransmits spent before giving up.
         retries: u32,
@@ -393,7 +400,7 @@ enum ClientFate {
 }
 
 impl ClientFate {
-    fn from_draw(draw: &ChaosDraw, opts: &ChaosOptions) -> Self {
+    pub(crate) fn from_draw(draw: &ChaosDraw, opts: &ChaosOptions) -> Self {
         if draw.crash {
             ClientFate::Lost { reason: "crashed", retries: 0, trained: false }
         } else if draw.drop_down {
@@ -414,11 +421,11 @@ impl ClientFate {
         }
     }
 
-    fn delivered(&self) -> bool {
+    pub(crate) fn delivered(&self) -> bool {
         matches!(self, ClientFate::Delivered { .. })
     }
 
-    fn retries(&self) -> u32 {
+    pub(crate) fn retries(&self) -> u32 {
         match *self {
             ClientFate::Delivered { retries } | ClientFate::Lost { retries, .. } => retries,
         }
@@ -577,33 +584,14 @@ fn client_stream_seed(seed: u64, id: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// How an edge aggregator's cloud upload ended, decided purely by the
-/// edge-tier chaos draw.
-#[derive(Debug, Clone, Copy)]
-struct EdgeFate {
-    delivered: bool,
-    retries: u32,
-}
-
-impl EdgeFate {
-    fn from_draw(draw: &ChaosDraw, opts: &ChaosOptions) -> Self {
-        if draw.crash || draw.drop_down || draw.drop_up {
-            EdgeFate { delivered: false, retries: 0 }
-        } else if draw.corrupt_sends > opts.max_retransmits {
-            EdgeFate { delivered: false, retries: opts.max_retransmits }
-        } else {
-            EdgeFate { delivered: true, retries: draw.corrupt_sends }
-        }
-    }
-}
-
 /// Per-round state both engines hand to [`finish_round`]: per-shard
 /// meta, cohort-ordered client metrics and per-edge exact partials.
 struct RoundGather {
     shard_meta: Vec<(usize, u64)>,
     metrics: Vec<ClientMetric>,
     partials: Vec<Option<ExactState>>,
-    edge_fates: Vec<EdgeFate>,
+    /// How each edge's cloud upload ended (`trained` means nothing here).
+    edge_fates: Vec<ClientFate>,
     edge_shards: Vec<usize>,
     edge_clients: Vec<usize>,
 }
@@ -669,17 +657,17 @@ fn finish_round(
     // Edge tier: retransmits then the aggregate outcome, edge order.
     let mut edge_retries_total = 0u32;
     for (e, fate) in edge_fates.iter().enumerate() {
-        for attempt in 1..=fate.retries {
+        for attempt in 1..=fate.retries() {
             emit_frame_retransmit(round, e, attempt, chaos_edge.backoff_for(attempt));
         }
-        edge_retries_total += fate.retries;
+        edge_retries_total += fate.retries();
         emit_edge_aggregate(
             round,
             e,
             edge_shards[e],
             edge_clients[e],
-            fate.delivered,
-            fate.retries,
+            fate.delivered(),
+            fate.retries(),
         );
     }
 
@@ -688,7 +676,7 @@ fn finish_round(
     let mut cloud: Option<ExactState> = None;
     let mut participants = 0usize;
     for (e, fate) in edge_fates.iter().enumerate() {
-        if !fate.delivered {
+        if !fate.delivered() {
             continue;
         }
         if let Some(p) = &partials[e] {
@@ -707,7 +695,7 @@ fn finish_round(
     let mut round_time = 0.0f64;
     let mut any_delivered = false;
     for (e, fate) in edge_fates.iter().enumerate() {
-        if !fate.delivered {
+        if !fate.delivered() {
             continue;
         }
         let mut edge_arrival = 0.0f64;
@@ -718,7 +706,7 @@ fn finish_round(
                 }
             }
         }
-        edge_arrival += chaos_edge.backoff_total(fate.retries);
+        edge_arrival += chaos_edge.backoff_total(fate.retries());
         round_time = round_time.max(edge_arrival);
         any_delivered = true;
     }
@@ -1045,7 +1033,7 @@ fn gather_shards(r: RoundInputs<'_>) -> Result<RoundGather, Infallible> {
         }
         edge_clients.push(clients);
         partials.push(merged);
-        edge_fates.push(EdgeFate::from_draw(&r.edge_plan.draw(round, e), &opts.chaos_edge));
+        edge_fates.push(ClientFate::from_draw(&r.edge_plan.draw(round, e), &opts.chaos_edge));
     }
     let shard_meta: Vec<(usize, u64)> = outputs.iter().map(|o| (o.folded, o.peak_bytes)).collect();
     Ok(RoundGather { shard_meta, metrics, partials, edge_fates, edge_shards, edge_clients })
@@ -1161,143 +1149,97 @@ pub fn run_fedmp_hier_threaded(
 }
 
 /// One round of the edge-thread protocol: spawn an aggregator per
-/// edge, collect reports and payload frames with checksum-verified
-/// retransmits, and assemble the same [`RoundGather`] the loop engine
-/// builds. Threads always join before this returns (structurally: the
-/// scope ends after every control sender has issued `Done` or
-/// dropped).
+/// edge, pump their reports and payload frames into the collection
+/// [`Barrier`] — which decides retransmits and exclusions — and assemble
+/// the same [`RoundGather`] the loop engine builds. Threads always join
+/// before this returns (structurally: the scope ends after every
+/// control sender has dropped).
 fn run_edges_threaded(r: RoundInputs<'_>) -> Result<RoundGather, RuntimeError> {
-    let RoundInputs { opts, cohort, round, template, edge_plan, .. } = r;
+    let RoundInputs { opts, cohort, template, .. } = r;
     let edges = opts.edges;
     let acc_template = ExactState::like(template);
-    let mut shard_meta_by_edge: Vec<Option<Vec<(usize, u64)>>> = (0..edges).map(|_| None).collect();
-    let mut metrics_by_edge: Vec<Option<Vec<ClientMetric>>> = (0..edges).map(|_| None).collect();
-    let mut partials: Vec<Option<ExactState>> = (0..edges).map(|_| None).collect();
-    let mut retries: Vec<u32> = vec![0; edges];
-    let mut result: Result<(), RuntimeError> = Ok(());
+    // Per edge: its metrics plane — (per-shard meta, client metrics).
+    let mut reports: Vec<_> = (0..edges).map(|_| None).collect();
+    let mut barrier = Barrier::new(edges, opts.chaos_edge.max_retransmits);
 
     std::thread::scope(|scope| {
         let (up_tx, up_rx) = bounded::<EdgeMsg>(edges.max(1) * 2);
-        let mut ctls: Vec<Option<Sender<EdgeCtl>>> = Vec::with_capacity(edges);
+        let mut ctls: Vec<Sender<EdgeCtl>> = Vec::with_capacity(edges);
         for e in 0..edges {
             let (ctl_tx, ctl_rx) = bounded::<EdgeCtl>(2);
-            ctls.push(Some(ctl_tx));
+            ctls.push(ctl_tx);
             let up = up_tx.clone();
             scope.spawn(move || edge_round(e, r, &up, &ctl_rx));
         }
         drop(up_tx);
 
-        // Resolution: an edge is settled once its report arrived and —
-        // when it is sending — its frame either decoded or exhausted
-        // the retransmit budget.
-        let mut settled = 0usize;
-        let mut awaiting_frame = vec![false; edges];
-        while settled < edges {
-            let msg = match up_rx.recv() {
-                Ok(m) => m,
-                Err(_) => {
-                    // Every sender gone with edges unsettled: threads
-                    // vanished outside the protocol.
-                    result = Err(RuntimeError::WorkerLost { worker: settled });
-                    break;
-                }
-            };
-            match msg {
+        while !barrier.done() {
+            // Every sender gone with slots open: the loop ends and
+            // those slots read as lost.
+            let Ok(msg) = up_rx.recv() else { break };
+            let (edge, event) = match msg {
                 EdgeMsg::Report { edge, shard_meta, metrics, sending } => {
-                    shard_meta_by_edge[edge] = Some(shard_meta);
-                    metrics_by_edge[edge] = Some(metrics);
-                    if sending {
-                        awaiting_frame[edge] = true;
-                    } else {
-                        if let Some(ctl) = &ctls[edge] {
-                            let _ = ctl.send(EdgeCtl::Done);
-                        }
-                        ctls[edge] = None;
-                        settled += 1;
+                    if let Some(report) = reports.get_mut(edge) {
+                        *report = Some((shard_meta, metrics));
                     }
+                    if sending {
+                        continue;
+                    }
+                    (edge, Event::Lost)
                 }
                 EdgeMsg::Frame { edge, bytes } => {
-                    if !awaiting_frame[edge] {
-                        result = Err(RuntimeError::CorruptFrame { worker: edge, round });
-                        break;
-                    }
-                    match ExactState::decode(&bytes, &acc_template) {
-                        Ok(Some(partial)) => {
-                            partials[edge] = Some(partial);
-                            awaiting_frame[edge] = false;
-                            if let Some(ctl) = &ctls[edge] {
-                                let _ = ctl.send(EdgeCtl::Done);
-                            }
-                            ctls[edge] = None;
-                            settled += 1;
+                    let event = match ExactState::decode(&bytes, &acc_template) {
+                        Ok(partial) => {
+                            Event::Upload { intact: partial.is_some(), payload: partial }
                         }
-                        Ok(None) => {
-                            // Transit corruption: bounded retransmits.
-                            if retries[edge] < opts.chaos_edge.max_retransmits {
-                                retries[edge] += 1;
-                                if let Some(ctl) = &ctls[edge] {
-                                    let _ = ctl.send(EdgeCtl::Retry);
-                                }
-                            } else {
-                                awaiting_frame[edge] = false;
-                                if let Some(ctl) = &ctls[edge] {
-                                    let _ = ctl.send(EdgeCtl::Done);
-                                }
-                                ctls[edge] = None;
-                                settled += 1;
-                            }
-                        }
-                        Err(()) => {
-                            result = Err(RuntimeError::CorruptFrame { worker: edge, round });
-                            break;
-                        }
-                    }
+                        Err(()) => Event::Malformed,
+                    };
+                    (edge, event)
                 }
-            }
-        }
-        // Release every remaining control channel so faulted paths
-        // can't wedge the scope join.
-        for ctl in ctls.iter_mut() {
-            if let Some(c) = ctl.take() {
-                let _ = c.send(EdgeCtl::Done);
+            };
+            let reply = match barrier.on(edge, event) {
+                Action::Wait => continue,
+                Action::Retransmit => EdgeCtl::Retry,
+                Action::Settled => EdgeCtl::Done,
+            };
+            if let Some(ctl) = ctls.get(edge) {
+                let _ = ctl.send(reply);
             }
         }
         // Drain stragglers so bounded channels never block an exiting
         // edge thread, then drop both endpoint collections before the
-        // scope ends: a late `send` must observe disconnect (and bail
-        // via its error path) rather than park on a full channel and
-        // wedge the join.
+        // scope ends: an edge still waiting on its control channel, or
+        // a late `send`, must observe disconnect (and bail via its
+        // error path) rather than park and wedge the join.
         while up_rx.try_recv().is_some() {}
         drop(ctls);
         drop(up_rx);
     });
-    result?;
 
     // Assemble in edge order; contiguous edge → shard → cohort ranges
-    // make plain concatenation the canonical cohort order.
-    let mut shard_meta = Vec::with_capacity(opts.shards);
-    let mut metrics = Vec::with_capacity(cohort.len());
-    let mut edge_fates = Vec::with_capacity(edges);
-    let mut edge_shards = Vec::with_capacity(edges);
-    let mut edge_clients = Vec::with_capacity(edges);
-    for e in 0..edges {
-        let meta = match shard_meta_by_edge[e].take() {
-            Some(m) => m,
-            None => return Err(RuntimeError::WorkerLost { worker: e }),
-        };
-        let mut clients = 0usize;
-        edge_shards.push(meta.len());
-        for (folded, _) in &meta {
-            clients += folded;
-        }
-        edge_clients.push(clients);
-        shard_meta.extend(meta);
-        if let Some(m) = metrics_by_edge[e].take() {
-            metrics.extend(m);
-        }
-        // The PS-side fate mirrors the edge's own draw (shared plan)
-        // plus the observed retransmit outcome.
-        edge_fates.push(EdgeFate::from_draw(&edge_plan.draw(round, e), &opts.chaos_edge));
+    // make plain concatenation the canonical cohort order. An edge's
+    // fate is what the barrier observed of it.
+    let mut gather = RoundGather {
+        shard_meta: Vec::with_capacity(opts.shards),
+        metrics: Vec::with_capacity(cohort.len()),
+        partials: Vec::with_capacity(edges),
+        edge_fates: Vec::with_capacity(edges),
+        edge_shards: Vec::with_capacity(edges),
+        edge_clients: Vec::with_capacity(edges),
+    };
+    for (e, (report, (retries, outcome))) in reports.into_iter().zip(barrier.finish()).enumerate() {
+        // An edge thread that never reported vanished outside the
+        // protocol (its metrics plane cannot be reconstructed).
+        let (meta, metrics) = report.ok_or(RuntimeError::WorkerLost { worker: e })?;
+        gather.edge_shards.push(meta.len());
+        gather.edge_clients.push(meta.iter().map(|(folded, _)| folded).sum());
+        gather.shard_meta.extend(meta);
+        gather.metrics.extend(metrics);
+        gather.edge_fates.push(match outcome {
+            Ok(_) => ClientFate::Delivered { retries },
+            Err(reason) => ClientFate::Lost { reason, retries, trained: true },
+        });
+        gather.partials.push(outcome.ok().flatten());
     }
-    Ok(RoundGather { shard_meta, metrics, partials, edge_fates, edge_shards, edge_clients })
+    Ok(gather)
 }

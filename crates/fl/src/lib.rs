@@ -27,6 +27,7 @@
 // statically by the `unsafe-hygiene` lint in `fedmp-analysis`.
 #![forbid(unsafe_code)]
 mod aggregate;
+mod barrier;
 mod chaos;
 mod checksum;
 mod engine;

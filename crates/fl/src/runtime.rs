@@ -40,6 +40,15 @@
 //!   worker is restarted with a fresh channel pair at the start of the
 //!   next round and re-enters the fleet (`WorkerRejoined`).
 //!
+//! What the PS does about any of it — retransmit, exclude, mark for
+//! restart — is decided in one place, the pure state machine of
+//! [`crate::barrier`]; the framed exchange here only translates what
+//! its [`Fleet`] delivers into that machine's events and carries out
+//! its actions. The same holds for a peer that is not this crate's
+//! [`WorkerProtocol`] at all: a connection that closes unannounced or a
+//! message the protocol has no place for costs that worker one
+//! exclusion (`"crashed"` / `"protocol"`) and a restart, not the run.
+//!
 //! A round aggregates when at least `ChaosOptions::quorum(online)`
 //! models survive exclusion — R2SP-style partial aggregation via
 //! [`quorum_aggregate`]; below quorum the global model carries over
@@ -70,6 +79,7 @@
 //! the leak regression test.
 
 use crate::aggregate::{bsp_aggregate, quorum_aggregate};
+use crate::barrier::{Action, Barrier, Event};
 use crate::chaos::{corrupted_copy, ChaosOptions, ChaosPlan};
 use crate::engine::{
     emit_aggregate, emit_codec_selected, emit_compression_applied, emit_frame_retransmit,
@@ -128,7 +138,7 @@ pub(crate) struct Exchanged<U> {
     /// Retransmit requests the exchange cost, delivered or not.
     pub(crate) retransmits: u32,
     /// The arrival, or why the worker is excluded from the round
-    /// (`"dropped"`, `"corrupt"`, `"crashed"`).
+    /// (`"dropped"`, `"corrupt"`, `"crashed"`, `"protocol"`).
     pub(crate) result: Result<Arrival<U>, &'static str>,
 }
 
@@ -141,9 +151,9 @@ pub(crate) trait Exchange {
     /// inline exchange.
     type Error: Send;
 
-    /// Restarts the workers that crashed last round, before this round
-    /// begins; they are dispatched this round's model like everyone
-    /// else. Default: nothing can crash.
+    /// Restarts the workers that crashed (or broke the protocol) last
+    /// round, before this round begins; they are dispatched this
+    /// round's model like everyone else. Default: nothing can crash.
     fn rejoin(&mut self, round: usize) -> Result<(), Self::Error> {
         let _ = round;
         Ok(())
@@ -530,10 +540,6 @@ pub(crate) enum DownlinkMsg {
         frame: Bytes,
         /// Which slice of the architecture the frame's tensors fill.
         plan: PrunePlan,
-        /// The chaos plan lost this downlink in transit: the worker
-        /// must act as if the dispatch never arrived (no training, a
-        /// `Lost` marker standing in for the PS's timeout).
-        lost: bool,
     },
     /// The PS received a corrupt upload; resend the cached clean frame.
     Retransmit {
@@ -557,43 +563,46 @@ pub(crate) enum UplinkBody {
     /// A retransmission: the model frame only (the PS cached the
     /// outcome from the first arrival).
     Frame { frame: Bytes },
-    /// The exchange was lost in transit (dropped downlink or uplink) —
-    /// the in-process stand-in for the PS timing the worker out.
+    /// The upload was lost in transit — the in-process stand-in for
+    /// the PS timing the worker out.
     Lost,
-    /// The worker thread crashed mid-round (the stand-in for the PS
-    /// seeing the connection reset); nothing more arrives from it until
-    /// the PS restarts it next round.
+    /// The worker's link is gone — a crashed thread's last word, or a
+    /// fleet's report of a closed or unreadable connection; nothing
+    /// more arrives from it until the PS restarts it next round.
     Crashed,
-    /// The dispatched frame passed no checksum check worker-side — a
-    /// protocol violation retransmits cannot fix (the PS encoder is
-    /// in-process and cannot produce this).
-    Undecodable,
+    /// The exchange broke the protocol: the dispatched frame failed to
+    /// decode worker-side, or a fleet received something it could not
+    /// read as any of the above.
+    Malformed,
 }
 
-/// Errors returned by the threaded runtime. Transport faults — corrupt
-/// frames, losses, stragglers, crashes — are *recoverable* and handled
-/// in-run (retransmit, exclusion, rejoin); these variants are the
-/// protocol violations that remain terminal.
+/// Errors returned by the threaded runtime. Whatever one worker does
+/// during a round — corrupt frames, losses, stragglers, crashes,
+/// unannounced disconnects, messages outside the protocol — is
+/// *recoverable* and handled in-run (retransmit, exclusion, rejoin —
+/// `fl::barrier`); these variants are what remains terminal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RuntimeError {
-    /// A wire frame failed structural decoding even though its checksum
-    /// verified (or a retransmission arrived with nothing pending) — an
-    /// encoder-side protocol violation the retransmit path cannot fix.
+    /// A delivered upload failed structural decoding even though its
+    /// checksum verified — an encoder-side violation found only at
+    /// reconstruction, after the barrier.
     CorruptFrame {
         /// Worker whose frame failed to decode.
         worker: usize,
         /// Round the frame belonged to.
         round: usize,
     },
-    /// A worker's channel closed outside the crash/rejoin protocol —
-    /// the thread vanished without announcing a crash.
+    /// The fleet itself went away: every uplink sender closed with the
+    /// barrier still open (an edge aggregator thread of the threaded
+    /// hierarchy that never reported).
     WorkerLost {
-        /// The worker whose channel went away.
+        /// The worker (or edge) concerned; 0 when it is the whole
+        /// uplink.
         worker: usize,
     },
-    /// A socket-transport operation failed terminally — bind, accept,
-    /// connect, node spawn, handshake, frame I/O, or process reap.
-    /// Never produced by the in-process channel transport.
+    /// A socket-fleet operation failed terminally — bind, accept, node
+    /// spawn, handshake, or process reap during bring-up, respawn or
+    /// teardown. Never produced by the in-process channel transport.
     Transport {
         /// The worker the operation concerned (0 for fleet-wide
         /// failures such as binding the listener).
@@ -610,7 +619,7 @@ impl std::fmt::Display for RuntimeError {
                 write!(f, "wire frame for worker {worker} failed to decode in round {round}")
             }
             RuntimeError::WorkerLost { worker } => {
-                write!(f, "worker {worker} disconnected outside the crash/rejoin protocol")
+                write!(f, "the uplink of worker {worker} closed with its round still open")
             }
             RuntimeError::Transport { worker, fault } => {
                 write!(f, "socket transport failed for worker {worker}: {fault}")
@@ -719,23 +728,18 @@ impl<'a> WorkerProtocol<'a> {
         }
     }
 
-    /// Handles one dispatch. A `lost` dispatch's frame is ignored (over
-    /// a socket it is empty: a dropped downlink carries no payload).
+    /// Handles one dispatch. (A downlink the chaos plan drops never
+    /// gets here: the PS decides that loss itself and sends nothing.)
     pub(crate) fn on_dispatch(
         &mut self,
         round: usize,
         frame: Bytes,
         plan: &PrunePlan,
-        lost: bool,
     ) -> WorkerStep {
         let w = self.w;
         let draw = self.plan.draw(round, w);
         if draw.crash {
             return WorkerStep::Crash(UplinkMsg { worker: w, round, body: UplinkBody::Crashed });
-        }
-        if lost {
-            self.cached = None;
-            return WorkerStep::Reply(UplinkMsg { worker: w, round, body: UplinkBody::Lost });
         }
         // One OS thread (or process) per worker is already the
         // parallelism level here; run the kernels beneath sequentially
@@ -764,7 +768,7 @@ impl<'a> WorkerProtocol<'a> {
         let reply = match trained {
             None => {
                 self.cached = None;
-                UplinkMsg { worker: w, round, body: UplinkBody::Undecodable }
+                UplinkMsg { worker: w, round, body: UplinkBody::Malformed }
             }
             Some(_) if draw.drop_up => {
                 // Trained, but the upload vanishes in transit.
@@ -812,9 +816,7 @@ fn worker_loop(
     let _live = LiveThreadGuard::register();
     while let Ok(msg) = down_rx.recv() {
         let step = match msg {
-            DownlinkMsg::Dispatch { round, frame, plan, lost } => {
-                proto.on_dispatch(round, frame, &plan, lost)
-            }
+            DownlinkMsg::Dispatch { round, frame, plan } => proto.on_dispatch(round, frame, &plan),
             DownlinkMsg::Retransmit { round } => proto.on_retransmit(round),
         };
         match step {
@@ -860,22 +862,19 @@ pub(crate) trait Fleet {
     /// events (`NodeRespawned`, `ConnEstablished`) are emitted here;
     /// the exchange emits the `WorkerRejoined` that follows.
     fn respawn(&mut self, round: usize, worker: usize) -> Result<(), RuntimeError>;
-    /// Sends this round's dispatch. `lost` means the chaos plan drops
-    /// the downlink: the payload must not reach the worker's protocol
-    /// state machine (the socket fleet sends a payload-free marker so
-    /// the lock-step protocol survives without wall-clock timeouts).
-    fn dispatch(
-        &mut self,
-        round: usize,
-        worker: usize,
-        frame: Bytes,
-        plan: &PrunePlan,
-        lost: bool,
-    ) -> Result<(), RuntimeError>;
-    /// Requests a retransmission of the worker's cached clean upload.
-    fn retransmit(&mut self, round: usize, worker: usize) -> Result<(), RuntimeError>;
+    /// Sends this round's dispatch. `false`: the worker's link would
+    /// not take it — the exchange treats that as the link being gone.
+    #[must_use]
+    fn dispatch(&mut self, round: usize, worker: usize, frame: Bytes, plan: &PrunePlan) -> bool;
+    /// Requests a retransmission of the worker's cached clean upload;
+    /// `false` as for [`Fleet::dispatch`].
+    #[must_use]
+    fn retransmit(&mut self, round: usize, worker: usize) -> bool;
     /// Blocks for the next uplink message of `round`'s collection
-    /// barrier.
+    /// barrier. `worker` names the link it arrived on, never what the
+    /// message claims; a link that closed or could not be read is
+    /// reported as that worker's [`UplinkBody::Crashed`] /
+    /// [`UplinkBody::Malformed`], not as an error.
     fn recv(&mut self, round: usize) -> Result<UplinkMsg, RuntimeError>;
     /// Post-barrier notification that `worker`'s contribution was
     /// excluded for `reason` — the hook the socket fleet uses to emit
@@ -887,15 +886,15 @@ pub(crate) trait Fleet {
 }
 
 /// The framed [`Exchange`]: every sub-model crosses the [`Fleet`] as
-/// one wire frame and every trained model comes back as one, with the
-/// PS-side recovery policy in between — bounded retransmits of
-/// checksum-failed uploads, exclusion of lost and crashed exchanges,
-/// and restart of crashed workers at the next round.
+/// one wire frame and every trained model comes back as one. In
+/// between it pumps a [`Barrier`], which holds the recovery policy —
+/// bounded retransmits of checksum-failed uploads, exclusion of lost,
+/// vanished and protocol-breaking exchanges — and restarts the workers
+/// whose link is gone or no longer trusted at the next round.
 struct FramedExchange<'f, F: Fleet> {
     fleet: &'f mut F,
     plan: ChaosPlan,
-    max_retransmits: u32,
-    /// Workers that announced a crash and await [`Exchange::rejoin`].
+    /// Workers awaiting a restart in [`Exchange::rejoin`].
     crashed: Vec<bool>,
 }
 
@@ -935,102 +934,79 @@ impl<F: Fleet> Exchange for FramedExchange<'_, F> {
             let dense = wire_size_v2(&sub_state, Codec::DenseF32) as u64;
             (frame, sub, received, dense)
         });
+        // The chaos plane rewrites events where it needs no peer: a
+        // downlink it drops is decided here and nothing is sent. (A
+        // crash draw is dispatched — the worker must hear of the round
+        // to die in it.) A link that will not take its dispatch is gone.
+        let mut barrier = Barrier::new(online.len(), self.plan.options().max_retransmits);
         let mut dispatched = Vec::with_capacity(online.len());
         for (i, (frame, sub, received, dense)) in prepared.into_iter().enumerate() {
             let w = online[i];
             dispatched.push((sub, received, frame.len() as u64, dense));
-            let lost = self.plan.draw(round, w).drop_down;
-            self.fleet.dispatch(round, w, frame, &plans[i], lost)?;
+            let draw = self.plan.draw(round, w);
+            if draw.drop_down && !draw.crash {
+                barrier.on(i, Event::Lost);
+            } else if !self.fleet.dispatch(round, w, frame, &plans[i]) {
+                barrier.on(i, Event::Gone);
+            }
         }
 
-        // Collection barrier: drive every dispatched exchange to a
-        // terminal outcome (delivered / excluded). This loop does
-        // **no** order-sensitive processing — arrival order varies run
-        // to run; everything deterministic happens after the barrier,
-        // in worker order.
-        enum Slot {
-            Waiting,
-            PendingRetry { outcome: LocalOutcome },
-            Delivered { frame: Bytes, outcome: LocalOutcome },
-            Excluded(&'static str),
-        }
-        let mut pos = vec![usize::MAX; workers];
+        // Collection barrier: translate what the fleet delivers into
+        // barrier events and carry out its actions until every slot is
+        // terminal. This loop does **no** order-sensitive processing —
+        // arrival order varies run to run; everything deterministic
+        // happens after the barrier, in worker order.
+        let mut pos = vec![None; workers];
         for (i, &w) in online.iter().enumerate() {
-            pos[w] = i;
+            pos[w] = Some(i);
         }
-        let mut slots: Vec<Slot> = online.iter().map(|_| Slot::Waiting).collect();
-        let mut retries = vec![0u32; online.len()];
-        let mut outstanding = online.len();
-        while outstanding > 0 {
-            let msg = self.fleet.recv(round)?;
-            let w = msg.worker;
-            if msg.round != round || w >= workers || pos[w] == usize::MAX {
-                // Stale or phantom message — the lock-step protocol
-                // cannot produce one; skip defensively.
-                continue;
+        // The first upload's outcome; a retransmission is a frame only.
+        let mut outcomes: Vec<Option<LocalOutcome>> = vec![None; online.len()];
+        let upload = |frame: Bytes, outcome: LocalOutcome| Event::Upload {
+            intact: frame_checksum_ok(&frame),
+            payload: (frame, outcome),
+        };
+        while !barrier.done() {
+            let UplinkMsg { worker: w, round: msg_round, body } = self.fleet.recv(round)?;
+            // A link that is gone needs a restart whenever that is
+            // learnt, its slot long settled (or absent) or not.
+            if let (UplinkBody::Crashed, Some(down)) = (&body, self.crashed.get_mut(w)) {
+                *down = true;
             }
-            let i = pos[w];
-            let framed = match msg.body {
-                UplinkBody::Model { frame, outcome } => Some((frame, outcome)),
-                UplinkBody::Frame { frame } => {
-                    match std::mem::replace(&mut slots[i], Slot::Waiting) {
-                        Slot::PendingRetry { outcome } => Some((frame, outcome)),
-                        // A retransmission with nothing pending is a
-                        // protocol violation.
-                        _ => return Err(RuntimeError::CorruptFrame { worker: w, round }),
-                    }
+            let Some(i) = pos.get(w).copied().flatten() else { continue };
+            let event = match body {
+                UplinkBody::Crashed => Event::Gone,
+                _ if msg_round != round => Event::Malformed,
+                UplinkBody::Model { frame, outcome } => {
+                    upload(frame, *outcomes[i].get_or_insert(outcome))
                 }
-                UplinkBody::Lost => {
-                    slots[i] = Slot::Excluded("dropped");
-                    outstanding -= 1;
-                    None
-                }
-                UplinkBody::Crashed => {
-                    self.crashed[w] = true;
-                    slots[i] = Slot::Excluded("crashed");
-                    outstanding -= 1;
-                    None
-                }
-                UplinkBody::Undecodable => {
-                    return Err(RuntimeError::CorruptFrame { worker: w, round })
-                }
+                UplinkBody::Frame { frame } => match outcomes[i] {
+                    Some(outcome) => upload(frame, outcome),
+                    None => Event::Malformed,
+                },
+                UplinkBody::Lost => Event::Lost,
+                UplinkBody::Malformed => Event::Malformed,
             };
-            if let Some((frame, outcome)) = framed {
-                if frame_checksum_ok(&frame) {
-                    slots[i] = Slot::Delivered { frame, outcome };
-                    outstanding -= 1;
-                } else if retries[i] < self.max_retransmits {
-                    // Bounded retransmit: ask the worker to resend its
-                    // cached clean frame.
-                    retries[i] += 1;
-                    slots[i] = Slot::PendingRetry { outcome };
-                    self.fleet.retransmit(round, w)?;
-                } else {
-                    slots[i] = Slot::Excluded("corrupt");
-                    outstanding -= 1;
-                }
+            if barrier.on(i, event) == Action::Retransmit && !self.fleet.retransmit(round, w) {
+                barrier.on(i, Event::Gone);
             }
         }
 
         // Post-barrier: report the outcomes in worker order.
         let mut exchanged = Vec::with_capacity(online.len());
-        for (i, (slot, (sub, received, down, dense))) in
-            slots.into_iter().zip(dispatched).enumerate()
+        for (i, ((retransmits, outcome), (sub, received, down, dense))) in
+            barrier.finish().into_iter().zip(dispatched).enumerate()
         {
             let worker = online[i];
-            let result = match slot {
-                Slot::Delivered { frame, outcome } => Ok(Arrival {
-                    wire: Some(WireBytes { down, up: frame.len() as u64, dense }),
-                    upload: FramedUpload { worker, round, frame, sub, received },
-                    outcome,
-                }),
-                Slot::Excluded(reason) => Err(reason),
-                // The barrier drives every slot terminal.
-                Slot::Waiting | Slot::PendingRetry { .. } => {
-                    return Err(RuntimeError::WorkerLost { worker })
-                }
-            };
-            exchanged.push(Exchanged { retransmits: retries[i], result });
+            if matches!(outcome, Err("crashed" | "protocol")) {
+                self.crashed[worker] = true;
+            }
+            let result = outcome.map(|(frame, outcome)| Arrival {
+                wire: Some(WireBytes { down, up: frame.len() as u64, dense }),
+                upload: FramedUpload { worker, round, frame, sub, received },
+                outcome,
+            });
+            exchanged.push(Exchanged { retransmits, result });
         }
         Ok(exchanged)
     }
@@ -1064,7 +1040,6 @@ pub(crate) fn run_framed_rounds<F: Fleet>(
     let mut framed = FramedExchange {
         fleet,
         plan: ChaosPlan::new(cfg.seed, chaos),
-        max_retransmits: chaos.max_retransmits,
         crashed: vec![false; setup.workers()],
     };
     let method = RoundMethod::fedmp(cfg, setup.workers(), opts);
@@ -1128,23 +1103,14 @@ impl Fleet for ChannelFleet<'_, '_, '_> {
         Ok(())
     }
 
-    fn dispatch(
-        &mut self,
-        round: usize,
-        worker: usize,
-        frame: Bytes,
-        plan: &PrunePlan,
-        lost: bool,
-    ) -> Result<(), RuntimeError> {
+    fn dispatch(&mut self, round: usize, worker: usize, frame: Bytes, plan: &PrunePlan) -> bool {
         self.downlinks[worker]
-            .send(DownlinkMsg::Dispatch { round, frame, plan: plan.clone(), lost })
-            .map_err(|_| RuntimeError::WorkerLost { worker })
+            .send(DownlinkMsg::Dispatch { round, frame, plan: plan.clone() })
+            .is_ok()
     }
 
-    fn retransmit(&mut self, round: usize, worker: usize) -> Result<(), RuntimeError> {
-        self.downlinks[worker]
-            .send(DownlinkMsg::Retransmit { round })
-            .map_err(|_| RuntimeError::WorkerLost { worker })
+    fn retransmit(&mut self, round: usize, worker: usize) -> bool {
+        self.downlinks[worker].send(DownlinkMsg::Retransmit { round }).is_ok()
     }
 
     fn recv(&mut self, _round: usize) -> Result<UplinkMsg, RuntimeError> {
@@ -1160,11 +1126,11 @@ impl Fleet for ChannelFleet<'_, '_, '_> {
 /// # Errors
 /// Every injected fault is recovered in-run; the returned
 /// [`RuntimeError`]s ([`RuntimeError::CorruptFrame`],
-/// [`RuntimeError::WorkerLost`]) report *protocol violations* — an
-/// undecodable checksum-verified frame, a thread gone without a crash
-/// announcement — which cannot occur with the in-process channels used
-/// here, but are surfaced as typed errors rather than panics so the
-/// library has no panic paths (see `docs/ANALYSIS.md`, `no-panic`).
+/// [`RuntimeError::WorkerLost`]) report an undecodable
+/// checksum-verified frame or a closed uplink — which cannot occur
+/// with the in-process channels used here, but are surfaced as typed
+/// errors rather than panics so the library has no panic paths (see
+/// `docs/ANALYSIS.md`, `no-panic`).
 pub fn run_fedmp_threaded_chaos(
     cfg: &FlConfig,
     setup: &FlSetup<'_>,

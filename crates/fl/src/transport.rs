@@ -28,13 +28,18 @@
 //! The seeded [`ChaosPlan`](crate::chaos::ChaosPlan) draws are mapped
 //! onto packet-level effects (see `docs/TRANSPORT.md` for the full
 //! table): corruption flips a byte of the uplink model payload (the
-//! framing checksum excludes it; the wire checksum catches it), drops
-//! become payload-free marker frames so the lock-step protocol never
-//! needs a wall-clock timeout, delays become bounded real sleeps
-//! worker-side (virtual-clock penalties stay PS-side), and crashes
-//! become the worker closing its connection without a word — which the
-//! PS reads as a connection reset and recovers from by respawning the
-//! node next round.
+//! framing checksum excludes it; the wire checksum catches it), a
+//! dropped uplink becomes a payload-free marker frame so the lock-step
+//! protocol never needs a wall-clock timeout (a dropped downlink is
+//! decided PS-side and sends nothing), delays become bounded real
+//! sleeps worker-side (virtual-clock penalties stay PS-side), and
+//! crashes become the worker closing its connection without a word —
+//! which the PS reads as a connection reset and recovers from by
+//! respawning the node next round. It reads *any* closed or unreadable
+//! connection that way, planned or not: the peer is identified by the
+//! connection a message arrived on, and whatever it does costs its own
+//! worker one exclusion and a respawn (`docs/TRANSPORT.md`, "A peer
+//! that breaks the protocol").
 //!
 //! # Determinism
 //!
@@ -93,8 +98,7 @@ pub(crate) mod kind {
     /// PS → worker: run configuration and the global architecture,
     /// plus the opaque task blob.
     pub const SETUP: u32 = 2;
-    /// PS → worker: one round's pruning plan and sub-model frame (the
-    /// frame is empty when the chaos plan lost the downlink).
+    /// PS → worker: one round's pruning plan and sub-model frame.
     pub const DISPATCH: u32 = 3;
     /// PS → worker: resend the cached clean upload.
     pub const RETRANSMIT: u32 = 4;
@@ -106,8 +110,9 @@ pub(crate) mod kind {
     pub const UP_FRAME: u32 = 7;
     /// Worker → PS: the exchange was lost in transit (marker frame).
     pub const UP_LOST: u32 = 8;
-    /// Worker → PS: the dispatch failed structural decoding.
-    pub const UP_UNDECODABLE: u32 = 9;
+    /// Worker → PS: the exchange broke the protocol worker-side (the
+    /// dispatch failed structural decoding).
+    pub const UP_MALFORMED: u32 = 9;
 }
 
 /// Typed framing-layer failures. Never panics, never over-reads: every
@@ -159,10 +164,8 @@ pub enum TransportFault {
     Spawn,
     /// The Hello/Setup handshake.
     Handshake,
-    /// Writing a frame to a worker.
-    Send,
-    /// Reading a frame from a worker (framing error or a connection
-    /// gone outside the crash protocol).
+    /// The reader side of the fleet failed: the PS's own uplink queue
+    /// closed, or a reader thread could not be joined.
     Recv,
     /// Reaping a worker node on teardown or respawn.
     Reap,
@@ -176,7 +179,6 @@ impl std::fmt::Display for TransportFault {
             TransportFault::Connect => "connect",
             TransportFault::Spawn => "spawn",
             TransportFault::Handshake => "handshake",
-            TransportFault::Send => "send",
             TransportFault::Recv => "recv",
             TransportFault::Reap => "reap",
         };
@@ -293,7 +295,6 @@ struct SetupCtl {
 #[derive(Serialize, Deserialize)]
 struct DispatchCtl {
     round: usize,
-    lost: bool,
     plan: PrunePlan,
 }
 
@@ -445,7 +446,7 @@ where
                         std::thread::sleep(Duration::from_millis(ms));
                     }
                 }
-                proto.on_dispatch(ctl.round, Bytes::from(bin), &ctl.plan, ctl.lost)
+                proto.on_dispatch(ctl.round, Bytes::from(bin), &ctl.plan)
             }
             kind::RETRANSMIT => {
                 let ctl: RoundCtl = from_json(&json)?;
@@ -481,25 +482,47 @@ fn write_uplink<W: Write>(w: &mut W, msg: &UplinkMsg) -> Result<(), TransportErr
         }
         UplinkBody::Frame { frame } => write_frame(w, kind::UP_FRAME, &to_json(&ctl(None))?, frame),
         UplinkBody::Lost => write_frame(w, kind::UP_LOST, &to_json(&ctl(None))?, &[]),
-        UplinkBody::Undecodable => write_frame(w, kind::UP_UNDECODABLE, &to_json(&ctl(None))?, &[]),
+        UplinkBody::Malformed => write_frame(w, kind::UP_MALFORMED, &to_json(&ctl(None))?, &[]),
         // A crash is realised as a close, never a frame.
         UplinkBody::Crashed => Ok(()),
     }
 }
 
-/// Serialises one dispatch as a frame. A lost downlink is a
-/// payload-free marker: the model bytes never cross the wire, only the
-/// fact of the loss does, keeping the protocol lock-step without
-/// wall-clock timeouts.
+/// Reads the frame that arrived on `worker`'s connection during `round`
+/// as an uplink; `None` when it is not one the protocol allows there —
+/// unparseable control JSON, an unknown kind, an `UpModel` without its
+/// outcome, or a control section naming another worker or round.
+fn read_uplink(
+    worker: usize,
+    round: usize,
+    kind: u32,
+    json: &[u8],
+    bin: Vec<u8>,
+) -> Option<UplinkBody> {
+    let ctl: UplinkCtl = from_json(json).ok()?;
+    if (ctl.worker, ctl.round) != (worker, round) {
+        return None;
+    }
+    match kind {
+        kind::UP_MODEL => {
+            Some(UplinkBody::Model { frame: Bytes::from(bin), outcome: ctl.outcome? })
+        }
+        kind::UP_FRAME => Some(UplinkBody::Frame { frame: Bytes::from(bin) }),
+        kind::UP_LOST => Some(UplinkBody::Lost),
+        kind::UP_MALFORMED => Some(UplinkBody::Malformed),
+        _ => None,
+    }
+}
+
+/// Serialises one dispatch as a frame.
 fn write_dispatch<W: Write>(
     w: &mut W,
     round: usize,
     frame: &[u8],
     plan: &PrunePlan,
-    lost: bool,
 ) -> Result<(), TransportError> {
-    let json = to_json(&DispatchCtl { round, lost, plan: plan.clone() })?;
-    write_frame(w, kind::DISPATCH, &json, if lost { &[] } else { frame })
+    let json = to_json(&DispatchCtl { round, plan: plan.clone() })?;
+    write_frame(w, kind::DISPATCH, &json, frame)
 }
 
 // ───────────────────────── node spawners ─────────────────────────
@@ -596,22 +619,14 @@ pub struct ThreadHandle {
 }
 
 impl NodeHandle for ThreadHandle {
-    fn reap(&mut self, attempts: u32, base: Duration) -> Result<(), TransportError> {
-        let handle = match self.join.take() {
-            Some(h) => h,
-            None => return Ok(()),
-        };
-        // The protocol guarantees exit (Shutdown, crash, or EOF when
-        // the PS drops its stream), so polling is a courtesy before a
-        // blocking join — there is no thread kill.
-        for attempt in 1..=attempts.max(1) {
-            if handle.is_finished() {
-                break;
-            }
-            std::thread::sleep(backoff(base, attempt));
+    /// A blocking join — there is no thread kill, and the protocol
+    /// guarantees exit (Shutdown, crash, or EOF once the PS shuts its
+    /// stream down).
+    fn reap(&mut self, _attempts: u32, _base: Duration) -> Result<(), TransportError> {
+        match self.join.take().map(std::thread::JoinHandle::join) {
+            Some(Err(_)) => Err(TransportError::Io(std::io::ErrorKind::Other)),
+            _ => Ok(()),
         }
-        handle.join().map_err(|_| TransportError::Io(std::io::ErrorKind::Other))?;
-        Ok(())
     }
 }
 
@@ -671,26 +686,16 @@ impl SocketRunOptions {
     }
 }
 
-/// What one reader thread forwards to the PS. Generation-tagged so
-/// messages from a connection that was already replaced are ignored.
-enum ReaderMsg {
-    Frame {
-        worker: usize,
-        generation: u32,
-        kind: u32,
-        json: Vec<u8>,
-        bin: Vec<u8>,
-    },
-    /// Clean end of stream — the worker closed (crash or exit).
-    Gone {
-        worker: usize,
-        generation: u32,
-    },
-    /// A framing error on this connection.
-    Bad {
-        worker: usize,
-        generation: u32,
-    },
+/// What one reader thread forwards to the PS: who it reads for — the
+/// identity of everything it forwards, whatever a frame claims — and a
+/// generation tag, so messages from a connection that was already
+/// replaced are ignored.
+struct ReaderMsg {
+    worker: usize,
+    generation: u32,
+    /// `None` is the reader's last word: the connection ended (closed
+    /// by the worker — crash or exit — or no longer framed).
+    frame: Option<RawFrame>,
 }
 
 /// The socket [`Fleet`]: per-worker write streams plus one dumb reader
@@ -787,23 +792,10 @@ impl<'a, S: NodeSpawner> SocketFleet<'a, S> {
             let _guard = LiveThreadGuard::register();
             let mut stream = stream;
             loop {
-                match read_frame(&mut stream) {
-                    Ok(Some((kind, json, bin))) => {
-                        if tx
-                            .send(ReaderMsg::Frame { worker, generation, kind, json, bin })
-                            .is_err()
-                        {
-                            break;
-                        }
-                    }
-                    Ok(None) => {
-                        let _ = tx.send(ReaderMsg::Gone { worker, generation });
-                        break;
-                    }
-                    Err(_) => {
-                        let _ = tx.send(ReaderMsg::Bad { worker, generation });
-                        break;
-                    }
+                let frame = read_frame(&mut stream).ok().flatten();
+                let last = frame.is_none();
+                if tx.send(ReaderMsg { worker, generation, frame }).is_err() || last {
+                    break;
                 }
             }
         });
@@ -851,6 +843,15 @@ impl<'a, S: NodeSpawner> SocketFleet<'a, S> {
         Ok(())
     }
 
+    /// Closes `worker`'s connection for both ends: a shutdown, not just
+    /// a dropped handle, so the reader's clone reads end-of-stream (and
+    /// its thread can be joined) even while the peer holds its end open.
+    fn close(&mut self, worker: usize) {
+        if let Some(s) = self.streams[worker].take() {
+            let _ = s.shutdown(std::net::Shutdown::Both);
+        }
+    }
+
     /// Tears the whole fleet down: best-effort Shutdown to every live
     /// worker, close every stream, reap every node, join every reader.
     /// Runs on every exit path; returns the first failure but never
@@ -859,12 +860,12 @@ impl<'a, S: NodeSpawner> SocketFleet<'a, S> {
     fn teardown(&mut self) -> Result<(), RuntimeError> {
         let mut first: Option<RuntimeError> = None;
         for w in 0..self.streams.len() {
-            if let Some(mut s) = self.streams[w].take() {
-                let _ = write_frame(&mut s, kind::SHUTDOWN, b"{}", &[]);
-                // Dropping `s` closes the PS's write half; the worker
-                // exits on Shutdown (or EOF), which in turn EOFs the
-                // reader's clone.
+            if let Some(s) = self.streams[w].as_mut() {
+                // The worker exits on Shutdown (or on the end of stream
+                // that follows it).
+                let _ = write_frame(s, kind::SHUTDOWN, b"{}", &[]);
             }
+            self.close(w);
         }
         for w in 0..self.nodes.len() {
             if let Some(mut node) = self.nodes[w].take() {
@@ -892,9 +893,9 @@ impl<S: NodeSpawner> Fleet for SocketFleet<'_, S> {
         self.gens[worker] += 1;
         let generation = self.gens[worker];
         emit_node_respawned(round, worker, generation);
-        // Old connection first: close our half, reap the dead node,
-        // join its reader (EOF is guaranteed once both halves drop).
-        self.streams[worker] = None;
+        // Old connection first: close it, reap the dead node, join its
+        // reader.
+        self.close(worker);
         if let Some(mut node) = self.nodes[worker].take() {
             node.reap(self.opts.reap_attempts, self.opts.reap_backoff)
                 .map_err(|_| self.fault(worker, TransportFault::Reap))?;
@@ -923,74 +924,36 @@ impl<S: NodeSpawner> Fleet for SocketFleet<'_, S> {
         Ok(())
     }
 
-    fn dispatch(
-        &mut self,
-        round: usize,
-        worker: usize,
-        frame: Bytes,
-        plan: &PrunePlan,
-        lost: bool,
-    ) -> Result<(), RuntimeError> {
-        match self.streams[worker].as_mut() {
-            Some(s) => write_dispatch(s, round, &frame, plan, lost)
-                .map_err(|_| RuntimeError::Transport { worker, fault: TransportFault::Send }),
-            None => Err(self.fault(worker, TransportFault::Send)),
-        }
+    fn dispatch(&mut self, round: usize, worker: usize, frame: Bytes, plan: &PrunePlan) -> bool {
+        self.streams[worker]
+            .as_mut()
+            .is_some_and(|s| write_dispatch(s, round, &frame, plan).is_ok())
     }
 
-    fn retransmit(&mut self, round: usize, worker: usize) -> Result<(), RuntimeError> {
-        let json =
-            to_json(&RoundCtl { round }).map_err(|_| self.fault(worker, TransportFault::Send))?;
-        match self.streams[worker].as_mut() {
-            Some(s) => write_frame(s, kind::RETRANSMIT, &json, &[])
-                .map_err(|_| RuntimeError::Transport { worker, fault: TransportFault::Send }),
-            None => Err(self.fault(worker, TransportFault::Send)),
-        }
+    fn retransmit(&mut self, round: usize, worker: usize) -> bool {
+        let sent = |s| write_frame(s, kind::RETRANSMIT, &to_json(&RoundCtl { round })?, &[]);
+        self.streams[worker].as_mut().is_some_and(|s| sent(s).is_ok())
     }
 
     fn recv(&mut self, round: usize) -> Result<UplinkMsg, RuntimeError> {
         loop {
-            let msg = self.rx.recv().map_err(|_| self.fault(0, TransportFault::Recv))?;
-            match msg {
-                ReaderMsg::Frame { worker, generation, kind: k, json, bin } => {
-                    if generation != self.gens[worker] {
-                        continue; // stale connection
-                    }
-                    let ctl: UplinkCtl =
-                        from_json(&json).map_err(|_| self.fault(worker, TransportFault::Recv))?;
-                    let body = match k {
-                        kind::UP_MODEL => {
-                            let outcome =
-                                ctl.outcome.ok_or(self.fault(worker, TransportFault::Recv))?;
-                            UplinkBody::Model { frame: Bytes::from(bin), outcome }
-                        }
-                        kind::UP_FRAME => UplinkBody::Frame { frame: Bytes::from(bin) },
-                        kind::UP_LOST => UplinkBody::Lost,
-                        kind::UP_UNDECODABLE => UplinkBody::Undecodable,
-                        _ => return Err(self.fault(worker, TransportFault::Recv)),
-                    };
-                    return Ok(UplinkMsg { worker: ctl.worker, round: ctl.round, body });
-                }
-                ReaderMsg::Gone { worker, generation } => {
-                    if generation != self.gens[worker] {
-                        continue;
-                    }
-                    // Closed without a word. Under the chaos plan this
-                    // is exactly how a crash manifests; outside it, a
-                    // node vanished in violation of the protocol.
-                    self.streams[worker] = None;
-                    if self.plan.draw(round, worker).crash {
-                        return Ok(UplinkMsg { worker, round, body: UplinkBody::Crashed });
-                    }
-                    return Err(RuntimeError::WorkerLost { worker });
-                }
-                ReaderMsg::Bad { worker, generation } => {
-                    if generation != self.gens[worker] {
-                        continue;
-                    }
-                    return Err(self.fault(worker, TransportFault::Recv));
-                }
+            let ReaderMsg { worker, generation, frame } =
+                self.rx.recv().map_err(|_| self.fault(0, TransportFault::Recv))?;
+            if generation != self.gens[worker] {
+                continue; // stale connection
             }
+            let body = match frame {
+                Some((k, json, bin)) => {
+                    read_uplink(worker, round, k, &json, bin).unwrap_or(UplinkBody::Malformed)
+                }
+                // Closed without a word — how a planned crash manifests,
+                // and handled no differently when nothing planned it.
+                None => {
+                    self.close(worker);
+                    UplinkBody::Crashed
+                }
+            };
+            return Ok(UplinkMsg { worker, round, body });
         }
     }
 
@@ -1004,9 +967,9 @@ impl<S: NodeSpawner> Fleet for SocketFleet<'_, S> {
             }
             // A crashed worker surfaced as a connection reset.
             "crashed" => emit_conn_reset(round, worker),
-            // Corruption and deadline exclusions are application-level
-            // outcomes with their own events; nothing transport-level
-            // to add.
+            // Corruption, protocol and deadline exclusions are
+            // application-level outcomes with their own events; nothing
+            // transport-level to add.
             _ => {}
         }
     }
@@ -1024,9 +987,10 @@ impl<S: NodeSpawner> Fleet for SocketFleet<'_, S> {
 /// every reader joined, and the socket file is removed.
 ///
 /// # Errors
-/// [`RuntimeError::Transport`] on terminal socket/process failures;
-/// [`RuntimeError::CorruptFrame`]/[`RuntimeError::WorkerLost`] exactly
-/// as in the channel runtime.
+/// [`RuntimeError::Transport`] when the fleet cannot be brought up,
+/// respawned or torn down; [`RuntimeError::CorruptFrame`] exactly as in
+/// the channel runtime. Nothing one connected peer sends, and no way it
+/// disconnects, is an error: it costs that worker the round.
 pub fn run_fedmp_sockets<S: NodeSpawner>(
     cfg: &FlConfig,
     setup: &FlSetup<'_>,
@@ -1091,7 +1055,7 @@ mod tests {
             kind::UP_MODEL,
             kind::UP_FRAME,
             kind::UP_LOST,
-            kind::UP_UNDECODABLE,
+            kind::UP_MALFORMED,
         ] {
             let json = format!("{{\"kind\":{k}}}").into_bytes();
             let bin = vec![k as u8; (k as usize) * 7];
@@ -1177,7 +1141,7 @@ mod tests {
         let sections = [&a, &b].map(|m| {
             let frame = crate::wire::encode_state(&extract_sequential(m, &plan).state());
             let mut buf = Vec::new();
-            write_dispatch(&mut buf, 3, &frame, &plan, false).expect("dispatch encodes");
+            write_dispatch(&mut buf, 3, &frame, &plan).expect("dispatch encodes");
             let (k, json, bin) = read_frame(&mut Cursor::new(buf)).expect("ok").expect("frame");
             assert_eq!(k, kind::DISPATCH);
             assert_eq!(bin, frame.to_vec(), "the binary section is exactly the wire frame");

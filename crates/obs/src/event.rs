@@ -108,7 +108,7 @@ pub enum TraceEvent {
         /// Worker index.
         worker: usize,
         /// Why the contribution was discarded: `"deadline"`,
-        /// `"corrupt"`, `"dropped"` or `"crashed"`.
+        /// `"corrupt"`, `"dropped"`, `"crashed"` or `"protocol"`.
         reason: String,
     },
     /// A crashed worker thread was restarted with a fresh channel pair
