@@ -3,7 +3,7 @@
 //! reproduction holds in the measured data. WARN is a finding about the
 //! reproduction, not a failure of the tool: only a missing or
 //! unparseable artifact makes the exit code non-zero (gating the WARNs
-//! is ROADMAP item 6(d)).
+//! is ROADMAP item 1(d)).
 
 use serde_json::Value;
 use std::collections::BTreeMap;

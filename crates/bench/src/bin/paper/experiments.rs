@@ -1,22 +1,28 @@
 //! One function per figure/table id: prints the rows the paper reports
 //! and writes `bench-results/<id>.json`. EXPERIMENTS.md states the shape
 //! each reproduces and `paper check` tests it; experiments with no check
-//! say what to expect here. `h.full` restores the grids `quick` trims.
+//! say what to expect here. `h.full` restores the grids `quick` trims;
+//! `resilience`, `compression` and `scale` have one size. The timing
+//! tables of `kernels` are next door in `kernels.rs`.
 
 use fedmp_bandit::{Bandit, DiscreteUcb, EUcbAgent, EUcbConfig, EpsilonGreedy, RewardConfig};
 use fedmp_bench::{common_target, fmt_speedup, fmt_time, save_result, time_to_target, Harness};
 use fedmp_core::{
-    measure_overhead, print_table, run_fedmp_custom, ExperimentSpec, Method, TaskKind,
+    measure_overhead, print_table, run_fedmp_custom, run_hier, ExperimentSpec, Method, TaskKind,
 };
 use fedmp_data::{ptb_like, TextBatch};
-use fedmp_edgesim::{heterogeneity_scenario, EnergyModel, HeterogeneityLevel, TimeModel};
-use fedmp_fl::{
-    run_fedmp_threaded_chaos, run_lm, ChaosOptions, FaultOptions, FedMpOptions, FlSetup, LmMethod,
-    LmOptions, LmSetup, RunHistory,
+use fedmp_edgesim::{
+    heterogeneity_scenario, EnergyModel, HeterogeneityLevel, TimeModel, SLOW_LINK_BPS,
 };
-use fedmp_nn::zoo;
+use fedmp_fl::{
+    run_fedmp, run_fedmp_threaded_chaos, run_lm, ChaosOptions, Codec, CompressionPolicy,
+    ExactState, FaultOptions, FedMpOptions, FlSetup, HierarchyOptions, LmMethod, LmOptions,
+    LmSetup, RunHistory,
+};
+use fedmp_nn::{zoo, StateEntry};
+use fedmp_obs::{RunManifest, TraceEvent, TraceSession};
 use fedmp_pruning::Importance;
-use fedmp_tensor::seeded_rng;
+use fedmp_tensor::{seeded_rng, Tensor};
 use serde_json::{json, Value};
 use std::time::Instant;
 
@@ -572,6 +578,11 @@ pub fn energy(h: &mut Harness) {
     save_result("energy", &results);
 }
 
+/// First round (1-based) whose evaluation reached `target` accuracy.
+fn rounds_to_accuracy(history: &RunHistory, target: f32) -> Option<usize> {
+    history.rounds.iter().position(|r| r.eval.is_some_and(|(_, acc)| acc >= target)).map(|i| i + 1)
+}
+
 /// Resilience table: the threaded runtime on a 30-worker CNN/MNIST
 /// deployment at 0 / 10 / 30 % fault pressure (availability faults plus
 /// proportionally scaled transport chaos) — rounds to target once
@@ -609,12 +620,7 @@ pub fn resilience(_: &mut Harness) {
                 .expect("injected faults are recoverable, never terminal");
         let wall_ms = start.elapsed().as_secs_f64() * 1e3;
         assert_eq!(history.rounds.len(), spec.fl.rounds, "faults must not shorten the run");
-        // First round (1-based) whose evaluation reached the target.
-        let to_target = history
-            .rounds
-            .iter()
-            .position(|r| r.eval.is_some_and(|(_, acc)| acc >= target))
-            .map(|i| i + 1);
+        let to_target = rounds_to_accuracy(&history, target);
         let retries: usize = history.rounds.iter().map(|r| r.retries).sum();
         let exclusions: usize = history.rounds.iter().map(|r| r.exclusions).sum();
         let reached = to_target.map_or("never".to_string(), |r| format!("round {r}"));
@@ -635,6 +641,199 @@ pub fn resilience(_: &mut Harness) {
         "resilience",
         &json!({"engine": "FedMP-threaded", "target_accuracy": target, "runs": runs}),
     );
+}
+
+/// Compression × pruning (wire v2): FedMP under every uplink codec
+/// policy at two fixed pruning ratios, on a High-heterogeneity fleet —
+/// its cluster C sits on Far links (12 Mbit/s), the bandwidth-constrained
+/// class the adaptive policy compresses. Per-worker wire traffic and
+/// Eq. 5 communication seconds are read off the trace stream. Panics
+/// unless int8 top-k cuts uplink bytes ≥ 4× per round, the adaptive
+/// policy lowers Eq. 5 time on the slow links, and every compressed
+/// cell's accuracy stays within 0.15 of dense at matched rounds.
+pub fn compression(_: &mut Harness) {
+    let mut spec = ExperimentSpec::bench(TaskKind::CnnMnist);
+    spec.level = HeterogeneityLevel::High;
+    spec.fl.rounds = 8;
+    spec.fl.eval_every = 1;
+    let built = spec.build();
+    let setup =
+        FlSetup::with_cost_scale(&built.task, built.devices.clone(), built.time, built.cost_scale);
+    let slow: Vec<bool> = built.devices.iter().map(|d| d.is_slow_link(SLOW_LINK_BPS)).collect();
+    let slow_count = slow.iter().filter(|&&s| s).count();
+    assert!(slow_count > 0 && slow_count < slow.len(), "the fleet must mix slow and fast links");
+
+    let policies = [
+        ("dense", CompressionPolicy::dense()),
+        ("f16-up", CompressionPolicy::uniform_uplink(Codec::DenseF16)),
+        ("int8-up", CompressionPolicy::uniform_uplink(Codec::Int8)),
+        ("topk-int8-up", CompressionPolicy::uniform_uplink(Codec::TopKInt8 { keep: 0.1 })),
+        ("adaptive", CompressionPolicy::adaptive()),
+    ];
+    let rounds = spec.fl.rounds as f64;
+    println!("CNN/MNIST, {} workers ({slow_count} on slow links) x {rounds} rounds", spec.workers);
+    let mut cells = Vec::new();
+    let mut reduction = 0.0;
+    for ratio in [0.0f32, 0.5] {
+        // (uplink bytes per round, slow-link comm seconds, accuracy) by
+        // policy; the dense cell runs first.
+        let mut seen: Vec<(f64, f64, f32)> = Vec::new();
+        for (name, compression) in policies {
+            let opts = FedMpOptions { fixed_ratio: Some(ratio), compression, ..Default::default() };
+            let manifest = RunManifest::new(name, spec.seed, spec.workers, spec.fl.rounds, 1);
+            let session = TraceSession::capture(&manifest);
+            let history = run_fedmp(&spec.fl, &setup, built.model.clone(), &opts);
+            let (mut up, mut down) = (0.0, 0.0);
+            // Eq. 5 seconds: [fast links, slow links] as (sum, count).
+            let mut comm = [(0.0, 0usize); 2];
+            for event in session.finish().events {
+                if let TraceEvent::LocalTrain { worker, comm_secs, bytes_down, bytes_up, .. } =
+                    event
+                {
+                    up += bytes_up;
+                    down += bytes_down;
+                    let class = &mut comm[usize::from(slow[worker])];
+                    *class = (class.0 + comm_secs, class.1 + 1);
+                }
+            }
+            let [fast_comm, slow_comm] = comm.map(|(sum, n)| sum / n.max(1) as f64);
+            let acc = history.final_accuracy().expect("evaluated run");
+            seen.push((up / rounds, slow_comm, acc));
+            let target = (seen[0].2 * 0.9).min(0.99);
+            println!(
+                "ratio {ratio:.1} {name:<13} up/round {:12.0} B  slow-comm {slow_comm:.2}s  \
+                 fast-comm {fast_comm:.2}s  acc {acc:.3}",
+                up / rounds
+            );
+            cells.push(json!({
+                "policy": name, "fixed_ratio": ratio,
+                "uplink_bytes_total": up, "uplink_bytes_per_round": up / rounds,
+                "downlink_bytes_total": down,
+                "slow_comm_secs_mean": slow_comm, "fast_comm_secs_mean": fast_comm,
+                "final_accuracy": acc, "target_accuracy": target,
+                "rounds_to_target": rounds_to_accuracy(&history, target),
+                "sim_time_total": history.rounds.last().map(|r| r.sim_time),
+            }));
+        }
+        let [(dense_up, dense_slow, dense_acc), .., (topk_up, ..), (_, adaptive_slow, _)] =
+            seen[..]
+        else {
+            unreachable!("five policies")
+        };
+        assert!(topk_up * 4.0 <= dense_up, "ratio {ratio}: top-k int8 {topk_up} vs {dense_up} B");
+        assert!(adaptive_slow < dense_slow, "ratio {ratio}: {adaptive_slow} vs {dense_slow} s");
+        for (&(.., acc), (name, _)) in seen.iter().zip(policies) {
+            assert!(acc > dense_acc - 0.15, "ratio {ratio}: {name} accuracy {acc} vs {dense_acc}");
+        }
+        if ratio == 0.0 {
+            reduction = dense_up / topk_up;
+        }
+    }
+    println!("headline: int8 top-k uplink {reduction:.1}x smaller than dense per round");
+    save_result(
+        "compression",
+        &json!({
+            "task": "CnnMnist",
+            "workers": spec.workers, "slow_link_workers": slow_count,
+            "rounds": spec.fl.rounds, "slow_link_bps": SLOW_LINK_BPS,
+            "cells": cells,
+            "headline": {"policy": "topk-int8-up", "uplink_reduction_vs_dense": reduction},
+        }),
+    );
+}
+
+/// Parameter count of the synthetic template `scale`'s cohort curve
+/// streams (the curve measures memory shape, not model quality).
+const TEMPLATE_PARAMS: usize = 4096;
+
+/// A deterministic synthetic client update: [`TEMPLATE_PARAMS`] values
+/// derived from the client id, spanning signs and magnitudes.
+fn synthetic_update(id: u64) -> Vec<StateEntry> {
+    let mut z = id.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(0xD1B5_4A32_D192_ED03);
+    let vals: Vec<f32> = (0..TEMPLATE_PARAMS)
+        .map(|_| {
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            let u = (z >> 40) as f32 / (1u64 << 24) as f32; // [0, 1)
+            (u - 0.5) * 2e4
+        })
+        .collect();
+    let tensor = Tensor::from_vec(vals, &[TEMPLATE_PARAMS]).expect("synthetic template");
+    vec![StateEntry::trainable("w", tensor)]
+}
+
+/// Population scale (docs/SCALE.md). The cohort curve streams up to 10⁵
+/// synthetic clients through 8 shard reducers at the aggregation layer:
+/// a shard holds its [`ExactState`] plus the one update in flight, so
+/// its peak is a function of the model shape, not the cohort. The engine
+/// rows are real hierarchical runs at small cohorts over a 100 000-device
+/// population, reporting the `ShardReduced` peak the engine itself
+/// traces. That any shard tree equals the flat average, and that loop
+/// and threaded engines agree at every partition, is
+/// `crates/fl/tests/hierarchy.rs`.
+pub fn scale(_: &mut Harness) {
+    let shards = 8u64;
+    let template = synthetic_update(0);
+    let mut curve = Vec::new();
+    let mut rows = Vec::new();
+    for cohort in [100u64, 1_000, 10_000, 100_000] {
+        let start = Instant::now();
+        let mut peak = 0;
+        let mut cloud: Option<ExactState> = None;
+        for s in 0..shards {
+            // The streaming contract: materialise one update, fold it,
+            // drop it. The transient is one f32 snapshot.
+            let mut acc = ExactState::like(&template);
+            peak = peak.max(acc.tracked_bytes() + 4 * TEMPLATE_PARAMS);
+            for id in s * cohort / shards..(s + 1) * cohort / shards {
+                acc.fold(&synthetic_update(id));
+            }
+            match cloud.as_mut() {
+                Some(c) => c.merge(&acc),
+                None => cloud = Some(acc),
+            }
+        }
+        let mean = cloud.expect("at least one shard").finalize(cohort as usize);
+        // Keeps the finalised mean observable, and pins its bits.
+        let checksum: u32 = mean[0].tensor.data().iter().map(|v| v.to_bits() >> 24).sum();
+        let secs = start.elapsed().as_secs_f64();
+        rows.push(vec![cohort.to_string(), peak.to_string(), format!("{secs:.2}s")]);
+        curve.push(json!({
+            "cohort": cohort, "shards": shards,
+            "per_shard_peak_bytes": peak,
+            "mean_checksum": checksum,
+        }));
+    }
+    print_table(
+        &format!("cohort curve ({shards} shard reducers, {TEMPLATE_PARAMS}-param template)"),
+        &["cohort", "per-shard peak B", "fold time"],
+        &rows,
+    );
+
+    let mut spec = ExperimentSpec::small(TaskKind::CnnMnist);
+    spec.fl.rounds = 2;
+    spec.fl.eval_every = 2;
+    let population = 100_000u64;
+    let mut engine_rows = Vec::new();
+    for cohort in [8usize, 32] {
+        let opts = HierarchyOptions { cohort, shards: 4, edges: 2, ..Default::default() };
+        let manifest = RunManifest::new("scale", spec.seed, cohort, spec.fl.rounds, 1);
+        let session = TraceSession::capture(&manifest);
+        let history = run_hier(&spec, population, &opts);
+        let peaks = session.finish().events.into_iter().filter_map(|e| match e {
+            TraceEvent::ShardReduced { peak_bytes, .. } => Some(peak_bytes),
+            _ => None,
+        });
+        let peak = peaks.max().unwrap_or(0);
+        println!("engine: cohort {cohort} of {population} devices -> per-shard peak {peak} bytes");
+        engine_rows.push(json!({
+            "cohort": cohort, "population": population,
+            "shards": 4, "edges": 2,
+            "rounds": history.rounds.len(),
+            "per_shard_peak_bytes": peak,
+            "final_accuracy": history.final_accuracy(),
+        }));
+    }
+    save_result("scale", &json!({"cohort_curve": curve, "engine_rows": engine_rows}));
 }
 
 /// Calibration probe (no artifact): Syn-FL vs FedMP per task. Use after

@@ -18,7 +18,7 @@ fn unknown_id_exits_2_and_prints_the_id_list() {
     assert!(list.status.success());
     let list = String::from_utf8_lossy(&list.stdout);
     let ids: Vec<&str> = list.lines().filter_map(|l| l.split_whitespace().next()).collect();
-    assert_eq!(ids.len(), 17);
+    assert_eq!(ids.len(), 20);
     assert_eq!(ids[..2], ["fig6", "table3"], "table3 reads fig6's runs, so it follows it");
     for id in ids {
         assert!(stderr.contains(id), "usage omits {id}: {stderr}");
@@ -51,4 +51,36 @@ fn check_exits_1_where_the_artifacts_are_missing() {
     std::fs::remove_dir_all(&empty).ok();
     assert_eq!(out.status.code(), Some(1));
     assert!(String::from_utf8_lossy(&out.stdout).contains("0/12 shape claims hold"));
+}
+
+/// CI diffs regenerated artifacts against the checked-in files byte for
+/// byte, so wall-clock readings may live only in the three artifacts
+/// that diff leaves out (`fig11`, `kernels`, `resilience`); every other
+/// experiment prints its timings and writes none.
+#[test]
+fn only_the_timing_artifacts_carry_wall_clock_keys() {
+    fn wall_clock_key(value: &serde_json::Value) -> Option<&str> {
+        let timed = |key: &str| ["_secs", "_ms", "_us"].iter().any(|unit| key.ends_with(unit));
+        match value {
+            serde_json::Value::Object(map) => map.iter().find_map(|(key, v)| {
+                timed(key).then_some(key.as_str()).or_else(|| wall_clock_key(v))
+            }),
+            serde_json::Value::Array(items) => items.iter().find_map(wall_clock_key),
+            _ => None,
+        }
+    }
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../bench-results");
+    let mut timed = Vec::new();
+    for entry in std::fs::read_dir(dir).expect("bench-results/") {
+        let path = entry.expect("dir entry").path();
+        let text = std::fs::read_to_string(&path).expect("read artifact");
+        let json: serde_json::Value = serde_json::from_str(&text).expect("artifact parses");
+        if let Some(key) = wall_clock_key(&json) {
+            let name = path.file_stem().expect("stem").to_string_lossy().into_owned();
+            timed.push((name, key.to_string()));
+        }
+    }
+    timed.sort();
+    let names: Vec<&str> = timed.iter().map(|(name, _)| name.as_str()).collect();
+    assert_eq!(names, ["fig11", "kernels", "resilience"], "wall-clock keys: {timed:?}");
 }

@@ -31,8 +31,8 @@
 //! framing checksum excludes it; the wire checksum catches it), a
 //! dropped uplink becomes a payload-free marker frame so the lock-step
 //! protocol never needs a wall-clock timeout (a dropped downlink is
-//! decided PS-side and sends nothing), delays become bounded real
-//! sleeps worker-side (virtual-clock penalties stay PS-side), and
+//! decided PS-side and sends nothing), delays are a virtual-clock
+//! penalty applied PS-side (no worker ever sleeps), and
 //! crashes become the worker closing its connection without a word —
 //! which the PS reads as a connection reset and recovers from by
 //! respawning the node next round. It reads *any* closed or unreadable
@@ -287,7 +287,6 @@ struct SetupCtl {
     local: LocalTrainConfig,
     chaos: ChaosOptions,
     link: LinkCodecs,
-    delay_ms_per_vsec: u64,
 }
 
 /// Control section of a Dispatch: which slice of the architecture the
@@ -436,16 +435,6 @@ where
         let step = match k {
             kind::DISPATCH => {
                 let ctl: DispatchCtl = from_json(&json)?;
-                // Delay draws become a real (bounded) sleep so the
-                // wall-clock arrival genuinely lags — the virtual-clock
-                // penalty is applied PS-side from the same draw.
-                if setup.delay_ms_per_vsec > 0 {
-                    let d = plan.draw(ctl.round, worker);
-                    if d.delay_secs > 0.0 && !d.crash {
-                        let ms = (d.delay_secs * setup.delay_ms_per_vsec as f64).min(200.0) as u64;
-                        std::thread::sleep(Duration::from_millis(ms));
-                    }
-                }
                 proto.on_dispatch(ctl.round, Bytes::from(bin), &ctl.plan)
             }
             kind::RETRANSMIT => {
@@ -648,8 +637,15 @@ impl NodeSpawner for ThreadNodes {
 
 // ───────────────────────── PS side ─────────────────────────
 
-/// Socket-runtime knobs: where to listen, what task blob to ship, and
-/// the retry budgets of every bounded wait.
+/// Accept retry budget per expected connection, and its base backoff.
+const ACCEPT_ATTEMPTS: u32 = 14;
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(2);
+/// Reap poll budget per node, and its base backoff.
+const REAP_ATTEMPTS: u32 = 12;
+const REAP_BACKOFF: Duration = Duration::from_millis(2);
+
+/// What a socket run needs beyond the flat engine's arguments: where to
+/// listen and what task blob to ship.
 #[derive(Debug, Clone)]
 pub struct SocketRunOptions {
     /// Unix socket path the PS binds (removed on teardown).
@@ -657,32 +653,12 @@ pub struct SocketRunOptions {
     /// Opaque task payload shipped in the Setup frame; the node's
     /// builder turns it back into a task ([`ThreadNodes`] ignores it).
     pub task_blob: Vec<u8>,
-    /// Accept retry budget per expected connection.
-    pub accept_attempts: u32,
-    /// Base accept retry backoff.
-    pub accept_backoff: Duration,
-    /// Reap poll budget per node.
-    pub reap_attempts: u32,
-    /// Base reap poll backoff.
-    pub reap_backoff: Duration,
-    /// Wall-clock milliseconds a worker sleeps per virtual second of
-    /// chaos delay (0 disables real sleeps; the virtual-clock penalty
-    /// applies regardless).
-    pub delay_ms_per_vsec: u64,
 }
 
 impl SocketRunOptions {
-    /// Options for `socket` with production-ish retry budgets.
+    /// Options for a PS listening on `socket`.
     pub fn new(socket: PathBuf, task_blob: Vec<u8>) -> Self {
-        SocketRunOptions {
-            socket,
-            task_blob,
-            accept_attempts: 14,
-            accept_backoff: Duration::from_millis(2),
-            reap_attempts: 12,
-            reap_backoff: Duration::from_millis(2),
-            delay_ms_per_vsec: 0,
-        }
+        SocketRunOptions { socket, task_blob }
     }
 }
 
@@ -770,7 +746,6 @@ impl<'a, S: NodeSpawner> SocketFleet<'a, S> {
             local: self.local,
             chaos: self.chaos,
             link: self.links[worker],
-            delay_ms_per_vsec: self.opts.delay_ms_per_vsec,
         };
         let json = to_json(&(&ctl, self.arch))?;
         let blob = self.opts.task_blob.clone();
@@ -806,8 +781,7 @@ impl<'a, S: NodeSpawner> SocketFleet<'a, S> {
     /// Accepts one pending connection and returns the Hello it opens
     /// with.
     fn accept_hello(&mut self) -> Result<(UnixStream, usize), TransportError> {
-        let mut stream =
-            accept_with_retry(self.listener, self.opts.accept_attempts, self.opts.accept_backoff)?;
+        let mut stream = accept_with_retry(self.listener, ACCEPT_ATTEMPTS, ACCEPT_BACKOFF)?;
         match read_frame(&mut stream)? {
             Some((k, json, _)) if k == kind::HELLO => {
                 let hello: HelloCtl = from_json(&json)?;
@@ -869,7 +843,7 @@ impl<'a, S: NodeSpawner> SocketFleet<'a, S> {
         }
         for w in 0..self.nodes.len() {
             if let Some(mut node) = self.nodes[w].take() {
-                if node.reap(self.opts.reap_attempts, self.opts.reap_backoff).is_err() {
+                if node.reap(REAP_ATTEMPTS, REAP_BACKOFF).is_err() {
                     first.get_or_insert(self.fault(w, TransportFault::Reap));
                 }
             }
@@ -897,7 +871,7 @@ impl<S: NodeSpawner> Fleet for SocketFleet<'_, S> {
         // reader.
         self.close(worker);
         if let Some(mut node) = self.nodes[worker].take() {
-            node.reap(self.opts.reap_attempts, self.opts.reap_backoff)
+            node.reap(REAP_ATTEMPTS, REAP_BACKOFF)
                 .map_err(|_| self.fault(worker, TransportFault::Reap))?;
         }
         if let Some(join) = self.readers[worker].take() {
