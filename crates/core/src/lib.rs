@@ -27,7 +27,7 @@ pub use config::{BuiltExperiment, ExperimentSpec, TaskKind};
 pub use overhead::{measure_overhead, OverheadReport};
 pub use report::{ensure_dir, print_table, save_json};
 pub use runner::{
-    run_fedmp_custom, run_hier, run_hier_threaded, run_method, run_methods, run_sockets,
-    run_threaded, spec_blob, speedup_table, task_from_blob, Method,
+    run_fedmp_custom, run_hier, run_method, run_methods, run_sockets, spec_blob, speedup_table,
+    task_from_blob, Method,
 };
 pub use trace::{maybe_trace, run_manifest, trace_requested};

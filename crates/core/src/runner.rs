@@ -4,11 +4,10 @@
 use crate::config::ExperimentSpec;
 use fedmp_edgesim::Population;
 use fedmp_fl::{
-    run_async, run_fedmp, run_fedmp_hier, run_fedmp_hier_threaded, run_fedmp_sockets,
-    run_fedmp_threaded_chaos, run_fedprox, run_flexcom, run_synfl, run_upfl, AsyncMode,
-    AsyncOptions, ChaosOptions, CompressionPolicy, FedMpOptions, FedProxOptions, FlSetup,
-    FlexComOptions, HierSetup, HierarchyOptions, ImageTask, NodeSpawner, RunHistory, RuntimeError,
-    SocketRunOptions, SyncScheme, UpFlOptions,
+    run_async, run_fedmp, run_fedmp_hier, run_fedmp_sockets, run_fedprox, run_flexcom, run_synfl,
+    run_upfl, AsyncMode, AsyncOptions, ChaosOptions, CompressionPolicy, FedMpOptions,
+    FedProxOptions, FlSetup, FlexComOptions, HierSetup, HierarchyOptions, ImageTask, NodeSpawner,
+    RunHistory, RuntimeError, SocketRunOptions, SyncScheme, UpFlOptions,
 };
 use serde::{Deserialize, Serialize};
 
@@ -123,27 +122,6 @@ pub fn run_methods(spec: &ExperimentSpec, methods: &[Method]) -> Vec<RunHistory>
     fedmp_fl::exec::ordered_map(methods.to_vec(), |_, m| run_method(spec, m))
 }
 
-/// Runs FedMP on the fault-tolerant threaded PS/worker runtime
-/// ([`fedmp_fl::run_fedmp_threaded_chaos`]) against the experiment
-/// described by `spec`, under the given transport chaos plan
-/// ([`ChaosOptions::none`] for a clean run). Traced like [`run_method`]
-/// when `FEDMP_TRACE` names a directory.
-///
-/// # Errors
-/// Propagates the runtime's terminal protocol violations
-/// ([`RuntimeError`]); every *injected* fault is recovered in-run.
-pub fn run_threaded(
-    spec: &ExperimentSpec,
-    opts: &FedMpOptions,
-    chaos: &ChaosOptions,
-) -> Result<RunHistory, RuntimeError> {
-    let _trace = crate::trace::maybe_trace("FedMP-threaded", spec);
-    let built = spec.build();
-    let setup =
-        FlSetup::with_cost_scale(&built.task, built.devices.clone(), built.time, built.cost_scale);
-    run_fedmp_threaded_chaos(&spec.fl, &setup, built.model, opts, chaos)
-}
-
 /// Runs FedMP on the real socket transport
 /// ([`fedmp_fl::run_fedmp_sockets`]): the PS binds the Unix socket in
 /// `sock`, `spawner` brings up one node per worker (in-process threads
@@ -201,26 +179,6 @@ pub fn run_hier(spec: &ExperimentSpec, population: u64, opts: &HierarchyOptions)
     let mut setup = HierSetup::new(&built.task, pop, built.time);
     setup.cost_scale = built.cost_scale;
     run_fedmp_hier(&spec.fl, &setup, built.model, opts)
-}
-
-/// [`run_hier`] on the threaded runtime: every edge aggregator is a
-/// recoverable protocol participant on its own thread
-/// ([`run_fedmp_hier_threaded`]), bit-identical to the loop engine.
-///
-/// # Errors
-/// Propagates the runtime's terminal protocol violations
-/// ([`RuntimeError`]); every *injected* fault is recovered in-run.
-pub fn run_hier_threaded(
-    spec: &ExperimentSpec,
-    population: u64,
-    opts: &HierarchyOptions,
-) -> Result<RunHistory, RuntimeError> {
-    let _trace = crate::trace::maybe_trace("FedMP-hier-threaded", spec);
-    let built = spec.build();
-    let pop = Population::new(population, spec.seed, spec.level);
-    let mut setup = HierSetup::new(&built.task, pop, built.time);
-    setup.cost_scale = built.cost_scale;
-    run_fedmp_hier_threaded(&spec.fl, &setup, built.model, opts)
 }
 
 /// Runs FedMP with caller-supplied options (θ sweeps, custom reward
@@ -283,7 +241,7 @@ mod tests {
     }
 
     #[test]
-    fn hier_runners_agree_end_to_end() {
+    fn hier_runner_runs_end_to_end() {
         let mut spec = ExperimentSpec::small(TaskKind::CnnMnist);
         spec.fl.rounds = 2;
         spec.fl.eval_every = 2;
@@ -291,12 +249,6 @@ mod tests {
         let h = run_hier(&spec, 100, &opts);
         assert_eq!(h.rounds.len(), 2);
         assert!(h.final_accuracy().is_some());
-        let ht = run_hier_threaded(&spec, 100, &opts).expect("threaded hier");
-        assert_eq!(
-            serde_json::to_string(&h).unwrap(),
-            serde_json::to_string(&ht).unwrap(),
-            "core hier runners diverged"
-        );
     }
 
     #[test]

@@ -5,10 +5,11 @@
 //!
 //! A driver dispatches to `n` slots, then pumps what it observes into
 //! [`Barrier::on`] and performs the returned [`Action`] until
-//! [`Barrier::done`]. The channel fleet and the socket fleet (through
-//! `runtime`'s framed exchange) and the hierarchy's edge tier are the
-//! three pumps; `ClientFate::from_draw` is the closed form of the same
-//! policy for an in-protocol peer, tied to this machine by a test below.
+//! [`Barrier::done`]. `runtime`'s framed exchange is the one event pump
+//! (over the channel fleet or the socket fleet); the hierarchy's edge
+//! tier drives a one-slot barrier in place (`hierarchy::edge_uplink`);
+//! `ClientFate::from_draw` is the closed form of the same policy for an
+//! in-protocol peer, tied to this machine by a test below.
 //!
 //! The machine is **total**: an event for a slot that does not exist or
 //! has already settled is [`Action::Wait`] and changes nothing, so no

@@ -64,6 +64,18 @@ impl Default for CostScale {
     }
 }
 
+impl CostScale {
+    /// `cost` with the factors applied: FLOPs by `flops`, both link
+    /// directions by `bytes`.
+    pub(crate) fn apply(&self, cost: &RoundCost) -> RoundCost {
+        RoundCost {
+            train_flops: cost.train_flops * self.flops,
+            download_bytes: cost.download_bytes * self.bytes,
+            upload_bytes: cost.upload_bytes * self.bytes,
+        }
+    }
+}
+
 /// The simulated deployment an engine runs against.
 #[derive(Debug, Clone)]
 pub struct FlSetup<'a> {
@@ -105,11 +117,7 @@ impl<'a> FlSetup<'a> {
     /// [`CostScale`] factors applied — the FLOPs and on-wire bytes the
     /// virtual clock (and the trace events) are computed from.
     pub fn scaled_cost(&self, cost: &RoundCost) -> RoundCost {
-        RoundCost {
-            train_flops: cost.train_flops * self.cost_scale.flops,
-            download_bytes: cost.download_bytes * self.cost_scale.bytes,
-            upload_bytes: cost.upload_bytes * self.cost_scale.bytes,
-        }
+        self.cost_scale.apply(cost)
     }
 
     /// Simulates one worker round after applying the cost scale.

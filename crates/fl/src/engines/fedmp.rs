@@ -5,7 +5,7 @@
 //! [`crate::runtime`]. This module holds the method's options and the
 //! loop engine [`run_fedmp`], which drives that round body through the
 //! *inline* exchange: every worker trains in-process on exactly what
-//! the [`codec_delivered`] oracle says it would decode. No frames, no
+//! the [`crate::codec_delivered`] oracle says it would decode. No frames, no
 //! threads of its own, no way to fail; `engines::baselines` runs over
 //! it too ([`run_inline`]).
 
@@ -15,9 +15,7 @@ use crate::exec;
 use crate::history::RunHistory;
 use crate::local::{local_train, LocalTrainConfig};
 use crate::runtime::{run_rounds, Arrival, Exchange, Exchanged, RoundMethod, WireBytes};
-use crate::wire::{
-    codec_delivered, wire_size_v2, Codec, CompressionPolicy, ErrorFeedback, LinkCodecs,
-};
+use crate::wire::{link_delivered, CompressionPolicy, ErrorFeedback, LinkCodecs};
 use core::convert::Infallible;
 use fedmp_bandit::{EUcbConfig, RewardConfig};
 use fedmp_edgesim::FaultInjector;
@@ -145,11 +143,9 @@ impl Exchange for InlineExchange<'_> {
             // feedback on the downlink — the PS state is authoritative
             // and a fresh sub-model is extracted every round.
             let down = compressed.then(|| {
-                let sub_state = sub.state();
-                let received = codec_delivered(&sub_state, pair.downlink, None, None);
-                sub.load_state(&received);
-                let down = wire_size_v2(&sub_state, pair.downlink) as u64;
-                (received, down, wire_size_v2(&sub_state, Codec::DenseF32) as u64)
+                let link = link_delivered(&sub.state(), pair.downlink, None, None);
+                sub.load_state(&link.0);
+                link
             });
             let mut batches = worker_batches(task, w, locals[w].batch, cfg.seed, round);
             let outcome = local_train(&mut sub, &mut batches, &locals[w]);
@@ -158,11 +154,10 @@ impl Exchange for InlineExchange<'_> {
             // upload is the *delivered* reconstruction — exactly what
             // the PS would decode off the wire.
             let wire = down.map(|(received, down, dense)| {
-                let trained = sub.state();
-                let delivered =
-                    codec_delivered(&trained, pair.uplink, Some(&received), Some(&mut feedback));
+                let (delivered, up, _) =
+                    link_delivered(&sub.state(), pair.uplink, Some(&received), Some(&mut feedback));
                 sub.load_state(&delivered);
-                WireBytes { down, up: wire_size_v2(&trained, pair.uplink) as u64, dense }
+                WireBytes { down, up, dense }
             });
             (Arrival { upload: sub, outcome, wire }, feedback)
         });

@@ -37,15 +37,16 @@
 //!   per-link exactly as in the flat engines (feedback-free: per-client
 //!   error-feedback state would be O(population × params)).
 //!
-//! Two engines share one round implementation: [`run_fedmp_hier`]
-//! computes shards through the deterministic round executor
-//! ([`crate::exec::ordered_map`]), while [`run_fedmp_hier_threaded`]
-//! runs each edge aggregator as a recoverable protocol participant on
-//! its own thread — checksummed partial-sum frames, PS-driven
-//! retransmits, crash/drop tolerance — and is bit-identical to the
-//! loop engine at every thread count, including under chaos, because
-//! every fault is a pure function of the seed and every reduction is
-//! exact.
+//! Two entry points share one round implementation and one compute
+//! path (shards fanned out by [`crate::exec::ordered_map`]); they
+//! differ only in how an edge's partial reaches the cloud:
+//! [`run_fedmp_hier`] decides it by the closed form
+//! (`ClientFate::from_draw`) and moves no frame,
+//! [`run_fedmp_hier_threaded`] sends real checksummed `HPar` frames
+//! through the collection barrier (`crate::barrier`), driven in place —
+//! no thread, no channel. The two are bit-identical, including under
+//! chaos, because every fault is a pure function of the seed and every
+//! reduction is exact; `tests/hierarchy.rs` holds them together.
 
 use crate::barrier::{Action, Barrier, Event};
 use crate::chaos::{corrupted_copy, ChaosDraw, ChaosOptions, ChaosPlan};
@@ -60,12 +61,10 @@ use crate::engine::{
 use crate::exec;
 use crate::history::{RoundRecord, RunHistory};
 use crate::local::local_train;
-use crate::runtime::{seeded_agents, LiveThreadGuard, RuntimeError};
+use crate::runtime::{seeded_agents, RuntimeError};
 use crate::task::ImageTask;
-use crate::wire::{codec_delivered, wire_size_v2, Codec, CompressionPolicy, LinkCodecs};
+use crate::wire::{link_delivered, Codec, CompressionPolicy, LinkCodecs};
 use bytes::Bytes;
-use core::convert::Infallible;
-use crossbeam::channel::{bounded, Receiver, Sender};
 use fedmp_bandit::{eucb_reward, Bandit, EUcbAgent, EUcbConfig, RewardConfig};
 use fedmp_edgesim::{
     class_of, DeviceProfile, Population, RoundCost, RoundTime, TimeModel, CLASS_COUNT,
@@ -171,7 +170,7 @@ impl ExactState {
     }
 
     /// Serialises the accumulator into a checksummed wire frame (the
-    /// edge → cloud partial-sum upload of the threaded runtime).
+    /// edge → cloud partial-sum upload of [`run_fedmp_hier_threaded`]).
     /// Layout: `magic u32 | count u32 | count × (6 limbs LE + poison
     /// byte) | FNV-1a-64 of everything before`.
     pub fn encode(&self) -> Bytes {
@@ -280,11 +279,7 @@ impl<'a> HierSetup<'a> {
     /// Cost-scale-compensated round cost (same convention as
     /// [`crate::FlSetup::scaled_cost`]).
     pub fn scaled_cost(&self, cost: &RoundCost) -> RoundCost {
-        RoundCost {
-            train_flops: cost.train_flops * self.cost_scale.flops,
-            download_bytes: cost.download_bytes * self.cost_scale.bytes,
-            upload_bytes: cost.upload_bytes * self.cost_scale.bytes,
-        }
+        self.cost_scale.apply(cost)
     }
 }
 
@@ -297,7 +292,7 @@ pub struct HierarchyOptions {
     /// (contiguously, in cohort order).
     pub shards: usize,
     /// Edge aggregators the shards fan in to (contiguously, in shard
-    /// order); also the thread count of the threaded engine.
+    /// order).
     pub edges: usize,
     /// E-UCB configuration for the per-class agents.
     pub eucb: EUcbConfig,
@@ -377,8 +372,8 @@ struct ClassPlan {
 /// [`ClientFate::from_draw`] decides it purely from the chaos draw: the
 /// closed form of what [`crate::barrier::Barrier`] concludes from the
 /// transcript that draw produces (a test in `barrier.rs` holds the two
-/// together), for the tiers that simulate their uploads instead of
-/// moving them.
+/// together, and one below does so over real `HPar` bytes), for the
+/// tiers that simulate their uploads instead of moving them.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum ClientFate {
     /// Upload reached its shard reducer after `retries` retransmits.
@@ -434,7 +429,6 @@ impl ClientFate {
 
 /// One client's round bookkeeping (metrics plane — never part of the
 /// aggregated model payload).
-#[derive(Clone)]
 struct ClientMetric {
     id: u64,
     class: usize,
@@ -465,8 +459,8 @@ struct ShardOutput {
 /// Streams one shard's slice of the cohort: per client — chaos fate,
 /// local step on a class sub-model clone, uplink codec, R2SP completion
 /// — folding each delivered update into the shard accumulator and
-/// dropping it before the next client. Pure in its inputs, so the loop
-/// executor and the threaded edge aggregators compute identical bits.
+/// dropping it before the next client. Pure in its inputs, so it
+/// computes identical bits wherever the round executor runs it.
 #[allow(clippy::too_many_arguments)]
 fn reduce_shard(
     cfg: &FlConfig,
@@ -522,17 +516,13 @@ fn reduce_shard(
             round,
         );
         let outcome = local_train(&mut sub, &mut batches, &cfg.local);
-        let (up_codec, up_wire, up_dense) = if compressed {
-            let trained = sub.state();
-            let delivered = codec_delivered(&trained, cr.pair.uplink, cr.received.as_deref(), None);
+        let (up_wire, up_dense) = if compressed {
+            let (delivered, wire, dense) =
+                link_delivered(&sub.state(), cr.pair.uplink, cr.received.as_deref(), None);
             sub.load_state(&delivered);
-            (
-                cr.pair.uplink,
-                wire_size_v2(&trained, cr.pair.uplink) as u64,
-                wire_size_v2(&trained, Codec::DenseF32) as u64,
-            )
+            (wire, dense)
         } else {
-            (cr.pair.uplink, 0, 0)
+            (0, 0)
         };
         let mut cost = model_round_cost(&sub, setup.task.input_chw, &cfg.local);
         if compressed {
@@ -567,7 +557,7 @@ fn reduce_shard(
             time: t,
             arrival,
             scaled: setup.scaled_cost(&cost),
-            up_codec,
+            up_codec: cr.pair.uplink,
             up_wire,
             up_dense,
         });
@@ -584,23 +574,29 @@ fn client_stream_seed(seed: u64, id: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Per-round state both engines hand to [`finish_round`]: per-shard
-/// meta, cohort-ordered client metrics and per-edge exact partials.
+/// One edge's cloud upload as [`finish_round`] sees it.
+struct EdgeUpload {
+    /// Retransmits the upload spent.
+    retries: u32,
+    /// The partial the cloud holds: `Some` iff delivered.
+    partial: Option<ExactState>,
+    shards: usize,
+    clients: usize,
+}
+
+/// What a round's gather hands to [`finish_round`]: per-shard meta,
+/// cohort-ordered client metrics and per-edge uploads.
 struct RoundGather {
     shard_meta: Vec<(usize, u64)>,
     metrics: Vec<ClientMetric>,
-    partials: Vec<Option<ExactState>>,
-    /// How each edge's cloud upload ended (`trained` means nothing here).
-    edge_fates: Vec<ClientFate>,
-    edge_shards: Vec<usize>,
-    edge_clients: Vec<usize>,
+    edges: Vec<EdgeUpload>,
 }
 
 /// Everything after the fan-in: trace emission in canonical order,
 /// exact cloud merge, quorum + aggregation, per-class bandit feedback,
-/// evaluation and the history record. Shared verbatim by the loop and
-/// threaded engines — their bit-identity is this function applied to
-/// identical gathers.
+/// evaluation and the history record. Shared verbatim by both entry
+/// points — their bit-identity is this function applied to identical
+/// gathers.
 #[allow(clippy::too_many_arguments)]
 fn finish_round(
     cfg: &FlConfig,
@@ -616,8 +612,7 @@ fn finish_round(
     kstats: &mut fedmp_tensor::parallel::KernelStats,
     history: &mut RunHistory,
 ) {
-    let RoundGather { shard_meta, metrics, partials, edge_fates, edge_shards, edge_clients } =
-        gather;
+    let RoundGather { shard_meta, metrics, edges } = gather;
     let chaos_client = &opts.chaos_client;
     let chaos_edge = &opts.chaos_edge;
 
@@ -654,63 +649,41 @@ fn finish_round(
         emit_shard_reduced(round, s, clients, peak);
     }
 
-    // Edge tier: retransmits then the aggregate outcome, edge order.
+    // Edge tier, edge order: retransmits and the aggregate outcome,
+    // then for a delivered partial the exact cloud merge (any order
+    // gives the same bits) and the arrival bookkeeping — the cloud's
+    // round ends when the last delivered partial lands (its slowest
+    // delivered client + edge backoff).
+    let n_edges = edges.len();
     let mut edge_retries_total = 0u32;
-    for (e, fate) in edge_fates.iter().enumerate() {
-        for attempt in 1..=fate.retries() {
-            emit_frame_retransmit(round, e, attempt, chaos_edge.backoff_for(attempt));
-        }
-        edge_retries_total += fate.retries();
-        emit_edge_aggregate(
-            round,
-            e,
-            edge_shards[e],
-            edge_clients[e],
-            fate.delivered(),
-            fate.retries(),
-        );
-    }
-
-    // Cloud merge over delivered edges (exact — merge order is fixed
-    // but could be any order without changing a bit).
     let mut cloud: Option<ExactState> = None;
     let mut participants = 0usize;
-    for (e, fate) in edge_fates.iter().enumerate() {
-        if !fate.delivered() {
-            continue;
-        }
-        if let Some(p) = &partials[e] {
-            participants += edge_clients[e];
-            match cloud.as_mut() {
-                Some(c) => c.merge(p),
-                None => cloud = Some(p.clone()),
-            }
-        }
-    }
-
-    // Arrival bookkeeping: the cloud's round ends when the last
-    // delivered edge partial lands (client arrival + edge backoff); if
-    // nothing was delivered the PS waited out the slowest trained
-    // client.
     let mut round_time = 0.0f64;
-    let mut any_delivered = false;
-    for (e, fate) in edge_fates.iter().enumerate() {
-        if !fate.delivered() {
-            continue;
+    for (e, edge) in edges.into_iter().enumerate() {
+        let retries = edge.retries;
+        for attempt in 1..=retries {
+            emit_frame_retransmit(round, e, attempt, chaos_edge.backoff_for(attempt));
+        }
+        edge_retries_total += retries;
+        emit_edge_aggregate(round, e, edge.shards, edge.clients, edge.partial.is_some(), retries);
+        let Some(partial) = edge.partial else { continue };
+        participants += edge.clients;
+        match cloud.as_mut() {
+            Some(c) => c.merge(&partial),
+            None => cloud = Some(partial),
         }
         let mut edge_arrival = 0.0f64;
-        for s in partition_range(shard_meta.len(), edge_fates.len(), e) {
+        for s in partition_range(shard_meta.len(), n_edges, e) {
             for idx in partition_range(cohort.len(), shard_meta.len(), s) {
                 if metrics[idx].fate.delivered() {
                     edge_arrival = edge_arrival.max(metrics[idx].arrival);
                 }
             }
         }
-        edge_arrival += chaos_edge.backoff_total(fate.retries());
-        round_time = round_time.max(edge_arrival);
-        any_delivered = true;
+        round_time = round_time.max(edge_arrival + chaos_edge.backoff_total(retries));
     }
-    if !any_delivered {
+    // Nothing delivered: the PS waited out the slowest trained client.
+    if cloud.is_none() {
         for m in &metrics {
             if m.fate.trained() {
                 round_time = round_time.max(m.arrival);
@@ -823,14 +796,9 @@ fn class_plans(
         let residual = state_sub(&global.state(), &sparse_state(global, &plan));
         let pair = opts.compression.select(&device);
         let (received, down_wire, down_dense) = if compressed {
-            let sub_state = sub.state();
-            let delivered = codec_delivered(&sub_state, pair.downlink, None, None);
+            let (delivered, wire, dense) = link_delivered(&sub.state(), pair.downlink, None, None);
             sub.load_state(&delivered);
-            (
-                Some(delivered),
-                wire_size_v2(&sub_state, pair.downlink) as u64,
-                wire_size_v2(&sub_state, Codec::DenseF32) as u64,
-            )
+            (Some(delivered), wire, dense)
         } else {
             (None, 0, 0)
         };
@@ -856,35 +824,23 @@ fn class_plans(
 
 // ---- the round loop ------------------------------------------------------
 
-/// Everything a round's gather step reads: the run's fixed inputs plus
-/// this round's cohort, global model (and its state as the accumulator
-/// template) and per-class plans.
-#[derive(Clone, Copy)]
-struct RoundInputs<'a> {
-    cfg: &'a FlConfig,
-    setup: &'a HierSetup<'a>,
-    opts: &'a HierarchyOptions,
-    client_plan: &'a ChaosPlan,
-    edge_plan: &'a ChaosPlan,
-    round: usize,
-    global: &'a Sequential,
-    template: &'a [StateEntry],
-    cohort: &'a [u64],
-    classes: &'a BTreeMap<usize, ClassPlan>,
-}
+/// How an edge's merged partial reaches the cloud under its chaos draw:
+/// the retransmits spent and the partial the cloud holds afterwards
+/// (`None`: the edge is excluded) — the one step the two entry points
+/// differ in.
+type EdgeUplink = fn(ExactState, &ChaosDraw, &ChaosOptions) -> (u32, Option<ExactState>);
 
-/// The round loop both engines share: cohort sampling, per-class plans,
-/// codec and compression events, and the [`finish_round`] epilogue,
-/// around the one step that differs — how `gather` produces the
-/// round's [`RoundGather`] ([`gather_shards`] or
-/// [`run_edges_threaded`]).
-fn run_hier_rounds<E>(
+/// The round both entry points run: cohort sampling, per-class plans,
+/// codec events, the gather — shards fanned out on the round executor,
+/// each edge's exact merge sent up through `uplink` — compression
+/// events and the [`finish_round`] epilogue.
+fn run_hier_rounds(
     cfg: &FlConfig,
     setup: &HierSetup<'_>,
     mut global: Sequential,
     opts: &HierarchyOptions,
-    gather: impl Fn(RoundInputs<'_>) -> Result<RoundGather, E>,
-) -> Result<RunHistory, E> {
+    uplink: EdgeUplink,
+) -> RunHistory {
     opts.validate(&setup.population);
     let mut history = RunHistory::new("FedMP-Hier");
     let mut sim_time = 0.0f64;
@@ -910,19 +866,44 @@ fn run_hier_rounds<E>(
             }
         }
 
+        // Gather: each slot streams its contiguous cohort slice into
+        // one exact accumulator.
         let template = global.state();
-        let gathered = gather(RoundInputs {
-            cfg,
-            setup,
-            opts,
-            client_plan: &client_plan,
-            edge_plan: &edge_plan,
-            round,
-            global: &global,
-            template: &template,
-            cohort: &cohort,
-            classes: &classes,
-        })?;
+        let outputs = exec::ordered_map((0..opts.shards).collect(), |_, s| {
+            reduce_shard(
+                cfg,
+                setup,
+                &global,
+                &template,
+                &cohort,
+                partition_range(cohort.len(), opts.shards, s),
+                &classes,
+                &client_plan,
+                round,
+                compressed,
+            )
+        });
+        // Edge tier: merge each edge's shard accumulators (exact —
+        // `validate` gives every edge at least one shard), then send
+        // the partial up under the edge's chaos draw.
+        let edges = (0..opts.edges)
+            .map(|e| {
+                let range = partition_range(opts.shards, opts.edges, e);
+                let mut merged = outputs[range.start].acc.clone();
+                for out in &outputs[range.start + 1..range.end] {
+                    merged.merge(&out.acc);
+                }
+                let (retries, partial) =
+                    uplink(merged, &edge_plan.draw(round, e), &opts.chaos_edge);
+                let clients = outputs[range.clone()].iter().map(|o| o.folded).sum();
+                EdgeUpload { retries, partial, shards: range.len(), clients }
+            })
+            .collect();
+        let gathered = RoundGather {
+            shard_meta: outputs.iter().map(|o| (o.folded, o.peak_bytes)).collect(),
+            metrics: outputs.into_iter().flat_map(|o| o.metrics).collect(),
+            edges,
+        };
 
         // Per-delivered-client compression events need the class-side
         // downlink sizes; emit them here in cohort order before the
@@ -967,7 +948,7 @@ fn run_hier_rounds<E>(
             &mut history,
         );
     }
-    Ok(history)
+    history
 }
 
 // ---- the loop engine -----------------------------------------------------
@@ -982,264 +963,115 @@ pub fn run_fedmp_hier(
     global: Sequential,
     opts: &HierarchyOptions,
 ) -> RunHistory {
-    match run_hier_rounds(cfg, setup, global, opts, gather_shards) {
-        Ok(history) => history,
-        Err(never) => match never {},
-    }
+    run_hier_rounds(cfg, setup, global, opts, |merged, draw, chaos| {
+        let fate = ClientFate::from_draw(draw, chaos);
+        (fate.retries(), fate.delivered().then_some(merged))
+    })
 }
 
-/// The loop engine's gather: shard fan-out over the round executor,
-/// then the edge tier decided purely by its chaos draws.
-fn gather_shards(r: RoundInputs<'_>) -> Result<RoundGather, Infallible> {
-    let RoundInputs { opts, cohort, round, .. } = r;
-    // Each slot streams its contiguous cohort slice into one exact
-    // accumulator.
-    let compressed = !opts.compression.is_dense();
-    let shard_ids: Vec<usize> = (0..opts.shards).collect();
-    let outputs = exec::ordered_map(shard_ids, |_, s| {
-        reduce_shard(
-            r.cfg,
-            r.setup,
-            r.global,
-            r.template,
-            cohort,
-            partition_range(cohort.len(), opts.shards, s),
-            r.classes,
-            r.client_plan,
-            round,
-            compressed,
-        )
-    });
-    let metrics: Vec<ClientMetric> =
-        outputs.iter().flat_map(|o| o.metrics.iter().cloned()).collect();
+// ---- the framed edge uplink ----------------------------------------------
 
-    // Edge tier: merge each edge's shard accumulators (exact), then
-    // apply the edge-tier chaos fates.
-    let mut partials: Vec<Option<ExactState>> = Vec::with_capacity(opts.edges);
-    let mut edge_fates = Vec::with_capacity(opts.edges);
-    let mut edge_shards = Vec::with_capacity(opts.edges);
-    let mut edge_clients = Vec::with_capacity(opts.edges);
-    for e in 0..opts.edges {
-        let range = partition_range(opts.shards, opts.edges, e);
-        edge_shards.push(range.len());
-        let mut merged: Option<ExactState> = None;
-        let mut clients = 0usize;
-        for s in range {
-            clients += outputs[s].folded;
-            match merged.as_mut() {
-                Some(m) => m.merge(&outputs[s].acc),
-                None => merged = Some(outputs[s].acc.clone()),
-            }
-        }
-        edge_clients.push(clients);
-        partials.push(merged);
-        edge_fates.push(ClientFate::from_draw(&r.edge_plan.draw(round, e), &opts.chaos_edge));
-    }
-    let shard_meta: Vec<(usize, u64)> = outputs.iter().map(|o| (o.folded, o.peak_bytes)).collect();
-    Ok(RoundGather { shard_meta, metrics, partials, edge_fates, edge_shards, edge_clients })
-}
-
-// ---- the threaded engine -------------------------------------------------
-
-/// Edge → cloud protocol messages of the threaded engine.
-enum EdgeMsg {
-    /// The edge's metrics plane plus how its payload will arrive. Sent
-    /// exactly once per round per edge.
-    Report {
-        /// Edge index.
-        edge: usize,
-        /// Per-shard (folded clients, peak bytes), shard order.
-        shard_meta: Vec<(usize, u64)>,
-        /// Cohort-slice client metrics, cohort order.
-        metrics: Vec<ClientMetric>,
-        /// Whether partial-sum frames will follow (`false`: the edge
-        /// crashed or its upload was dropped in transit).
-        sending: bool,
-    },
-    /// One (re)transmission of the edge's partial-sum frame.
-    Frame {
-        /// Edge index.
-        edge: usize,
-        /// The checksummed frame (possibly transit-corrupted).
-        bytes: Bytes,
-    },
-}
-
-/// PS → edge control messages.
-enum EdgeCtl {
-    /// The last frame failed its checksum; send again.
-    Retry,
-    /// The round is settled for this edge; exit.
-    Done,
-}
-
-/// One edge aggregator's round: compute its shards (streaming, same
-/// pure function as the loop engine), merge them exactly, and run the
-/// upload protocol against its chaos draw. The metrics plane is
-/// simulation bookkeeping and always reaches the PS; only the model
-/// payload is subject to transport faults.
-fn edge_round(e: usize, r: RoundInputs<'_>, up: &Sender<EdgeMsg>, ctl: &Receiver<EdgeCtl>) {
-    let RoundInputs { opts, cohort, round, template, .. } = r;
-    let _guard = LiveThreadGuard::register();
-    let compressed = !opts.compression.is_dense();
-    let mut shard_meta = Vec::new();
-    let mut metrics = Vec::new();
-    let mut merged: Option<ExactState> = None;
-    for s in partition_range(opts.shards, opts.edges, e) {
-        let out = reduce_shard(
-            r.cfg,
-            r.setup,
-            r.global,
-            template,
-            cohort,
-            partition_range(cohort.len(), opts.shards, s),
-            r.classes,
-            r.client_plan,
-            round,
-            compressed,
-        );
-        shard_meta.push((out.folded, out.peak_bytes));
-        metrics.extend(out.metrics);
-        match merged.as_mut() {
-            Some(m) => m.merge(&out.acc),
-            None => merged = Some(out.acc),
-        }
-    }
-    let draw = r.edge_plan.draw(round, e);
-    let sending = !(draw.crash || draw.drop_up || draw.drop_down);
-    if up.send(EdgeMsg::Report { edge: e, shard_meta, metrics, sending }).is_err() {
-        return; // PS abandoned the round; exit quietly.
-    }
-    if !sending {
-        // Wait for Done (or a closed channel) so the PS controls join
-        // order even for faulted edges.
-        while let Ok(EdgeCtl::Retry) = ctl.recv() {}
-        return;
-    }
-    let frame = match &merged {
-        Some(m) => m.encode(),
-        None => ExactState::like(template).encode(),
-    };
-    let mut send_idx = 0u32;
-    loop {
-        let wire =
-            if send_idx < draw.corrupt_sends { corrupted_copy(&frame) } else { frame.clone() };
-        if up.send(EdgeMsg::Frame { edge: e, bytes: wire }).is_err() {
-            return;
-        }
-        match ctl.recv() {
-            Ok(EdgeCtl::Retry) => send_idx += 1,
-            Ok(EdgeCtl::Done) | Err(_) => return,
-        }
-    }
-}
-
-/// Runs population-scale FedMP with each edge aggregator as a
-/// recoverable protocol participant on its own thread. Chaos-off runs
-/// — and chaos-on runs, since every fault is a pure function of the
-/// seed — are bit-identical to [`run_fedmp_hier`] with the same
-/// options, at any thread count.
+/// [`run_fedmp_hier`] with every edge partial reaching the cloud as
+/// real checksummed `HPar` frames judged by the collection barrier
+/// (`crate::barrier`) instead of by the closed form. Bit-identical to
+/// [`run_fedmp_hier`] with the same options at any thread count, chaos
+/// included: every fault is a pure function of the seed.
+///
+/// # Errors
+/// None today: every edge fault is an exclusion the barrier settles.
 pub fn run_fedmp_hier_threaded(
     cfg: &FlConfig,
     setup: &HierSetup<'_>,
     global: Sequential,
     opts: &HierarchyOptions,
 ) -> Result<RunHistory, RuntimeError> {
-    run_hier_rounds(cfg, setup, global, opts, run_edges_threaded)
+    Ok(run_hier_rounds(cfg, setup, global, opts, edge_uplink))
 }
 
-/// One round of the edge-thread protocol: spawn an aggregator per
-/// edge, pump their reports and payload frames into the collection
-/// [`Barrier`] — which decides retransmits and exclusions — and assemble
-/// the same [`RoundGather`] the loop engine builds. Threads always join
-/// before this returns (structurally: the scope ends after every
-/// control sender has dropped).
-fn run_edges_threaded(r: RoundInputs<'_>) -> Result<RoundGather, RuntimeError> {
-    let RoundInputs { opts, cohort, template, .. } = r;
-    let edges = opts.edges;
-    let acc_template = ExactState::like(template);
-    // Per edge: its metrics plane — (per-shard meta, client metrics).
-    let mut reports: Vec<_> = (0..edges).map(|_| None).collect();
-    let mut barrier = Barrier::new(edges, opts.chaos_edge.max_retransmits);
-
-    std::thread::scope(|scope| {
-        let (up_tx, up_rx) = bounded::<EdgeMsg>(edges.max(1) * 2);
-        let mut ctls: Vec<Sender<EdgeCtl>> = Vec::with_capacity(edges);
-        for e in 0..edges {
-            let (ctl_tx, ctl_rx) = bounded::<EdgeCtl>(2);
-            ctls.push(ctl_tx);
-            let up = up_tx.clone();
-            scope.spawn(move || edge_round(e, r, &up, &ctl_rx));
-        }
-        drop(up_tx);
-
-        while !barrier.done() {
-            // Every sender gone with slots open: the loop ends and
-            // those slots read as lost.
-            let Ok(msg) = up_rx.recv() else { break };
-            let (edge, event) = match msg {
-                EdgeMsg::Report { edge, shard_meta, metrics, sending } => {
-                    if let Some(report) = reports.get_mut(edge) {
-                        *report = Some((shard_meta, metrics));
-                    }
-                    if sending {
-                        continue;
-                    }
-                    (edge, Event::Lost)
-                }
-                EdgeMsg::Frame { edge, bytes } => {
-                    let event = match ExactState::decode(&bytes, &acc_template) {
-                        Ok(partial) => {
-                            Event::Upload { intact: partial.is_some(), payload: partial }
-                        }
-                        Err(()) => Event::Malformed,
-                    };
-                    (edge, event)
-                }
+/// One edge's cloud upload, driven through a one-slot [`Barrier`] in
+/// place: a crash or drop draw is `Lost`; otherwise the merged partial
+/// is encoded, send `k` is transit-corrupted while `k < corrupt_sends`,
+/// and what the cloud decodes of each send goes to the barrier until it
+/// stops asking for another. Returns the retransmits the barrier
+/// granted and, unless it excluded the edge, the *decoded* partial.
+fn edge_uplink(
+    merged: ExactState,
+    draw: &ChaosDraw,
+    chaos: &ChaosOptions,
+) -> (u32, Option<ExactState>) {
+    let mut barrier = Barrier::new(1, chaos.max_retransmits);
+    if draw.crash || draw.drop_down || draw.drop_up {
+        barrier.on(0, Event::Lost);
+    } else {
+        let frame = merged.encode();
+        for send_idx in 0u32.. {
+            let wire =
+                if send_idx < draw.corrupt_sends { corrupted_copy(&frame) } else { frame.clone() };
+            let event = match ExactState::decode(&wire, &merged) {
+                Ok(partial) => Event::Upload { intact: partial.is_some(), payload: partial },
+                Err(()) => Event::Malformed,
             };
-            let reply = match barrier.on(edge, event) {
-                Action::Wait => continue,
-                Action::Retransmit => EdgeCtl::Retry,
-                Action::Settled => EdgeCtl::Done,
-            };
-            if let Some(ctl) = ctls.get(edge) {
-                let _ = ctl.send(reply);
+            if barrier.on(0, event) != Action::Retransmit {
+                break;
             }
         }
-        // Drain stragglers so bounded channels never block an exiting
-        // edge thread, then drop both endpoint collections before the
-        // scope ends: an edge still waiting on its control channel, or
-        // a late `send`, must observe disconnect (and bail via its
-        // error path) rather than park and wedge the join.
-        while up_rx.try_recv().is_some() {}
-        drop(ctls);
-        drop(up_rx);
-    });
-
-    // Assemble in edge order; contiguous edge → shard → cohort ranges
-    // make plain concatenation the canonical cohort order. An edge's
-    // fate is what the barrier observed of it.
-    let mut gather = RoundGather {
-        shard_meta: Vec::with_capacity(opts.shards),
-        metrics: Vec::with_capacity(cohort.len()),
-        partials: Vec::with_capacity(edges),
-        edge_fates: Vec::with_capacity(edges),
-        edge_shards: Vec::with_capacity(edges),
-        edge_clients: Vec::with_capacity(edges),
-    };
-    for (e, (report, (retries, outcome))) in reports.into_iter().zip(barrier.finish()).enumerate() {
-        // An edge thread that never reported vanished outside the
-        // protocol (its metrics plane cannot be reconstructed).
-        let (meta, metrics) = report.ok_or(RuntimeError::WorkerLost { worker: e })?;
-        gather.edge_shards.push(meta.len());
-        gather.edge_clients.push(meta.iter().map(|(folded, _)| folded).sum());
-        gather.shard_meta.extend(meta);
-        gather.metrics.extend(metrics);
-        gather.edge_fates.push(match outcome {
-            Ok(_) => ClientFate::Delivered { retries },
-            Err(reason) => ClientFate::Lost { reason, retries, trained: true },
-        });
-        gather.partials.push(outcome.ok().flatten());
     }
-    Ok(gather)
+    let (retries, outcome) = barrier.finish().remove(0);
+    (retries, outcome.ok().flatten())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    fn state(v: &[f32]) -> Vec<StateEntry> {
+        let entry = |name: &str, data: &[f32], dims: &[usize], trainable| StateEntry {
+            name: name.into(),
+            tensor: Tensor::from_vec(data.to_vec(), dims).expect("test shape"),
+            trainable,
+        };
+        vec![entry("w", &v[..4], &[2, 2], true), entry("b", &v[4..], &[1], false)]
+    }
+
+    proptest! {
+        /// The `barrier.rs` tie test extended to real `HPar` bytes: for
+        /// every draw shape the in-place uplink ends where
+        /// `ClientFate::from_draw` says it does, and what it delivers
+        /// decodes to exactly the partial that was merged.
+        #[test]
+        fn edge_uplink_is_the_closed_form_over_real_frames(
+            folds in proptest::collection::vec(
+                proptest::collection::vec(-1.0e6f32..1.0e6, 5..6),
+                0..4,
+            ),
+        ) {
+            let mut merged = ExactState::like(&state(&[0.0; 5]));
+            for v in &folds {
+                merged.fold(&state(v));
+            }
+            for max in 0..=3u32 {
+                let opts = ChaosOptions { max_retransmits: max, ..ChaosOptions::none() };
+                for shape in 0..8u32 {
+                    for corrupt_sends in 0..=max + 2 {
+                        let draw = ChaosDraw {
+                            crash: shape & 1 != 0,
+                            drop_down: shape & 2 != 0,
+                            drop_up: shape & 4 != 0,
+                            corrupt_sends,
+                            delay_secs: 0.0,
+                        };
+                        let (retries, partial) = edge_uplink(merged.clone(), &draw, &opts);
+                        let closed = ClientFate::from_draw(&draw, &opts);
+                        prop_assert_eq!(retries, closed.retries(), "{:?}", draw);
+                        prop_assert_eq!(
+                            partial.as_ref(),
+                            closed.delivered().then_some(&merged),
+                            "{:?}", draw
+                        );
+                    }
+                }
+            }
+        }
+    }
 }

@@ -189,10 +189,7 @@ pub fn run_lm(
         let mut comp_sum = 0.0;
         let mut comm_sum = 0.0;
         for (w, (model, ..)) in results.iter().enumerate() {
-            let mut cost = lm_round_cost(model, batch, seq, opts.tau);
-            cost.train_flops *= setup.cost_scale.flops;
-            cost.download_bytes *= setup.cost_scale.bytes;
-            cost.upload_bytes *= setup.cost_scale.bytes;
+            let cost = setup.cost_scale.apply(&lm_round_cost(model, batch, seq, opts.tau));
             let mut rng = crate::engine::worker_rng(opts.seed ^ 0x77, round, w);
             let t = setup.time.round_time(&setup.devices[w], &cost, &mut rng);
             comp_sum += t.comp;

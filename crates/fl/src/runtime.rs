@@ -93,8 +93,7 @@ use crate::history::{RoundRecord, RunHistory};
 use crate::local::{local_train, LocalOutcome, LocalTrainConfig};
 use crate::task::ImageTask;
 use crate::wire::{
-    codec_delivered, decode_state_v2, encode_state_v2, frame_checksum_ok, wire_size_v2, Codec,
-    ErrorFeedback, LinkCodecs,
+    decode_state_v2, encode_state_v2, frame_checksum_ok, link_delivered, ErrorFeedback, LinkCodecs,
 };
 use bytes::Bytes;
 use crossbeam::channel::{bounded, Receiver, Sender};
@@ -593,8 +592,8 @@ pub enum RuntimeError {
         round: usize,
     },
     /// The fleet itself went away: every uplink sender closed with the
-    /// barrier still open (an edge aggregator thread of the threaded
-    /// hierarchy that never reported).
+    /// barrier still open. Unreachable today — the channel fleet's PS
+    /// holds an uplink sender itself — but typed rather than a panic.
     WorkerLost {
         /// The worker (or edge) concerned; 0 when it is the whole
         /// uplink.
@@ -846,7 +845,7 @@ pub(crate) struct FramedUpload {
     /// architecture receives the decoded upload.
     sub: Sequential,
     /// The snapshot the worker reconstructed from the dispatched frame
-    /// (via the [`codec_delivered`] oracle) — the uplink delta
+    /// (via the [`crate::codec_delivered`] oracle) — the uplink delta
     /// reference.
     received: Vec<StateEntry>,
 }
@@ -930,8 +929,7 @@ impl<F: Fleet> Exchange for FramedExchange<'_, F> {
             let sub_state = sub.state();
             let downlink = links[w].downlink;
             let frame = encode_state_v2(&sub_state, downlink, None, None);
-            let received = codec_delivered(&sub_state, downlink, None, None);
-            let dense = wire_size_v2(&sub_state, Codec::DenseF32) as u64;
+            let (received, _, dense) = link_delivered(&sub_state, downlink, None, None);
             (frame, sub, received, dense)
         });
         // The chaos plane rewrites events where it needs no peer: a

@@ -803,6 +803,23 @@ pub fn codec_delivered(
         .collect()
 }
 
+/// What a compressed link delivers and what it costs: the state the
+/// receiver reconstructs ([`codec_delivered`], same arguments), the
+/// frame's bytes under `codec`, and the bytes the same state costs sent
+/// dense — the one oracle every engine that models a link reads.
+pub(crate) fn link_delivered(
+    state: &[StateEntry],
+    codec: Codec,
+    reference: Option<&[StateEntry]>,
+    feedback: Option<&mut ErrorFeedback>,
+) -> (Vec<StateEntry>, u64, u64) {
+    (
+        codec_delivered(state, codec, reference, feedback),
+        wire_size_v2(state, codec) as u64,
+        wire_size_v2(state, Codec::DenseF32) as u64,
+    )
+}
+
 /// The codec a frame was encoded with. Only inspects the header.
 pub fn frame_codec(frame: &[u8]) -> Result<Codec, WireError> {
     if frame.len() < 12 {

@@ -63,7 +63,7 @@ pub struct KernelStats {
     pub gemm_scalar_dense: u64,
     /// Always 0: nothing tags a GEMM pruned any more; removed together
     /// with the `tensor.gemm_calls_*_pruned` metrics by the `[benchmark]`
-    /// hygiene PR of ROADMAP item 1 (`benchmark/src/probes.rs` reads it).
+    /// hygiene PR of ROADMAP item 5 (`benchmark/src/probes.rs` reads it).
     pub gemm_simd_pruned: u64,
     /// Always 0, kept for the same reader as `gemm_simd_pruned`.
     pub gemm_scalar_pruned: u64,

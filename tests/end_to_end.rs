@@ -4,7 +4,11 @@
 
 use fedmp::prelude::*;
 use fedmp_core::run_fedmp_custom;
-use fedmp_fl::{run_fedprox, run_synfl, FaultOptions, FedMpOptions, FedProxOptions, SyncScheme};
+use fedmp_fl::{
+    run_fedmp, run_fedmp_threaded, run_fedprox, run_synfl, FaultOptions, FedMpOptions,
+    FedProxOptions, SyncScheme,
+};
+use fedmp_tensor::parallel::override_threads;
 
 fn quick_spec(task: TaskKind, rounds: usize) -> ExperimentSpec {
     let mut spec = ExperimentSpec::small(task);
@@ -141,6 +145,44 @@ fn synfl_is_fedmp_at_ratio_zero_and_fedprox_at_mu_zero() {
     let prox = run_fedprox(&spec.fl, &setup, built.model, &FedProxOptions { mu: 0.0, min_tau: 1 });
     assert_eq!(numeric_bits(&syn), numeric_bits(&prox));
     assert!(prox.rounds.iter().all(|r| r.ratios.is_empty()));
+}
+
+#[test]
+fn quantized_residual_store_changes_the_run_but_not_its_determinism() {
+    // §III-C's 8-bit residual store (`FedMpOptions::quantize_residuals`,
+    // DESIGN §3 item 5) is off in every experiment and workload, so
+    // this is tier-1's one round through `pruning::quant`: the switch must
+    // change the arithmetic, move final accuracy by at most 0.1 (0.945
+    // exact vs 0.98 quantised at 16 rounds), and leave the run a
+    // pure function of the seed — same bits at 1 and 4 executor
+    // threads and over the channel fleet.
+    let spec = quick_spec(TaskKind::CnnMnist, 16);
+    let built = spec.build();
+    let setup =
+        FlSetup::with_cost_scale(&built.task, built.devices.clone(), built.time, built.cost_scale);
+    let quant = FedMpOptions { quantize_residuals: true, ..Default::default() };
+    let at = |threads: usize, opts: &FedMpOptions| {
+        // Process-global, and harmless to the tests running beside this
+        // one: every result is thread-count-invariant.
+        override_threads(Some(threads));
+        let h = run_fedmp(&spec.fl, &setup, built.model.clone(), opts);
+        override_threads(None);
+        h
+    };
+    let one = at(1, &quant);
+    assert_eq!(numeric_bits(&one), numeric_bits(&at(4, &quant)), "1 vs 4 executor threads");
+    let threaded =
+        run_fedmp_threaded(&spec.fl, &setup, built.model.clone(), &quant).expect("channel fleet");
+    assert_eq!(
+        serde_json::to_string(&threaded).unwrap(),
+        serde_json::to_string(&one).unwrap(),
+        "loop vs threads"
+    );
+
+    let exact = at(1, &FedMpOptions::default());
+    assert_ne!(numeric_bits(&exact), numeric_bits(&one), "the switch was ignored");
+    let (a, b) = (exact.final_accuracy().unwrap(), one.final_accuracy().unwrap());
+    assert!((a - b).abs() <= 0.1, "final accuracy moved: {a} exact vs {b} with 8-bit residuals");
 }
 
 #[test]
