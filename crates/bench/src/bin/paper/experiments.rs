@@ -8,16 +8,16 @@
 use fedmp_bandit::{Bandit, DiscreteUcb, EUcbAgent, EUcbConfig, EpsilonGreedy, RewardConfig};
 use fedmp_bench::{common_target, fmt_speedup, fmt_time, save_result, time_to_target, Harness};
 use fedmp_core::{
-    measure_overhead, print_table, run_fedmp_custom, run_hier, ExperimentSpec, Method, TaskKind,
+    measure_overhead, print_table, run_fedmp_custom, ExperimentSpec, Method, TaskKind,
 };
 use fedmp_data::{ptb_like, TextBatch};
 use fedmp_edgesim::{
-    heterogeneity_scenario, EnergyModel, HeterogeneityLevel, TimeModel, SLOW_LINK_BPS,
+    heterogeneity_scenario, EnergyModel, HeterogeneityLevel, Population, TimeModel, SLOW_LINK_BPS,
 };
 use fedmp_fl::{
-    run_fedmp, run_fedmp_threaded_chaos, run_lm, ChaosOptions, Codec, CompressionPolicy,
-    ExactState, FaultOptions, FedMpOptions, FlSetup, HierarchyOptions, LmMethod, LmOptions,
-    LmSetup, RunHistory,
+    run_fedmp, run_fedmp_hier, run_fedmp_threaded_chaos, run_lm, ChaosOptions, Codec,
+    CompressionPolicy, ExactState, FaultOptions, FedMpOptions, FlSetup, HierSetup,
+    HierarchyOptions, LmMethod, LmOptions, LmSetup, RunHistory,
 };
 use fedmp_nn::{zoo, StateEntry};
 use fedmp_obs::{RunManifest, TraceEvent, TraceSession};
@@ -813,12 +813,19 @@ pub fn scale(_: &mut Harness) {
     spec.fl.rounds = 2;
     spec.fl.eval_every = 2;
     let population = 100_000u64;
+    let built = spec.build();
+    let mut setup =
+        HierSetup::new(&built.task, Population::new(population, spec.seed, spec.level), built.time);
+    setup.cost_scale = built.cost_scale;
     let mut engine_rows = Vec::new();
     for cohort in [8usize, 32] {
         let opts = HierarchyOptions { cohort, shards: 4, edges: 2, ..Default::default() };
         let manifest = RunManifest::new("scale", spec.seed, cohort, spec.fl.rounds, 1);
+        // The engine itself, not `fedmp_core::run_hier`: under
+        // `FEDMP_TRACE` that opens a file session of its own, and
+        // sessions are exclusive — it would wait for this capture.
         let session = TraceSession::capture(&manifest);
-        let history = run_hier(&spec, population, &opts);
+        let history = run_fedmp_hier(&spec.fl, &setup, built.model.clone(), &opts);
         let peaks = session.finish().events.into_iter().filter_map(|e| match e {
             TraceEvent::ShardReduced { peak_bytes, .. } => Some(peak_bytes),
             _ => None,

@@ -84,3 +84,37 @@ fn only_the_timing_artifacts_carry_wall_clock_keys() {
     let names: Vec<&str> = timed.iter().map(|(name, _)| name.as_str()).collect();
     assert_eq!(names, ["fig11", "kernels", "resilience"], "wall-clock keys: {timed:?}");
 }
+
+/// `scale` holds an in-memory trace capture around its engine runs.
+/// While it ran them through `fedmp_core::run_hier`, `FEDMP_TRACE` made
+/// that open a second, file-backed session under the first — sessions
+/// are exclusive, so the process waited on itself forever (PRs 22–23).
+/// The same nesting, under a watchdog.
+#[test]
+fn scale_finishes_under_fedmp_trace() {
+    let dir = std::env::temp_dir().join(format!("fedmp-paper-scale-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_paper"))
+        .arg("scale")
+        .env("FEDMP_TRACE", dir.join("trace"))
+        .current_dir(&dir)
+        .stdout(std::process::Stdio::null())
+        .spawn()
+        .expect("spawn paper");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(300);
+    let status = loop {
+        match child.try_wait().expect("poll paper") {
+            Some(status) => break Some(status),
+            None if std::time::Instant::now() > deadline => break None,
+            None => std::thread::sleep(std::time::Duration::from_millis(100)),
+        }
+    };
+    if status.is_none() {
+        child.kill().ok();
+        child.wait().ok();
+    }
+    let saved = dir.join("bench-results/scale.json").exists();
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(status.expect("`paper scale` hung under FEDMP_TRACE").success());
+    assert!(saved, "scale wrote no artifact");
+}

@@ -1,11 +1,11 @@
 //! Global aggregation (`③` of Fig. 1): R2SP, BSP, and plain FedAvg.
 
 use fedmp_nn::{state_add, state_scale, StateEntry};
-use fedmp_tensor::{ExactSum, Tensor};
+use fedmp_tensor::{ExactVec, Tensor};
 
 /// Plain FedAvg over full-model snapshots: the elementwise mean.
 ///
-/// Each scalar position is summed through a [`ExactSum`] fixed-point
+/// Each scalar position is summed through an [`ExactVec`] fixed-point
 /// superaccumulator, so the sum is *exact* (one rounding at the end,
 /// then one multiply by `1/n`). This makes the mean permutation- and
 /// grouping-invariant: partitioning the same snapshots into shards and
@@ -24,17 +24,15 @@ pub fn average_states(states: &[Vec<StateEntry>]) -> Vec<StateEntry> {
         .enumerate()
         .map(|(j, e)| {
             let n = e.tensor.numel();
-            let mut accs = vec![ExactSum::new(); n];
+            let mut accs = ExactVec::new(n);
             for s in states {
                 let entry = &s[j];
                 assert_eq!(entry.name, e.name, "average_states: entry name mismatch");
                 let data = entry.tensor.data();
                 assert_eq!(data.len(), n, "average_states: entry shape mismatch");
-                for (acc, &x) in accs.iter_mut().zip(data) {
-                    acc.add(x);
-                }
+                accs.add(data);
             }
-            let vals: Vec<f32> = accs.iter().map(|a| a.value() * inv).collect();
+            let vals: Vec<f32> = accs.sums().map(|a| a.value() * inv).collect();
             StateEntry {
                 name: e.name.clone(),
                 tensor: Tensor::from_vec(vals, e.tensor.dims())

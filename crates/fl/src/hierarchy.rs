@@ -20,7 +20,7 @@
 //!   step and then dropped, so peak memory is O(shards × params)
 //!   regardless of cohort size.
 //! - **Exact aggregation algebra** — shard accumulators hold
-//!   [`ExactSum`] fixed-point registers, so merging shard → edge →
+//!   [`ExactVec`] fixed-point registers, so merging shard → edge →
 //!   cloud is integer addition: *any* (shards, edges) partition is
 //!   bit-identical to the flat [`r2sp_aggregate`][crate::r2sp_aggregate]
 //!   over the same delivered cohort. See `docs/SCALE.md` for the full
@@ -74,18 +74,19 @@ use fedmp_pruning::{
     extract_sequential, plan_sequential_with, recover_state, sparse_state, Importance, PrunePlan,
 };
 use fedmp_tensor::parallel::{sum_f32, sum_f64};
-use fedmp_tensor::{ExactSum, Tensor};
+use fedmp_tensor::{ExactSum, ExactVec, Tensor};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::ops::Range;
 
 // ---- exact streaming state ----------------------------------------------
 
-/// A full-model snapshot accumulated exactly: one [`ExactSum`] per
+/// A full-model snapshot accumulated exactly: one [`ExactVec`] slot per
 /// scalar, templated from a concrete state's names/shapes. Folding is
 /// streaming (fold, then drop the source) and merging two accumulators
 /// is integer addition, so any fan-in tree over the same fold multiset
-/// finalises to identical bits.
+/// finalises to identical bits. Two states are equal iff they hold the
+/// same sums.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ExactState {
     entries: Vec<ExactEntry>,
@@ -96,7 +97,7 @@ struct ExactEntry {
     name: String,
     dims: Vec<usize>,
     trainable: bool,
-    accs: Vec<ExactSum>,
+    accs: ExactVec,
 }
 
 impl ExactState {
@@ -109,7 +110,7 @@ impl ExactState {
                     name: e.name.clone(),
                     dims: e.tensor.dims().to_vec(),
                     trainable: e.trainable,
-                    accs: vec![ExactSum::new(); e.tensor.numel()],
+                    accs: ExactVec::new(e.tensor.numel()),
                 })
                 .collect(),
         }
@@ -121,11 +122,7 @@ impl ExactState {
         assert_eq!(state.len(), self.entries.len(), "ExactState::fold: entry count mismatch");
         for (entry, s) in self.entries.iter_mut().zip(state.iter()) {
             assert_eq!(entry.name, s.name, "ExactState::fold: entry name mismatch");
-            let data = s.tensor.data();
-            assert_eq!(data.len(), entry.accs.len(), "ExactState::fold: shape mismatch");
-            for (acc, &x) in entry.accs.iter_mut().zip(data) {
-                acc.add(x);
-            }
+            entry.accs.add(s.tensor.data());
         }
     }
 
@@ -133,9 +130,7 @@ impl ExactState {
     pub fn merge(&mut self, other: &ExactState) {
         assert_eq!(other.entries.len(), self.entries.len(), "ExactState::merge: entry mismatch");
         for (a, b) in self.entries.iter_mut().zip(other.entries.iter()) {
-            for (x, y) in a.accs.iter_mut().zip(b.accs.iter()) {
-                x.merge(y);
-            }
+            a.accs.merge(&b.accs);
         }
     }
 
@@ -150,8 +145,8 @@ impl ExactState {
             .iter()
             .map(|e| {
                 let mut t = Tensor::zeros(&e.dims);
-                for (out, acc) in t.data_mut().iter_mut().zip(e.accs.iter()) {
-                    *out = acc.value() * inv;
+                for (out, sum) in t.data_mut().iter_mut().zip(e.accs.sums()) {
+                    *out = sum.value() * inv;
                 }
                 StateEntry { name: e.name.clone(), tensor: t, trainable: e.trainable }
             })
@@ -164,9 +159,10 @@ impl ExactState {
     }
 
     /// Resident bytes of the accumulator itself — constant no matter
-    /// how many snapshots have been folded in.
+    /// how many snapshots have been folded in, while their values stay
+    /// inside the [`ExactVec`] window.
     pub fn tracked_bytes(&self) -> usize {
-        self.numel() * ExactSum::state_bytes()
+        self.entries.iter().map(|e| e.accs.state_bytes()).sum()
     }
 
     /// Serialises the accumulator into a checksummed wire frame (the
@@ -175,12 +171,12 @@ impl ExactState {
     /// byte) | FNV-1a-64 of everything before`.
     pub fn encode(&self) -> Bytes {
         let count = self.numel() as u32;
-        let mut buf = Vec::with_capacity(8 + count as usize * 49 + 8);
+        let mut buf = Vec::with_capacity(8 + count as usize * PARTIAL_SUM_BYTES + 8);
         buf.extend_from_slice(&PARTIAL_MAGIC.to_le_bytes());
         buf.extend_from_slice(&count.to_le_bytes());
         for e in &self.entries {
-            for acc in &e.accs {
-                let (limbs, poison) = acc.to_raw();
+            for sum in e.accs.sums() {
+                let (limbs, poison) = sum.to_raw();
                 for limb in limbs {
                     buf.extend_from_slice(&limb.to_le_bytes());
                 }
@@ -214,37 +210,38 @@ impl ExactState {
         let count = u32::from_le_bytes(count) as usize;
         if u32::from_le_bytes(magic) != PARTIAL_MAGIC
             || count != template.numel()
-            || body.len() != 8 + count * 49
+            || body.len() != 8 + count * PARTIAL_SUM_BYTES
         {
             return Err(());
         }
-        let mut out = template.clone();
-        for e in out.entries.iter_mut() {
-            for acc in e.accs.iter_mut() {
-                *acc = ExactSum::new();
+        let mut sums = body[8..].chunks_exact(PARTIAL_SUM_BYTES).map(|raw| {
+            let mut limbs = [0u64; 6];
+            for (limb, bytes) in limbs.iter_mut().zip(raw.chunks_exact(8)) {
+                let mut b = [0u8; 8];
+                b.copy_from_slice(bytes);
+                *limb = u64::from_le_bytes(b);
             }
-        }
-        let mut off = 8;
-        for e in out.entries.iter_mut() {
-            for acc in e.accs.iter_mut() {
-                let mut limbs = [0u64; 6];
-                for limb in limbs.iter_mut() {
-                    let mut b = [0u8; 8];
-                    b.copy_from_slice(&body[off..off + 8]);
-                    *limb = u64::from_le_bytes(b);
-                    off += 8;
-                }
-                let poison = body[off] != 0;
-                off += 1;
-                *acc = ExactSum::from_raw(limbs, poison);
-            }
-        }
-        Ok(Some(out))
+            ExactSum::from_raw(limbs, raw[PARTIAL_SUM_BYTES - 1] != 0)
+        });
+        let entries = template
+            .entries
+            .iter()
+            .map(|e| ExactEntry {
+                name: e.name.clone(),
+                dims: e.dims.clone(),
+                trainable: e.trainable,
+                accs: sums.by_ref().take(e.accs.len()).collect(),
+            })
+            .collect();
+        Ok(Some(ExactState { entries }))
     }
 }
 
 /// Magic tag of an edge partial-sum frame (`"HPar"`).
 const PARTIAL_MAGIC: u32 = 0x4850_6172;
+
+/// Bytes of one sum in an `HPar` frame: six limbs and the poison byte.
+const PARTIAL_SUM_BYTES: usize = 49;
 
 // ---- configuration -------------------------------------------------------
 

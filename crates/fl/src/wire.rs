@@ -516,10 +516,31 @@ fn int8_code(v: f32, scale: f32) -> i8 {
     (v / scale).round().clamp(-127.0, 127.0) as i8
 }
 
-/// The `k` largest-|·| coordinate indices, ascending. Selection uses
-/// `total_cmp` with an index tie-break: a pure function of the input
-/// bits, total over every float (no `partial_cmp` panic path).
+/// The `k` largest-|·| coordinate indices, ascending; ties go to the
+/// lower index. The order — |v| by `total_cmp`, then index — is a
+/// strict total order over every float, so the selected *set* is
+/// unique and a linear-time selection returns what a full sort would:
+/// each coordinate packs into one `u64` key, |v|'s bits above the
+/// complemented index, whose integer order is that order.
 fn topk_indices(values: &[f32], k: usize) -> Vec<u32> {
+    let n = values.len();
+    let k = k.min(n);
+    let mut keys: Vec<u64> = (0u32..)
+        .zip(values)
+        .map(|(i, v)| u64::from(v.abs().to_bits()) << 32 | u64::from(!i))
+        .collect();
+    if 0 < k && k < n {
+        keys.select_nth_unstable(n - k);
+    }
+    let mut indices: Vec<u32> = keys[n - k..].iter().map(|&key| !(key as u32)).collect();
+    indices.sort_unstable();
+    indices
+}
+
+/// [`topk_indices`] as it was defined through PR 23: stable-sort every
+/// index by the comparator, keep the first `k`.
+#[cfg(test)]
+fn topk_indices_by_sort(values: &[f32], k: usize) -> Vec<u32> {
     let mut order: Vec<u32> = (0..values.len() as u32).collect();
     order.sort_by(|&a, &b| {
         values[b as usize].abs().total_cmp(&values[a as usize].abs()).then(a.cmp(&b))
@@ -1109,6 +1130,48 @@ mod tests {
         assert_eq!(topk_len(10, 0.25), 3); // ceil(2.5)
         assert_eq!(topk_len(10, 1.0), 10);
         assert_eq!(topk_len(10, 2.0), 10);
+    }
+
+    #[test]
+    fn topk_selection_equals_the_sort_it_replaced() {
+        use rand::Rng;
+        // Ties on |v| across signs and positions, both zeros, NaN of
+        // either sign (above ∞ in the total order), a subnormal.
+        let crafted = vec![
+            1.0,
+            -1.0,
+            0.0,
+            -0.0,
+            f32::NAN,
+            -f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            1.0,
+            2.5,
+            -2.5,
+            0.0,
+            f32::MIN_POSITIVE,
+            f32::from_bits(1),
+            -1.0,
+        ];
+        let mut cases = vec![crafted, vec![], vec![3.0], vec![0.0; 9], vec![-7.0; 9]];
+        let mut rng = seeded_rng(0x709C);
+        for n in [2, 17, 100, 1000] {
+            // Seven distinct magnitudes: most comparisons are ties.
+            cases.push((0..n).map(|_| rng.gen_range(-3i32..4) as f32 * 0.5).collect());
+            // Raw bit patterns: every class of float.
+            cases.push((0..n).map(|_| f32::from_bits(rng.gen())).collect());
+        }
+        for values in &cases {
+            let n = values.len();
+            for k in [0, 1, n / 10, n / 2, n.saturating_sub(1), n, n + 3] {
+                assert_eq!(
+                    topk_indices(values, k),
+                    topk_indices_by_sort(values, k),
+                    "n {n}, k {k}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -20,7 +20,7 @@
 
 use fedmp_fl::{
     codec_delivered, decode_state_v2, encode_state_v2, f16_bits_to_f32, f32_to_f16_bits,
-    frame_checksum_ok, wire_size_v2, Codec, ErrorFeedback, WireError,
+    frame_checksum_ok, wire_size_v2, Codec, ErrorFeedback, ExactState, WireError,
 };
 use fedmp_nn::StateEntry;
 use fedmp_tensor::{seeded_rng, uniform_vec, Tensor};
@@ -291,4 +291,126 @@ fn without_error_feedback_topk_bias_persists() {
         worst_gap / rounds as f64 > 0.05,
         "feedback-free top-k unexpectedly unbiased: {worst_gap}"
     );
+}
+
+// ---- cross-commit frame goldens --------------------------------------------
+//
+// Everything above compares the codecs with an oracle at the same
+// commit. These two compare the frames with **their own past**, in the
+// style of `tensor/tests/goldens.rs`: one FNV-1a over every byte of the
+// five codec frames (two rounds each, so the error-feedback residual is
+// in play) and one over an `ExactState::encode` frame plus the bits of
+// its finalised mean, both recorded at `1abb939` (the parent of PR 24)
+// and required to come out unchanged by every change to `fl::wire`,
+// `fl::hierarchy` and `tensor::exact` since. A PR that claims "every
+// frame byte unchanged" leaves the constants alone.
+//
+// Inputs are integer-derived (a multiplicative hash reduced mod 2001,
+// scaled by a power of two) — no `randn`, no libm — so the operands are
+// the same floats on any host and toolchain. Reduction mod 2001 makes
+// |v| ties common, which is what the top-k tie-break has to survive.
+
+/// Recorded at `1abb939`.
+const GOLDEN_CODEC_FRAMES: u64 = 0x903c_3c2b_244b_fdd2;
+/// Recorded at `1abb939`.
+const GOLDEN_HPAR_FRAME: u64 = 0x50dd_f449_15a1_dc46;
+
+fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3))
+}
+
+const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
+
+/// `len` floats in `[-15.6, 15.65]` from integer arithmetic alone.
+fn fill(len: usize, salt: u64) -> Vec<f32> {
+    (0..len as u64)
+        .map(|i| ((i + salt).wrapping_mul(2_654_435_761) % 2001) as f32 / 64.0 - 15.6)
+        .collect()
+}
+
+/// A three-tensor state: a matrix full of |v| ties, a vector seeded
+/// with signed zeros and exact ± pairs, and a small entry of specials
+/// (NaN, ±∞, a subnormal, `f32::MAX`).
+fn golden_state(salt: u64) -> Vec<StateEntry> {
+    let mut v = fill(40, salt + 1000);
+    for i in (0..40).step_by(5) {
+        v[i] = if i % 2 == 0 { 0.0 } else { -0.0 };
+    }
+    v[7] = -v[6];
+    v[23] = -v[22];
+    let specials = vec![
+        f32::NAN,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::from_bits(0x0000_0123),
+        f32::MAX,
+        -1.5,
+        1.5,
+    ];
+    vec![
+        entry("conv.weight", fill(63, salt), &[7, 9], true),
+        entry("fc.bias", v, &[40], true),
+        entry("bn.stat", specials, &[7], false),
+    ]
+}
+
+#[test]
+fn codec_frames_match_the_golden_hash() {
+    let reference = reference_for(&golden_state(3));
+    let mut hash = FNV_OFFSET;
+    for keep in [0.1f32, 0.5] {
+        for idx in 0..5 {
+            let codec = codec_from(idx, keep);
+            let mut feedback = ErrorFeedback::new();
+            for round in 0..2u64 {
+                let state = golden_state(17 * round + 5);
+                let frame = encode_state_v2(&state, codec, Some(&reference), Some(&mut feedback));
+                hash = fnv1a(hash, &frame);
+            }
+            let frame = encode_state_v2(&golden_state(9), codec, None, None);
+            hash = fnv1a(hash, &frame);
+        }
+    }
+    assert_eq!(hash, GOLDEN_CODEC_FRAMES, "a codec frame byte moved: {hash:#018x}");
+}
+
+#[test]
+fn hpar_frame_matches_the_golden_hash() {
+    // Two shard accumulators over different snapshot multisets — finite
+    // in-range values, exact cancellations, magnitudes from 2⁻¹⁴⁰ to
+    // 2¹²⁰, and the specials of `golden_state` — merged as an edge
+    // would, then encoded.
+    let scaled = |salt: u64, scale: f32| -> Vec<StateEntry> {
+        golden_state(salt)
+            .into_iter()
+            .map(|e| {
+                let data = e.tensor.data().iter().map(|v| v * scale).collect();
+                entry(&e.name, data, e.tensor.dims(), e.trainable)
+            })
+            .collect()
+    };
+    let template = golden_state(0);
+    let mut a = ExactState::like(&template);
+    let mut b = ExactState::like(&template);
+    for salt in 0..6u64 {
+        a.fold(&golden_state(salt));
+        b.fold(&scaled(salt + 40, if salt % 2 == 0 { 1.0 } else { -1.0 }));
+    }
+    a.fold(&scaled(2, 2.0f32.powi(-140)));
+    a.fold(&scaled(3, 2.0f32.powi(-70)));
+    b.fold(&scaled(4, 2.0f32.powi(40)));
+    b.fold(&scaled(5, 2.0f32.powi(120)));
+    b.fold(&scaled(5, -(2.0f32.powi(120))));
+    a.merge(&b);
+    let frame = a.encode();
+    let mut hash = fnv1a(FNV_OFFSET, &frame);
+    let decoded = ExactState::decode(&frame, &ExactState::like(&template))
+        .expect("own frame is well-formed")
+        .expect("own frame passes its checksum");
+    for e in decoded.finalize(16) {
+        for v in e.tensor.data() {
+            hash = fnv1a(hash, &v.to_bits().to_le_bytes());
+        }
+    }
+    assert_eq!(hash, GOLDEN_HPAR_FRAME, "an HPar frame byte or mean bit moved: {hash:#018x}");
 }

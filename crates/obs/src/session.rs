@@ -155,6 +155,9 @@ mod tests {
 
     #[test]
     fn emit_without_session_is_a_noop() {
+        // "Without a session" has to be made true first: a sibling test
+        // may be recording, and `ENABLED` is process-wide.
+        let _no_session = lock(&RECORDING);
         // Must not panic, allocate a sink, or enable anything.
         emit(|| panic!("closure must not run while disabled"));
         assert!(!enabled());

@@ -29,6 +29,27 @@
 //! unreachable in practice. Non-finite inputs (±∞, NaN) poison the
 //! accumulator: [`ExactSum::value`] then returns NaN, mirroring what a
 //! float sum would produce.
+//!
+//! # Vectors of sums: window + spill
+//!
+//! A model-sized vector of sums does not need 384 bits per slot: the
+//! addends of one parameter sit within a few binades of each other. An
+//! [`ExactVec`] keeps, per slot, one `i128` — the *window*, bits
+//! 64‥191 of the wide register — and folds into it every addend with
+//! |x| ∈ [2⁻⁶², 2²¹) by the same shifted-mantissa integer addition, at
+//! 16 B/slot instead of 56. Whatever the window cannot hold — smaller
+//! and larger magnitudes, subnormals, non-finite values — goes to a
+//! sparse *spill* of ordinary [`ExactSum`]s keyed by slot. A slot's sum
+//! is `window << 64` plus its spill register, so it is still one exact
+//! integer: how the addends were split between the two is invisible in
+//! [`ExactVec::sums`], and with it in every value and every frame.
+//!
+//! Headroom: an in-window addend is a 24-bit mantissa shifted left by
+//! at most 82, so below 2¹⁰⁶; the vector counts addends per slot and
+//! moves the window into the spill (a *flush*) before the count would
+//! pass 2²⁰, so a slot stays below 2¹²⁶ — inside an `i128`.
+
+use std::collections::BTreeMap;
 
 /// Number of 64-bit limbs in the fixed-point register (384 bits).
 const LIMBS: usize = 6;
@@ -189,6 +210,23 @@ impl ExactSum {
         ExactSum { limbs, nonfinite }
     }
 
+    /// The wide register holding `w × 2^WINDOW_BASE`: the window in
+    /// limbs 1–2, sign-extended above.
+    fn from_window(w: i128) -> Self {
+        let ext = (w >> 127) as u64;
+        ExactSum { limbs: [0, w as u64, (w >> 64) as u64, ext, ext, ext], nonfinite: false }
+    }
+
+    /// Inverse of [`from_window`](Self::from_window), for a register
+    /// that is one: no poison, nothing below the window, a plain sign
+    /// extension above it, and a magnitude the addend count can stand
+    /// for (below `WINDOW_ADDENDS` maximal addends).
+    fn window(&self) -> Option<i128> {
+        let w = i128::from(self.limbs[2] as i64) << 64 | i128::from(self.limbs[1]);
+        let fits = w.unsigned_abs() >> ADDEND_BITS < u128::from(WINDOW_ADDENDS);
+        (fits && *self == Self::from_window(w)).then_some(w)
+    }
+
     fn add_at(&mut self, limb: usize, lo: u64, hi: u64) {
         let (s, c) = self.limbs[limb].overflowing_add(lo);
         self.limbs[limb] = s;
@@ -280,6 +318,179 @@ pub fn exact_sum_f32(xs: &[f32]) -> f32 {
     }
     acc.value()
 }
+
+/// Register bit a window's bit 0 stands for: one whole limb up, so a
+/// window is limbs 1–2 of the wide register.
+const WINDOW_BASE: u32 = 64;
+
+/// Biased `f32` exponent of the smallest in-window binade, 2⁻⁶² (its
+/// mantissa shift, `exp − 1`, is [`WINDOW_BASE`]).
+const WINDOW_EXP_MIN: u32 = WINDOW_BASE + 1;
+
+/// Binades above the smallest the window takes: up to, excluding, 2²¹.
+const WINDOW_SPAN: u32 = 82;
+
+/// Bits of the largest in-window addend: a 24-bit mantissa shifted left
+/// by at most [`WINDOW_SPAN`].
+const ADDEND_BITS: u32 = 24 + WINDOW_SPAN;
+
+/// Addends a window slot may hold: 2²⁰ × 2¹⁰⁶ = 2¹²⁶ fits an `i128`.
+const WINDOW_ADDENDS: u32 = 1 << 20;
+
+/// A vector of exact sums, one per slot, at 16 bytes a slot: the
+/// element-wise [`ExactSum`] of equal-length `f32` slices. See the
+/// [module docs](self) for the window + spill layout and why it holds
+/// the same integers a `Vec<ExactSum>` would.
+///
+/// ```
+/// use fedmp_tensor::{ExactSum, ExactVec};
+///
+/// let mut acc = ExactVec::new(2);
+/// acc.add(&[1e8, f32::MIN_POSITIVE]);
+/// acc.add(&[1.0, 0.5]);
+/// acc.add(&[-1e8, 0.25]);
+/// let values: Vec<f32> = acc.sums().map(|s| s.value()).collect();
+/// assert_eq!(values, [1.0, 0.75]);
+/// ```
+#[derive(Clone, Debug)]
+pub struct ExactVec {
+    /// Per slot, Σ ±mant << (shift − [`WINDOW_BASE`]) over its
+    /// in-window addends.
+    window: Vec<i128>,
+    /// Upper bound on the in-window addends behind any one slot:
+    /// `|window[i]| < addends << ADDEND_BITS`.
+    addends: u32,
+    /// Slot → everything the window could not take.
+    spill: BTreeMap<usize, ExactSum>,
+}
+
+impl ExactVec {
+    /// `len` empty sums.
+    pub fn new(len: usize) -> Self {
+        ExactVec { window: vec![0; len], addends: 0, spill: BTreeMap::new() }
+    }
+
+    /// Number of slots.
+    pub fn len(&self) -> usize {
+        self.window.len()
+    }
+
+    /// True iff the vector has no slots.
+    pub fn is_empty(&self) -> bool {
+        self.window.is_empty()
+    }
+
+    /// Resident bytes of the accumulator: the window plus whatever has
+    /// spilled. Constant in the number of addends while they stay
+    /// in-window.
+    pub fn state_bytes(&self) -> usize {
+        self.window.len() * std::mem::size_of::<i128>()
+            + self.spill.len() * (std::mem::size_of::<usize>() + ExactSum::state_bytes())
+    }
+
+    /// Folds `xs[i]` into slot `i`, exactly as [`ExactSum::add`] would.
+    ///
+    /// # Panics
+    /// If `xs.len() != self.len()`.
+    pub fn add(&mut self, xs: &[f32]) {
+        assert_eq!(xs.len(), self.window.len(), "ExactVec::add: length mismatch");
+        if self.addends == WINDOW_ADDENDS {
+            self.flush();
+        }
+        self.addends += 1;
+        for (i, (w, &x)) in self.window.iter_mut().zip(xs).enumerate() {
+            let bits = x.to_bits();
+            let exp = (bits >> 23) & 0xFF;
+            if exp.wrapping_sub(WINDOW_EXP_MIN) <= WINDOW_SPAN {
+                let v = i128::from(bits & 0x7F_FFFF | 0x80_0000) << (exp - WINDOW_EXP_MIN);
+                *w += if bits >> 31 == 0 { v } else { -v };
+            } else if bits << 1 != 0 {
+                self.spill.entry(i).or_default().add(x);
+            }
+        }
+    }
+
+    /// Adds another vector's sums into this one, slot by slot (integer
+    /// addition, as [`ExactSum::merge`]).
+    ///
+    /// # Panics
+    /// If the lengths differ.
+    pub fn merge(&mut self, other: &ExactVec) {
+        assert_eq!(other.window.len(), self.window.len(), "ExactVec::merge: length mismatch");
+        if self.addends + other.addends > WINDOW_ADDENDS {
+            self.flush();
+        }
+        self.addends += other.addends;
+        for (a, b) in self.window.iter_mut().zip(&other.window) {
+            *a += *b;
+        }
+        for (&i, s) in &other.spill {
+            self.spill.entry(i).or_default().merge(s);
+        }
+    }
+
+    /// Each slot's sum as one wide register, in slot order: the
+    /// interchange form (`to_raw` for a frame, `value` for the rounded
+    /// result), independent of how the sum is held.
+    pub fn sums(&self) -> impl Iterator<Item = ExactSum> + '_ {
+        let mut spill = self.spill.iter().peekable();
+        self.window.iter().enumerate().map(move |(i, &w)| {
+            let mut sum = ExactSum::from_window(w);
+            if let Some((_, s)) = spill.next_if(|&(&j, _)| j == i) {
+                sum.merge(s);
+            }
+            sum
+        })
+    }
+
+    /// Empties every window slot into the spill, so the addend count
+    /// can restart from zero.
+    fn flush(&mut self) {
+        for (i, w) in self.window.iter_mut().enumerate() {
+            if *w != 0 {
+                self.spill.entry(i).or_default().merge(&ExactSum::from_window(*w));
+                *w = 0;
+            }
+        }
+        self.addends = 0;
+    }
+}
+
+/// The inverse of [`ExactVec::sums`]: registers that are a window go to
+/// the window, the rest to the spill.
+impl FromIterator<ExactSum> for ExactVec {
+    fn from_iter<I: IntoIterator<Item = ExactSum>>(sums: I) -> Self {
+        let mut spill = BTreeMap::new();
+        let mut largest = 0u128;
+        let window = sums
+            .into_iter()
+            .enumerate()
+            .map(|(i, sum)| match sum.window() {
+                Some(w) => {
+                    largest = largest.max(w.unsigned_abs());
+                    w
+                }
+                None => {
+                    spill.insert(i, sum);
+                    0
+                }
+            })
+            .collect();
+        // The fewest maximal addends that could have built the largest slot.
+        let addends = (largest >> ADDEND_BITS) as u32 + 1;
+        ExactVec { window, addends, spill }
+    }
+}
+
+/// Two vectors are equal iff they hold the same sums — not iff they
+/// split them the same way between window and spill.
+impl PartialEq for ExactVec {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.sums().eq(other.sums())
+    }
+}
+
+impl Eq for ExactVec {}
 
 #[cfg(test)]
 mod tests {
@@ -423,6 +634,47 @@ mod tests {
             let rev: Vec<f32> = xs.iter().rev().copied().collect();
             assert_eq!(sum_bits(&rev), flat, "trial {trial}: permutation changed bits");
         }
+    }
+
+    #[test]
+    fn window_constants_leave_the_headroom_they_claim() {
+        // The window's binades are the ones the docs name.
+        assert_eq!(f32::from_bits(WINDOW_EXP_MIN << 23), 2.0f32.powi(-62));
+        assert_eq!(f32::from_bits((WINDOW_EXP_MIN + WINDOW_SPAN + 1) << 23), 2.0f32.powi(21));
+        // The largest in-window addend is below 2^ADDEND_BITS …
+        let largest = f32::from_bits((WINDOW_EXP_MIN + WINDOW_SPAN + 1) << 23).next_down();
+        let mut v = ExactVec::new(1);
+        v.add(&[largest]);
+        assert!(v.spill.is_empty());
+        assert_eq!(v.window[0], i128::from(0xFF_FFFFu32) << WINDOW_SPAN);
+        assert!(v.window[0] < 1 << ADDEND_BITS);
+        // … and WINDOW_ADDENDS times that bound is still an i128.
+        assert!((1i128 << ADDEND_BITS).checked_mul(i128::from(WINDOW_ADDENDS)).is_some());
+        // One binade either side of the window spills.
+        v.add(&[2.0f32.powi(21)]);
+        v.add(&[2.0f32.powi(-62).next_down()]);
+        assert_eq!(v.spill.len(), 1);
+        assert_eq!(v.window[0], i128::from(0xFF_FFFFu32) << WINDOW_SPAN);
+    }
+
+    #[test]
+    fn a_fold_at_the_cap_flushes_first_and_loses_nothing() {
+        let xs = [1.5f32, -0.0, -3.0e-5];
+        let mut v = ExactVec::new(3);
+        v.add(&xs);
+        v.addends = WINDOW_ADDENDS;
+        v.add(&xs);
+        assert_eq!(v.addends, 1);
+        assert_eq!(v.spill.len(), 2, "the two non-zero slots flushed");
+        let values: Vec<u32> = v.sums().map(|s| s.value().to_bits()).collect();
+        assert_eq!(values, [3.0f32.to_bits(), 0, (-6.0e-5f32).to_bits()]);
+        // Same sums, held differently: still equal.
+        let mut w = ExactVec::new(3);
+        w.add(&xs);
+        w.add(&xs);
+        assert!(w.spill.is_empty());
+        assert_eq!(v, w);
+        assert_eq!(v.sums().collect::<ExactVec>(), w);
     }
 
     #[test]

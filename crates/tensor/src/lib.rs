@@ -50,7 +50,7 @@ pub use conv::{
     im2col_into, Conv2dSpec,
 };
 pub use error::TensorError;
-pub use exact::{exact_sum_f32, ExactSum};
+pub use exact::{exact_sum_f32, ExactSum, ExactVec};
 pub use matmul::{matmul_nt_reference, matmul_reference, matmul_tn_reference};
 pub use ops::{cross_entropy_loss, log_softmax_rows, softmax_rows, CrossEntropyOutput};
 pub use pool::{

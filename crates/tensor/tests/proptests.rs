@@ -4,7 +4,7 @@
 use fedmp_tensor::{
     col2im_into, conv2d_backward_input, conv2d_forward, im2col, im2col_into, matmul_nt_reference,
     matmul_reference, matmul_tn_reference, max_pool2d_forward, parallel, seeded_rng, softmax_rows,
-    Conv2dSpec, Pool2dSpec, Tensor,
+    Conv2dSpec, ExactSum, ExactVec, Pool2dSpec, Tensor,
 };
 use proptest::prelude::*;
 
@@ -510,5 +510,164 @@ fn max_pool_select_scan_matches_the_branchy_scan() {
                 assert_eq!(o.to_bits(), input.data()[i].to_bits(), "case {case} round {round}");
             }
         }
+    }
+}
+
+// ---- ExactVec vs the per-slot ExactSum oracle ------------------------------
+//
+// `ExactVec` replaced `Vec<ExactSum>` under `average_states` and
+// `ExactState`; the formulation it replaced — one wide register per
+// slot — lives on here as its oracle. Equality is asked of the raw
+// registers (what an `HPar` frame carries) and of the rounded values.
+
+/// An `f32` from a raw draw, with the classes the window has to route
+/// weighted up: any bit pattern at all, subnormals, ±0 / ±∞ / NaN, the
+/// binades on either side of both window edges (2⁻⁶² and 2²¹), and
+/// ordinary model-sized values.
+fn f32_from_draw(z: u64) -> f32 {
+    let payload = (z >> 8) as u32;
+    let sign = payload & 0x8000_0000;
+    match z % 8 {
+        0 | 1 => f32::from_bits(payload),
+        2 => f32::from_bits(sign | payload & 0x007F_FFFF),
+        3 => {
+            [0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN, -f32::NAN][payload as usize % 6]
+        }
+        4 => f32::from_bits(sign | (63 + payload % 4) << 23 | payload & 0x007F_FFFF),
+        5 => f32::from_bits(sign | (146 + payload % 4) << 23 | payload & 0x007F_FFFF),
+        _ => f32::from_bits(sign | (100 + payload % 40) << 23 | payload & 0x007F_FFFF),
+    }
+}
+
+fn oracle(rows: &[Vec<f32>], width: usize) -> Vec<ExactSum> {
+    let mut sums = vec![ExactSum::new(); width];
+    for row in rows {
+        for (sum, &x) in sums.iter_mut().zip(row) {
+            sum.add(x);
+        }
+    }
+    sums
+}
+
+fn assert_holds(got: &ExactVec, want: &[ExactSum], what: &str) -> Result<(), String> {
+    let got: Vec<ExactSum> = got.sums().collect();
+    prop_assert_eq!(got.len(), want.len(), "{}: length", what);
+    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+        prop_assert_eq!(g.to_raw(), w.to_raw(), "{}: slot {} register", what, i);
+        prop_assert_eq!(g.value().to_bits(), w.value().to_bits(), "{}: slot {} value", what, i);
+    }
+    Ok(())
+}
+
+/// `copies` of `v` merged by doubling: `v`'s sums × `copies`.
+fn times(v: &ExactVec, copies: u32) -> ExactVec {
+    let mut out = ExactVec::new(v.len());
+    let mut power = v.clone();
+    for bit in 0..32 {
+        if copies >> bit & 1 == 1 {
+            out.merge(&power);
+        }
+        let twin = power.clone();
+        power.merge(&twin);
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Flat fold, and every (shards, edges) fan-in tree over a permuted
+    /// cohort — each edge partial crossing as raw registers, the way an
+    /// `HPar` frame carries it — hold the registers the oracle holds.
+    #[test]
+    fn exact_vec_equals_the_exact_sum_oracle_under_every_partition(
+        width in 1usize..6,
+        cells in proptest::collection::vec(0u64..u64::MAX, 0..90),
+        rotate in 0usize..90,
+    ) {
+        let rows: Vec<Vec<f32>> =
+            cells.chunks_exact(width).map(|c| c.iter().map(|&z| f32_from_draw(z)).collect()).collect();
+        let want = oracle(&rows, width);
+
+        let mut flat = ExactVec::new(width);
+        for row in &rows {
+            flat.add(row);
+        }
+        assert_holds(&flat, &want, "flat")?;
+
+        let n = rows.len();
+        let mut permuted = rows.clone();
+        permuted.rotate_left(rotate % n.max(1));
+        permuted.reverse();
+        for shards in 1..=n.clamp(1, 5) {
+            let mut shard_accs = vec![ExactVec::new(width); shards];
+            for (i, row) in permuted.iter().enumerate() {
+                shard_accs[i * shards / n].add(row);
+            }
+            for edges in 1..=shards {
+                let mut cloud = ExactVec::new(width);
+                for e in 0..edges {
+                    let mut edge = ExactVec::new(width);
+                    for acc in &shard_accs[e * shards / edges..(e + 1) * shards / edges] {
+                        edge.merge(acc);
+                    }
+                    let delivered: ExactVec = edge.sums().collect();
+                    prop_assert_eq!(&delivered, &edge, "an edge partial changed in transit");
+                    cloud.merge(&delivered);
+                }
+                assert_holds(&cloud, &want, &format!("{shards} shards, {edges} edges"))?;
+                prop_assert_eq!(&cloud, &flat);
+            }
+        }
+    }
+
+    /// Past the addend cap: enough copies of a vector of maximal
+    /// in-window values to cross 2²⁰ addends a slot (so a window is
+    /// flushed into the spill on the way, visible as a larger
+    /// footprint), with arbitrary rows folded before and after.
+    #[test]
+    fn exact_vec_is_exact_across_a_flush(
+        before in proptest::collection::vec(0u64..u64::MAX, 0..12),
+        after in proptest::collection::vec(0u64..u64::MAX, 0..12),
+        extra in 1u32..4096,
+    ) {
+        let width = 3;
+        let largest = 2.0f32.powi(21).next_down();
+        let maximal = vec![largest, -largest, largest];
+        let rows = |cells: &[u64]| -> Vec<Vec<f32>> {
+            cells.chunks_exact(width).map(|c| c.iter().map(|&z| f32_from_draw(z)).collect()).collect()
+        };
+        let copies = (1 << 20) + extra;
+
+        let mut got = ExactVec::new(width);
+        for row in rows(&before) {
+            got.add(&row);
+        }
+        let mut unit = ExactVec::new(width);
+        unit.add(&maximal);
+        let many = times(&unit, copies);
+        prop_assert!(many.state_bytes() > unit.state_bytes(), "crossing the cap did not flush");
+        got.merge(&many);
+        for row in rows(&after) {
+            got.add(&row);
+        }
+
+        // The oracle: the same multiset through wide registers, the
+        // copies again by doubling (integer addition is associative).
+        let mut want = oracle(&rows(&before), width);
+        let mut power = oracle(std::slice::from_ref(&maximal), width);
+        for bit in 0..32 {
+            for (w, p) in want.iter_mut().zip(power.iter_mut()) {
+                if copies >> bit & 1 == 1 {
+                    w.merge(p);
+                }
+                let twin = p.clone();
+                p.merge(&twin);
+            }
+        }
+        for (w, a) in want.iter_mut().zip(oracle(&rows(&after), width)) {
+            w.merge(&a);
+        }
+        assert_holds(&got, &want, "across the cap")?;
     }
 }

@@ -112,6 +112,49 @@ proptest! {
             prop_assert!((a - b).abs() < 1e-5);
         }
     }
+
+    /// `average_states` and `ExactState` sum through `ExactVec`, a
+    /// 16-byte window per slot plus a sparse spill; the wide per-slot
+    /// `ExactSum` it replaced is the oracle. Rows are arbitrary bit
+    /// patterns — NaN, ±∞, subnormals, magnitudes off both ends of the
+    /// window — and the mean must come out bit-equal flat and through a
+    /// two-shard tree.
+    #[test]
+    fn exact_mean_matches_the_wide_register_oracle(
+        width in 1usize..5,
+        cells in proptest::collection::vec(0u32..u32::MAX, 5..80),
+    ) {
+        use fedmp::fl::{average_states, ExactState};
+        use fedmp::nn::StateEntry;
+        use fedmp::tensor::ExactSum;
+        let states: Vec<Vec<StateEntry>> = cells
+            .chunks_exact(width)
+            .map(|c| {
+                let row = c.iter().map(|&b| f32::from_bits(b)).collect();
+                vec![StateEntry::trainable("w", Tensor::from_vec(row, &[width]).unwrap())]
+            })
+            .collect();
+        let inv = 1.0 / states.len() as f32;
+        let want: Vec<u32> = (0..width)
+            .map(|i| {
+                let mut sum = ExactSum::new();
+                states.iter().for_each(|s| sum.add(s[0].tensor.data()[i]));
+                (sum.value() * inv).to_bits()
+            })
+            .collect();
+        let bits = |mean: &[StateEntry]| -> Vec<u32> {
+            mean[0].tensor.data().iter().map(|v| v.to_bits()).collect()
+        };
+        prop_assert_eq!(bits(&average_states(&states)), want.clone());
+
+        let (left, right) = states.split_at(states.len() / 2);
+        let mut tree = ExactState::like(&states[0]);
+        let mut other = ExactState::like(&states[0]);
+        left.iter().for_each(|s| tree.fold(s));
+        right.iter().for_each(|s| other.fold(s));
+        tree.merge(&other);
+        prop_assert_eq!(bits(&tree.finalize(states.len())), want);
+    }
 }
 
 /// `local_train` runs the parameter-only backward; the full
