@@ -20,7 +20,6 @@
 //! | `trace-schema` | `TraceEvent::KINDS` and `docs/TRACE_SCHEMA.md` describe the same event set |
 //! | `suppression` | every inline `allow(...)` carries a written reason |
 //! | `executor-purity` | executor closures (`ordered_map`, `scope.spawn`) stay pure: no trace emission, bandit mutation, RNG capture or shared-accumulator writes inside the fan-out |
-//! | `channel-protocol` | every spawn-bearing `thread::scope` drops its channel endpoints on all exit paths, and never recv-blocks on a channel only it can feed |
 //! | `reduction-escape` | `impl Iterator<Item = f32>` helpers are not `.sum()`-ed at call sites (the laundering hole in `float-reduction`) |
 //! | `suppression-audit` | every inline suppression still absorbs a finding, and every config `allow` entry still excuses one — escapes that suppress nothing are findings |
 //!
@@ -237,11 +236,6 @@ pub fn check(root: &Path, config: &Config) -> Result<Outcome, AnalysisError> {
         if let Some(cfg) = config.lints.get(lints::executor_purity::NAME) {
             if cfg.applies_to(rel) {
                 lints::executor_purity::check(file, sketch, &graph, cfg, &mut sink);
-            }
-        }
-        if let Some(cfg) = config.lints.get(lints::channel_protocol::NAME) {
-            if cfg.applies_to(rel) {
-                lints::channel_protocol::check(file, sketch, cfg, &mut sink);
             }
         }
         if let Some(cfg) = config.lints.get(lints::reduction_escape::NAME) {

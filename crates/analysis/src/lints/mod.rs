@@ -7,7 +7,6 @@
 //! `[lints.<name>]` table exists in `analysis.toml`) and which files
 //! each one sees.
 
-pub mod channel_protocol;
 pub mod determinism;
 pub mod executor_purity;
 pub mod float_reduction;
@@ -19,8 +18,7 @@ pub mod unsafe_hygiene;
 
 /// Canonical lint names, as they appear in `analysis.toml` and in
 /// `allow(...)` suppressions.
-pub const LINT_NAMES: [&str; 10] = [
-    "channel-protocol",
+pub const LINT_NAMES: [&str; 9] = [
     "determinism",
     "executor-purity",
     "float-reduction",

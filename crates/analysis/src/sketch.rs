@@ -1,10 +1,9 @@
 //! A structural "syntax sketch" over the stripped scanner view.
 //!
 //! The line-oriented lints (L1–L4) need no structure, but the
-//! concurrency lints do: *where does an `ordered_map` closure start
-//! and end*, *which statements sit at the top level of a
-//! `thread::scope` body*, *which function does this call edge point
-//! at*. A full parser (`syn`, rustc) would answer all of that — and
+//! structural ones do: *where does an `ordered_map` closure start
+//! and end*, *which function does this call edge point at*. A full
+//! parser (`syn`, rustc) would answer all of that — and
 //! drag in exactly the dependency footprint this crate exists to
 //! avoid. This module builds the minimal substitute: the scanner has
 //! already blanked strings, chars and comments, so parentheses and

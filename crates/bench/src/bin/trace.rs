@@ -101,8 +101,9 @@ fn record(args: &[String]) -> ExitCode {
 /// runtime, with availability faults on and the seeded demo chaos plan
 /// injecting transport corruption, drops, delays, and worker crashes.
 /// The trace records the recovery machinery (`FrameRetransmit`,
-/// `WorkerExcluded`, `WorkerRejoined`, `QuorumAggregate`) alongside the
-/// usual round events.
+/// `WorkerExcluded`, `WorkerRejoined`, `QuorumAggregate`, and the socket
+/// fleet's `FrameTimeout`/`ConnReset`/`NodeRespawned`/`ConnEstablished`)
+/// alongside the usual round events.
 fn chaos_cmd(args: &[String]) -> ExitCode {
     let Some(out) = args.first() else { return usage() };
     let Some((rounds, seed, threads)) = record_flags(&args[1..]) else { return usage() };

@@ -6,7 +6,7 @@
 //! A driver dispatches to `n` slots, then pumps what it observes into
 //! [`Barrier::on`] and performs the returned [`Action`] until
 //! [`Barrier::done`]. `runtime`'s framed exchange is the one event pump
-//! (over the channel fleet or the socket fleet); the hierarchy's edge
+//! (over the socket fleet, thread or process nodes); the hierarchy's edge
 //! tier drives a one-slot barrier in place (`hierarchy::edge_uplink`);
 //! `ClientFate::from_draw` is the closed form of the same policy for an
 //! in-protocol peer, tied to this machine by a test below.

@@ -2,7 +2,7 @@
 //!
 //! A [`ChaosPlan`] is a *pure function* from `(seed, round, worker)` to
 //! a [`ChaosDraw`]: which transport faults hit that worker's exchange
-//! that round. Both sides of the channel — the PS deciding whether a
+//! that round. Both ends of the connection — the PS deciding whether a
 //! downlink is lost, the worker deciding whether to corrupt its upload
 //! or crash — evaluate the same plan and therefore agree on every
 //! fault without exchanging any extra state. That is what keeps chaos
@@ -18,9 +18,9 @@
 //!   worker for the round when its deadline passes;
 //! - **delay** — a worker's arrival is pushed late, so the §V-A
 //!   deadline excludes it as a straggler;
-//! - **crash** — the worker thread exits mid-round (the in-process
-//!   stand-in for a device reset); the PS restarts it with a fresh
-//!   channel pair on the next round.
+//! - **crash** — the worker node closes its connection and exits
+//!   mid-round (the stand-in for a device reset); the PS respawns and
+//!   reconnects it on the next round.
 
 use crate::engine::worker_rng;
 use bytes::Bytes;
@@ -49,7 +49,7 @@ pub struct ChaosOptions {
     pub delay_prob: f64,
     /// Virtual seconds a delayed arrival is pushed late.
     pub delay_secs: f64,
-    /// Probability the worker thread crashes on receiving its dispatch.
+    /// Probability the worker node crashes on receiving its dispatch.
     pub crash_prob: f64,
     /// Retransmit budget per worker per round; a frame still corrupt
     /// after this many resends excludes the worker for the round.
@@ -161,7 +161,7 @@ pub fn backoff(base: core::time::Duration, attempt: u32) -> core::time::Duration
 /// One worker-round's fault decisions, drawn by [`ChaosPlan::draw`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChaosDraw {
-    /// The worker thread crashes on receiving this round's dispatch
+    /// The worker node crashes on receiving this round's dispatch
     /// (overrides every other fault).
     pub crash: bool,
     /// The downlink never reaches the worker.
@@ -176,7 +176,7 @@ pub struct ChaosDraw {
 }
 
 /// A seeded chaos schedule: [`ChaosOptions`] plus the run seed. `Copy`
-/// so each worker thread carries its own plan; every copy produces the
+/// so each worker node carries its own plan; every copy produces the
 /// same draws.
 #[derive(Debug, Clone, Copy)]
 pub struct ChaosPlan {

@@ -289,7 +289,7 @@ pub(crate) fn emit_worker_excluded(round: usize, worker: usize, reason: &str) {
     fedmp_obs::emit(move || TraceEvent::WorkerExcluded { round, worker, reason });
 }
 
-/// Emits `WorkerRejoined` for one restarted worker thread.
+/// Emits `WorkerRejoined` for one restarted worker node.
 pub(crate) fn emit_worker_rejoined(round: usize, worker: usize) {
     fedmp_obs::emit(|| TraceEvent::WorkerRejoined { round, worker });
 }

@@ -13,15 +13,17 @@
 //! trained*. The **inline**
 //! exchange of [`crate::run_fedmp`] trains in-process on the codec
 //! oracle — no frames, cannot fail. The **framed** exchange defined
-//! here spawns **one OS thread per worker** (or, via `fl::transport`,
-//! one process) and moves models as real [`crate::wire`] frames — every
-//! sub-model download and trained-model upload is one serialised,
-//! checksummed frame, exactly as a networked deployment would move it.
-//! A worker is handed the global *architecture* once, when it starts;
-//! per round it receives only the frame and the pruning plan, and
-//! rebuilds its sub-model from those. Simulated time still comes from
-//! `fedmp-edgesim` (threads run as fast as the host allows; the virtual
-//! clock stays authoritative for completion-time results).
+//! here drives `fl::transport`'s socket fleet: one node per worker — an
+//! in-process thread ([`run_fedmp_threaded`]) or an OS process — behind
+//! a Unix-domain socket, with models moved as real [`crate::wire`]
+//! frames: every sub-model download and trained-model upload is one
+//! serialised, checksummed frame, exactly as a networked deployment
+//! would move it. A worker is handed the global *architecture* once,
+//! when it connects; per round it receives only the frame and the
+//! pruning plan, and rebuilds its sub-model from those. Simulated time
+//! still comes from `fedmp-edgesim` (nodes run as fast as the host
+//! allows; the virtual clock stays authoritative for completion-time
+//! results).
 //!
 //! # Fault tolerance
 //!
@@ -36,15 +38,16 @@
 //!   seeded [`ChaosPlan`] corrupts upload frames (detected by the wire
 //!   checksum; the PS requests bounded retransmits with exponential
 //!   virtual-clock backoff), drops downlinks/uplinks, delays arrivals
-//!   past the deadline, and crashes worker threads mid-round. A crashed
-//!   worker is restarted with a fresh channel pair at the start of the
-//!   next round and re-enters the fleet (`WorkerRejoined`).
+//!   past the deadline, and crashes worker nodes mid-round (the node
+//!   closes its connection without a word). A crashed worker is
+//!   respawned and reconnected at the start of the next round and
+//!   re-enters the fleet (`WorkerRejoined`).
 //!
 //! What the PS does about any of it — retransmit, exclude, mark for
 //! restart — is decided in one place, the pure state machine of
 //! [`crate::barrier`]; the framed exchange here only translates what
-//! its [`Fleet`] delivers into that machine's events and carries out
-//! its actions. The same holds for a peer that is not this crate's
+//! the fleet delivers into that machine's events and carries out its
+//! actions. The same holds for a peer that is not this crate's
 //! [`WorkerProtocol`] at all: a connection that closes unannounced or a
 //! message the protocol has no place for costs that worker one
 //! exclusion (`"crashed"` / `"protocol"`) and a restart, not the run.
@@ -71,12 +74,11 @@
 //!
 //! # Join guarantee
 //!
-//! All worker threads are joined on *every* exit path, clean or error:
-//! the PS block runs inside `std::thread::scope`, and before the scope
-//! can join, the runtime closes every downlink (ending each worker's
-//! receive loop) and drops the uplink receiver (erroring out any worker
-//! mid-send). [`live_worker_threads`] counts live worker threads for
-//! the leak regression test.
+//! Every node and reader thread is joined on *every* exit path, clean
+//! or error: `SocketFleet::teardown` (in `fl::transport`) runs after the
+//! round body whatever it returned, shuts every connection down, reaps
+//! every node and joins every reader. [`live_worker_threads`] counts
+//! live runtime threads for the leak regression tests.
 
 use crate::aggregate::{bsp_aggregate, quorum_aggregate};
 use crate::barrier::{Action, Barrier, Event};
@@ -92,11 +94,14 @@ use crate::exec;
 use crate::history::{RoundRecord, RunHistory};
 use crate::local::{local_train, LocalOutcome, LocalTrainConfig};
 use crate::task::ImageTask;
+use crate::transport::{
+    run_fedmp_sockets, unique_socket_path, NodeSpawner, SocketFleet, SocketRunOptions, ThreadNodes,
+};
 use crate::wire::{
     decode_state_v2, encode_state_v2, frame_checksum_ok, link_delivered, ErrorFeedback, LinkCodecs,
 };
 use bytes::Bytes;
-use crossbeam::channel::{bounded, Receiver, Sender};
+use core::time::Duration;
 use fedmp_bandit::{eucb_reward, Bandit, EUcbAgent, EUcbConfig, RewardConfig};
 use fedmp_edgesim::deadline_for;
 use fedmp_nn::{state_sub, Sequential, StateEntry};
@@ -106,6 +111,7 @@ use fedmp_pruning::{
 };
 use fedmp_tensor::parallel::{sum_f32, sum_f64};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// Encoded frame sizes of one exchange, for the Eq. 5 communication
 /// terms and the `CompressionApplied` events of a compressed run.
@@ -528,25 +534,6 @@ pub(crate) fn run_rounds<X: Exchange>(
     Ok(history)
 }
 
-/// A PS → worker message. Shared with `fl::transport`, which carries
-/// the same protocol over sockets.
-pub(crate) enum DownlinkMsg {
-    /// This round's sub-model dispatch.
-    Dispatch {
-        /// Round index.
-        round: usize,
-        /// Encoded sub-model state.
-        frame: Bytes,
-        /// Which slice of the architecture the frame's tensors fill.
-        plan: PrunePlan,
-    },
-    /// The PS received a corrupt upload; resend the cached clean frame.
-    Retransmit {
-        /// Round the retransmit request belongs to.
-        round: usize,
-    },
-}
-
 /// A worker → PS message.
 pub(crate) struct UplinkMsg {
     pub(crate) worker: usize,
@@ -565,9 +552,10 @@ pub(crate) enum UplinkBody {
     /// The upload was lost in transit — the in-process stand-in for
     /// the PS timing the worker out.
     Lost,
-    /// The worker's link is gone — a crashed thread's last word, or a
-    /// fleet's report of a closed or unreadable connection; nothing
-    /// more arrives from it until the PS restarts it next round.
+    /// The worker's link is gone — the fleet's report of a connection
+    /// that closed (how a planned crash manifests) or could not be
+    /// read; nothing more arrives from it until the PS restarts it next
+    /// round.
     Crashed,
     /// The exchange broke the protocol: the dispatched frame failed to
     /// decode worker-side, or a fleet received something it could not
@@ -575,9 +563,9 @@ pub(crate) enum UplinkBody {
     Malformed,
 }
 
-/// Errors returned by the threaded runtime. Whatever one worker does
-/// during a round — corrupt frames, losses, stragglers, crashes,
-/// unannounced disconnects, messages outside the protocol — is
+/// Errors returned by the threaded and socket runtimes. Whatever one
+/// worker does during a round — corrupt frames, losses, stragglers,
+/// crashes, unannounced disconnects, messages outside the protocol — is
 /// *recoverable* and handled in-run (retransmit, exclusion, rejoin —
 /// `fl::barrier`); these variants are what remains terminal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -591,17 +579,10 @@ pub enum RuntimeError {
         /// Round the frame belonged to.
         round: usize,
     },
-    /// The fleet itself went away: every uplink sender closed with the
-    /// barrier still open. Unreachable today — the channel fleet's PS
-    /// holds an uplink sender itself — but typed rather than a panic.
-    WorkerLost {
-        /// The worker (or edge) concerned; 0 when it is the whole
-        /// uplink.
-        worker: usize,
-    },
     /// A socket-fleet operation failed terminally — bind, accept, node
-    /// spawn, handshake, or process reap during bring-up, respawn or
-    /// teardown. Never produced by the in-process channel transport.
+    /// spawn, handshake, reader join or node reap during bring-up,
+    /// respawn or teardown — whether the nodes are threads
+    /// ([`run_fedmp_threaded`]) or processes.
     Transport {
         /// The worker the operation concerned (0 for fleet-wide
         /// failures such as binding the listener).
@@ -617,9 +598,6 @@ impl std::fmt::Display for RuntimeError {
             RuntimeError::CorruptFrame { worker, round } => {
                 write!(f, "wire frame for worker {worker} failed to decode in round {round}")
             }
-            RuntimeError::WorkerLost { worker } => {
-                write!(f, "the uplink of worker {worker} closed with its round still open")
-            }
             RuntimeError::Transport { worker, fault } => {
                 write!(f, "socket transport failed for worker {worker}: {fault}")
             }
@@ -629,19 +607,20 @@ impl std::fmt::Display for RuntimeError {
 
 impl std::error::Error for RuntimeError {}
 
-/// Live worker threads spawned by the threaded runtime, process-wide.
-/// Because every run joins its workers before returning (see the module
-/// docs), this is 0 whenever no run is in flight — the invariant the
-/// thread-leak regression test checks.
+/// Live runtime threads — in-process worker nodes and the socket
+/// fleet's reader threads — process-wide. Because every run joins them
+/// before returning (see the module docs), this is 0 whenever no run is
+/// in flight — the invariant the thread-leak regression tests check.
 pub fn live_worker_threads() -> usize {
     LIVE_WORKERS.load(Ordering::SeqCst)
 }
 
 static LIVE_WORKERS: AtomicUsize = AtomicUsize::new(0);
 
-/// RAII registration in the live-thread gauge, shared with the
-/// hierarchical edge-aggregator threads so `live_worker_threads()`
-/// covers every runtime-managed thread in the crate.
+/// RAII registration in the live-thread gauge, held by every node
+/// thread ([`ThreadNodes`]) and every reader thread of the socket fleet
+/// so `live_worker_threads()` covers every runtime-managed thread in the
+/// crate.
 pub(crate) struct LiveThreadGuard;
 
 impl LiveThreadGuard {
@@ -658,20 +637,12 @@ impl Drop for LiveThreadGuard {
     }
 }
 
-/// Sends an uplink reply, tolerating a departed PS: a closed channel
-/// means the PS already tore the run down (its receiver is dropped on
-/// every exit path), which is an expected teardown race, not an error
-/// — the worker must exit quietly rather than panic or retry. Returns
-/// whether the PS was still listening.
-pub(crate) fn send_uplink(tx: &Sender<UplinkMsg>, msg: UplinkMsg) -> bool {
-    tx.send(msg).is_ok()
-}
-
-/// The worker half of the recoverable protocol, shared verbatim by the
-/// in-process channel runtime and `fl::transport`'s socket nodes:
+/// The worker half of the recoverable protocol, run by every socket
+/// node — thread or process — in `fl::transport::serve_worker`:
 /// per-dispatch chaos draws, local training, lossy encode, and the
-/// retransmission cache. Keeping this in one place is what makes the
-/// two transports bit-identical under the same seed.
+/// retransmission cache. Its decode and encode are the ones the loop
+/// engine's `codec_delivered` oracle predicts, which is what makes every
+/// driver bit-identical under the same seed.
 pub(crate) struct WorkerProtocol<'a> {
     w: usize,
     task: &'a ImageTask,
@@ -697,11 +668,10 @@ pub(crate) struct WorkerProtocol<'a> {
 pub(crate) enum WorkerStep {
     /// Send the reply and keep serving.
     Reply(UplinkMsg),
-    /// The chaos plan crashed the worker: the channel transport sends
-    /// this final announcement before exiting; the socket transport
-    /// realises it as a connection reset (close without a word) that
-    /// the PS reads as the same `Crashed` report. Stop serving after.
-    Crash(UplinkMsg),
+    /// The chaos plan crashed the worker: stop serving and close the
+    /// connection without a word, which the PS reads as the worker's
+    /// [`UplinkBody::Crashed`].
+    Crash,
 }
 
 impl<'a> WorkerProtocol<'a> {
@@ -738,7 +708,7 @@ impl<'a> WorkerProtocol<'a> {
         let w = self.w;
         let draw = self.plan.draw(round, w);
         if draw.crash {
-            return WorkerStep::Crash(UplinkMsg { worker: w, round, body: UplinkBody::Crashed });
+            return WorkerStep::Crash;
         }
         // One OS thread (or process) per worker is already the
         // parallelism level here; run the kernels beneath sequentially
@@ -802,39 +772,6 @@ impl<'a> WorkerProtocol<'a> {
     }
 }
 
-/// One worker thread's whole life: receive a dispatch, train, upload —
-/// with the chaos plan applied symmetrically to the PS's copy (both
-/// sides draw the same per-(round, worker) faults). Exits when its
-/// downlink closes, when the uplink receiver is gone, or when the plan
-/// crashes it.
-fn worker_loop(
-    mut proto: WorkerProtocol<'_>,
-    down_rx: Receiver<DownlinkMsg>,
-    uplink_tx: Sender<UplinkMsg>,
-) {
-    let _live = LiveThreadGuard::register();
-    while let Ok(msg) = down_rx.recv() {
-        let step = match msg {
-            DownlinkMsg::Dispatch { round, frame, plan } => proto.on_dispatch(round, frame, &plan),
-            DownlinkMsg::Retransmit { round } => proto.on_retransmit(round),
-        };
-        match step {
-            WorkerStep::Crash(reply) => {
-                // Best-effort announcement: the PS may already be gone.
-                send_uplink(&uplink_tx, reply);
-                break;
-            }
-            // A closed uplink means the PS already abandoned the run;
-            // exit quietly instead of panicking in a worker.
-            WorkerStep::Reply(reply) => {
-                if !send_uplink(&uplink_tx, reply) {
-                    break;
-                }
-            }
-        }
-    }
-}
-
 /// A delivered (checksum-verified) upload together with the PS-side
 /// record of its dispatch — everything [`Exchange::reconstruct`] needs.
 pub(crate) struct FramedUpload {
@@ -850,54 +787,27 @@ pub(crate) struct FramedUpload {
     received: Vec<StateEntry>,
 }
 
-/// The transport the framed exchange drives. Everything
-/// order-sensitive — chaos draws, bandit updates, trace emission,
-/// aggregation — stays PS-side; a fleet only moves frames and restarts
-/// dead workers. Implemented by the in-process [`ChannelFleet`] and by
-/// `fl::transport`'s socket fleet.
-pub(crate) trait Fleet {
-    /// Restarts a crashed worker before the round begins (thread
-    /// respawn / process restart + reconnect). Transport-level trace
-    /// events (`NodeRespawned`, `ConnEstablished`) are emitted here;
-    /// the exchange emits the `WorkerRejoined` that follows.
-    fn respawn(&mut self, round: usize, worker: usize) -> Result<(), RuntimeError>;
-    /// Sends this round's dispatch. `false`: the worker's link would
-    /// not take it — the exchange treats that as the link being gone.
-    #[must_use]
-    fn dispatch(&mut self, round: usize, worker: usize, frame: Bytes, plan: &PrunePlan) -> bool;
-    /// Requests a retransmission of the worker's cached clean upload;
-    /// `false` as for [`Fleet::dispatch`].
-    #[must_use]
-    fn retransmit(&mut self, round: usize, worker: usize) -> bool;
-    /// Blocks for the next uplink message of `round`'s collection
-    /// barrier. `worker` names the link it arrived on, never what the
-    /// message claims; a link that closed or could not be read is
-    /// reported as that worker's [`UplinkBody::Crashed`] /
-    /// [`UplinkBody::Malformed`], not as an error.
-    fn recv(&mut self, round: usize) -> Result<UplinkMsg, RuntimeError>;
-    /// Post-barrier notification that `worker`'s contribution was
-    /// excluded for `reason` — the hook the socket fleet uses to emit
-    /// `FrameTimeout`/`ConnReset` immediately before the round body's
-    /// `WorkerExcluded`. Default: nothing.
-    fn note_excluded(&mut self, round: usize, worker: usize, reason: &str) {
-        let _ = (round, worker, reason);
-    }
-}
-
-/// The framed [`Exchange`]: every sub-model crosses the [`Fleet`] as
+/// The framed [`Exchange`]: every sub-model crosses the socket fleet as
 /// one wire frame and every trained model comes back as one. In
 /// between it pumps a [`Barrier`], which holds the recovery policy —
 /// bounded retransmits of checksum-failed uploads, exclusion of lost,
 /// vanished and protocol-breaking exchanges — and restarts the workers
 /// whose link is gone or no longer trusted at the next round.
-struct FramedExchange<'f, F: Fleet> {
-    fleet: &'f mut F,
+pub(crate) struct FramedExchange<'f, 'a, S: NodeSpawner> {
+    fleet: &'f mut SocketFleet<'a, S>,
     plan: ChaosPlan,
     /// Workers awaiting a restart in [`Exchange::rejoin`].
     crashed: Vec<bool>,
 }
 
-impl<F: Fleet> Exchange for FramedExchange<'_, F> {
+impl<'f, 'a, S: NodeSpawner> FramedExchange<'f, 'a, S> {
+    /// The exchange over `fleet`'s `workers` links under `plan`.
+    pub(crate) fn new(fleet: &'f mut SocketFleet<'a, S>, plan: ChaosPlan, workers: usize) -> Self {
+        FramedExchange { fleet, plan, crashed: vec![false; workers] }
+    }
+}
+
+impl<S: NodeSpawner> Exchange for FramedExchange<'_, '_, S> {
     type Upload = FramedUpload;
     type Error = RuntimeError;
 
@@ -1025,25 +935,6 @@ impl<F: Fleet> Exchange for FramedExchange<'_, F> {
     }
 }
 
-/// Runs the shared round body ([`run_rounds`]) with the framed exchange
-/// over `fleet` — the PS of both the channel and the socket runtime.
-pub(crate) fn run_framed_rounds<F: Fleet>(
-    cfg: &FlConfig,
-    setup: &FlSetup<'_>,
-    global: Sequential,
-    opts: &FedMpOptions,
-    chaos: &ChaosOptions,
-    fleet: &mut F,
-) -> Result<RunHistory, RuntimeError> {
-    let mut framed = FramedExchange {
-        fleet,
-        plan: ChaosPlan::new(cfg.seed, chaos),
-        crashed: vec![false; setup.workers()],
-    };
-    let method = RoundMethod::fedmp(cfg, setup.workers(), opts);
-    run_rounds(cfg, setup, global, opts, method, chaos, &mut framed)
-}
-
 /// Runs FedMP on the threaded runtime with no transport chaos.
 /// Produces a history bit-identical to [`crate::run_fedmp`] under the
 /// same options, including fault injection (`opts.faults`).
@@ -1059,75 +950,20 @@ pub fn run_fedmp_threaded(
     run_fedmp_threaded_chaos(cfg, setup, global, opts, &ChaosOptions::none())
 }
 
-/// The in-process [`Fleet`]: crossbeam channels to scoped worker
-/// threads, exactly the transport the runtime has always used. Respawn
-/// means a fresh thread with a fresh channel pair.
-struct ChannelFleet<'a, 'scope, 'env> {
-    scope: &'scope std::thread::Scope<'scope, 'env>,
-    downlinks: &'a mut Vec<Sender<DownlinkMsg>>,
-    uplink_tx: &'a Sender<UplinkMsg>,
-    uplink_rx: &'a Receiver<UplinkMsg>,
-    task: &'env ImageTask,
-    arch: &'env Sequential,
-    local: LocalTrainConfig,
-    seed: u64,
-    plan: ChaosPlan,
-    links: &'a [LinkCodecs],
-}
-
-impl ChannelFleet<'_, '_, '_> {
-    /// Starts `worker`'s thread on a fresh channel pair and returns its
-    /// downlink.
-    fn spawn(&self, worker: usize) -> Sender<DownlinkMsg> {
-        let (down_tx, down_rx) = bounded::<DownlinkMsg>(2);
-        let utx = self.uplink_tx.clone();
-        let proto = WorkerProtocol::new(
-            worker,
-            self.task,
-            self.arch,
-            self.local,
-            self.seed,
-            self.plan,
-            self.links[worker],
-        );
-        self.scope.spawn(move || worker_loop(proto, down_rx, utx));
-        down_tx
-    }
-}
-
-impl Fleet for ChannelFleet<'_, '_, '_> {
-    fn respawn(&mut self, _round: usize, worker: usize) -> Result<(), RuntimeError> {
-        self.downlinks[worker] = self.spawn(worker);
-        Ok(())
-    }
-
-    fn dispatch(&mut self, round: usize, worker: usize, frame: Bytes, plan: &PrunePlan) -> bool {
-        self.downlinks[worker]
-            .send(DownlinkMsg::Dispatch { round, frame, plan: plan.clone() })
-            .is_ok()
-    }
-
-    fn retransmit(&mut self, round: usize, worker: usize) -> bool {
-        self.downlinks[worker].send(DownlinkMsg::Retransmit { round }).is_ok()
-    }
-
-    fn recv(&mut self, _round: usize) -> Result<UplinkMsg, RuntimeError> {
-        // The PS holds an uplink sender for respawns, so a closed
-        // channel is unreachable; fail typed, not loud.
-        self.uplink_rx.recv().map_err(|_| RuntimeError::WorkerLost { worker: 0 })
-    }
-}
-
 /// Runs FedMP on the threaded runtime under a seeded transport fault
-/// plane — see the module docs for the recovery policy.
+/// plane — see the module docs for the recovery policy. This is
+/// [`run_fedmp_sockets`] with one in-process [`ThreadNodes`] thread per
+/// worker on a fresh [`unique_socket_path`]: the same frames, the same
+/// recovery and the same socket-level trace events as a fleet of
+/// `fedmp-node` processes.
 ///
 /// # Errors
-/// Every injected fault is recovered in-run; the returned
-/// [`RuntimeError`]s ([`RuntimeError::CorruptFrame`],
-/// [`RuntimeError::WorkerLost`]) report an undecodable
-/// checksum-verified frame or a closed uplink — which cannot occur
-/// with the in-process channels used here, but are surfaced as typed
-/// errors rather than panics so the library has no panic paths (see
+/// Every injected fault is recovered in-run.
+/// [`RuntimeError::Transport`] reports a socket-fleet operation that
+/// failed terminally (bind, accept, handshake, node spawn, reader join
+/// or reap); [`RuntimeError::CorruptFrame`] an undecodable
+/// checksum-verified frame. Both are surfaced as typed errors rather
+/// than panics so the library has no panic paths (see
 /// `docs/ANALYSIS.md`, `no-panic`).
 pub fn run_fedmp_threaded_chaos(
     cfg: &FlConfig,
@@ -1136,46 +972,14 @@ pub fn run_fedmp_threaded_chaos(
     opts: &FedMpOptions,
     chaos: &ChaosOptions,
 ) -> Result<RunHistory, RuntimeError> {
-    let workers = setup.workers();
-    let plan = ChaosPlan::new(cfg.seed, chaos);
-    // Codec pairs are fixed for the whole run, so they can be handed
-    // to the worker threads at spawn time — as is the architecture.
-    let links = link_codecs(setup, opts);
-    let arch = global.clone();
-
-    std::thread::scope(|scope| {
-        let (uplink_tx, uplink_rx) = bounded::<UplinkMsg>(workers.max(1));
-        let mut downlinks: Vec<Sender<DownlinkMsg>> = Vec::with_capacity(workers);
-        let mut fleet = ChannelFleet {
-            scope,
-            downlinks: &mut downlinks,
-            uplink_tx: &uplink_tx,
-            uplink_rx: &uplink_rx,
-            task: setup.task,
-            arch: &arch,
-            local: cfg.local,
-            seed: cfg.seed,
-            plan,
-            links: &links,
-        };
-        for w in 0..workers {
-            let down_tx = fleet.spawn(w);
-            fleet.downlinks.push(down_tx);
-        }
-
-        // Protocol violations come back as a typed `RuntimeError`
-        // value, never an early return: the channels are torn down
-        // after the PS loop on *every* exit path (see below).
-        let ps = run_framed_rounds(cfg, setup, global, opts, chaos, &mut fleet);
-
-        // Join guarantee, on BOTH exit paths: closing every downlink
-        // ends each worker's receive loop, and dropping the uplink
-        // receiver errors out any worker mid-send, so the surrounding
-        // scope always joins every thread (including respawned ones).
-        drop(downlinks);
-        drop(uplink_rx);
-        ps
-    })
+    let sock = SocketRunOptions::new(unique_socket_path("threads"), Vec::new());
+    let mut nodes = ThreadNodes {
+        task: Arc::new(setup.task.clone()),
+        socket: sock.socket.clone(),
+        connect_attempts: 12,
+        connect_backoff: Duration::from_millis(2),
+    };
+    run_fedmp_sockets(cfg, setup, global, opts, chaos, &sock, &mut nodes)
 }
 
 #[cfg(test)]
@@ -1321,20 +1125,5 @@ mod tests {
             .expect("chaos run a");
         let b = run_fedmp_threaded_chaos(&cfg, &setup, global, &opts, &chaos).expect("chaos run b");
         assert_eq!(canonical(&a), canonical(&b));
-    }
-
-    #[test]
-    fn send_uplink_tolerates_a_departed_ps() {
-        // The PS drops its receiver on every exit path; a worker
-        // mid-send must observe `false` and exit quietly — never panic
-        // or block. Regression test for the teardown race.
-        let (tx, rx) = bounded::<UplinkMsg>(1);
-        drop(rx);
-        let msg = UplinkMsg { worker: 0, round: 3, body: UplinkBody::Lost };
-        assert!(!send_uplink(&tx, msg), "send into a closed uplink must report failure");
-        // And a crash announcement on the same dead channel is equally
-        // harmless (the worker_loop ignores the result by design).
-        let crash = UplinkMsg { worker: 1, round: 3, body: UplinkBody::Crashed };
-        assert!(!send_uplink(&tx, crash));
     }
 }

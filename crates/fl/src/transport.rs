@@ -1,8 +1,8 @@
-//! Real socket transport for the PS/worker protocol: the same
-//! recoverable exchange [`crate::runtime`] runs over channels, carried
-//! over Unix-domain sockets between actual OS processes (or threads,
-//! for in-test nodes), with the chaos plane realised as packet-level
-//! faults in the framing layer.
+//! Real socket transport for the PS/worker protocol: the recoverable
+//! framed exchange of [`crate::runtime`], carried over Unix-domain
+//! sockets between actual OS processes (or in-process threads, for the
+//! threaded runtime and tests), with the chaos plane realised as
+//! packet-level faults in the framing layer.
 //!
 //! # Framing
 //!
@@ -18,7 +18,7 @@
 //! their own end-to-end checksum. A chaos-corrupted model frame
 //! therefore passes framing intact and is detected by the *application*
 //! checksum at the PS, driving the retransmit path exactly as the
-//! channel transport does. Section lengths are capped
+//! loop engine's codec oracle predicts. Section lengths are capped
 //! ([`MAX_SECTION`]), so a length-lying prefix can never trigger an
 //! unbounded read or allocation: the decoder reads at most the
 //! declared (capped) bytes and returns a typed [`TransportError`].
@@ -44,14 +44,14 @@
 //! # Determinism
 //!
 //! The PS is the one round body every FedMP driver runs
-//! ([`crate::runtime`]), with the framed exchange over a [`Fleet`]
+//! ([`crate::runtime`]), with the framed exchange over a [`SocketFleet`]
 //! whose only nondeterminism (uplink arrival order, connection
 //! acceptance order) is confined to the collection barrier, which does
 //! no order-sensitive processing. Chaos-off socket runs are therefore
 //! bit-identical (history and trace alike) to the loop engine; seeded
 //! chaos runs are bit-identical run to run.
 
-use crate::chaos::{backoff, ChaosOptions};
+use crate::chaos::{backoff, ChaosOptions, ChaosPlan};
 use crate::checksum::fnv1a64;
 use crate::engine::{
     emit_conn_established, emit_conn_reset, emit_frame_timeout, emit_node_respawned, FlConfig,
@@ -61,8 +61,8 @@ use crate::engines::fedmp::FedMpOptions;
 use crate::history::RunHistory;
 use crate::local::{LocalOutcome, LocalTrainConfig};
 use crate::runtime::{
-    link_codecs, run_framed_rounds, Fleet, LiveThreadGuard, RuntimeError, UplinkBody, UplinkMsg,
-    WorkerProtocol, WorkerStep,
+    link_codecs, run_rounds, FramedExchange, LiveThreadGuard, RoundMethod, RuntimeError,
+    UplinkBody, UplinkMsg, WorkerProtocol, WorkerStep,
 };
 use crate::task::ImageTask;
 use crate::wire::LinkCodecs;
@@ -315,6 +315,21 @@ fn to_json<T: Serialize>(v: &T) -> Result<Vec<u8>, TransportError> {
     serde_json::to_vec(v).map_err(|_| TransportError::Malformed)
 }
 
+/// The Setup control section: the JSON pair `[SetupCtl, Sequential]`,
+/// with the architecture's already-encoded JSON spliced in after `ctl`
+/// — the same bytes as encoding the pair, without re-encoding the
+/// architecture for every node.
+fn setup_json(ctl: &SetupCtl, arch_json: &[u8]) -> Result<Vec<u8>, TransportError> {
+    let ctl = to_json(ctl)?;
+    let mut json = Vec::with_capacity(ctl.len() + arch_json.len() + 3);
+    json.push(b'[');
+    json.extend_from_slice(&ctl);
+    json.push(b',');
+    json.extend_from_slice(arch_json);
+    json.push(b']');
+    Ok(json)
+}
+
 fn from_json<T: Deserialize>(bytes: &[u8]) -> Result<T, TransportError> {
     serde_json::from_slice(bytes).map_err(|_| TransportError::Malformed)
 }
@@ -445,15 +460,15 @@ where
             _ => return Err(TransportError::Malformed),
         };
         match step {
-            WorkerStep::Crash(_) => {
+            WorkerStep::Crash => {
                 // A socket crash is a close without a word: drop the
                 // stream so the PS reader sees a reset.
                 return Ok(Served::Crashed);
             }
             WorkerStep::Reply(msg) => {
                 if write_uplink(&mut stream, &msg).is_err() {
-                    // The PS already tore the run down; exit quietly,
-                    // mirroring `send_uplink` channel semantics.
+                    // The PS already tore the run down — an expected
+                    // teardown race, not an error: exit quietly.
                     return Ok(Served::HungUp);
                 }
             }
@@ -674,21 +689,23 @@ struct ReaderMsg {
     frame: Option<RawFrame>,
 }
 
-/// The socket [`Fleet`]: per-worker write streams plus one dumb reader
-/// thread per connection that forwards raw frames over a channel. All
-/// parsing and every order-sensitive decision happens on the PS
-/// thread, inside the shared recovery core.
-struct SocketFleet<'a, S: NodeSpawner> {
+/// The socket fleet the framed exchange drives: per-worker write
+/// streams plus one dumb reader thread per connection that forwards raw
+/// frames over a channel. Everything order-sensitive — chaos draws,
+/// bandit updates, trace emission, aggregation — stays PS-side; the
+/// fleet only moves frames and restarts dead workers, and all parsing
+/// happens on the PS thread.
+pub(crate) struct SocketFleet<'a, S: NodeSpawner> {
     listener: &'a UnixListener,
     opts: &'a SocketRunOptions,
     spawner: &'a mut S,
     seed: u64,
     local: LocalTrainConfig,
-    chaos: ChaosOptions,
-    plan: crate::chaos::ChaosPlan,
+    plan: ChaosPlan,
     links: &'a [LinkCodecs],
-    /// The global architecture every Setup carries.
-    arch: &'a Sequential,
+    /// The global architecture every Setup carries, JSON-encoded once
+    /// per fleet (it is the bulk of a Setup frame).
+    arch_json: Vec<u8>,
     streams: Vec<Option<UnixStream>>,
     readers: Vec<Option<std::thread::JoinHandle<()>>>,
     nodes: Vec<Option<S::Handle>>,
@@ -700,39 +717,37 @@ struct SocketFleet<'a, S: NodeSpawner> {
 }
 
 impl<'a, S: NodeSpawner> SocketFleet<'a, S> {
-    #[allow(clippy::too_many_arguments)]
     fn new(
         listener: &'a UnixListener,
         opts: &'a SocketRunOptions,
         spawner: &'a mut S,
-        seed: u64,
-        local: LocalTrainConfig,
-        chaos: ChaosOptions,
-        plan: crate::chaos::ChaosPlan,
+        cfg: &FlConfig,
+        plan: ChaosPlan,
         links: &'a [LinkCodecs],
-        arch: &'a Sequential,
-    ) -> Self {
+        arch: &Sequential,
+    ) -> Result<Self, RuntimeError> {
+        let arch_json = to_json(arch)
+            .map_err(|_| RuntimeError::Transport { worker: 0, fault: TransportFault::Handshake })?;
         let workers = links.len();
         // Readers block on a full channel until the PS drains it in the
         // collection barrier; the capacity only bounds buffering.
         let (tx, rx) = bounded(workers.max(1) * 4);
-        SocketFleet {
+        Ok(SocketFleet {
             listener,
             opts,
             spawner,
-            seed,
-            local,
-            chaos,
+            seed: cfg.seed,
+            local: cfg.local,
             plan,
             links,
-            arch,
+            arch_json,
             streams: (0..workers).map(|_| None).collect(),
             readers: (0..workers).map(|_| None).collect(),
             nodes: (0..workers).map(|_| None).collect(),
             gens: vec![0; workers],
             tx,
             rx,
-        }
+        })
     }
 
     fn fault(&self, worker: usize, fault: TransportFault) -> RuntimeError {
@@ -744,13 +759,12 @@ impl<'a, S: NodeSpawner> SocketFleet<'a, S> {
         let ctl = SetupCtl {
             seed: self.seed,
             local: self.local,
-            chaos: self.chaos,
+            chaos: *self.plan.options(),
             link: self.links[worker],
         };
-        let json = to_json(&(&ctl, self.arch))?;
-        let blob = self.opts.task_blob.clone();
+        let json = setup_json(&ctl, &self.arch_json)?;
         match self.streams[worker].as_mut() {
-            Some(s) => write_frame(s, kind::SETUP, &json, &blob),
+            Some(s) => write_frame(s, kind::SETUP, &json, &self.opts.task_blob),
             None => Err(TransportError::Io(std::io::ErrorKind::NotConnected)),
         }
     }
@@ -860,10 +874,13 @@ impl<'a, S: NodeSpawner> SocketFleet<'a, S> {
             None => Ok(()),
         }
     }
-}
 
-impl<S: NodeSpawner> Fleet for SocketFleet<'_, S> {
-    fn respawn(&mut self, round: usize, worker: usize) -> Result<(), RuntimeError> {
+    /// Restarts a crashed worker before the round begins: respawns its
+    /// node, accepts the reconnect and sends a fresh Setup.
+    /// Transport-level trace events (`NodeRespawned`,
+    /// `ConnEstablished`) are emitted here; the exchange emits the
+    /// `WorkerRejoined` that follows.
+    pub(crate) fn respawn(&mut self, round: usize, worker: usize) -> Result<(), RuntimeError> {
         self.gens[worker] += 1;
         let generation = self.gens[worker];
         emit_node_respawned(round, worker, generation);
@@ -898,18 +915,35 @@ impl<S: NodeSpawner> Fleet for SocketFleet<'_, S> {
         Ok(())
     }
 
-    fn dispatch(&mut self, round: usize, worker: usize, frame: Bytes, plan: &PrunePlan) -> bool {
+    /// Sends this round's dispatch. `false`: the worker's link would
+    /// not take it — the exchange treats that as the link being gone.
+    #[must_use]
+    pub(crate) fn dispatch(
+        &mut self,
+        round: usize,
+        worker: usize,
+        frame: Bytes,
+        plan: &PrunePlan,
+    ) -> bool {
         self.streams[worker]
             .as_mut()
             .is_some_and(|s| write_dispatch(s, round, &frame, plan).is_ok())
     }
 
-    fn retransmit(&mut self, round: usize, worker: usize) -> bool {
+    /// Requests a retransmission of the worker's cached clean upload;
+    /// `false` as for [`SocketFleet::dispatch`].
+    #[must_use]
+    pub(crate) fn retransmit(&mut self, round: usize, worker: usize) -> bool {
         let sent = |s| write_frame(s, kind::RETRANSMIT, &to_json(&RoundCtl { round })?, &[]);
         self.streams[worker].as_mut().is_some_and(|s| sent(s).is_ok())
     }
 
-    fn recv(&mut self, round: usize) -> Result<UplinkMsg, RuntimeError> {
+    /// Blocks for the next uplink message of `round`'s collection
+    /// barrier. `worker` names the connection it arrived on, never what
+    /// the message claims; a connection that closed or could not be
+    /// read is reported as that worker's [`UplinkBody::Crashed`] /
+    /// [`UplinkBody::Malformed`], not as an error.
+    pub(crate) fn recv(&mut self, round: usize) -> Result<UplinkMsg, RuntimeError> {
         loop {
             let ReaderMsg { worker, generation, frame } =
                 self.rx.recv().map_err(|_| self.fault(0, TransportFault::Recv))?;
@@ -931,7 +965,10 @@ impl<S: NodeSpawner> Fleet for SocketFleet<'_, S> {
         }
     }
 
-    fn note_excluded(&mut self, round: usize, worker: usize, reason: &str) {
+    /// Post-barrier notification that `worker`'s contribution was
+    /// excluded for `reason`: emits `FrameTimeout`/`ConnReset`
+    /// immediately before the round body's `WorkerExcluded`.
+    pub(crate) fn note_excluded(&mut self, round: usize, worker: usize, reason: &str) {
         match reason {
             // A dropped exchange surfaced as a frame that never
             // arrived; direction from the same draw both ends used.
@@ -951,8 +988,9 @@ impl<S: NodeSpawner> Fleet for SocketFleet<'_, S> {
 
 /// Runs FedMP over real Unix-domain sockets: the PS in this process,
 /// one node per worker from `spawner` (threads or real child
-/// processes), the recovery policy of [`crate::run_fedmp_threaded_chaos`]
-/// verbatim, and the chaos plan realised as packet-level faults.
+/// processes), the recovery policy of `fl::barrier`, and the chaos plan
+/// realised as packet-level faults. [`crate::run_fedmp_threaded_chaos`]
+/// is this over [`ThreadNodes`].
 ///
 /// With `chaos` off the history **and trace stream** are bit-identical
 /// to [`crate::run_fedmp`] under the same options; under seeded chaos,
@@ -962,9 +1000,10 @@ impl<S: NodeSpawner> Fleet for SocketFleet<'_, S> {
 ///
 /// # Errors
 /// [`RuntimeError::Transport`] when the fleet cannot be brought up,
-/// respawned or torn down; [`RuntimeError::CorruptFrame`] exactly as in
-/// the channel runtime. Nothing one connected peer sends, and no way it
-/// disconnects, is an error: it costs that worker the round.
+/// respawned or torn down; [`RuntimeError::CorruptFrame`] when a
+/// checksum-verified upload fails to decode. Nothing one connected peer
+/// sends, and no way it disconnects, is an error: it costs that worker
+/// the round.
 pub fn run_fedmp_sockets<S: NodeSpawner>(
     cfg: &FlConfig,
     setup: &FlSetup<'_>,
@@ -985,15 +1024,14 @@ pub fn run_fedmp_sockets<S: NodeSpawner>(
         listener
             .set_nonblocking(true)
             .map_err(|_| RuntimeError::Transport { worker: 0, fault: TransportFault::Bind })?;
-        let plan = crate::chaos::ChaosPlan::new(cfg.seed, chaos);
+        let plan = ChaosPlan::new(cfg.seed, chaos);
         let links = link_codecs(setup, opts);
-        let arch = global.clone();
-        let mut fleet = SocketFleet::new(
-            &listener, sock, spawner, cfg.seed, cfg.local, *chaos, plan, &links, &arch,
-        );
-        let run = fleet
-            .bring_up()
-            .and_then(|_| run_framed_rounds(cfg, setup, global, opts, chaos, &mut fleet));
+        let mut fleet = SocketFleet::new(&listener, sock, spawner, cfg, plan, &links, &global)?;
+        let run = fleet.bring_up().and_then(|_| {
+            let mut framed = FramedExchange::new(&mut fleet, plan, setup.workers());
+            let method = RoundMethod::fedmp(cfg, setup.workers(), opts);
+            run_rounds(cfg, setup, global, opts, method, chaos, &mut framed)
+        });
         // Teardown runs on BOTH exit paths; a run error outranks a
         // teardown error.
         let td = fleet.teardown();
@@ -1129,6 +1167,28 @@ mod tests {
             sections[0].0.len(),
             sections[0].1.len()
         );
+    }
+
+    #[test]
+    fn spliced_setup_section_is_the_encoded_pair() {
+        use fedmp_nn::zoo;
+        use fedmp_tensor::seeded_rng;
+        let arch = zoo::cnn_mnist(0.25, &mut seeded_rng(282));
+        let ctl = SetupCtl {
+            seed: 7,
+            local: LocalTrainConfig::default(),
+            chaos: ChaosOptions::demo(3),
+            link: crate::wire::CompressionPolicy::adaptive().select(&fedmp_edgesim::tx2_profile(
+                fedmp_edgesim::ComputeMode::Mode3,
+                fedmp_edgesim::LinkQuality::Far,
+            )),
+        };
+        let spliced = setup_json(&ctl, &to_json(&arch).expect("arch encodes")).expect("splice");
+        assert_eq!(spliced, to_json(&(&ctl, &arch)).expect("pair encodes"));
+        // What `serve_worker` parses it back into.
+        let (back, model): (SetupCtl, Sequential) = from_json(&spliced).expect("pair decodes");
+        assert_eq!((back.seed, back.chaos, back.link), (ctl.seed, ctl.chaos, ctl.link));
+        assert_eq!(to_json(&model).expect("re-encodes"), to_json(&arch).expect("arch encodes"));
     }
 
     #[test]

@@ -57,7 +57,7 @@ fn corrupt_frames_exhaust_retries_without_leaking_threads() {
     assert!(exclusions > 0, "retry exhaustion never excluded a worker");
     assert!(retries > 0, "corruption never triggered a retransmit");
 
-    // The join guarantee: the scope has returned, so every worker
-    // thread — initial and respawned — is joined.
+    // The join guarantee: the fleet's teardown has run, so every node
+    // and reader thread — initial and respawned — is joined.
     assert_eq!(live_worker_threads(), 0, "worker threads leaked past the run");
 }

@@ -111,18 +111,18 @@ pub enum TraceEvent {
         /// `"corrupt"`, `"dropped"`, `"crashed"` or `"protocol"`.
         reason: String,
     },
-    /// A crashed worker thread was restarted with a fresh channel pair
-    /// and re-enters the fleet this round (threaded runtime only).
+    /// A crashed worker was respawned and reconnected and re-enters the
+    /// fleet this round (threaded and socket runtimes only).
     WorkerRejoined {
         /// Round index.
         round: usize,
         /// Worker index.
         worker: usize,
     },
-    /// The socket runtime (re-)established a transport connection to a
-    /// worker node after a fault (initial, fault-free connections are
-    /// silent so chaos-off socket traces stay identical to the loop
-    /// engine's).
+    /// The socket fleet (threaded and socket runtimes) re-established a
+    /// transport connection to a worker node after a fault (initial,
+    /// fault-free connections are silent so chaos-off traces stay
+    /// identical to the loop engine's).
     ConnEstablished {
         /// Round index the connection was established for.
         round: usize,
@@ -134,8 +134,9 @@ pub enum TraceEvent {
     },
     /// A frame of a worker's model exchange never arrived: the chaos
     /// plan dropped it at the packet level and the PS's delivery
-    /// deadline lapsed (socket runtime only; emitted post-barrier in
-    /// worker order, immediately before the worker's `WorkerExcluded`).
+    /// deadline lapsed (threaded and socket runtimes only; emitted
+    /// post-barrier in worker order, immediately before the worker's
+    /// `WorkerExcluded`).
     FrameTimeout {
         /// Round index.
         round: usize,
@@ -145,8 +146,8 @@ pub enum TraceEvent {
         /// `"up"` (worker → PS upload).
         direction: String,
     },
-    /// A worker node's connection reset mid-round — the socket runtime's
-    /// observation of a crashed worker process (EOF / reset on the
+    /// A worker node's connection reset mid-round — the socket fleet's
+    /// observation of a crashed worker node (EOF / reset on the
     /// uplink). Emitted post-barrier in worker order, immediately before
     /// the worker's `WorkerExcluded` with reason `"crashed"`.
     ConnReset {
@@ -155,9 +156,8 @@ pub enum TraceEvent {
         /// Worker index.
         worker: usize,
     },
-    /// A crashed worker node process was relaunched by the PS (socket
-    /// runtime's analogue of the threaded runtime's thread respawn).
-    /// Emitted at the start of the round, immediately before the
+    /// A crashed worker node — thread or process — was relaunched by
+    /// the PS. Emitted at the start of the round, immediately before the
     /// worker's `ConnEstablished` and `WorkerRejoined`.
     NodeRespawned {
         /// Round index the node rejoins in.

@@ -1,7 +1,9 @@
-//! The threaded PS/worker runtime: one OS thread per worker, models
-//! moved as checksummed binary wire frames — the closest in-process
-//! analogue of the paper's physical prototype. Verifies that it produces
-//! exactly the same training history as the in-process loop engine.
+//! The threaded PS/worker runtime: one in-process worker node thread
+//! per worker behind a Unix-domain socket, models moved as checksummed
+//! binary wire frames — the same protocol `fedmp-node` processes speak,
+//! and the closest in-process analogue of the paper's physical
+//! prototype. Verifies that it produces exactly the same training
+//! history as the in-process loop engine.
 //!
 //! ```text
 //! cargo run --release --example threaded_runtime
@@ -24,9 +26,9 @@ fn main() {
 
     println!("running the sequential loop engine…");
     let sequential = run_fedmp(&spec.fl, &setup, built.model.clone(), &opts);
-    println!("running the threaded runtime (1 thread/worker, wire frames)…");
+    println!("running the threaded runtime (1 socket node thread/worker, wire frames)…");
     let threaded = run_fedmp_threaded(&spec.fl, &setup, built.model.clone(), &opts)
-        .expect("clean transport: only protocol violations are terminal");
+        .expect("clean transport: only socket or protocol failures are terminal");
 
     println!("\n  round   loop-engine loss   threaded loss   identical?");
     for (a, b) in sequential.rounds.iter().zip(threaded.rounds.iter()) {

@@ -30,7 +30,6 @@ fn workspace_satisfies_invariant_contract() {
     assert_eq!(
         outcome.lints_run,
         vec![
-            "channel-protocol",
             "determinism",
             "executor-purity",
             "float-reduction",

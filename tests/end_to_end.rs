@@ -4,9 +4,11 @@
 
 use fedmp::prelude::*;
 use fedmp_core::run_fedmp_custom;
+use fedmp_data::{iid_partition, mnist_like};
+use fedmp_edgesim::{tx2_profile, ComputeMode, LinkQuality};
 use fedmp_fl::{
-    run_fedmp, run_fedmp_threaded, run_fedprox, run_synfl, FaultOptions, FedMpOptions,
-    FedProxOptions, SyncScheme,
+    run_fedmp, run_fedmp_threaded, run_fedmp_threaded_chaos, run_fedprox, run_synfl, ChaosOptions,
+    CompressionPolicy, FaultOptions, FedMpOptions, FedProxOptions, ImageTask, SyncScheme,
 };
 use fedmp_tensor::parallel::override_threads;
 
@@ -155,7 +157,7 @@ fn quantized_residual_store_changes_the_run_but_not_its_determinism() {
     // change the arithmetic, move final accuracy by at most 0.1 (0.945
     // exact vs 0.98 quantised at 16 rounds), and leave the run a
     // pure function of the seed — same bits at 1 and 4 executor
-    // threads and over the channel fleet.
+    // threads and over the threaded runtime.
     let spec = quick_spec(TaskKind::CnnMnist, 16);
     let built = spec.build();
     let setup =
@@ -183,6 +185,57 @@ fn quantized_residual_store_changes_the_run_but_not_its_determinism() {
     assert_ne!(numeric_bits(&exact), numeric_bits(&one), "the switch was ignored");
     let (a, b) = (exact.final_accuracy().unwrap(), one.final_accuracy().unwrap());
     assert!((a - b).abs() <= 0.1, "final accuracy moved: {a} exact vs {b} with 8-bit residuals");
+}
+
+#[test]
+fn threaded_recovery_transcript_is_pinned() {
+    // What the PS's recovery did each round — `(participants, retries,
+    // exclusions)` — under the seeded chaos plan, recorded at 42e51c4
+    // when the threaded runtime still ran over crossbeam channels. At a
+    // fixed ratio every input to it is shape- or seed-derived (chaos
+    // draws, churn, Eq. 5 costs), so it holds under either SIMD path,
+    // where the history bits do not.
+    let (train, test) = mnist_like(0.1, 300).generate();
+    let part = iid_partition(&train, 3, &mut seeded_rng(300));
+    let task = ImageTask::new(train, test, part);
+    let devices = vec![
+        tx2_profile(ComputeMode::Mode0, LinkQuality::Near),
+        tx2_profile(ComputeMode::Mode1, LinkQuality::Mid),
+        tx2_profile(ComputeMode::Mode3, LinkQuality::Far),
+    ];
+    let setup = FlSetup::new(&task, devices, TimeModel::default());
+    let global = zoo::cnn_mnist(0.1, &mut seeded_rng(301));
+    let cfg = FlConfig { rounds: 8, eval_every: 4, ..Default::default() };
+    let faults = FaultOptions { fail_prob: 0.15, recover_rounds: 1, ..Default::default() };
+    let faulty_transcript =
+        [(0, 2, 3), (2, 4, 1), (2, 0, 1), (0, 2, 3), (2, 0, 1), (2, 2, 1), (1, 2, 1), (1, 2, 1)];
+    let compressed_transcript =
+        [(0, 3, 2), (2, 4, 1), (3, 2, 0), (2, 4, 1), (0, 1, 2), (0, 0, 2), (0, 3, 2), (0, 2, 2)];
+    let cases = [
+        (
+            "demo(1) + faults",
+            FedMpOptions { fixed_ratio: Some(0.4), faults: Some(faults), ..Default::default() },
+            ChaosOptions::demo(1),
+            faulty_transcript,
+        ),
+        (
+            "demo(2) + adaptive compression",
+            FedMpOptions {
+                fixed_ratio: Some(0.4),
+                compression: CompressionPolicy::adaptive(),
+                ..Default::default()
+            },
+            ChaosOptions::demo(2),
+            compressed_transcript,
+        ),
+    ];
+    for (name, opts, chaos, expected) in cases {
+        let h = run_fedmp_threaded_chaos(&cfg, &setup, global.clone(), &opts, &chaos)
+            .expect("injected faults are recoverable");
+        let transcript: Vec<_> =
+            h.rounds.iter().map(|r| (r.participants, r.retries, r.exclusions)).collect();
+        assert_eq!(transcript, expected, "{name}: recovery transcript moved");
+    }
 }
 
 #[test]

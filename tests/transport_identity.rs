@@ -1,7 +1,7 @@
 //! The transport contract, where tier-1 can see it: however a FedMP
-//! round is carried — the in-process loop, channel-connected worker
-//! threads, or Unix-socket nodes — the history is the same bits, with
-//! lossless and with lossy links, and nothing outlives the run.
+//! round is carried — the in-process loop, the threaded runtime, or
+//! Unix-socket nodes the caller spawns — the history is the same bits,
+//! with lossless and with lossy links, and nothing outlives the run.
 //!
 //! The workspace crates prove this at length (`crates/fl/tests`); this
 //! is the cheapest row of that proof, promoted into the root package
@@ -25,9 +25,10 @@ fn canonical(h: &RunHistory) -> String {
     serde_json::to_string(h).expect("serialise history")
 }
 
-/// Runs one spec through the inline, channel and socket exchanges,
-/// asserts the three histories are the same bits and that nothing
-/// outlived the runs, and returns the loop engine's history.
+/// Runs one spec through the loop engine, the threaded runtime and the
+/// socket runtime, asserts the three histories are the same bits and
+/// that nothing outlived the runs, and returns the loop engine's
+/// history.
 fn agreed_history(
     task: &Arc<ImageTask>,
     devices: Vec<DeviceProfile>,
@@ -81,8 +82,8 @@ fn loop_threads_and_sockets_agree_bit_for_bit() {
     assert_ne!(canonical(&dense), canonical(&lossy), "the lossy policy changed nothing");
 
     // A dropout layer draws the same masks wherever the sub-model
-    // trains — the socket worker rebuilds it from the architecture's
-    // JSON, the other two clone it.
+    // trains — the socket workers rebuild it from the architecture's
+    // JSON, the loop engine clones it.
     let mut rng = seeded_rng(292);
     let dropout_net = Sequential::new(vec![
         LayerNode::Conv2d(Conv2d::new(1, 4, 5, 1, 2, &mut rng)),
