@@ -1,10 +1,10 @@
 //! `analysis.toml` loading.
 //!
 //! The workspace vendors no TOML crate, so this module parses the small
-//! subset the config actually uses: `[section.sub]` headers, `key =
-//! "string"`, `key = true|false`, and (possibly multiline) arrays of
-//! strings. Anything outside that subset is a hard error — the config
-//! is checked in, so failing loudly beats guessing.
+//! subset the config actually uses: `[section.sub]` headers and `key =`
+//! (possibly multiline) arrays of strings. Anything outside that subset
+//! is a hard error — the config is checked in, so failing loudly beats
+//! guessing.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -19,15 +19,12 @@ pub struct LintConfig {
     /// Path prefixes exempted wholesale (with a reason recorded in the
     /// config comments, not here).
     pub allow: Vec<String>,
-    /// Lint-specific string keys (e.g. the trace-schema file pair).
-    pub keys: BTreeMap<String, String>,
 }
 
 impl LintConfig {
     /// Whether `path` falls inside this lint's scope (ignoring the
-    /// allow list). Used by lints that interpret `allow` themselves —
-    /// unsafe-hygiene still *scans* allowlisted files to demand
-    /// `SAFETY:` comments there.
+    /// allow list). The config audit reruns a lint over allowlisted
+    /// files to see whether each entry still excuses anything.
     pub fn in_scope(&self, path: &str) -> bool {
         self.scope.is_empty() || self.scope.iter().any(|p| path_has_prefix(path, p))
     }
@@ -151,13 +148,7 @@ fn apply(
             match key {
                 "scope" => lint.scope = parse_string_array(value, lineno)?,
                 "allow" => lint.allow = parse_string_array(value, lineno)?,
-                _ => {
-                    let v = parse_string(value).ok_or_else(|| ConfigError {
-                        line: lineno,
-                        message: format!("lint key `{key}` must be a quoted string"),
-                    })?;
-                    lint.keys.insert(key.to_string(), v);
-                }
+                other => return err(lineno, format!("unknown lint key `{other}`")),
             }
         }
         _ => return err(lineno, format!("unknown section `[{}]`", section.join("."))),
@@ -264,9 +255,7 @@ skip = [
 scope = ["crates/fl/src"]
 allow = ["crates/tensor/src/parallel.rs"]
 
-[lints.trace-schema]
-event-enum = "crates/obs/src/event.rs"
-schema-doc = "docs/TRACE_SCHEMA.md"
+[lints.suppression-audit]
 "#;
         let cfg = parse(text).unwrap();
         assert_eq!(cfg.roots, vec!["crates", "src"]);
@@ -274,8 +263,7 @@ schema-doc = "docs/TRACE_SCHEMA.md"
         let det = &cfg.lints["determinism"];
         assert!(det.applies_to("crates/fl/src/lm.rs"));
         assert!(!det.applies_to("crates/nn/src/optim.rs"));
-        let ts = &cfg.lints["trace-schema"];
-        assert_eq!(ts.keys["event-enum"], "crates/obs/src/event.rs");
+        assert!(cfg.lints.contains_key("suppression-audit"), "a bare header enables a lint");
     }
 
     #[test]
@@ -289,5 +277,6 @@ schema-doc = "docs/TRACE_SCHEMA.md"
     fn rejects_unquoted_items_and_missing_roots() {
         assert!(parse("[workspace]\nroots = [crates]\n").is_err());
         assert!(parse("[lints.no-panic]\nscope = [\"x\"]\n").is_err());
+        assert!(parse("[workspace]\nroots = [\"c\"]\n[lints.no-panic]\nmode = \"x\"\n").is_err());
     }
 }

@@ -1,6 +1,6 @@
 //! Diagnostic records, the finding sink (which arbitrates inline
 //! suppressions and remembers which ones fired), and the output
-//! renderers (human, JSON, SARIF).
+//! renderers (human, JSON).
 
 use std::collections::BTreeSet;
 
@@ -117,46 +117,6 @@ pub struct Report {
     pub diagnostics: Vec<Diagnostic>,
 }
 
-/// Renders a report as minimal SARIF 2.1.0 — enough for code-scanning
-/// UIs to place findings: one run, one rule per lint, one result per
-/// diagnostic. File-level findings (line 0) are pinned to line 1,
-/// which SARIF requires to be positive.
-pub fn to_sarif(report: &Report) -> serde_json::Value {
-    let rules: Vec<serde_json::Value> =
-        report.lints.iter().map(|l| serde_json::json!({ "id": l, "name": l })).collect();
-    let results: Vec<serde_json::Value> = report
-        .diagnostics
-        .iter()
-        .map(|d| {
-            serde_json::json!({
-                "ruleId": d.lint,
-                "level": "error",
-                "message": { "text": d.message },
-                "locations": [{
-                    "physicalLocation": {
-                        "artifactLocation": { "uri": d.file },
-                        "region": { "startLine": d.line.max(1) }
-                    }
-                }]
-            })
-        })
-        .collect();
-    serde_json::json!({
-        "$schema": "https://json.schemastore.org/sarif-2.1.0.json",
-        "version": "2.1.0",
-        "runs": [{
-            "tool": {
-                "driver": {
-                    "name": "fedmp-analysis",
-                    "informationUri": "docs/ANALYSIS.md",
-                    "rules": rules
-                }
-            },
-            "results": results
-        }]
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,29 +137,6 @@ mod tests {
         assert_eq!(sink.findings.len(), 1);
         assert_eq!(sink.findings[0].line, 3);
         assert!(sink.used.contains(&("crates/fl/src/x.rs".to_string(), 1, "determinism".into())));
-    }
-
-    #[test]
-    fn sarif_places_results_and_clamps_file_level_lines() {
-        let report = Report {
-            status: "violations".into(),
-            files_scanned: 1,
-            lints: vec!["determinism".into()],
-            summary: vec![LintStat {
-                lint: "determinism".into(),
-                findings: 1,
-                suppressions_used: 0,
-            }],
-            diagnostics: vec![Diagnostic::new("analysis.toml", 0, "determinism", "m")],
-        };
-        let sarif = to_sarif(&report);
-        assert_eq!(sarif["version"], "2.1.0");
-        let r = &sarif["runs"][0]["results"][0];
-        assert_eq!(r["ruleId"], "determinism");
-        assert_eq!(
-            r["locations"][0]["physicalLocation"]["region"]["startLine"],
-            serde_json::json!(1)
-        );
     }
 
     #[test]

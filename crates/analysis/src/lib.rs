@@ -1,13 +1,11 @@
 //! # fedmp-analysis
 //!
 //! A workspace invariant linter: statically enforces the rules the
-//! paper reproduction's claims rest on, without `syn` or rustc. The
-//! comment/string-aware token scanner handles the line-oriented rules;
-//! on top of it, a structural "syntax sketch" pass ([`sketch`]) finds
-//! call extents, function items and call edges, and an intra-crate
-//! call-summary pass ([`callgraph`]) answers "does this helper emit
-//! trace events / return a float iterator". All of it stays
-//! dependency-free and fast enough to run on each `cargo test`.
+//! paper reproduction's claims rest on that `rustc` and `clippy` do not,
+//! without `syn` or rustc. Every rule runs over one comment/string-aware
+//! token scanner, dependency-free and fast enough for each `cargo test`.
+//! (`unsafe` is the compiler's job: `[workspace.lints]` in the root
+//! `Cargo.toml`.)
 //!
 //! The lints (see `docs/ANALYSIS.md` for the full rationale):
 //!
@@ -15,12 +13,8 @@
 //! |------|---------------------|
 //! | `determinism` | same seed ⇒ bit-identical results: no hasher-ordered iteration, clocks, thread ids or env reads on the simulation path |
 //! | `float-reduction` | reductions keep one fixed order at any thread count: float sums route through `fedmp_tensor::parallel::{sum_f32, sum_f64}` |
-//! | `unsafe-hygiene` | `unsafe` only in the allowlisted SIMD microkernels, and every occurrence carries a `// SAFETY:` comment |
 //! | `no-panic` | engines and the threaded runtime fail into typed errors, never aborts |
-//! | `trace-schema` | `TraceEvent::KINDS` and `docs/TRACE_SCHEMA.md` describe the same event set |
 //! | `suppression` | every inline `allow(...)` carries a written reason |
-//! | `executor-purity` | executor closures (`ordered_map`, `scope.spawn`) stay pure: no trace emission, bandit mutation, RNG capture or shared-accumulator writes inside the fan-out |
-//! | `reduction-escape` | `impl Iterator<Item = f32>` helpers are not `.sum()`-ed at call sites (the laundering hole in `float-reduction`) |
 //! | `suppression-audit` | every inline suppression still absorbs a finding, and every config `allow` entry still excuses one — escapes that suppress nothing are findings |
 //!
 //! Configuration lives in the checked-in `analysis.toml`. A finding is
@@ -32,17 +26,10 @@
 //! is either a typo silently widening the lint's reach or a leftover
 //! silently narrowing it.
 
-// No `unsafe` anywhere in this crate: the only sanctioned unsafe code
-// in the workspace lives in `fedmp-tensor`'s SIMD microkernels. Backed
-// statically by the `unsafe-hygiene` lint in `fedmp-analysis`.
-#![forbid(unsafe_code)]
-
-pub mod callgraph;
 pub mod config;
 pub mod diagnostics;
 pub mod lints;
 pub mod scanner;
-pub mod sketch;
 pub mod workspace;
 
 use std::collections::BTreeSet;
@@ -51,7 +38,6 @@ use std::path::Path;
 
 use diagnostics::{LintStat, Sink};
 use scanner::SourceFile;
-use sketch::Sketch;
 
 pub use config::{Config, ConfigError};
 pub use diagnostics::{Diagnostic, Report};
@@ -124,8 +110,7 @@ pub fn check_with_config_path(root: &Path, config_path: &Path) -> Result<Outcome
 /// error, not a warning: a typo'd scope silently widens or narrows
 /// what the lint sees, and a leftover allow is a standing escape for
 /// code that no longer exists. `roots` are exempt — they are
-/// prospective mount points the walker skips when absent — as are
-/// lint-specific string keys, which the owning lint validates itself.
+/// prospective mount points the walker skips when absent.
 fn validate_config_paths(root: &Path, config: &Config) -> Result<(), ConfigError> {
     fn ensure(root: &Path, section: &str, entry: &str) -> Result<(), ConfigError> {
         if root.join(entry).exists() {
@@ -160,9 +145,8 @@ pub fn check(root: &Path, config: &Config) -> Result<Outcome, AnalysisError> {
         AnalysisError::Io { path: root.to_string_lossy().into_owned(), source }
     })?;
 
-    // Scan the whole tree up front: the structural lints need every
-    // file's sketch (call summaries connect files within a crate)
-    // before any per-file pass can run.
+    // Keep every scanned file: the suppression audit diffs all of
+    // their directives once every per-file pass is done.
     let mut scanned: Vec<SourceFile> = Vec::with_capacity(files.len());
     for path in &files {
         let rel = workspace::relative(root, path);
@@ -171,12 +155,9 @@ pub fn check(root: &Path, config: &Config) -> Result<Outcome, AnalysisError> {
         scanned.push(scanner::scan(&rel, &raw));
     }
     let files_scanned = scanned.len();
-    let sketches: Vec<(String, Sketch)> =
-        scanned.iter().map(|f| (f.path.clone(), Sketch::build(f))).collect();
-    let graph = callgraph::build(&sketches);
     let mut sink = Sink::new();
 
-    for (file, (_, sketch)) in scanned.iter().zip(&sketches) {
+    for file in &scanned {
         let rel = &file.path;
 
         // The suppression meta-check is always on: a malformed or
@@ -221,35 +202,11 @@ pub fn check(root: &Path, config: &Config) -> Result<Outcome, AnalysisError> {
                 lints::float_reduction::check(file, cfg, &mut sink);
             }
         }
-        // Scope-only: this lint treats `allow` as "unsafe permitted
-        // here (with SAFETY comments)", not "don't scan".
-        if let Some(cfg) = config.lints.get(lints::unsafe_hygiene::NAME) {
-            if cfg.in_scope(rel) {
-                lints::unsafe_hygiene::check(file, cfg, &mut sink);
-            }
-        }
         if let Some(cfg) = config.lints.get(lints::no_panic::NAME) {
             if cfg.applies_to(rel) {
                 lints::no_panic::check(file, cfg, &mut sink);
             }
         }
-        if let Some(cfg) = config.lints.get(lints::executor_purity::NAME) {
-            if cfg.applies_to(rel) {
-                lints::executor_purity::check(file, sketch, &graph, cfg, &mut sink);
-            }
-        }
-        if let Some(cfg) = config.lints.get(lints::reduction_escape::NAME) {
-            if cfg.applies_to(rel) {
-                lints::reduction_escape::check(file, sketch, &graph, cfg, &mut sink);
-            }
-        }
-    }
-
-    // Workspace-level cross-check (runs once, not per file). Its
-    // findings are file-level, so it writes past the suppression
-    // arbitration straight into the finding list.
-    if let Some(cfg) = config.lints.get(lints::trace_schema::NAME) {
-        lints::trace_schema::check(root, cfg, &mut sink.findings);
     }
 
     // Post-pass: with every sink-reporting lint done, `sink.used` is
@@ -278,17 +235,14 @@ pub fn check(root: &Path, config: &Config) -> Result<Outcome, AnalysisError> {
     Ok(Outcome { diagnostics: findings, files_scanned, lints_run, summary })
 }
 
+/// A per-file lint pass, as rerun by the suppression audit.
+type LintFn = fn(&SourceFile, &config::LintConfig, &mut Sink);
+
 /// The config half of the suppression audit: an `allow` entry in
 /// `analysis.toml` is live only while the lint it excuses would still
 /// find something under that path. For each auditable lint, rerun it
 /// into a scratch sink over the allowlisted files; entries whose
 /// files produce zero candidates excuse nothing and are findings.
-/// `unsafe-hygiene` is excluded — its allow list means "unsafe
-/// permitted here", a grant that stays meaningful while the file
-/// exists (and config-path validation already guarantees that).
-/// A per-file lint pass, as rerun by the suppression audit.
-type LintFn = fn(&SourceFile, &config::LintConfig, &mut Sink);
-
 fn audit_config_allows(config: &Config, scanned: &[SourceFile], sink: &mut Sink) {
     let auditable: [(&str, LintFn); 3] = [
         (lints::determinism::NAME, lints::determinism::check),

@@ -11,10 +11,9 @@
 //! delete it, or restore the code it excused.
 //!
 //! Only directives for lints that (a) actually ran and (b) arbitrate
-//! suppressions through the sink are auditable; `trace-schema`
-//! (workspace-level, no line suppression) and the `suppression` meta
+//! suppressions through the sink are auditable; the `suppression` meta
 //! lint (malformed directives are its findings, not suppressible
-//! ones) are excluded. Directives for this lint itself are audited in
+//! ones) is excluded. Directives for this lint itself are audited in
 //! a second pass, after the first pass has recorded which
 //! `allow(suppression-audit)` escapes absorbed a dead-directive
 //! finding — otherwise the audit could mark its own escape dead
@@ -31,9 +30,6 @@ use crate::scanner::SourceFile;
 
 pub const NAME: &str = "suppression-audit";
 
-/// Lints whose directives can never be "used" through the sink.
-const UNAUDITABLE: &[&str] = &["suppression", "trace-schema"];
-
 pub fn check(files: &[&SourceFile], enabled: &BTreeSet<String>, sink: &mut Sink) {
     for self_pass in [false, true] {
         for file in files {
@@ -41,7 +37,9 @@ pub fn check(files: &[&SourceFile], enabled: &BTreeSet<String>, sink: &mut Sink)
                 if !d.reason_ok || (d.lint == NAME) != self_pass {
                     continue;
                 }
-                if UNAUDITABLE.contains(&d.lint.as_str()) || !enabled.contains(&d.lint) {
+                // `suppression` directives can never be "used" through
+                // the sink.
+                if d.lint == "suppression" || !enabled.contains(&d.lint) {
                     continue;
                 }
                 let key = (file.path.clone(), d.line, d.lint.clone());

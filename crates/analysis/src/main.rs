@@ -1,20 +1,15 @@
 //! The `fedmp-analysis` CLI.
 //!
 //! ```text
-//! cargo run -p fedmp-analysis -- check [--format text|json|sarif] [--root DIR] [--config FILE]
+//! cargo run -p fedmp-analysis -- check [--format text|json] [--root DIR] [--config FILE]
 //! ```
 //!
 //! Exit codes: 0 clean, 1 violations found, 2 usage/config error.
 
-// No `unsafe` anywhere in this crate: the only sanctioned unsafe code
-// in the workspace lives in `fedmp-tensor`'s SIMD microkernels. Backed
-// statically by the `unsafe-hygiene` lint in `fedmp-analysis`.
-#![forbid(unsafe_code)]
-
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use fedmp_analysis::diagnostics::{to_sarif, Report};
+use fedmp_analysis::diagnostics::Report;
 
 const USAGE: &str = "\
 fedmp-analysis — workspace invariant linter
@@ -23,18 +18,17 @@ USAGE:
     fedmp-analysis check [--format FMT] [--root DIR] [--config FILE]
 
 OPTIONS:
-    --format FMT     output format: text (default), json, or sarif
+    --format FMT     output format: text (default) or json
     --json           shorthand for --format json
     --root DIR       workspace root to scan (default: current directory)
     --config FILE    config file (default: <root>/analysis.toml)
     -h, --help       print this help
 ";
 
-#[derive(Clone, Copy, PartialEq, Eq)]
+#[derive(Clone, Copy)]
 enum Format {
     Text,
     Json,
-    Sarif,
 }
 
 struct Args {
@@ -61,12 +55,11 @@ fn parse_args() -> Result<Args, String> {
             "--format" => {
                 let fmt = argv
                     .next()
-                    .ok_or_else(|| "--format requires an argument (text|json|sarif)".to_string())?;
+                    .ok_or_else(|| "--format requires an argument (text|json)".to_string())?;
                 args.format = match fmt.as_str() {
                     "text" => Format::Text,
                     "json" => Format::Json,
-                    "sarif" => Format::Sarif,
-                    other => return Err(format!("unknown format `{other}` (text|json|sarif)")),
+                    other => return Err(format!("unknown format `{other}` (text|json)")),
                 };
             }
             "--root" => {
@@ -112,7 +105,7 @@ fn main() -> ExitCode {
 
     let status = if outcome.is_clean() { "clean" } else { "violations" };
     match args.format {
-        Format::Json | Format::Sarif => {
+        Format::Json => {
             let report = Report {
                 status: status.to_string(),
                 files_scanned: outcome.files_scanned,
@@ -120,12 +113,7 @@ fn main() -> ExitCode {
                 summary: outcome.summary.clone(),
                 diagnostics: outcome.diagnostics.clone(),
             };
-            let rendered = if args.format == Format::Sarif {
-                serde_json::to_string_pretty(&to_sarif(&report)).map_err(|e| e.to_string())
-            } else {
-                serde_json::to_string_pretty(&report).map_err(|e| e.to_string())
-            };
-            match rendered {
+            match serde_json::to_string_pretty(&report) {
                 Ok(s) => println!("{s}"),
                 Err(e) => {
                     eprintln!("fedmp-analysis: failed to serialize report: {e}");

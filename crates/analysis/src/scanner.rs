@@ -6,7 +6,7 @@
 //! message, or `unwrap` in a doc comment, never trips a lint). This
 //! module produces that view: for each physical line, the code with
 //! comments removed and string/char literal *contents* blanked, the
-//! comment text (for `SAFETY:` and suppression directives), whether the
+//! comment text (for suppression directives), whether the
 //! line sits inside a `#[cfg(test)]` item, and any
 //! `// fedmp-analysis: allow(<lint>) -- <reason>` suppressions that
 //! apply to it.
@@ -54,9 +54,6 @@ impl Line {
 pub struct SourceFile {
     /// Path relative to the scanned root, with `/` separators.
     pub path: String,
-    /// The raw file contents (needed by the schema cross-check, which
-    /// reads string literals the stripped view deliberately blanks).
-    pub raw: String,
     /// Per-line stripped view, 0-indexed (diagnostics add 1).
     pub lines: Vec<Line>,
     /// Lines carrying a `fedmp-analysis:` marker that failed to parse
@@ -77,13 +74,7 @@ pub fn scan(path: &str, source: &str) -> SourceFile {
         .collect();
     mark_test_regions(&mut lines);
     let (malformed, directives) = attach_suppressions(&mut lines);
-    SourceFile {
-        path: path.to_string(),
-        raw: source.to_string(),
-        lines,
-        malformed_suppressions: malformed,
-        directives,
-    }
+    SourceFile { path: path.to_string(), lines, malformed_suppressions: malformed, directives }
 }
 
 /// Character-level stripping pass: returns `(code, comment)` per line.

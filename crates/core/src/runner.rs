@@ -118,7 +118,6 @@ pub fn run_methods(spec: &ExperimentSpec, methods: &[Method]) -> Vec<RunHistory>
     if crate::trace::trace_requested() {
         return methods.iter().map(|&m| run_method(spec, m)).collect();
     }
-    // fedmp-analysis: allow(executor-purity) -- run_method only emits when FEDMP_TRACE is set, and the guard above serializes exactly that case
     fedmp_fl::exec::ordered_map(methods.to_vec(), |_, m| run_method(spec, m))
 }
 

@@ -18,10 +18,6 @@
 //! for MNIST/CIFAR-10-like tasks, and missing-classes (each worker lacks
 //! `y` classes) for EMNIST/Tiny-ImageNet-like tasks.
 
-// No `unsafe` anywhere in this crate: the only sanctioned unsafe code
-// in the workspace lives in `fedmp-tensor`'s SIMD microkernels. Backed
-// statically by the `unsafe-hygiene` lint in `fedmp-analysis`.
-#![forbid(unsafe_code)]
 mod image;
 mod loader;
 mod partition;

@@ -22,10 +22,6 @@
 //! totals, and trace streams alike — are bit-identical at any thread
 //! count.
 
-// No `unsafe` anywhere in this crate: the only sanctioned unsafe code
-// in the workspace lives in `fedmp-tensor`'s SIMD microkernels. Backed
-// statically by the `unsafe-hygiene` lint in `fedmp-analysis`.
-#![forbid(unsafe_code)]
 mod aggregate;
 mod barrier;
 mod chaos;

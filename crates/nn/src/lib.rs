@@ -25,10 +25,6 @@
 //! model.backward(&out.grad_logits);
 //! ```
 
-// No `unsafe` anywhere in this crate: the only sanctioned unsafe code
-// in the workspace lives in `fedmp-tensor`'s SIMD microkernels. Backed
-// statically by the `unsafe-hygiene` lint in `fedmp-analysis`.
-#![forbid(unsafe_code)]
 mod activation;
 mod batchnorm;
 mod container;

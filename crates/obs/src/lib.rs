@@ -27,10 +27,6 @@
 //! the event enum.
 
 #![deny(missing_docs)]
-// No `unsafe` anywhere in this crate: the only sanctioned unsafe code
-// in the workspace lives in `fedmp-tensor`'s SIMD microkernels. Backed
-// statically by the `unsafe-hygiene` lint in `fedmp-analysis`.
-#![forbid(unsafe_code)]
 mod event;
 mod manifest;
 mod session;

@@ -1,5 +1,6 @@
 //! Keeps `docs/TRACE_SCHEMA.md` honest: every event kind the enum can
-//! produce must be documented with exactly the fields it serialises, the
+//! produce must be documented with exactly the fields it serialises, no
+//! section may document a kind the enum no longer has, the
 //! worked excerpt must be what the current schema writes, and the
 //! documented schema version must match the code.
 
@@ -19,6 +20,36 @@ fn every_event_kind_is_documented() {
             "event kind `{kind}` is missing from docs/TRACE_SCHEMA.md"
         );
     }
+}
+
+/// The reverse direction: every backticked CamelCase name in a `### `
+/// heading is a kind the enum still has, so a retired kind's section
+/// cannot outlive it. One heading may name several kinds (the fault
+/// pair shares a section).
+#[test]
+fn every_documented_kind_exists() {
+    let doc = schema_doc();
+    let mut documented = Vec::new();
+    for (idx, line) in doc.lines().enumerate() {
+        let Some(heading) = line.strip_prefix("### ") else { continue };
+        // Odd-indexed fragments sit inside backticks.
+        for name in heading.split('`').skip(1).step_by(2) {
+            if name.starts_with(|c: char| c.is_ascii_uppercase())
+                && name.chars().all(|c| c.is_ascii_alphanumeric())
+            {
+                assert!(
+                    TraceEvent::KINDS.contains(&name),
+                    "docs/TRACE_SCHEMA.md:{}: heading documents `{name}`, which TraceEvent::KINDS does not have",
+                    idx + 1
+                );
+                documented.push(name);
+            }
+        }
+    }
+    assert!(
+        documented.contains(&"FaultInjected") && documented.contains(&"FaultRecovered"),
+        "the shared fault-pair heading must yield both kinds: {documented:?}"
+    );
 }
 
 #[test]
@@ -49,7 +80,7 @@ fn kind_and_fields(line: &str) -> (String, Vec<String>) {
     (kind.clone(), fields.iter().map(|(name, _)| name.clone()).collect())
 }
 
-/// The `trace-schema` lint and the tests above cross-check *kinds* only;
+/// The two kind tests above cross-check *kinds* only;
 /// this one holds each kind's field table to the serialised form, so a
 /// retired or added field cannot stay (or go missing) in the doc.
 #[test]

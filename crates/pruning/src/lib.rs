@@ -36,10 +36,6 @@
 //! the same network and the oracle `rebuild`'s tests hold extraction to,
 //! bit for bit.
 
-// No `unsafe` anywhere in this crate: the only sanctioned unsafe code
-// in the workspace lives in `fedmp-tensor`'s SIMD microkernels. Backed
-// statically by the `unsafe-hygiene` lint in `fedmp-analysis`.
-#![forbid(unsafe_code)]
 mod iss;
 mod plan;
 mod quant;

@@ -17,10 +17,6 @@
 //! See `README.md` for a quickstart and `DESIGN.md` for the system
 //! inventory.
 
-// No `unsafe` anywhere in this crate: the only sanctioned unsafe code
-// in the workspace lives in `fedmp-tensor`'s SIMD microkernels. Backed
-// statically by the `unsafe-hygiene` lint in `fedmp-analysis`.
-#![forbid(unsafe_code)]
 pub use fedmp_bandit as bandit;
 pub use fedmp_core as core;
 pub use fedmp_data as data;
