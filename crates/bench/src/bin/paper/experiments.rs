@@ -767,9 +767,9 @@ fn synthetic_update(id: u64) -> Vec<StateEntry> {
 /// its peak is a function of the model shape, not the cohort. The engine
 /// rows are real hierarchical runs at small cohorts over a 100 000-device
 /// population, reporting the `ShardReduced` peak the engine itself
-/// traces. That any shard tree equals the flat average, and that loop
-/// and threaded engines agree at every partition, is
-/// `crates/fl/tests/hierarchy.rs`.
+/// traces. That any shard tree equals the flat average is
+/// `crates/fl/tests/hierarchy.rs`; that the engine's history is one at
+/// every partition is the root `tests/goldens.rs`.
 pub fn scale(_: &mut Harness) {
     let shards = 8u64;
     let template = synthetic_update(0);

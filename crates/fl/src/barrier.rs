@@ -6,10 +6,11 @@
 //! A driver dispatches to `n` slots, then pumps what it observes into
 //! [`Barrier::on`] and performs the returned [`Action`] until
 //! [`Barrier::done`]. `runtime`'s framed exchange is the one event pump
-//! (over the socket fleet, thread or process nodes); the hierarchy's edge
-//! tier drives a one-slot barrier in place (`hierarchy::edge_uplink`);
+//! (over the socket fleet, thread or process nodes).
 //! `ClientFate::from_draw` is the closed form of the same policy for an
-//! in-protocol peer, tied to this machine by a test below.
+//! in-protocol peer, which both hierarchy tiers run; a test below ties it
+//! to this machine, and one in `hierarchy.rs` does so over real `HPar`
+//! frames.
 //!
 //! The machine is **total**: an event for a slot that does not exist or
 //! has already settled is [`Action::Wait`] and changes nothing, so no

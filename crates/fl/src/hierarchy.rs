@@ -37,19 +37,14 @@
 //!   per-link exactly as in the flat engines (feedback-free: per-client
 //!   error-feedback state would be O(population × params)).
 //!
-//! Two entry points share one round implementation and one compute
-//! path (shards fanned out by [`crate::exec::ordered_map`]); they
-//! differ only in how an edge's partial reaches the cloud:
-//! [`run_fedmp_hier`] decides it by the closed form
-//! (`ClientFate::from_draw`) and moves no frame,
-//! [`run_fedmp_hier_threaded`] sends real checksummed `HPar` frames
-//! through the collection barrier (`crate::barrier`), driven in place —
-//! no thread, no channel. The two are bit-identical, including under
-//! chaos, because every fault is a pure function of the seed and every
-//! reduction is exact; `tests/hierarchy.rs` holds them together.
+//! Shards fan out on [`crate::exec::ordered_map`]. Both tiers decide an
+//! upload's fate by the closed form (`ClientFate::from_draw`) and move
+//! no frame; the in-file proptest holds that closed form equal to the
+//! collection barrier (`crate::barrier`) judging real checksummed
+//! `HPar` frames. The root `tests/goldens.rs` pins the engine's history
+//! and trace bits across commits and (shards, edges) partitions.
 
-use crate::barrier::{Action, Barrier, Event};
-use crate::chaos::{corrupted_copy, ChaosDraw, ChaosOptions, ChaosPlan};
+use crate::chaos::{ChaosDraw, ChaosOptions, ChaosPlan};
 use crate::checksum::fnv1a64;
 use crate::engine::{
     emit_aggregate, emit_codec_selected, emit_cohort_sampled, emit_compression_applied,
@@ -61,7 +56,7 @@ use crate::engine::{
 use crate::exec;
 use crate::history::{RoundRecord, RunHistory};
 use crate::local::local_train;
-use crate::runtime::{seeded_agents, RuntimeError};
+use crate::runtime::seeded_agents;
 use crate::task::ImageTask;
 use crate::wire::{link_delivered, Codec, CompressionPolicy, LinkCodecs};
 use bytes::Bytes;
@@ -165,10 +160,12 @@ impl ExactState {
         self.entries.iter().map(|e| e.accs.state_bytes()).sum()
     }
 
-    /// Serialises the accumulator into a checksummed wire frame (the
-    /// edge → cloud partial-sum upload of [`run_fedmp_hier_threaded`]).
-    /// Layout: `magic u32 | count u32 | count × (6 limbs LE + poison
-    /// byte) | FNV-1a-64 of everything before`.
+    /// Serialises the accumulator into a checksummed `HPar` wire frame:
+    /// the edge → cloud partial-sum upload whose fate
+    /// [`run_fedmp_hier`] computes by the closed form (a test below
+    /// drives real frames through the barrier against it). Layout:
+    /// `magic u32 | count u32 | count × (6 limbs LE + poison byte) |
+    /// FNV-1a-64 of everything before`.
     pub fn encode(&self) -> Bytes {
         let count = self.numel() as u32;
         let mut buf = Vec::with_capacity(8 + count as usize * PARTIAL_SUM_BYTES + 8);
@@ -280,7 +277,7 @@ impl<'a> HierSetup<'a> {
     }
 }
 
-/// Options of the hierarchical engines.
+/// Options of the hierarchical engine.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct HierarchyOptions {
     /// Clients sampled per round (without replacement).
@@ -369,8 +366,9 @@ struct ClassPlan {
 /// [`ClientFate::from_draw`] decides it purely from the chaos draw: the
 /// closed form of what [`crate::barrier::Barrier`] concludes from the
 /// transcript that draw produces (a test in `barrier.rs` holds the two
-/// together, and one below does so over real `HPar` bytes), for the
-/// tiers that simulate their uploads instead of moving them.
+/// together, and one below does so over real `HPar` bytes). Both tiers
+/// of the hierarchy simulate their uploads with it instead of moving
+/// them.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum ClientFate {
     /// Upload reached its shard reducer after `retries` retransmits.
@@ -591,9 +589,7 @@ struct RoundGather {
 
 /// Everything after the fan-in: trace emission in canonical order,
 /// exact cloud merge, quorum + aggregation, per-class bandit feedback,
-/// evaluation and the history record. Shared verbatim by both entry
-/// points — their bit-identity is this function applied to identical
-/// gathers.
+/// evaluation and the history record.
 #[allow(clippy::too_many_arguments)]
 fn finish_round(
     cfg: &FlConfig,
@@ -764,7 +760,7 @@ fn finish_round(
 
 /// Builds the round's per-class plans (bandit selects, pruning,
 /// residuals, codecs) in ascending class order — the order-sensitive
-/// prologue both engines run caller-side.
+/// prologue the round runs caller-side.
 fn class_plans(
     setup: &HierSetup<'_>,
     opts: &HierarchyOptions,
@@ -821,22 +817,16 @@ fn class_plans(
 
 // ---- the round loop ------------------------------------------------------
 
-/// How an edge's merged partial reaches the cloud under its chaos draw:
-/// the retransmits spent and the partial the cloud holds afterwards
-/// (`None`: the edge is excluded) — the one step the two entry points
-/// differ in.
-type EdgeUplink = fn(ExactState, &ChaosDraw, &ChaosOptions) -> (u32, Option<ExactState>);
-
-/// The round both entry points run: cohort sampling, per-class plans,
-/// codec events, the gather — shards fanned out on the round executor,
-/// each edge's exact merge sent up through `uplink` — compression
-/// events and the [`finish_round`] epilogue.
-fn run_hier_rounds(
+/// Runs population-scale FedMP for `cfg.rounds` rounds: per round a
+/// sampled cohort streams through shard reducers fanned out on the
+/// deterministic round executor, shard partials merge at the edges, each
+/// edge's upload meets its chaos draw, and the cloud finalises the exact
+/// R2SP mean of what arrived.
+pub fn run_fedmp_hier(
     cfg: &FlConfig,
     setup: &HierSetup<'_>,
     mut global: Sequential,
     opts: &HierarchyOptions,
-    uplink: EdgeUplink,
 ) -> RunHistory {
     opts.validate(&setup.population);
     let mut history = RunHistory::new("FedMP-Hier");
@@ -890,10 +880,14 @@ fn run_hier_rounds(
                 for out in &outputs[range.start + 1..range.end] {
                     merged.merge(&out.acc);
                 }
-                let (retries, partial) =
-                    uplink(merged, &edge_plan.draw(round, e), &opts.chaos_edge);
+                let fate = ClientFate::from_draw(&edge_plan.draw(round, e), &opts.chaos_edge);
                 let clients = outputs[range.clone()].iter().map(|o| o.folded).sum();
-                EdgeUpload { retries, partial, shards: range.len(), clients }
+                EdgeUpload {
+                    retries: fate.retries(),
+                    partial: fate.delivered().then_some(merged),
+                    shards: range.len(),
+                    clients,
+                }
             })
             .collect();
         let gathered = RoundGather {
@@ -948,79 +942,49 @@ fn run_hier_rounds(
     history
 }
 
-// ---- the loop engine -----------------------------------------------------
-
-/// Runs population-scale FedMP for `cfg.rounds` rounds: per round a
-/// sampled cohort streams through shard reducers fanned out on the
-/// deterministic round executor, shard partials merge at the edges and
-/// the cloud finalises the exact R2SP mean.
-pub fn run_fedmp_hier(
-    cfg: &FlConfig,
-    setup: &HierSetup<'_>,
-    global: Sequential,
-    opts: &HierarchyOptions,
-) -> RunHistory {
-    run_hier_rounds(cfg, setup, global, opts, |merged, draw, chaos| {
-        let fate = ClientFate::from_draw(draw, chaos);
-        (fate.retries(), fate.delivered().then_some(merged))
-    })
-}
-
-// ---- the framed edge uplink ----------------------------------------------
-
-/// [`run_fedmp_hier`] with every edge partial reaching the cloud as
-/// real checksummed `HPar` frames judged by the collection barrier
-/// (`crate::barrier`) instead of by the closed form. Bit-identical to
-/// [`run_fedmp_hier`] with the same options at any thread count, chaos
-/// included: every fault is a pure function of the seed.
-///
-/// # Errors
-/// None today: every edge fault is an exclusion the barrier settles.
-pub fn run_fedmp_hier_threaded(
-    cfg: &FlConfig,
-    setup: &HierSetup<'_>,
-    global: Sequential,
-    opts: &HierarchyOptions,
-) -> Result<RunHistory, RuntimeError> {
-    Ok(run_hier_rounds(cfg, setup, global, opts, edge_uplink))
-}
-
-/// One edge's cloud upload, driven through a one-slot [`Barrier`] in
-/// place: a crash or drop draw is `Lost`; otherwise the merged partial
-/// is encoded, send `k` is transit-corrupted while `k < corrupt_sends`,
-/// and what the cloud decodes of each send goes to the barrier until it
-/// stops asking for another. Returns the retransmits the barrier
-/// granted and, unless it excluded the edge, the *decoded* partial.
-fn edge_uplink(
-    merged: ExactState,
-    draw: &ChaosDraw,
-    chaos: &ChaosOptions,
-) -> (u32, Option<ExactState>) {
-    let mut barrier = Barrier::new(1, chaos.max_retransmits);
-    if draw.crash || draw.drop_down || draw.drop_up {
-        barrier.on(0, Event::Lost);
-    } else {
-        let frame = merged.encode();
-        for send_idx in 0u32.. {
-            let wire =
-                if send_idx < draw.corrupt_sends { corrupted_copy(&frame) } else { frame.clone() };
-            let event = match ExactState::decode(&wire, &merged) {
-                Ok(partial) => Event::Upload { intact: partial.is_some(), payload: partial },
-                Err(()) => Event::Malformed,
-            };
-            if barrier.on(0, event) != Action::Retransmit {
-                break;
-            }
-        }
-    }
-    let (retries, outcome) = barrier.finish().remove(0);
-    (retries, outcome.ok().flatten())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::barrier::{Action, Barrier, Event};
+    use crate::chaos::corrupted_copy;
     use proptest::prelude::*;
+
+    /// The reference the closed form is held to: one edge's cloud
+    /// upload driven through a one-slot [`Barrier`] over real `HPar`
+    /// bytes. A crash or drop draw is `Lost`; otherwise the merged
+    /// partial is encoded, send `k` is transit-corrupted while
+    /// `k < corrupt_sends`, and what the cloud decodes of each send goes
+    /// to the barrier until it stops asking for another. Returns the
+    /// retransmits the barrier granted and, unless it excluded the
+    /// edge, the *decoded* partial.
+    fn edge_uplink(
+        merged: ExactState,
+        draw: &ChaosDraw,
+        chaos: &ChaosOptions,
+    ) -> (u32, Option<ExactState>) {
+        let mut barrier = Barrier::new(1, chaos.max_retransmits);
+        if draw.crash || draw.drop_down || draw.drop_up {
+            barrier.on(0, Event::Lost);
+        } else {
+            let frame = merged.encode();
+            for send_idx in 0u32.. {
+                let wire = if send_idx < draw.corrupt_sends {
+                    corrupted_copy(&frame)
+                } else {
+                    frame.clone()
+                };
+                let event = match ExactState::decode(&wire, &merged) {
+                    Ok(partial) => Event::Upload { intact: partial.is_some(), payload: partial },
+                    Err(()) => Event::Malformed,
+                };
+                if barrier.on(0, event) != Action::Retransmit {
+                    break;
+                }
+            }
+        }
+        let (retries, outcome) = barrier.finish().remove(0);
+        (retries, outcome.ok().flatten())
+    }
 
     fn state(v: &[f32]) -> Vec<StateEntry> {
         let entry = |name: &str, data: &[f32], dims: &[usize], trainable| StateEntry {
@@ -1033,9 +997,10 @@ mod tests {
 
     proptest! {
         /// The `barrier.rs` tie test extended to real `HPar` bytes: for
-        /// every draw shape the in-place uplink ends where
-        /// `ClientFate::from_draw` says it does, and what it delivers
-        /// decodes to exactly the partial that was merged.
+        /// every draw shape the framed uplink ends where
+        /// `ClientFate::from_draw` — what the engine runs — says it
+        /// does, and what it delivers decodes to exactly the partial
+        /// that was merged.
         #[test]
         fn edge_uplink_is_the_closed_form_over_real_frames(
             folds in proptest::collection::vec(

@@ -48,9 +48,7 @@ pub use engines::fedmp::{run_fedmp, FaultOptions, FedMpOptions};
 pub use engines::flexcom::{run_flexcom, FlexComOptions};
 pub use engines::r#async::{run_async, AsyncMode, AsyncOptions};
 pub use eval::{evaluate_image, evaluate_lm, EvalResult};
-pub use hierarchy::{
-    run_fedmp_hier, run_fedmp_hier_threaded, ExactState, HierSetup, HierarchyOptions,
-};
+pub use hierarchy::{run_fedmp_hier, ExactState, HierSetup, HierarchyOptions};
 pub use history::{RoundRecord, RunHistory};
 pub use lm::{run_lm, LmMethod, LmOptions, LmRunResult, LmSetup};
 pub use local::{local_train, LocalOutcome, LocalTrainConfig};

@@ -1,195 +1,12 @@
-//! Population-scale hierarchy invariants.
-//!
-//! The engine-driven checks live in ONE test function: trace sessions
-//! are process-exclusive and the kernel-dispatch counters are
-//! process-global, so concurrent engine runs in this binary would
-//! corrupt each other's streams. The aggregation-algebra proptest runs
-//! separately — it never touches kernels or traces.
+//! Population-scale hierarchy: the aggregation algebra the engine
+//! relies on. The engine's own bits — every (shards, edges) partition,
+//! compression and chaos at both tiers — are pinned by the root
+//! `tests/goldens.rs`.
 
-use fedmp_data::{iid_partition, mnist_like};
-use fedmp_edgesim::{HeterogeneityLevel, Population, TimeModel};
-use fedmp_fl::{
-    average_states, live_worker_threads, run_fedmp_hier, run_fedmp_hier_threaded, ChaosOptions,
-    CompressionPolicy, ExactState, FlConfig, HierSetup, HierarchyOptions, ImageTask, RunHistory,
-};
-use fedmp_nn::{zoo, StateEntry};
-use fedmp_obs::{diff, RunManifest, Trace, TraceSession};
-use fedmp_tensor::{parallel, seeded_rng, Tensor};
+use fedmp_fl::{average_states, ExactState};
+use fedmp_nn::StateEntry;
+use fedmp_tensor::Tensor;
 use proptest::prelude::*;
-
-const ROUNDS: usize = 2;
-const COHORT: usize = 8;
-
-fn image_task(seed: u64) -> ImageTask {
-    let (train, test) = mnist_like(0.1, seed).generate();
-    let mut rng = seeded_rng(seed);
-    let part = iid_partition(&train, 3, &mut rng);
-    ImageTask::new(train, test, part)
-}
-
-fn hier_opts(shards: usize, edges: usize) -> HierarchyOptions {
-    HierarchyOptions { cohort: COHORT, shards, edges, ..Default::default() }
-}
-
-/// Runs the loop engine under a trace session.
-fn run_loop(
-    cfg: &FlConfig,
-    setup: &HierSetup<'_>,
-    opts: &HierarchyOptions,
-    name: &str,
-    threads: usize,
-) -> (RunHistory, Trace) {
-    parallel::override_threads(Some(threads));
-    let mut rng = seeded_rng(cfg.seed ^ 0xBEEF);
-    let global = zoo::cnn_mnist(0.1, &mut rng);
-    let manifest = RunManifest::new(name, cfg.seed, opts.cohort, cfg.rounds, threads);
-    let session = TraceSession::capture(&manifest);
-    let history = run_fedmp_hier(cfg, setup, global, opts);
-    let trace = session.finish();
-    parallel::override_threads(None);
-    (history, trace)
-}
-
-/// Runs the threaded engine under a trace session (same manifest shape
-/// as the loop runs so traces stay comparable).
-fn run_threaded(
-    cfg: &FlConfig,
-    setup: &HierSetup<'_>,
-    opts: &HierarchyOptions,
-    name: &str,
-    threads: usize,
-) -> (RunHistory, Trace) {
-    parallel::override_threads(Some(threads));
-    let mut rng = seeded_rng(cfg.seed ^ 0xBEEF);
-    let global = zoo::cnn_mnist(0.1, &mut rng);
-    let manifest = RunManifest::new(name, cfg.seed, opts.cohort, cfg.rounds, threads);
-    let session = TraceSession::capture(&manifest);
-    let history = run_fedmp_hier_threaded(cfg, setup, global, opts).expect("threaded hier runtime");
-    let trace = session.finish();
-    parallel::override_threads(None);
-    (history, trace)
-}
-
-fn canonical(h: &RunHistory) -> String {
-    serde_json::to_string(h).expect("serialise history")
-}
-
-/// Edge-tier chaos aggressive enough to exercise drops, corruption
-/// retransmits AND retry exhaustion within two rounds.
-fn edge_chaos() -> ChaosOptions {
-    ChaosOptions {
-        corrupt_prob: 0.6,
-        max_corrupt_sends: 3,
-        drop_prob: 0.25,
-        crash_prob: 0.2,
-        max_retransmits: 2,
-        ..ChaosOptions::none()
-    }
-}
-
-#[test]
-fn hierarchy_engines_agree_and_are_partition_invariant() {
-    let seed = 7u64;
-    let task = image_task(seed);
-    let population = Population::new(50, seed, HeterogeneityLevel::High);
-    let setup = HierSetup::new(&task, population, TimeModel::default());
-    let cfg = FlConfig { rounds: ROUNDS, eval_every: 2, seed, ..Default::default() };
-
-    // ── baseline topology, loop engine ──────────────────────────────
-    let opts = hier_opts(4, 2);
-    let (h_loop, t_loop) = run_loop(&cfg, &setup, &opts, "hier", 1);
-    assert_eq!(h_loop.rounds.len(), ROUNDS);
-    let last = h_loop.rounds.last().expect("rounds non-empty");
-    assert_eq!(last.participants, COHORT, "chaos-free run must deliver the whole cohort");
-    assert!(last.eval.is_some(), "final round must evaluate");
-
-    // The population must actually be heterogeneous, otherwise the
-    // per-class machinery is vacuous.
-    let classes: std::collections::BTreeSet<usize> = setup
-        .population
-        .sample_cohort(0, COHORT)
-        .iter()
-        .map(|&id| fedmp_edgesim::class_of(&setup.population.device(id)))
-        .collect();
-    assert!(classes.len() >= 2, "cohort collapsed to a single device class");
-
-    // New trace events fired.
-    let kind_count = |t: &Trace, k: &str| t.events.iter().filter(|e| e.kind() == k).count();
-    assert_eq!(kind_count(&t_loop, "CohortSampled"), ROUNDS);
-    assert_eq!(kind_count(&t_loop, "ShardReduced"), ROUNDS * opts.shards);
-    assert_eq!(kind_count(&t_loop, "EdgeAggregate"), ROUNDS * opts.edges);
-
-    // ── executor-thread invariance (1 vs 4) ─────────────────────────
-    let (h_loop4, t_loop4) = run_loop(&cfg, &setup, &opts, "hier", 4);
-    assert_eq!(canonical(&h_loop), canonical(&h_loop4), "hier history differs across threads");
-    let d = diff(&t_loop, &t_loop4);
-    assert!(!d.is_divergent(), "hier trace diverged across threads: {:?}", d.divergence);
-    assert_eq!(d.len_a, d.len_b);
-
-    // ── threaded protocol engine == loop engine, bit for bit ────────
-    let (h_thr, t_thr) = run_threaded(&cfg, &setup, &opts, "hier", 1);
-    assert_eq!(canonical(&h_loop), canonical(&h_thr), "threaded hier differs from loop hier");
-    let d = diff(&t_loop, &t_thr);
-    assert!(!d.is_divergent(), "threaded hier trace diverged from loop: {:?}", d.divergence);
-    assert_eq!(d.len_a, d.len_b);
-    assert_eq!(live_worker_threads(), 0, "edge aggregator threads leaked past the run");
-
-    // ── shard/edge partition invariance of the history ──────────────
-    for (shards, edges) in [(1, 1), (2, 2), (8, 4)] {
-        let alt = hier_opts(shards, edges);
-        let (h_alt, _) = run_loop(&cfg, &setup, &alt, "hier", 1);
-        assert_eq!(
-            canonical(&h_loop),
-            canonical(&h_alt),
-            "history changed when repartitioned to {shards} shards / {edges} edges"
-        );
-        let (h_alt_thr, _) = run_threaded(&cfg, &setup, &alt, "hier", 1);
-        assert_eq!(
-            canonical(&h_loop),
-            canonical(&h_alt_thr),
-            "threaded history changed at {shards} shards / {edges} edges"
-        );
-    }
-
-    // ── compression stays engine-invariant too ──────────────────────
-    let comp = HierarchyOptions { compression: CompressionPolicy::adaptive(), ..hier_opts(4, 2) };
-    let (h_comp, t_comp) = run_loop(&cfg, &setup, &comp, "hier-comp", 1);
-    let (h_comp_thr, t_comp_thr) = run_threaded(&cfg, &setup, &comp, "hier-comp", 1);
-    assert_eq!(canonical(&h_comp), canonical(&h_comp_thr), "compressed hier engines disagree");
-    let d = diff(&t_comp, &t_comp_thr);
-    assert!(!d.is_divergent(), "compressed hier traces diverged: {:?}", d.divergence);
-    assert!(kind_count(&t_comp, "CompressionApplied") > 0, "no compression events fired");
-
-    // ── chaos at both tiers: loop == threaded, runs reproduce ───────
-    let chaotic = HierarchyOptions {
-        chaos_client: ChaosOptions::demo(1),
-        chaos_edge: edge_chaos(),
-        ..hier_opts(4, 2)
-    };
-    let (h_chaos, t_chaos) = run_loop(&cfg, &setup, &chaotic, "hier-chaos", 1);
-    let (h_chaos2, t_chaos2) = run_loop(&cfg, &setup, &chaotic, "hier-chaos", 1);
-    assert_eq!(canonical(&h_chaos), canonical(&h_chaos2), "same-seed chaos runs diverged");
-    assert!(!diff(&t_chaos, &t_chaos2).is_divergent());
-    let (h_chaos_thr, t_chaos_thr) = run_threaded(&cfg, &setup, &chaotic, "hier-chaos", 1);
-    assert_eq!(
-        canonical(&h_chaos),
-        canonical(&h_chaos_thr),
-        "chaotic threaded hier differs from loop hier"
-    );
-    let d = diff(&t_chaos, &t_chaos_thr);
-    assert!(!d.is_divergent(), "chaotic hier traces diverged: {:?}", d.divergence);
-    assert_eq!(live_worker_threads(), 0, "chaotic run leaked edge threads");
-    // Sanity: the chaos actually bit — recovery machinery events fired,
-    // so the equalities above cover the fault paths, not a quiet run.
-    let recoveries = t_chaos
-        .events
-        .iter()
-        .filter(|e| matches!(e.kind(), "FrameRetransmit" | "WorkerExcluded"))
-        .count();
-    assert!(recoveries > 0, "no chaos events materialised under the demo plan");
-}
-
-// ---- aggregation algebra --------------------------------------------
 
 /// Builds state snapshots from raw 10-value rows, two entries with odd
 /// shapes each. Deterministic extremes are spliced in so every run
@@ -246,8 +63,7 @@ proptest! {
             shard_accs.push(acc);
         }
         // Edge tier: merge contiguous shard ranges, then round-trip
-        // each partial through the checksummed wire frame the threaded
-        // runtime ships.
+        // each partial through its checksummed `HPar` wire frame.
         let template = ExactState::like(&states[0]);
         let mut cloud: Option<ExactState> = None;
         for e in 0..edges {

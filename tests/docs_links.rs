@@ -145,6 +145,51 @@ fn every_bin_the_docs_name_is_built_by_the_workspace() {
     assert!(checked >= 20, "expected the docs to name bins, found {checked} mentions");
 }
 
+/// Every backticked `…tests/<name>.rs` path in the docs and the verify
+/// skill names a file that exists: from the root, under `crates/`, or
+/// under some `crates/*/` (a crate-relative `tests/proptests.rs`).
+#[test]
+fn every_test_file_the_docs_name_exists() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut bases = vec![root.to_path_buf(), root.join("crates")];
+    bases.extend(
+        fs::read_dir(root.join("crates"))
+            .expect("list crates/")
+            .map(|e| e.expect("crates/ entry").path()),
+    );
+    let mut docs: Vec<_> =
+        ["README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"]
+            .iter()
+            .map(|p| root.join(p))
+            .collect();
+    docs.extend(
+        fs::read_dir(root.join("docs")).expect("list docs/").map(|e| e.expect("entry").path()),
+    );
+    docs.retain(|p| p.extension().is_some_and(|ext| ext == "md"));
+
+    let path_char = |c: char| c.is_ascii_alphanumeric() || matches!(c, '/' | '_' | '.' | '-');
+    let mut checked = 0usize;
+    for doc in docs {
+        let body = fs::read_to_string(&doc).expect("read doc");
+        for span in body.split('`').skip(1).step_by(2) {
+            for token in span.split(|c: char| !path_char(c)) {
+                if !(token.ends_with(".rs")
+                    && (token.starts_with("tests/") || token.contains("/tests/")))
+                {
+                    continue;
+                }
+                checked += 1;
+                assert!(
+                    bases.iter().any(|base| base.join(token).is_file()),
+                    "{} names `{token}`, which does not exist",
+                    doc.display()
+                );
+            }
+        }
+    }
+    assert!(checked >= 20, "expected the docs to name test files, found {checked}");
+}
+
 /// Every `paper -- <word>...` in a document is a subcommand of `paper`
 /// or a run of ids from its experiment table (read from its `main.rs`).
 #[test]
