@@ -22,9 +22,18 @@
 //! (see `docs/TRACE_SCHEMA.md`); recording the same seed twice and
 //! `trace diff`-ing the artifacts is the reproducibility check CI runs.
 //!
-//! This binary sits in the no-panic and determinism lint scopes
-//! (`analysis.toml`): every failure path exits with a typed message,
-//! and the only ambient input is the argument list itself.
+//! No path of this binary panics (the `deny` below): every failure
+//! exits with a typed message. The workspace's determinism bans
+//! (`clippy.toml`) hold here too; the only ambient input is the
+//! argument list itself.
+
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 use core::time::Duration;
 use fedmp_core::{run_manifest, run_sockets, spec_blob, task_from_blob, ExperimentSpec, TaskKind};
@@ -102,8 +111,12 @@ fn parse(args: &[String]) -> Option<Cli> {
     Some(cli)
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a CLI's behaviour is its argument list; everything downstream of parse() is driven \
+              by --seed"
+)]
 fn main() -> ExitCode {
-    // fedmp-analysis: allow(determinism) -- a CLI's behaviour IS its argument list; everything downstream of parse() is driven by --seed
     let args: Vec<String> = std::env::args().skip(1).collect();
     match parse(&args) {
         Some(cli) if cli.role == Role::Ps => run_ps(&cli),

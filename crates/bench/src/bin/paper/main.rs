@@ -13,6 +13,13 @@
 //! `FEDMP_TRACE=<dir>` makes every training leave a numbered trace
 //! artifact (and turns the train-once memo off).
 
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "a CLI over its argument list that reports wall-clock columns (`*_ms`) beside the \
+              seeded results"
+)]
+
 mod check;
 mod experiments;
 mod kernels;

@@ -16,6 +16,8 @@
 //! `--threads`) and diffing proves recovery is reproducible. The event
 //! schema is documented in `docs/TRACE_SCHEMA.md`.
 
+#![expect(clippy::disallowed_methods, reason = "a CLI's behaviour is its argument list")]
+
 use fedmp_core::{run_manifest, ExperimentSpec, TaskKind};
 use fedmp_fl::{
     run_fedmp, run_fedmp_threaded_chaos, ChaosOptions, FaultOptions, FedMpOptions, FlSetup,

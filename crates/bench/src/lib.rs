@@ -17,13 +17,18 @@
 //! train-once memo over [`fedmp_core::run_methods`]) and the one
 //! time-to-target block.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "FEDMP_BENCH_PROFILE picks the experiment sizes, before any run starts"
+)]
+
 use fedmp_core::{
     print_table, run_methods, speedup_table, trace_requested, ExperimentSpec, Method, TaskKind,
 };
 use fedmp_fl::RunHistory;
 use serde::Serialize;
 use serde_json::{json, Value};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// What every `paper` experiment runs through: the fidelity profile
 /// (`FEDMP_BENCH_PROFILE`, read once) and a memo of finished runs, so a
@@ -34,7 +39,7 @@ pub struct Harness {
     /// The `full` profile (the paper's grids) rather than the
     /// laptop-scale `quick` default.
     pub full: bool,
-    memo: HashMap<String, RunHistory>,
+    memo: BTreeMap<String, RunHistory>,
     /// Runs actually trained through `run_method` so far (memo hits are
     /// not counted).
     pub trainings: usize,

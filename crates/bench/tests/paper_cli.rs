@@ -1,5 +1,7 @@
 //! The `paper` binary's command-line contract, driven as a process.
 
+#![expect(clippy::disallowed_types, reason = "the traced-`scale` watchdog reads the host clock")]
+
 use std::process::{Command, Output};
 
 fn paper(args: &[&str]) -> Output {

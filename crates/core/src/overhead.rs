@@ -6,7 +6,6 @@ use fedmp_bandit::{Bandit, EUcbAgent, EUcbConfig};
 use fedmp_nn::Sequential;
 use fedmp_pruning::{extract_sequential, plan_sequential};
 use serde::{Deserialize, Serialize};
-use std::time::Instant;
 
 /// Measured per-round PS overhead.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -29,6 +28,7 @@ impl OverheadReport {
 
 /// Measures the mean per-round algorithm overhead for `workers` workers
 /// over `rounds` simulated decision+pruning cycles on `model`.
+#[expect(clippy::disallowed_types, reason = "measuring wall-clock overhead is this function's job")]
 pub fn measure_overhead(
     model: &Sequential,
     input_chw: (usize, usize, usize),
@@ -43,11 +43,11 @@ pub fn measure_overhead(
     let mut decision = 0.0f64;
     let mut pruning = 0.0f64;
     for round in 0..rounds {
-        let t0 = Instant::now();
+        let t0 = std::time::Instant::now();
         let ratios: Vec<f32> = agents.iter_mut().map(|a| a.select()).collect();
         decision += t0.elapsed().as_secs_f64();
 
-        let t1 = Instant::now();
+        let t1 = std::time::Instant::now();
         for &r in &ratios {
             let plan = plan_sequential(model, input_chw, r);
             let sub = extract_sequential(model, &plan);

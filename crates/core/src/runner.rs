@@ -1,6 +1,14 @@
 //! Method dispatch: run any of the paper's methods against a built
 //! experiment and compare outcomes.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use crate::config::ExperimentSpec;
 use fedmp_edgesim::Population;
 use fedmp_fl::{

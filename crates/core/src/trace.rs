@@ -48,9 +48,13 @@ pub fn trace_requested() -> bool {
 }
 
 /// The single sanctioned `FEDMP_TRACE` read: the one place this crate
-/// touches the environment, so exactly one suppression covers it.
+/// touches the environment, so exactly one expectation covers it.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "FEDMP_TRACE only selects where the trace is written; it never influences the \
+              simulated run itself"
+)]
 fn trace_dir() -> Option<String> {
-    // fedmp-analysis: allow(determinism) -- FEDMP_TRACE only selects where the trace is written; it never influences the simulated run itself
     std::env::var("FEDMP_TRACE").ok().filter(|d| !d.is_empty())
 }
 

@@ -109,9 +109,11 @@ pub fn missing_classes_partition(
 
     // Deal each class's samples round-robin over the workers that keep it.
     let mut parts: Partition = vec![Vec::new(); workers];
-    // `c` is a class id used against every worker's mask, not an index
-    // into one iterable.
-    #[allow(clippy::needless_range_loop)]
+    #[expect(
+        clippy::needless_range_loop,
+        reason = "`c` is a class id used against every worker's mask, not an index into one \
+                  iterable"
+    )]
     for c in 0..classes {
         let keepers: Vec<usize> = (0..workers).filter(|&n| !missing[n][c]).collect();
         assert!(!keepers.is_empty(), "class {c} dropped by every worker");

@@ -32,13 +32,11 @@ pub fn average_states(states: &[Vec<StateEntry>]) -> Vec<StateEntry> {
                 assert_eq!(data.len(), n, "average_states: entry shape mismatch");
                 accs.add(data);
             }
-            let vals: Vec<f32> = accs.sums().map(|a| a.value() * inv).collect();
-            StateEntry {
-                name: e.name.clone(),
-                tensor: Tensor::from_vec(vals, e.tensor.dims())
-                    .expect("average_states: tensor rebuild with original shape"),
-                trainable: e.trainable,
+            let mut tensor = Tensor::zeros(e.tensor.dims());
+            for (out, a) in tensor.data_mut().iter_mut().zip(accs.sums()) {
+                *out = a.value() * inv;
             }
+            StateEntry { name: e.name.clone(), tensor, trainable: e.trainable }
         })
         .collect()
 }

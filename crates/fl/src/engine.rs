@@ -243,7 +243,7 @@ pub(crate) fn emit_round_start(round: usize, sim_time: f64, online: &[usize]) {
 
 /// Emits one worker's `LocalTrain` event from its outcome, virtual
 /// round time and **scaled** round cost.
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "one argument per `LocalTrain` event field")]
 pub(crate) fn emit_local_train(
     round: usize,
     worker: usize,

@@ -189,7 +189,10 @@ impl ExactState {
     /// shaped like `template`. `Ok(None)` means the checksum failed
     /// (transit corruption — ask for a retransmit); `Err(())` means a
     /// verified frame had the wrong structure (protocol violation).
-    #[allow(clippy::result_unit_err)]
+    #[expect(
+        clippy::result_unit_err,
+        reason = "the barrier maps every structural fault to one `Malformed` event"
+    )]
     pub fn decode(frame: &[u8], template: &ExactState) -> Result<Option<ExactState>, ()> {
         if frame.len() < 16 {
             return Err(());
@@ -456,7 +459,7 @@ struct ShardOutput {
 /// — folding each delivered update into the shard accumulator and
 /// dropping it before the next client. Pure in its inputs, so it
 /// computes identical bits wherever the round executor runs it.
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "one shard's whole round input, passed by parts")]
 fn reduce_shard(
     cfg: &FlConfig,
     setup: &HierSetup<'_>,
@@ -590,7 +593,7 @@ struct RoundGather {
 /// Everything after the fan-in: trace emission in canonical order,
 /// exact cloud merge, quorum + aggregation, per-class bandit feedback,
 /// evaluation and the history record.
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "the round state the fan-in hands back, by parts")]
 fn finish_round(
     cfg: &FlConfig,
     setup: &HierSetup<'_>,

@@ -21,6 +21,20 @@
 //! from per-worker, per-round seeds, so runs — histories, resource
 //! totals, and trace streams alike — are bit-identical at any thread
 //! count.
+//!
+//! No non-test path in this crate may panic: a panicking parameter
+//! server, reader or node wedges its peers on their blocking socket
+//! reads, turning a recoverable wire fault into a hang. Failures are
+//! typed errors ([`RuntimeError`], [`TransportError`], [`WireError`]);
+//! `assert!` documents invariants whose violation is a bug here.
+
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 mod aggregate;
 mod barrier;

@@ -963,8 +963,7 @@ pub fn run_fedmp_threaded(
 /// failed terminally (bind, accept, handshake, node spawn, reader join
 /// or reap); [`RuntimeError::CorruptFrame`] an undecodable
 /// checksum-verified frame. Both are surfaced as typed errors rather
-/// than panics so the library has no panic paths (see
-/// `docs/ANALYSIS.md`, `no-panic`).
+/// than panics: the crate denies every panic path (`lib.rs`).
 pub fn run_fedmp_threaded_chaos(
     cfg: &FlConfig,
     setup: &FlSetup<'_>,

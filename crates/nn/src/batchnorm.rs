@@ -156,9 +156,11 @@ impl BatchNorm2d {
 
         let mut grad_in = Tensor::zeros(d);
         let gamma = self.gamma.value.data().to_vec();
-        // `ch` indexes four parallel per-channel arrays; enumerate would
-        // single one out arbitrarily.
-        #[allow(clippy::needless_range_loop)]
+        #[expect(
+            clippy::needless_range_loop,
+            reason = "`ch` indexes four parallel per-channel arrays; enumerate would single one \
+                      out arbitrarily"
+        )]
         for ch in 0..c {
             // Accumulate dγ, dβ, and the two reduction terms of the BN
             // input gradient.

@@ -34,7 +34,7 @@ pub mod parallel;
 mod pool;
 mod rng;
 mod shape;
-#[allow(unsafe_code)] // the crate's only `unsafe`; see `[lints]` in Cargo.toml
+#[expect(unsafe_code, reason = "the crate's only `unsafe`: the AVX2 microkernels")]
 pub mod simd;
 mod tensor;
 pub mod workspace;

@@ -22,6 +22,16 @@
 //! spawn its own workers, both to bound the thread count and to keep
 //! the outer decomposition the only source of scheduling.
 
+// `ordered_map` is the round executor's claim loop: a panic here wedges
+// the parameter server's round.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
@@ -125,6 +135,10 @@ fn default_threads() -> usize {
 
 /// The worker count kernels will use: the [`override_threads`] value if
 /// one is set, else `FEDMP_THREADS`, else the available core count.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "FEDMP_THREADS is read once, pre-run, and pinned; results are thread-count-invariant"
+)]
 pub fn configured_threads() -> usize {
     let forced = OVERRIDE.load(Ordering::Relaxed);
     if forced != 0 {
@@ -265,11 +279,11 @@ pub fn for_each_band<T, F>(
 /// reduction — parallel tree sums, unordered-container iteration — can
 /// change the result bit-for-bit. The deterministic crates therefore
 /// route every order-sensitive float reduction through this function
-/// (or [`sum_f64`]) instead of ad-hoc `iter().sum()` calls; the
-/// `float-reduction` lint in `fedmp-analysis` enforces this, and having
-/// one named entry point keeps the accumulation order auditable in a
-/// single place. Order-*insensitive* reductions (`max`/`min`) are
-/// exempt and may use plain folds.
+/// (or [`sum_f64`]) instead of ad-hoc `iter().sum()` calls, so the
+/// accumulation order is auditable in a single place; the goldens
+/// (`tests/goldens.rs`, every engine at 1 and 4 threads) catch a
+/// reduction whose order drifts. Order-*insensitive* reductions
+/// (`max`/`min`) may use plain folds.
 pub fn sum_f32<I: IntoIterator<Item = f32>>(xs: I) -> f32 {
     xs.into_iter().fold(0.0f32, |acc, v| acc + v)
 }

@@ -297,9 +297,12 @@ mod tests {
     }
 
     #[test]
-    // The index arithmetic spells out (image * channels + channel) *
-    // plane even where a factor is zero.
-    #[allow(clippy::identity_op, clippy::erasing_op)]
+    #[expect(
+        clippy::identity_op,
+        clippy::erasing_op,
+        reason = "the index arithmetic spells out (image * channels + channel) * plane even \
+                  where a factor is zero"
+    )]
     fn pooling_preserves_batch_and_channel_structure() {
         let mut rng = seeded_rng(20);
         let input = Tensor::randn(&[3, 4, 8, 8], &mut rng);

@@ -101,6 +101,7 @@ const OVERRIDE_SCALAR: u8 = 2;
 static OVERRIDE: AtomicU8 = AtomicU8::new(OVERRIDE_NONE);
 static CONFIGURED: OnceLock<SimdPath> = OnceLock::new();
 
+#[expect(clippy::disallowed_methods, reason = "FEDMP_SIMD, read once and pinned (below)")]
 fn configured_path() -> SimdPath {
     *CONFIGURED.get_or_init(|| {
         // The env read below is the one sanctioned ambient input of this

@@ -69,7 +69,7 @@ fn every_crate_is_in_the_architecture_crate_map() {
         let heading = format!("### `crates/{}`", entry.file_name().to_str().expect("utf-8 name"));
         assert!(map.contains(&heading), "docs/ARCHITECTURE.md has no `{heading}` section");
     }
-    assert!(seen >= 11, "expected the 11 workspace crates, found {seen}");
+    assert!(seen >= 10, "expected the 10 workspace crates, found {seen}");
     for doc in ["README.md", "DESIGN.md"] {
         let body = fs::read_to_string(root.join(doc)).expect("read doc");
         assert!(body.contains("docs/ARCHITECTURE.md"), "{doc} must link to the crate map");
@@ -95,13 +95,16 @@ fn runnable_docs(root: &Path) -> Vec<(String, String)> {
 
 /// Every `--bin <name>` a document tells the reader to run is a binary
 /// some workspace crate builds: a `[[bin]]` table, a `src/bin/` entry,
-/// or a package with a `src/main.rs`.
+/// or a package with a `src/main.rs`. Every `-p <name>` is a workspace
+/// package.
 #[test]
 fn every_bin_the_docs_name_is_built_by_the_workspace() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut bins = std::collections::BTreeSet::new();
-    for entry in fs::read_dir(root.join("crates")).expect("list crates/") {
-        let dir = entry.expect("crates/ entry").path();
+    let mut packages = std::collections::BTreeSet::new();
+    let crates = fs::read_dir(root.join("crates")).expect("list crates/");
+    let dirs = crates.map(|entry| entry.expect("crates/ entry").path());
+    for dir in dirs.chain([root.to_path_buf()]) {
         let Ok(manifest) = fs::read_to_string(dir.join("Cargo.toml")) else { continue };
         let mut section = "";
         for line in manifest.lines() {
@@ -110,6 +113,9 @@ fn every_bin_the_docs_name_is_built_by_the_workspace() {
             } else if let Some(name) =
                 line.strip_prefix("name = \"").and_then(|rest| rest.strip_suffix('"'))
             {
+                if section == "[package]" {
+                    packages.insert(name.to_string());
+                }
                 let is_bin = section == "[[bin]]"
                     || (section == "[package]" && dir.join("src/main.rs").is_file());
                 if is_bin {
@@ -123,11 +129,20 @@ fn every_bin_the_docs_name_is_built_by_the_workspace() {
         }
     }
     assert!(bins.contains("paper") && bins.contains("fedmp-node"), "bins found: {bins:?}");
+    assert!(packages.contains("fedmp-bench"), "packages found: {packages:?}");
 
     let mut checked = 0usize;
     for (doc, body) in runnable_docs(root) {
-        for (idx, flag) in body.match_indices("--bin ") {
-            let rest = &body[idx + flag.len()..];
+        // `-p` counts only as a cargo flag: `mkdir -p dir` is not one.
+        let cargo_args = body.lines().filter_map(|line| line.split_once("cargo ").map(|(_, a)| a));
+        let flags = body
+            .match_indices("--bin ")
+            .map(|(idx, flag)| (&body[idx + flag.len()..], flag, &bins))
+            .chain(cargo_args.flat_map(|args| {
+                args.match_indices(" -p ")
+                    .map(|(idx, flag)| (&args[idx + flag.len()..], flag, &packages))
+            }));
+        for (rest, flag, known) in flags {
             let end = rest
                 .find(|c: char| !(c.is_ascii_alphanumeric() || matches!(c, '_' | '-')))
                 .unwrap_or(rest.len());
@@ -136,8 +151,9 @@ fn every_bin_the_docs_name_is_built_by_the_workspace() {
             }
             checked += 1;
             assert!(
-                bins.contains(&rest[..end]),
-                "{doc} names `--bin {}`: no such bin",
+                known.contains(&rest[..end]),
+                "{doc} names `{}{}`: no such target",
+                flag.trim_start(),
                 &rest[..end]
             );
         }
