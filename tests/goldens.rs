@@ -55,6 +55,8 @@ const GOLDENS: &[(&str, Bits, Bits)] = &[
     ("flexcom",                   (0x1cec7e15056e5430, 0xd01f064b9cba396e), (0x2f59e59b382ad132, 0xcb7e043b8e43272d)),
     ("asynfl",                    (0xc708a19abc23f001, 0xf4248043f528d854), (0x9d60b565724084f0, 0x4cfe5c73c7345782)),
     ("asynfedmp",                 (0x4b1c3de7ac61b9ae, 0x365664f1b75aaa5e), (0x1b29b03d354892dc, 0x70a8d0c878506b51)),
+    ("lm-synfl",                  (0x674d0049b9cddf97, 0x24fdeda1b2759ff7), (0xd8d402c469c5431f, 0xbb37c0869afd823f)),
+    ("lm-upfl",                   (0xdfcc2813e0a93a59, 0xec383116845a3aa7), (0xdfcc2813e0a93a59, 0x56d1ec237f7ef5cf)),
     ("lm-fedmp",                  (0xf80b5906301e87e1, 0xabde1e39897460ef), (0xf80b5906301e87e1, 0xddd7daa712615eb7)),
     ("threaded",                  (0x7a87b45bbca53c93, 0x531223a1a280f677), (0x04464bd68126f66a, 0xd0566d2e89e2f8eb)),
     ("threaded-faults",           (0x52f187d3a9facecd, 0xec17b2084895d31a), (0x52f187d3a9facecd, 0x6ab540ab04879b7b)),
@@ -180,6 +182,8 @@ impl Fixture {
             "flexcom" => run_flexcom(cfg, setup, g(), &FlexComOptions::default()),
             "asynfl" => run_async(cfg, setup, g(), &asyn(AsyncMode::AsynFl)),
             "asynfedmp" => run_async(cfg, setup, g(), &asyn(AsyncMode::AsynFedMp)),
+            "lm-synfl" => run_lm(&self.lm, &lm, LmMethod::SynFl, self.lm_global.clone()),
+            "lm-upfl" => run_lm(&self.lm, &lm, LmMethod::UpFl, self.lm_global.clone()),
             "lm-fedmp" => run_lm(&self.lm, &lm, LmMethod::FedMp, self.lm_global.clone()),
             "threaded" => threaded(FedMpOptions::default()),
             "threaded-faults" => threaded(faulty),
