@@ -1,9 +1,10 @@
 //! Asynchronous engines (paper Algorithm 2 and §V-H): the PS aggregates
 //! the first `m` (of N) arrivals of each round instead of waiting for
-//! everyone. Covers both Asyn-FL (full models, [43]) and Asyn-FedMP
-//! (pruned sub-models with E-UCB ratios and R2SP recovery).
+//! everyone. Asyn-FedMP prunes with E-UCB ratios and recovers with R2SP;
+//! Asyn-FL (\[43\]) is the same engine at ρ ≡ 0, where extraction is
+//! the identity and the residual is zero, so R2SP is FedAvg.
 
-use crate::aggregate::{average_states, mix_states, r2sp_aggregate};
+use crate::aggregate::{mix_states, r2sp_aggregate};
 use crate::engine::{
     emit_aggregate, emit_kernel_dispatch, emit_local_train, emit_round_end, emit_round_start,
     evaluate_if_due, kernel_baseline, model_round_cost, worker_batches, worker_rng, FlConfig,
@@ -12,12 +13,11 @@ use crate::engine::{
 use crate::exec;
 use crate::history::{RoundRecord, RunHistory};
 use crate::local::local_train;
-use crate::runtime::seeded_agents;
-use fedmp_bandit::{eucb_reward, Bandit, EUcbAgent, EUcbConfig, RewardConfig};
+use crate::runtime::RatioPolicy;
+use fedmp_bandit::{EUcbConfig, RewardConfig};
 use fedmp_edgesim::ArrivalQueue;
 use fedmp_nn::{state_sub, Sequential, StateEntry};
 use fedmp_pruning::{extract_sequential, plan_sequential, recover_state, sparse_state, PrunePlan};
-use fedmp_tensor::parallel::sum_f64;
 use serde::{Deserialize, Serialize};
 
 /// Which asynchronous method to run.
@@ -57,29 +57,12 @@ impl Default for AsyncOptions {
     }
 }
 
-/// What a worker trained on: a full model (Asyn-FL) or a pruned
-/// sub-model together with the plan and residual R2SP needs to recover
-/// it. Carrying the plan/residual *inside* the pruned variant (rather
-/// than as `Option`s next to the model) makes every aggregation path
-/// total — there is no "pruned job without a plan" state to unwrap.
-enum Payload {
-    Full(Sequential),
-    Pruned { model: Sequential, plan: PrunePlan, residual: Vec<StateEntry> },
-}
-
-impl Payload {
-    /// The trained model, however it was shipped.
-    fn model(&self) -> &Sequential {
-        match self {
-            Payload::Full(model) => model,
-            Payload::Pruned { model, .. } => model,
-        }
-    }
-}
-
-/// A worker's in-flight job.
+/// A worker's in-flight job: the trained sub-model, with the plan and
+/// residual R2SP recovers it by.
 struct Pending {
-    payload: Payload,
+    model: Sequential,
+    plan: PrunePlan,
+    residual: Vec<StateEntry>,
     delta_loss: f32,
     mean_loss: f32,
     duration: f64,
@@ -101,22 +84,23 @@ pub fn run_async(
     let workers = setup.workers();
     assert!(opts.m >= 1 && opts.m <= workers, "m must be in [1, N]");
     let beta = opts.beta.unwrap_or(opts.m as f32 / workers as f32);
-    let mut history = RunHistory::new(match opts.mode {
-        AsyncMode::AsynFl => "Asyn-FL",
-        AsyncMode::AsynFedMp => "Asyn-FedMP",
-    });
+    let (name, scheme, mut policy) = match opts.mode {
+        AsyncMode::AsynFl => ("Asyn-FL", "AsynFedAvg", RatioPolicy::Dense),
+        AsyncMode::AsynFedMp => (
+            "Asyn-FedMP",
+            "AsynR2SP",
+            RatioPolicy::per_worker(opts.eucb, opts.reward, workers, cfg.seed),
+        ),
+    };
+    let mut history = RunHistory::new(name);
 
-    let mut agents = seeded_agents(opts.eucb, workers, cfg.seed);
-
-    // Dispatch: trains the worker on the *current* global and schedules
-    // its arrival. Dispatch counter feeds the per-job RNG coordinates.
     let mut jobs: Vec<Option<Pending>> = (0..workers).map(|_| None).collect();
     let mut dispatch_count = 0usize;
     let mut queue = ArrivalQueue::new();
 
     // Dispatch: trains each listed worker on the *current* global and
     // schedules its arrival. The order-sensitive steps stay in caller
-    // order on this thread — bandit `select()` calls and dispatch-tick
+    // order on this thread — ratio selection and dispatch-tick
     // assignment before the fan-out, queue pushes and job bookkeeping
     // after it — while the training itself (a pure function of the
     // worker's (tick, ratio) coordinates) fans out across the round
@@ -125,44 +109,33 @@ pub fn run_async(
     let dispatch_all = |ws: &[usize],
                         now: f64,
                         global: &Sequential,
-                        agents: &mut Vec<EUcbAgent>,
+                        policy: &mut RatioPolicy,
                         jobs: &mut Vec<Option<Pending>>,
                         queue: &mut ArrivalQueue,
                         dispatch_count: &mut usize| {
         let metas: Vec<(usize, usize, f32)> = ws
             .iter()
-            .map(|&w| {
+            .zip(policy.select(ws))
+            .map(|(&w, ratio)| {
                 let tick = *dispatch_count;
                 *dispatch_count += 1;
-                let ratio = match opts.mode {
-                    AsyncMode::AsynFl => 0.0,
-                    AsyncMode::AsynFedMp => agents[w].select(),
-                };
                 (w, tick, ratio)
             })
             .collect();
         let trained = exec::ordered_map(metas, |_, (w, tick, ratio)| {
-            let (mut model, plan_residual) = match opts.mode {
-                AsyncMode::AsynFl => (global.clone(), None),
-                AsyncMode::AsynFedMp => {
-                    let plan = plan_sequential(global, setup.task.input_chw, ratio);
-                    let sub = extract_sequential(global, &plan);
-                    let residual = state_sub(&global.state(), &sparse_state(global, &plan));
-                    (sub, Some((plan, residual)))
-                }
-            };
+            let plan = plan_sequential(global, setup.task.input_chw, ratio);
+            let mut model = extract_sequential(global, &plan);
+            let residual = state_sub(&global.state(), &sparse_state(global, &plan));
             let mut batches = worker_batches(setup.task, w, cfg.local.batch, cfg.seed, tick);
             let outcome = local_train(&mut model, &mut batches, &cfg.local);
             let cost = model_round_cost(&model, setup.task.input_chw, &cfg.local);
             let mut rng = worker_rng(cfg.seed ^ 0x5A5A, tick, w);
             let rt = setup.simulate_round(w, &cost, &mut rng);
             let scaled = setup.scaled_cost(&cost);
-            let payload = match plan_residual {
-                None => Payload::Full(model),
-                Some((plan, residual)) => Payload::Pruned { model, plan, residual },
-            };
             let pending = Pending {
-                payload,
+                model,
+                plan,
+                residual,
                 delta_loss: outcome.delta_loss(),
                 mean_loss: outcome.mean_loss,
                 duration: rt.total(),
@@ -182,7 +155,7 @@ pub fn run_async(
     };
 
     let all: Vec<usize> = (0..workers).collect();
-    dispatch_all(&all, 0.0, &global, &mut agents, &mut jobs, &mut queue, &mut dispatch_count);
+    dispatch_all(&all, 0.0, &global, &mut policy, &mut jobs, &mut queue, &mut dispatch_count);
 
     let mut kstats = kernel_baseline();
     let mut last_agg_time = 0.0f64;
@@ -208,6 +181,10 @@ pub fn run_async(
         // m arrival workers, in arrival order.
         let online: Vec<usize> = members.iter().map(|(w, _)| *w).collect();
         emit_round_start(round, last_agg_time, &online);
+        let mut ratios = Vec::with_capacity(opts.m);
+        let mut train_loss = 0.0f32;
+        let mut mean_comp = 0.0;
+        let mut mean_comm = 0.0;
         for (w, p) in &members {
             let t = fedmp_edgesim::RoundTime { comp: p.comp, comm: p.comm };
             let scaled = fedmp_edgesim::RoundCost {
@@ -226,66 +203,31 @@ pub fn run_async(
                 &t,
                 &scaled,
             );
-        }
-
-        // Update the global model from the m arrivals (line 8).
-        let update = match opts.mode {
-            AsyncMode::AsynFl => {
-                let states: Vec<_> =
-                    members.iter().map(|(_, p)| p.payload.model().state()).collect();
-                average_states(&states)
-            }
-            AsyncMode::AsynFedMp => {
-                let mut recovered = Vec::with_capacity(members.len());
-                let mut residuals = Vec::with_capacity(members.len());
-                for (_, p) in &members {
-                    match &p.payload {
-                        Payload::Pruned { model, plan, residual } => {
-                            recovered.push(recover_state(model, plan, &global));
-                            residuals.push(residual.clone());
-                        }
-                        // A full-model arrival needs no recovery and
-                        // carries a zero residual (nothing was pruned).
-                        Payload::Full(model) => {
-                            let state = model.state();
-                            residuals.push(state_sub(&state, &state));
-                            recovered.push(state);
-                        }
-                    }
-                }
-                r2sp_aggregate(&recovered, &residuals)
-            }
-        };
-        global.load_state(&mix_states(&global.state(), &update, beta));
-
-        // Rewards for the m arrivals (line 9) and redistribution (10).
-        let t_avg = sum_f64(members.iter().map(|(_, p)| p.duration)) / quorum as f64;
-        let mut ratios = Vec::with_capacity(opts.m);
-        let mut train_loss = 0.0f32;
-        let mut mean_comp = 0.0;
-        let mut mean_comm = 0.0;
-        for (w, p) in &members {
-            if opts.mode == AsyncMode::AsynFedMp {
-                agents[*w].observe(eucb_reward(p.delta_loss, p.duration, t_avg, &opts.reward));
-            }
             ratios.push(p.ratio);
             train_loss += p.mean_loss;
             mean_comp += p.comp;
             mean_comm += p.comm;
         }
-        emit_aggregate(
-            round,
-            match opts.mode {
-                AsyncMode::AsynFl => "AsynFedAvg",
-                AsyncMode::AsynFedMp => "AsynR2SP",
-            },
-            members.len(),
-        );
+
+        // Rewards for the m arrivals (line 9).
+        let delivered: Vec<(usize, f32, f64)> =
+            members.iter().map(|(w, p)| (*w, p.delta_loss, p.duration)).collect();
+        policy.observe(&delivered, now - last_agg_time);
+
+        // Update the global model from the m arrivals (line 8), then
+        // redistribute (line 10).
+        let (recovered, residuals): (Vec<_>, Vec<_>) = members
+            .into_iter()
+            .map(|(_, p)| (recover_state(&p.model, &p.plan, &global), p.residual))
+            .unzip();
+        let update = r2sp_aggregate(&recovered, &residuals);
+        global.load_state(&mix_states(&global.state(), &update, beta));
+        emit_aggregate(round, scheme, recovered.len());
         dispatch_all(
             &online,
             now,
             &global,
-            &mut agents,
+            &mut policy,
             &mut jobs,
             &mut queue,
             &mut dispatch_count,

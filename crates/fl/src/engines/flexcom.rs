@@ -2,8 +2,9 @@
 //! heterogeneous edges. Every worker trains the **full** model (no
 //! compute savings) but uploads a top-k-sparsified update whose keep
 //! fraction is proportional to its link bandwidth, with error feedback.
+//! The selection and the feedback update are the wire's top-k codec's;
+//! the sparsity is over the whole flattened model, not per entry.
 
-use crate::aggregate::average_states;
 use crate::engine::{
     emit_aggregate, emit_kernel_dispatch, emit_local_train, emit_round_end, emit_round_start,
     evaluate_if_due, kernel_baseline, model_round_cost, round_times, worker_batches, FlConfig,
@@ -12,9 +13,10 @@ use crate::engine::{
 use crate::exec;
 use crate::history::{RoundRecord, RunHistory};
 use crate::local::local_train;
-use fedmp_nn::{state_add, state_sub, Sequential};
-use fedmp_pruning::{densify_into_state, TopKCompressor};
+use crate::wire::{topk_indices, update_sparse_residual};
+use fedmp_nn::{Sequential, StateEntry};
 use fedmp_tensor::parallel::sum_f32;
+use fedmp_tensor::ExactVec;
 use serde::{Deserialize, Serialize};
 
 /// FlexCom options.
@@ -30,6 +32,11 @@ impl Default for FlexComOptions {
     fn default() -> Self {
         FlexComOptions { max_keep: 0.5, min_keep: 0.05 }
     }
+}
+
+/// A state's values in entry order.
+fn flatten(state: &[StateEntry]) -> impl Iterator<Item = f32> + '_ {
+    state.iter().flat_map(|e| e.tensor.data().iter().copied())
 }
 
 /// Runs FlexCom: full local training, bandwidth-proportional top-k
@@ -51,15 +58,16 @@ pub fn run_flexcom(
         .iter()
         .map(|d| (opts.max_keep * (d.bandwidth() / max_bw) as f32).clamp(opts.min_keep, 1.0))
         .collect();
-    let mut compressors: Vec<TopKCompressor> =
-        keep.iter().map(|&k| TopKCompressor::new(k)).collect();
+    // Each worker's untransmitted update mass, over the flattened model.
+    let len = flatten(&global.state()).count();
+    let mut errors = vec![vec![0.0f32; len]; workers];
 
     let mut kstats = kernel_baseline();
     let everyone: Vec<usize> = (0..workers).collect();
 
     for round in 0..cfg.rounds {
         emit_round_start(round, sim_time, &everyone);
-        let global_state = global.state();
+        let mut global_state = global.state();
         // Full local training, fanned across the round executor. The
         // compressors stay out of the closure: they carry error-feedback
         // state across rounds, so they run sequentially below.
@@ -70,21 +78,31 @@ pub fn run_flexcom(
             (model.state(), outcome)
         });
 
-        // Compress each worker's update (sequential: compressors carry
-        // error-feedback state across rounds).
-        let mut sparse_updates = Vec::with_capacity(workers);
+        // Compress each worker's error-corrected update to its
+        // ⌈len · keep⌉ largest coordinates (sequential: the residuals
+        // carry error-feedback state across rounds).
+        let mut uploads = Vec::with_capacity(workers);
         for (w, (state, _)) in results.iter().enumerate() {
-            let update = state_sub(state, &global_state);
-            sparse_updates.push(compressors[w].compress(&update));
+            let corrected: Vec<f32> = flatten(state)
+                .zip(flatten(&global_state))
+                .zip(&errors[w])
+                .map(|((s, g), e)| s - g + e)
+                .collect();
+            let k = ((len as f32 * keep[w]).ceil() as usize).max(1);
+            let indices = topk_indices(&corrected, k);
+            let sent: Vec<f32> = indices.iter().map(|&i| corrected[i as usize]).collect();
+            update_sparse_residual(&mut errors[w], &corrected, &indices, &sent);
+            uploads.push((indices, sent));
         }
 
-        // Timing: full download + compute, sparse upload.
+        // Timing: full download + compute, sparse upload at a 4-byte
+        // index plus a 4-byte value per coordinate.
         let base = model_round_cost(&global, setup.task.input_chw, &cfg.local);
-        let costs: Vec<_> = sparse_updates
+        let costs: Vec<_> = uploads
             .iter()
-            .map(|s| {
+            .map(|(indices, _)| {
                 let mut c = base;
-                c.upload_bytes = s.wire_bytes() as f64;
+                c.upload_bytes = (indices.len() * 8) as f64;
                 c
             })
             .collect();
@@ -106,13 +124,22 @@ pub fn run_flexcom(
             );
         }
 
-        // Aggregate: global += mean(densified updates).
-        let dense_updates: Vec<_> = sparse_updates
-            .iter()
-            .map(|s| densify_into_state(&s.to_dense(), &global_state))
-            .collect();
-        let mean_update = average_states(&dense_updates);
-        global.load_state(&state_add(&global_state, &mean_update));
+        // Aggregate: global += mean(densified updates), each coordinate
+        // summed exactly as `average_states` does.
+        let mut sum = ExactVec::new(len);
+        for (indices, sent) in &uploads {
+            let mut dense = vec![0.0f32; len];
+            for (&i, &v) in indices.iter().zip(sent) {
+                dense[i as usize] = v;
+            }
+            sum.add(&dense);
+        }
+        let inv = 1.0 / workers as f32;
+        let params = global_state.iter_mut().flat_map(|e| e.tensor.data_mut().iter_mut());
+        for (g, s) in params.zip(sum.sums()) {
+            *g += s.value() * inv;
+        }
+        global.load_state(&global_state);
         emit_aggregate(round, "FedAvg+topk", workers);
 
         let train_loss = sum_f32(results.iter().map(|(_, o)| o.mean_loss)) / workers as f32;

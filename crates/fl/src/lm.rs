@@ -2,7 +2,7 @@
 //! language model with ISS pruning (Table IV compares Syn-FL, UP-FL and
 //! FedMP on perplexity).
 
-use crate::aggregate::{average_states, r2sp_aggregate};
+use crate::aggregate::r2sp_aggregate;
 use crate::engine::{
     emit_aggregate, emit_kernel_dispatch, emit_local_train, emit_round_end, emit_round_start,
     eval_due, kernel_baseline,
@@ -152,10 +152,14 @@ pub fn run_lm(
     let mut sim_time = 0.0f64;
 
     // The image methods' ρ-pickers; the round is this module's own.
-    let mut policy = match method {
-        LmMethod::SynFl => RatioPolicy::Fixed(0.0),
-        LmMethod::UpFl => RatioPolicy::Shared(seeded_agent(opts.eucb, opts.seed)),
-        LmMethod::FedMp => RatioPolicy::per_worker(opts.eucb, opts.reward, workers, opts.seed),
+    // Syn-FL is ISS at ρ = 0: the full sub-model and a zero residual,
+    // so R2SP is FedAvg.
+    let (mut policy, scheme) = match method {
+        LmMethod::SynFl => (RatioPolicy::Fixed(0.0), "FedAvg"),
+        LmMethod::UpFl => (RatioPolicy::Shared(seeded_agent(opts.eucb, opts.seed)), "R2SP"),
+        LmMethod::FedMp => {
+            (RatioPolicy::per_worker(opts.eucb, opts.reward, workers, opts.seed), "R2SP")
+        }
     };
     let everyone: Vec<usize> = (0..workers).collect();
 
@@ -166,18 +170,13 @@ pub fn run_lm(
         let ratios = policy.select(&everyone);
 
         // Per-worker round work, fanned across the round executor:
-        // build the (possibly pruned) sub-model and residual from the
-        // read-only global, then train it. Agent selection above and
+        // build the sub-model and residual from the read-only global,
+        // then train it. Agent selection above and
         // timing/aggregation/emission below stay in worker order.
         let results = exec::ordered_map(ratios.clone(), |w, r| {
-            let (mut model, plan, residual) = if method == LmMethod::SynFl || r == 0.0 {
-                (global.clone(), None, None)
-            } else {
-                let plan = plan_lstm(&global, r);
-                let sub = extract_lstm(&global, &plan);
-                let residual = state_sub(&global.state(), &sparse_lstm_state(&global, &plan));
-                (sub, Some(plan), Some(residual))
-            };
+            let plan = plan_lstm(&global, r);
+            let mut model = extract_lstm(&global, &plan);
+            let residual = state_sub(&global.state(), &sparse_lstm_state(&global, &plan));
             let start = round * opts.tau + w;
             let (first, last, mean) =
                 local_train_lm(&mut model, &setup.worker_batches[w], start, opts.tau, opts.lr);
@@ -217,30 +216,14 @@ pub fn run_lm(
         policy.observe(&delivered, round_time);
 
         // Aggregation.
-        let mut recovered = Vec::with_capacity(workers);
-        let mut residuals = Vec::with_capacity(workers);
-        for (model, plan, residual, _, _) in &results {
-            match (plan, residual) {
-                (Some(p), Some(q)) => {
-                    recovered.push(recover_lstm_state(model, p, &global));
-                    residuals.push(q.clone());
-                }
-                _ => {
-                    recovered.push(model.state());
-                    residuals.push(state_sub(&global.state(), &global.state()));
-                    // zeros
-                }
-            }
-        }
-        let new_state = if method == LmMethod::SynFl {
-            average_states(&recovered)
-        } else {
-            r2sp_aggregate(&recovered, &residuals)
-        };
-        global.load_state(&new_state);
-        emit_aggregate(round, if method == LmMethod::SynFl { "FedAvg" } else { "R2SP" }, workers);
+        let train_loss = sum_f32(results.iter().map(|(.., m)| *m)) / workers as f32;
+        let (recovered, residuals): (Vec<_>, Vec<_>) = results
+            .into_iter()
+            .map(|(model, plan, residual, ..)| (recover_lstm_state(&model, &plan, &global), residual))
+            .unzip();
+        global.load_state(&r2sp_aggregate(&recovered, &residuals));
+        emit_aggregate(round, scheme, workers);
 
-        let train_loss = sum_f32(results.iter().map(|(_, _, _, _, m)| *m)) / workers as f32;
         let eval = eval_due(round, opts.eval_every, opts.rounds).then(|| {
             let r = evaluate_lm(&mut global, &setup.eval_batches, opts.eval_max_batches);
             (r.loss, r.accuracy) // accuracy slot holds perplexity

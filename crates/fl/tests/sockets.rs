@@ -140,4 +140,8 @@ fn socket_runtime_matches_loop_engine_and_chaos_is_deterministic() {
         "demo chaos produced no recoveries"
     );
     assert_eq!(h_a.rounds.len(), 8, "chaos must not shorten the run");
+    // Rounds that aggregated did so within the fleet, and the run
+    // still evaluated.
+    assert!(h_a.rounds.iter().all(|r| r.participants <= WORKERS));
+    assert!(h_a.final_accuracy().is_some(), "the chaotic run never evaluated");
 }

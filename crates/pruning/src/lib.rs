@@ -26,9 +26,7 @@
 //! ```
 //!
 //! The crate also implements **ISS pruning** for the §VI LSTM extension
-//! ([`plan_lstm`], [`extract_lstm`], [`recover_lstm_state`]) and top-k
-//! gradient sparsification with error feedback — the substrate of the
-//! FlexCom baseline.
+//! ([`plan_lstm`], [`extract_lstm`], [`recover_lstm_state`]).
 //!
 //! A pruned model runs exactly one way: as the extracted, physically
 //! smaller **dense** network through the ordinary `fedmp-tensor`
@@ -40,7 +38,6 @@ mod iss;
 mod plan;
 mod quant;
 mod rebuild;
-mod topk;
 
 pub use iss::{extract_lstm, plan_lstm, recover_lstm_state, sparse_lstm_state, LstmPlan};
 pub use plan::{
@@ -48,4 +45,3 @@ pub use plan::{
 };
 pub use quant::{dequantize_state, quant_error_bound, quantize_state, QuantState, QuantTensor};
 pub use rebuild::{extract_sequential, recover_state, sparse_state};
-pub use topk::{densify_into_state, topk_sparsify, SparseUpdate, TopKCompressor};
