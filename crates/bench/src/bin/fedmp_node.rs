@@ -216,9 +216,7 @@ fn run_worker(cli: &Cli) -> ExitCode {
     let Some(socket) = cli.socket.clone() else {
         return usage();
     };
-    match serve_worker(&socket, cli.worker, 40, Duration::from_millis(5), |blob| {
-        task_from_blob(blob)
-    }) {
+    match serve_worker(&socket, cli.worker, 40, Duration::from_millis(5), task_from_blob) {
         Ok(_) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("fedmp-node worker {}: {e}", cli.worker);

@@ -149,8 +149,8 @@ impl ExperimentSpec {
         }
     }
 
-    /// Materialises the dataset, partition, fleet and initial model.
-    pub fn build(&self) -> BuiltExperiment {
+    /// Materialises the dataset and its partition: all a worker needs.
+    pub fn build_task(&self) -> ImageTask {
         let synth = self.task.synth_spec(self.data_scale, self.seed);
         let (train, test) = synth.generate();
         let mut rng = seeded_rng(self.seed ^ 0xDA7A);
@@ -161,7 +161,12 @@ impl ExperimentSpec {
         } else {
             missing_classes_partition(&train, self.workers, self.non_iid as usize, &mut rng)
         };
-        let task = ImageTask::new(train, test, partition);
+        ImageTask::new(train, test, partition)
+    }
+
+    /// Materialises the dataset, partition, fleet and initial model.
+    pub fn build(&self) -> BuiltExperiment {
+        let task = self.build_task();
         let mut dev_rng = seeded_rng(self.seed ^ 0xDE71CE);
         let devices = heterogeneity_scenario(self.level, self.workers, &mut dev_rng);
         let model = self.task.build_model(self.width, self.seed ^ 0x0DE1);

@@ -30,15 +30,6 @@ pub fn run_manifest(engine: &str, spec: &ExperimentSpec) -> RunManifest {
 /// get distinct file names (`000-fedmp.jsonl`, `001-synfl.jsonl`, …).
 static TRACE_SEQ: AtomicUsize = AtomicUsize::new(0);
 
-/// Opens a file-backed trace session for `engine` if the `FEDMP_TRACE`
-/// environment variable is set to an output directory (created if
-/// missing). Returns `None` — tracing disabled, zero overhead — when
-/// the variable is unset or empty.
-///
-/// Each call writes a new numbered artifact `NNN-<engine>.jsonl` whose
-/// first line is the run manifest. Hold the returned session for the
-/// duration of the run and call [`TraceSession::finish`] (or drop it)
-/// afterwards; sessions are exclusive, so traced runs serialise.
 /// Whether `FEDMP_TRACE` requests tracing for this process. Callers
 /// that would otherwise run several methods concurrently (e.g.
 /// [`crate::run_methods`]) use this to fall back to serial execution,
@@ -58,6 +49,15 @@ fn trace_dir() -> Option<String> {
     std::env::var("FEDMP_TRACE").ok().filter(|d| !d.is_empty())
 }
 
+/// Opens a file-backed trace session for `engine` if the `FEDMP_TRACE`
+/// environment variable is set to an output directory (created if
+/// missing). Returns `None` — tracing disabled, zero overhead — when
+/// the variable is unset or empty.
+///
+/// Each call writes a new numbered artifact `NNN-<engine>.jsonl` whose
+/// first line is the run manifest. Hold the returned session for the
+/// duration of the run and call [`TraceSession::finish`] (or drop it)
+/// afterwards; sessions are exclusive, so traced runs serialise.
 pub fn maybe_trace(engine: &str, spec: &ExperimentSpec) -> Option<TraceSession> {
     let dir = PathBuf::from(trace_dir()?);
     std::fs::create_dir_all(&dir).ok()?;

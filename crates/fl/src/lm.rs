@@ -219,7 +219,9 @@ pub fn run_lm(
         let train_loss = sum_f32(results.iter().map(|(.., m)| *m)) / workers as f32;
         let (recovered, residuals): (Vec<_>, Vec<_>) = results
             .into_iter()
-            .map(|(model, plan, residual, ..)| (recover_lstm_state(&model, &plan, &global), residual))
+            .map(|(model, plan, residual, ..)| {
+                (recover_lstm_state(&model, &plan, &global), residual)
+            })
             .unzip();
         global.load_state(&r2sp_aggregate(&recovered, &residuals));
         emit_aggregate(round, scheme, workers);

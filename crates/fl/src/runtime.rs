@@ -646,9 +646,8 @@ impl Drop for LiveThreadGuard {
 pub(crate) struct WorkerProtocol<'a> {
     w: usize,
     task: &'a ImageTask,
-    /// The global architecture, received once at start-up. Only its
-    /// shape is used: every weight of the sub-model extracted from it
-    /// is overwritten by the dispatched frame.
+    /// The global architecture from the Setup: shapes and zero weights,
+    /// which each dispatched frame overwrites in the extracted sub-model.
     arch: &'a Sequential,
     local: LocalTrainConfig,
     seed: u64,

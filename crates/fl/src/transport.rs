@@ -277,10 +277,10 @@ struct HelloCtl {
 
 /// Run configuration shipped to a freshly connected worker. The Setup
 /// control section is the JSON pair `[SetupCtl, Sequential]`: this
-/// configuration, then the global architecture — the one time a
-/// model's structure crosses the socket. The task itself travels as
-/// the frame's opaque binary blob; the worker's spawner decides how to
-/// turn it back into an [`ImageTask`].
+/// configuration, then the global architecture as shapes (a `Param`
+/// serialises as its dims; dispatches carry the weights). The task
+/// itself travels as the frame's opaque binary blob; the worker's
+/// spawner decides how to turn it back into an [`ImageTask`].
 #[derive(Serialize, Deserialize)]
 struct SetupCtl {
     seed: u64,
@@ -313,21 +313,6 @@ struct UplinkCtl {
 
 fn to_json<T: Serialize>(v: &T) -> Result<Vec<u8>, TransportError> {
     serde_json::to_vec(v).map_err(|_| TransportError::Malformed)
-}
-
-/// The Setup control section: the JSON pair `[SetupCtl, Sequential]`,
-/// with the architecture's already-encoded JSON spliced in after `ctl`
-/// — the same bytes as encoding the pair, without re-encoding the
-/// architecture for every node.
-fn setup_json(ctl: &SetupCtl, arch_json: &[u8]) -> Result<Vec<u8>, TransportError> {
-    let ctl = to_json(ctl)?;
-    let mut json = Vec::with_capacity(ctl.len() + arch_json.len() + 3);
-    json.push(b'[');
-    json.extend_from_slice(&ctl);
-    json.push(b',');
-    json.extend_from_slice(arch_json);
-    json.push(b']');
-    Ok(json)
 }
 
 fn from_json<T: Deserialize>(bytes: &[u8]) -> Result<T, TransportError> {
@@ -703,9 +688,8 @@ pub(crate) struct SocketFleet<'a, S: NodeSpawner> {
     local: LocalTrainConfig,
     plan: ChaosPlan,
     links: &'a [LinkCodecs],
-    /// The global architecture every Setup carries, JSON-encoded once
-    /// per fleet (it is the bulk of a Setup frame).
-    arch_json: Vec<u8>,
+    /// The global architecture every Setup carries.
+    arch: Sequential,
     streams: Vec<Option<UnixStream>>,
     readers: Vec<Option<std::thread::JoinHandle<()>>>,
     nodes: Vec<Option<S::Handle>>,
@@ -725,14 +709,12 @@ impl<'a, S: NodeSpawner> SocketFleet<'a, S> {
         plan: ChaosPlan,
         links: &'a [LinkCodecs],
         arch: &Sequential,
-    ) -> Result<Self, RuntimeError> {
-        let arch_json = to_json(arch)
-            .map_err(|_| RuntimeError::Transport { worker: 0, fault: TransportFault::Handshake })?;
+    ) -> Self {
         let workers = links.len();
         // Readers block on a full channel until the PS drains it in the
         // collection barrier; the capacity only bounds buffering.
         let (tx, rx) = bounded(workers.max(1) * 4);
-        Ok(SocketFleet {
+        SocketFleet {
             listener,
             opts,
             spawner,
@@ -740,14 +722,14 @@ impl<'a, S: NodeSpawner> SocketFleet<'a, S> {
             local: cfg.local,
             plan,
             links,
-            arch_json,
+            arch: arch.clone(),
             streams: (0..workers).map(|_| None).collect(),
             readers: (0..workers).map(|_| None).collect(),
             nodes: (0..workers).map(|_| None).collect(),
             gens: vec![0; workers],
             tx,
             rx,
-        })
+        }
     }
 
     fn fault(&self, worker: usize, fault: TransportFault) -> RuntimeError {
@@ -762,7 +744,7 @@ impl<'a, S: NodeSpawner> SocketFleet<'a, S> {
             chaos: *self.plan.options(),
             link: self.links[worker],
         };
-        let json = setup_json(&ctl, &self.arch_json)?;
+        let json = to_json(&(&ctl, &self.arch))?;
         match self.streams[worker].as_mut() {
             Some(s) => write_frame(s, kind::SETUP, &json, &self.opts.task_blob),
             None => Err(TransportError::Io(std::io::ErrorKind::NotConnected)),
@@ -1026,7 +1008,7 @@ pub fn run_fedmp_sockets<S: NodeSpawner>(
             .map_err(|_| RuntimeError::Transport { worker: 0, fault: TransportFault::Bind })?;
         let plan = ChaosPlan::new(cfg.seed, chaos);
         let links = link_codecs(setup, opts);
-        let mut fleet = SocketFleet::new(&listener, sock, spawner, cfg, plan, &links, &global)?;
+        let mut fleet = SocketFleet::new(&listener, sock, spawner, cfg, plan, &links, &global);
         let run = fleet.bring_up().and_then(|_| {
             let mut framed = FramedExchange::new(&mut fleet, plan, setup.workers());
             let method = RoundMethod::fedmp(cfg, setup.workers(), opts);
@@ -1140,11 +1122,12 @@ mod tests {
     }
 
     #[test]
-    fn dispatch_control_section_carries_no_tensor_data() {
+    fn control_sections_carry_no_tensor_data() {
         use fedmp_nn::zoo;
         use fedmp_pruning::{extract_sequential, plan_sequential};
         use fedmp_tensor::seeded_rng;
-        // One plan cut from two differently initialised globals: the
+        // Two differently initialised globals of the benchmark's
+        // CNN/MNIST architecture, and one plan cut from both: the
         // sub-models differ only in weight values.
         let mut rng = seeded_rng(280);
         let a = zoo::cnn_mnist(0.25, &mut rng);
@@ -1167,28 +1150,23 @@ mod tests {
             sections[0].0.len(),
             sections[0].1.len()
         );
-    }
-
-    #[test]
-    fn spliced_setup_section_is_the_encoded_pair() {
-        use fedmp_nn::zoo;
-        use fedmp_tensor::seeded_rng;
-        let arch = zoo::cnn_mnist(0.25, &mut seeded_rng(282));
+        // The Setup ships the architecture as shapes...
         let ctl = SetupCtl {
             seed: 7,
             local: LocalTrainConfig::default(),
             chaos: ChaosOptions::demo(3),
-            link: crate::wire::CompressionPolicy::adaptive().select(&fedmp_edgesim::tx2_profile(
-                fedmp_edgesim::ComputeMode::Mode3,
-                fedmp_edgesim::LinkQuality::Far,
-            )),
+            link: LinkCodecs::dense(),
         };
-        let spliced = setup_json(&ctl, &to_json(&arch).expect("arch encodes")).expect("splice");
-        assert_eq!(spliced, to_json(&(&ctl, &arch)).expect("pair encodes"));
-        // What `serve_worker` parses it back into.
-        let (back, model): (SetupCtl, Sequential) = from_json(&spliced).expect("pair decodes");
-        assert_eq!((back.seed, back.chaos, back.link), (ctl.seed, ctl.chaos, ctl.link));
-        assert_eq!(to_json(&model).expect("re-encodes"), to_json(&arch).expect("arch encodes"));
+        let setups = [&a, &b].map(|m| to_json(&(&ctl, m)).expect("pair encodes"));
+        assert_eq!(setups[0], setups[1], "Setup section depends on weight values");
+        assert!(setups[0].len() <= 1024, "Setup section is {} B", setups[0].len());
+        // ...into which `serve_worker` loads the PS's own sub-model
+        // (compared as `Debug` text: shortest round-trip f32s).
+        let (_, arch): (SetupCtl, Sequential) = from_json(&setups[0]).expect("pair decodes");
+        let ps = extract_sequential(&a, &plan).state();
+        let mut worker = extract_sequential(&arch, &plan);
+        worker.load_state(&ps);
+        assert_eq!(format!("{:?}", worker.state()), format!("{ps:?}"));
     }
 
     #[test]

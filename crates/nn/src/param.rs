@@ -1,10 +1,14 @@
 //! Trainable parameters and model state snapshots.
 
 use fedmp_tensor::Tensor;
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 
 /// A trainable parameter: a value tensor plus its gradient accumulator.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// It serialises as its dims and deserialises as zeros of those dims: a
+/// serialised model is an architecture, whose weights travel separately
+/// as a [`StateEntry`] snapshot.
+#[derive(Debug, Clone)]
 pub struct Param {
     /// Current value.
     pub value: Tensor,
@@ -27,6 +31,18 @@ impl Param {
     /// Number of scalar weights.
     pub fn numel(&self) -> usize {
         self.value.numel()
+    }
+}
+
+impl Serialize for Param {
+    fn to_value(&self) -> Value {
+        self.value.dims().to_value()
+    }
+}
+
+impl Deserialize for Param {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        Ok(Param::new(Tensor::zeros(&Vec::<usize>::from_value(v)?)))
     }
 }
 

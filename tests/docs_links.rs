@@ -2,7 +2,7 @@
 //! README is the entry point, and an unlinked doc is a dead doc.
 
 use std::fs;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 #[test]
 fn every_doc_is_linked_from_readme() {
@@ -161,6 +161,21 @@ fn every_bin_the_docs_name_is_built_by_the_workspace() {
     assert!(checked >= 20, "expected the docs to name bins, found {checked} mentions");
 }
 
+/// The documents that cite test files and test functions: the
+/// top-level docs, everything under docs/, and the verify skill.
+fn citing_docs(root: &Path) -> Vec<(PathBuf, String)> {
+    let mut docs: Vec<_> =
+        ["README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"]
+            .iter()
+            .map(|p| root.join(p))
+            .collect();
+    docs.extend(
+        fs::read_dir(root.join("docs")).expect("list docs/").map(|e| e.expect("entry").path()),
+    );
+    docs.retain(|p| p.extension().is_some_and(|ext| ext == "md"));
+    docs.into_iter().map(|p| (p.clone(), fs::read_to_string(&p).expect("read doc"))).collect()
+}
+
 /// Every backticked `…tests/<name>.rs` path in the docs and the verify
 /// skill names a file that exists: from the root, under `crates/`, or
 /// under some `crates/*/` (a crate-relative `tests/proptests.rs`).
@@ -173,20 +188,10 @@ fn every_test_file_the_docs_name_exists() {
             .expect("list crates/")
             .map(|e| e.expect("crates/ entry").path()),
     );
-    let mut docs: Vec<_> =
-        ["README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"]
-            .iter()
-            .map(|p| root.join(p))
-            .collect();
-    docs.extend(
-        fs::read_dir(root.join("docs")).expect("list docs/").map(|e| e.expect("entry").path()),
-    );
-    docs.retain(|p| p.extension().is_some_and(|ext| ext == "md"));
 
     let path_char = |c: char| c.is_ascii_alphanumeric() || matches!(c, '/' | '_' | '.' | '-');
     let mut checked = 0usize;
-    for doc in docs {
-        let body = fs::read_to_string(&doc).expect("read doc");
+    for (doc, body) in citing_docs(root) {
         for span in body.split('`').skip(1).step_by(2) {
             for token in span.split(|c: char| !path_char(c)) {
                 if !(token.ends_with(".rs")
@@ -204,6 +209,88 @@ fn every_test_file_the_docs_name_exists() {
         }
     }
     assert!(checked >= 20, "expected the docs to name test files, found {checked}");
+}
+
+/// Every `.rs` file under `dir`, recursively.
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    for entry in fs::read_dir(dir).into_iter().flatten() {
+        let path = entry.expect("dir entry").path();
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|ext| ext == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// Every backticked test-function name in the docs names a `fn` in the
+/// tree, as every test file they name must exist. A citation is either
+/// `<file>.rs::<name>` (a `fn <name>` in a file of that name) or a bare
+/// name of four or more snake_case words, the shape of this repo's test
+/// names (a `fn` of that name, or of that prefix when written
+/// `<prefix>*`). A bare name may instead be a lint the manifests set, a
+/// metric BENCHMARK.json declares, or one of `outside_the_tree`.
+#[test]
+fn every_test_function_the_docs_name_exists() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    for dir in ["crates", "tests", "src", "examples", "benchmark/src"] {
+        rust_files(&root.join(dir), &mut files);
+    }
+    let mut fns: Vec<(PathBuf, String)> = Vec::new();
+    for file in files {
+        let body = fs::read_to_string(&file).expect("read source");
+        for (idx, pat) in body.match_indices("fn ") {
+            if body[..idx].ends_with(|c: char| c.is_alphanumeric() || c == '_') {
+                continue;
+            }
+            let rest = &body[idx + pat.len()..];
+            let end = rest.find(|c: char| !(c.is_alphanumeric() || c == '_')).unwrap_or(0);
+            fns.push((file.clone(), rest[..end].to_string()));
+        }
+    }
+    let mut configured = String::new();
+    for manifest in ["Cargo.toml", "crates/tensor/Cargo.toml", "BENCHMARK.json"] {
+        configured += &fs::read_to_string(root.join(manifest)).expect("read manifest");
+    }
+    // A Linux wait channel the verify skill tells the reader to look for.
+    let outside_the_tree = ["unix_stream_data_wait"];
+
+    let word =
+        |w: &str| !w.is_empty() && w.chars().all(|c| c.is_ascii_lowercase() || c.is_ascii_digit());
+    let mut checked = 0usize;
+    for (doc, body) in citing_docs(root) {
+        for span in body.split('`').skip(1).step_by(2) {
+            let (file, name) = match span.rsplit_once("::") {
+                Some((file, name)) if file.ends_with(".rs") => (Some(file), name),
+                _ => (None, span),
+            };
+            let (stem, glob) = match name.strip_suffix('*') {
+                Some(stem) => (stem.trim_end_matches('_'), true),
+                None => (name, false),
+            };
+            let words = stem.split('_').count();
+            if !stem.split('_').all(word) || (file.is_none() && words < 4) {
+                continue;
+            }
+            checked += 1;
+            let found = fns.iter().any(|(path, f)| {
+                file.is_none_or(|file| path.ends_with(file))
+                    && if glob { f.starts_with(stem) } else { f == stem }
+            });
+            let elsewhere = file.is_none()
+                && !glob
+                && (configured.contains(&format!("\"{stem}\""))
+                    || configured.contains(&format!("{stem} ="))
+                    || outside_the_tree.contains(&stem));
+            assert!(
+                found || elsewhere,
+                "{} names `{span}`, which is no fn in the tree",
+                doc.display()
+            );
+        }
+    }
+    assert!(checked >= 8, "expected the docs to name test functions, found {checked}");
 }
 
 /// Every `paper -- <word>...` in a document is a subcommand of `paper`

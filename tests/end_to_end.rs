@@ -173,8 +173,8 @@ fn quantized_residual_store_changes_the_run_but_not_its_determinism() {
     };
     let one = at(1, &quant);
     assert_eq!(numeric_bits(&one), numeric_bits(&at(4, &quant)), "1 vs 4 executor threads");
-    let threaded =
-        run_fedmp_threaded(&spec.fl, &setup, built.model.clone(), &quant).expect("channel fleet");
+    let threaded = run_fedmp_threaded(&spec.fl, &setup, built.model.clone(), &quant)
+        .expect("socket fleet over thread nodes");
     assert_eq!(
         serde_json::to_string(&threaded).unwrap(),
         serde_json::to_string(&one).unwrap(),
