@@ -186,28 +186,6 @@ pub(crate) fn model_round_cost(
     }
 }
 
-/// Per-worker completion times for a round; returns the per-worker
-/// [`RoundTime`]s plus the mean compute and comm seconds column-wise.
-pub(crate) fn round_times(
-    setup: &FlSetup<'_>,
-    costs: &[RoundCost],
-    seed: u64,
-    round: usize,
-) -> (Vec<RoundTime>, f64, f64) {
-    let mut times = Vec::with_capacity(costs.len());
-    let mut comp_sum = 0.0;
-    let mut comm_sum = 0.0;
-    for (w, cost) in costs.iter().enumerate() {
-        let mut rng = worker_rng(seed ^ 0xA5A5, round, w);
-        let t = setup.simulate_round(w, cost, &mut rng);
-        comp_sum += t.comp;
-        comm_sum += t.comm;
-        times.push(t);
-    }
-    let n = costs.len().max(1) as f64;
-    (times, comp_sum / n, comm_sum / n)
-}
-
 /// Whether `round` of `rounds` is evaluated: every `every`-th and always
 /// the last; 0 means first and last only (only 0 is a multiple of 0).
 pub(crate) fn eval_due(round: usize, every: usize, rounds: usize) -> bool {

@@ -1,6 +1,7 @@
 //! The synchronous baselines that are Algorithm 1 with a different
-//! ρ-picker: configurations of [`crate::runtime::run_rounds`] over the
-//! inline exchange, every other [`FedMpOptions`] field at its default.
+//! ρ-picker, local step or codec pair: configurations of
+//! [`crate::runtime::run_rounds`] over the inline exchange, every other
+//! [`FedMpOptions`] field at its default.
 //!
 //! - **Syn-FL** (McMahan et al. [5]), the paper's primary baseline:
 //!   full-model FedAvg is ρ ≡ 0 — R2SP with an all-zero residual *is*
@@ -13,13 +14,20 @@
 //!   **capability-scaled local iteration counts** — weak workers do
 //!   fewer local steps so they finish closer to the strong ones, but
 //!   every worker still trains and transmits the full model.
+//! - **FlexCom** (Li et al. [13]): ρ ≡ 0 with **bandwidth-scaled top-k
+//!   uplinks** — every worker trains the full model (no compute
+//!   savings) and uploads its update through the wire's per-tensor
+//!   top-k codec with error feedback, at a keep fraction proportional
+//!   to its link bandwidth.
 
 use crate::engine::{FlConfig, FlSetup};
 use crate::engines::fedmp::{run_inline, FedMpOptions};
 use crate::history::RunHistory;
 use crate::local::LocalTrainConfig;
 use crate::runtime::{seeded_agent, RatioPolicy, RoundMethod};
+use crate::wire::{Codec, LinkCodecs};
 use fedmp_bandit::EUcbConfig;
+use fedmp_edgesim::DeviceProfile;
 use fedmp_nn::Sequential;
 use serde::{Deserialize, Serialize};
 
@@ -45,11 +53,26 @@ impl Default for FedProxOptions {
     }
 }
 
+/// FlexCom options.
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+pub struct FlexComOptions {
+    /// Keep fraction granted to the best-connected worker.
+    pub max_keep: f32,
+    /// Keep-fraction floor for the worst-connected worker.
+    pub min_keep: f32,
+}
+
+impl Default for FlexComOptions {
+    fn default() -> Self {
+        FlexComOptions { max_keep: 0.5, min_keep: 0.05 }
+    }
+}
+
 /// Runs Syn-FL for `cfg.rounds` rounds starting from `global`.
 pub fn run_synfl(cfg: &FlConfig, setup: &FlSetup<'_>, global: Sequential) -> RunHistory {
     let locals = vec![cfg.local; setup.workers()];
-    let method =
-        RoundMethod { name: "Syn-FL", scheme: "FedAvg", policy: RatioPolicy::Dense, locals };
+    let policy = RatioPolicy::Dense;
+    let method = RoundMethod { name: "Syn-FL", scheme: "FedAvg", policy, locals, links: None };
     run_inline(cfg, setup, global, &FedMpOptions::default(), method)
 }
 
@@ -63,7 +86,7 @@ pub fn run_upfl(
 ) -> RunHistory {
     let policy = RatioPolicy::Shared(seeded_agent(opts.eucb, cfg.seed));
     let locals = vec![cfg.local; setup.workers()];
-    let method = RoundMethod { name: "UP-FL", scheme: "R2SP", policy, locals };
+    let method = RoundMethod { name: "UP-FL", scheme: "R2SP", policy, locals, links: None };
     run_inline(cfg, setup, global, &FedMpOptions::default(), method)
 }
 
@@ -76,13 +99,37 @@ pub fn run_fedprox(
     opts: &FedProxOptions,
 ) -> RunHistory {
     let max_flops = setup.devices.iter().map(|d| d.flops()).fold(0.0, f64::max);
-    let local = |d: &fedmp_edgesim::DeviceProfile| {
+    let local = |d: &DeviceProfile| {
         let scaled = (cfg.local.tau as f64 * d.flops() / max_flops).round() as usize;
         LocalTrainConfig { tau: scaled.max(opts.min_tau), prox_mu: opts.mu, ..cfg.local }
     };
     let locals = setup.devices.iter().map(local).collect();
-    let method =
-        RoundMethod { name: "FedProx", scheme: "FedAvg", policy: RatioPolicy::Dense, locals };
+    let policy = RatioPolicy::Dense;
+    let method = RoundMethod { name: "FedProx", scheme: "FedAvg", policy, locals, links: None };
+    run_inline(cfg, setup, global, &FedMpOptions::default(), method)
+}
+
+/// Runs FlexCom. Worker n downloads the dense model and uploads a
+/// top-k delta keeping `clamp(max_keep · bwₙ/bw_max, min_keep, 1)` of
+/// each tensor, where bwₙ is its link bandwidth.
+pub fn run_flexcom(
+    cfg: &FlConfig,
+    setup: &FlSetup<'_>,
+    global: Sequential,
+    opts: &FlexComOptions,
+) -> RunHistory {
+    let max_bw = setup.devices.iter().map(|d| d.bandwidth()).fold(0.0, f64::max);
+    let link = |d: &DeviceProfile| {
+        let keep = (opts.max_keep * (d.bandwidth() / max_bw) as f32).clamp(opts.min_keep, 1.0);
+        LinkCodecs { downlink: Codec::DenseF32, uplink: Codec::TopK { keep } }
+    };
+    let method = RoundMethod {
+        name: "FlexCom",
+        scheme: "FedAvg+topk",
+        policy: RatioPolicy::Dense,
+        locals: vec![cfg.local; setup.workers()],
+        links: Some(setup.devices.iter().map(link).collect()),
+    };
     run_inline(cfg, setup, global, &FedMpOptions::default(), method)
 }
 
@@ -95,7 +142,9 @@ mod tests {
     use crate::local::local_train;
     use crate::task::ImageTask;
     use fedmp_data::{iid_partition, mnist_like, tiny_imagenet_like, SynthSpec};
-    use fedmp_edgesim::{tx2_profile, ComputeMode::*, LinkQuality::*, TimeModel};
+    use fedmp_edgesim::{
+        tx2_profile, ComputeMode, ComputeMode::*, LinkQuality, LinkQuality::*, TimeModel,
+    };
     use fedmp_nn::zoo;
     use fedmp_tensor::parallel::sum_f32;
     use fedmp_tensor::seeded_rng;
@@ -161,12 +210,17 @@ mod tests {
         let cfg = FlConfig { rounds: 3, eval_max_samples: 64, seed: 9, ..Default::default() };
 
         let reference = fedavg_reference(&cfg, &setup, global.clone());
+        assert_eq!(history_bits(&run_synfl(&cfg, &setup, global)), reference, "{name}");
+    }
+
+    /// `[train loss, eval loss, accuracy]` bits per round of a history
+    /// evaluated every round.
+    fn history_bits(h: &RunHistory) -> Vec<[u32; 3]> {
         let bits = |r: &crate::RoundRecord| {
             let (loss, acc) = r.eval.expect("evaluated every round");
             [r.train_loss, loss, acc].map(f32::to_bits)
         };
-        let got: Vec<[u32; 3]> = run_synfl(&cfg, &setup, global).rounds.iter().map(bits).collect();
-        assert_eq!(got, reference, "{name}");
+        h.rounds.iter().map(bits).collect()
     }
 
     #[test]
@@ -176,6 +230,102 @@ mod tests {
         // checks that against code that shares none of those steps.
         synfl_is_fedavg_on(mnist_like(0.1, 74), zoo::cnn_mnist, 0.15);
         synfl_is_fedavg_on(tiny_imagenet_like(0.1, 75), zoo::resnet_tiny, 0.1);
+    }
+
+    /// FlexCom longhand, as `fedavg_reference` with a sparse upload:
+    /// per tensor, worker n sends the `⌈keep·numel⌉` largest |·| of
+    /// `corrected = trained − global + eₙ` (a full sort, ties to the
+    /// lower index) and keeps the rest as `eₙ`; the global becomes the
+    /// element-wise mean of `global + sent`. No plan, extraction,
+    /// residual, R2SP or wire codec near it.
+    fn flexcom_reference(
+        c: &FlConfig,
+        setup: &FlSetup<'_>,
+        mut global: Sequential,
+        keeps: &[f32],
+    ) -> Vec<[u32; 3]> {
+        let mut errors: Vec<Vec<Vec<f32>>> = vec![Vec::new(); setup.workers()];
+        let mut rounds = Vec::new();
+        for round in 0..c.rounds {
+            let base = global.state();
+            let mut sent = Vec::new();
+            let mut losses = Vec::new();
+            for (w, (feedback, &keep)) in errors.iter_mut().zip(keeps).enumerate() {
+                let mut model = global.clone();
+                let mut batches = worker_batches(setup.task, w, c.local.batch, c.seed, round);
+                losses.push(local_train(&mut model, &mut batches, &c.local).mean_loss);
+                let mut state = model.state();
+                feedback.resize_with(state.len(), Vec::new);
+                for ((entry, g), e) in state.iter_mut().zip(&base).zip(feedback.iter_mut()) {
+                    let g = g.tensor.data();
+                    let n = g.len();
+                    e.resize(n, 0.0);
+                    let trained = entry.tensor.data();
+                    let corrected: Vec<f32> = (0..n).map(|i| trained[i] - g[i] + e[i]).collect();
+                    let mut order: Vec<usize> = (0..n).collect();
+                    order.sort_by(|&a, &b| {
+                        corrected[b].abs().total_cmp(&corrected[a].abs()).then(a.cmp(&b))
+                    });
+                    let k = ((n as f64 * f64::from(keep)).ceil() as usize).clamp(1, n);
+                    let out = entry.tensor.data_mut();
+                    out.copy_from_slice(g);
+                    e.copy_from_slice(&corrected);
+                    for &i in &order[..k] {
+                        out[i] = g[i] + corrected[i];
+                        e[i] = 0.0;
+                    }
+                }
+                sent.push(state);
+            }
+            global.load_state(&average_states(&sent));
+            let eval =
+                evaluate_image(&mut global, &setup.task.test, c.eval_batch, c.eval_max_samples);
+            let train = sum_f32(losses) / setup.workers() as f32;
+            rounds.push([train, eval.loss, eval.accuracy].map(f32::to_bits));
+        }
+        rounds
+    }
+
+    #[test]
+    fn flexcom_matches_an_independent_reference() {
+        // Per-tensor top-k with error feedback through the round body's
+        // TopK uplink and R2SP at ρ = 0 must *be* FlexCom longhand; the
+        // rounds after the first check the feedback carries over.
+        let (task, mut rng) = task(mnist_like(0.1, 77), 78, 3);
+        let devices =
+            vec![tx2_profile(Mode0, Near), tx2_profile(Mode1, Mid), tx2_profile(Mode3, Far)];
+        let setup = FlSetup::new(&task, devices, TimeModel::default());
+        let global = zoo::cnn_mnist(0.15, &mut rng);
+        let cfg = FlConfig { rounds: 3, eval_max_samples: 64, seed: 11, ..Default::default() };
+        let opts = FlexComOptions::default();
+
+        // Near, Mid, Far: 80, 40 and 12 Mbit/s against max_keep 0.5.
+        let keeps = [0.5, 0.25, 0.5 * (12.0e6 / 80.0e6) as f32];
+        let reference = flexcom_reference(&cfg, &setup, global.clone(), &keeps);
+        assert_eq!(history_bits(&run_flexcom(&cfg, &setup, global, &opts)), reference);
+    }
+
+    #[test]
+    fn flexcom_learns_and_cuts_upload_time() {
+        let (train, test) = mnist_like(0.1, 110).generate();
+        let mut rng = seeded_rng(111);
+        let part = iid_partition(&train, 3, &mut rng);
+        let task = ImageTask::new(train, test, part);
+        let devices = vec![
+            tx2_profile(ComputeMode::Mode0, LinkQuality::Near),
+            tx2_profile(ComputeMode::Mode1, LinkQuality::Mid),
+            tx2_profile(ComputeMode::Mode2, LinkQuality::Far),
+        ];
+        let setup = FlSetup::new(&task, devices, TimeModel::deterministic());
+        let global = zoo::cnn_mnist(0.15, &mut rng);
+        let cfg = FlConfig { rounds: 10, eval_every: 5, ..Default::default() };
+        let h = run_flexcom(&cfg, &setup, global.clone(), &FlexComOptions::default());
+        assert!(h.final_accuracy().unwrap() > 0.4, "accuracy {:?}", h.final_accuracy());
+
+        // Communication time is lower than Syn-FL's, compute identical.
+        let syn = crate::engines::baselines::run_synfl(&cfg, &setup, global);
+        assert!(h.rounds[0].mean_comm < syn.rounds[0].mean_comm);
+        assert!((h.rounds[0].mean_comp - syn.rounds[0].mean_comp).abs() < 1e-9);
     }
 
     #[test]

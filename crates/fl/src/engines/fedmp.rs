@@ -188,7 +188,7 @@ pub(crate) fn run_inline(
     let mut inline = InlineExchange {
         cfg,
         setup,
-        compressed: !opts.compression.is_dense(),
+        compressed: method.links.is_some(),
         locals: method.locals.clone(),
         feedbacks: vec![ErrorFeedback::new(); setup.workers()],
     };
@@ -205,7 +205,7 @@ pub fn run_fedmp(
     global: Sequential,
     opts: &FedMpOptions,
 ) -> RunHistory {
-    run_inline(cfg, setup, global, opts, RoundMethod::fedmp(cfg, setup.workers(), opts))
+    run_inline(cfg, setup, global, opts, RoundMethod::fedmp(cfg, setup, opts))
 }
 
 #[cfg(test)]

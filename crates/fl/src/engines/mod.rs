@@ -5,4 +5,3 @@
 pub mod r#async;
 pub mod baselines;
 pub mod fedmp;
-pub mod flexcom;

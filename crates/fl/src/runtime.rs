@@ -202,7 +202,7 @@ pub(crate) enum RatioPolicy {
     /// One ρ for everyone, always (Fig. 2 / Fig. 5 sweeps, LM Syn-FL).
     Fixed(f32),
     /// ρ ≡ 0 for a method that does not prune: the round records no
-    /// ratios at all (Syn-FL, FedProx).
+    /// ratios at all (Syn-FL, FedProx, FlexCom).
     Dense,
 }
 
@@ -275,11 +275,17 @@ pub(crate) struct RoundMethod {
     /// Each worker's local step. Framed workers are handed `cfg.local`
     /// at start-up, so only the inline exchange may meet anything else.
     pub(crate) locals: Vec<LocalTrainConfig>,
+    /// Each worker's codec pair, fixed for the run. `Some`: Eq. 5 pays
+    /// the encoded frame sizes and the trace records the codecs. `None`:
+    /// dense `f32` both ways, priced at the analytic 4 bytes per
+    /// parameter.
+    pub(crate) links: Option<Vec<LinkCodecs>>,
 }
 
 impl RoundMethod {
     /// FedMP as `opts` configures it — all the framed exchange runs.
-    pub(crate) fn fedmp(cfg: &FlConfig, workers: usize, opts: &FedMpOptions) -> Self {
+    pub(crate) fn fedmp(cfg: &FlConfig, setup: &FlSetup<'_>, opts: &FedMpOptions) -> Self {
+        let workers = setup.workers();
         let (name, scheme) = match opts.sync {
             SyncScheme::R2SP => ("FedMP", "R2SP"),
             SyncScheme::BSP => ("FedMP-BSP", "BSP"),
@@ -288,19 +294,22 @@ impl RoundMethod {
             Some(ratio) => RatioPolicy::Fixed(ratio),
             None => RatioPolicy::per_worker(opts.eucb, opts.reward, workers, cfg.seed),
         };
-        RoundMethod { name, scheme, policy, locals: vec![cfg.local; workers] }
+        let links = (!opts.compression.is_dense())
+            .then(|| setup.devices.iter().map(|d| opts.compression.select(d)).collect());
+        RoundMethod { name, scheme, policy, locals: vec![cfg.local; workers], links }
     }
-}
 
-/// Per-worker codec pairs: a pure function of the device profiles, so
-/// fixed for the whole run.
-pub(crate) fn link_codecs(setup: &FlSetup<'_>, opts: &FedMpOptions) -> Vec<LinkCodecs> {
-    setup.devices.iter().map(|d| opts.compression.select(d)).collect()
+    /// Each worker's codec pair, dense where the method compresses
+    /// nothing.
+    pub(crate) fn link_pairs(&self) -> Vec<LinkCodecs> {
+        self.links.clone().unwrap_or_else(|| vec![LinkCodecs::dense(); self.locals.len()])
+    }
 }
 
 /// Runs `method` for `cfg.rounds` rounds starting from `global`, moving
 /// models through `exchange`. `opts` supplies the rest of the round
-/// (sync, residuals, faults, importance, compression); `chaos` the
+/// (sync, residuals, faults, importance, and the slow-link threshold
+/// `CodecSelected` reports); `chaos` the
 /// virtual-clock penalties (injected delay, retransmit backoff) and the
 /// aggregation quorum; [`ChaosOptions::none`] makes all three vanish.
 pub(crate) fn run_rounds<X: Exchange>(
@@ -313,18 +322,18 @@ pub(crate) fn run_rounds<X: Exchange>(
     exchange: &mut X,
 ) -> Result<RunHistory, X::Error> {
     let workers = setup.workers();
-    let RoundMethod { name, scheme, mut policy, locals } = method;
+    // Every link moves the same models either way; `compressed` only
+    // decides whether Eq. 5 pays encoded frame sizes (and says so in
+    // the trace) or the analytic 4 bytes per parameter.
+    let compressed = method.links.is_some();
+    let links = method.link_pairs();
+    let RoundMethod { name, scheme, mut policy, locals, .. } = method;
     let mut history = RunHistory::new(name);
     let mut sim_time = 0.0f64;
 
     let mut injector = opts.faults.map(|f| f.injector(workers));
     let mut fault_rng = fedmp_tensor::seeded_rng(cfg.seed ^ 0xFA17);
     let plan = ChaosPlan::new(cfg.seed, chaos);
-    // Every link moves the same models either way; `compressed` only
-    // decides whether Eq. 5 pays encoded frame sizes (and says so in
-    // the trace) or the analytic 4 bytes per parameter.
-    let compressed = !opts.compression.is_dense();
-    let links = link_codecs(setup, opts);
     // Trace events are emitted here only, after the exchange returns,
     // so event order is deterministic and the per-round kernel deltas
     // are exact (all worker kernels for the round have run by then).

@@ -61,8 +61,8 @@ use crate::engines::fedmp::FedMpOptions;
 use crate::history::RunHistory;
 use crate::local::{LocalOutcome, LocalTrainConfig};
 use crate::runtime::{
-    link_codecs, run_rounds, FramedExchange, LiveThreadGuard, RoundMethod, RuntimeError,
-    UplinkBody, UplinkMsg, WorkerProtocol, WorkerStep,
+    run_rounds, FramedExchange, LiveThreadGuard, RoundMethod, RuntimeError, UplinkBody, UplinkMsg,
+    WorkerProtocol, WorkerStep,
 };
 use crate::task::ImageTask;
 use crate::wire::LinkCodecs;
@@ -1007,11 +1007,11 @@ pub fn run_fedmp_sockets<S: NodeSpawner>(
             .set_nonblocking(true)
             .map_err(|_| RuntimeError::Transport { worker: 0, fault: TransportFault::Bind })?;
         let plan = ChaosPlan::new(cfg.seed, chaos);
-        let links = link_codecs(setup, opts);
+        let method = RoundMethod::fedmp(cfg, setup, opts);
+        let links = method.link_pairs();
         let mut fleet = SocketFleet::new(&listener, sock, spawner, cfg, plan, &links, &global);
         let run = fleet.bring_up().and_then(|_| {
             let mut framed = FramedExchange::new(&mut fleet, plan, setup.workers());
-            let method = RoundMethod::fedmp(cfg, setup.workers(), opts);
             run_rounds(cfg, setup, global, opts, method, chaos, &mut framed)
         });
         // Teardown runs on BOTH exit paths; a run error outranks a

@@ -522,7 +522,7 @@ fn int8_code(v: f32, scale: f32) -> i8 {
 /// unique and a linear-time selection returns what a full sort would:
 /// each coordinate packs into one `u64` key, |v|'s bits above the
 /// complemented index, whose integer order is that order.
-pub(crate) fn topk_indices(values: &[f32], k: usize) -> Vec<u32> {
+fn topk_indices(values: &[f32], k: usize) -> Vec<u32> {
     let n = values.len();
     let k = k.min(n);
     let mut keys: Vec<u64> = (0u32..)
@@ -550,12 +550,7 @@ fn topk_indices_by_sort(values: &[f32], k: usize) -> Vec<u32> {
     order
 }
 
-pub(crate) fn update_sparse_residual(
-    residual: &mut [f32],
-    corrected: &[f32],
-    indices: &[u32],
-    sent: &[f32],
-) {
+fn update_sparse_residual(residual: &mut [f32], corrected: &[f32], indices: &[u32], sent: &[f32]) {
     residual.copy_from_slice(corrected);
     for (&i, &v) in indices.iter().zip(sent) {
         if let Some(slot) = residual.get_mut(i as usize) {

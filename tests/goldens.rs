@@ -14,7 +14,7 @@
 //! The equalities *between* rows are asserted on their own — each
 //! threaded row's history equals its loop twin's, the four hierarchy
 //! partitions share one history — and sanity checks keep the fault,
-//! chaos and codec rows from passing vacuously.
+//! chaos, codec and FlexCom rows from passing vacuously.
 //!
 //! A change that means to move bits pastes the table this test prints
 //! on a mismatch and lists the moved rows in CHANGES.md; there is no
@@ -34,7 +34,7 @@ use fedmp_fl::{
     RunHistory, SyncScheme, UpFlOptions,
 };
 use fedmp_nn::{zoo, LstmLm, Sequential};
-use fedmp_obs::{RunManifest, Trace, TraceSession};
+use fedmp_obs::{RunManifest, Trace, TraceEvent, TraceSession};
 use fedmp_tensor::simd::{self, SimdPath};
 use fedmp_tensor::{parallel, seeded_rng};
 use std::collections::BTreeSet;
@@ -52,7 +52,7 @@ const GOLDENS: &[(&str, Bits, Bits)] = &[
     ("synfl",                     (0x7d334ba7c62a97e1, 0xd1e1889110eb8d60), (0x7d334ba7c62a97e1, 0x8347ddd68f07cea0)),
     ("upfl",                      (0x7868f7a35ee416b1, 0x1072afcaf2521a8e), (0xcc104a286504833d, 0x8f09a2b0a25c3e56)),
     ("fedprox",                   (0x4f0aa97e71e47b90, 0x64ca9246f849c66f), (0x4f0aa97e71e47b90, 0xa3ef8d7814a51d2a)),
-    ("flexcom",                   (0x1cec7e15056e5430, 0xd01f064b9cba396e), (0x2f59e59b382ad132, 0xcb7e043b8e43272d)),
+    ("flexcom",                   (0x82136b5dd433ef79, 0xf859bcb425ca6e8d), (0x82136b5dd433ef79, 0x9947eb622d9b6588)),
     ("asynfl",                    (0xc708a19abc23f001, 0xf4248043f528d854), (0x9d60b565724084f0, 0x4cfe5c73c7345782)),
     ("asynfedmp",                 (0x4b1c3de7ac61b9ae, 0x365664f1b75aaa5e), (0x1b29b03d354892dc, 0x70a8d0c878506b51)),
     ("lm-synfl",                  (0x674d0049b9cddf97, 0x24fdeda1b2759ff7), (0xd8d402c469c5431f, 0xbb37c0869afd823f)),
@@ -304,6 +304,33 @@ fn every_engine_matches_its_recorded_bits() {
             let codecs = run.count(&["CodecSelected", "CompressionApplied"]);
             assert!(!run.name.contains("chaos") || recoveries > 0, "{}: no recovery", run.name);
             assert!(!run.name.contains("compressed") || codecs > 0, "{}: no codec", run.name);
+        }
+        // FlexCom: each worker's top-k uplink keeps in proportion to its
+        // bandwidth (Near, Mid, Far), every round. At 8 B per kept
+        // coordinate an upload undercuts the dense frame only below
+        // keep 0.5: Mid's and Far's do, Near's does not.
+        let mut uplinks = vec![Vec::new(); WORKERS];
+        let mut uploads = 0;
+        for event in &find(one, "flexcom").trace.events {
+            match event {
+                TraceEvent::CodecSelected { worker, uplink, .. } => uplinks[*worker].push(uplink),
+                TraceEvent::CompressionApplied {
+                    worker,
+                    direction,
+                    dense_bytes,
+                    wire_bytes,
+                    ..
+                } if direction == "up" => {
+                    let smaller = wire_bytes < dense_bytes;
+                    assert_eq!(smaller, *worker != 0, "flexcom: worker {worker}'s upload size");
+                    uploads += 1;
+                }
+                _ => {}
+            }
+        }
+        assert_eq!(uploads, WORKERS * ROUNDS, "flexcom: uploads");
+        for (got, keep) in uplinks.iter().zip(["0.5", "0.25", "0.075"]) {
+            assert_eq!(got, &vec![&format!("topk({keep})"); ROUNDS], "flexcom: uplink codecs");
         }
     }
     let hier = fx.hier();
