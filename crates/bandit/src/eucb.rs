@@ -191,7 +191,7 @@ impl EUcbAgent {
     /// unvisited regions an infinite bound (as textbook UCB does) would
     /// force exploration on nearly every pull and leave no horizon for
     /// exploitation. Following the practical-Lipschitz-bandit treatment
-    /// the paper cites ([37]), an unvisited region instead **inherits
+    /// the paper cites (\[37\]), an unvisited region instead **inherits
     /// the global mean as its prior** with a small pseudo-count, keeping
     /// optimism bounded.
     fn ucb(&self, region: &Region, n_total: f32) -> f32 {

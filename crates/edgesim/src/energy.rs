@@ -1,6 +1,6 @@
 //! Device energy model.
 //!
-//! The FlexCom baseline ([13], "energy efficient federated learning")
+//! The FlexCom baseline (\[13\], "energy efficient federated learning")
 //! motivates compression by worker energy budgets; this module lets the
 //! harness report per-run energy alongside completion time. Constants
 //! are calibrated to a Jetson-TX2-class board: ~10 GFLOP/s per watt of

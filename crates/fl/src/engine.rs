@@ -3,12 +3,15 @@
 
 use crate::eval::evaluate_image;
 use crate::history::RoundRecord;
-use crate::local::LocalTrainConfig;
+use crate::local::{local_train, LocalOutcome, LocalTrainConfig};
 use crate::task::ImageTask;
 use fedmp_data::BatchIter;
 use fedmp_edgesim::{DeviceProfile, RoundCost, RoundTime, TimeModel};
-use fedmp_nn::{model_cost, Sequential};
+use fedmp_nn::{model_cost, Sequential, StateEntry};
 use fedmp_obs::TraceEvent;
+use fedmp_pruning::{
+    extract_sequential, plan_sequential_with, recover_state, Importance, PrunePlan,
+};
 use fedmp_tensor::parallel::KernelStats;
 use fedmp_tensor::seeded_rng;
 use rand::rngs::StdRng;
@@ -27,6 +30,7 @@ pub struct FlConfig {
     /// Evaluation batch size.
     pub eval_batch: usize,
     /// Cap on evaluated test samples (keeps the experiment suite fast).
+    /// For the LM ([`crate::run_lm`]) the cap counts evaluation batches.
     pub eval_max_samples: usize,
     /// Master seed; all per-worker/per-round randomness derives from it.
     pub seed: u64,
@@ -76,11 +80,12 @@ impl CostScale {
     }
 }
 
-/// The simulated deployment an engine runs against.
+/// The simulated deployment an engine runs against: the image task by
+/// default, the LM's [`crate::LmSetup`] inside [`crate::run_lm`].
 #[derive(Debug, Clone)]
-pub struct FlSetup<'a> {
+pub struct FlSetup<'a, T = ImageTask> {
     /// The federated task (data + partition).
-    pub task: &'a ImageTask,
+    pub task: &'a T,
     /// One device profile per worker (must match the partition width).
     pub devices: Vec<DeviceProfile>,
     /// The virtual-clock time model.
@@ -107,7 +112,9 @@ impl<'a> FlSetup<'a> {
         s.cost_scale = cost_scale;
         s
     }
+}
 
+impl<T> FlSetup<'_, T> {
     /// Number of workers.
     pub fn workers(&self) -> usize {
         self.devices.len()
@@ -153,57 +160,111 @@ pub(crate) fn worker_rng(seed: u64, round: usize, worker: usize) -> StdRng {
     seeded_rng(z ^ (z >> 31))
 }
 
-/// Builds a fresh mini-batch iterator over a worker's shard for one
-/// round.
-pub(crate) fn worker_batches<'d>(
-    task: &'d ImageTask,
-    worker: usize,
-    batch: usize,
-    seed: u64,
-    round: usize,
-) -> BatchIter<'d> {
-    BatchIter::new(
-        &task.train,
-        task.partition[worker].clone(),
-        batch,
-        worker_rng(seed, round, worker),
-    )
+/// What the round body needs from a model family: the operations that
+/// differ between the image CNNs ([`Sequential`]) and the §VI LSTM
+/// (`LstmLm`). Everything else about a round is shared.
+pub(crate) trait FlModel: Send + Sync {
+    /// The federated data the family trains and evaluates on.
+    type Task: Sync;
+    /// A structured-pruning plan.
+    type Plan: Send + Sync;
+    /// Salt of the per-worker Eq. 5 timing stream,
+    /// `worker_rng(seed ^ TIME_SALT, round, worker)`.
+    const TIME_SALT: u64;
+
+    /// The plan pruning `self` at `ratio`.
+    fn plan(&self, task: &Self::Task, ratio: f32, importance: Importance) -> Self::Plan;
+    /// The sub-model `plan` keeps.
+    fn extract(&self, plan: &Self::Plan) -> Self;
+    /// This sub-model of `global` in full shape, pruned positions zero.
+    fn recover(&self, plan: &Self::Plan, global: &Self) -> Vec<StateEntry>;
+    /// The Eq. 5 cost of one round on this (sub-)model: download +
+    /// upload of its parameters and τ training iterations at its
+    /// *actual* FLOP count.
+    fn round_cost(&self, task: &Self::Task, local: &LocalTrainConfig) -> RoundCost;
+    /// One worker's local step: `local.tau` iterations on data shard
+    /// `worker`'s batches of `round`, shuffled by `seed`.
+    fn train(
+        &mut self,
+        task: &Self::Task,
+        worker: usize,
+        seed: u64,
+        round: usize,
+        local: &LocalTrainConfig,
+    ) -> LocalOutcome;
+    /// PS-side `(loss, metric)` on the task's held-out data.
+    fn evaluate(&mut self, task: &Self::Task, cfg: &FlConfig) -> (f32, f32);
+    /// The model's parameters (and tracked buffers) as a snapshot.
+    fn state(&self) -> Vec<StateEntry>;
+    /// Overwrites the model from a snapshot of its own shapes.
+    fn load_state(&mut self, state: &[StateEntry]);
 }
 
-/// The Eq. 5 cost of one round with the given (sub-)model: download +
-/// upload of its parameters, and τ training iterations at the model's
-/// *actual* FLOP count.
-pub(crate) fn model_round_cost(
-    model: &Sequential,
-    chw: (usize, usize, usize),
-    local: &LocalTrainConfig,
-) -> RoundCost {
-    let report = model_cost(model, chw);
-    RoundCost {
-        train_flops: report.train_flops_per_sample() as f64 * local.batch as f64 * local.tau as f64,
-        download_bytes: report.param_bytes() as f64,
-        upload_bytes: report.param_bytes() as f64,
+impl FlModel for Sequential {
+    type Task = ImageTask;
+    type Plan = PrunePlan;
+    const TIME_SALT: u64 = 0xA5A5;
+
+    fn plan(&self, task: &ImageTask, ratio: f32, importance: Importance) -> PrunePlan {
+        plan_sequential_with(self, task.input_chw, ratio, importance)
+    }
+
+    fn extract(&self, plan: &PrunePlan) -> Self {
+        extract_sequential(self, plan)
+    }
+
+    fn recover(&self, plan: &PrunePlan, global: &Self) -> Vec<StateEntry> {
+        recover_state(self, plan, global)
+    }
+
+    fn round_cost(&self, task: &ImageTask, local: &LocalTrainConfig) -> RoundCost {
+        let report = model_cost(self, task.input_chw);
+        RoundCost {
+            train_flops: report.train_flops_per_sample() as f64
+                * local.batch as f64
+                * local.tau as f64,
+            download_bytes: report.param_bytes() as f64,
+            upload_bytes: report.param_bytes() as f64,
+        }
+    }
+
+    fn train(
+        &mut self,
+        task: &ImageTask,
+        worker: usize,
+        seed: u64,
+        round: usize,
+        local: &LocalTrainConfig,
+    ) -> LocalOutcome {
+        let (shard, rng) = (task.partition[worker].clone(), worker_rng(seed, round, worker));
+        local_train(self, &mut BatchIter::new(&task.train, shard, local.batch, rng), local)
+    }
+
+    fn evaluate(&mut self, task: &ImageTask, cfg: &FlConfig) -> (f32, f32) {
+        let r = evaluate_image(self, &task.test, cfg.eval_batch, cfg.eval_max_samples);
+        (r.loss, r.accuracy)
+    }
+
+    fn state(&self) -> Vec<StateEntry> {
+        Sequential::state(self)
+    }
+
+    fn load_state(&mut self, state: &[StateEntry]) {
+        Sequential::load_state(self, state);
     }
 }
 
-/// Whether `round` of `rounds` is evaluated: every `every`-th and always
-/// the last; 0 means first and last only (only 0 is a multiple of 0).
-pub(crate) fn eval_due(round: usize, every: usize, rounds: usize) -> bool {
-    round.is_multiple_of(every) || round + 1 == rounds
-}
-
-/// PS-side evaluation, when `round` is due one ([`eval_due`]):
-/// `(loss, accuracy)` of `model` on the task's test set.
-pub(crate) fn evaluate_if_due(
+/// PS-side evaluation of `model` when `round` is due one: every
+/// `cfg.eval_every`-th round and always the last; 0 means first and
+/// last only (only 0 is a multiple of 0).
+pub(crate) fn evaluate_if_due<M: FlModel>(
     cfg: &FlConfig,
     round: usize,
-    model: &mut Sequential,
-    task: &ImageTask,
+    model: &mut M,
+    task: &M::Task,
 ) -> Option<(f32, f32)> {
-    eval_due(round, cfg.eval_every, cfg.rounds).then(|| {
-        let r = evaluate_image(model, &task.test, cfg.eval_batch, cfg.eval_max_samples);
-        (r.loss, r.accuracy)
-    })
+    (round.is_multiple_of(cfg.eval_every) || round + 1 == cfg.rounds)
+        .then(|| model.evaluate(task, cfg))
 }
 
 // ---- observability hooks -------------------------------------------------
@@ -437,13 +498,13 @@ mod tests {
 
     #[test]
     fn pruned_model_has_cheaper_round_cost() {
-        let mut rng = seeded_rng(60);
-        let m = zoo::cnn_mnist(0.25, &mut rng);
+        let (train, test) = mnist_like(0.05, 60).generate();
+        let task = ImageTask::new(train, test, vec![vec![0]]);
+        let m = zoo::cnn_mnist(0.25, &mut seeded_rng(60));
         let local = LocalTrainConfig::default();
-        let full = model_round_cost(&m, (1, 28, 28), &local);
-        let plan = fedmp_pruning::plan_sequential(&m, (1, 28, 28), 0.6);
-        let sub = fedmp_pruning::extract_sequential(&m, &plan);
-        let pruned = model_round_cost(&sub, (1, 28, 28), &local);
+        let full = m.round_cost(&task, &local);
+        let sub = m.extract(&m.plan(&task, 0.6, Importance::L1));
+        let pruned = sub.round_cost(&task, &local);
         assert!(pruned.train_flops < full.train_flops);
         assert!(pruned.upload_bytes < full.upload_bytes);
     }

@@ -7,17 +7,15 @@
 use crate::aggregate::{mix_states, r2sp_aggregate};
 use crate::engine::{
     emit_aggregate, emit_kernel_dispatch, emit_local_train, emit_round_end, emit_round_start,
-    evaluate_if_due, kernel_baseline, model_round_cost, worker_batches, worker_rng, FlConfig,
-    FlSetup,
+    evaluate_if_due, kernel_baseline, worker_rng, FlConfig, FlModel, FlSetup,
 };
 use crate::exec;
 use crate::history::{RoundRecord, RunHistory};
-use crate::local::local_train;
 use crate::runtime::RatioPolicy;
 use fedmp_bandit::{EUcbConfig, RewardConfig};
 use fedmp_edgesim::ArrivalQueue;
 use fedmp_nn::{state_sub, Sequential, StateEntry};
-use fedmp_pruning::{extract_sequential, plan_sequential, recover_state, sparse_state, PrunePlan};
+use fedmp_pruning::{extract_sequential, plan_sequential, recover_state, PrunePlan};
 use serde::{Deserialize, Serialize};
 
 /// Which asynchronous method to run.
@@ -125,10 +123,9 @@ pub fn run_async(
         let trained = exec::ordered_map(metas, |_, (w, tick, ratio)| {
             let plan = plan_sequential(global, setup.task.input_chw, ratio);
             let mut model = extract_sequential(global, &plan);
-            let residual = state_sub(&global.state(), &sparse_state(global, &plan));
-            let mut batches = worker_batches(setup.task, w, cfg.local.batch, cfg.seed, tick);
-            let outcome = local_train(&mut model, &mut batches, &cfg.local);
-            let cost = model_round_cost(&model, setup.task.input_chw, &cfg.local);
+            let residual = state_sub(&global.state(), &recover_state(&model, &plan, global));
+            let outcome = model.train(setup.task, w, cfg.seed, tick, &cfg.local);
+            let cost = model.round_cost(setup.task, &cfg.local);
             let mut rng = worker_rng(cfg.seed ^ 0x5A5A, tick, w);
             let rt = setup.simulate_round(w, &cost, &mut rng);
             let scaled = setup.scaled_cost(&cost);

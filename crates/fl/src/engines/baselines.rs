@@ -3,18 +3,18 @@
 //! [`crate::runtime::run_rounds`] over the inline exchange, every other
 //! [`FedMpOptions`] field at its default.
 //!
-//! - **Syn-FL** (McMahan et al. [5]), the paper's primary baseline:
+//! - **Syn-FL** (McMahan et al. \[5\]), the paper's primary baseline:
 //!   full-model FedAvg is ρ ≡ 0 — R2SP with an all-zero residual *is*
 //!   FedAvg, bit for bit (`ExactSum` ignores ±0).
-//! - **UP-FL** (Jiang et al. [15] adapted to structured pruning): one
+//! - **UP-FL** (Jiang et al. \[15\] adapted to structured pruning): one
 //!   ratio **for all workers** each round. It adapts over rounds (a
 //!   single shared E-UCB agent) but ignores heterogeneity, so the
 //!   weakest worker still gates every round.
-//! - **FedProx** (Li et al. [19]): ρ ≡ 0 with a proximal term and
+//! - **FedProx** (Li et al. \[19\]): ρ ≡ 0 with a proximal term and
 //!   **capability-scaled local iteration counts** — weak workers do
 //!   fewer local steps so they finish closer to the strong ones, but
 //!   every worker still trains and transmits the full model.
-//! - **FlexCom** (Li et al. [13]): ρ ≡ 0 with **bandwidth-scaled top-k
+//! - **FlexCom** (Li et al. \[13\]): ρ ≡ 0 with **bandwidth-scaled top-k
 //!   uplinks** — every worker trains the full model (no compute
 //!   savings) and uploads its update through the wire's per-tensor
 //!   top-k codec with error feedback, at a keep fraction proportional
@@ -137,11 +137,11 @@ pub fn run_flexcom(
 mod tests {
     use super::*;
     use crate::aggregate::average_states;
-    use crate::engine::worker_batches;
+    use crate::engine::worker_rng;
     use crate::eval::evaluate_image;
     use crate::local::local_train;
     use crate::task::ImageTask;
-    use fedmp_data::{iid_partition, mnist_like, tiny_imagenet_like, SynthSpec};
+    use fedmp_data::{iid_partition, mnist_like, tiny_imagenet_like, BatchIter, SynthSpec};
     use fedmp_edgesim::{
         tx2_profile, ComputeMode, ComputeMode::*, LinkQuality, LinkQuality::*, TimeModel,
     };
@@ -173,6 +173,18 @@ mod tests {
         assert!(final_acc > 0.5, "Syn-FL accuracy only {final_acc}");
         // Virtual time accumulates monotonically.
         assert!(h.rounds.windows(2).all(|w| w[1].sim_time > w[0].sim_time));
+    }
+
+    /// Worker `w`'s batches of `round`, built here rather than through
+    /// the engine's local step.
+    fn worker_batches(
+        task: &ImageTask,
+        w: usize,
+        batch: usize,
+        seed: u64,
+        round: usize,
+    ) -> BatchIter<'_> {
+        BatchIter::new(&task.train, task.partition[w].clone(), batch, worker_rng(seed, round, w))
     }
 
     /// FedAvg longhand — clone the global per worker, train, take the

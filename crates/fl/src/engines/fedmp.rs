@@ -6,21 +6,21 @@
 //! loop engine [`run_fedmp`], which drives that round body through the
 //! *inline* exchange: every worker trains in-process on exactly what
 //! the [`crate::codec_delivered`] oracle says it would decode. No frames, no
-//! threads of its own, no way to fail; `engines::baselines` runs over
-//! it too ([`run_inline`]).
+//! threads of its own, no way to fail; `engines::baselines` and
+//! [`crate::run_lm`] run over it too ([`run_inline`]).
 
 use crate::chaos::ChaosOptions;
-use crate::engine::{worker_batches, FlConfig, FlSetup, SyncScheme};
+use crate::engine::{FlConfig, FlModel, FlSetup, SyncScheme};
 use crate::exec;
 use crate::history::RunHistory;
-use crate::local::{local_train, LocalTrainConfig};
+use crate::local::LocalTrainConfig;
 use crate::runtime::{run_rounds, Arrival, Exchange, Exchanged, RoundMethod, WireBytes};
 use crate::wire::{link_delivered, CompressionPolicy, ErrorFeedback, LinkCodecs};
 use core::convert::Infallible;
 use fedmp_bandit::{EUcbConfig, RewardConfig};
 use fedmp_edgesim::FaultInjector;
 use fedmp_nn::Sequential;
-use fedmp_pruning::{Importance, PrunePlan};
+use fedmp_pruning::Importance;
 use serde::{Deserialize, Serialize};
 
 /// Fault-tolerance options implementing the paper's §V-A mechanism:
@@ -104,9 +104,9 @@ impl Default for FedMpOptions {
 
 /// The inline [`Exchange`]: "delivery" is the codec oracle applied in
 /// place, and the fleet is a fan-out over the round executor.
-struct InlineExchange<'a> {
+struct InlineExchange<'a, M: FlModel> {
     cfg: &'a FlConfig,
-    setup: &'a FlSetup<'a>,
+    setup: &'a FlSetup<'a, M::Task>,
     compressed: bool,
     /// The method's local step per worker.
     locals: Vec<LocalTrainConfig>,
@@ -114,8 +114,8 @@ struct InlineExchange<'a> {
     feedbacks: Vec<ErrorFeedback>,
 }
 
-impl Exchange for InlineExchange<'_> {
-    type Upload = Sequential;
+impl<M: FlModel> Exchange<M> for InlineExchange<'_, M> {
+    type Upload = M;
     type Error = Infallible;
 
     fn exchange(
@@ -123,12 +123,12 @@ impl Exchange for InlineExchange<'_> {
         round: usize,
         online: &[usize],
         links: &[LinkCodecs],
-        _plans: &[PrunePlan],
-        subs: Vec<Sequential>,
-    ) -> Result<Vec<Exchanged<Sequential>>, Infallible> {
+        _plans: &[M::Plan],
+        subs: Vec<M>,
+    ) -> Result<Vec<Exchanged<M>>, Infallible> {
         let (cfg, task, compressed, locals) =
             (self.cfg, self.setup.task, self.compressed, &self.locals);
-        let work: Vec<(usize, Sequential, ErrorFeedback)> = online
+        let work: Vec<(usize, M, ErrorFeedback)> = online
             .iter()
             .zip(subs)
             .map(|(&w, sub)| (w, sub, std::mem::take(&mut self.feedbacks[w])))
@@ -147,8 +147,7 @@ impl Exchange for InlineExchange<'_> {
                 sub.load_state(&link.0);
                 link
             });
-            let mut batches = worker_batches(task, w, locals[w].batch, cfg.seed, round);
-            let outcome = local_train(&mut sub, &mut batches, &locals[w]);
+            let outcome = sub.train(task, w, cfg.seed, round, &locals[w]);
             // Uplink: a delta against the model the worker received,
             // folded through its persistent error-feedback state. The
             // upload is the *delivered* reconstruction — exactly what
@@ -171,17 +170,18 @@ impl Exchange for InlineExchange<'_> {
         Ok(exchanged)
     }
 
-    fn reconstruct(upload: Sequential) -> Result<Sequential, Infallible> {
+    fn reconstruct(upload: M) -> Result<M, Infallible> {
         Ok(upload)
     }
 }
 
-/// Runs `method` over the inline exchange: the loop engine of FedMP and
-/// of every baseline that is Algorithm 1 with a different ρ-picker.
-pub(crate) fn run_inline(
+/// Runs `method` over the inline exchange: the loop engine of FedMP, of
+/// every baseline that is Algorithm 1 with a different ρ-picker, and of
+/// the LM.
+pub(crate) fn run_inline<M: FlModel>(
     cfg: &FlConfig,
-    setup: &FlSetup<'_>,
-    global: Sequential,
+    setup: &FlSetup<'_, M::Task>,
+    global: M,
     opts: &FedMpOptions,
     method: RoundMethod,
 ) -> RunHistory {

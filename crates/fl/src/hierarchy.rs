@@ -50,12 +50,11 @@ use crate::engine::{
     emit_aggregate, emit_codec_selected, emit_cohort_sampled, emit_compression_applied,
     emit_edge_aggregate, emit_frame_retransmit, emit_kernel_dispatch, emit_local_train,
     emit_quorum_aggregate, emit_round_end, emit_round_start, emit_shard_reduced,
-    emit_worker_excluded, evaluate_if_due, kernel_baseline, model_round_cost, worker_batches,
-    worker_rng, CostScale, FlConfig,
+    emit_worker_excluded, evaluate_if_due, kernel_baseline, worker_rng, CostScale, FlConfig,
+    FlModel,
 };
 use crate::exec;
 use crate::history::{RoundRecord, RunHistory};
-use crate::local::local_train;
 use crate::runtime::seeded_agents;
 use crate::task::ImageTask;
 use crate::wire::{link_delivered, Codec, CompressionPolicy, LinkCodecs};
@@ -66,7 +65,7 @@ use fedmp_edgesim::{
 };
 use fedmp_nn::{state_add, state_numel, state_sub, Sequential, StateEntry};
 use fedmp_pruning::{
-    extract_sequential, plan_sequential_with, recover_state, sparse_state, Importance, PrunePlan,
+    extract_sequential, plan_sequential_with, recover_state, Importance, PrunePlan,
 };
 use fedmp_tensor::parallel::{sum_f32, sum_f64};
 use fedmp_tensor::{ExactSum, ExactVec, Tensor};
@@ -506,14 +505,8 @@ fn reduce_shard(
         // the only per-client model state and dies at the end of this
         // iteration.
         let mut sub = cr.sub.clone();
-        let mut batches = worker_batches(
-            setup.task,
-            setup.data_shard(id),
-            cfg.local.batch,
-            client_stream_seed(cfg.seed, id),
-            round,
-        );
-        let outcome = local_train(&mut sub, &mut batches, &cfg.local);
+        let seed = client_stream_seed(cfg.seed, id);
+        let outcome = sub.train(setup.task, setup.data_shard(id), seed, round, &cfg.local);
         let (up_wire, up_dense) = if compressed {
             let (delivered, wire, dense) =
                 link_delivered(&sub.state(), cr.pair.uplink, cr.received.as_deref(), None);
@@ -522,12 +515,12 @@ fn reduce_shard(
         } else {
             (0, 0)
         };
-        let mut cost = model_round_cost(&sub, setup.task.input_chw, &cfg.local);
+        let mut cost = sub.round_cost(setup.task, &cfg.local);
         if compressed {
             cost.download_bytes = cr.down_wire as f64;
             cost.upload_bytes = up_wire as f64;
         }
-        let mut rng = worker_rng(cfg.seed ^ 0xA5A5, round, id as usize);
+        let mut rng = worker_rng(cfg.seed ^ Sequential::TIME_SALT, round, id as usize);
         let t = setup.time.round_time(&cr.device, &setup.scaled_cost(&cost), &mut rng);
         let arrival =
             t.total() + draw.delay_secs + client_plan.options().backoff_total(fate.retries());
@@ -789,7 +782,7 @@ fn class_plans(
         };
         let plan = plan_sequential_with(global, setup.task.input_chw, ratio, opts.importance);
         let mut sub = extract_sequential(global, &plan);
-        let residual = state_sub(&global.state(), &sparse_state(global, &plan));
+        let residual = state_sub(&global.state(), &recover_state(&sub, &plan, global));
         let pair = opts.compression.select(&device);
         let (received, down_wire, down_dense) = if compressed {
             let (delivered, wire, dense) = link_delivered(&sub.state(), pair.downlink, None, None);

@@ -13,7 +13,7 @@
 //! | [`run_fedprox`] | FedProx baseline \[19\]: the same round at ρ ≡ 0 with a proximal term + capability-scaled local iterations |
 //! | [`run_flexcom`] | FlexCom baseline \[13\]: the same round at ρ ≡ 0 with bandwidth-scaled top-k uplinks and error feedback |
 //! | [`run_async`] | Asyn-FL \[43\] and Asyn-FedMP (Algorithm 2): m-of-N arrival aggregation |
-//! | [`run_lm`] | §VI LSTM extension: Syn-FL / UP-FL / FedMP with ISS pruning |
+//! | [`run_lm`] | §VI LSTM extension: Syn-FL / UP-FL / FedMP — the same round on an `LstmLm`, ISS pruning |
 //!
 //! Local training fans out across simulated workers through the
 //! deterministic round executor in [`exec`] (`FEDMP_THREADS` workers,
@@ -65,7 +65,7 @@ pub use engines::r#async::{run_async, AsyncMode, AsyncOptions};
 pub use eval::{evaluate_image, evaluate_lm, EvalResult};
 pub use hierarchy::{run_fedmp_hier, ExactState, HierSetup, HierarchyOptions};
 pub use history::{RoundRecord, RunHistory};
-pub use lm::{run_lm, LmMethod, LmOptions, LmRunResult, LmSetup};
+pub use lm::{run_lm, LmMethod, LmOptions, LmSetup};
 pub use local::{local_train, LocalOutcome, LocalTrainConfig};
 pub use metrics::{relative_cost, resource_totals, ResourceTotals};
 pub use runtime::{

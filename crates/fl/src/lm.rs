@@ -1,23 +1,21 @@
 //! The §VI RNN extension: federated training of the 2-layer LSTM
 //! language model with ISS pruning (Table IV compares Syn-FL, UP-FL and
-//! FedMP on perplexity).
+//! FedMP on perplexity). [`LstmLm`] is a [`FlModel`], so [`run_lm`]
+//! only describes each method as a [`RoundMethod`]: the round is the
+//! image engines' `run_rounds` over the inline exchange.
 
-use crate::aggregate::r2sp_aggregate;
-use crate::engine::{
-    emit_aggregate, emit_kernel_dispatch, emit_local_train, emit_round_end, emit_round_start,
-    eval_due, kernel_baseline,
-};
+use crate::engine::{FlConfig, FlModel, FlSetup};
+use crate::engines::fedmp::{run_inline, FedMpOptions};
 use crate::eval::evaluate_lm;
-use crate::exec;
-use crate::history::{RoundRecord, RunHistory};
-use crate::runtime::{seeded_agent, RatioPolicy};
+use crate::history::RunHistory;
+use crate::local::{LocalOutcome, LocalTrainConfig};
+use crate::runtime::{seeded_agent, RatioPolicy, RoundMethod};
 use fedmp_bandit::{EUcbConfig, RewardConfig};
 use fedmp_data::TextBatch;
 use fedmp_edgesim::{DeviceProfile, RoundCost, TimeModel};
-use fedmp_nn::{clip_grad_norm, lstm_cost_per_token, state_sub, LstmLm, Sgd};
-use fedmp_pruning::{extract_lstm, plan_lstm, recover_lstm_state, sparse_lstm_state};
+use fedmp_nn::{clip_grad_norm, lstm_cost_per_token, LstmLm, Sgd, StateEntry};
+use fedmp_pruning::{extract_lstm, plan_lstm, recover_lstm_state, Importance, LstmPlan};
 use fedmp_tensor::cross_entropy_loss;
-use fedmp_tensor::parallel::sum_f32;
 use serde::{Deserialize, Serialize};
 
 /// Which method trains the language model (the Table IV rows).
@@ -94,167 +92,121 @@ impl Default for LmOptions {
     }
 }
 
-/// Alias kept for API symmetry with the image engines.
-pub type LmRunResult = RunHistory;
+impl FlModel for LstmLm {
+    type Task = LmSetup;
+    type Plan = LstmPlan;
+    const TIME_SALT: u64 = 0x77;
 
-fn local_train_lm(
-    model: &mut LstmLm,
-    batches: &[TextBatch],
-    start: usize,
-    tau: usize,
-    lr: f32,
-) -> (f32, f32, f32) {
-    let mut opt = Sgd::with_momentum(lr, 0.9, 0.0);
-    let mut first = 0.0f32;
-    let mut last = 0.0f32;
-    let mut total = 0.0f32;
-    for t in 0..tau {
-        let b = &batches[(start + t) % batches.len()];
-        model.zero_grad();
-        let logits = model.forward(&b.inputs);
-        let out = cross_entropy_loss(&logits, &b.targets);
-        model.backward(&out.grad_logits);
-        clip_grad_norm(model, 5.0);
-        opt.step(model);
-        if t == 0 {
-            first = out.loss;
-        }
-        last = out.loss;
-        total += out.loss;
+    /// ISS ranks hidden units by L1 importance whatever `importance` says.
+    fn plan(&self, _: &LmSetup, ratio: f32, _: Importance) -> LstmPlan {
+        plan_lstm(self, ratio)
     }
-    (first, last, total / tau as f32)
-}
 
-fn lm_round_cost(model: &LstmLm, batch: usize, seq: usize, tau: usize) -> RoundCost {
-    let report = lstm_cost_per_token(model);
-    RoundCost {
-        train_flops: report.flops_per_sample as f64 * 3.0 * (batch * seq * tau) as f64,
-        download_bytes: report.param_bytes() as f64,
-        upload_bytes: report.param_bytes() as f64,
+    fn extract(&self, plan: &LstmPlan) -> Self {
+        extract_lstm(self, plan)
+    }
+
+    fn recover(&self, plan: &LstmPlan, global: &Self) -> Vec<StateEntry> {
+        recover_lstm_state(self, plan, global)
+    }
+
+    fn round_cost(&self, task: &LmSetup, local: &LocalTrainConfig) -> RoundCost {
+        let report = lstm_cost_per_token(self);
+        let tokens = task.worker_batches[0][0].targets.len();
+        RoundCost {
+            train_flops: report.flops_per_sample as f64 * 3.0 * (tokens * local.tau) as f64,
+            download_bytes: report.param_bytes() as f64,
+            upload_bytes: report.param_bytes() as f64,
+        }
+    }
+
+    /// Step `t` takes batch `(round·τ + worker + t) mod len` of the
+    /// worker's lane, and `samples` counts tokens. The lanes are
+    /// pre-built, so `seed` and `local.batch` go unused, as does
+    /// `local.prox_mu` (no LM method is FedProx).
+    fn train(
+        &mut self,
+        task: &LmSetup,
+        worker: usize,
+        _: u64,
+        round: usize,
+        local: &LocalTrainConfig,
+    ) -> LocalOutcome {
+        let lane = &task.worker_batches[worker];
+        let mut opt = Sgd::with_momentum(local.lr, local.momentum, 0.0);
+        let (mut first_loss, mut last_loss, mut total, mut samples) = (0.0f32, 0.0f32, 0.0f32, 0);
+        for t in 0..local.tau {
+            let b = &lane[(round * local.tau + worker + t) % lane.len()];
+            self.zero_grad();
+            let out = cross_entropy_loss(&self.forward(&b.inputs), &b.targets);
+            self.backward(&out.grad_logits);
+            if local.clip > 0.0 {
+                clip_grad_norm(self, local.clip);
+            }
+            opt.step(self);
+            if t == 0 {
+                first_loss = out.loss;
+            }
+            last_loss = out.loss;
+            total += out.loss;
+            samples += b.targets.len();
+        }
+        LocalOutcome { first_loss, last_loss, mean_loss: total / local.tau as f32, samples }
+    }
+
+    /// `(loss, perplexity)`: the metric slot holds perplexity.
+    fn evaluate(&mut self, task: &LmSetup, cfg: &FlConfig) -> (f32, f32) {
+        let r = evaluate_lm(self, &task.eval_batches, cfg.eval_max_samples);
+        (r.loss, r.accuracy)
+    }
+
+    fn state(&self) -> Vec<StateEntry> {
+        LstmLm::state(self)
+    }
+
+    fn load_state(&mut self, state: &[StateEntry]) {
+        LstmLm::load_state(self, state);
     }
 }
 
 /// Runs one LM method for `opts.rounds` rounds from `global`.
-pub fn run_lm(
-    setup: &LmSetup,
-    opts: &LmOptions,
-    method: LmMethod,
-    mut global: LstmLm,
-) -> RunHistory {
+pub fn run_lm(setup: &LmSetup, opts: &LmOptions, method: LmMethod, global: LstmLm) -> RunHistory {
     let workers = setup.worker_batches.len();
     assert_eq!(setup.devices.len(), workers, "device count mismatch");
     assert!(workers > 0, "need at least one worker");
-    let (batch, seq) = {
-        let b = &setup.worker_batches[0][0];
-        (b.inputs.len(), b.inputs[0].len())
+    // Momentum and clip are `LocalTrainConfig`'s defaults, 0.9 and 5.
+    let cfg = FlConfig {
+        rounds: opts.rounds,
+        local: LocalTrainConfig { tau: opts.tau, lr: opts.lr, ..Default::default() },
+        eval_every: opts.eval_every,
+        eval_max_samples: opts.eval_max_batches,
+        seed: opts.seed,
+        ..Default::default()
     };
-    let mut history = RunHistory::new(method.name());
-    let mut sim_time = 0.0f64;
-
-    // The image methods' ρ-pickers; the round is this module's own.
     // Syn-FL is ISS at ρ = 0: the full sub-model and a zero residual,
-    // so R2SP is FedAvg.
-    let (mut policy, scheme) = match method {
+    // so R2SP is FedAvg; unlike the image Syn-FL it records its ratios.
+    let (policy, scheme) = match method {
         LmMethod::SynFl => (RatioPolicy::Fixed(0.0), "FedAvg"),
         LmMethod::UpFl => (RatioPolicy::Shared(seeded_agent(opts.eucb, opts.seed)), "R2SP"),
         LmMethod::FedMp => {
             (RatioPolicy::per_worker(opts.eucb, opts.reward, workers, opts.seed), "R2SP")
         }
     };
-    let everyone: Vec<usize> = (0..workers).collect();
-
-    let mut kstats = kernel_baseline();
-
-    for round in 0..opts.rounds {
-        emit_round_start(round, sim_time, &everyone);
-        let ratios = policy.select(&everyone);
-
-        // Per-worker round work, fanned across the round executor:
-        // build the sub-model and residual from the read-only global,
-        // then train it. Agent selection above and
-        // timing/aggregation/emission below stay in worker order.
-        let results = exec::ordered_map(ratios.clone(), |w, r| {
-            let plan = plan_lstm(&global, r);
-            let mut model = extract_lstm(&global, &plan);
-            let residual = state_sub(&global.state(), &sparse_lstm_state(&global, &plan));
-            let start = round * opts.tau + w;
-            let (first, last, mean) =
-                local_train_lm(&mut model, &setup.worker_batches[w], start, opts.tau, opts.lr);
-            (model, plan, residual, first - last, mean)
-        });
-
-        // Timing.
-        let mut times = Vec::with_capacity(workers);
-        let mut comp_sum = 0.0;
-        let mut comm_sum = 0.0;
-        for (w, (model, ..)) in results.iter().enumerate() {
-            let cost = setup.cost_scale.apply(&lm_round_cost(model, batch, seq, opts.tau));
-            let mut rng = crate::engine::worker_rng(opts.seed ^ 0x77, round, w);
-            let t = setup.time.round_time(&setup.devices[w], &cost, &mut rng);
-            comp_sum += t.comp;
-            comm_sum += t.comm;
-            // `samples` counts tokens for the LM task (batch · seq · τ).
-            emit_local_train(
-                round,
-                w,
-                ratios[w],
-                results[w].4,
-                results[w].3,
-                opts.tau,
-                batch * seq * opts.tau,
-                &t,
-                &cost,
-            );
-            times.push(t.total());
-        }
-        let round_time = times.iter().copied().fold(0.0, f64::max);
-        sim_time += round_time;
-
-        // Rewards.
-        let delivered: Vec<(usize, f32, f64)> =
-            results.iter().zip(&times).enumerate().map(|(w, (r, &t))| (w, r.3, t)).collect();
-        policy.observe(&delivered, round_time);
-
-        // Aggregation.
-        let train_loss = sum_f32(results.iter().map(|(.., m)| *m)) / workers as f32;
-        let (recovered, residuals): (Vec<_>, Vec<_>) = results
-            .into_iter()
-            .map(|(model, plan, residual, ..)| {
-                (recover_lstm_state(&model, &plan, &global), residual)
-            })
-            .unzip();
-        global.load_state(&r2sp_aggregate(&recovered, &residuals));
-        emit_aggregate(round, scheme, workers);
-
-        let eval = eval_due(round, opts.eval_every, opts.rounds).then(|| {
-            let r = evaluate_lm(&mut global, &setup.eval_batches, opts.eval_max_batches);
-            (r.loss, r.accuracy) // accuracy slot holds perplexity
-        });
-        emit_kernel_dispatch(round, &mut kstats);
-        let rec = RoundRecord {
-            round,
-            sim_time,
-            round_time,
-            mean_comp: comp_sum / workers as f64,
-            mean_comm: comm_sum / workers as f64,
-            train_loss,
-            eval,
-            ratios,
-            participants: workers,
-            ..Default::default()
-        };
-        emit_round_end(&rec);
-        history.rounds.push(rec);
-    }
-    history
+    let locals = vec![cfg.local; workers];
+    let method = RoundMethod { name: method.name(), scheme, policy, locals, links: None };
+    let (devices, time, cost_scale) = (setup.devices.clone(), setup.time, setup.cost_scale);
+    let fl = FlSetup { task: setup, devices, time, cost_scale };
+    run_inline(&cfg, &fl, global, &FedMpOptions::default(), method)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::history::RoundRecord;
     use fedmp_data::ptb_like;
     use fedmp_edgesim::{tx2_profile, ComputeMode, LinkQuality};
     use fedmp_nn::zoo;
+    use fedmp_tensor::parallel::sum_f32;
     use fedmp_tensor::seeded_rng;
 
     fn lm_setup(workers: usize) -> LmSetup {
@@ -287,6 +239,56 @@ mod tests {
         }
     }
 
+    /// LM FedAvg longhand — clone the global per worker, τ momentum-SGD
+    /// steps clipped at norm 5 on batches `(round·τ + w + t) mod len`,
+    /// element-wise mean, evaluate: no ISS plan, extraction, residual or
+    /// R2SP near it. `[train loss, eval loss, perplexity]` bits per round.
+    fn lm_fedavg_reference(setup: &LmSetup, opts: &LmOptions, mut global: LstmLm) -> Vec<[u32; 3]> {
+        let workers = setup.worker_batches.len();
+        let rounds = (0..opts.rounds).map(|round| {
+            let trained = setup.worker_batches.iter().enumerate().map(|(w, lane)| {
+                let mut model = global.clone();
+                let mut opt = Sgd::with_momentum(opts.lr, 0.9, 0.0);
+                let mut total = 0.0f32;
+                for t in 0..opts.tau {
+                    let b = &lane[(round * opts.tau + w + t) % lane.len()];
+                    model.zero_grad();
+                    let out = cross_entropy_loss(&model.forward(&b.inputs), &b.targets);
+                    model.backward(&out.grad_logits);
+                    clip_grad_norm(&mut model, 5.0);
+                    opt.step(&mut model);
+                    total += out.loss;
+                }
+                (model.state(), total / opts.tau as f32)
+            });
+            let (states, losses): (Vec<_>, Vec<_>) = trained.unzip();
+            global.load_state(&crate::aggregate::average_states(&states));
+            let eval = evaluate_lm(&mut global, &setup.eval_batches, opts.eval_max_batches);
+            [sum_f32(losses) / workers as f32, eval.loss, eval.accuracy].map(f32::to_bits)
+        });
+        rounds.collect()
+    }
+
+    #[test]
+    fn lm_synfl_matches_an_independent_fedavg_reference() {
+        // ISS at ρ = 0 through plan → extract → residual → recover → R2SP
+        // must *be* LM FedAvg; the later rounds check the batch rotation
+        // and the momentum-SGD step against code that shares none of it.
+        let setup = lm_setup(3);
+        // Weights ×3, so that some steps' gradient norms pass the clip of
+        // 5 (at zoo scale they stay below 2 and the clip never fires).
+        let mut global = zoo::lstm_ptb(30, 0.15, &mut seeded_rng(133));
+        global.load_state(&fedmp_nn::state_scale(&global.state(), 3.0));
+        let opts = LmOptions { rounds: 3, eval_every: 1, seed: 5, ..Default::default() };
+        let reference = lm_fedavg_reference(&setup, &opts, global.clone());
+        let h = run_lm(&setup, &opts, LmMethod::SynFl, global);
+        let bits = |r: &RoundRecord| {
+            let (loss, ppl) = r.eval.expect("evaluated every round");
+            [r.train_loss, loss, ppl].map(f32::to_bits)
+        };
+        assert_eq!(h.rounds.iter().map(bits).collect::<Vec<_>>(), reference);
+    }
+
     #[test]
     fn lm_fedmp_reduces_perplexity() {
         let setup = lm_setup(2);
@@ -315,14 +317,11 @@ mod tests {
     #[test]
     fn pruned_lm_round_is_cheaper() {
         let setup = lm_setup(2);
-        let mut rng = seeded_rng(132);
-        let global = zoo::lstm_ptb(30, 0.2, &mut rng);
-        let full = lm_round_cost(&global, 4, 8, 4);
-        let plan = plan_lstm(&global, 0.5);
-        let sub = extract_lstm(&global, &plan);
-        let pruned = lm_round_cost(&sub, 4, 8, 4);
+        let global = zoo::lstm_ptb(30, 0.2, &mut seeded_rng(132));
+        let local = LocalTrainConfig { tau: 4, ..Default::default() };
+        let full = global.round_cost(&setup, &local);
+        let pruned = global.extract(&plan_lstm(&global, 0.5)).round_cost(&setup, &local);
         assert!(pruned.train_flops < full.train_flops);
         assert!(pruned.upload_bytes < full.upload_bytes);
-        let _ = setup;
     }
 }

@@ -7,8 +7,9 @@
 //! prune → exchange → Eq. 5 timing → `factor · d` deadline → Eq. 8
 //! reward → quorum R2SP/BSP → evaluate. A [`RoundMethod`] says how ρ
 //! is picked and rewarded and what each worker's local step is: FedMP,
-//! or a baseline that is one of its corners (`engines::baselines`). It
-//! asks its driver for one thing through [`Exchange`]: *move this
+//! or a baseline that is one of its corners (`engines::baselines`); an
+//! [`FlModel`] says what the model family does (the image CNNs or the §VI
+//! LSTM). It asks its driver for one thing through [`Exchange`]: *move this
 //! round's sub-models to their workers and bring back what each one
 //! trained*. The **inline**
 //! exchange of [`crate::run_fedmp`] trains in-process on the codec
@@ -87,12 +88,12 @@ use crate::engine::{
     emit_aggregate, emit_codec_selected, emit_compression_applied, emit_frame_retransmit,
     emit_kernel_dispatch, emit_local_train, emit_quorum_aggregate, emit_round_end,
     emit_round_start, emit_worker_excluded, emit_worker_rejoined, evaluate_if_due, kernel_baseline,
-    model_round_cost, worker_batches, worker_rng, FlConfig, FlSetup, SyncScheme,
+    worker_rng, FlConfig, FlModel, FlSetup, SyncScheme,
 };
 use crate::engines::fedmp::FedMpOptions;
 use crate::exec;
 use crate::history::{RoundRecord, RunHistory};
-use crate::local::{local_train, LocalOutcome, LocalTrainConfig};
+use crate::local::{LocalOutcome, LocalTrainConfig};
 use crate::task::ImageTask;
 use crate::transport::{
     run_fedmp_sockets, unique_socket_path, NodeSpawner, SocketFleet, SocketRunOptions, ThreadNodes,
@@ -105,10 +106,7 @@ use core::time::Duration;
 use fedmp_bandit::{eucb_reward, Bandit, EUcbAgent, EUcbConfig, RewardConfig};
 use fedmp_edgesim::deadline_for;
 use fedmp_nn::{state_sub, Sequential, StateEntry};
-use fedmp_pruning::{
-    dequantize_state, extract_sequential, plan_sequential_with, quantize_state, recover_state,
-    sparse_state, PrunePlan,
-};
+use fedmp_pruning::{dequantize_state, extract_sequential, quantize_state, PrunePlan};
 use fedmp_tensor::parallel::{sum_f32, sum_f64};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -147,9 +145,9 @@ pub(crate) struct Exchanged<U> {
     pub(crate) result: Result<Arrival<U>, &'static str>,
 }
 
-/// How a round's sub-models reach their workers and come back — the
-/// one thing a FedMP driver supplies to [`run_rounds`].
-pub(crate) trait Exchange {
+/// How a round's sub-models of `M` reach their workers and come back —
+/// the one thing a FedMP driver supplies to [`run_rounds`].
+pub(crate) trait Exchange<M: FlModel> {
     /// A delivered upload before the PS reconstructs it.
     type Upload: Send;
     /// Terminal (unrecoverable) exchange failures; uninhabited for the
@@ -172,14 +170,14 @@ pub(crate) trait Exchange {
         round: usize,
         online: &[usize],
         links: &[LinkCodecs],
-        plans: &[PrunePlan],
-        subs: Vec<Sequential>,
+        plans: &[M::Plan],
+        subs: Vec<M>,
     ) -> Result<Vec<Exchanged<Self::Upload>>, Self::Error>;
 
     /// The trained sub-model exactly as the PS reconstructs it from
     /// `upload`. Called (fanned out) only for uploads that survive the
     /// deadline.
-    fn reconstruct(upload: Self::Upload) -> Result<Sequential, Self::Error>;
+    fn reconstruct(upload: Self::Upload) -> Result<M, Self::Error>;
 
     /// Notification that `worker`'s contribution is excluded for
     /// `reason`, immediately before the body's `WorkerExcluded` event.
@@ -191,7 +189,7 @@ pub(crate) trait Exchange {
 
 /// How a round's pruning ratios are picked and how the picker learns
 /// from what came back — the one answer that separates FedMP from the
-/// synchronous baselines. [`crate::run_lm`] shares it (not the body).
+/// synchronous baselines.
 pub(crate) enum RatioPolicy {
     /// FedMP (§IV-C): an E-UCB agent per worker, rewarded by Eq. 8.
     PerWorker { agents: Vec<EUcbAgent>, reward: RewardConfig },
@@ -312,10 +310,10 @@ impl RoundMethod {
 /// `CodecSelected` reports); `chaos` the
 /// virtual-clock penalties (injected delay, retransmit backoff) and the
 /// aggregation quorum; [`ChaosOptions::none`] makes all three vanish.
-pub(crate) fn run_rounds<X: Exchange>(
+pub(crate) fn run_rounds<M: FlModel, X: Exchange<M>>(
     cfg: &FlConfig,
-    setup: &FlSetup<'_>,
-    mut global: Sequential,
+    setup: &FlSetup<'_, M::Task>,
+    mut global: M,
     opts: &FedMpOptions,
     method: RoundMethod,
     chaos: &ChaosOptions,
@@ -373,15 +371,16 @@ pub(crate) fn run_rounds<X: Exchange>(
         // function of its ratio.
         let ratios = policy.select(&online);
         let prepared = exec::ordered_map(ratios.clone(), |i, ratio| {
-            let plan = plan_sequential_with(&global, setup.task.input_chw, ratio, opts.importance);
-            let sub = extract_sequential(&global, &plan);
-            let residual = state_sub(&global.state(), &sparse_state(&global, &plan));
+            let plan = global.plan(setup.task, ratio, opts.importance);
+            let sub = global.extract(&plan);
+            // `sub` is fresh, so its recovery is the sparse model `xₙ`.
+            let residual = state_sub(&global.state(), &sub.recover(&plan, &global));
             let residual = if opts.quantize_residuals {
                 dequantize_state(&quantize_state(&residual))
             } else {
                 residual
             };
-            let cost = model_round_cost(&sub, setup.task.input_chw, &locals[online[i]]);
+            let cost = sub.round_cost(setup.task, &locals[online[i]]);
             ((plan, sub), (residual, cost))
         });
         let ((plans, subs), (residuals, costs)): ((Vec<_>, Vec<_>), (Vec<_>, Vec<_>)) =
@@ -423,7 +422,7 @@ pub(crate) fn run_rounds<X: Exchange>(
                 emit_compression_applied(round, w, "down", pair.downlink, wire.dense, wire.down);
                 emit_compression_applied(round, w, "up", pair.uplink, wire.dense, wire.up);
             }
-            let mut rng = worker_rng(cfg.seed ^ 0xA5A5, round, w);
+            let mut rng = worker_rng(cfg.seed ^ M::TIME_SALT, round, w);
             let t = setup.simulate_round(w, &cost, &mut rng);
             mean_comp += t.comp;
             mean_comm += t.comm;
@@ -498,7 +497,7 @@ pub(crate) fn run_rounds<X: Exchange>(
             kept_uploads.iter().map(|(i, _)| residuals[*i].clone()).collect();
         let mut recovered = Vec::with_capacity(kept);
         for r in exec::ordered_map(kept_uploads, |_, (i, upload)| {
-            X::reconstruct(upload).map(|model| recover_state(&model, &plans[i], &global))
+            X::reconstruct(upload).map(|model| model.recover(&plans[i], &global))
         }) {
             recovered.push(r?);
         }
@@ -728,8 +727,7 @@ impl<'a> WorkerProtocol<'a> {
             decode_state_v2(&frame, None).ok().map(|state| {
                 let mut model = extract_sequential(self.arch, plan);
                 model.load_state(&state);
-                let mut batches = worker_batches(self.task, w, self.local.batch, self.seed, round);
-                let outcome = local_train(&mut model, &mut batches, &self.local);
+                let outcome = model.train(self.task, w, self.seed, round, &self.local);
                 // Encode (and fold the residual into the error
                 // feedback) even when chaos later drops the upload —
                 // the loss is in transit, after the encoder ran.
@@ -815,7 +813,7 @@ impl<'f, 'a, S: NodeSpawner> FramedExchange<'f, 'a, S> {
     }
 }
 
-impl<S: NodeSpawner> Exchange for FramedExchange<'_, '_, S> {
+impl<S: NodeSpawner> Exchange<Sequential> for FramedExchange<'_, '_, S> {
     type Upload = FramedUpload;
     type Error = RuntimeError;
 

@@ -25,7 +25,7 @@
 //!
 //! # Fault mapping
 //!
-//! The seeded [`ChaosPlan`](crate::chaos::ChaosPlan) draws are mapped
+//! The seeded [`ChaosPlan`] draws are mapped
 //! onto packet-level effects (see `docs/TRANSPORT.md` for the full
 //! table): corruption flips a byte of the uplink model payload (the
 //! framing checksum excludes it; the wire checksum catches it), a
