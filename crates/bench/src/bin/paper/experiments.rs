@@ -15,9 +15,9 @@ use fedmp_edgesim::{
     heterogeneity_scenario, EnergyModel, HeterogeneityLevel, Population, TimeModel, SLOW_LINK_BPS,
 };
 use fedmp_fl::{
-    run_fedmp, run_fedmp_hier, run_fedmp_threaded_chaos, run_lm, ChaosOptions, Codec,
-    CompressionPolicy, ExactState, FaultOptions, FedMpOptions, FlSetup, HierSetup,
-    HierarchyOptions, LmMethod, LmOptions, LmSetup, RunHistory,
+    run_fedmp, run_fedmp_hier, run_fedmp_threaded_chaos, run_synfl, run_upfl, ChaosOptions, Codec,
+    CompressionPolicy, ExactState, FaultOptions, FedMpOptions, FlConfig, FlSetup, HierSetup,
+    HierarchyOptions, LmTask, LocalTrainConfig, RunHistory, UpFlOptions,
 };
 use fedmp_nn::{zoo, StateEntry};
 use fedmp_obs::{RunManifest, TraceEvent, TraceSession};
@@ -370,20 +370,23 @@ pub fn table4(h: &mut Harness) {
             bytes: full.params as f64 / scaled.params.max(1) as f64,
         }
     };
-    let setup = LmSetup {
-        worker_batches,
-        eval_batches: eval.batches(8, 12),
-        devices: heterogeneity_scenario(HeterogeneityLevel::Medium, workers, &mut rng),
-        time: TimeModel::default(),
-        cost_scale,
+    let task = LmTask::new(worker_batches, eval.batches(8, 12));
+    let devices = heterogeneity_scenario(HeterogeneityLevel::Medium, workers, &mut rng);
+    let setup = FlSetup::with_cost_scale(&task, devices, TimeModel::default(), cost_scale);
+    let cfg = FlConfig {
+        rounds: if h.full { 32 } else { 16 },
+        local: LocalTrainConfig { tau: 4, lr: 0.4, ..Default::default() },
+        eval_every: 2,
+        eval_max_samples: 8,
+        ..Default::default()
     };
-    let rounds = if h.full { 32 } else { 16 };
-    let opts = LmOptions { rounds, eval_every: 2, ..Default::default() };
     let global = zoo::lstm_ptb(vocab, 0.3, &mut rng);
 
-    let methods = [LmMethod::SynFl, LmMethod::UpFl, LmMethod::FedMp];
-    let histories: Vec<_> =
-        methods.iter().map(|&m| run_lm(&setup, &opts, m, global.clone())).collect();
+    let histories = [
+        run_synfl(&cfg, &setup, global.clone()),
+        run_upfl(&cfg, &setup, global.clone(), &UpFlOptions::default()),
+        run_fedmp(&cfg, &setup, global, &FedMpOptions::default()),
+    ];
 
     // Budget: earliest finisher's horizon; target perplexity: what
     // Syn-FL reaches at 80% of the budget.

@@ -30,7 +30,7 @@ pub struct FlConfig {
     /// Evaluation batch size.
     pub eval_batch: usize,
     /// Cap on evaluated test samples (keeps the experiment suite fast).
-    /// For the LM ([`crate::run_lm`]) the cap counts evaluation batches.
+    /// On an [`LmTask`](crate::LmTask) the cap counts evaluation batches.
     pub eval_max_samples: usize,
     /// Master seed; all per-worker/per-round randomness derives from it.
     pub seed: u64,
@@ -81,7 +81,7 @@ impl CostScale {
 }
 
 /// The simulated deployment an engine runs against: the image task by
-/// default, the LM's [`crate::LmSetup`] inside [`crate::run_lm`].
+/// default, the LM's [`LmTask`](crate::LmTask) for an `LstmLm`.
 #[derive(Debug, Clone)]
 pub struct FlSetup<'a, T = ImageTask> {
     /// The federated task (data + partition).
@@ -94,16 +94,23 @@ pub struct FlSetup<'a, T = ImageTask> {
     pub cost_scale: CostScale,
 }
 
-impl<'a> FlSetup<'a> {
+/// A federated task split across workers: what [`FlSetup::new`] checks
+/// the fleet against.
+pub trait Workers {
+    /// Number of workers the task's training data is split across.
+    fn workers(&self) -> usize;
+}
+
+impl<'a, T: Workers> FlSetup<'a, T> {
     /// Builds a setup, checking worker counts agree.
-    pub fn new(task: &'a ImageTask, devices: Vec<DeviceProfile>, time: TimeModel) -> Self {
-        assert_eq!(devices.len(), task.workers(), "device count must match partition");
+    pub fn new(task: &'a T, devices: Vec<DeviceProfile>, time: TimeModel) -> Self {
+        assert_eq!(devices.len(), task.workers(), "device count must match the task's workers");
         FlSetup { task, devices, time, cost_scale: CostScale::default() }
     }
 
     /// Same, with explicit cost-scale factors.
     pub fn with_cost_scale(
-        task: &'a ImageTask,
+        task: &'a T,
         devices: Vec<DeviceProfile>,
         time: TimeModel,
         cost_scale: CostScale,
@@ -163,7 +170,7 @@ pub(crate) fn worker_rng(seed: u64, round: usize, worker: usize) -> StdRng {
 /// What the round body needs from a model family: the operations that
 /// differ between the image CNNs ([`Sequential`]) and the §VI LSTM
 /// (`LstmLm`). Everything else about a round is shared.
-pub(crate) trait FlModel: Send + Sync {
+pub trait FlModel: Send + Sync {
     /// The federated data the family trains and evaluates on.
     type Task: Sync;
     /// A structured-pruning plan.

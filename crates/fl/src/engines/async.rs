@@ -73,6 +73,7 @@ struct Pending {
 }
 
 /// Runs an asynchronous engine for `cfg.rounds` aggregation events.
+/// Image models only: neither asynchronous method is in Table IV.
 pub fn run_async(
     cfg: &FlConfig,
     setup: &FlSetup<'_>,

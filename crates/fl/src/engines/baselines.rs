@@ -20,7 +20,7 @@
 //!   top-k codec with error feedback, at a keep fraction proportional
 //!   to its link bandwidth.
 
-use crate::engine::{FlConfig, FlSetup};
+use crate::engine::{FlConfig, FlModel, FlSetup};
 use crate::engines::fedmp::{run_inline, FedMpOptions};
 use crate::history::RunHistory;
 use crate::local::LocalTrainConfig;
@@ -69,7 +69,11 @@ impl Default for FlexComOptions {
 }
 
 /// Runs Syn-FL for `cfg.rounds` rounds starting from `global`.
-pub fn run_synfl(cfg: &FlConfig, setup: &FlSetup<'_>, global: Sequential) -> RunHistory {
+pub fn run_synfl<M: FlModel>(
+    cfg: &FlConfig,
+    setup: &FlSetup<'_, M::Task>,
+    global: M,
+) -> RunHistory {
     let locals = vec![cfg.local; setup.workers()];
     let policy = RatioPolicy::Dense;
     let method = RoundMethod { name: "Syn-FL", scheme: "FedAvg", policy, locals, links: None };
@@ -78,10 +82,10 @@ pub fn run_synfl(cfg: &FlConfig, setup: &FlSetup<'_>, global: Sequential) -> Run
 
 /// Runs UP-FL: one shared agent picks the round's ratio, rewarded by
 /// the mean local loss improvement per unit of round time.
-pub fn run_upfl(
+pub fn run_upfl<M: FlModel>(
     cfg: &FlConfig,
-    setup: &FlSetup<'_>,
-    global: Sequential,
+    setup: &FlSetup<'_, M::Task>,
+    global: M,
     opts: &UpFlOptions,
 ) -> RunHistory {
     let policy = RatioPolicy::Shared(seeded_agent(opts.eucb, cfg.seed));
@@ -91,7 +95,9 @@ pub fn run_upfl(
 }
 
 /// Runs FedProx. Worker n performs `τₙ = max(min_tau, τ · φₙ/φ_max)`
-/// local iterations, where φₙ is its device throughput.
+/// local iterations, where φₙ is its device throughput. Image models
+/// only: the LSTM's local step has no proximal term, so μ would be
+/// silently dropped.
 pub fn run_fedprox(
     cfg: &FlConfig,
     setup: &FlSetup<'_>,
@@ -111,7 +117,8 @@ pub fn run_fedprox(
 
 /// Runs FlexCom. Worker n downloads the dense model and uploads a
 /// top-k delta keeping `clamp(max_keep · bwₙ/bw_max, min_keep, 1)` of
-/// each tensor, where bwₙ is its link bandwidth.
+/// each tensor, where bwₙ is its link bandwidth. Image models only:
+/// FlexCom is not a Table IV method.
 pub fn run_flexcom(
     cfg: &FlConfig,
     setup: &FlSetup<'_>,

@@ -6,8 +6,8 @@
 //! loop engine [`run_fedmp`], which drives that round body through the
 //! *inline* exchange: every worker trains in-process on exactly what
 //! the [`crate::codec_delivered`] oracle says it would decode. No frames, no
-//! threads of its own, no way to fail; `engines::baselines` and
-//! [`crate::run_lm`] run over it too ([`run_inline`]).
+//! threads of its own, no way to fail; `engines::baselines` and the
+//! LSTM's runs go over it too ([`run_inline`]).
 
 use crate::chaos::ChaosOptions;
 use crate::engine::{FlConfig, FlModel, FlSetup, SyncScheme};
@@ -19,7 +19,6 @@ use crate::wire::{link_delivered, CompressionPolicy, ErrorFeedback, LinkCodecs};
 use core::convert::Infallible;
 use fedmp_bandit::{EUcbConfig, RewardConfig};
 use fedmp_edgesim::FaultInjector;
-use fedmp_nn::Sequential;
 use fedmp_pruning::Importance;
 use serde::{Deserialize, Serialize};
 
@@ -175,9 +174,8 @@ impl<M: FlModel> Exchange<M> for InlineExchange<'_, M> {
     }
 }
 
-/// Runs `method` over the inline exchange: the loop engine of FedMP, of
-/// every baseline that is Algorithm 1 with a different ρ-picker, and of
-/// the LM.
+/// Runs `method` over the inline exchange: the loop engine of FedMP and
+/// of every baseline that is Algorithm 1 with a different ρ-picker.
 pub(crate) fn run_inline<M: FlModel>(
     cfg: &FlConfig,
     setup: &FlSetup<'_, M::Task>,
@@ -199,10 +197,10 @@ pub(crate) fn run_inline<M: FlModel>(
 }
 
 /// Runs FedMP for `cfg.rounds` rounds starting from `global`.
-pub fn run_fedmp(
+pub fn run_fedmp<M: FlModel>(
     cfg: &FlConfig,
-    setup: &FlSetup<'_>,
-    global: Sequential,
+    setup: &FlSetup<'_, M::Task>,
+    global: M,
     opts: &FedMpOptions,
 ) -> RunHistory {
     run_inline(cfg, setup, global, opts, RoundMethod::fedmp(cfg, setup, opts))

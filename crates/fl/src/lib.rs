@@ -7,13 +7,12 @@
 //!
 //! | engine | paper reference |
 //! |---|---|
-//! | [`run_fedmp`] | FedMP (Fig. 1, §III–§IV): per-worker E-UCB ratios, structured pruning, R2SP |
-//! | [`run_synfl`] | Syn-FL baseline \[5\]: full-model FedAvg — FedMP's round at ρ ≡ 0 |
-//! | [`run_upfl`] | UP-FL baseline \[15\]: uniform adaptive pruning ratio — the same round, one shared ρ |
+//! | [`run_fedmp`] | FedMP (Fig. 1, §III–§IV): per-worker E-UCB ratios, structured pruning, R2SP; any [`FlModel`]: a `Sequential` CNN, or the §VI `LstmLm` on an [`LmTask`] |
+//! | [`run_synfl`] | Syn-FL baseline \[5\]: full-model FedAvg — FedMP's round at ρ ≡ 0; any [`FlModel`] |
+//! | [`run_upfl`] | UP-FL baseline \[15\]: uniform adaptive pruning ratio — the same round, one shared ρ; any [`FlModel`] |
 //! | [`run_fedprox`] | FedProx baseline \[19\]: the same round at ρ ≡ 0 with a proximal term + capability-scaled local iterations |
 //! | [`run_flexcom`] | FlexCom baseline \[13\]: the same round at ρ ≡ 0 with bandwidth-scaled top-k uplinks and error feedback |
 //! | [`run_async`] | Asyn-FL \[43\] and Asyn-FedMP (Algorithm 2): m-of-N arrival aggregation |
-//! | [`run_lm`] | §VI LSTM extension: Syn-FL / UP-FL / FedMP — the same round on an `LstmLm`, ISS pruning |
 //!
 //! Local training fans out across simulated workers through the
 //! deterministic round executor in [`exec`] (`FEDMP_THREADS` workers,
@@ -56,7 +55,7 @@ mod wire;
 
 pub use aggregate::{average_states, bsp_aggregate, mix_states, quorum_aggregate, r2sp_aggregate};
 pub use chaos::{backoff, backoff_scale, ChaosDraw, ChaosOptions, ChaosPlan};
-pub use engine::{CostScale, FlConfig, FlSetup, SyncScheme};
+pub use engine::{CostScale, FlConfig, FlModel, FlSetup, SyncScheme, Workers};
 pub use engines::baselines::{
     run_fedprox, run_flexcom, run_synfl, run_upfl, FedProxOptions, FlexComOptions, UpFlOptions,
 };
@@ -65,7 +64,7 @@ pub use engines::r#async::{run_async, AsyncMode, AsyncOptions};
 pub use eval::{evaluate_image, evaluate_lm, EvalResult};
 pub use hierarchy::{run_fedmp_hier, ExactState, HierSetup, HierarchyOptions};
 pub use history::{RoundRecord, RunHistory};
-pub use lm::{run_lm, LmMethod, LmOptions, LmSetup};
+pub use lm::LmTask;
 pub use local::{local_train, LocalOutcome, LocalTrainConfig};
 pub use metrics::{relative_cost, resource_totals, ResourceTotals};
 pub use runtime::{

@@ -1,104 +1,56 @@
 //! The §VI RNN extension: federated training of the 2-layer LSTM
 //! language model with ISS pruning (Table IV compares Syn-FL, UP-FL and
-//! FedMP on perplexity). [`LstmLm`] is a [`FlModel`], so [`run_lm`]
-//! only describes each method as a [`RoundMethod`]: the round is the
-//! image engines' `run_rounds` over the inline exchange.
+//! FedMP on perplexity). [`LstmLm`] is a [`FlModel`] on an [`LmTask`],
+//! so the Table IV methods are the image methods' own entry points —
+//! [`crate::run_synfl`], [`crate::run_upfl`] and [`crate::run_fedmp`] on
+//! an `FlSetup<'_, LmTask>`.
 
-use crate::engine::{FlConfig, FlModel, FlSetup};
-use crate::engines::fedmp::{run_inline, FedMpOptions};
+use crate::engine::{FlConfig, FlModel, Workers};
 use crate::eval::evaluate_lm;
-use crate::history::RunHistory;
 use crate::local::{LocalOutcome, LocalTrainConfig};
-use crate::runtime::{seeded_agent, RatioPolicy, RoundMethod};
-use fedmp_bandit::{EUcbConfig, RewardConfig};
 use fedmp_data::TextBatch;
-use fedmp_edgesim::{DeviceProfile, RoundCost, TimeModel};
+use fedmp_edgesim::RoundCost;
 use fedmp_nn::{clip_grad_norm, lstm_cost_per_token, LstmLm, Sgd, StateEntry};
 use fedmp_pruning::{extract_lstm, plan_lstm, recover_lstm_state, Importance, LstmPlan};
 use fedmp_tensor::cross_entropy_loss;
-use serde::{Deserialize, Serialize};
 
-/// Which method trains the language model (the Table IV rows).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum LmMethod {
-    /// Full-model FedAvg.
-    SynFl,
-    /// Uniform ISS pruning ratio for all workers (shared agent).
-    UpFl,
-    /// Per-worker adaptive ISS pruning with R2SP.
-    FedMp,
-}
-
-impl LmMethod {
-    /// Display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            LmMethod::SynFl => "Syn-FL",
-            LmMethod::UpFl => "UP-FL",
-            LmMethod::FedMp => "FedMP",
-        }
-    }
-}
-
-/// The federated LM deployment.
+/// The federated LM task: one pre-batched corpus lane per worker and
+/// the held-out batches the PS evaluates on.
 #[derive(Debug, Clone)]
-pub struct LmSetup {
+pub struct LmTask {
     /// Per-worker training batches (each worker owns a corpus lane).
     pub worker_batches: Vec<Vec<TextBatch>>,
     /// Held-out evaluation batches.
     pub eval_batches: Vec<TextBatch>,
-    /// Device profile per worker.
-    pub devices: Vec<DeviceProfile>,
-    /// Virtual-clock model.
-    pub time: TimeModel,
-    /// Width-compensation factors (see [`crate::engine::FlSetup`]).
-    pub cost_scale: crate::CostScale,
 }
 
-/// LM engine options.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct LmOptions {
-    /// Aggregation rounds.
-    pub rounds: usize,
-    /// Local BPTT iterations per round.
-    pub tau: usize,
-    /// Learning rate.
-    pub lr: f32,
-    /// Evaluate every this many rounds, and always the last (0 = first
-    /// and last only).
-    pub eval_every: usize,
-    /// Max evaluation batches per evaluation.
-    pub eval_max_batches: usize,
-    /// E-UCB configuration (pruning methods).
-    pub eucb: EUcbConfig,
-    /// Reward shaping.
-    pub reward: RewardConfig,
-    /// Master seed.
-    pub seed: u64,
-}
-
-impl Default for LmOptions {
-    fn default() -> Self {
-        LmOptions {
-            rounds: 20,
-            tau: 4,
-            lr: 0.4,
-            eval_every: 2,
-            eval_max_batches: 8,
-            eucb: EUcbConfig::default(),
-            reward: RewardConfig::default(),
-            seed: 0,
+impl LmTask {
+    /// Builds a task, rejecting a corpus too short for one batch per
+    /// lane or for one evaluation batch: the local step and the Eq. 5
+    /// token count both index into a lane.
+    pub fn new(worker_batches: Vec<Vec<TextBatch>>, eval_batches: Vec<TextBatch>) -> Self {
+        assert!(!worker_batches.is_empty(), "task needs at least one worker lane");
+        for (w, lane) in worker_batches.iter().enumerate() {
+            assert!(!lane.is_empty(), "worker {w} has an empty lane");
         }
+        assert!(!eval_batches.is_empty(), "task needs at least one evaluation batch");
+        LmTask { worker_batches, eval_batches }
+    }
+}
+
+impl Workers for LmTask {
+    fn workers(&self) -> usize {
+        self.worker_batches.len()
     }
 }
 
 impl FlModel for LstmLm {
-    type Task = LmSetup;
+    type Task = LmTask;
     type Plan = LstmPlan;
     const TIME_SALT: u64 = 0x77;
 
     /// ISS ranks hidden units by L1 importance whatever `importance` says.
-    fn plan(&self, _: &LmSetup, ratio: f32, _: Importance) -> LstmPlan {
+    fn plan(&self, _: &LmTask, ratio: f32, _: Importance) -> LstmPlan {
         plan_lstm(self, ratio)
     }
 
@@ -110,7 +62,7 @@ impl FlModel for LstmLm {
         recover_lstm_state(self, plan, global)
     }
 
-    fn round_cost(&self, task: &LmSetup, local: &LocalTrainConfig) -> RoundCost {
+    fn round_cost(&self, task: &LmTask, local: &LocalTrainConfig) -> RoundCost {
         let report = lstm_cost_per_token(self);
         let tokens = task.worker_batches[0][0].targets.len();
         RoundCost {
@@ -126,7 +78,7 @@ impl FlModel for LstmLm {
     /// `local.prox_mu` (no LM method is FedProx).
     fn train(
         &mut self,
-        task: &LmSetup,
+        task: &LmTask,
         worker: usize,
         _: u64,
         round: usize,
@@ -155,7 +107,7 @@ impl FlModel for LstmLm {
     }
 
     /// `(loss, perplexity)`: the metric slot holds perplexity.
-    fn evaluate(&mut self, task: &LmSetup, cfg: &FlConfig) -> (f32, f32) {
+    fn evaluate(&mut self, task: &LmTask, cfg: &FlConfig) -> (f32, f32) {
         let r = evaluate_lm(self, &task.eval_batches, cfg.eval_max_samples);
         (r.loss, r.accuracy)
     }
@@ -169,47 +121,20 @@ impl FlModel for LstmLm {
     }
 }
 
-/// Runs one LM method for `opts.rounds` rounds from `global`.
-pub fn run_lm(setup: &LmSetup, opts: &LmOptions, method: LmMethod, global: LstmLm) -> RunHistory {
-    let workers = setup.worker_batches.len();
-    assert_eq!(setup.devices.len(), workers, "device count mismatch");
-    assert!(workers > 0, "need at least one worker");
-    // Momentum and clip are `LocalTrainConfig`'s defaults, 0.9 and 5.
-    let cfg = FlConfig {
-        rounds: opts.rounds,
-        local: LocalTrainConfig { tau: opts.tau, lr: opts.lr, ..Default::default() },
-        eval_every: opts.eval_every,
-        eval_max_samples: opts.eval_max_batches,
-        seed: opts.seed,
-        ..Default::default()
-    };
-    // Syn-FL is ISS at ρ = 0: the full sub-model and a zero residual,
-    // so R2SP is FedAvg; unlike the image Syn-FL it records its ratios.
-    let (policy, scheme) = match method {
-        LmMethod::SynFl => (RatioPolicy::Fixed(0.0), "FedAvg"),
-        LmMethod::UpFl => (RatioPolicy::Shared(seeded_agent(opts.eucb, opts.seed)), "R2SP"),
-        LmMethod::FedMp => {
-            (RatioPolicy::per_worker(opts.eucb, opts.reward, workers, opts.seed), "R2SP")
-        }
-    };
-    let locals = vec![cfg.local; workers];
-    let method = RoundMethod { name: method.name(), scheme, policy, locals, links: None };
-    let (devices, time, cost_scale) = (setup.devices.clone(), setup.time, setup.cost_scale);
-    let fl = FlSetup { task: setup, devices, time, cost_scale };
-    run_inline(&cfg, &fl, global, &FedMpOptions::default(), method)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::history::RoundRecord;
+    use crate::engine::{FlSetup, SyncScheme};
+    use crate::engines::baselines::{run_synfl, run_upfl, UpFlOptions};
+    use crate::engines::fedmp::{run_fedmp, FedMpOptions};
+    use crate::history::{RoundRecord, RunHistory};
     use fedmp_data::ptb_like;
-    use fedmp_edgesim::{tx2_profile, ComputeMode, LinkQuality};
+    use fedmp_edgesim::{tx2_profile, ComputeMode, LinkQuality, TimeModel};
     use fedmp_nn::zoo;
     use fedmp_tensor::parallel::sum_f32;
     use fedmp_tensor::seeded_rng;
 
-    fn lm_setup(workers: usize) -> LmSetup {
+    fn lm_task(workers: usize) -> LmTask {
         let corpus = ptb_like(30, 20_000, 7);
         let (train, eval) = corpus.split(0.9);
         let lane = train.len() / workers;
@@ -222,36 +147,43 @@ mod tests {
                 t.batches(4, 8)
             })
             .collect();
-        LmSetup {
-            worker_batches,
-            eval_batches: eval.batches(4, 8),
-            devices: (0..workers)
-                .map(|i| {
-                    if i % 2 == 0 {
-                        tx2_profile(ComputeMode::Mode0, LinkQuality::Near)
-                    } else {
-                        tx2_profile(ComputeMode::Mode2, LinkQuality::Mid)
-                    }
-                })
-                .collect(),
-            time: TimeModel::deterministic(),
-            cost_scale: crate::CostScale::default(),
-        }
+        LmTask::new(worker_batches, eval.batches(4, 8))
+    }
+
+    /// `task`'s fleet: Near and Mid links, alternating.
+    fn fleet(task: &LmTask) -> FlSetup<'_, LmTask> {
+        let devices = (0..task.workers())
+            .map(|i| {
+                if i % 2 == 0 {
+                    tx2_profile(ComputeMode::Mode0, LinkQuality::Near)
+                } else {
+                    tx2_profile(ComputeMode::Mode2, LinkQuality::Mid)
+                }
+            })
+            .collect();
+        FlSetup::new(task, devices, TimeModel::deterministic())
+    }
+
+    /// The LM's configuration: τ = 4 at lr 0.4, momentum 0.9 and clip 5
+    /// from the default, at most 8 evaluation batches.
+    fn lm_config() -> FlConfig {
+        let local = LocalTrainConfig { tau: 4, lr: 0.4, ..Default::default() };
+        FlConfig { local, eval_max_samples: 8, ..Default::default() }
     }
 
     /// LM FedAvg longhand — clone the global per worker, τ momentum-SGD
     /// steps clipped at norm 5 on batches `(round·τ + w + t) mod len`,
     /// element-wise mean, evaluate: no ISS plan, extraction, residual or
     /// R2SP near it. `[train loss, eval loss, perplexity]` bits per round.
-    fn lm_fedavg_reference(setup: &LmSetup, opts: &LmOptions, mut global: LstmLm) -> Vec<[u32; 3]> {
-        let workers = setup.worker_batches.len();
-        let rounds = (0..opts.rounds).map(|round| {
-            let trained = setup.worker_batches.iter().enumerate().map(|(w, lane)| {
+    fn lm_fedavg_reference(task: &LmTask, cfg: &FlConfig, mut global: LstmLm) -> Vec<[u32; 3]> {
+        let (workers, tau) = (task.worker_batches.len(), cfg.local.tau);
+        let rounds = (0..cfg.rounds).map(|round| {
+            let trained = task.worker_batches.iter().enumerate().map(|(w, lane)| {
                 let mut model = global.clone();
-                let mut opt = Sgd::with_momentum(opts.lr, 0.9, 0.0);
+                let mut opt = Sgd::with_momentum(cfg.local.lr, 0.9, 0.0);
                 let mut total = 0.0f32;
-                for t in 0..opts.tau {
-                    let b = &lane[(round * opts.tau + w + t) % lane.len()];
+                for t in 0..tau {
+                    let b = &lane[(round * tau + w + t) % lane.len()];
                     model.zero_grad();
                     let out = cross_entropy_loss(&model.forward(&b.inputs), &b.targets);
                     model.backward(&out.grad_logits);
@@ -259,11 +191,11 @@ mod tests {
                     opt.step(&mut model);
                     total += out.loss;
                 }
-                (model.state(), total / opts.tau as f32)
+                (model.state(), total / tau as f32)
             });
             let (states, losses): (Vec<_>, Vec<_>) = trained.unzip();
             global.load_state(&crate::aggregate::average_states(&states));
-            let eval = evaluate_lm(&mut global, &setup.eval_batches, opts.eval_max_batches);
+            let eval = evaluate_lm(&mut global, &task.eval_batches, cfg.eval_max_samples);
             [sum_f32(losses) / workers as f32, eval.loss, eval.accuracy].map(f32::to_bits)
         });
         rounds.collect()
@@ -274,14 +206,14 @@ mod tests {
         // ISS at ρ = 0 through plan → extract → residual → recover → R2SP
         // must *be* LM FedAvg; the later rounds check the batch rotation
         // and the momentum-SGD step against code that shares none of it.
-        let setup = lm_setup(3);
+        let task = lm_task(3);
         // Weights ×3, so that some steps' gradient norms pass the clip of
         // 5 (at zoo scale they stay below 2 and the clip never fires).
         let mut global = zoo::lstm_ptb(30, 0.15, &mut seeded_rng(133));
         global.load_state(&fedmp_nn::state_scale(&global.state(), 3.0));
-        let opts = LmOptions { rounds: 3, eval_every: 1, seed: 5, ..Default::default() };
-        let reference = lm_fedavg_reference(&setup, &opts, global.clone());
-        let h = run_lm(&setup, &opts, LmMethod::SynFl, global);
+        let cfg = FlConfig { rounds: 3, eval_every: 1, seed: 5, ..lm_config() };
+        let reference = lm_fedavg_reference(&task, &cfg, global.clone());
+        let h = run_synfl(&cfg, &fleet(&task), global);
         let bits = |r: &RoundRecord| {
             let (loss, ppl) = r.eval.expect("evaluated every round");
             [r.train_loss, loss, ppl].map(f32::to_bits)
@@ -291,11 +223,11 @@ mod tests {
 
     #[test]
     fn lm_fedmp_reduces_perplexity() {
-        let setup = lm_setup(2);
+        let task = lm_task(2);
         let mut rng = seeded_rng(130);
         let global = zoo::lstm_ptb(30, 0.2, &mut rng);
-        let opts = LmOptions { rounds: 10, eval_every: 9, ..Default::default() };
-        let h = run_lm(&setup, &opts, LmMethod::FedMp, global);
+        let cfg = FlConfig { rounds: 10, eval_every: 9, ..lm_config() };
+        let h = run_fedmp(&cfg, &fleet(&task), global, &FedMpOptions::default());
         let first_ppl = h.rounds.iter().find_map(|r| r.eval).unwrap().1;
         let last_ppl = h.final_accuracy().unwrap();
         assert!(last_ppl < first_ppl, "perplexity {first_ppl} -> {last_ppl}");
@@ -304,23 +236,45 @@ mod tests {
 
     #[test]
     fn lm_all_methods_complete() {
-        let setup = lm_setup(2);
+        let task = lm_task(2);
+        let setup = fleet(&task);
         let mut rng = seeded_rng(131);
         let global = zoo::lstm_ptb(30, 0.15, &mut rng);
-        let opts = LmOptions { rounds: 3, eval_every: 2, ..Default::default() };
-        for method in [LmMethod::SynFl, LmMethod::UpFl, LmMethod::FedMp] {
-            let h = run_lm(&setup, &opts, method, global.clone());
-            assert_eq!(h.rounds.len(), 3, "{}", method.name());
+        let cfg = FlConfig { rounds: 3, eval_every: 2, ..lm_config() };
+        let histories = [
+            run_synfl(&cfg, &setup, global.clone()),
+            run_upfl(&cfg, &setup, global.clone(), &UpFlOptions::default()),
+            run_fedmp(&cfg, &setup, global, &FedMpOptions::default()),
+        ];
+        for h in histories {
+            assert_eq!(h.rounds.len(), 3, "{}", h.method);
         }
     }
 
     #[test]
+    fn lm_honours_fixed_ratio_and_bsp() {
+        let task = lm_task(2);
+        let setup = fleet(&task);
+        let global = zoo::lstm_ptb(30, 0.15, &mut seeded_rng(134));
+        let cfg = FlConfig { rounds: 3, eval_every: 2, ..lm_config() };
+        // Over equally many rounds, so the sum orders as the mean does.
+        let comp = |h: &RunHistory| h.rounds.iter().map(|r| r.mean_comp).sum::<f64>();
+        let fixed = FedMpOptions { fixed_ratio: Some(0.5), ..Default::default() };
+        let pruned = run_fedmp(&cfg, &setup, global.clone(), &fixed);
+        assert!(pruned.rounds.iter().all(|r| r.ratios == [0.5; 2]));
+        let dense = run_synfl(&cfg, &setup, global.clone());
+        assert!(comp(&pruned) < comp(&dense), "{} vs {}", comp(&pruned), comp(&dense));
+        let bsp = FedMpOptions { sync: SyncScheme::BSP, ..Default::default() };
+        assert_eq!(run_fedmp(&cfg, &setup, global, &bsp).method, "FedMP-BSP");
+    }
+
+    #[test]
     fn pruned_lm_round_is_cheaper() {
-        let setup = lm_setup(2);
+        let task = lm_task(2);
         let global = zoo::lstm_ptb(30, 0.2, &mut seeded_rng(132));
         let local = LocalTrainConfig { tau: 4, ..Default::default() };
-        let full = global.round_cost(&setup, &local);
-        let pruned = global.extract(&plan_lstm(&global, 0.5)).round_cost(&setup, &local);
+        let full = global.round_cost(&task, &local);
+        let pruned = global.extract(&plan_lstm(&global, 0.5)).round_cost(&task, &local);
         assert!(pruned.train_flops < full.train_flops);
         assert!(pruned.upload_bytes < full.upload_bytes);
     }

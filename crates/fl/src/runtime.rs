@@ -197,7 +197,7 @@ pub(crate) enum RatioPolicy {
     /// ΔLoss per unit of round time — Eq. 8's uniform-ratio analogue
     /// (no per-worker time gap exists when everyone trains one model).
     Shared(EUcbAgent),
-    /// One ρ for everyone, always (Fig. 2 / Fig. 5 sweeps, LM Syn-FL).
+    /// One ρ for everyone, always (Fig. 2 / Fig. 5 sweeps).
     Fixed(f32),
     /// ρ ≡ 0 for a method that does not prune: the round records no
     /// ratios at all (Syn-FL, FedProx, FlexCom).
@@ -282,7 +282,7 @@ pub(crate) struct RoundMethod {
 
 impl RoundMethod {
     /// FedMP as `opts` configures it — all the framed exchange runs.
-    pub(crate) fn fedmp(cfg: &FlConfig, setup: &FlSetup<'_>, opts: &FedMpOptions) -> Self {
+    pub(crate) fn fedmp<T>(cfg: &FlConfig, setup: &FlSetup<'_, T>, opts: &FedMpOptions) -> Self {
         let workers = setup.workers();
         let (name, scheme) = match opts.sync {
             SyncScheme::R2SP => ("FedMP", "R2SP"),

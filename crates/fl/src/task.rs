@@ -1,5 +1,6 @@
 //! The federated image-classification task bundle.
 
+use crate::engine::Workers;
 use fedmp_data::{ImageDataset, Partition};
 
 /// A complete federated task: train/test data, the input geometry the
@@ -38,10 +39,17 @@ impl ImageTask {
     }
 }
 
+impl Workers for ImageTask {
+    fn workers(&self) -> usize {
+        ImageTask::workers(self)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fedmp_data::{iid_partition, mnist_like};
+    use crate::lm::LmTask;
+    use fedmp_data::{iid_partition, mnist_like, ptb_like, TextDataset};
     use fedmp_tensor::seeded_rng;
 
     #[test]
@@ -59,5 +67,16 @@ mod tests {
     fn empty_shard_rejected() {
         let (train, test) = mnist_like(0.05, 31).generate();
         let _ = ImageTask::new(train, test, vec![vec![0, 1], vec![]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "empty lane")]
+    fn short_lm_lane_rejected() {
+        // 20-token lanes hold no 4×8 batch, which round 0's local step
+        // and its Eq. 5 token count would both index.
+        let (train, eval) = ptb_like(30, 400, 32).split(0.9);
+        let lanes = train.tokens.chunks(20).take(2);
+        let lanes = lanes.map(|t| TextDataset { tokens: t.to_vec(), vocab: 30 }.batches(4, 8));
+        let _ = LmTask::new(lanes.collect(), eval.batches(4, 8));
     }
 }

@@ -9,6 +9,7 @@
 //! needed, mirroring [Wen et al., 2017].
 
 use crate::plan::{ratio_keep_count, top_indices};
+use crate::rebuild::{gather_1d, gather_2d};
 use fedmp_nn::{Embedding, Linear, Lstm, LstmLm, StateEntry};
 use fedmp_tensor::parallel::sum_f32;
 use fedmp_tensor::Tensor;
@@ -63,26 +64,6 @@ fn gate_rows(kept: &[usize], h: usize) -> Vec<usize> {
         }
     }
     rows
-}
-
-fn gather_2d(t: &Tensor, rows: &[usize], cols: &[usize]) -> Tensor {
-    let mut out = Tensor::zeros(&[rows.len(), cols.len()]);
-    for (i, &r) in rows.iter().enumerate() {
-        let src = t.row(r);
-        let dst = out.row_mut(i);
-        for (j, &c) in cols.iter().enumerate() {
-            dst[j] = src[c];
-        }
-    }
-    out
-}
-
-fn gather_1d(t: &Tensor, idx: &[usize]) -> Tensor {
-    let mut out = Tensor::zeros(&[idx.len()]);
-    for (i, &k) in idx.iter().enumerate() {
-        out.data_mut()[i] = t.data()[k];
-    }
-    out
 }
 
 fn scatter_2d_into(small: &Tensor, rows: &[usize], cols: &[usize], full: &mut Tensor) {

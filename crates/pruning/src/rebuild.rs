@@ -184,7 +184,7 @@ fn scatter_node(
 // ---------------------------------------------------------------------
 
 /// Selects rows and columns of a `[rows, cols]` tensor.
-fn gather_2d(t: &Tensor, rows: &[usize], cols: &[usize]) -> Tensor {
+pub(crate) fn gather_2d(t: &Tensor, rows: &[usize], cols: &[usize]) -> Tensor {
     let mut out = Tensor::zeros(&[rows.len(), cols.len()]);
     for (i, &r) in rows.iter().enumerate() {
         let src = t.row(r);
@@ -197,7 +197,7 @@ fn gather_2d(t: &Tensor, rows: &[usize], cols: &[usize]) -> Tensor {
 }
 
 /// Selects entries of a rank-1 tensor.
-fn gather_1d(t: &Tensor, idx: &[usize]) -> Tensor {
+pub(crate) fn gather_1d(t: &Tensor, idx: &[usize]) -> Tensor {
     let mut out = Tensor::zeros(&[idx.len()]);
     for (i, &k) in idx.iter().enumerate() {
         out.data_mut()[i] = t.data()[k];

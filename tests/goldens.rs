@@ -28,10 +28,10 @@ use fedmp_edgesim::{
 };
 use fedmp_fl::{
     run_async, run_fedmp, run_fedmp_hier, run_fedmp_threaded, run_fedmp_threaded_chaos,
-    run_fedprox, run_flexcom, run_lm, run_synfl, run_upfl, AsyncMode, AsyncOptions, ChaosOptions,
-    CompressionPolicy, CostScale, FaultOptions, FedMpOptions, FedProxOptions, FlConfig, FlSetup,
-    FlexComOptions, HierSetup, HierarchyOptions, ImageTask, LmMethod, LmOptions, LmSetup,
-    RunHistory, SyncScheme, UpFlOptions,
+    run_fedprox, run_flexcom, run_synfl, run_upfl, AsyncMode, AsyncOptions, ChaosOptions,
+    CompressionPolicy, FaultOptions, FedMpOptions, FedProxOptions, FlConfig, FlSetup,
+    FlexComOptions, HierSetup, HierarchyOptions, ImageTask, LmTask, LocalTrainConfig, RunHistory,
+    SyncScheme, UpFlOptions,
 };
 use fedmp_nn::{zoo, LstmLm, Sequential};
 use fedmp_obs::{RunManifest, Trace, TraceEvent, TraceSession};
@@ -55,7 +55,7 @@ const GOLDENS: &[(&str, Bits, Bits)] = &[
     ("flexcom",                   (0x82136b5dd433ef79, 0xf859bcb425ca6e8d), (0x82136b5dd433ef79, 0x9947eb622d9b6588)),
     ("asynfl",                    (0xc708a19abc23f001, 0xf4248043f528d854), (0x9d60b565724084f0, 0x4cfe5c73c7345782)),
     ("asynfedmp",                 (0x4b1c3de7ac61b9ae, 0x365664f1b75aaa5e), (0x1b29b03d354892dc, 0x70a8d0c878506b51)),
-    ("lm-synfl",                  (0x674d0049b9cddf97, 0x24fdeda1b2759ff7), (0xd8d402c469c5431f, 0xbb37c0869afd823f)),
+    ("lm-synfl",                  (0x42ed6e3150dfd6b9, 0x24fdeda1b2759ff7), (0x2752b51e8db4c72d, 0xbb37c0869afd823f)),
     ("lm-upfl",                   (0xdfcc2813e0a93a59, 0xec383116845a3aa7), (0xdfcc2813e0a93a59, 0x56d1ec237f7ef5cf)),
     ("lm-fedmp",                  (0xf80b5906301e87e1, 0xabde1e39897460ef), (0xf80b5906301e87e1, 0xddd7daa712615eb7)),
     ("threaded",                  (0x7a87b45bbca53c93, 0x531223a1a280f677), (0x04464bd68126f66a, 0xd0566d2e89e2f8eb)),
@@ -100,7 +100,7 @@ struct Fixture {
     task: ImageTask,
     devices: Vec<DeviceProfile>,
     global: Sequential,
-    lm: LmSetup,
+    lm: LmTask,
     lm_global: LstmLm,
 }
 
@@ -120,15 +120,12 @@ impl Fixture {
                 tx2_profile(ComputeMode::Mode3, LinkQuality::Far),
             ],
             global: zoo::cnn_mnist(0.1, &mut seeded_rng(SEED ^ 0xBEEF)),
-            lm: LmSetup {
-                worker_batches: (0..WORKERS)
+            lm: LmTask::new(
+                (0..WORKERS)
                     .map(|w| TextDataset { tokens: lane(w), vocab }.batches(4, 8))
                     .collect(),
-                eval_batches: lm_eval.batches(4, 8),
-                devices: vec![tx2_profile(ComputeMode::Mode1, LinkQuality::Mid); WORKERS],
-                time: TimeModel::deterministic(),
-                cost_scale: CostScale::default(),
-            },
+                lm_eval.batches(4, 8),
+            ),
             lm_global: zoo::lstm_ptb(30, 0.15, &mut seeded_rng(SEED ^ 0xF00D)),
         }
     }
@@ -160,7 +157,14 @@ impl Fixture {
             edges,
             ..Default::default()
         };
-        let lm = LmOptions { rounds: ROUNDS, eval_every: 2, seed: SEED, ..Default::default() };
+        let lm_devices = vec![tx2_profile(ComputeMode::Mode1, LinkQuality::Mid); WORKERS];
+        let lm_setup = &FlSetup::new(&self.lm, lm_devices, TimeModel::deterministic());
+        let lm_cfg = &FlConfig {
+            local: LocalTrainConfig { tau: 4, lr: 0.4, ..Default::default() },
+            eval_max_samples: 8,
+            ..*cfg
+        };
+        let lm = || self.lm_global.clone();
         // Edge-tier chaos aggressive enough for drops, corruption
         // retransmits and retry exhaustion within two rounds.
         let edge_chaos = ChaosOptions {
@@ -182,9 +186,9 @@ impl Fixture {
             "flexcom" => run_flexcom(cfg, setup, g(), &FlexComOptions::default()),
             "asynfl" => run_async(cfg, setup, g(), &asyn(AsyncMode::AsynFl)),
             "asynfedmp" => run_async(cfg, setup, g(), &asyn(AsyncMode::AsynFedMp)),
-            "lm-synfl" => run_lm(&self.lm, &lm, LmMethod::SynFl, self.lm_global.clone()),
-            "lm-upfl" => run_lm(&self.lm, &lm, LmMethod::UpFl, self.lm_global.clone()),
-            "lm-fedmp" => run_lm(&self.lm, &lm, LmMethod::FedMp, self.lm_global.clone()),
+            "lm-synfl" => run_synfl(lm_cfg, lm_setup, lm()),
+            "lm-upfl" => run_upfl(lm_cfg, lm_setup, lm(), &UpFlOptions::default()),
+            "lm-fedmp" => run_fedmp(lm_cfg, lm_setup, lm(), &FedMpOptions::default()),
             "threaded" => threaded(FedMpOptions::default()),
             "threaded-faults" => threaded(faulty),
             "threaded-compressed" => threaded(compressed),

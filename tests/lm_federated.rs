@@ -3,11 +3,14 @@
 
 use fedmp::data::{ptb_like, TextBatch, TextDataset};
 use fedmp::edgesim::{tx2_profile, ComputeMode, LinkQuality, TimeModel};
-use fedmp::fl::{run_lm, CostScale, LmMethod, LmOptions, LmSetup};
+use fedmp::fl::{
+    run_fedmp, run_synfl, run_upfl, FedMpOptions, FlConfig, FlSetup, LmTask, LocalTrainConfig,
+    UpFlOptions,
+};
 use fedmp::nn::zoo;
 use fedmp::tensor::seeded_rng;
 
-fn setup(workers: usize, tokens: usize) -> LmSetup {
+fn task(workers: usize, tokens: usize) -> LmTask {
     let vocab = 30usize;
     let corpus = ptb_like(vocab, tokens, 17);
     let (train, eval) = corpus.split(0.9);
@@ -18,30 +21,36 @@ fn setup(workers: usize, tokens: usize) -> LmSetup {
                 .batches(4, 8)
         })
         .collect();
-    LmSetup {
-        worker_batches,
-        eval_batches: eval.batches(4, 8),
-        devices: (0..workers)
-            .map(|i| {
-                if i % 2 == 0 {
-                    tx2_profile(ComputeMode::Mode0, LinkQuality::Near)
-                } else {
-                    tx2_profile(ComputeMode::Mode3, LinkQuality::Far)
-                }
-            })
-            .collect(),
-        time: TimeModel::deterministic(),
-        cost_scale: CostScale::default(),
-    }
+    LmTask::new(worker_batches, eval.batches(4, 8))
+}
+
+/// `task`'s fleet: Near and Far links, alternating.
+fn setup(task: &LmTask) -> FlSetup<'_, LmTask> {
+    let devices = (0..task.worker_batches.len())
+        .map(|i| {
+            if i % 2 == 0 {
+                tx2_profile(ComputeMode::Mode0, LinkQuality::Near)
+            } else {
+                tx2_profile(ComputeMode::Mode3, LinkQuality::Far)
+            }
+        })
+        .collect();
+    FlSetup::new(task, devices, TimeModel::deterministic())
+}
+
+/// `rounds` rounds of the LM's configuration: τ = 4 at lr 0.4, at most
+/// 8 evaluation batches.
+fn config(rounds: usize, eval_every: usize) -> FlConfig {
+    let local = LocalTrainConfig { tau: 4, lr: 0.4, ..Default::default() };
+    FlConfig { rounds, local, eval_every, eval_max_samples: 8, ..Default::default() }
 }
 
 #[test]
 fn federated_lstm_perplexity_drops_below_unigram() {
-    let setup = setup(2, 24_000);
+    let task = task(2, 24_000);
     let mut rng = seeded_rng(18);
     let global = zoo::lstm_ptb(30, 0.2, &mut rng);
-    let opts = LmOptions { rounds: 14, eval_every: 13, ..Default::default() };
-    let h = run_lm(&setup, &opts, LmMethod::FedMp, global);
+    let h = run_fedmp(&config(14, 13), &setup(&task), global, &FedMpOptions::default());
     let ppl = h.final_accuracy().expect("evaluated");
     // A Zipf(1.0) unigram model over 30 types has perplexity ≈ 18; the
     // Markov structure lets an LSTM go well below that, and even a
@@ -51,12 +60,12 @@ fn federated_lstm_perplexity_drops_below_unigram() {
 
 #[test]
 fn fedmp_lstm_round_is_faster_than_synfl() {
-    let setup = setup(2, 12_000);
+    let task = task(2, 12_000);
+    let (setup, cfg) = (setup(&task), config(6, 6));
     let mut rng = seeded_rng(19);
     let global = zoo::lstm_ptb(30, 0.2, &mut rng);
-    let opts = LmOptions { rounds: 6, eval_every: 6, ..Default::default() };
-    let syn = run_lm(&setup, &opts, LmMethod::SynFl, global.clone());
-    let fed = run_lm(&setup, &opts, LmMethod::FedMp, global);
+    let syn = run_synfl(&cfg, &setup, global.clone());
+    let fed = run_fedmp(&cfg, &setup, global, &FedMpOptions::default());
     // After the first exploratory round, pruned sub-models make FedMP's
     // mean round time lower.
     let mean = |h: &fedmp::fl::RunHistory| {
@@ -67,15 +76,15 @@ fn fedmp_lstm_round_is_faster_than_synfl() {
 
 #[test]
 fn eval_every_zero_means_first_and_last_round_in_every_engine() {
-    // One rule (`engine::eval_due`) for the LM loop and the image round
-    // body: 0 is a multiple of 0 and nothing else is — no `round % 0`.
+    // One rule (`engine::evaluate_if_due`) for the LM and the image
+    // models: 0 is a multiple of 0 and nothing else is — no `round % 0`.
     let evaluated = |h: &fedmp::fl::RunHistory| -> Vec<usize> {
         h.rounds.iter().filter(|r| r.eval.is_some()).map(|r| r.round).collect()
     };
-    let setup = setup(2, 6_000);
+    let task = task(2, 6_000);
     let global = zoo::lstm_ptb(30, 0.15, &mut seeded_rng(21));
-    let opts = LmOptions { rounds: 4, eval_every: 0, ..Default::default() };
-    assert_eq!(evaluated(&run_lm(&setup, &opts, LmMethod::UpFl, global)), [0, 3]);
+    let h = run_upfl(&config(4, 0), &setup(&task), global, &UpFlOptions::default());
+    assert_eq!(evaluated(&h), [0, 3]);
 
     use fedmp::core::{run_method, ExperimentSpec, Method, TaskKind};
     let mut spec = ExperimentSpec::small(TaskKind::CnnMnist);
