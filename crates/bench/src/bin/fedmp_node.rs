@@ -39,7 +39,7 @@ use core::time::Duration;
 use fedmp_core::{run_manifest, run_sockets, spec_blob, task_from_blob, ExperimentSpec, TaskKind};
 use fedmp_fl::{
     serve_worker, unique_socket_path, ChaosOptions, FaultOptions, FedMpOptions, ProcessNodes,
-    SocketRunOptions,
+    SocketRunOptions, SyncMethod,
 };
 use fedmp_obs::TraceSession;
 use std::path::PathBuf;
@@ -186,7 +186,7 @@ fn run_ps(cli: &Cli) -> ExitCode {
             }
         }
     };
-    let run = run_sockets(&spec, &opts, &chaos, &sock, &mut spawner);
+    let run = run_sockets(&spec, &SyncMethod::FedMp(opts), &chaos, &sock, &mut spawner);
     drop(session); // flush + close before reporting
 
     match run {

@@ -15,9 +15,9 @@ use fedmp_edgesim::{
     heterogeneity_scenario, EnergyModel, HeterogeneityLevel, Population, TimeModel, SLOW_LINK_BPS,
 };
 use fedmp_fl::{
-    run_fedmp, run_fedmp_hier, run_fedmp_threaded_chaos, run_synfl, run_upfl, ChaosOptions, Codec,
+    run_fedmp, run_fedmp_hier, run_synfl, run_threaded, run_upfl, ChaosOptions, Codec,
     CompressionPolicy, ExactState, FaultOptions, FedMpOptions, FlConfig, FlSetup, HierSetup,
-    HierarchyOptions, LmTask, LocalTrainConfig, RunHistory, UpFlOptions,
+    HierarchyOptions, LmTask, LocalTrainConfig, RunHistory, SyncMethod, UpFlOptions,
 };
 use fedmp_nn::{zoo, StateEntry};
 use fedmp_obs::{RunManifest, TraceEvent, TraceSession};
@@ -619,7 +619,7 @@ pub fn resilience(_: &mut Harness) {
         };
         let start = Instant::now();
         let history =
-            run_fedmp_threaded_chaos(&spec.fl, &setup, built.model.clone(), &opts, &chaos)
+            run_threaded(&spec.fl, &setup, built.model.clone(), &SyncMethod::FedMp(opts), &chaos)
                 .expect("injected faults are recoverable, never terminal");
         let wall_ms = start.elapsed().as_secs_f64() * 1e3;
         assert_eq!(history.rounds.len(), spec.fl.rounds, "faults must not shorten the run");

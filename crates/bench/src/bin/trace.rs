@@ -20,7 +20,7 @@
 
 use fedmp_core::{run_manifest, ExperimentSpec, TaskKind};
 use fedmp_fl::{
-    run_fedmp, run_fedmp_threaded_chaos, ChaosOptions, FaultOptions, FedMpOptions, FlSetup,
+    run_fedmp, run_threaded, ChaosOptions, FaultOptions, FedMpOptions, FlSetup, SyncMethod,
 };
 use fedmp_obs::{diff, summarize, Trace, TraceSession};
 use std::process::ExitCode;
@@ -129,7 +129,8 @@ fn chaos_cmd(args: &[String]) -> ExitCode {
         FlSetup::with_cost_scale(&built.task, built.devices.clone(), built.time, built.cost_scale);
     let manifest = run_manifest("FedMP-threaded", &spec);
     let session = TraceSession::to_file(out, &manifest).expect("open trace output");
-    let history = match run_fedmp_threaded_chaos(&spec.fl, &setup, built.model, &opts, &chaos) {
+    let fedmp = SyncMethod::FedMp(opts);
+    let history = match run_threaded(&spec.fl, &setup, built.model, &fedmp, &chaos) {
         Ok(h) => h,
         Err(e) => {
             eprintln!("error: {e}");

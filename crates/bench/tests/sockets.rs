@@ -10,20 +10,36 @@
 //! what this suite pins:
 //!
 //! - chaos-off history bit-identical to the loop engine (the model
-//!   math crosses the socket losslessly);
+//!   math crosses the socket losslessly), for FedMP and for a baseline
+//!   whose workers each run their own local step (FedProx);
 //! - seeded packet-chaos runs bit-identical run-to-run, PS trace
 //!   stream included;
 //! - every child process reaped on the way out.
 
 use fedmp_core::{run_method, run_sockets, spec_blob, ExperimentSpec, Method, TaskKind};
 use fedmp_fl::{
-    unique_socket_path, ChaosOptions, FaultOptions, FedMpOptions, ProcessNodes, SocketRunOptions,
+    unique_socket_path, ChaosOptions, FaultOptions, FedMpOptions, FedProxOptions, ProcessNodes,
+    SocketRunOptions, SyncMethod,
 };
 use fedmp_obs::{diff, Trace};
 use std::path::PathBuf;
 use std::process::Command;
 
 const NODE: &str = env!("CARGO_BIN_EXE_fedmp-node");
+
+/// One `fedmp-node --role worker` process per worker, connecting to
+/// `sock`.
+fn node_spawner(sock: &SocketRunOptions) -> ProcessNodes {
+    ProcessNodes {
+        program: PathBuf::from(NODE),
+        args: vec![
+            "--role".to_string(),
+            "worker".to_string(),
+            "--socket".to_string(),
+            sock.socket.display().to_string(),
+        ],
+    }
+}
 
 fn small_spec() -> ExperimentSpec {
     let mut spec = ExperimentSpec::small(TaskKind::CnnMnist);
@@ -40,32 +56,38 @@ fn small_spec() -> ExperimentSpec {
 ///
 /// Chaos-off: worker processes spawned from the node binary produce
 /// the loop engine's history bit-for-bit — weights travel as exact f32
-/// frames and outcomes as round-tripping JSON. Then chaos on, with
-/// crash draws forcing real process respawns: two runs of the same
-/// seed produce identical histories and identical PS trace streams,
-/// and the respawn machinery demonstrably fired.
+/// frames and outcomes as round-tripping JSON — for FedMP and for
+/// FedProx, whose Setup hands each worker its own τ and μ. Then chaos
+/// on, with crash draws forcing real process respawns: two runs of the
+/// same seed produce identical histories and identical PS trace
+/// streams, and the respawn machinery demonstrably fired.
 #[test]
 fn process_workers_match_the_loop_engine_and_respawns_are_reproducible() {
     let spec = small_spec();
     let h_loop = run_method(&spec, Method::FedMp);
 
     let sock = SocketRunOptions::new(unique_socket_path("bench-proc"), spec_blob(&spec));
-    let mut spawner = ProcessNodes {
-        program: PathBuf::from(NODE),
-        args: vec![
-            "--role".to_string(),
-            "worker".to_string(),
-            "--socket".to_string(),
-            sock.socket.display().to_string(),
-        ],
-    };
-    let h_sock =
-        run_sockets(&spec, &FedMpOptions::default(), &ChaosOptions::none(), &sock, &mut spawner)
-            .expect("process-node run");
+    let mut spawner = node_spawner(&sock);
+    let fedmp = SyncMethod::FedMp(FedMpOptions::default());
+    let h_sock = run_sockets(&spec, &fedmp, &ChaosOptions::none(), &sock, &mut spawner)
+        .expect("process-node run");
     assert_eq!(
         serde_json::to_string(&h_loop).expect("serialise"),
         serde_json::to_string(&h_sock).expect("serialise"),
         "multi-process history diverged from the loop engine"
+    );
+    assert!(!sock.socket.exists(), "socket file left behind");
+
+    // ── a baseline over real processes: per-worker local steps
+    let sock = SocketRunOptions::new(unique_socket_path("bench-fedprox"), spec_blob(&spec));
+    let fedprox = SyncMethod::FedProx(FedProxOptions::default());
+    let h_prox =
+        run_sockets(&spec, &fedprox, &ChaosOptions::none(), &sock, &mut node_spawner(&sock))
+            .expect("FedProx process-node run");
+    assert_eq!(
+        serde_json::to_string(&run_method(&spec, Method::FedProx)).expect("serialise"),
+        serde_json::to_string(&h_prox).expect("serialise"),
+        "multi-process FedProx history diverged from the loop engine"
     );
     assert!(!sock.socket.exists(), "socket file left behind");
 
@@ -80,15 +102,7 @@ fn process_workers_match_the_loop_engine_and_respawns_are_reproducible() {
 
     let run = |tag: &str| {
         let sock = SocketRunOptions::new(unique_socket_path(tag), spec_blob(&spec));
-        let mut spawner = ProcessNodes {
-            program: PathBuf::from(NODE),
-            args: vec![
-                "--role".to_string(),
-                "worker".to_string(),
-                "--socket".to_string(),
-                sock.socket.display().to_string(),
-            ],
-        };
+        let mut spawner = node_spawner(&sock);
         let manifest = fedmp_obs::RunManifest::new(
             "FedMP-sockets",
             spec.fl.seed,
@@ -97,7 +111,8 @@ fn process_workers_match_the_loop_engine_and_respawns_are_reproducible() {
             1,
         );
         let session = fedmp_obs::TraceSession::capture(&manifest);
-        let h = run_sockets(&spec, &opts, &chaos, &sock, &mut spawner).expect("chaos run");
+        let h = run_sockets(&spec, &SyncMethod::FedMp(opts), &chaos, &sock, &mut spawner)
+            .expect("chaos run");
         (h, session.finish())
     };
     let (h_a, t_a) = run("bench-chaos-a");

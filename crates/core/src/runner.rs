@@ -12,10 +12,10 @@
 use crate::config::ExperimentSpec;
 use fedmp_edgesim::Population;
 use fedmp_fl::{
-    run_async, run_fedmp, run_fedmp_hier, run_fedmp_sockets, run_fedprox, run_flexcom, run_synfl,
-    run_upfl, AsyncMode, AsyncOptions, ChaosOptions, CompressionPolicy, FedMpOptions,
-    FedProxOptions, FlSetup, FlexComOptions, HierSetup, HierarchyOptions, ImageTask, NodeSpawner,
-    RunHistory, RuntimeError, SocketRunOptions, SyncScheme, UpFlOptions,
+    run_async, run_fedmp, run_fedmp_hier, run_fedprox, run_flexcom, run_synfl, run_upfl, AsyncMode,
+    AsyncOptions, ChaosOptions, CompressionPolicy, FedMpOptions, FedProxOptions, FlSetup,
+    FlexComOptions, HierSetup, HierarchyOptions, ImageTask, NodeSpawner, RunHistory, RuntimeError,
+    SocketRunOptions, SyncMethod, SyncScheme, UpFlOptions,
 };
 use serde::{Deserialize, Serialize};
 
@@ -129,8 +129,8 @@ pub fn run_methods(spec: &ExperimentSpec, methods: &[Method]) -> Vec<RunHistory>
     fedmp_fl::exec::ordered_map(methods.to_vec(), |_, m| run_method(spec, m))
 }
 
-/// Runs FedMP on the real socket transport
-/// ([`fedmp_fl::run_fedmp_sockets`]): the PS binds the Unix socket in
+/// Runs `method` on the real socket transport
+/// ([`fedmp_fl::run_sockets`]): the PS binds the Unix socket in
 /// `sock`, `spawner` brings up one node per worker (in-process threads
 /// or real OS processes), and the round protocol crosses the kernel as
 /// length-prefixed frames with `chaos` re-mapped to packet-level
@@ -142,16 +142,16 @@ pub fn run_methods(spec: &ExperimentSpec, methods: &[Method]) -> Vec<RunHistory>
 /// ([`RuntimeError`]); every *injected* fault is recovered in-run.
 pub fn run_sockets<S: NodeSpawner>(
     spec: &ExperimentSpec,
-    opts: &FedMpOptions,
+    method: &SyncMethod,
     chaos: &ChaosOptions,
     sock: &SocketRunOptions,
     spawner: &mut S,
 ) -> Result<RunHistory, RuntimeError> {
-    let _trace = crate::trace::maybe_trace("FedMP-sockets", spec);
+    let _trace = crate::trace::maybe_trace("sockets", spec);
     let built = spec.build();
     let setup =
         FlSetup::with_cost_scale(&built.task, built.devices.clone(), built.time, built.cost_scale);
-    run_fedmp_sockets(&spec.fl, &setup, built.model, opts, chaos, sock, spawner)
+    fedmp_fl::run_sockets(&spec.fl, &setup, built.model, method, chaos, sock, spawner)
 }
 
 /// The experiment spec serialised for shipment to worker nodes inside
@@ -282,7 +282,6 @@ mod tests {
         let mut spec = ExperimentSpec::small(TaskKind::CnnMnist);
         spec.fl.rounds = 2;
         spec.fl.eval_every = 2;
-        let opts = FedMpOptions::default();
         let h_loop = run_method(&spec, Method::FedMp);
 
         let task = std::sync::Arc::new(spec.build().task);
@@ -294,7 +293,8 @@ mod tests {
             connect_attempts: 12,
             connect_backoff: core::time::Duration::from_millis(2),
         };
-        let h_sock = run_sockets(&spec, &opts, &ChaosOptions::none(), &sock, &mut spawner)
+        let fedmp = SyncMethod::FedMp(FedMpOptions::default());
+        let h_sock = run_sockets(&spec, &fedmp, &ChaosOptions::none(), &sock, &mut spawner)
             .expect("socket run");
         assert_eq!(
             serde_json::to_string(&h_loop).unwrap(),

@@ -61,7 +61,7 @@ pub fn r2sp_aggregate(
 /// Traditional BSP over heterogeneous sub-models: the recovered models
 /// are averaged **without** residual completion, so positions a worker
 /// pruned contribute zeros — exactly the degradation Fig. 7 shows.
-pub fn bsp_aggregate(recovered: &[Vec<StateEntry>]) -> Vec<StateEntry> {
+pub(crate) fn bsp_aggregate(recovered: &[Vec<StateEntry>]) -> Vec<StateEntry> {
     average_states(recovered)
 }
 
@@ -83,7 +83,11 @@ pub fn quorum_aggregate(
 
 /// Staleness-tempered mixing for the asynchronous engines:
 /// `(1 − β)·global + β·update`.
-pub fn mix_states(global: &[StateEntry], update: &[StateEntry], beta: f32) -> Vec<StateEntry> {
+pub(crate) fn mix_states(
+    global: &[StateEntry],
+    update: &[StateEntry],
+    beta: f32,
+) -> Vec<StateEntry> {
     assert!((0.0..=1.0).contains(&beta), "mixing coefficient must be in [0, 1]");
     state_add(&state_scale(global, 1.0 - beta), &state_scale(update, beta))
 }

@@ -119,7 +119,7 @@ impl ChaosOptions {
 
     /// Virtual backoff charged for retransmit attempt `attempt`
     /// (1-based): `backoff_secs · 2^(attempt−1)`, via the shared
-    /// [`backoff_scale`] schedule.
+    /// `backoff_scale` schedule.
     pub fn backoff_for(&self, attempt: u32) -> f64 {
         self.backoff_secs * backoff_scale(attempt)
     }
@@ -144,7 +144,7 @@ impl Default for ChaosOptions {
 /// and the transport's wall-clock connect/accept retries
 /// ([`backoff`]) both derive from this function, which is what keeps
 /// the two layers in lockstep.
-pub fn backoff_scale(attempt: u32) -> f64 {
+pub(crate) fn backoff_scale(attempt: u32) -> f64 {
     (1u64 << attempt.saturating_sub(1).min(62)) as f64
 }
 
@@ -160,7 +160,7 @@ pub fn backoff(base: core::time::Duration, attempt: u32) -> core::time::Duration
 
 /// One worker-round's fault decisions, drawn by [`ChaosPlan::draw`].
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ChaosDraw {
+pub(crate) struct ChaosDraw {
     /// The worker node crashes on receiving this round's dispatch
     /// (overrides every other fault).
     pub crash: bool,
@@ -179,7 +179,7 @@ pub struct ChaosDraw {
 /// so each worker node carries its own plan; every copy produces the
 /// same draws.
 #[derive(Debug, Clone, Copy)]
-pub struct ChaosPlan {
+pub(crate) struct ChaosPlan {
     seed: u64,
     opts: ChaosOptions,
 }

@@ -1,7 +1,8 @@
 //! The synchronous baselines that are Algorithm 1 with a different
-//! ρ-picker, local step or codec pair: configurations of
-//! [`crate::runtime::run_rounds`] over the inline exchange, every other
-//! [`FedMpOptions`] field at its default.
+//! ρ-picker, local step or codec pair: [`SyncMethod`] variants, with
+//! every `FedMpOptions` field at its default. The functions here run
+//! them over the inline exchange; [`crate::run_threaded`] and
+//! [`crate::run_sockets`] run them over frames.
 //!
 //! - **Syn-FL** (McMahan et al. \[5\]), the paper's primary baseline:
 //!   full-model FedAvg is ρ ≡ 0 — R2SP with an all-zero residual *is*
@@ -21,13 +22,10 @@
 //!   to its link bandwidth.
 
 use crate::engine::{FlConfig, FlModel, FlSetup};
-use crate::engines::fedmp::{run_inline, FedMpOptions};
+use crate::engines::fedmp::run_inline;
 use crate::history::RunHistory;
-use crate::local::LocalTrainConfig;
-use crate::runtime::{seeded_agent, RatioPolicy, RoundMethod};
-use crate::wire::{Codec, LinkCodecs};
+use crate::runtime::SyncMethod;
 use fedmp_bandit::EUcbConfig;
-use fedmp_edgesim::DeviceProfile;
 use fedmp_nn::Sequential;
 use serde::{Deserialize, Serialize};
 
@@ -74,70 +72,40 @@ pub fn run_synfl<M: FlModel>(
     setup: &FlSetup<'_, M::Task>,
     global: M,
 ) -> RunHistory {
-    let locals = vec![cfg.local; setup.workers()];
-    let policy = RatioPolicy::Dense;
-    let method = RoundMethod { name: "Syn-FL", scheme: "FedAvg", policy, locals, links: None };
-    run_inline(cfg, setup, global, &FedMpOptions::default(), method)
+    run_inline(cfg, setup, global, &SyncMethod::SynFl)
 }
 
-/// Runs UP-FL: one shared agent picks the round's ratio, rewarded by
-/// the mean local loss improvement per unit of round time.
+/// Runs UP-FL ([`SyncMethod::UpFl`]).
 pub fn run_upfl<M: FlModel>(
     cfg: &FlConfig,
     setup: &FlSetup<'_, M::Task>,
     global: M,
     opts: &UpFlOptions,
 ) -> RunHistory {
-    let policy = RatioPolicy::Shared(seeded_agent(opts.eucb, cfg.seed));
-    let locals = vec![cfg.local; setup.workers()];
-    let method = RoundMethod { name: "UP-FL", scheme: "R2SP", policy, locals, links: None };
-    run_inline(cfg, setup, global, &FedMpOptions::default(), method)
+    run_inline(cfg, setup, global, &SyncMethod::UpFl(*opts))
 }
 
-/// Runs FedProx. Worker n performs `τₙ = max(min_tau, τ · φₙ/φ_max)`
-/// local iterations, where φₙ is its device throughput. Image models
-/// only: the LSTM's local step has no proximal term, so μ would be
-/// silently dropped.
+/// Runs FedProx ([`SyncMethod::FedProx`]). Image models only: the
+/// LSTM's local step has no proximal term, so μ would be silently
+/// dropped.
 pub fn run_fedprox(
     cfg: &FlConfig,
     setup: &FlSetup<'_>,
     global: Sequential,
     opts: &FedProxOptions,
 ) -> RunHistory {
-    let max_flops = setup.devices.iter().map(|d| d.flops()).fold(0.0, f64::max);
-    let local = |d: &DeviceProfile| {
-        let scaled = (cfg.local.tau as f64 * d.flops() / max_flops).round() as usize;
-        LocalTrainConfig { tau: scaled.max(opts.min_tau), prox_mu: opts.mu, ..cfg.local }
-    };
-    let locals = setup.devices.iter().map(local).collect();
-    let policy = RatioPolicy::Dense;
-    let method = RoundMethod { name: "FedProx", scheme: "FedAvg", policy, locals, links: None };
-    run_inline(cfg, setup, global, &FedMpOptions::default(), method)
+    run_inline(cfg, setup, global, &SyncMethod::FedProx(*opts))
 }
 
-/// Runs FlexCom. Worker n downloads the dense model and uploads a
-/// top-k delta keeping `clamp(max_keep · bwₙ/bw_max, min_keep, 1)` of
-/// each tensor, where bwₙ is its link bandwidth. Image models only:
-/// FlexCom is not a Table IV method.
+/// Runs FlexCom ([`SyncMethod::FlexCom`]). Image models only: FlexCom
+/// is not a Table IV method.
 pub fn run_flexcom(
     cfg: &FlConfig,
     setup: &FlSetup<'_>,
     global: Sequential,
     opts: &FlexComOptions,
 ) -> RunHistory {
-    let max_bw = setup.devices.iter().map(|d| d.bandwidth()).fold(0.0, f64::max);
-    let link = |d: &DeviceProfile| {
-        let keep = (opts.max_keep * (d.bandwidth() / max_bw) as f32).clamp(opts.min_keep, 1.0);
-        LinkCodecs { downlink: Codec::DenseF32, uplink: Codec::TopK { keep } }
-    };
-    let method = RoundMethod {
-        name: "FlexCom",
-        scheme: "FedAvg+topk",
-        policy: RatioPolicy::Dense,
-        locals: vec![cfg.local; setup.workers()],
-        links: Some(setup.devices.iter().map(link).collect()),
-    };
-    run_inline(cfg, setup, global, &FedMpOptions::default(), method)
+    run_inline(cfg, setup, global, &SyncMethod::FlexCom(*opts))
 }
 
 #[cfg(test)]

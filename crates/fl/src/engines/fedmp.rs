@@ -14,7 +14,7 @@ use crate::engine::{FlConfig, FlModel, FlSetup, SyncScheme};
 use crate::exec;
 use crate::history::RunHistory;
 use crate::local::LocalTrainConfig;
-use crate::runtime::{run_rounds, Arrival, Exchange, Exchanged, RoundMethod, WireBytes};
+use crate::runtime::{run_rounds, Arrival, Exchange, Exchanged, SyncMethod, WireBytes};
 use crate::wire::{link_delivered, CompressionPolicy, ErrorFeedback, LinkCodecs};
 use core::convert::Infallible;
 use fedmp_bandit::{EUcbConfig, RewardConfig};
@@ -180,9 +180,9 @@ pub(crate) fn run_inline<M: FlModel>(
     cfg: &FlConfig,
     setup: &FlSetup<'_, M::Task>,
     global: M,
-    opts: &FedMpOptions,
-    method: RoundMethod,
+    method: &SyncMethod,
 ) -> RunHistory {
+    let method = method.round(cfg, setup);
     let mut inline = InlineExchange {
         cfg,
         setup,
@@ -190,7 +190,7 @@ pub(crate) fn run_inline<M: FlModel>(
         locals: method.locals.clone(),
         feedbacks: vec![ErrorFeedback::new(); setup.workers()],
     };
-    match run_rounds(cfg, setup, global, opts, method, &ChaosOptions::none(), &mut inline) {
+    match run_rounds(cfg, setup, global, method, &ChaosOptions::none(), &mut inline) {
         Ok(history) => history,
         Err(never) => match never {},
     }
@@ -203,7 +203,7 @@ pub fn run_fedmp<M: FlModel>(
     global: M,
     opts: &FedMpOptions,
 ) -> RunHistory {
-    run_inline(cfg, setup, global, opts, RoundMethod::fedmp(cfg, setup, opts))
+    run_inline(cfg, setup, global, &SyncMethod::FedMp(*opts))
 }
 
 #[cfg(test)]

@@ -50,7 +50,11 @@ pub fn evaluate_image(
 /// Evaluates a language model over pre-built batches; returns mean
 /// cross-entropy in `loss` and **perplexity** (`exp(loss)`) in place of
 /// accuracy — matching the paper's Table IV metric.
-pub fn evaluate_lm(model: &mut LstmLm, batches: &[TextBatch], max_batches: usize) -> EvalResult {
+pub(crate) fn evaluate_lm(
+    model: &mut LstmLm,
+    batches: &[TextBatch],
+    max_batches: usize,
+) -> EvalResult {
     let take = batches.len().min(max_batches.max(1));
     assert!(take > 0, "no evaluation batches");
     let mut loss_sum = 0.0f64;

@@ -12,6 +12,7 @@
 //! | [`run_upfl`] | UP-FL baseline \[15\]: uniform adaptive pruning ratio — the same round, one shared ρ; any [`FlModel`] |
 //! | [`run_fedprox`] | FedProx baseline \[19\]: the same round at ρ ≡ 0 with a proximal term + capability-scaled local iterations |
 //! | [`run_flexcom`] | FlexCom baseline \[13\]: the same round at ρ ≡ 0 with bandwidth-scaled top-k uplinks and error feedback |
+//! | [`run_threaded`] / [`run_sockets`] | the paper's prototype (§V): any [`SyncMethod`] over real frames, one in-process thread or OS process per worker behind a Unix socket; history bit-identical to the loop engine's |
 //! | [`run_async`] | Asyn-FL \[43\] and Asyn-FedMP (Algorithm 2): m-of-N arrival aggregation |
 //!
 //! Local training fans out across simulated workers through the
@@ -53,31 +54,30 @@ mod task;
 mod transport;
 mod wire;
 
-pub use aggregate::{average_states, bsp_aggregate, mix_states, quorum_aggregate, r2sp_aggregate};
-pub use chaos::{backoff, backoff_scale, ChaosDraw, ChaosOptions, ChaosPlan};
+pub use aggregate::{average_states, quorum_aggregate, r2sp_aggregate};
+pub use chaos::{backoff, ChaosOptions};
 pub use engine::{CostScale, FlConfig, FlModel, FlSetup, SyncScheme, Workers};
 pub use engines::baselines::{
     run_fedprox, run_flexcom, run_synfl, run_upfl, FedProxOptions, FlexComOptions, UpFlOptions,
 };
 pub use engines::fedmp::{run_fedmp, FaultOptions, FedMpOptions};
 pub use engines::r#async::{run_async, AsyncMode, AsyncOptions};
-pub use eval::{evaluate_image, evaluate_lm, EvalResult};
+pub use eval::{evaluate_image, EvalResult};
 pub use hierarchy::{run_fedmp_hier, ExactState, HierSetup, HierarchyOptions};
 pub use history::{RoundRecord, RunHistory};
 pub use lm::LmTask;
 pub use local::{local_train, LocalOutcome, LocalTrainConfig};
-pub use metrics::{relative_cost, resource_totals, ResourceTotals};
+pub use metrics::{resource_totals, ResourceTotals};
 pub use runtime::{
-    live_worker_threads, run_fedmp_threaded, run_fedmp_threaded_chaos, RuntimeError,
+    live_worker_threads, run_fedmp_threaded, run_threaded, RuntimeError, SyncMethod,
 };
 pub use task::ImageTask;
 pub use transport::{
-    connect_with_retry, run_fedmp_sockets, serve_worker, unique_socket_path, NodeHandle,
-    NodeSpawner, ProcessNodes, Served, SocketRunOptions, ThreadNodes, TransportError,
-    TransportFault,
+    run_fedmp_sockets, run_sockets, serve_worker, unique_socket_path, NodeHandle, NodeSpawner,
+    ProcessNodes, SocketRunOptions, ThreadNodes, TransportError, TransportFault,
 };
 pub use wire::{
     codec_delivered, decode_state_v2, encode_state, encode_state_v2, f16_bits_to_f32,
-    f32_to_f16_bits, frame_checksum_ok, frame_codec, topk_len, wire_size_v2, Codec,
-    CompressionPolicy, ErrorFeedback, LinkCodecs, WireError,
+    f32_to_f16_bits, frame_checksum_ok, wire_size_v2, Codec, CompressionPolicy, ErrorFeedback,
+    LinkCodecs, WireError,
 };

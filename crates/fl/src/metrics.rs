@@ -51,17 +51,6 @@ pub fn resource_totals(history: &RunHistory, workers: usize) -> ResourceTotals {
     t
 }
 
-/// Compares two runs: the resource multipliers of `a` relative to `b`
-/// (`< 1` means `a` is cheaper).
-pub fn relative_cost(a: &ResourceTotals, b: &ResourceTotals) -> (f64, f64, f64) {
-    let ratio = |x: f64, y: f64| if y > 0.0 { x / y } else { f64::NAN };
-    (
-        ratio(a.wall_secs, b.wall_secs),
-        ratio(a.compute_secs, b.compute_secs),
-        ratio(a.comm_secs, b.comm_secs),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -95,16 +84,6 @@ mod tests {
         assert!((t.idle_secs - 4.0 * 2.0 * 10.0).abs() < 1e-9);
         // busy 120, idle 80 → utilisation 0.6
         assert!((t.utilisation() - 0.6).abs() < 1e-9);
-    }
-
-    #[test]
-    fn relative_cost_ratios() {
-        let a = resource_totals(&history(10, 2.0, 1.0, 0.5), 2);
-        let b = resource_totals(&history(10, 4.0, 2.0, 1.0), 2);
-        let (wall, comp, comm) = relative_cost(&a, &b);
-        assert!((wall - 0.5).abs() < 1e-9);
-        assert!((comp - 0.5).abs() < 1e-9);
-        assert!((comm - 0.5).abs() < 1e-9);
     }
 
     #[test]

@@ -5,26 +5,28 @@
 //!
 //! [`run_rounds`] is Algorithm 1 with the §V-A deadline: pick ratios →
 //! prune → exchange → Eq. 5 timing → `factor · d` deadline → Eq. 8
-//! reward → quorum R2SP/BSP → evaluate. A [`RoundMethod`] says how ρ
-//! is picked and rewarded and what each worker's local step is: FedMP,
-//! or a baseline that is one of its corners (`engines::baselines`); an
-//! [`FlModel`] says what the model family does (the image CNNs or the §VI
-//! LSTM). It asks its driver for one thing through [`Exchange`]: *move this
-//! round's sub-models to their workers and bring back what each one
-//! trained*. The **inline**
-//! exchange of [`crate::run_fedmp`] trains in-process on the codec
-//! oracle — no frames, cannot fail. The **framed** exchange defined
-//! here drives `fl::transport`'s socket fleet: one node per worker — an
-//! in-process thread ([`run_fedmp_threaded`]) or an OS process — behind
-//! a Unix-domain socket, with models moved as real [`crate::wire`]
-//! frames: every sub-model download and trained-model upload is one
-//! serialised, checksummed frame, exactly as a networked deployment
-//! would move it. A worker is handed the global *architecture* once,
-//! when it connects; per round it receives only the frame and the
-//! pruning plan, and rebuilds its sub-model from those. Simulated time
-//! still comes from `fedmp-edgesim` (nodes run as fast as the host
-//! allows; the virtual clock stays authoritative for completion-time
-//! results).
+//! reward → quorum R2SP/BSP → evaluate. A [`SyncMethod`] — FedMP, or a
+//! baseline that is one of its corners (`engines::baselines`) — becomes
+//! a [`RoundMethod`], which says how ρ is picked and rewarded and what
+//! each worker's local step and codec pair are; an [`FlModel`] says what
+//! the model family does (the image CNNs or the §VI LSTM). It asks its
+//! driver for one thing through [`Exchange`]: *move this round's
+//! sub-models to their workers and bring back what each one trained*.
+//! Either exchange runs any [`SyncMethod`]. The **inline** exchange of
+//! the loop engines ([`crate::run_fedmp`] and the baselines) trains
+//! in-process on the codec oracle — no frames, cannot fail. The
+//! **framed** exchange defined here drives `fl::transport`'s socket
+//! fleet: one node per worker — an in-process thread ([`run_threaded`])
+//! or an OS process ([`crate::run_sockets`]) — behind a Unix-domain
+//! socket, with models moved as real [`crate::wire`] frames: every
+//! sub-model download and trained-model upload is one serialised,
+//! checksummed frame, exactly as a networked deployment would move it.
+//! A worker is handed the global *architecture*, its own local step and
+//! its codec pair once, when it connects; per round it receives only
+//! the frame and the pruning plan, and rebuilds its sub-model from
+//! those. Simulated time still comes from `fedmp-edgesim` (nodes run as
+//! fast as the host allows; the virtual clock stays authoritative for
+//! completion-time results).
 //!
 //! # Fault tolerance
 //!
@@ -90,21 +92,23 @@ use crate::engine::{
     emit_round_start, emit_worker_excluded, emit_worker_rejoined, evaluate_if_due, kernel_baseline,
     worker_rng, FlConfig, FlModel, FlSetup, SyncScheme,
 };
+use crate::engines::baselines::{FedProxOptions, FlexComOptions, UpFlOptions};
 use crate::engines::fedmp::FedMpOptions;
 use crate::exec;
 use crate::history::{RoundRecord, RunHistory};
 use crate::local::{LocalOutcome, LocalTrainConfig};
 use crate::task::ImageTask;
 use crate::transport::{
-    run_fedmp_sockets, unique_socket_path, NodeSpawner, SocketFleet, SocketRunOptions, ThreadNodes,
+    run_sockets, unique_socket_path, NodeSpawner, SocketFleet, SocketRunOptions, ThreadNodes,
 };
 use crate::wire::{
-    decode_state_v2, encode_state_v2, frame_checksum_ok, link_delivered, ErrorFeedback, LinkCodecs,
+    decode_state_v2, encode_state_v2, frame_checksum_ok, link_delivered, Codec, ErrorFeedback,
+    LinkCodecs,
 };
 use bytes::Bytes;
 use core::time::Duration;
 use fedmp_bandit::{eucb_reward, Bandit, EUcbAgent, EUcbConfig, RewardConfig};
-use fedmp_edgesim::deadline_for;
+use fedmp_edgesim::{deadline_for, DeviceProfile};
 use fedmp_nn::{state_sub, Sequential, StateEntry};
 use fedmp_pruning::{dequantize_state, extract_sequential, quantize_state, PrunePlan};
 use fedmp_tensor::parallel::{sum_f32, sum_f64};
@@ -270,33 +274,21 @@ pub(crate) struct RoundMethod {
     /// The `Aggregate` event's scheme label.
     pub(crate) scheme: &'static str,
     pub(crate) policy: RatioPolicy,
-    /// Each worker's local step. Framed workers are handed `cfg.local`
-    /// at start-up, so only the inline exchange may meet anything else.
+    /// Each worker's local step; the framed exchange ships worker `w`
+    /// its `locals[w]` in the Setup.
     pub(crate) locals: Vec<LocalTrainConfig>,
     /// Each worker's codec pair, fixed for the run. `Some`: Eq. 5 pays
     /// the encoded frame sizes and the trace records the codecs. `None`:
     /// dense `f32` both ways, priced at the analytic 4 bytes per
     /// parameter.
     pub(crate) links: Option<Vec<LinkCodecs>>,
+    /// The rest of the round (sync, residuals, faults, importance, and
+    /// the slow-link threshold `CodecSelected` reports); a baseline runs
+    /// the defaults.
+    pub(crate) opts: FedMpOptions,
 }
 
 impl RoundMethod {
-    /// FedMP as `opts` configures it — all the framed exchange runs.
-    pub(crate) fn fedmp<T>(cfg: &FlConfig, setup: &FlSetup<'_, T>, opts: &FedMpOptions) -> Self {
-        let workers = setup.workers();
-        let (name, scheme) = match opts.sync {
-            SyncScheme::R2SP => ("FedMP", "R2SP"),
-            SyncScheme::BSP => ("FedMP-BSP", "BSP"),
-        };
-        let policy = match opts.fixed_ratio {
-            Some(ratio) => RatioPolicy::Fixed(ratio),
-            None => RatioPolicy::per_worker(opts.eucb, opts.reward, workers, cfg.seed),
-        };
-        let links = (!opts.compression.is_dense())
-            .then(|| setup.devices.iter().map(|d| opts.compression.select(d)).collect());
-        RoundMethod { name, scheme, policy, locals: vec![cfg.local; workers], links }
-    }
-
     /// Each worker's codec pair, dense where the method compresses
     /// nothing.
     pub(crate) fn link_pairs(&self) -> Vec<LinkCodecs> {
@@ -304,17 +296,89 @@ impl RoundMethod {
     }
 }
 
+/// One of the paper's five synchronous methods (Table III, Figs. 6 and
+/// 8–10) as a value either exchange runs: the inline exchange of the
+/// loop engines ([`crate::run_fedmp`], [`crate::run_synfl`], …) and the
+/// framed exchange of [`run_threaded`] and [`crate::run_sockets`]. Each
+/// variant wraps the method's own options; a baseline runs every other
+/// [`FedMpOptions`] field at its default.
+#[derive(Debug, Clone, Copy)]
+pub enum SyncMethod {
+    /// FedMP as its options configure it.
+    FedMp(FedMpOptions),
+    /// Syn-FL: full-model FedAvg, ρ ≡ 0.
+    SynFl,
+    /// UP-FL: one shared agent picks the round's ratio, rewarded by the
+    /// mean local loss improvement per unit of round time.
+    UpFl(UpFlOptions),
+    /// FedProx: ρ ≡ 0, and worker n performs `τₙ = max(min_tau, τ ·
+    /// φₙ/φ_max)` proximal local iterations, where φₙ is its device
+    /// throughput.
+    FedProx(FedProxOptions),
+    /// FlexCom: ρ ≡ 0, and worker n downloads the dense model and
+    /// uploads a top-k delta keeping `clamp(max_keep · bwₙ/bw_max,
+    /// min_keep, 1)` of each tensor, where bwₙ is its link bandwidth.
+    FlexCom(FlexComOptions),
+}
+
+impl SyncMethod {
+    /// The round body's description of this method on `setup`'s fleet.
+    pub(crate) fn round<T>(&self, cfg: &FlConfig, setup: &FlSetup<'_, T>) -> RoundMethod {
+        let workers = setup.workers();
+        let uniform = vec![cfg.local; workers];
+        let (name, scheme, policy, locals, links, opts) = match *self {
+            Self::FedMp(opts) => {
+                let (name, scheme) = match opts.sync {
+                    SyncScheme::R2SP => ("FedMP", "R2SP"),
+                    SyncScheme::BSP => ("FedMP-BSP", "BSP"),
+                };
+                let policy = match opts.fixed_ratio {
+                    Some(ratio) => RatioPolicy::Fixed(ratio),
+                    None => RatioPolicy::per_worker(opts.eucb, opts.reward, workers, cfg.seed),
+                };
+                let links = (!opts.compression.is_dense())
+                    .then(|| setup.devices.iter().map(|d| opts.compression.select(d)).collect());
+                (name, scheme, policy, uniform, links, opts)
+            }
+            Self::SynFl => {
+                ("Syn-FL", "FedAvg", RatioPolicy::Dense, uniform, None, Default::default())
+            }
+            Self::UpFl(o) => {
+                let policy = RatioPolicy::Shared(seeded_agent(o.eucb, cfg.seed));
+                ("UP-FL", "R2SP", policy, uniform, None, Default::default())
+            }
+            Self::FedProx(o) => {
+                let max_flops = setup.devices.iter().map(|d| d.flops()).fold(0.0, f64::max);
+                let local = |d: &DeviceProfile| {
+                    let scaled = (cfg.local.tau as f64 * d.flops() / max_flops).round() as usize;
+                    LocalTrainConfig { tau: scaled.max(o.min_tau), prox_mu: o.mu, ..cfg.local }
+                };
+                let locals = setup.devices.iter().map(local).collect();
+                ("FedProx", "FedAvg", RatioPolicy::Dense, locals, None, Default::default())
+            }
+            Self::FlexCom(o) => {
+                let max_bw = setup.devices.iter().map(|d| d.bandwidth()).fold(0.0, f64::max);
+                let link = |d: &DeviceProfile| {
+                    let keep =
+                        (o.max_keep * (d.bandwidth() / max_bw) as f32).clamp(o.min_keep, 1.0);
+                    LinkCodecs { downlink: Codec::DenseF32, uplink: Codec::TopK { keep } }
+                };
+                let links = Some(setup.devices.iter().map(link).collect());
+                ("FlexCom", "FedAvg+topk", RatioPolicy::Dense, uniform, links, Default::default())
+            }
+        };
+        RoundMethod { name, scheme, policy, locals, links, opts }
+    }
+}
+
 /// Runs `method` for `cfg.rounds` rounds starting from `global`, moving
-/// models through `exchange`. `opts` supplies the rest of the round
-/// (sync, residuals, faults, importance, and the slow-link threshold
-/// `CodecSelected` reports); `chaos` the
-/// virtual-clock penalties (injected delay, retransmit backoff) and the
-/// aggregation quorum; [`ChaosOptions::none`] makes all three vanish.
+/// models through `exchange`. `chaos` supplies the virtual-clock
+/// penalties (injected delay, retransmit backoff) and the aggregation
+/// quorum; [`ChaosOptions::none`] makes all three vanish.
 pub(crate) fn run_rounds<M: FlModel, X: Exchange<M>>(
     cfg: &FlConfig,
     setup: &FlSetup<'_, M::Task>,
     mut global: M,
-    opts: &FedMpOptions,
     method: RoundMethod,
     chaos: &ChaosOptions,
     exchange: &mut X,
@@ -325,7 +389,7 @@ pub(crate) fn run_rounds<M: FlModel, X: Exchange<M>>(
     // the trace) or the analytic 4 bytes per parameter.
     let compressed = method.links.is_some();
     let links = method.link_pairs();
-    let RoundMethod { name, scheme, mut policy, locals, .. } = method;
+    let RoundMethod { name, scheme, mut policy, locals, opts, .. } = method;
     let mut history = RunHistory::new(name);
     let mut sim_time = 0.0f64;
 
@@ -590,7 +654,7 @@ pub enum RuntimeError {
     /// A socket-fleet operation failed terminally — bind, accept, node
     /// spawn, handshake, reader join or node reap during bring-up,
     /// respawn or teardown — whether the nodes are threads
-    /// ([`run_fedmp_threaded`]) or processes.
+    /// ([`run_threaded`]) or processes.
     Transport {
         /// The worker the operation concerned (0 for fleet-wide
         /// failures such as binding the listener).
@@ -941,27 +1005,13 @@ impl<S: NodeSpawner> Exchange<Sequential> for FramedExchange<'_, '_, S> {
     }
 }
 
-/// Runs FedMP on the threaded runtime with no transport chaos.
-/// Produces a history bit-identical to [`crate::run_fedmp`] under the
-/// same options, including fault injection (`opts.faults`).
-///
-/// # Errors
-/// See [`run_fedmp_threaded_chaos`].
-pub fn run_fedmp_threaded(
-    cfg: &FlConfig,
-    setup: &FlSetup<'_>,
-    global: Sequential,
-    opts: &FedMpOptions,
-) -> Result<RunHistory, RuntimeError> {
-    run_fedmp_threaded_chaos(cfg, setup, global, opts, &ChaosOptions::none())
-}
-
-/// Runs FedMP on the threaded runtime under a seeded transport fault
+/// Runs `method` on the threaded runtime under a seeded transport fault
 /// plane — see the module docs for the recovery policy. This is
-/// [`run_fedmp_sockets`] with one in-process [`ThreadNodes`] thread per
+/// [`crate::run_sockets`] with one in-process [`ThreadNodes`] thread per
 /// worker on a fresh [`unique_socket_path`]: the same frames, the same
 /// recovery and the same socket-level trace events as a fleet of
-/// `fedmp-node` processes.
+/// `fedmp-node` processes. Chaos off, the history is bit-identical to
+/// the loop engine's under the same method, fault injection included.
 ///
 /// # Errors
 /// Every injected fault is recovered in-run.
@@ -970,11 +1020,11 @@ pub fn run_fedmp_threaded(
 /// or reap); [`RuntimeError::CorruptFrame`] an undecodable
 /// checksum-verified frame. Both are surfaced as typed errors rather
 /// than panics: the crate denies every panic path (`lib.rs`).
-pub fn run_fedmp_threaded_chaos(
+pub fn run_threaded(
     cfg: &FlConfig,
     setup: &FlSetup<'_>,
     global: Sequential,
-    opts: &FedMpOptions,
+    method: &SyncMethod,
     chaos: &ChaosOptions,
 ) -> Result<RunHistory, RuntimeError> {
     let sock = SocketRunOptions::new(unique_socket_path("threads"), Vec::new());
@@ -984,7 +1034,22 @@ pub fn run_fedmp_threaded_chaos(
         connect_attempts: 12,
         connect_backoff: Duration::from_millis(2),
     };
-    run_fedmp_sockets(cfg, setup, global, opts, chaos, &sock, &mut nodes)
+    run_sockets(cfg, setup, global, method, chaos, &sock, &mut nodes)
+}
+
+/// [`run_threaded`] for FedMP with no transport chaos. Kept only because
+/// the benchmark harness calls it by name; ROADMAP item 5's
+/// `[benchmark]` change deletes it.
+///
+/// # Errors
+/// See [`run_threaded`].
+pub fn run_fedmp_threaded(
+    cfg: &FlConfig,
+    setup: &FlSetup<'_>,
+    global: Sequential,
+    opts: &FedMpOptions,
+) -> Result<RunHistory, RuntimeError> {
+    run_threaded(cfg, setup, global, &SyncMethod::FedMp(*opts), &ChaosOptions::none())
 }
 
 #[cfg(test)]
@@ -1011,7 +1076,8 @@ mod tests {
         let cfg = FlConfig { rounds: 2, ..Default::default() };
         let opts =
             FedMpOptions { sync: SyncScheme::BSP, fixed_ratio: Some(0.4), ..Default::default() };
-        let h = run_fedmp_threaded(&cfg, &setup, global, &opts).expect("threaded run");
+        let h = run_threaded(&cfg, &setup, global, &SyncMethod::FedMp(opts), &ChaosOptions::none())
+            .expect("threaded run");
         assert_eq!(h.rounds.len(), 2);
         assert!(h.rounds.iter().all(|r| r.ratios.iter().all(|&x| x == 0.4)));
         assert!(h.rounds.iter().all(|r| r.participants == 3 && r.exclusions == 0));

@@ -61,8 +61,8 @@ use crate::engines::fedmp::FedMpOptions;
 use crate::history::RunHistory;
 use crate::local::{LocalOutcome, LocalTrainConfig};
 use crate::runtime::{
-    run_rounds, FramedExchange, LiveThreadGuard, RoundMethod, RuntimeError, UplinkBody, UplinkMsg,
-    WorkerProtocol, WorkerStep,
+    run_rounds, FramedExchange, LiveThreadGuard, RoundMethod, RuntimeError, SyncMethod, UplinkBody,
+    UplinkMsg, WorkerProtocol, WorkerStep,
 };
 use crate::task::ImageTask;
 use crate::wire::LinkCodecs;
@@ -158,8 +158,6 @@ pub enum TransportFault {
     Bind,
     /// Accepting a worker connection (after retry exhaustion).
     Accept,
-    /// Connecting to the PS (after retry exhaustion).
-    Connect,
     /// Spawning a worker node (process or thread).
     Spawn,
     /// The Hello/Setup handshake.
@@ -176,7 +174,6 @@ impl std::fmt::Display for TransportFault {
         let name = match self {
             TransportFault::Bind => "bind",
             TransportFault::Accept => "accept",
-            TransportFault::Connect => "connect",
             TransportFault::Spawn => "spawn",
             TransportFault::Handshake => "handshake",
             TransportFault::Recv => "recv",
@@ -324,7 +321,7 @@ fn from_json<T: Deserialize>(bytes: &[u8]) -> Result<T, TransportError> {
 /// Connects to the PS socket with bounded retries on the shared
 /// exponential [`backoff`] schedule (the PS may not have bound yet
 /// when a freshly spawned node starts).
-pub fn connect_with_retry(
+pub(crate) fn connect_with_retry(
     path: &Path,
     attempts: u32,
     base: Duration,
@@ -382,40 +379,27 @@ pub fn unique_socket_path(tag: &str) -> PathBuf {
 
 // ───────────────────────── worker side ─────────────────────────
 
-/// How a worker node's serving loop ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Served {
-    /// The PS sent `Shutdown`: the run completed.
-    Shutdown,
-    /// The chaos plan crashed this worker: the connection was closed
-    /// without a word (the PS reads a reset and respawns the node).
-    Crashed,
-    /// The PS end went away without a `Shutdown` — teardown race or PS
-    /// failure; the worker exits quietly either way.
-    HungUp,
-}
-
-/// Runs one worker node: connect, handshake, then serve the
-/// worker protocol over the socket until shutdown, crash or
-/// hang-up. `build_task` turns the Setup frame's opaque blob back into
-/// the training task — the node binary parses an `ExperimentSpec`,
-/// in-process test nodes just clone a shared task and ignore the blob.
+/// Runs one worker node: connect, handshake, then serve the worker
+/// protocol over the socket until the PS sends `Shutdown`, the chaos
+/// plan crashes the worker (it closes the connection without a word,
+/// which the PS reads as a reset) or the PS end goes away (a teardown
+/// race or PS failure); all three return `Ok`. `build_task` turns the
+/// Setup frame's opaque blob back into the training task — the node
+/// binary parses an `ExperimentSpec`, in-process test nodes just clone a
+/// shared task and ignore the blob.
 pub fn serve_worker<F>(
     socket: &Path,
     worker: usize,
     connect_attempts: u32,
     connect_backoff: Duration,
     build_task: F,
-) -> Result<Served, TransportError>
+) -> Result<(), TransportError>
 where
     F: FnOnce(&[u8]) -> Option<ImageTask>,
 {
     let mut stream = connect_with_retry(socket, connect_attempts, connect_backoff)?;
     write_frame(&mut stream, kind::HELLO, &to_json(&HelloCtl { worker })?, &[])?;
-    let (k, json, blob) = match read_frame(&mut stream)? {
-        Some(f) => f,
-        None => return Ok(Served::HungUp),
-    };
+    let Some((k, json, blob)) = read_frame(&mut stream)? else { return Ok(()) };
     if k != kind::SETUP {
         return Err(TransportError::Malformed);
     }
@@ -428,10 +412,7 @@ where
     let mut proto =
         WorkerProtocol::new(worker, &task, &arch, setup.local, setup.seed, plan, setup.link);
     loop {
-        let (k, json, bin) = match read_frame(&mut stream)? {
-            Some(f) => f,
-            None => return Ok(Served::HungUp),
-        };
+        let Some((k, json, bin)) = read_frame(&mut stream)? else { return Ok(()) };
         let step = match k {
             kind::DISPATCH => {
                 let ctl: DispatchCtl = from_json(&json)?;
@@ -441,20 +422,18 @@ where
                 let ctl: RoundCtl = from_json(&json)?;
                 proto.on_retransmit(ctl.round)
             }
-            kind::SHUTDOWN => return Ok(Served::Shutdown),
+            kind::SHUTDOWN => return Ok(()),
             _ => return Err(TransportError::Malformed),
         };
         match step {
-            WorkerStep::Crash => {
-                // A socket crash is a close without a word: drop the
-                // stream so the PS reader sees a reset.
-                return Ok(Served::Crashed);
-            }
+            // A socket crash is a close without a word: drop the stream
+            // so the PS reader sees a reset.
+            WorkerStep::Crash => return Ok(()),
             WorkerStep::Reply(msg) => {
                 if write_uplink(&mut stream, &msg).is_err() {
                     // The PS already tore the run down — an expected
                     // teardown race, not an error: exit quietly.
-                    return Ok(Served::HungUp);
+                    return Ok(());
                 }
             }
         }
@@ -685,9 +664,11 @@ pub(crate) struct SocketFleet<'a, S: NodeSpawner> {
     opts: &'a SocketRunOptions,
     spawner: &'a mut S,
     seed: u64,
-    local: LocalTrainConfig,
     plan: ChaosPlan,
-    links: &'a [LinkCodecs],
+    /// The method's local step and codec pair per worker, which worker
+    /// `w`'s Setup carries.
+    locals: Vec<LocalTrainConfig>,
+    links: Vec<LinkCodecs>,
     /// The global architecture every Setup carries.
     arch: Sequential,
     streams: Vec<Option<UnixStream>>,
@@ -707,10 +688,10 @@ impl<'a, S: NodeSpawner> SocketFleet<'a, S> {
         spawner: &'a mut S,
         cfg: &FlConfig,
         plan: ChaosPlan,
-        links: &'a [LinkCodecs],
+        method: &RoundMethod,
         arch: &Sequential,
     ) -> Self {
-        let workers = links.len();
+        let workers = method.locals.len();
         // Readers block on a full channel until the PS drains it in the
         // collection barrier; the capacity only bounds buffering.
         let (tx, rx) = bounded(workers.max(1) * 4);
@@ -719,9 +700,9 @@ impl<'a, S: NodeSpawner> SocketFleet<'a, S> {
             opts,
             spawner,
             seed: cfg.seed,
-            local: cfg.local,
             plan,
-            links,
+            locals: method.locals.clone(),
+            links: method.link_pairs(),
             arch: arch.clone(),
             streams: (0..workers).map(|_| None).collect(),
             readers: (0..workers).map(|_| None).collect(),
@@ -740,7 +721,7 @@ impl<'a, S: NodeSpawner> SocketFleet<'a, S> {
     fn send_setup(&mut self, worker: usize) -> Result<(), TransportError> {
         let ctl = SetupCtl {
             seed: self.seed,
-            local: self.local,
+            local: self.locals[worker],
             chaos: *self.plan.options(),
             link: self.links[worker],
         };
@@ -968,14 +949,15 @@ impl<'a, S: NodeSpawner> SocketFleet<'a, S> {
     }
 }
 
-/// Runs FedMP over real Unix-domain sockets: the PS in this process,
+/// Runs `method` over real Unix-domain sockets: the PS in this process,
 /// one node per worker from `spawner` (threads or real child
 /// processes), the recovery policy of `fl::barrier`, and the chaos plan
-/// realised as packet-level faults. [`crate::run_fedmp_threaded_chaos`]
+/// realised as packet-level faults. Worker `w`'s Setup carries the
+/// method's local step and codec pair for `w`. [`crate::run_threaded`]
 /// is this over [`ThreadNodes`].
 ///
 /// With `chaos` off the history **and trace stream** are bit-identical
-/// to [`crate::run_fedmp`] under the same options; under seeded chaos,
+/// to the loop engine's under the same method; under seeded chaos,
 /// runs are bit-identical to each other. On every exit path — success
 /// or typed error — every socket is closed, every node reaped and
 /// every reader joined, and the socket file is removed.
@@ -986,11 +968,11 @@ impl<'a, S: NodeSpawner> SocketFleet<'a, S> {
 /// checksum-verified upload fails to decode. Nothing one connected peer
 /// sends, and no way it disconnects, is an error: it costs that worker
 /// the round.
-pub fn run_fedmp_sockets<S: NodeSpawner>(
+pub fn run_sockets<S: NodeSpawner>(
     cfg: &FlConfig,
     setup: &FlSetup<'_>,
     global: Sequential,
-    opts: &FedMpOptions,
+    method: &SyncMethod,
     chaos: &ChaosOptions,
     sock: &SocketRunOptions,
     spawner: &mut S,
@@ -1007,12 +989,11 @@ pub fn run_fedmp_sockets<S: NodeSpawner>(
             .set_nonblocking(true)
             .map_err(|_| RuntimeError::Transport { worker: 0, fault: TransportFault::Bind })?;
         let plan = ChaosPlan::new(cfg.seed, chaos);
-        let method = RoundMethod::fedmp(cfg, setup, opts);
-        let links = method.link_pairs();
-        let mut fleet = SocketFleet::new(&listener, sock, spawner, cfg, plan, &links, &global);
+        let method = method.round(cfg, setup);
+        let mut fleet = SocketFleet::new(&listener, sock, spawner, cfg, plan, &method, &global);
         let run = fleet.bring_up().and_then(|_| {
             let mut framed = FramedExchange::new(&mut fleet, plan, setup.workers());
-            run_rounds(cfg, setup, global, opts, method, chaos, &mut framed)
+            run_rounds(cfg, setup, global, method, chaos, &mut framed)
         });
         // Teardown runs on BOTH exit paths; a run error outranks a
         // teardown error.
@@ -1024,6 +1005,23 @@ pub fn run_fedmp_sockets<S: NodeSpawner>(
     })();
     let _ = std::fs::remove_file(&sock.socket);
     result
+}
+
+/// [`run_sockets`] for FedMP. Kept only because the benchmark harness
+/// calls it by name; ROADMAP item 5's `[benchmark]` change deletes it.
+///
+/// # Errors
+/// See [`run_sockets`].
+pub fn run_fedmp_sockets<S: NodeSpawner>(
+    cfg: &FlConfig,
+    setup: &FlSetup<'_>,
+    global: Sequential,
+    opts: &FedMpOptions,
+    chaos: &ChaosOptions,
+    sock: &SocketRunOptions,
+    spawner: &mut S,
+) -> Result<RunHistory, RuntimeError> {
+    run_sockets(cfg, setup, global, &SyncMethod::FedMp(*opts), chaos, sock, spawner)
 }
 
 #[cfg(test)]

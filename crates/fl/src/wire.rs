@@ -307,7 +307,7 @@ impl Codec {
 /// `numel` elements at the given keep fraction: `⌈keep · numel⌉`,
 /// clamped into `[1, numel]` (0 for empty tensors). Analytic, so
 /// [`wire_size_v2`] never depends on tensor values.
-pub fn topk_len(numel: usize, keep: f32) -> usize {
+pub(crate) fn topk_len(numel: usize, keep: f32) -> usize {
     if numel == 0 {
         return 0;
     }
@@ -777,7 +777,7 @@ fn put_payload(buf: &mut BytesMut, codes: &PayloadCodes) {
 
 /// Exact wire size of a frame for `state` under `codec` — analytic: a
 /// pure function of entry names and shapes, never of the data (the
-/// top-k coordinate count is [`topk_len`]).
+/// top-k coordinate count is `topk_len`).
 pub fn wire_size_v2(state: &[StateEntry], codec: Codec) -> usize {
     let header = 4 + 1 + if codec.keep().is_some() { 4 } else { 0 } + 4;
     let entries: usize = state
@@ -839,17 +839,6 @@ pub(crate) fn link_delivered(
         wire_size_v2(state, codec) as u64,
         wire_size_v2(state, Codec::DenseF32) as u64,
     )
-}
-
-/// The codec a frame was encoded with. Only inspects the header.
-pub fn frame_codec(frame: &[u8]) -> Result<Codec, WireError> {
-    if frame.len() < 12 {
-        return Err(WireError::Truncated);
-    }
-    if u32::from_le_bytes([frame[0], frame[1], frame[2], frame[3]]) != MAGIC {
-        return Err(WireError::BadMagic);
-    }
-    Cursor { buf: &frame[4..] }.codec()
 }
 
 struct Cursor<'a> {
@@ -1065,7 +1054,6 @@ mod tests {
                 assert_eq!(ef_enc, ef_oracle, "{}", codec.label());
                 assert!(frame_checksum_ok(&frame), "{}", codec.label());
                 assert_eq!(frame.len(), wire_size_v2(&state, codec), "{}", codec.label());
-                assert_eq!(frame_codec(&frame), Ok(codec), "{}", codec.label());
             }
         }
     }
@@ -1075,7 +1063,6 @@ mod tests {
         let mut rng = seeded_rng(261);
         let state = zoo::cnn_mnist(0.1, &mut rng).state();
         let frame = encode_state(&state);
-        assert_eq!(frame_codec(&frame), Ok(Codec::DenseF32));
         let decoded = decode_state_v2(&frame, None).expect("decode");
         assert_eq!(bits(&decoded), bits(&state));
         // Lossless codec ⇒ no residual accumulates.

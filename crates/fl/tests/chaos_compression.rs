@@ -1,4 +1,4 @@
-//! Chaos × compression interaction regression: a seeded [`ChaosPlan`]
+//! Chaos × compression interaction regression: a seeded `ChaosPlan`
 //! corrupting and dropping **wire-v2 compressed** frames must still
 //! drive every exchange to a terminal outcome — retransmit, exclusion,
 //! crash/rejoin — complete every round, stay seed-reproducible, and
@@ -19,9 +19,9 @@
 use fedmp_data::{iid_partition, mnist_like};
 use fedmp_edgesim::{tx2_profile, ComputeMode, LinkQuality, TimeModel};
 use fedmp_fl::{
-    decode_state_v2, encode_state_v2, frame_checksum_ok, live_worker_threads,
-    run_fedmp_threaded_chaos, ChaosOptions, Codec, CompressionPolicy, ErrorFeedback, FaultOptions,
-    FedMpOptions, FlConfig, FlSetup, ImageTask, RunHistory,
+    decode_state_v2, encode_state_v2, frame_checksum_ok, live_worker_threads, run_threaded,
+    ChaosOptions, Codec, CompressionPolicy, ErrorFeedback, FaultOptions, FedMpOptions, FlConfig,
+    FlSetup, ImageTask, RunHistory, SyncMethod,
 };
 use fedmp_nn::zoo;
 use fedmp_tensor::seeded_rng;
@@ -63,7 +63,8 @@ fn chaos_over_compressed_frames_recovers_and_joins() {
         ..ChaosOptions::none()
     };
 
-    let a = run_fedmp_threaded_chaos(&cfg, &setup, global.clone(), &opts, &chaos)
+    let fedmp = SyncMethod::FedMp(opts);
+    let a = run_threaded(&cfg, &setup, global.clone(), &fedmp, &chaos)
         .expect("corrupted compressed frames must be recoverable, not an error");
     assert_eq!(a.rounds.len(), 5, "chaos must not shorten the run");
     let exclusions: usize = a.rounds.iter().map(|r| r.exclusions).sum();
@@ -74,8 +75,7 @@ fn chaos_over_compressed_frames_recovers_and_joins() {
     // Seed-reproducibility: worker-side lossy encodes and respawn-reset
     // feedback accumulators are all deterministic, so a rerun is
     // bit-identical.
-    let b =
-        run_fedmp_threaded_chaos(&cfg, &setup, global, &opts, &chaos).expect("second chaos run");
+    let b = run_threaded(&cfg, &setup, global, &fedmp, &chaos).expect("second chaos run");
     assert_eq!(canonical(&a), canonical(&b), "compressed chaos run is not seed-reproducible");
 
     // The join guarantee: every worker thread — initial and respawned —

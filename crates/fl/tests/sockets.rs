@@ -1,5 +1,5 @@
 //! Socket-runtime acceptance: the determinism contract of
-//! `run_fedmp_sockets` and its structural teardown guarantees.
+//! `run_sockets` and its structural teardown guarantees.
 //!
 //! Everything lives in ONE test function, deliberately: trace sessions
 //! are process-exclusive, the kernel-dispatch counters are
@@ -11,8 +11,8 @@ use core::time::Duration;
 use fedmp_data::{iid_partition, mnist_like};
 use fedmp_edgesim::{tx2_profile, ComputeMode, DeviceProfile, LinkQuality, TimeModel};
 use fedmp_fl::{
-    live_worker_threads, run_fedmp, run_fedmp_sockets, unique_socket_path, ChaosOptions,
-    FaultOptions, FedMpOptions, FlConfig, FlSetup, ImageTask, RunHistory, SocketRunOptions,
+    live_worker_threads, run_fedmp, run_sockets, unique_socket_path, ChaosOptions, FaultOptions,
+    FedMpOptions, FlConfig, FlSetup, ImageTask, RunHistory, SocketRunOptions, SyncMethod,
     ThreadNodes,
 };
 use fedmp_nn::zoo;
@@ -59,8 +59,9 @@ fn run_sockets_traced(
     };
     let manifest = RunManifest::new("FedMP-sockets", cfg.seed, WORKERS, cfg.rounds, 1);
     let session = TraceSession::capture(&manifest);
-    let history = run_fedmp_sockets(cfg, setup, global, opts, chaos, &sock, &mut spawner)
-        .expect("socket run");
+    let fedmp = SyncMethod::FedMp(*opts);
+    let history =
+        run_sockets(cfg, setup, global, &fedmp, chaos, &sock, &mut spawner).expect("socket run");
     let trace = session.finish();
     assert_eq!(live_worker_threads(), 0, "run `{tag}` leaked runtime threads");
     assert!(!sock.socket.exists(), "run `{tag}` left its socket file behind");

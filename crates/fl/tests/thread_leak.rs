@@ -11,8 +11,8 @@
 use fedmp_data::{iid_partition, mnist_like};
 use fedmp_edgesim::{tx2_profile, ComputeMode, LinkQuality, TimeModel};
 use fedmp_fl::{
-    live_worker_threads, run_fedmp_threaded_chaos, ChaosOptions, FaultOptions, FedMpOptions,
-    FlConfig, FlSetup, ImageTask,
+    live_worker_threads, run_threaded, ChaosOptions, FaultOptions, FedMpOptions, FlConfig, FlSetup,
+    ImageTask, SyncMethod,
 };
 use fedmp_nn::zoo;
 use fedmp_tensor::seeded_rng;
@@ -49,7 +49,7 @@ fn corrupt_frames_exhaust_retries_without_leaking_threads() {
         ..ChaosOptions::none()
     };
 
-    let h = run_fedmp_threaded_chaos(&cfg, &setup, global, &opts, &chaos)
+    let h = run_threaded(&cfg, &setup, global, &SyncMethod::FedMp(opts), &chaos)
         .expect("transport corruption must be recoverable, not an error");
     assert_eq!(h.rounds.len(), 4, "chaos must not shorten the run");
     let exclusions: usize = h.rounds.iter().map(|r| r.exclusions).sum();

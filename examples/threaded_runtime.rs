@@ -9,7 +9,7 @@
 //! cargo run --release --example threaded_runtime
 //! ```
 
-use fedmp::fl::{run_fedmp, run_fedmp_threaded, FedMpOptions, FlSetup};
+use fedmp::fl::{run_fedmp, run_threaded, ChaosOptions, FedMpOptions, FlSetup, SyncMethod};
 use fedmp::prelude::*;
 
 fn main() {
@@ -27,8 +27,10 @@ fn main() {
     println!("running the sequential loop engine…");
     let sequential = run_fedmp(&spec.fl, &setup, built.model.clone(), &opts);
     println!("running the threaded runtime (1 socket node thread/worker, wire frames)…");
-    let threaded = run_fedmp_threaded(&spec.fl, &setup, built.model.clone(), &opts)
-        .expect("clean transport: only socket or protocol failures are terminal");
+    let fedmp = SyncMethod::FedMp(opts);
+    let threaded =
+        run_threaded(&spec.fl, &setup, built.model.clone(), &fedmp, &ChaosOptions::none())
+            .expect("clean transport: only socket or protocol failures are terminal");
 
     println!("\n  round   loop-engine loss   threaded loss   identical?");
     for (a, b) in sequential.rounds.iter().zip(threaded.rounds.iter()) {

@@ -223,21 +223,13 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// Every backticked test-function name in the docs names a `fn` in the
-/// tree, as every test file they name must exist. A citation is either
-/// `<file>.rs::<name>` (a `fn <name>` in a file of that name) or a bare
-/// name of four or more snake_case words, the shape of this repo's test
-/// names (a `fn` of that name, or of that prefix when written
-/// `<prefix>*`). A bare name may instead be a lint the manifests set, a
-/// metric BENCHMARK.json declares, or one of `outside_the_tree`.
-#[test]
-fn every_test_function_the_docs_name_exists() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+/// Every `fn` declared under the tree's Rust sources, with its file.
+fn tree_fns(root: &Path) -> Vec<(PathBuf, String)> {
     let mut files = Vec::new();
     for dir in ["crates", "tests", "src", "examples", "benchmark/src"] {
         rust_files(&root.join(dir), &mut files);
     }
-    let mut fns: Vec<(PathBuf, String)> = Vec::new();
+    let mut fns = Vec::new();
     for file in files {
         let body = fs::read_to_string(&file).expect("read source");
         for (idx, pat) in body.match_indices("fn ") {
@@ -249,6 +241,20 @@ fn every_test_function_the_docs_name_exists() {
             fns.push((file.clone(), rest[..end].to_string()));
         }
     }
+    fns
+}
+
+/// Every backticked test-function name in the docs names a `fn` in the
+/// tree, as every test file they name must exist. A citation is either
+/// `<file>.rs::<name>` (a `fn <name>` in a file of that name) or a bare
+/// name of four or more snake_case words, the shape of this repo's test
+/// names (a `fn` of that name, or of that prefix when written
+/// `<prefix>*`). A bare name may instead be a lint the manifests set, a
+/// metric BENCHMARK.json declares, or one of `outside_the_tree`.
+#[test]
+fn every_test_function_the_docs_name_exists() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let fns = tree_fns(root);
     let mut configured = String::new();
     for manifest in ["Cargo.toml", "crates/tensor/Cargo.toml", "BENCHMARK.json"] {
         configured += &fs::read_to_string(root.join(manifest)).expect("read manifest");
@@ -291,6 +297,41 @@ fn every_test_function_the_docs_name_exists() {
         }
     }
     assert!(checked >= 8, "expected the docs to name test functions, found {checked}");
+}
+
+/// Every entry point the docs name exists: a backticked span that is
+/// exactly a `run_*` identifier names a `fn` in the tree, and
+/// `name(_suffix)` names both `name` and `name_suffix`. (The test above
+/// skips such names when they run under four words.)
+#[test]
+fn every_entry_point_the_docs_name_exists() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let fns = tree_fns(root);
+    let ident = |s: &str| {
+        s.starts_with("run_")
+            && s.chars().all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_')
+    };
+    let mut checked = 0usize;
+    for (doc, body) in citing_docs(root) {
+        for span in body.split('`').skip(1).step_by(2) {
+            let names = match span.strip_suffix(')').and_then(|s| s.split_once("(_")) {
+                Some((name, suffix)) => vec![name.to_string(), format!("{name}_{suffix}")],
+                None => vec![span.to_string()],
+            };
+            if !names.iter().all(|name| ident(name)) {
+                continue;
+            }
+            for name in names {
+                checked += 1;
+                assert!(
+                    fns.iter().any(|(_, f)| *f == name),
+                    "{} names `{span}`, but no fn `{name}` is in the tree",
+                    doc.display()
+                );
+            }
+        }
+    }
+    assert!(checked >= 20, "expected the docs to name entry points, found {checked}");
 }
 
 /// Every `paper -- <word>...` in a document is a subcommand of `paper`

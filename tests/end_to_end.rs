@@ -7,8 +7,8 @@ use fedmp_core::run_fedmp_custom;
 use fedmp_data::{iid_partition, mnist_like};
 use fedmp_edgesim::{tx2_profile, ComputeMode, LinkQuality};
 use fedmp_fl::{
-    run_fedmp, run_fedmp_threaded, run_fedmp_threaded_chaos, run_fedprox, run_synfl, ChaosOptions,
-    CompressionPolicy, FaultOptions, FedMpOptions, FedProxOptions, ImageTask, SyncScheme,
+    run_fedmp, run_fedprox, run_synfl, run_threaded, ChaosOptions, CompressionPolicy, FaultOptions,
+    FedMpOptions, FedProxOptions, ImageTask, SyncMethod, SyncScheme,
 };
 use fedmp_tensor::parallel::override_threads;
 
@@ -173,8 +173,10 @@ fn quantized_residual_store_changes_the_run_but_not_its_determinism() {
     };
     let one = at(1, &quant);
     assert_eq!(numeric_bits(&one), numeric_bits(&at(4, &quant)), "1 vs 4 executor threads");
-    let threaded = run_fedmp_threaded(&spec.fl, &setup, built.model.clone(), &quant)
-        .expect("socket fleet over thread nodes");
+    let none = ChaosOptions::none();
+    let threaded =
+        run_threaded(&spec.fl, &setup, built.model.clone(), &SyncMethod::FedMp(quant), &none)
+            .expect("socket fleet over thread nodes");
     assert_eq!(
         serde_json::to_string(&threaded).unwrap(),
         serde_json::to_string(&one).unwrap(),
@@ -230,7 +232,7 @@ fn threaded_recovery_transcript_is_pinned() {
         ),
     ];
     for (name, opts, chaos, expected) in cases {
-        let h = run_fedmp_threaded_chaos(&cfg, &setup, global.clone(), &opts, &chaos)
+        let h = run_threaded(&cfg, &setup, global.clone(), &SyncMethod::FedMp(opts), &chaos)
             .expect("injected faults are recoverable");
         let transcript: Vec<_> =
             h.rounds.iter().map(|r| (r.participants, r.retries, r.exclusions)).collect();

@@ -27,11 +27,10 @@ use fedmp_edgesim::{
     TimeModel,
 };
 use fedmp_fl::{
-    run_async, run_fedmp, run_fedmp_hier, run_fedmp_threaded, run_fedmp_threaded_chaos,
-    run_fedprox, run_flexcom, run_synfl, run_upfl, AsyncMode, AsyncOptions, ChaosOptions,
-    CompressionPolicy, FaultOptions, FedMpOptions, FedProxOptions, FlConfig, FlSetup,
-    FlexComOptions, HierSetup, HierarchyOptions, ImageTask, LmTask, LocalTrainConfig, RunHistory,
-    SyncScheme, UpFlOptions,
+    run_async, run_fedmp, run_fedmp_hier, run_fedprox, run_flexcom, run_synfl, run_threaded,
+    run_upfl, AsyncMode, AsyncOptions, ChaosOptions, CompressionPolicy, FaultOptions, FedMpOptions,
+    FedProxOptions, FlConfig, FlSetup, FlexComOptions, HierSetup, HierarchyOptions, ImageTask,
+    LmTask, LocalTrainConfig, RunHistory, SyncMethod, SyncScheme, UpFlOptions,
 };
 use fedmp_nn::{zoo, LstmLm, Sequential};
 use fedmp_obs::{RunManifest, Trace, TraceEvent, TraceSession};
@@ -61,6 +60,10 @@ const GOLDENS: &[(&str, Bits, Bits)] = &[
     ("threaded",                  (0x7a87b45bbca53c93, 0x531223a1a280f677), (0x04464bd68126f66a, 0xd0566d2e89e2f8eb)),
     ("threaded-faults",           (0x52f187d3a9facecd, 0xec17b2084895d31a), (0x52f187d3a9facecd, 0x6ab540ab04879b7b)),
     ("threaded-compressed",       (0x40c52a1eb59d3568, 0xb261c8e8d0254082), (0xe3443df4c90fd5bf, 0x5993ea8919f00b2a)),
+    ("threaded-synfl",            (0x7d334ba7c62a97e1, 0xd1e1889110eb8d60), (0x7d334ba7c62a97e1, 0x8347ddd68f07cea0)),
+    ("threaded-upfl",             (0x7868f7a35ee416b1, 0x1072afcaf2521a8e), (0xcc104a286504833d, 0x8f09a2b0a25c3e56)),
+    ("threaded-fedprox",          (0x4f0aa97e71e47b90, 0x64ca9246f849c66f), (0x4f0aa97e71e47b90, 0xa3ef8d7814a51d2a)),
+    ("threaded-flexcom",          (0x82136b5dd433ef79, 0xf859bcb425ca6e8d), (0x82136b5dd433ef79, 0x9947eb622d9b6588)),
     ("threaded-chaos",            (0xcdf07688329448e8, 0x39ab8a4108441559), (0xcdf07688329448e8, 0xd96268acf9c0d8ed)),
     ("threaded-chaos-compressed", (0xd3b0082adb04d342, 0x806565f58b2a7650), (0x4462e50c61c587a5, 0x7b942140d27f9ad8)),
     ("hier",                      (0xbc650d3d616ede8e, 0x0f9f200c63d3ca29), (0x7d8feb92e8f38c0c, 0xd6afa48ed54e3b72)),
@@ -81,10 +84,14 @@ const PARTITIONS: [(&str, usize, usize); 4] =
     [("hier", 4, 2), ("hier-1x1", 1, 1), ("hier-2x2", 2, 2), ("hier-8x4", 8, 4)];
 
 /// `(threaded row, loop row)` pairs that must share a history.
-const TWINS: [(&str, &str); 3] = [
+const TWINS: [(&str, &str); 7] = [
     ("threaded", "fedmp"),
     ("threaded-faults", "fedmp-faults"),
     ("threaded-compressed", "fedmp-compressed"),
+    ("threaded-synfl", "synfl"),
+    ("threaded-upfl", "upfl"),
+    ("threaded-fedprox", "fedprox"),
+    ("threaded-flexcom", "flexcom"),
 ];
 
 fn fnv1a64<'a>(chunks: impl IntoIterator<Item = &'a [u8]>) -> u64 {
@@ -149,8 +156,8 @@ impl Fixture {
         let compressed = FedMpOptions { compression: adaptive, ..Default::default() };
         let bsp = FedMpOptions { sync: SyncScheme::BSP, ..Default::default() };
         let asyn = |mode| AsyncOptions { mode, m: 2, ..Default::default() };
-        let threaded = |o| run_fedmp_threaded(cfg, setup, g(), &o).expect("threaded runtime");
-        let chaos = |o, c| run_fedmp_threaded_chaos(cfg, setup, g(), &o, &c).expect("recoverable");
+        let threaded = |m, c| run_threaded(cfg, setup, g(), &m, &c).expect("recoverable");
+        let (fedmp, none) = (SyncMethod::FedMp, ChaosOptions::none());
         let at = |shards, edges| HierarchyOptions {
             cohort: COHORT,
             shards,
@@ -189,11 +196,15 @@ impl Fixture {
             "lm-synfl" => run_synfl(lm_cfg, lm_setup, lm()),
             "lm-upfl" => run_upfl(lm_cfg, lm_setup, lm(), &UpFlOptions::default()),
             "lm-fedmp" => run_fedmp(lm_cfg, lm_setup, lm(), &FedMpOptions::default()),
-            "threaded" => threaded(FedMpOptions::default()),
-            "threaded-faults" => threaded(faulty),
-            "threaded-compressed" => threaded(compressed),
-            "threaded-chaos" => chaos(faulty, ChaosOptions::demo(1)),
-            "threaded-chaos-compressed" => chaos(compressed, ChaosOptions::demo(2)),
+            "threaded" => threaded(fedmp(FedMpOptions::default()), none),
+            "threaded-faults" => threaded(fedmp(faulty), none),
+            "threaded-compressed" => threaded(fedmp(compressed), none),
+            "threaded-synfl" => threaded(SyncMethod::SynFl, none),
+            "threaded-upfl" => threaded(SyncMethod::UpFl(UpFlOptions::default()), none),
+            "threaded-fedprox" => threaded(SyncMethod::FedProx(FedProxOptions::default()), none),
+            "threaded-flexcom" => threaded(SyncMethod::FlexCom(FlexComOptions::default()), none),
+            "threaded-chaos" => threaded(fedmp(faulty), ChaosOptions::demo(1)),
+            "threaded-chaos-compressed" => threaded(fedmp(compressed), ChaosOptions::demo(2)),
             "hier-compressed" => {
                 let opts = HierarchyOptions { compression: adaptive, ..at(4, 2) };
                 run_fedmp_hier(cfg, hier, g(), &opts)

@@ -15,8 +15,8 @@ use core::time::Duration;
 use fedmp::data::{iid_partition, mnist_like};
 use fedmp::edgesim::{tx2_profile, ComputeMode, LinkQuality, TimeModel};
 use fedmp::fl::{
-    live_worker_threads, run_fedmp_sockets, unique_socket_path, ChaosOptions, FedMpOptions,
-    FlConfig, FlSetup, ImageTask, NodeHandle, NodeSpawner, SocketRunOptions, ThreadNodes,
+    live_worker_threads, run_sockets, unique_socket_path, ChaosOptions, FedMpOptions, FlConfig,
+    FlSetup, ImageTask, NodeHandle, NodeSpawner, SocketRunOptions, SyncMethod, ThreadNodes,
     TransportError,
 };
 use fedmp::nn::zoo;
@@ -205,11 +205,11 @@ fn a_misbehaving_peer_costs_an_exclusion_not_the_run() {
             };
             let session =
                 TraceSession::capture(&RunManifest::new("hostile", cfg.seed, 3, rounds, 1));
-            let run = run_fedmp_sockets(
+            let run = run_sockets(
                 &cfg,
                 &setup,
                 global.clone(),
-                &FedMpOptions::default(),
+                &SyncMethod::FedMp(FedMpOptions::default()),
                 &ChaosOptions::none(),
                 &sock,
                 &mut nodes,

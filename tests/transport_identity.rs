@@ -14,9 +14,9 @@ use core::time::Duration;
 use fedmp::data::{iid_partition, mnist_like};
 use fedmp::edgesim::{tx2_profile, ComputeMode, DeviceProfile, LinkQuality, TimeModel};
 use fedmp::fl::{
-    live_worker_threads, run_fedmp, run_fedmp_sockets, unique_socket_path, ChaosOptions,
+    live_worker_threads, run_fedmp, run_sockets, unique_socket_path, ChaosOptions,
     CompressionPolicy, FaultOptions, FedMpOptions, FlConfig, FlSetup, ImageTask, RunHistory,
-    SocketRunOptions, ThreadNodes,
+    SocketRunOptions, SyncMethod, ThreadNodes,
 };
 use fedmp::nn::{zoo, Conv2d, Dropout, Flatten, LayerNode, Linear, MaxPool2d, ReLU, Sequential};
 use fedmp::tensor::seeded_rng;
@@ -47,7 +47,8 @@ fn agreed_history(
         connect_backoff: Duration::from_millis(2),
     };
     let chaos = ChaosOptions::none();
-    let sockets = run_fedmp_sockets(cfg, &setup, global.clone(), opts, &chaos, &sock, &mut nodes)
+    let fedmp = SyncMethod::FedMp(*opts);
+    let sockets = run_sockets(cfg, &setup, global.clone(), &fedmp, &chaos, &sock, &mut nodes)
         .expect("sockets");
     assert_eq!(canonical(&sockets), canonical(&reference), "socket history diverged");
 
