@@ -16,10 +16,10 @@ use fedmp_edgesim::{
 };
 use fedmp_fl::{
     run_fedmp, run_fedmp_hier, run_synfl, run_threaded, run_upfl, ChaosOptions, Codec,
-    CompressionPolicy, ExactState, FaultOptions, FedMpOptions, FlConfig, FlSetup, HierSetup,
-    HierarchyOptions, LmTask, LocalTrainConfig, RunHistory, SyncMethod, UpFlOptions,
+    CompressionPolicy, CostScale, ExactState, FaultOptions, FedMpOptions, FlConfig, FlSetup,
+    HierSetup, HierarchyOptions, LmTask, LocalTrainConfig, RunHistory, SyncMethod, UpFlOptions,
 };
-use fedmp_nn::{zoo, StateEntry};
+use fedmp_nn::{lstm_cost_per_token, zoo, ShapesOnly, StateEntry};
 use fedmp_obs::{RunManifest, TraceEvent, TraceSession};
 use fedmp_pruning::Importance;
 use fedmp_tensor::{seeded_rng, Tensor};
@@ -362,14 +362,8 @@ pub fn table4(h: &mut Harness) {
         .collect();
     let mut rng = seeded_rng(78);
     // Width compensation: charge the simulator for the paper-sized LSTM.
-    let cost_scale = {
-        let full = fedmp_nn::lstm_cost_per_token(&zoo::lstm_ptb(vocab, 1.0, &mut seeded_rng(1)));
-        let scaled = fedmp_nn::lstm_cost_per_token(&zoo::lstm_ptb(vocab, 0.3, &mut seeded_rng(1)));
-        fedmp_fl::CostScale {
-            flops: full.flops_per_sample as f64 / scaled.flops_per_sample.max(1) as f64,
-            bytes: full.params as f64 / scaled.params.max(1) as f64,
-        }
-    };
+    let cost = |width| lstm_cost_per_token(&zoo::lstm_ptb(vocab, width, &mut ShapesOnly));
+    let cost_scale = CostScale::from_reports(&cost(1.0), &cost(0.3));
     let task = LmTask::new(worker_batches, eval.batches(8, 12));
     let devices = heterogeneity_scenario(HeterogeneityLevel::Medium, workers, &mut rng);
     let setup = FlSetup::with_cost_scale(&task, devices, TimeModel::default(), cost_scale);

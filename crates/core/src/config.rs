@@ -8,7 +8,7 @@ use fedmp_data::{
 };
 use fedmp_edgesim::{heterogeneity_scenario, DeviceProfile, HeterogeneityLevel, TimeModel};
 use fedmp_fl::{FlConfig, ImageTask};
-use fedmp_nn::{zoo, Sequential};
+use fedmp_nn::{model_cost, zoo, Init, Sequential, ShapesOnly};
 use fedmp_tensor::seeded_rng;
 use serde::{Deserialize, Serialize};
 
@@ -46,15 +46,20 @@ impl TaskKind {
         }
     }
 
-    /// Instantiates the (width-scaled) model.
-    pub fn build_model(self, width: f32, seed: u64) -> Sequential {
-        let mut rng = seeded_rng(seed);
+    /// This task's zoo model at `width`, its weights drawn from `init`
+    /// (a seeded `StdRng`, or [`ShapesOnly`] when only shapes are read).
+    pub fn model(self, width: f32, init: &mut impl Init) -> Sequential {
         match self {
-            TaskKind::CnnMnist => zoo::cnn_mnist(width, &mut rng),
-            TaskKind::AlexnetCifar => zoo::alexnet_cifar(width, &mut rng),
-            TaskKind::VggEmnist => zoo::vgg_emnist(width, &mut rng),
-            TaskKind::ResnetTiny => zoo::resnet_tiny(width, &mut rng),
+            TaskKind::CnnMnist => zoo::cnn_mnist(width, init),
+            TaskKind::AlexnetCifar => zoo::alexnet_cifar(width, init),
+            TaskKind::VggEmnist => zoo::vgg_emnist(width, init),
+            TaskKind::ResnetTiny => zoo::resnet_tiny(width, init),
         }
+    }
+
+    /// Instantiates the (width-scaled) model with weights seeded by `seed`.
+    pub fn build_model(self, width: f32, seed: u64) -> Sequential {
+        self.model(width, &mut seeded_rng(seed))
     }
 
     /// Which non-IID partitioner §V-F prescribes for this dataset:
@@ -132,6 +137,8 @@ impl ExperimentSpec {
     /// Width-compensation factors: how much cheaper the width-scaled
     /// model is than the paper-sized (width 1.0) architecture, so the
     /// simulator charges paper-scale time for laptop-scale training.
+    /// Both cost reports come from [`ShapesOnly`] builds: a report reads
+    /// only dims, so no weight is drawn.
     pub fn cost_scale(&self) -> fedmp_fl::CostScale {
         if (self.width - 1.0).abs() < 1e-6 {
             return fedmp_fl::CostScale::default();
@@ -140,13 +147,8 @@ impl ExperimentSpec {
             let spec = self.task.synth_spec(self.data_scale, self.seed);
             (spec.channels, spec.height, spec.width)
         };
-        let full = fedmp_nn::model_cost(&self.task.build_model(1.0, self.seed ^ 0x0DE1), chw);
-        let scaled =
-            fedmp_nn::model_cost(&self.task.build_model(self.width, self.seed ^ 0x0DE1), chw);
-        fedmp_fl::CostScale {
-            flops: full.flops_per_sample as f64 / scaled.flops_per_sample.max(1) as f64,
-            bytes: full.params as f64 / scaled.params.max(1) as f64,
-        }
+        let cost = |width| model_cost(&self.task.model(width, &mut ShapesOnly), chw);
+        fedmp_fl::CostScale::from_reports(&cost(1.0), &cost(self.width))
     }
 
     /// Materialises the dataset and its partition: all a worker needs.
@@ -224,6 +226,28 @@ mod tests {
             present[d.label(i)] = true;
         }
         assert!(present.iter().any(|&p| !p), "missing-classes partition not applied");
+    }
+
+    #[test]
+    fn bench_cost_scale_is_pinned() {
+        // `f64::to_bits` of (flops, bytes) as seeded builds of both
+        // models give them: ≈ ×13.6/×15.8 (CNN), ×142.0/×157.4
+        // (AlexNet), ×65.5/×64.7 (VGG), ×34.1/×34.9 (ResNet).
+        const PINNED: [(TaskKind, u64, u64); 4] = [
+            (TaskKind::CnnMnist, 0x402b_418b_94ae_b25d, 0x402f_959c_528a_36bb),
+            (TaskKind::AlexnetCifar, 0x4061_bf5b_a68d_5c01, 0x4063_adc5_fafb_d678),
+            (TaskKind::VggEmnist, 0x4050_62dc_9a1a_d82a, 0x4050_2b08_7f70_5dbe),
+            (TaskKind::ResnetTiny, 0x4041_0dc1_1595_334c, 0x4041_7902_d0bb_4b9f),
+        ];
+        for (task, flops, bytes) in PINNED {
+            let scale = ExperimentSpec::bench(task).cost_scale();
+            assert_eq!(
+                (scale.flops.to_bits(), scale.bytes.to_bits()),
+                (flops, bytes),
+                "{}: {scale:?}",
+                task.name()
+            );
+        }
     }
 
     #[test]

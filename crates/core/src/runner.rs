@@ -9,7 +9,7 @@
     clippy::unimplemented
 )]
 
-use crate::config::ExperimentSpec;
+use crate::config::{BuiltExperiment, ExperimentSpec};
 use fedmp_edgesim::Population;
 use fedmp_fl::{
     run_async, run_fedmp, run_fedmp_hier, run_fedprox, run_flexcom, run_synfl, run_upfl, AsyncMode,
@@ -82,51 +82,64 @@ impl Method {
 /// stream is written there (see [`crate::maybe_trace`]).
 pub fn run_method(spec: &ExperimentSpec, method: Method) -> RunHistory {
     let _trace = crate::trace::maybe_trace(&method.name(), spec);
-    let built = spec.build();
+    run_built(spec, &spec.build(), method)
+}
+
+/// Runs `method` on an experiment already built from `spec`, starting
+/// from a clone of its initial model.
+fn run_built(spec: &ExperimentSpec, built: &BuiltExperiment, method: Method) -> RunHistory {
     let setup =
         FlSetup::with_cost_scale(&built.task, built.devices.clone(), built.time, built.cost_scale);
+    let model = built.model.clone();
     match method {
-        Method::SynFl => run_synfl(&spec.fl, &setup, built.model),
-        Method::UpFl => run_upfl(&spec.fl, &setup, built.model, &UpFlOptions::default()),
-        Method::FedProx => run_fedprox(&spec.fl, &setup, built.model, &FedProxOptions::default()),
-        Method::FlexCom => run_flexcom(&spec.fl, &setup, built.model, &FlexComOptions::default()),
-        Method::FedMp => run_fedmp(&spec.fl, &setup, built.model, &FedMpOptions::default()),
+        Method::SynFl => run_synfl(&spec.fl, &setup, model),
+        Method::UpFl => run_upfl(&spec.fl, &setup, model, &UpFlOptions::default()),
+        Method::FedProx => run_fedprox(&spec.fl, &setup, model, &FedProxOptions::default()),
+        Method::FlexCom => run_flexcom(&spec.fl, &setup, model, &FlexComOptions::default()),
+        Method::FedMp => run_fedmp(&spec.fl, &setup, model, &FedMpOptions::default()),
         Method::FedMpBsp => {
             let opts = FedMpOptions { sync: SyncScheme::BSP, ..Default::default() };
-            run_fedmp(&spec.fl, &setup, built.model, &opts)
+            run_fedmp(&spec.fl, &setup, model, &opts)
         }
         Method::FedMpFixed(ratio) => {
             let opts = FedMpOptions { fixed_ratio: Some(ratio), ..Default::default() };
-            run_fedmp(&spec.fl, &setup, built.model, &opts)
+            run_fedmp(&spec.fl, &setup, model, &opts)
         }
         Method::FedMpCompressed => {
             let opts =
                 FedMpOptions { compression: CompressionPolicy::adaptive(), ..Default::default() };
-            run_fedmp(&spec.fl, &setup, built.model, &opts)
+            run_fedmp(&spec.fl, &setup, model, &opts)
         }
         Method::AsynFl { m } => {
             let opts = AsyncOptions { mode: AsyncMode::AsynFl, m, ..Default::default() };
-            run_async(&spec.fl, &setup, built.model, &opts)
+            run_async(&spec.fl, &setup, model, &opts)
         }
         Method::AsynFedMp { m } => {
             let opts = AsyncOptions { mode: AsyncMode::AsynFedMp, m, ..Default::default() };
-            run_async(&spec.fl, &setup, built.model, &opts)
+            run_async(&spec.fl, &setup, model, &opts)
         }
     }
 }
 
 /// Runs every method in `methods` against `spec`, returning histories
-/// in input order. Independent runs fan out across the deterministic
-/// round executor ([`fedmp_fl::exec::ordered_map`]); each engine's own
-/// per-worker fan-out then runs inline on its pool thread, so every
-/// history is bit-identical to calling [`run_method`] in a loop. When
-/// `FEDMP_TRACE` requests tracing the runs stay serial: trace sessions
-/// are process-exclusive and artifact numbering is order-sensitive.
+/// in input order. The experiment is built once per call, and every
+/// method starts from its own clone of the one initial model. The
+/// independent runs fan out across the deterministic round executor
+/// ([`fedmp_fl::exec::ordered_map`]); each engine's own per-worker
+/// fan-out then runs inline on its pool thread, so every history is
+/// bit-identical to calling [`run_method`] in a loop. Nothing is kept
+/// between calls. When `FEDMP_TRACE` requests tracing the runs stay
+/// serial through [`run_method`]: trace sessions are process-exclusive
+/// and artifact numbering is order-sensitive.
 pub fn run_methods(spec: &ExperimentSpec, methods: &[Method]) -> Vec<RunHistory> {
     if crate::trace::trace_requested() {
         return methods.iter().map(|&m| run_method(spec, m)).collect();
     }
-    fedmp_fl::exec::ordered_map(methods.to_vec(), |_, m| run_method(spec, m))
+    if methods.is_empty() {
+        return Vec::new();
+    }
+    let built = spec.build();
+    fedmp_fl::exec::ordered_map(methods.to_vec(), |_, m| run_built(spec, &built, m))
 }
 
 /// Runs `method` on the real socket transport
@@ -275,6 +288,62 @@ mod tests {
                 m.name()
             );
         }
+    }
+
+    /// Asserts that `short` (R rounds) is the first R records of `long`
+    /// (2R rounds), except that the short run's last record carries the
+    /// forced final evaluation: `eval` is the one field that differs
+    /// there, so R − 1 must not be a multiple of `eval_every`.
+    fn assert_prefix_stable(short: &RunHistory, long: &RunHistory) {
+        let r = short.rounds.len();
+        assert_eq!(long.rounds.len(), 2 * r, "{}", long.method);
+        let json = |rec: &fedmp_fl::RoundRecord| serde_json::to_string(rec).unwrap();
+        for (i, (s, l)) in short.rounds.iter().zip(&long.rounds).enumerate() {
+            if i + 1 < r {
+                assert_eq!(json(s), json(l), "{} round {i}", long.method);
+                continue;
+            }
+            assert!(s.eval.is_some(), "{}: forced final eval missing", short.method);
+            assert!(l.eval.is_none(), "{}: pick R with R-1 off the eval grid", long.method);
+            let mut s = s.clone();
+            s.eval = None;
+            assert_eq!(json(&s), json(l), "{} round {i} beyond eval", long.method);
+        }
+    }
+
+    /// The CNN small spec at `rounds` rounds, evaluated every third.
+    fn prefix_spec(rounds: usize) -> ExperimentSpec {
+        let mut spec = ExperimentSpec::small(TaskKind::CnnMnist);
+        spec.fl.rounds = rounds;
+        spec.fl.eval_every = 3;
+        spec
+    }
+
+    #[test]
+    fn synchronous_round_body_is_prefix_stable() {
+        for method in [Method::FedMp, Method::SynFl] {
+            let short = run_method(&prefix_spec(5), method);
+            let long = run_method(&prefix_spec(10), method);
+            assert_prefix_stable(&short, &long);
+        }
+    }
+
+    #[test]
+    fn async_engine_is_prefix_stable() {
+        let method = Method::AsynFedMp { m: 2 };
+        assert_prefix_stable(
+            &run_method(&prefix_spec(5), method),
+            &run_method(&prefix_spec(10), method),
+        );
+    }
+
+    #[test]
+    fn hierarchy_is_prefix_stable() {
+        let opts = HierarchyOptions { cohort: 6, shards: 3, edges: 2, ..Default::default() };
+        assert_prefix_stable(
+            &run_hier(&prefix_spec(3), 100, &opts),
+            &run_hier(&prefix_spec(6), 100, &opts),
+        );
     }
 
     #[test]

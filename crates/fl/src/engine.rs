@@ -7,7 +7,7 @@ use crate::local::{local_train, LocalOutcome, LocalTrainConfig};
 use crate::task::ImageTask;
 use fedmp_data::BatchIter;
 use fedmp_edgesim::{DeviceProfile, RoundCost, RoundTime, TimeModel};
-use fedmp_nn::{model_cost, Sequential, StateEntry};
+use fedmp_nn::{model_cost, CostReport, Sequential, StateEntry};
 use fedmp_obs::TraceEvent;
 use fedmp_pruning::{
     extract_sequential, plan_sequential_with, recover_state, Importance, PrunePlan,
@@ -54,6 +54,10 @@ impl Default for FlConfig {
 /// realistic range while training remains laptop-scale. Relative results
 /// (speedups, crossovers) are unaffected — every method is scaled
 /// identically.
+///
+/// [`CostScale::from_reports`] derives both factors from two cost
+/// reports. A report reads only dims, so callers build the two models
+/// with `fedmp_nn::ShapesOnly` and draw no weights.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct CostScale {
     /// Multiplier on training FLOPs.
@@ -69,6 +73,15 @@ impl Default for CostScale {
 }
 
 impl CostScale {
+    /// How much dearer `full` is than `scaled`: the ratio of their
+    /// FLOPs per sample and of their parameter counts.
+    pub fn from_reports(full: &CostReport, scaled: &CostReport) -> Self {
+        CostScale {
+            flops: full.flops_per_sample as f64 / scaled.flops_per_sample.max(1) as f64,
+            bytes: full.params as f64 / scaled.params.max(1) as f64,
+        }
+    }
+
     /// `cost` with the factors applied: FLOPs by `flops`, both link
     /// directions by `bytes`.
     pub(crate) fn apply(&self, cost: &RoundCost) -> RoundCost {

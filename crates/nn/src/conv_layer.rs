@@ -1,10 +1,10 @@
 //! Convolutional layer wrapping the tensor-level conv kernels.
 
+use crate::init::Init;
 use crate::param::Param;
 use fedmp_tensor::{
     conv2d_backward_input, conv2d_backward_weight, conv2d_forward, Conv2dSpec, Tensor,
 };
-use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 
 /// A 2-D convolution layer.
@@ -25,23 +25,20 @@ pub struct Conv2d {
 }
 
 impl Conv2d {
-    /// A Kaiming-initialised convolution.
+    /// A convolution whose filters `init` draws (Kaiming) and whose bias
+    /// is zero.
     pub fn new(
         in_channels: usize,
         out_channels: usize,
         kernel: usize,
         stride: usize,
         padding: usize,
-        rng: &mut StdRng,
+        init: &mut impl Init,
     ) -> Self {
         let spec = Conv2dSpec { kh: kernel, kw: kernel, stride, padding };
         let fan_in = in_channels * kernel * kernel;
         Conv2d {
-            weight: Param::new(Tensor::kaiming(
-                &[out_channels, in_channels, kernel, kernel],
-                fan_in,
-                rng,
-            )),
+            weight: Param::new(init.kaiming(&[out_channels, in_channels, kernel, kernel], fan_in)),
             bias: Param::new(Tensor::zeros(&[out_channels])),
             spec,
             cached_input: None,

@@ -31,6 +31,7 @@ mod container;
 mod conv_layer;
 mod flatten;
 mod flops;
+mod init;
 mod linear;
 mod lstm;
 mod optim;
@@ -44,6 +45,7 @@ pub use container::{LayerNode, ResidualBlock, Sequential};
 pub use conv_layer::Conv2d;
 pub use flatten::Flatten;
 pub use flops::{lstm_cost_per_token, model_cost, CostReport, LayerCost};
+pub use init::{Init, ShapesOnly};
 pub use linear::Linear;
 pub use lstm::{Embedding, Lstm, LstmLm};
 pub use optim::{add_proximal_grad, clip_grad_norm, grad_norm, snapshot_params, ParamVisitor, Sgd};

@@ -1,8 +1,8 @@
 //! Fully connected (dense) layer.
 
+use crate::init::Init;
 use crate::param::Param;
 use fedmp_tensor::Tensor;
-use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 
 /// A fully connected layer: `y = x Wᵀ + b`.
@@ -21,10 +21,11 @@ pub struct Linear {
 }
 
 impl Linear {
-    /// A Kaiming-initialised layer of the given dimensions.
-    pub fn new(in_features: usize, out_features: usize, rng: &mut StdRng) -> Self {
+    /// A layer of the given dimensions whose weights `init` draws
+    /// (Kaiming) and whose bias is zero.
+    pub fn new(in_features: usize, out_features: usize, init: &mut impl Init) -> Self {
         Linear {
-            weight: Param::new(Tensor::kaiming(&[out_features, in_features], in_features, rng)),
+            weight: Param::new(init.kaiming(&[out_features, in_features], in_features)),
             bias: Param::new(Tensor::zeros(&[out_features])),
             cached_input: None,
         }

@@ -7,9 +7,9 @@
 //! gates, the recurrent connections and the downstream consumers — is a
 //! pure row/column selection implemented in `fedmp-pruning`.
 
+use crate::init::Init;
 use crate::param::{Param, StateEntry};
 use fedmp_tensor::Tensor;
-use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 
 /// Token-embedding table.
@@ -22,12 +22,9 @@ pub struct Embedding {
 }
 
 impl Embedding {
-    /// A new table with `N(0, 0.1)` entries.
-    pub fn new(vocab: usize, dim: usize, rng: &mut StdRng) -> Self {
-        Embedding {
-            weight: Param::new(Tensor::randn(&[vocab, dim], rng).scale(0.1)),
-            cached_tokens: Vec::new(),
-        }
+    /// A new table whose entries `init` draws (`N(0, 0.1)`).
+    pub fn new(vocab: usize, dim: usize, init: &mut impl Init) -> Self {
+        Embedding { weight: Param::new(init.embedding(&[vocab, dim])), cached_tokens: Vec::new() }
     }
 
     /// Builds from a saved table.
@@ -107,15 +104,15 @@ pub struct Lstm {
 
 impl Lstm {
     /// A new layer with `hidden` units over `input` features.
-    pub fn new(input: usize, hidden: usize, rng: &mut StdRng) -> Self {
+    pub fn new(input: usize, hidden: usize, init: &mut impl Init) -> Self {
         let mut bias = Tensor::zeros(&[4 * hidden]);
         // Forget-gate bias = 1: standard trick to avoid early vanishing.
         for v in &mut bias.data_mut()[hidden..2 * hidden] {
             *v = 1.0;
         }
         Lstm {
-            w_x: Param::new(Tensor::kaiming(&[4 * hidden, input], input, rng)),
-            w_h: Param::new(Tensor::kaiming(&[4 * hidden, hidden], hidden, rng)),
+            w_x: Param::new(init.kaiming(&[4 * hidden, input], input)),
+            w_h: Param::new(init.kaiming(&[4 * hidden, hidden], hidden)),
             bias: Param::new(bias),
             steps: Vec::new(),
         }
@@ -276,18 +273,18 @@ impl LstmLm {
         embed_dim: usize,
         hidden: usize,
         layers: usize,
-        rng: &mut StdRng,
+        init: &mut impl Init,
     ) -> Self {
         assert!(layers >= 1, "lstm lm needs at least one layer");
         let mut lstms = Vec::with_capacity(layers);
-        lstms.push(Lstm::new(embed_dim, hidden, rng));
+        lstms.push(Lstm::new(embed_dim, hidden, init));
         for _ in 1..layers {
-            lstms.push(Lstm::new(hidden, hidden, rng));
+            lstms.push(Lstm::new(hidden, hidden, init));
         }
         LstmLm {
-            embedding: Embedding::new(vocab, embed_dim, rng),
+            embedding: Embedding::new(vocab, embed_dim, init),
             lstms,
-            decoder: crate::linear::Linear::new(hidden, vocab, rng),
+            decoder: crate::linear::Linear::new(hidden, vocab, init),
         }
     }
 
