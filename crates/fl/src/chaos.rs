@@ -237,7 +237,8 @@ impl ChaosPlan {
 }
 
 /// A transit-corrupted copy of a wire frame: one byte in the middle of
-/// the body flipped, which the FNV-1a frame checksum always detects.
+/// the body flipped, which the CRC-32C frame checksum always detects
+/// (a CRC-32 catches every burst of up to 32 bits).
 /// Deterministic (no RNG) so a corrupted send is a pure function of the
 /// clean frame.
 pub(crate) fn corrupted_copy(frame: &Bytes) -> Bytes {

@@ -1,18 +1,19 @@
-//! FNV-1a, the one checksum family behind every framing in this crate:
-//! 32-bit for [`crate::wire`] model frames, 64-bit for the hierarchy's
-//! `HPar` partial-sum frames and the socket transport's header/control
-//! sections. Each framing keeps its own layout and checksum width; only
-//! the hash lives here.
+//! The two checksum families behind this crate's framings, each where
+//! its cost and its guarantee fit:
+//!
+//! - **CRC-32C** ([`crc32c`], from `fedmp-tensor`, which owns the
+//!   SSE4.2 path) for the bulk frames: [`crate::wire`] model frames and
+//!   the hierarchy's `HPar` partial-sum frames. These are whole models
+//!   hashed on every encode and every receive, so speed matters, and a
+//!   CRC detects every burst of up to 32 corrupted bits outright.
+//! - **FNV-1a 64** ([`fnv1a64`]) for the socket transport's header and
+//!   JSON control sections: tens of bytes per message, where the hash
+//!   costs nothing, and a layout hostile-peer tests build by hand.
+//!
+//! Each framing keeps its own layout and checksum width; only the
+//! hashes live here.
 
-/// FNV-1a 32 over `bytes`.
-pub(crate) fn fnv1a32(bytes: &[u8]) -> u32 {
-    let mut h = 0x811C_9DC5u32;
-    for &b in bytes {
-        h ^= u32::from(b);
-        h = h.wrapping_mul(0x0100_0193);
-    }
-    h
-}
+pub(crate) use fedmp_tensor::crc32c;
 
 /// FNV-1a 64 over the concatenation of `chunks` (so a header and a
 /// section can be summed without being copied together first).
@@ -33,8 +34,6 @@ mod tests {
 
     #[test]
     fn matches_the_published_fnv1a_vectors() {
-        assert_eq!(fnv1a32(b"a"), 0xE40C_292C);
-        assert_eq!(fnv1a32(b"foobar"), 0xBF9C_F968);
         assert_eq!(fnv1a64(&[b"a"]), 0xAF63_DC4C_8601_EC8C);
         // Chunking is invisible: only the concatenation matters.
         assert_eq!(fnv1a64(&[b"foo", b"", b"bar"]), 0x8594_4171_F739_67E8);

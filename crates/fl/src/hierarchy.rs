@@ -45,7 +45,7 @@
 //! and trace bits across commits and (shards, edges) partitions.
 
 use crate::chaos::{ChaosDraw, ChaosOptions, ChaosPlan};
-use crate::checksum::fnv1a64;
+use crate::checksum::crc32c;
 use crate::engine::{
     emit_aggregate, emit_codec_selected, emit_cohort_sampled, emit_compression_applied,
     emit_edge_aggregate, emit_frame_retransmit, emit_kernel_dispatch, emit_local_train,
@@ -164,10 +164,10 @@ impl ExactState {
     /// [`run_fedmp_hier`] computes by the closed form (a test below
     /// drives real frames through the barrier against it). Layout:
     /// `magic u32 | count u32 | count × (6 limbs LE + poison byte) |
-    /// FNV-1a-64 of everything before`.
+    /// CRC-32C u32 of everything before`.
     pub fn encode(&self) -> Bytes {
         let count = self.numel() as u32;
-        let mut buf = Vec::with_capacity(8 + count as usize * PARTIAL_SUM_BYTES + 8);
+        let mut buf = Vec::with_capacity(8 + count as usize * PARTIAL_SUM_BYTES + 4);
         buf.extend_from_slice(&PARTIAL_MAGIC.to_le_bytes());
         buf.extend_from_slice(&count.to_le_bytes());
         for e in &self.entries {
@@ -179,38 +179,41 @@ impl ExactState {
                 buf.push(u8::from(poison));
             }
         }
-        let sum = fnv1a64(&[&buf]);
+        let sum = crc32c(&buf);
         buf.extend_from_slice(&sum.to_le_bytes());
         Bytes::from(buf)
     }
 
-    /// Verifies a frame's checksum and decodes it into an accumulator
-    /// shaped like `template`. `Ok(None)` means the checksum failed
-    /// (transit corruption — ask for a retransmit); `Err(())` means a
-    /// verified frame had the wrong structure (protocol violation).
+    /// Verifies a frame's magic and checksum and decodes it into an
+    /// accumulator shaped like `template`. `Ok(None)` means the
+    /// checksum failed (transit corruption — ask for a retransmit);
+    /// `Err(())` means a foreign magic, or a verified frame with the
+    /// wrong structure (protocol violation). The magic is checked
+    /// first, so a frame in a retired layout is a violation, not a
+    /// retransmit.
     #[expect(
         clippy::result_unit_err,
         reason = "the barrier maps every structural fault to one `Malformed` event"
     )]
     pub fn decode(frame: &[u8], template: &ExactState) -> Result<Option<ExactState>, ()> {
-        if frame.len() < 16 {
+        if frame.len() < 12 {
             return Err(());
         }
-        let (body, tail) = frame.split_at(frame.len() - 8);
-        let mut sum = [0u8; 8];
+        let mut magic = [0u8; 4];
+        magic.copy_from_slice(&frame[0..4]);
+        if u32::from_le_bytes(magic) != PARTIAL_MAGIC {
+            return Err(());
+        }
+        let (body, tail) = frame.split_at(frame.len() - 4);
+        let mut sum = [0u8; 4];
         sum.copy_from_slice(tail);
-        if fnv1a64(&[body]) != u64::from_le_bytes(sum) {
+        if crc32c(body) != u32::from_le_bytes(sum) {
             return Ok(None);
         }
-        let mut magic = [0u8; 4];
-        magic.copy_from_slice(&body[0..4]);
         let mut count = [0u8; 4];
         count.copy_from_slice(&body[4..8]);
         let count = u32::from_le_bytes(count) as usize;
-        if u32::from_le_bytes(magic) != PARTIAL_MAGIC
-            || count != template.numel()
-            || body.len() != 8 + count * PARTIAL_SUM_BYTES
-        {
+        if count != template.numel() || body.len() != 8 + count * PARTIAL_SUM_BYTES {
             return Err(());
         }
         let mut sums = body[8..].chunks_exact(PARTIAL_SUM_BYTES).map(|raw| {
@@ -236,8 +239,9 @@ impl ExactState {
     }
 }
 
-/// Magic tag of an edge partial-sum frame (`"HPar"`).
-const PARTIAL_MAGIC: u32 = 0x4850_6172;
+/// Magic tag of an edge partial-sum frame (`"HPcr"`). `0x4850_6172`
+/// (`"HPar"`) tagged the retired layout with an FNV-1a-64 trailer.
+const PARTIAL_MAGIC: u32 = 0x4850_6372;
 
 /// Bytes of one sum in an `HPar` frame: six limbs and the poison byte.
 const PARTIAL_SUM_BYTES: usize = 49;

@@ -19,12 +19,13 @@
 //! lost. Which codec a device uses is decided by a
 //! [`CompressionPolicy`] from its edgesim bandwidth profile. (The
 //! format is "v2" in names and magic; v1, a dense-only layout without
-//! the codec byte, is retired and its magic is rejected.)
+//! the codec byte, is retired and its magic is rejected, as is the
+//! magic of the FNV-1a-checksummed layout this one replaced.)
 //!
 //! Frame layout (little-endian):
 //!
 //! ```text
-//! magic  u32 = 0xFED7_7A2E
+//! magic  u32 = 0xFED7_7A2C
 //! codec  u8 (0 = dense-f32, 1 = dense-f16, 2 = int8,
 //!            3 = top-k f32, 4 = top-k int8)
 //! keep   f32 (top-k codecs only: the configured keep fraction)
@@ -34,7 +35,7 @@
 //!   trainable u8
 //!   rank u8, dims u32 × rank
 //!   payload (see below)
-//! checksum u32 (FNV-1a over everything after the magic)
+//! checksum u32 (CRC-32C over everything after the magic)
 //! ```
 //!
 //! Per-entry payloads by codec (`n` = numel, `k` = [`topk_len`]`(n)`):
@@ -59,14 +60,17 @@
 //! transmitted support is a pure function of the input bits — no
 //! thread-count or iteration-order dependence anywhere.
 
-use crate::checksum::fnv1a32;
+use crate::checksum::crc32c;
 use bytes::{BufMut, Bytes, BytesMut};
 use fedmp_edgesim::DeviceProfile;
 use fedmp_nn::StateEntry;
 use fedmp_tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
-const MAGIC: u32 = 0xFED7_7A2E;
+/// The frame magic. `0xFED7_7A2E` (FNV-1a trailer) and `0xFED7_7A1E`
+/// (v1) are foreign: a peer still speaking either reads `BadMagic`,
+/// never transit corruption that would spend its retransmit budget.
+const MAGIC: u32 = 0xFED7_7A2C;
 
 /// Errors while decoding a frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -115,7 +119,7 @@ fn put_entry_header(buf: &mut BytesMut, e: &StateEntry) {
 }
 
 /// Cheap transport-integrity check: verifies only the magic and the
-/// trailing FNV-1a checksum, without building tensors. This is
+/// trailing CRC-32C over the whole body, without building tensors. This is
 /// what the threaded runtime's PS runs on every arriving upload to
 /// decide between accepting the frame and requesting a retransmit — a
 /// frame that fails here is corrupt in transit; a frame that passes can
@@ -136,7 +140,7 @@ fn verified_body(frame: &[u8]) -> Result<&[u8], WireError> {
     let tail = frame.len() - 4;
     let declared =
         u32::from_le_bytes([frame[tail], frame[tail + 1], frame[tail + 2], frame[tail + 3]]);
-    if fnv1a32(&frame[4..tail]) != declared {
+    if crc32c(&frame[4..tail]) != declared {
         return Err(WireError::BadChecksum);
     }
     Ok(&frame[4..tail])
@@ -624,19 +628,15 @@ fn compress_entry(
 /// reconstruction routine, shared by the decoder and the encoder-side
 /// oracle, which is what makes `decode(encode(x))` exact by
 /// construction.
-fn deliver_entry(codes: &PayloadCodes, reference: Option<&[f32]>, numel: usize) -> Vec<f32> {
+fn deliver_entry(codes: PayloadCodes, reference: Option<&[f32]>, numel: usize) -> Vec<f32> {
     match codes {
-        PayloadCodes::F32(v) => v.clone(),
+        PayloadCodes::F32(v) => v,
         PayloadCodes::F16(h) => h.iter().map(|&b| f16_bits_to_f32(b)).collect(),
-        PayloadCodes::I8 { scale, codes } => {
-            let s = *scale;
-            codes.iter().map(|&c| c as f32 * s).collect()
-        }
-        PayloadCodes::TopK { indices, values } => apply_sparse(reference, numel, indices, values),
+        PayloadCodes::I8 { scale, codes } => codes.iter().map(|&c| c as f32 * scale).collect(),
+        PayloadCodes::TopK { indices, values } => apply_sparse(reference, numel, &indices, &values),
         PayloadCodes::TopKI8 { scale, indices, codes } => {
-            let s = *scale;
-            let values: Vec<f32> = codes.iter().map(|&c| c as f32 * s).collect();
-            apply_sparse(reference, numel, indices, &values)
+            let values: Vec<f32> = codes.iter().map(|&c| c as f32 * scale).collect();
+            apply_sparse(reference, numel, &indices, &values)
         }
     }
 }
@@ -729,7 +729,7 @@ pub fn encode_state_v2(
         put_entry_header(&mut buf, e);
         put_payload(&mut buf, pc);
     }
-    let checksum = fnv1a32(&buf[4..]);
+    let checksum = crc32c(&buf[4..]);
     buf.put_u32_le(checksum);
     debug_assert_eq!(buf.len(), size, "analytic wire_size_v2 disagrees with encoded frame");
     buf.freeze()
@@ -813,7 +813,7 @@ pub fn codec_delivered(
     state
         .iter()
         .enumerate()
-        .zip(&codes)
+        .zip(codes)
         .map(|((i, e), pc)| {
             let dims = e.tensor.dims();
             let ref_data = ref_slice(reference, i, &e.name, dims);
@@ -981,7 +981,7 @@ pub fn decode_state_v2(
             }
         };
         let ref_data = ref_slice(reference, i, &name, &dims);
-        let data = deliver_entry(&codes, ref_data, numel);
+        let data = deliver_entry(codes, ref_data, numel);
         let tensor =
             Tensor::from_vec(data, &dims).map_err(|_| WireError::Malformed("tensor shape"))?;
         out.push(StateEntry { name, tensor, trainable });

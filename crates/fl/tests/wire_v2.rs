@@ -10,14 +10,16 @@
 //! 2. **Analytic sizing** — [`wire_size_v2`] matches the encoded frame
 //!    length byte-exactly, so the PS can budget Eq. 5 communication
 //!    time without encoding.
-//! 3. **Typed failure** — any single-byte corruption or truncation
-//!    fails [`frame_checksum_ok`] and decodes to a typed [`WireError`],
-//!    never a panic.
+//! 3. **Typed failure** — any corruption of 1–4 consecutive bytes, or
+//!    any truncation, fails [`frame_checksum_ok`] and decodes to a
+//!    typed [`WireError`], never a panic; the same runs never decode
+//!    from an `HPar` frame.
 //!
 //! Plus the analytic per-tensor error budgets for the lossy codecs and
 //! the 20-round error-feedback bias bound (the residual telescopes, so
 //! the time-averaged delivered signal converges to the generated one).
 
+use bytes::Bytes;
 use fedmp_fl::{
     codec_delivered, decode_state_v2, encode_state_v2, f16_bits_to_f32, f32_to_f16_bits,
     frame_checksum_ok, wire_size_v2, Codec, ErrorFeedback, ExactState, WireError,
@@ -143,24 +145,55 @@ proptest! {
         codec_idx in 0usize..5,
         keep in 0.05f32..1.0,
         flip in 0.0f64..1.0,
+        xors in prop::collection::vec(1u16..256, 1..5),
     ) {
         let state = random_state(seed);
         let codec = codec_from(codec_idx, keep);
         let frame = encode_state_v2(&state, codec, None, None);
-        let mut bad = frame.to_vec();
-        let pos = ((flip * bad.len() as f64) as usize).min(bad.len() - 1);
-        bad[pos] ^= 0xFF;
-        // A single flipped byte anywhere must be caught: the transport
-        // check rejects it, and full decoding returns a typed error
-        // (FNV-1a steps are bijective, so one-byte flips always change
-        // the checksum; magic flips fail the magic check first).
-        prop_assert!(!frame_checksum_ok(&bad), "flip at {} passed the checksum", pos);
-        prop_assert!(decode_state_v2(&bad, None).is_err(), "flip at {} decoded", pos);
+        let (bad, pos) = corrupt_run(&frame, flip, &xors);
+        let xors = xors.len();
+        // 1–4 consecutive corrupted bytes anywhere must be caught: the
+        // transport check rejects them, and full decoding returns a
+        // typed error. A run of ≤ 4 bytes is a burst of ≤ 32 bits, and
+        // a CRC-32 detects every such burst in the body and trailer;
+        // runs touching the magic fail the magic check first.
+        prop_assert!(!frame_checksum_ok(&bad), "{} bytes at {} passed the checksum", xors, pos);
+        prop_assert!(decode_state_v2(&bad, None).is_err(), "{} bytes at {} decoded", xors, pos);
         // The retired v1 magic is a foreign frame, not a legacy one.
         let mut v1 = frame.to_vec();
         v1[..4].copy_from_slice(&0xFED7_7A1Eu32.to_le_bytes());
         prop_assert!(!frame_checksum_ok(&v1));
         prop_assert_eq!(decode_state_v2(&v1, None).err(), Some(WireError::BadMagic));
+        // So is the magic of the FNV-1a-checksummed layout.
+        let mut fnv_era = frame.to_vec();
+        fnv_era[..4].copy_from_slice(&0xFED7_7A2Eu32.to_le_bytes());
+        prop_assert!(!frame_checksum_ok(&fnv_era));
+        prop_assert_eq!(decode_state_v2(&fnv_era, None).err(), Some(WireError::BadMagic));
+    }
+
+    #[test]
+    fn corrupted_hpar_frames_never_decode(
+        seed in 0u64..100_000,
+        flip in 0.0f64..1.0,
+        xors in prop::collection::vec(1u16..256, 1..5),
+    ) {
+        let state = random_state(seed);
+        let template = ExactState::like(&state);
+        let mut acc = ExactState::like(&state);
+        acc.fold(&state);
+        let frame = acc.encode();
+        prop_assert!(matches!(ExactState::decode(&frame, &template), Ok(Some(_))));
+        let (bad, pos) = corrupt_run(&frame, flip, &xors);
+        let xors = xors.len();
+        prop_assert!(
+            !matches!(ExactState::decode(&bad, &template), Ok(Some(_))),
+            "{} bytes at {} survived the checksum", xors, pos
+        );
+        // The FNV-1a-era `HPar` magic is a protocol violation, not
+        // transit corruption to retransmit.
+        let mut fnv_era = frame.to_vec();
+        fnv_era[..4].copy_from_slice(&0x4850_6172u32.to_le_bytes());
+        prop_assert_eq!(ExactState::decode(&fnv_era, &template), Err(()));
     }
 
     #[test]
@@ -177,6 +210,19 @@ proptest! {
         prop_assert!(decode_state_v2(&frame[..len], None).is_err(), "prefix {} decoded", len);
         prop_assert!(!frame_checksum_ok(&frame[..len]));
     }
+}
+
+/// `frame` with `xors.len()` consecutive bytes XORed by `xors` (each
+/// in `1..=255`), starting at a position `flip` of the way through the
+/// frame; also returns that position.
+fn corrupt_run(frame: &[u8], flip: f64, xors: &[u16]) -> (Vec<u8>, usize) {
+    let mut bad = frame.to_vec();
+    let last = bad.len() - xors.len();
+    let pos = ((flip * (last + 1) as f64) as usize).min(last);
+    for (b, &x) in bad[pos..].iter_mut().zip(xors) {
+        *b ^= x as u8;
+    }
+    (bad, pos)
 }
 
 // ---------------------------------------------------------------------
@@ -302,18 +348,22 @@ fn without_error_feedback_topk_bias_persists() {
 // in play) and one over an `ExactState::encode` frame plus the bits of
 // its finalised mean, both recorded at `1abb939` (the parent of PR 24)
 // and required to come out unchanged by every change to `fl::wire`,
-// `fl::hierarchy` and `tensor::exact` since. A PR that claims "every
-// frame byte unchanged" leaves the constants alone.
+// `fl::hierarchy` and `tensor::exact` since, except the switch to
+// CRC-32C, which moved magics and trailers only (the body pins below
+// prove it). A PR that claims "every frame byte unchanged" leaves the
+// constants alone.
 //
 // Inputs are integer-derived (a multiplicative hash reduced mod 2001,
 // scaled by a power of two) — no `randn`, no libm — so the operands are
 // the same floats on any host and toolchain. Reduction mod 2001 makes
 // |v| ties common, which is what the top-k tie-break has to survive.
 
-/// Recorded at `1abb939`.
-const GOLDEN_CODEC_FRAMES: u64 = 0x903c_3c2b_244b_fdd2;
-/// Recorded at `1abb939`.
-const GOLDEN_HPAR_FRAME: u64 = 0x50dd_f449_15a1_dc46;
+/// Recorded at `1abb939` as `0x903c_3c2b_244b_fdd2`; re-recorded when
+/// model frames moved to CRC-32C (body pinned below).
+const GOLDEN_CODEC_FRAMES: u64 = 0x55aa_e69a_18e9_3ece;
+/// Recorded at `1abb939` as `0x50dd_f449_15a1_dc46`; re-recorded when
+/// `HPar` frames moved to CRC-32C (body and mean pinned below).
+const GOLDEN_HPAR_FRAME: u64 = 0xff48_1b35_d6f9_c579;
 
 fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
     bytes.iter().fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3))
@@ -354,28 +404,26 @@ fn golden_state(salt: u64) -> Vec<StateEntry> {
     ]
 }
 
-#[test]
-fn codec_frames_match_the_golden_hash() {
+/// Every golden codec frame, in the order the hash folds them.
+fn golden_codec_frames() -> Vec<Bytes> {
     let reference = reference_for(&golden_state(3));
-    let mut hash = FNV_OFFSET;
+    let mut frames = Vec::new();
     for keep in [0.1f32, 0.5] {
         for idx in 0..5 {
             let codec = codec_from(idx, keep);
             let mut feedback = ErrorFeedback::new();
             for round in 0..2u64 {
                 let state = golden_state(17 * round + 5);
-                let frame = encode_state_v2(&state, codec, Some(&reference), Some(&mut feedback));
-                hash = fnv1a(hash, &frame);
+                frames.push(encode_state_v2(&state, codec, Some(&reference), Some(&mut feedback)));
             }
-            let frame = encode_state_v2(&golden_state(9), codec, None, None);
-            hash = fnv1a(hash, &frame);
+            frames.push(encode_state_v2(&golden_state(9), codec, None, None));
         }
     }
-    assert_eq!(hash, GOLDEN_CODEC_FRAMES, "a codec frame byte moved: {hash:#018x}");
+    frames
 }
 
-#[test]
-fn hpar_frame_matches_the_golden_hash() {
+/// The golden `HPar` frame and the bits of its decoded, finalised mean.
+fn golden_hpar() -> (Bytes, Vec<u32>) {
     // Two shard accumulators over different snapshot multisets — finite
     // in-range values, exact cancellations, magnitudes from 2⁻¹⁴⁰ to
     // 2¹²⁰, and the specials of `golden_state` — merged as an edge
@@ -403,14 +451,57 @@ fn hpar_frame_matches_the_golden_hash() {
     b.fold(&scaled(5, -(2.0f32.powi(120))));
     a.merge(&b);
     let frame = a.encode();
-    let mut hash = fnv1a(FNV_OFFSET, &frame);
     let decoded = ExactState::decode(&frame, &ExactState::like(&template))
         .expect("own frame is well-formed")
         .expect("own frame passes its checksum");
-    for e in decoded.finalize(16) {
-        for v in e.tensor.data() {
-            hash = fnv1a(hash, &v.to_bits().to_le_bytes());
-        }
-    }
+    let mean = decoded
+        .finalize(16)
+        .iter()
+        .flat_map(|e| e.tensor.data().iter().map(|v| v.to_bits()))
+        .collect();
+    (frame, mean)
+}
+
+/// The golden hash over `frame` followed by the mean's bits.
+fn hpar_hash(frame: &[u8], mean: &[u32]) -> u64 {
+    mean.iter().fold(fnv1a(FNV_OFFSET, frame), |h, v| fnv1a(h, &v.to_le_bytes()))
+}
+
+#[test]
+fn codec_frames_match_the_golden_hash() {
+    let hash = golden_codec_frames().iter().fold(FNV_OFFSET, |h, frame| fnv1a(h, frame));
+    assert_eq!(hash, GOLDEN_CODEC_FRAMES, "a codec frame byte moved: {hash:#018x}");
+}
+
+#[test]
+fn hpar_frame_matches_the_golden_hash() {
+    let (frame, mean) = golden_hpar();
+    let hash = hpar_hash(&frame, &mean);
     assert_eq!(hash, GOLDEN_HPAR_FRAME, "an HPar frame byte or mean bit moved: {hash:#018x}");
+}
+
+// The checksum switch moved the two constants above on purpose: new
+// magics and a CRC-32C trailer. These pins hold everything else — each
+// frame minus its 4-byte magic and its trailing checksum, and the HPar
+// mean — to the bytes of `00fca51`, the last commit with FNV-1a
+// trailers (8 bytes on HPar frames then, 4 now).
+
+/// Recorded at `00fca51`.
+const GOLDEN_CODEC_BODIES: u64 = 0xec0a_5c3c_944c_6149;
+/// Recorded at `00fca51`.
+const GOLDEN_HPAR_BODY: u64 = 0x5c8a_3187_400f_a7bd;
+
+#[test]
+fn codec_frame_bodies_match_the_fnv_era() {
+    let hash = golden_codec_frames()
+        .iter()
+        .fold(FNV_OFFSET, |h, frame| fnv1a(h, &frame[4..frame.len() - 4]));
+    assert_eq!(hash, GOLDEN_CODEC_BODIES, "a codec frame body byte moved: {hash:#018x}");
+}
+
+#[test]
+fn hpar_frame_body_matches_the_fnv_era() {
+    let (frame, mean) = golden_hpar();
+    let hash = hpar_hash(&frame[4..frame.len() - 4], &mean);
+    assert_eq!(hash, GOLDEN_HPAR_BODY, "an HPar body byte or mean bit moved: {hash:#018x}");
 }

@@ -26,6 +26,7 @@
 //! ```
 
 mod conv;
+mod crc;
 mod error;
 pub mod exact;
 mod matmul;
@@ -34,7 +35,10 @@ pub mod parallel;
 mod pool;
 mod rng;
 mod shape;
-#[expect(unsafe_code, reason = "the crate's only `unsafe`: the AVX2 microkernels")]
+#[expect(
+    unsafe_code,
+    reason = "the crate's only `unsafe`: the AVX2 microkernels and the SSE4.2 CRC loop"
+)]
 pub mod simd;
 mod tensor;
 pub mod workspace;
@@ -43,6 +47,7 @@ pub use conv::{
     col2im, col2im_into, conv2d_backward_input, conv2d_backward_weight, conv2d_forward, im2col,
     im2col_into, Conv2dSpec,
 };
+pub use crc::crc32c;
 pub use error::TensorError;
 pub use exact::{exact_sum_f32, ExactSum, ExactVec};
 pub use matmul::{matmul_nt_reference, matmul_reference, matmul_tn_reference};

@@ -1,4 +1,5 @@
-//! Explicit SIMD GEMM microkernels and the `FEDMP_SIMD` path switch.
+//! Explicit SIMD GEMM microkernels, the SSE4.2 CRC-32C loop behind
+//! [`crate::crc32c`], and the `FEDMP_SIMD` path switch.
 //!
 //! The blocked scalar kernel in `crate::matmul` is what LLVM
 //! auto-vectorises against the x86-64 baseline (SSE2). This module adds
@@ -83,6 +84,19 @@ pub fn avx2_supported() -> bool {
     }
 }
 
+/// Whether this host has the SSE4.2 `crc32` instruction.
+pub(crate) fn sse42_supported() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        static SUPPORTED: OnceLock<bool> = OnceLock::new();
+        *SUPPORTED.get_or_init(|| is_x86_feature_detected!("sse4.2"))
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
 /// Detected ISA summary for bench metadata, e.g. `"x86_64:avx2+fma"` or
 /// `"x86_64:baseline"`; non-x86 hosts report the architecture alone.
 pub fn detected_features() -> String {
@@ -99,36 +113,52 @@ const OVERRIDE_AVX2: u8 = 1;
 const OVERRIDE_SCALAR: u8 = 2;
 
 static OVERRIDE: AtomicU8 = AtomicU8::new(OVERRIDE_NONE);
-static CONFIGURED: OnceLock<SimdPath> = OnceLock::new();
+
+/// What `FEDMP_SIMD` asked for, before it is resolved against the host.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Request {
+    Auto,
+    Avx2,
+    Scalar,
+}
+
+static REQUESTED: OnceLock<Request> = OnceLock::new();
 
 #[expect(clippy::disallowed_methods, reason = "FEDMP_SIMD, read once and pinned (below)")]
-fn configured_path() -> SimdPath {
-    *CONFIGURED.get_or_init(|| {
+fn requested() -> Request {
+    *REQUESTED.get_or_init(|| {
         // The env read below is the one sanctioned ambient input of this
         // module (mirroring FEDMP_THREADS in `parallel`): read once,
         // pre-run, then pinned for the process lifetime.
         match std::env::var("FEDMP_SIMD") {
             Ok(raw) => match raw.trim().to_ascii_lowercase().as_str() {
-                "scalar" => SimdPath::Scalar,
+                "scalar" => Request::Scalar,
                 "avx2" => {
-                    if avx2_supported() {
-                        SimdPath::Avx2
-                    } else {
+                    if !avx2_supported() {
                         eprintln!(
                             "FEDMP_SIMD=avx2 requested but this host lacks avx2+fma; \
                              falling back to the scalar kernel"
                         );
-                        SimdPath::Scalar
                     }
+                    Request::Avx2
                 }
-                "auto" | "" => auto_path(),
+                "auto" | "" => Request::Auto,
                 _ => {
                     eprintln!("FEDMP_SIMD={raw:?} is not one of auto|avx2|scalar; using auto");
-                    auto_path()
+                    Request::Auto
                 }
             },
-            Err(_) => auto_path(),
+            Err(_) => Request::Auto,
         }
+    })
+}
+
+static CONFIGURED: OnceLock<SimdPath> = OnceLock::new();
+
+fn configured_path() -> SimdPath {
+    *CONFIGURED.get_or_init(|| match requested() {
+        Request::Scalar => SimdPath::Scalar,
+        Request::Avx2 | Request::Auto => auto_path(),
     })
 }
 
@@ -152,6 +182,20 @@ pub fn active_path() -> SimdPath {
         OVERRIDE_SCALAR => SimdPath::Scalar,
         _ => configured_path(),
     }
+}
+
+/// Whether [`crate::crc32c`] runs the SSE4.2 loop: the host has the
+/// instruction and the path selection ([`override_path`], else
+/// `FEDMP_SIMD`) did not ask for `scalar`. Either path returns the same
+/// value, so this decides speed only; `scalar` keeps the portable table
+/// path testable end to end on any host.
+pub(crate) fn crc32c_hardware() -> bool {
+    sse42_supported()
+        && match OVERRIDE.load(Ordering::Relaxed) {
+            OVERRIDE_SCALAR => false,
+            OVERRIDE_AVX2 => true,
+            _ => requested() != Request::Scalar,
+        }
 }
 
 /// Forces the kernel path for this process (`None` restores the
@@ -216,17 +260,59 @@ pub(crate) fn transpose_avx2(src: &[f32], rows: usize, cols: usize, dst: &mut [f
     unreachable!("avx2_supported() is false on non-x86_64, so the assert above already fired");
 }
 
+/// CRC-32C of `bytes` through the SSE4.2 `crc32` instruction, 8 bytes
+/// per step plus a byte tail. Returns what the table path in
+/// `crate::crc` returns.
+///
+/// # Panics
+/// Panics if called on a host without SSE4.2 (dispatch must check
+/// [`crc32c_hardware`] first).
+pub(crate) fn crc32c_sse42(bytes: &[u8]) -> u32 {
+    assert!(sse42_supported(), "crc32c_sse42 selected without sse4.2");
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: the assert above proves the host supports sse4.2 at
+    // runtime, which is the only precondition of the target_feature fn.
+    unsafe {
+        x86::crc32c(bytes)
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    unreachable!("sse42_supported() is false on non-x86_64, so the assert above already fired");
+}
+
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    //! The AVX2/FMA band kernel proper. Everything here is compiled
-    //! with `target_feature(enable = "avx2,fma")` and reached only
-    //! through the runtime-detection gate in the parent module.
+    //! The AVX2/FMA band kernel proper, compiled with
+    //! `target_feature(enable = "avx2,fma")`, and the CRC-32C loop,
+    //! compiled with `target_feature(enable = "sse4.2")`. Each is
+    //! reached only through its runtime-detection gate in the parent
+    //! module.
 
     use core::arch::x86_64::{
         __m256, __m256i, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_loadu_si256, _mm256_maskload_ps,
         _mm256_maskstore_ps, _mm256_permute2f128_ps, _mm256_set1_ps, _mm256_setzero_ps,
-        _mm256_shuffle_ps, _mm256_storeu_ps, _mm256_unpackhi_ps, _mm256_unpacklo_ps,
+        _mm256_shuffle_ps, _mm256_storeu_ps, _mm256_unpackhi_ps, _mm256_unpacklo_ps, _mm_crc32_u64,
+        _mm_crc32_u8,
     };
+
+    /// CRC-32C (reflected, init and final XOR `!0`): one `crc32` per
+    /// little-endian 8-byte word, then one per remaining byte. The
+    /// instruction computes the Castagnoli polynomial's reflected
+    /// update, the same step the table path applies byte by byte.
+    #[target_feature(enable = "sse4.2")]
+    pub(super) fn crc32c(bytes: &[u8]) -> u32 {
+        let mut crc = u64::from(u32::MAX);
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            let mut w = [0u8; 8];
+            w.copy_from_slice(word);
+            crc = _mm_crc32_u64(crc, u64::from_le_bytes(w));
+        }
+        let mut crc = crc as u32;
+        for &b in words.remainder() {
+            crc = _mm_crc32_u8(crc, b);
+        }
+        !crc
+    }
 
     /// Cache-tiled transpose with an 8×8 in-register inner block
     /// (unpack / shuffle / 128-bit-lane permute — the classic AVX
