@@ -591,8 +591,7 @@ pub fn resilience(_: &mut Harness) {
     spec.fl.rounds = 6;
     spec.fl.eval_every = 1;
     let built = spec.build();
-    let setup =
-        FlSetup::with_cost_scale(&built.task, built.devices.clone(), built.time, built.cost_scale);
+    let setup = built.setup();
     let target = 0.5f32;
 
     println!("\nfaulted threaded runtime (target accuracy {target:.2}):");
@@ -654,8 +653,7 @@ pub fn compression(_: &mut Harness) {
     spec.fl.rounds = 8;
     spec.fl.eval_every = 1;
     let built = spec.build();
-    let setup =
-        FlSetup::with_cost_scale(&built.task, built.devices.clone(), built.time, built.cost_scale);
+    let setup = built.setup();
     let slow: Vec<bool> = built.devices.iter().map(|d| d.is_slow_link(SLOW_LINK_BPS)).collect();
     let slow_count = slow.iter().filter(|&&s| s).count();
     assert!(slow_count > 0 && slow_count < slow.len(), "the fleet must mix slow and fast links");

@@ -8,21 +8,22 @@
 //! cargo run --release -p fedmp-bench --bin trace -- diff a.jsonl b.jsonl
 //! ```
 //!
-//! `summarize` reproduces exactly what `fedmp_fl::resource_totals`
-//! reports for the live run; `diff` prints the first diverging event
-//! (exit code 1) or confirms the traces are identical (exit code 0);
-//! `chaos` records the fault-tolerant threaded runtime under the
-//! deterministic demo chaos plan — recording it twice (or at different
-//! `--threads`) and diffing proves recovery is reproducible. The event
-//! schema is documented in `docs/TRACE_SCHEMA.md`.
+//! `summarize` rebuilds the run's history from its `RoundEnd` events and
+//! prints `fedmp_fl::resource_totals` of it; `diff` prints the first
+//! diverging event (exit code 1) or confirms the traces are identical
+//! (exit code 0); `chaos` records the fault-tolerant threaded runtime
+//! under the deterministic demo chaos plan — recording it twice (or at
+//! different `--threads`) and diffing proves recovery is reproducible.
+//! The event schema is documented in `docs/TRACE_SCHEMA.md`.
 
 #![expect(clippy::disallowed_methods, reason = "a CLI's behaviour is its argument list")]
 
 use fedmp_core::{run_manifest, ExperimentSpec, TaskKind};
 use fedmp_fl::{
-    run_fedmp, run_threaded, ChaosOptions, FaultOptions, FedMpOptions, FlSetup, SyncMethod,
+    resource_totals, run_fedmp, run_threaded, ChaosOptions, FaultOptions, FedMpOptions, RunHistory,
+    SyncMethod,
 };
-use fedmp_obs::{diff, summarize, Trace, TraceSession};
+use fedmp_obs::{diff, Trace, TraceSession};
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
@@ -78,14 +79,13 @@ fn record(args: &[String]) -> ExitCode {
     spec.fl.eval_every = 2;
 
     let built = spec.build();
-    let setup =
-        FlSetup::with_cost_scale(&built.task, built.devices.clone(), built.time, built.cost_scale);
+    let setup = built.setup();
     let manifest = run_manifest("FedMP", &spec);
     let session = TraceSession::to_file(out, &manifest).expect("open trace output");
-    let history = run_fedmp(&spec.fl, &setup, built.model, &FedMpOptions::default());
+    let history = run_fedmp(&spec.fl, &setup, built.model.clone(), &FedMpOptions::default());
     drop(session); // flush + close before re-reading
 
-    let totals = fedmp_fl::resource_totals(&history, spec.workers);
+    let totals = resource_totals(&history, spec.workers);
     let trace = Trace::load(out).expect("re-read recorded trace");
     println!(
         "recorded {} events over {} rounds to {out}",
@@ -125,12 +125,11 @@ fn chaos_cmd(args: &[String]) -> ExitCode {
     let chaos = ChaosOptions::demo(seed);
 
     let built = spec.build();
-    let setup =
-        FlSetup::with_cost_scale(&built.task, built.devices.clone(), built.time, built.cost_scale);
+    let setup = built.setup();
     let manifest = run_manifest("FedMP-threaded", &spec);
     let session = TraceSession::to_file(out, &manifest).expect("open trace output");
     let fedmp = SyncMethod::FedMp(opts);
-    let history = match run_threaded(&spec.fl, &setup, built.model, &fedmp, &chaos) {
+    let history = match run_threaded(&spec.fl, &setup, built.model.clone(), &fedmp, &chaos) {
         Ok(h) => h,
         Err(e) => {
             eprintln!("error: {e}");
@@ -151,8 +150,8 @@ fn chaos_cmd(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Prints the manifest and the `ResourceTotals`-equivalent numbers
-/// recomputed purely from a trace file.
+/// Prints the manifest and the `ResourceTotals` of the history rebuilt
+/// from a trace file.
 fn summarize_cmd(args: &[String]) -> ExitCode {
     let Some(path) = args.first() else { return usage() };
     let trace = match Trace::load(path) {
@@ -162,7 +161,10 @@ fn summarize_cmd(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let manifest = trace.manifest.as_ref().expect("load() guarantees a manifest");
+    let Some(manifest) = trace.manifest.as_ref() else {
+        eprintln!("error: trace has no manifest line");
+        return ExitCode::FAILURE;
+    };
     println!("trace     : {path}");
     println!("engine    : {}", manifest.engine);
     println!("seed      : {}", manifest.seed);
@@ -170,21 +172,14 @@ fn summarize_cmd(args: &[String]) -> ExitCode {
     println!("threads   : {}", manifest.threads);
     println!("config    : {}", manifest.config_hash);
     println!("events    : {}", trace.events.len());
-    match summarize(&trace) {
-        Ok(t) => {
-            println!("rounds    : {}", t.rounds);
-            println!("wall      : {:.4} virtual s", t.wall_secs);
-            println!("compute   : {:.4} worker·s", t.compute_secs);
-            println!("comm      : {:.4} worker·s", t.comm_secs);
-            println!("idle      : {:.4} worker·s", t.idle_secs);
-            println!("utilisation: {:.1}%", 100.0 * t.utilisation());
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    let t = resource_totals(&RunHistory::from_trace(&trace), manifest.workers);
+    println!("rounds    : {}", t.rounds);
+    println!("wall      : {:.4} virtual s", t.wall_secs);
+    println!("compute   : {:.4} worker·s", t.compute_secs);
+    println!("comm      : {:.4} worker·s", t.comm_secs);
+    println!("idle      : {:.4} worker·s", t.idle_secs);
+    println!("utilisation: {:.1}%", 100.0 * t.utilisation());
+    ExitCode::SUCCESS
 }
 
 /// Compares two traces; exit code 1 on the first diverging event.

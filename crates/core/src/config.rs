@@ -7,7 +7,7 @@ use fedmp_data::{
     mnist_like, tiny_imagenet_like, SynthSpec,
 };
 use fedmp_edgesim::{heterogeneity_scenario, DeviceProfile, HeterogeneityLevel, TimeModel};
-use fedmp_fl::{FlConfig, ImageTask};
+use fedmp_fl::{FlConfig, FlSetup, ImageTask};
 use fedmp_nn::{model_cost, zoo, Init, Sequential, ShapesOnly};
 use fedmp_tensor::seeded_rng;
 use serde::{Deserialize, Serialize};
@@ -195,6 +195,14 @@ pub struct BuiltExperiment {
     pub time: TimeModel,
     /// Width-compensation factors for the simulator.
     pub cost_scale: fedmp_fl::CostScale,
+}
+
+impl BuiltExperiment {
+    /// The engines' view of this experiment: its task, fleet, clock and
+    /// cost scale.
+    pub fn setup(&self) -> FlSetup<'_> {
+        FlSetup::with_cost_scale(&self.task, self.devices.clone(), self.time, self.cost_scale)
+    }
 }
 
 #[cfg(test)]

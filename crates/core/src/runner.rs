@@ -13,8 +13,8 @@ use crate::config::{BuiltExperiment, ExperimentSpec};
 use fedmp_edgesim::Population;
 use fedmp_fl::{
     run_async, run_fedmp, run_fedmp_hier, run_fedprox, run_flexcom, run_synfl, run_upfl, AsyncMode,
-    AsyncOptions, ChaosOptions, CompressionPolicy, FedMpOptions, FedProxOptions, FlSetup,
-    FlexComOptions, HierSetup, HierarchyOptions, ImageTask, NodeSpawner, RunHistory, RuntimeError,
+    AsyncOptions, ChaosOptions, CompressionPolicy, FedMpOptions, FedProxOptions, FlexComOptions,
+    HierSetup, HierarchyOptions, ImageTask, NodeSpawner, RunHistory, RuntimeError,
     SocketRunOptions, SyncMethod, SyncScheme, UpFlOptions,
 };
 use serde::{Deserialize, Serialize};
@@ -88,8 +88,7 @@ pub fn run_method(spec: &ExperimentSpec, method: Method) -> RunHistory {
 /// Runs `method` on an experiment already built from `spec`, starting
 /// from a clone of its initial model.
 fn run_built(spec: &ExperimentSpec, built: &BuiltExperiment, method: Method) -> RunHistory {
-    let setup =
-        FlSetup::with_cost_scale(&built.task, built.devices.clone(), built.time, built.cost_scale);
+    let setup = built.setup();
     let model = built.model.clone();
     match method {
         Method::SynFl => run_synfl(&spec.fl, &setup, model),
@@ -162,9 +161,8 @@ pub fn run_sockets<S: NodeSpawner>(
 ) -> Result<RunHistory, RuntimeError> {
     let _trace = crate::trace::maybe_trace("sockets", spec);
     let built = spec.build();
-    let setup =
-        FlSetup::with_cost_scale(&built.task, built.devices.clone(), built.time, built.cost_scale);
-    fedmp_fl::run_sockets(&spec.fl, &setup, built.model, method, chaos, sock, spawner)
+    let setup = built.setup();
+    fedmp_fl::run_sockets(&spec.fl, &setup, built.model.clone(), method, chaos, sock, spawner)
 }
 
 /// The experiment spec serialised for shipment to worker nodes inside
@@ -206,9 +204,8 @@ pub fn run_hier(spec: &ExperimentSpec, population: u64, opts: &HierarchyOptions)
 pub fn run_fedmp_custom(spec: &ExperimentSpec, opts: &FedMpOptions) -> RunHistory {
     let _trace = crate::trace::maybe_trace("FedMP-custom", spec);
     let built = spec.build();
-    let setup =
-        FlSetup::with_cost_scale(&built.task, built.devices.clone(), built.time, built.cost_scale);
-    run_fedmp(&spec.fl, &setup, built.model, opts)
+    let setup = built.setup();
+    run_fedmp(&spec.fl, &setup, built.model.clone(), opts)
 }
 
 /// Speedups relative to the first (baseline) history, by

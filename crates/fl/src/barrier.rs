@@ -6,11 +6,9 @@
 //! A driver dispatches to `n` slots, then pumps what it observes into
 //! [`Barrier::on`] and performs the returned [`Action`] until
 //! [`Barrier::done`]. `runtime`'s framed exchange is the one event pump
-//! (over the socket fleet, thread or process nodes).
-//! `ClientFate::from_draw` is the closed form of the same policy for an
-//! in-protocol peer, which both hierarchy tiers run; a test below ties it
-//! to this machine, and one in `hierarchy.rs` does so over real `HPar`
-//! frames.
+//! (over the socket fleet, thread or process nodes). Both hierarchy
+//! tiers settle each upload on a one-slot barrier fed the transcript an
+//! in-protocol peer produces under its chaos draw (`ChaosDraw::settle`).
 //!
 //! The machine is **total**: an event for a slot that does not exist or
 //! has already settled is [`Action::Wait`] and changes nothing, so no
@@ -95,8 +93,6 @@ impl<P> Barrier<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chaos::{ChaosDraw, ChaosOptions};
-    use crate::hierarchy::ClientFate;
     use proptest::prelude::*;
 
     /// Decodes one generated number into `(slot, event)` over `n + 2`
@@ -192,57 +188,6 @@ mod tests {
                 barrier.on(slot, event);
             }
             prop_assert!(barrier.done(), "open slots after {script:?}");
-        }
-    }
-
-    /// The closed form the loop engines use is a consequence of the
-    /// machine: for every draw shape, the barrier pumped with the
-    /// transcript an in-protocol peer produces under that draw ends
-    /// where `ClientFate::from_draw` says it does.
-    #[test]
-    fn client_fate_is_the_barrier_on_an_in_protocol_transcript() {
-        for max in 0..=3u32 {
-            let opts = ChaosOptions { max_retransmits: max, ..ChaosOptions::none() };
-            for shape in 0..8u32 {
-                for corrupt_sends in 0..=max + 2 {
-                    let draw = ChaosDraw {
-                        crash: shape & 1 != 0,
-                        drop_down: shape & 2 != 0,
-                        drop_up: shape & 4 != 0,
-                        corrupt_sends,
-                        delay_secs: 0.0,
-                    };
-                    let mut barrier = Barrier::new(1, max);
-                    if draw.crash {
-                        // Dispatched; the peer closes on hearing of the round.
-                        barrier.on(0, Event::Gone);
-                    } else if draw.drop_down || draw.drop_up {
-                        // Decided PS-side / the peer's `Lost` marker.
-                        barrier.on(0, Event::Lost);
-                    } else {
-                        // Send `k` is corrupt while `k < corrupt_sends`;
-                        // the peer resends exactly when asked to.
-                        let mut sends = 0;
-                        while barrier
-                            .on(0, Event::Upload { payload: (), intact: sends >= corrupt_sends })
-                            == Action::Retransmit
-                        {
-                            sends += 1;
-                        }
-                    }
-                    assert!(barrier.done(), "{draw:?} left the barrier open");
-                    let (retries, outcome) = barrier.finish().remove(0);
-                    let fate = ClientFate::from_draw(&draw, &opts);
-                    assert_eq!(
-                        (fate.delivered(), fate.retries()),
-                        (outcome.is_ok(), retries),
-                        "{draw:?}"
-                    );
-                    if let ClientFate::Lost { reason, .. } = fate {
-                        assert_eq!(Err(reason), outcome, "{draw:?}");
-                    }
-                }
-            }
         }
     }
 }

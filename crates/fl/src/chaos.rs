@@ -22,6 +22,7 @@
 //!   mid-round (the stand-in for a device reset); the PS respawns and
 //!   reconnects it on the next round.
 
+use crate::barrier::{Action, Barrier, Event, Outcome};
 use crate::engine::worker_rng;
 use bytes::Bytes;
 use rand::Rng;
@@ -173,6 +174,37 @@ pub(crate) struct ChaosDraw {
     pub corrupt_sends: u32,
     /// Virtual seconds this worker's arrival is delayed.
     pub delay_secs: f64,
+}
+
+impl ChaosDraw {
+    /// Whether the peer completes its local step: it neither crashes on
+    /// the dispatch nor misses it.
+    pub fn trains(&self) -> bool {
+        !self.crash && !self.drop_down
+    }
+
+    /// Settles the upload on a one-slot collection [`Barrier`] with the
+    /// retransmit budget `max_retransmits`, fed the transcript an
+    /// in-protocol peer produces under this draw: a crash is `Gone`, a
+    /// drop in either direction is `Lost`, and otherwise send `k` is
+    /// corrupt while `k < corrupt_sends`, resent whenever the barrier
+    /// asks. Returns the retransmits spent and the outcome.
+    pub fn settle(&self, max_retransmits: u32) -> (u32, Outcome<()>) {
+        let mut barrier = Barrier::new(1, max_retransmits);
+        if self.crash {
+            barrier.on(0, Event::Gone);
+        } else if self.drop_down || self.drop_up {
+            barrier.on(0, Event::Lost);
+        } else {
+            let mut sends = 0;
+            while barrier.on(0, Event::Upload { payload: (), intact: sends >= self.corrupt_sends })
+                == Action::Retransmit
+            {
+                sends += 1;
+            }
+        }
+        barrier.finish().remove(0)
+    }
 }
 
 /// A seeded chaos schedule: [`ChaosOptions`] plus the run seed. `Copy`

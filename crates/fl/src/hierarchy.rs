@@ -37,14 +37,17 @@
 //!   per-link exactly as in the flat engines (feedback-free: per-client
 //!   error-feedback state would be O(population × params)).
 //!
-//! Shards fan out on [`crate::exec::ordered_map`]. Both tiers decide an
-//! upload's fate by the closed form (`ClientFate::from_draw`) and move
-//! no frame; the in-file proptest holds that closed form equal to the
-//! collection barrier (`crate::barrier`) judging real checksummed
-//! `HPar` frames. The root `tests/goldens.rs` pins the engine's history
-//! and trace bits across commits and (shards, edges) partitions.
+//! Shards fan out on [`crate::exec::ordered_map`]. Both tiers settle an
+//! upload on the collection barrier (`crate::barrier`), fed the
+//! transcript its chaos draw produces
+//! ([`crate::chaos::ChaosDraw::settle`]), and move no frame; the in-file
+//! proptest drives real checksummed `HPar` frames through the same
+//! barrier and lands where `settle` does. The root `tests/goldens.rs`
+//! pins the engine's history and trace bits across commits and
+//! (shards, edges) partitions.
 
-use crate::chaos::{ChaosDraw, ChaosOptions, ChaosPlan};
+use crate::barrier::Outcome;
+use crate::chaos::{ChaosOptions, ChaosPlan};
 use crate::checksum::crc32c;
 use crate::engine::{
     emit_aggregate, emit_codec_selected, emit_cohort_sampled, emit_compression_applied,
@@ -161,8 +164,8 @@ impl ExactState {
 
     /// Serialises the accumulator into a checksummed `HPar` wire frame:
     /// the edge → cloud partial-sum upload whose fate
-    /// [`run_fedmp_hier`] computes by the closed form (a test below
-    /// drives real frames through the barrier against it). Layout:
+    /// [`run_fedmp_hier`] settles on the barrier without moving it (a
+    /// test below moves real frames through the barrier). Layout:
     /// `magic u32 | count u32 | count × (6 limbs LE + poison byte) |
     /// CRC-32C u32 of everything before`.
     pub fn encode(&self) -> Bytes {
@@ -368,64 +371,18 @@ struct ClassPlan {
     down_dense: u64,
 }
 
-/// How a client's round — or an edge aggregator's cloud upload — ended.
-/// [`ClientFate::from_draw`] decides it purely from the chaos draw: the
-/// closed form of what [`crate::barrier::Barrier`] concludes from the
-/// transcript that draw produces (a test in `barrier.rs` holds the two
-/// together, and one below does so over real `HPar` bytes). Both tiers
-/// of the hierarchy simulate their uploads with it instead of moving
-/// them.
+/// How a client's round ended, as the collection barrier settled its
+/// upload ([`crate::chaos::ChaosDraw::settle`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum ClientFate {
-    /// Upload reached its shard reducer after `retries` retransmits.
-    Delivered {
-        /// Checksum-failure retransmits charged to the arrival time.
-        retries: u32,
-    },
-    /// Contribution lost; `trained` distinguishes crash/downlink loss
-    /// (no local step at all) from uplink-side losses.
-    Lost {
-        /// `"crashed"`, `"dropped"`, `"corrupt"` (or, observed from a
-        /// real peer only, `"protocol"`).
-        reason: &'static str,
-        /// Retransmits spent before giving up.
-        retries: u32,
-        /// Whether the client completed its local step first.
-        trained: bool,
-    },
-}
-
-impl ClientFate {
-    pub(crate) fn from_draw(draw: &ChaosDraw, opts: &ChaosOptions) -> Self {
-        if draw.crash {
-            ClientFate::Lost { reason: "crashed", retries: 0, trained: false }
-        } else if draw.drop_down {
-            ClientFate::Lost { reason: "dropped", retries: 0, trained: false }
-        } else if draw.drop_up {
-            ClientFate::Lost { reason: "dropped", retries: 0, trained: true }
-        } else if draw.corrupt_sends > opts.max_retransmits {
-            ClientFate::Lost { reason: "corrupt", retries: opts.max_retransmits, trained: true }
-        } else {
-            ClientFate::Delivered { retries: draw.corrupt_sends }
-        }
-    }
-
-    fn trained(&self) -> bool {
-        match *self {
-            ClientFate::Delivered { .. } => true,
-            ClientFate::Lost { trained, .. } => trained,
-        }
-    }
-
-    pub(crate) fn delivered(&self) -> bool {
-        matches!(self, ClientFate::Delivered { .. })
-    }
-
-    pub(crate) fn retries(&self) -> u32 {
-        match *self {
-            ClientFate::Delivered { retries } | ClientFate::Lost { retries, .. } => retries,
-        }
-    }
+struct ClientFate {
+    /// Checksum-failure retransmits charged to the arrival time.
+    retries: u32,
+    /// Delivered, or the exclusion reason: `"crashed"`, `"dropped"` or
+    /// `"corrupt"`.
+    outcome: Outcome<()>,
+    /// Whether the client completed its local step (a crash or a lost
+    /// downlink means no local step at all).
+    trained: bool,
 }
 
 /// One client's round bookkeeping (metrics plane — never part of the
@@ -486,8 +443,9 @@ fn reduce_shard(
         let class = class_of(&setup.population.device(id));
         let cr = &classes[&class];
         let draw = client_plan.draw(round, id as usize);
-        let fate = ClientFate::from_draw(&draw, client_plan.options());
-        if !fate.trained() {
+        let (retries, outcome) = draw.settle(client_plan.options().max_retransmits);
+        let fate = ClientFate { retries, outcome, trained: draw.trains() };
+        if !fate.trained {
             metrics.push(ClientMetric {
                 id,
                 class,
@@ -527,8 +485,8 @@ fn reduce_shard(
         let mut rng = worker_rng(cfg.seed ^ Sequential::TIME_SALT, round, id as usize);
         let t = setup.time.round_time(&cr.device, &setup.scaled_cost(&cost), &mut rng);
         let arrival =
-            t.total() + draw.delay_secs + client_plan.options().backoff_total(fate.retries());
-        if fate.delivered() {
+            t.total() + draw.delay_secs + client_plan.options().backoff_total(fate.retries);
+        if fate.outcome.is_ok() {
             // R2SP completion, folded immediately, then dropped: the
             // streaming step that keeps shard memory flat in cohort
             // size.
@@ -611,7 +569,7 @@ fn finish_round(
 
     // Per-client events, cohort order.
     for m in &metrics {
-        if !m.fate.trained() {
+        if !m.fate.trained {
             continue;
         }
         emit_local_train(
@@ -627,12 +585,12 @@ fn finish_round(
         );
     }
     for m in &metrics {
-        for attempt in 1..=m.fate.retries() {
+        for attempt in 1..=m.fate.retries {
             emit_frame_retransmit(round, m.id as usize, attempt, chaos_client.backoff_for(attempt));
         }
     }
     for m in &metrics {
-        if let ClientFate::Lost { reason, .. } = m.fate {
+        if let Err(reason) = m.fate.outcome {
             emit_worker_excluded(round, m.id as usize, reason);
         }
     }
@@ -668,7 +626,7 @@ fn finish_round(
         let mut edge_arrival = 0.0f64;
         for s in partition_range(shard_meta.len(), n_edges, e) {
             for idx in partition_range(cohort.len(), shard_meta.len(), s) {
-                if metrics[idx].fate.delivered() {
+                if metrics[idx].fate.outcome.is_ok() {
                     edge_arrival = edge_arrival.max(metrics[idx].arrival);
                 }
             }
@@ -678,14 +636,14 @@ fn finish_round(
     // Nothing delivered: the PS waited out the slowest trained client.
     if cloud.is_none() {
         for m in &metrics {
-            if m.fate.trained() {
+            if m.fate.trained {
                 round_time = round_time.max(m.arrival);
             }
         }
     }
     *sim_time += round_time;
 
-    let trained: Vec<&ClientMetric> = metrics.iter().filter(|m| m.fate.trained()).collect();
+    let trained: Vec<&ClientMetric> = metrics.iter().filter(|m| m.fate.trained).collect();
     let mean_comp = if trained.is_empty() {
         0.0
     } else {
@@ -740,7 +698,7 @@ fn finish_round(
     };
     let eval = if aggregated { evaluate_if_due(cfg, round, global, setup.task) } else { None };
     emit_kernel_dispatch(round, kstats);
-    let client_retries: u32 = metrics.iter().map(|m| m.fate.retries()).sum();
+    let client_retries: u32 = metrics.iter().map(|m| m.fate.retries).sum();
     let rec = RoundRecord {
         round,
         sim_time: *sim_time,
@@ -880,11 +838,12 @@ pub fn run_fedmp_hier(
                 for out in &outputs[range.start + 1..range.end] {
                     merged.merge(&out.acc);
                 }
-                let fate = ClientFate::from_draw(&edge_plan.draw(round, e), &opts.chaos_edge);
+                let (retries, outcome) =
+                    edge_plan.draw(round, e).settle(opts.chaos_edge.max_retransmits);
                 let clients = outputs[range.clone()].iter().map(|o| o.folded).sum();
                 EdgeUpload {
-                    retries: fate.retries(),
-                    partial: fate.delivered().then_some(merged),
+                    retries,
+                    partial: outcome.is_ok().then_some(merged),
                     shards: range.len(),
                     clients,
                 }
@@ -901,7 +860,7 @@ pub fn run_fedmp_hier(
         // epilogue (which emits LocalTrain etc.).
         if compressed {
             for m in &gathered.metrics {
-                if !m.fate.trained() {
+                if !m.fate.trained {
                     continue;
                 }
                 let cr = &classes[&m.class];
@@ -946,24 +905,25 @@ pub fn run_fedmp_hier(
 mod tests {
     use super::*;
     use crate::barrier::{Action, Barrier, Event};
-    use crate::chaos::corrupted_copy;
+    use crate::chaos::{corrupted_copy, ChaosDraw};
     use proptest::prelude::*;
 
-    /// The reference the closed form is held to: one edge's cloud
-    /// upload driven through a one-slot [`Barrier`] over real `HPar`
-    /// bytes. A crash or drop draw is `Lost`; otherwise the merged
-    /// partial is encoded, send `k` is transit-corrupted while
-    /// `k < corrupt_sends`, and what the cloud decodes of each send goes
-    /// to the barrier until it stops asking for another. Returns the
-    /// retransmits the barrier granted and, unless it excluded the
-    /// edge, the *decoded* partial.
+    /// One edge's cloud upload moved for real: a one-slot [`Barrier`]
+    /// over `HPar` bytes. A crash is `Gone` and a drop `Lost`; otherwise
+    /// the merged partial is encoded, send `k` is transit-corrupted
+    /// while `k < corrupt_sends`, and what the cloud decodes of each
+    /// send goes to the barrier until it stops asking for another.
+    /// Returns the retransmits the barrier granted and its outcome,
+    /// whose payload is the *decoded* partial.
     fn edge_uplink(
-        merged: ExactState,
+        merged: &ExactState,
         draw: &ChaosDraw,
-        chaos: &ChaosOptions,
-    ) -> (u32, Option<ExactState>) {
-        let mut barrier = Barrier::new(1, chaos.max_retransmits);
-        if draw.crash || draw.drop_down || draw.drop_up {
+        max_retransmits: u32,
+    ) -> (u32, Outcome<Option<ExactState>>) {
+        let mut barrier = Barrier::new(1, max_retransmits);
+        if draw.crash {
+            barrier.on(0, Event::Gone);
+        } else if draw.drop_down || draw.drop_up {
             barrier.on(0, Event::Lost);
         } else {
             let frame = merged.encode();
@@ -973,7 +933,7 @@ mod tests {
                 } else {
                     frame.clone()
                 };
-                let event = match ExactState::decode(&wire, &merged) {
+                let event = match ExactState::decode(&wire, merged) {
                     Ok(partial) => Event::Upload { intact: partial.is_some(), payload: partial },
                     Err(()) => Event::Malformed,
                 };
@@ -982,8 +942,7 @@ mod tests {
                 }
             }
         }
-        let (retries, outcome) = barrier.finish().remove(0);
-        (retries, outcome.ok().flatten())
+        barrier.finish().remove(0)
     }
 
     fn state(v: &[f32]) -> Vec<StateEntry> {
@@ -996,13 +955,12 @@ mod tests {
     }
 
     proptest! {
-        /// The `barrier.rs` tie test extended to real `HPar` bytes: for
-        /// every draw shape the framed uplink ends where
-        /// `ClientFate::from_draw` — what the engine runs — says it
-        /// does, and what it delivers decodes to exactly the partial
+        /// For every draw shape, real `HPar` frames through the barrier
+        /// end where [`crate::chaos::ChaosDraw::settle`] — what the engine runs —
+        /// does, and what they deliver decodes to exactly the partial
         /// that was merged.
         #[test]
-        fn edge_uplink_is_the_closed_form_over_real_frames(
+        fn edge_uplink_over_real_frames_is_settle(
             folds in proptest::collection::vec(
                 proptest::collection::vec(-1.0e6f32..1.0e6, 5..6),
                 0..4,
@@ -1013,7 +971,6 @@ mod tests {
                 merged.fold(&state(v));
             }
             for max in 0..=3u32 {
-                let opts = ChaosOptions { max_retransmits: max, ..ChaosOptions::none() };
                 for shape in 0..8u32 {
                     for corrupt_sends in 0..=max + 2 {
                         let draw = ChaosDraw {
@@ -1023,14 +980,15 @@ mod tests {
                             corrupt_sends,
                             delay_secs: 0.0,
                         };
-                        let (retries, partial) = edge_uplink(merged.clone(), &draw, &opts);
-                        let closed = ClientFate::from_draw(&draw, &opts);
-                        prop_assert_eq!(retries, closed.retries(), "{:?}", draw);
+                        let (retries, outcome) = edge_uplink(&merged, &draw, max);
                         prop_assert_eq!(
-                            partial.as_ref(),
-                            closed.delivered().then_some(&merged),
+                            (retries, outcome.as_ref().map(|_| ()).map_err(|&reason| reason)),
+                            draw.settle(max),
                             "{:?}", draw
                         );
+                        if let Ok(partial) = outcome {
+                            prop_assert_eq!(partial.as_ref(), Some(&merged), "{:?}", draw);
+                        }
                     }
                 }
             }

@@ -1,6 +1,7 @@
 //! Run histories: what every engine records, and the derived metrics the
 //! paper reports (time-to-target-accuracy, accuracy-within-budget).
 
+use fedmp_obs::{Trace, TraceEvent};
 use serde::{Deserialize, Serialize};
 
 /// One aggregation round's record.
@@ -95,6 +96,41 @@ impl RunHistory {
     /// Creates an empty history for a named method.
     pub fn new(method: impl Into<String>) -> Self {
         RunHistory { method: method.into(), rounds: Vec::new() }
+    }
+
+    /// Rebuilds a run's history from its recorded trace: one record per
+    /// `RoundEnd`, carrying every field that event mirrors (round,
+    /// clock, mean times, train loss with `null` as NaN, eval); the
+    /// fields the event does not carry, and the method, keep their
+    /// defaults.
+    pub fn from_trace(trace: &Trace) -> Self {
+        let rounds = trace
+            .events
+            .iter()
+            .filter_map(|ev| match *ev {
+                TraceEvent::RoundEnd {
+                    round,
+                    sim_time,
+                    round_time,
+                    mean_comp,
+                    mean_comm,
+                    train_loss,
+                    eval_loss,
+                    eval_metric,
+                } => Some(RoundRecord {
+                    round,
+                    sim_time,
+                    round_time,
+                    mean_comp,
+                    mean_comm,
+                    train_loss: train_loss.unwrap_or(f32::NAN),
+                    eval: eval_loss.zip(eval_metric),
+                    ..Default::default()
+                }),
+                _ => None,
+            })
+            .collect();
+        RunHistory { rounds, ..Default::default() }
     }
 
     /// First virtual time at which test accuracy reached `target`

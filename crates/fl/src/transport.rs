@@ -68,7 +68,6 @@ use crate::task::ImageTask;
 use crate::wire::LinkCodecs;
 use bytes::Bytes;
 use core::time::Duration;
-use crossbeam::channel::{bounded, Receiver, Sender};
 use fedmp_nn::Sequential;
 use fedmp_pruning::PrunePlan;
 use serde::{Deserialize, Serialize};
@@ -76,6 +75,7 @@ use std::io::{Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 
 // ───────────────────────── framing ─────────────────────────
 
@@ -677,7 +677,7 @@ pub(crate) struct SocketFleet<'a, S: NodeSpawner> {
     /// Connection generation per worker; bumped on every respawn so
     /// stale reader messages are recognisable.
     gens: Vec<u32>,
-    tx: Sender<ReaderMsg>,
+    tx: SyncSender<ReaderMsg>,
     rx: Receiver<ReaderMsg>,
 }
 
@@ -694,7 +694,7 @@ impl<'a, S: NodeSpawner> SocketFleet<'a, S> {
         let workers = method.locals.len();
         // Readers block on a full channel until the PS drains it in the
         // collection barrier; the capacity only bounds buffering.
-        let (tx, rx) = bounded(workers.max(1) * 4);
+        let (tx, rx) = sync_channel(workers.max(1) * 4);
         SocketFleet {
             listener,
             opts,

@@ -1,5 +1,6 @@
-//! Trace acceptance tests: `summarize` reproduces `resource_totals`
-//! exactly from the event stream alone, and the event stream is
+//! Trace acceptance tests: `RunHistory::from_trace` rebuilds every
+//! field `RoundEnd` mirrors bit for bit from the event stream alone (so
+//! `resource_totals` of it is the live run's), and the event stream is
 //! invariant to the kernel thread count.
 //!
 //! Everything lives in ONE test function: trace sessions are process-
@@ -10,14 +11,32 @@ use fedmp_data::{iid_partition, mnist_like};
 use fedmp_edgesim::{tx2_profile, ComputeMode, LinkQuality, TimeModel};
 use fedmp_fl::{
     resource_totals, run_fedmp, run_fedprox, run_synfl, FaultOptions, FedMpOptions, FedProxOptions,
-    FlConfig, FlSetup, ImageTask, RunHistory,
+    FlConfig, FlSetup, ImageTask, RoundRecord, RunHistory,
 };
 use fedmp_nn::{zoo, Sequential};
-use fedmp_obs::{diff, summarize, RunManifest, Trace, TraceEvent, TraceSession};
+use fedmp_obs::{diff, RunManifest, Trace, TraceEvent, TraceSession};
 use fedmp_tensor::seeded_rng;
 
 const WORKERS: usize = 4;
 const ROUNDS: usize = 5;
+
+/// The replay contract: the history rebuilt from the trace carries
+/// every field `RoundEnd` mirrors bit for bit, so its resource totals
+/// are the live run's. A float's `{:?}` is its shortest round-trip
+/// form, so equal strings are equal bits (and every NaN, which the
+/// trace writes as `null`, prints `NaN`).
+fn assert_replays(live: &RunHistory, trace: &Trace) {
+    let mirrored = |h: &RunHistory| -> Vec<String> {
+        let fields = |r: &RoundRecord| {
+            (r.round, r.sim_time, r.round_time, r.mean_comp, r.mean_comm, r.train_loss, r.eval)
+        };
+        h.rounds.iter().map(|r| format!("{:?}", fields(r))).collect()
+    };
+    let replayed = RunHistory::from_trace(trace);
+    assert_eq!(mirrored(&replayed), mirrored(live));
+    let totals = |h: &RunHistory| format!("{:?}", resource_totals(h, WORKERS));
+    assert_eq!(totals(&replayed), totals(live));
+}
 
 fn run_traced(threads: usize, seed: u64, opts: &FedMpOptions) -> (RunHistory, Trace) {
     run_traced_with(threads, seed, |cfg, setup, global| run_fedmp(cfg, setup, global, opts))
@@ -53,16 +72,11 @@ fn run_traced_with(
 }
 
 #[test]
-fn trace_summarize_matches_totals_and_stream_is_thread_invariant() {
-    // ── summarize == resource_totals, bit-exact ─────────────────────
+fn trace_replays_the_history_and_stream_is_thread_invariant() {
+    // ── the trace replays the history, bit-exact ────────────────────
     let (history, trace) = run_traced(1, 42, &FedMpOptions::default());
-    let live = resource_totals(&history, WORKERS);
-    let replayed = summarize(&trace).expect("trace has a manifest");
-    assert_eq!(replayed.rounds, live.rounds);
-    assert_eq!(replayed.wall_secs, live.wall_secs);
-    assert_eq!(replayed.compute_secs, live.compute_secs);
-    assert_eq!(replayed.comm_secs, live.comm_secs);
-    assert_eq!(replayed.idle_secs, live.idle_secs);
+    assert_replays(&history, &trace);
+    assert!(history.rounds.iter().any(|r| r.eval.is_some()), "no evaluated round replayed");
 
     // Every round contributes the full event complement, in order.
     let kinds: Vec<&str> = trace.events.iter().map(|e| e.kind()).collect();
@@ -113,16 +127,13 @@ fn trace_summarize_matches_totals_and_stream_is_thread_invariant() {
     let (_h, other) = run_traced(1, 43, &FedMpOptions::default());
     assert!(diff(&trace, &other).is_divergent());
 
-    // ── faults: events appear and summarize still matches ───────────
+    // ── faults: events appear and the trace still replays ───────────
     let opts = FedMpOptions {
         faults: Some(FaultOptions { fail_prob: 0.3, recover_rounds: 1, ..Default::default() }),
         ..Default::default()
     };
     let (fh, ft) = run_traced(1, 44, &opts);
-    let flive = resource_totals(&fh, WORKERS);
-    let freplay = summarize(&ft).expect("fault trace has a manifest");
-    assert_eq!(freplay.wall_secs, flive.wall_secs);
-    assert_eq!(freplay.idle_secs, flive.idle_secs);
+    assert_replays(&fh, &ft);
     let injected = ft.events.iter().filter(|e| e.kind() == "FaultInjected").count();
     let recovered = ft.events.iter().filter(|e| e.kind() == "FaultRecovered").count();
     assert!(injected > 0, "no faults materialised at fail_prob=0.3 over {ROUNDS} rounds");

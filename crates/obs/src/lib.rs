@@ -16,9 +16,9 @@
 //!    nobody is listening. Event construction happens inside a closure
 //!    that only runs while a session is active.
 //! 3. **Traces** ([`Trace`]): parse a recorded JSONL file back into
-//!    events, [`summarize`] it into resource totals matching
-//!    `fedmp_fl::resource_totals`, or [`diff`] two traces to find the
-//!    first diverging event.
+//!    events (`fedmp_fl::RunHistory::from_trace` rebuilds the run's
+//!    history from them), or [`diff`] two traces to find the first
+//!    diverging event.
 //!
 //! Every trace file starts with a [`RunManifest`] line (config hash,
 //! seed, engine, thread count, crate versions) so an artifact is
@@ -35,7 +35,7 @@ mod trace;
 pub use event::TraceEvent;
 pub use manifest::{config_hash, RunManifest, SCHEMA_VERSION};
 pub use session::{emit, enabled, TraceSession};
-pub use trace::{diff, summarize, Trace, TraceDiff, TraceError, TraceTotals};
+pub use trace::{diff, Trace, TraceDiff, TraceError};
 
 /// This crate's version, for run manifests.
 pub const VERSION: &str = env!("CARGO_PKG_VERSION");

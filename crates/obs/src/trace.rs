@@ -1,5 +1,5 @@
-//! Reading recorded traces: parsing, summarizing into resource totals,
-//! and diffing two traces to the first diverging event.
+//! Reading recorded traces: parsing, and diffing two traces to the
+//! first diverging event.
 
 use crate::event::TraceEvent;
 use crate::manifest::RunManifest;
@@ -19,8 +19,6 @@ pub enum TraceError {
         /// Parser message.
         msg: String,
     },
-    /// The operation needs a manifest but the trace has none.
-    MissingManifest,
 }
 
 impl fmt::Display for TraceError {
@@ -28,7 +26,6 @@ impl fmt::Display for TraceError {
         match self {
             TraceError::Io(e) => write!(f, "cannot read trace: {e}"),
             TraceError::Parse { line, msg } => write!(f, "trace line {line}: {msg}"),
-            TraceError::MissingManifest => write!(f, "trace has no manifest line"),
         }
     }
 }
@@ -82,58 +79,6 @@ impl Trace {
         let text = std::fs::read_to_string(path).map_err(|e| TraceError::Io(e.to_string()))?;
         text.parse()
     }
-}
-
-/// Aggregate resource totals reconstructed from a trace's `RoundEnd`
-/// events — field-for-field the same quantities as
-/// `fedmp_fl::ResourceTotals`, computed with the same arithmetic (and
-/// therefore bit-exactly equal to it for a trace of the same run; f64
-/// values survive the JSON round trip exactly).
-#[derive(Debug, Clone, Copy, Default, PartialEq, serde::Serialize)]
-pub struct TraceTotals {
-    /// Total virtual wall time (s).
-    pub wall_secs: f64,
-    /// Summed per-worker computation time (s·workers).
-    pub compute_secs: f64,
-    /// Summed per-worker communication time (s·workers).
-    pub comm_secs: f64,
-    /// Summed barrier idle time (s·workers).
-    pub idle_secs: f64,
-    /// Rounds observed (`RoundEnd` events).
-    pub rounds: usize,
-}
-
-impl TraceTotals {
-    /// Fraction of fleet-seconds spent productive (compute + comm).
-    pub fn utilisation(&self) -> f64 {
-        let busy = self.compute_secs + self.comm_secs;
-        let total = busy + self.idle_secs;
-        if total <= 0.0 {
-            0.0
-        } else {
-            busy / total
-        }
-    }
-}
-
-/// Reduces a trace to [`TraceTotals`] using the manifest's worker count,
-/// replicating `fedmp_fl::resource_totals` term by term: per round,
-/// `wall += round_time`, `compute += n·mean_comp`, `comm += n·mean_comm`
-/// and `idle += n·max(0, round_time − mean_comp − mean_comm)`.
-pub fn summarize(trace: &Trace) -> Result<TraceTotals, TraceError> {
-    let manifest = trace.manifest.as_ref().ok_or(TraceError::MissingManifest)?;
-    let n = manifest.workers as f64;
-    let mut t = TraceTotals::default();
-    for ev in &trace.events {
-        if let TraceEvent::RoundEnd { round_time, mean_comp, mean_comm, .. } = ev {
-            t.wall_secs += round_time;
-            t.compute_secs += n * mean_comp;
-            t.comm_secs += n * mean_comm;
-            t.idle_secs += n * (round_time - mean_comp - mean_comm).max(0.0);
-            t.rounds += 1;
-        }
-    }
-    Ok(t)
 }
 
 /// The first point at which two traces' event streams disagree.
@@ -239,25 +184,6 @@ mod tests {
             text.push('\n');
         }
         text.parse().unwrap()
-    }
-
-    #[test]
-    fn summarize_replicates_resource_totals_formula() {
-        let m = RunManifest::new("t", 0, 4, 10, 1);
-        let lines: Vec<String> = (0..10).map(|r| round_end(r, 5.0, 2.0, 1.0)).collect();
-        let t = summarize(&trace_of(&lines, Some(&m))).unwrap();
-        assert_eq!(t.rounds, 10);
-        assert!((t.wall_secs - 50.0).abs() < 1e-12);
-        assert!((t.compute_secs - 80.0).abs() < 1e-12);
-        assert!((t.comm_secs - 40.0).abs() < 1e-12);
-        assert!((t.idle_secs - 80.0).abs() < 1e-12);
-        assert!((t.utilisation() - 0.6).abs() < 1e-12);
-    }
-
-    #[test]
-    fn summarize_without_manifest_errors() {
-        let lines = vec![round_end(0, 1.0, 0.5, 0.25)];
-        assert_eq!(summarize(&trace_of(&lines, None)), Err(TraceError::MissingManifest));
     }
 
     #[test]

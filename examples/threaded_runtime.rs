@@ -9,7 +9,7 @@
 //! cargo run --release --example threaded_runtime
 //! ```
 
-use fedmp::fl::{run_fedmp, run_threaded, ChaosOptions, FedMpOptions, FlSetup, SyncMethod};
+use fedmp::fl::{run_fedmp, run_threaded, ChaosOptions, FedMpOptions, SyncMethod};
 use fedmp::prelude::*;
 
 fn main() {
@@ -20,8 +20,7 @@ fn main() {
         s
     };
     let built = spec.build();
-    let setup =
-        FlSetup::with_cost_scale(&built.task, built.devices.clone(), built.time, built.cost_scale);
+    let setup = built.setup();
     let opts = FedMpOptions::default();
 
     println!("running the sequential loop engine…");

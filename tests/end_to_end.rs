@@ -160,8 +160,7 @@ fn quantized_residual_store_changes_the_run_but_not_its_determinism() {
     // threads and over the threaded runtime.
     let spec = quick_spec(TaskKind::CnnMnist, 16);
     let built = spec.build();
-    let setup =
-        FlSetup::with_cost_scale(&built.task, built.devices.clone(), built.time, built.cost_scale);
+    let setup = built.setup();
     let quant = FedMpOptions { quantize_residuals: true, ..Default::default() };
     let at = |threads: usize, opts: &FedMpOptions| {
         // Process-global, and harmless to the tests running beside this
