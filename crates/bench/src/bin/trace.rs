@@ -47,7 +47,9 @@ fn main() -> ExitCode {
     }
 }
 
-/// Parses the shared `record`/`chaos` flags: `(rounds, seed, threads)`.
+/// Parses the shared `record`/`chaos` flags: `(rounds, seed, threads)`,
+/// or `None` on an unknown flag, a missing value or one that is not an
+/// integer.
 fn record_flags(args: &[String]) -> Option<(usize, u64, Option<usize>)> {
     let mut rounds = 6usize;
     let mut seed = 0u64;
@@ -56,9 +58,9 @@ fn record_flags(args: &[String]) -> Option<(usize, u64, Option<usize>)> {
     while let Some(flag) = it.next() {
         let value = it.next()?;
         match flag.as_str() {
-            "--rounds" => rounds = value.parse().expect("--rounds takes an integer"),
-            "--seed" => seed = value.parse().expect("--seed takes an integer"),
-            "--threads" => threads = Some(value.parse().expect("--threads takes an integer")),
+            "--rounds" => rounds = value.parse().ok()?,
+            "--seed" => seed = value.parse().ok()?,
+            "--threads" => threads = Some(value.parse().ok()?),
             _ => return None,
         }
     }

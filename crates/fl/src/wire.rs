@@ -951,6 +951,13 @@ pub fn decode_state_v2(
             dims.push(cur.u32()? as usize);
         }
         let numel = checked_numel(&dims)?;
+        // A sparse entry is rebuilt on its reference entry, so with a
+        // reference given it must name one — before its `numel` zeros
+        // or copies are allocated on the frame's say-so.
+        let ref_data = ref_slice(reference, i, &name, &dims);
+        if codec.keep().is_some() && reference.is_some() && ref_data.is_none() {
+            return Err(WireError::Malformed("sparse entry does not match the reference"));
+        }
         let codes = match codec {
             Codec::DenseF32 => PayloadCodes::F32(cur.f32s(numel)?),
             Codec::DenseF16 => PayloadCodes::F16(cur.u16s(numel)?),
@@ -980,7 +987,6 @@ pub fn decode_state_v2(
                 PayloadCodes::TopKI8 { scale, indices, codes }
             }
         };
-        let ref_data = ref_slice(reference, i, &name, &dims);
         let data = deliver_entry(codes, ref_data, numel);
         let tensor =
             Tensor::from_vec(data, &dims).map_err(|_| WireError::Malformed("tensor shape"))?;
@@ -1173,6 +1179,42 @@ mod tests {
         assert!(decode_state_v2(&frame[..frame.len() - 6], None).is_err());
         assert!(matches!(decode_state_v2(&[7u8; 20], None), Err(WireError::BadMagic)));
         assert!(matches!(decode_state_v2(&[1, 2, 3], None), Err(WireError::Truncated)));
+    }
+
+    #[test]
+    fn a_sparse_entry_unlike_its_reference_is_malformed() {
+        // One top-k entry claiming a 16384 × 16384 tensor with no
+        // coordinates, resealed with a valid checksum: against a
+        // reference whose entry differs it must not decode into 1 GiB
+        // of zeros.
+        let reference =
+            vec![StateEntry::trainable("w", Tensor::from_vec(vec![0.5; 4], &[4]).expect("shape"))];
+        for codec in [Codec::TopK { keep: 0.1 }, Codec::TopKInt8 { keep: 0.1 }] {
+            let mut buf = BytesMut::new();
+            buf.put_u32_le(MAGIC);
+            buf.put_u8(codec.tag());
+            buf.put_f32_le(0.1);
+            buf.put_u32_le(1);
+            buf.put_u16_le(1);
+            buf.put_slice(b"w");
+            buf.put_u8(1);
+            buf.put_u8(2);
+            buf.put_u32_le(16_384);
+            buf.put_u32_le(16_384);
+            buf.put_u32_le(0); // k
+            if matches!(codec, Codec::TopKInt8 { .. }) {
+                buf.put_f32_le(1.0); // scale
+            }
+            let checksum = crc32c(&buf[4..]);
+            buf.put_u32_le(checksum);
+            assert!(frame_checksum_ok(&buf), "{}: resealed", codec.label());
+            assert_eq!(
+                decode_state_v2(&buf, Some(&reference)).err(),
+                Some(WireError::Malformed("sparse entry does not match the reference")),
+                "{}",
+                codec.label()
+            );
+        }
     }
 
     #[test]

@@ -37,7 +37,7 @@ impl std::error::Error for TraceError {}
 /// the lines first and reports them on divergence).
 #[derive(Debug, Clone)]
 pub struct Trace {
-    /// The first-line manifest, if the trace has one.
+    /// The manifest on the first non-blank line, if the trace has one.
     pub manifest: Option<RunManifest>,
     /// Every event, in emission order.
     pub events: Vec<TraceEvent>,
@@ -58,7 +58,8 @@ impl FromStr for Trace {
             if line.is_empty() {
                 continue;
             }
-            if i == 0 {
+            // Nothing parsed yet: this is the first non-blank line.
+            if manifest.is_none() && events.is_empty() {
                 if let Ok(m) = serde_json::from_str::<RunManifest>(line) {
                     manifest = Some(m);
                     continue;

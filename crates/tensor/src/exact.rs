@@ -48,7 +48,27 @@
 //! at most 82, so below 2¹⁰⁶; the vector counts addends per slot and
 //! moves the window into the spill (a *flush*) before the count would
 //! pass 2²⁰, so a slot stays below 2¹²⁶ — inside an `i128`.
+//!
+//! # The vectorised fold
+//!
+//! [`ExactVec::add`] runs on the kernel path `crate::simd` selects. On
+//! the AVX2 path a kernel folds four slots per step: it widens four
+//! `f32` bit patterns to 64-bit lanes, builds each in-window addend's
+//! two 64-bit halves with variable shifts, negates the pair where the
+//! sign bit is set, and adds it to the slot's `i128` — read as its
+//! little-endian low and high words — with the carry out of the low
+//! word taken from an unsigned compare. That is the same 128-bit
+//! two's-complement addition the scalar loop performs, so each window
+//! ends up holding the same integer on either path. The kernel only
+//! *reports* a nonzero out-of-window value; a scalar pass over the
+//! slice then spills exactly the values the scalar loop would, through
+//! the same [`ExactSum::add`]. The 0–3 slots past the last whole step
+//! go through the scalar loop. Window, spill and with them every sum,
+//! value and frame byte are therefore bit-identical across paths
+//! (`FEDMP_SIMD=scalar` runs the scalar loop alone, the oracle the
+//! kernel is tested against).
 
+use crate::simd::{self, SimdPath};
 use std::collections::BTreeMap;
 
 /// Number of 64-bit limbs in the fixed-point register (384 bits).
@@ -325,10 +345,10 @@ const WINDOW_BASE: u32 = 64;
 
 /// Biased `f32` exponent of the smallest in-window binade, 2⁻⁶² (its
 /// mantissa shift, `exp − 1`, is [`WINDOW_BASE`]).
-const WINDOW_EXP_MIN: u32 = WINDOW_BASE + 1;
+pub(crate) const WINDOW_EXP_MIN: u32 = WINDOW_BASE + 1;
 
 /// Binades above the smallest the window takes: up to, excluding, 2²¹.
-const WINDOW_SPAN: u32 = 82;
+pub(crate) const WINDOW_SPAN: u32 = 82;
 
 /// Bits of the largest in-window addend: a 24-bit mantissa shifted left
 /// by at most [`WINDOW_SPAN`].
@@ -393,18 +413,48 @@ impl ExactVec {
     /// # Panics
     /// If `xs.len() != self.len()`.
     pub fn add(&mut self, xs: &[f32]) {
+        self.add_on(simd::active_path(), xs);
+    }
+
+    /// [`add`](Self::add) on a given kernel path. On [`SimdPath::Avx2`]
+    /// the AVX2 kernel folds the slots in whole steps of four and the
+    /// scalar loop only the 0–3 left over; the scalar loop is the whole
+    /// fold on [`SimdPath::Scalar`] and the oracle for the kernel.
+    fn add_on(&mut self, path: SimdPath, xs: &[f32]) {
         assert_eq!(xs.len(), self.window.len(), "ExactVec::add: length mismatch");
         if self.addends == WINDOW_ADDENDS {
             self.flush();
         }
         self.addends += 1;
-        for (i, (w, &x)) in self.window.iter_mut().zip(xs).enumerate() {
+        let folded = match path {
+            SimdPath::Avx2 => {
+                let n = xs.len() - xs.len() % 4;
+                if simd::exact_fold_avx2(&mut self.window[..n], &xs[..n]) {
+                    self.spill_outside(&xs[..n]);
+                }
+                n
+            }
+            SimdPath::Scalar => 0,
+        };
+        for (i, (w, &x)) in self.window.iter_mut().zip(xs).enumerate().skip(folded) {
             let bits = x.to_bits();
             let exp = (bits >> 23) & 0xFF;
             if exp.wrapping_sub(WINDOW_EXP_MIN) <= WINDOW_SPAN {
                 let v = i128::from(bits & 0x7F_FFFF | 0x80_0000) << (exp - WINDOW_EXP_MIN);
                 *w += if bits >> 31 == 0 { v } else { -v };
             } else if bits << 1 != 0 {
+                self.spill.entry(i).or_default().add(x);
+            }
+        }
+    }
+
+    /// The scalar loop's spill arm alone, over slots `0..xs.len()`: every
+    /// nonzero `xs[i]` the window does not take goes to slot `i`'s spill.
+    fn spill_outside(&mut self, xs: &[f32]) {
+        for (i, &x) in xs.iter().enumerate() {
+            let bits = x.to_bits();
+            let exp = (bits >> 23) & 0xFF;
+            if exp.wrapping_sub(WINDOW_EXP_MIN) > WINDOW_SPAN && bits << 1 != 0 {
                 self.spill.entry(i).or_default().add(x);
             }
         }
@@ -675,6 +725,78 @@ mod tests {
         assert!(w.spill.is_empty());
         assert_eq!(v, w);
         assert_eq!(v.sums().collect::<ExactVec>(), w);
+    }
+
+    /// Folds `rows` on one path into a fresh vector, optionally starting
+    /// `before` addends short of the flush cap.
+    fn fold_on(path: SimdPath, rows: &[Vec<f32>], before: Option<u32>) -> ExactVec {
+        let mut v = ExactVec::new(rows.first().map_or(0, Vec::len));
+        if let Some(short) = before {
+            v.add_on(path, &rows[0]);
+            v.addends = WINDOW_ADDENDS - short;
+        }
+        for row in rows {
+            v.add_on(path, row);
+        }
+        v
+    }
+
+    /// The AVX2 fold against the scalar loop: the same window words,
+    /// the same spill, and so the same sums and value bits.
+    fn assert_paths_agree(rows: &[Vec<f32>], before: Option<u32>, what: &str) {
+        let scalar = fold_on(SimdPath::Scalar, rows, before);
+        let avx2 = fold_on(SimdPath::Avx2, rows, before);
+        assert_eq!(avx2.window, scalar.window, "{what}: window");
+        assert_eq!(avx2.spill, scalar.spill, "{what}: spill");
+        assert_eq!(avx2.addends, scalar.addends, "{what}: addend count");
+        assert!(avx2.sums().eq(scalar.sums()), "{what}: sums");
+        let bits = |v: &ExactVec| v.sums().map(|s| s.value().to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&avx2), bits(&scalar), "{what}: values");
+    }
+
+    #[test]
+    fn avx2_and_scalar_folds_hold_the_same_sums() {
+        if !simd::avx2_supported() {
+            return;
+        }
+        // Every biased exponent in both signs, with an empty, a full and
+        // a scattered mantissa; ±0, NaN, ±∞; the window's edges.
+        let mut values = vec![0.0f32, -0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+        for exp in 0..=255u32 {
+            for frac in [0, 1, 0x7F_FFFF, 0x2A_5A5A] {
+                let bits = exp << 23 | frac;
+                values.push(f32::from_bits(bits));
+                values.push(f32::from_bits(bits | 1 << 31));
+            }
+        }
+        let low = f32::from_bits(WINDOW_EXP_MIN << 23); // 2⁻⁶²
+        let high = f32::from_bits((WINDOW_EXP_MIN + WINDOW_SPAN + 1) << 23); // 2²¹
+        for edge in [low, low.next_down(), high.next_down(), high] {
+            values.extend([edge, -edge]);
+        }
+        // Slice lengths 0–9 and one odd large one, so every tail width
+        // meets the kernel; several rows each so values cancel and
+        // carry between the window's words.
+        for len in (0..=9).chain([1_027]) {
+            let rows: Vec<Vec<f32>> = (0..7)
+                .map(|r| (0..len).map(|i| values[(i * 13 + r * 101) % values.len()]).collect())
+                .collect();
+            assert_paths_agree(&rows, None, &format!("length {len}"));
+        }
+        // Each value against every lane position, alone and beside a
+        // window neighbour.
+        for (k, &x) in values.iter().enumerate() {
+            let rows = vec![vec![x, 1.0, -x, 0.5, x], vec![high.next_down(), x, x, -1.0, 0.0]];
+            assert_paths_agree(&rows, None, &format!("value {k} ({:#010x})", x.to_bits()));
+        }
+        // A fold sequence that crosses WINDOW_ADDENDS: both paths flush
+        // on the same fold and keep going.
+        let rows: Vec<Vec<f32>> = (0..6)
+            .map(|r| (0..11).map(|i| values[(i * 29 + r * 7) % values.len()]).collect())
+            .collect();
+        assert_paths_agree(&rows, Some(3), "across the flush cap");
+        let crossed = fold_on(SimdPath::Avx2, &rows, Some(3));
+        assert!(crossed.addends < 6, "the flush fired: {} addends", crossed.addends);
     }
 
     #[test]

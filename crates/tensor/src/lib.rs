@@ -37,7 +37,7 @@ mod rng;
 mod shape;
 #[expect(
     unsafe_code,
-    reason = "the crate's only `unsafe`: the AVX2 microkernels and the SSE4.2 CRC loop"
+    reason = "the crate's only `unsafe`: the AVX2 kernels and the SSE4.2 CRC loop"
 )]
 pub mod simd;
 mod tensor;

@@ -1,4 +1,5 @@
-//! Explicit SIMD GEMM microkernels, the SSE4.2 CRC-32C loop behind
+//! Explicit SIMD GEMM microkernels, the AVX2 exact window fold behind
+//! [`crate::ExactVec::add`], the SSE4.2 CRC-32C loop behind
 //! [`crate::crc32c`], and the `FEDMP_SIMD` path switch.
 //!
 //! The blocked scalar kernel in `crate::matmul` is what LLVM
@@ -8,7 +9,7 @@
 //! across each `KC`-sized `k` tile), its last vector masked where the
 //! column count is not a multiple of 8 — plus the runtime machinery
 //! that decides, once per process, which kernel the dispatch in
-//! `matmul::gemm_nn_into` uses:
+//! `matmul::gemm_nn_into` (and in `ExactVec::add`) uses:
 //!
 //! 1. a test/bench override ([`override_path`]),
 //! 2. the `FEDMP_SIMD` environment variable (`auto` | `avx2` | `scalar`),
@@ -45,6 +46,14 @@
 //! (fused vs separate rounding, different tile widths) — that
 //! cross-path difference is bounded by the tolerance proptests, while
 //! each path is exactly reproducible on its own.
+//!
+//! The other kernels here do not differ at all. The 8×8 transpose and
+//! the CRC-32C loop move or hash the same bytes either way, and the
+//! exact window fold (`exact_fold_avx2`) is integer arithmetic: four
+//! 128-bit two's-complement additions per step, the same integers the
+//! scalar loop in `crate::exact` adds, so every window, spill, sum and
+//! frame byte is **bit-identical** across paths, and `FEDMP_SIMD`
+//! decides only how fast they come out.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
@@ -279,20 +288,129 @@ pub(crate) fn crc32c_sse42(bytes: &[u8]) -> u32 {
     unreachable!("sse42_supported() is false on non-x86_64, so the assert above already fired");
 }
 
+/// The in-window half of `ExactVec::add` through AVX2, four slots per
+/// step: adds each `xs[i]` with |x| ∈ [2⁻⁶², 2²¹) into `window[i]` as
+/// the same shifted-mantissa integer the scalar loop adds, and leaves
+/// every other slot's window as it was. Returns whether any of those
+/// other slots held a nonzero value — subnormal, out of range or
+/// non-finite — which the caller must then spill.
+///
+/// # Panics
+/// Panics if the lengths differ or are not a multiple of four, or if
+/// called on a host without avx2 (dispatch must check [`active_path`]
+/// first).
+pub(crate) fn exact_fold_avx2(window: &mut [i128], xs: &[f32]) -> bool {
+    assert_eq!(window.len(), xs.len(), "exact_fold_avx2: length mismatch");
+    assert_eq!(xs.len() % 4, 0, "exact_fold_avx2: {} slots is not whole steps", xs.len());
+    assert!(avx2_supported(), "exact_fold_avx2 selected without avx2");
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: the assert above proves the host supports avx2 at runtime,
+    // which is the only precondition of the target_feature fn.
+    unsafe {
+        x86::exact_fold(window, xs)
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    unreachable!("avx2_supported() is false on non-x86_64, so the assert above already fired");
+}
+
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    //! The AVX2/FMA band kernel proper, compiled with
-    //! `target_feature(enable = "avx2,fma")`, and the CRC-32C loop,
-    //! compiled with `target_feature(enable = "sse4.2")`. Each is
-    //! reached only through its runtime-detection gate in the parent
-    //! module.
+    //! The AVX2/FMA band kernel proper and the exact window fold,
+    //! compiled with `target_feature(enable = "avx2,fma")` (the fold:
+    //! `avx2` alone), and the CRC-32C loop, compiled with
+    //! `target_feature(enable = "sse4.2")`. Each is reached only through
+    //! its runtime-detection gate in the parent module.
 
+    use crate::exact::{WINDOW_EXP_MIN, WINDOW_SPAN};
     use core::arch::x86_64::{
-        __m256, __m256i, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_loadu_si256, _mm256_maskload_ps,
-        _mm256_maskstore_ps, _mm256_permute2f128_ps, _mm256_set1_ps, _mm256_setzero_ps,
-        _mm256_shuffle_ps, _mm256_storeu_ps, _mm256_unpackhi_ps, _mm256_unpacklo_ps, _mm_crc32_u64,
-        _mm_crc32_u8,
+        __m256, __m256i, _mm256_add_epi64, _mm256_and_si256, _mm256_andnot_si256,
+        _mm256_bslli_epi128, _mm256_cmpeq_epi64, _mm256_cmpgt_epi64, _mm256_cvtepu32_epi64,
+        _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_loadu_si256, _mm256_maskload_ps,
+        _mm256_maskstore_ps, _mm256_or_si256, _mm256_permute2f128_ps, _mm256_set1_epi64x,
+        _mm256_set1_ps, _mm256_setzero_ps, _mm256_setzero_si256, _mm256_shuffle_ps,
+        _mm256_slli_epi64, _mm256_sllv_epi64, _mm256_srli_epi64, _mm256_srlv_epi64,
+        _mm256_storeu_ps, _mm256_storeu_si256, _mm256_sub_epi64, _mm256_testz_si256,
+        _mm256_unpackhi_epi64, _mm256_unpackhi_ps, _mm256_unpacklo_epi64, _mm256_unpacklo_ps,
+        _mm256_xor_si256, _mm_crc32_u64, _mm_crc32_u8, _mm_loadu_si128, _mm_shuffle_epi32,
     };
+
+    /// The window fold, four slots per step. Each lane widens one `f32`
+    /// bit pattern to a `u64` and builds the 128-bit addend
+    /// `mant << off` (`off = exp − WINDOW_EXP_MIN ∈ 0..=82`) from its
+    /// halves: `lo = mant << off`, and `hi = (mant << 40) >> (104 − off)`
+    /// — the 24-bit mantissa parked at the top of a word, so one right
+    /// shift by `104 − off ∈ 22..=104` lands every bit `mant << off`
+    /// puts above bit 63. Both rely on a variable shift by a count ≥ 64
+    /// (a negative one included, read unsigned) yielding 0, and
+    /// out-of-window lanes have their mantissa zeroed first, so they
+    /// add 0. A set sign bit negates the pair in two's complement; the
+    /// pair is then added to the slot's little-endian `(lo, hi)` words
+    /// with the carry out of `lo` taken from an unsigned compare. All
+    /// integer arithmetic: the same bits as the scalar loop's `i128`
+    /// addition.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn exact_fold(window: &mut [i128], xs: &[f32]) -> bool {
+        let zero = _mm256_setzero_si256();
+        let top = _mm256_set1_epi64x(i64::MIN);
+        let exp_min = _mm256_set1_epi64x(i64::from(WINDOW_EXP_MIN));
+        // `off` reads as unsigned through `^ top`, so one signed compare
+        // finds both ends: below the window wraps to the top.
+        let span = _mm256_set1_epi64x(i64::from(WINDOW_SPAN) ^ i64::MIN);
+        let frac = _mm256_set1_epi64x(0x7F_FFFF);
+        let hidden = _mm256_set1_epi64x(0x80_0000);
+        let byte = _mm256_set1_epi64x(0xFF);
+        let abs = _mm256_set1_epi64x(0x7FFF_FFFF);
+        let hi_shift = _mm256_set1_epi64x(i64::from(WINDOW_EXP_MIN) + 104);
+        let mut outside = zero;
+        for (w, x) in window.chunks_exact_mut(4).zip(xs.chunks_exact(4)) {
+            // SAFETY: `x` is a checked slice of exactly 4 f32s; the
+            // unaligned load reads precisely those 16 bytes.
+            let raw = unsafe { _mm_loadu_si128(x.as_ptr().cast()) };
+            // Slots in lane order 0, 2, 1, 3: the order the 64-bit
+            // unpacks below interleave back into memory order.
+            let bits = _mm256_cvtepu32_epi64(_mm_shuffle_epi32::<0b11_01_10_00>(raw));
+            let exp = _mm256_and_si256(_mm256_srli_epi64::<23>(bits), byte);
+            let off = _mm256_sub_epi64(exp, exp_min);
+            let out = _mm256_cmpgt_epi64(_mm256_xor_si256(off, top), span);
+            let mant =
+                _mm256_andnot_si256(out, _mm256_or_si256(_mm256_and_si256(bits, frac), hidden));
+            let lo = _mm256_sllv_epi64(mant, off);
+            let hi =
+                _mm256_srlv_epi64(_mm256_slli_epi64::<40>(mant), _mm256_sub_epi64(hi_shift, exp));
+            // −(hi, lo) = (!hi + [lo == 0], !lo + 1) where negative.
+            let neg = _mm256_cmpgt_epi64(bits, abs);
+            let lo_carry = _mm256_and_si256(neg, _mm256_cmpeq_epi64(lo, zero));
+            let lo = _mm256_sub_epi64(_mm256_xor_si256(lo, neg), neg);
+            let hi = _mm256_sub_epi64(_mm256_xor_si256(hi, neg), lo_carry);
+            let (w01, w23) = w.split_at_mut(2);
+            add_pairs(w01, _mm256_unpacklo_epi64(lo, hi));
+            add_pairs(w23, _mm256_unpackhi_epi64(lo, hi));
+            // Nonzero where an out-of-window lane has a nonzero magnitude.
+            outside = _mm256_or_si256(outside, _mm256_and_si256(out, _mm256_and_si256(bits, abs)));
+        }
+        _mm256_testz_si256(outside, outside) == 0
+    }
+
+    /// Adds two 128-bit addends, laid out `[lo0, hi0, lo1, hi1]`, into
+    /// the two slots of `w`: 64-bit adds, then each `lo` word's carry
+    /// (`sum < addend` unsigned) subtracted as −1 from the `hi` word
+    /// beside it. The byte shift stays inside each 128-bit lane, so it
+    /// moves a `lo` carry up one word and drops the `hi` compare.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn add_pairs(w: &mut [i128], addend: __m256i) {
+        let w = &mut w[..2];
+        let top = _mm256_set1_epi64x(i64::MIN);
+        // SAFETY: `w` is a checked slice of exactly 2 i128s; the
+        // unaligned load reads precisely those 32 bytes.
+        let old = unsafe { _mm256_loadu_si256(w.as_ptr().cast()) };
+        let sum = _mm256_add_epi64(old, addend);
+        let carry = _mm256_cmpgt_epi64(_mm256_xor_si256(addend, top), _mm256_xor_si256(sum, top));
+        let sum = _mm256_sub_epi64(sum, _mm256_bslli_epi128::<8>(carry));
+        // SAFETY: `w` is a checked slice of exactly 2 i128s; the
+        // unaligned store writes precisely those 32 bytes.
+        unsafe { _mm256_storeu_si256(w.as_mut_ptr().cast(), sum) }
+    }
 
     /// CRC-32C (reflected, init and final XOR `!0`): one `crc32` per
     /// little-endian 8-byte word, then one per remaining byte. The
