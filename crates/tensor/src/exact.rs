@@ -783,10 +783,10 @@ mod tests {
                 .collect();
             assert_paths_agree(&rows, None, &format!("length {len}"));
         }
-        // Each value against every lane position, alone and beside a
-        // window neighbour.
+        // Each value in every lane of a step and in the tail, beside
+        // window neighbours.
         for (k, &x) in values.iter().enumerate() {
-            let rows = vec![vec![x, 1.0, -x, 0.5, x], vec![high.next_down(), x, x, -1.0, 0.0]];
+            let rows = vec![vec![x, 1.0, -x, 0.5, x], vec![high.next_down(), x, 0.0, x, -1.0]];
             assert_paths_agree(&rows, None, &format!("value {k} ({:#010x})", x.to_bits()));
         }
         // A fold sequence that crosses WINDOW_ADDENDS: both paths flush
