@@ -110,6 +110,9 @@ pub struct FlSetup<'a, T = ImageTask> {
 /// A federated task split across workers: what [`FlSetup::new`] checks
 /// the fleet against.
 pub trait Workers {
+    /// The model family that trains on this task — what a socket node
+    /// handed this task rebuilds from its Setup.
+    type Model: FlModel<Task = Self>;
     /// Number of workers the task's training data is split across.
     fn workers(&self) -> usize;
 }

@@ -12,7 +12,7 @@
 //! | [`run_upfl`] | UP-FL baseline \[15\]: uniform adaptive pruning ratio — the same round, one shared ρ; any [`FlModel`] |
 //! | [`run_fedprox`] | FedProx baseline \[19\]: the same round at ρ ≡ 0 with a proximal term + capability-scaled local iterations |
 //! | [`run_flexcom`] | FlexCom baseline \[13\]: the same round at ρ ≡ 0 with bandwidth-scaled top-k uplinks and error feedback |
-//! | [`run_threaded`] / [`run_sockets`] | the paper's prototype (§V): any [`SyncMethod`] over real frames, one in-process thread or OS process per worker behind a Unix socket; history bit-identical to the loop engine's |
+//! | [`run_threaded`] / [`run_sockets`] | the paper's prototype (§V): any [`SyncMethod`] on any [`FlModel`] (the CNNs, or the LSTM on an [`LmTask`]) over real frames, one in-process thread or OS process per worker behind a Unix socket; history bit-identical to the loop engine's |
 //! | [`run_async`] | Asyn-FL \[43\] and Asyn-FedMP (Algorithm 2): m-of-N arrival aggregation |
 //!
 //! Local training fans out across simulated workers through the

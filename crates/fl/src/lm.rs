@@ -39,6 +39,8 @@ impl LmTask {
 }
 
 impl Workers for LmTask {
+    type Model = LstmLm;
+
     fn workers(&self) -> usize {
         self.worker_batches.len()
     }

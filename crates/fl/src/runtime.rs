@@ -12,20 +12,24 @@
 //! the model family does (the image CNNs or the §VI LSTM). It asks its
 //! driver for one thing through [`Exchange`]: *move this round's
 //! sub-models to their workers and bring back what each one trained*.
-//! Either exchange runs any [`SyncMethod`]. The **inline** exchange of
-//! the loop engines ([`crate::run_fedmp`] and the baselines) trains
-//! in-process on the codec oracle — no frames, cannot fail. The
-//! **framed** exchange defined here drives `fl::transport`'s socket
-//! fleet: one node per worker — an in-process thread ([`run_threaded`])
-//! or an OS process ([`crate::run_sockets`]) — behind a Unix-domain
-//! socket, with models moved as real [`crate::wire`] frames: every
-//! sub-model download and trained-model upload is one serialised,
-//! checksummed frame, exactly as a networked deployment would move it.
-//! A worker is handed the global *architecture*, its own local step and
-//! its codec pair once, when it connects; per round it receives only
-//! the frame and the pruning plan, and rebuilds its sub-model from
-//! those. Simulated time still comes from `fedmp-edgesim` (nodes run as
-//! fast as the host allows; the virtual clock stays authoritative for
+//! Either exchange runs any [`SyncMethod`] on any [`FlModel`]. The
+//! **inline** exchange of the loop engines ([`crate::run_fedmp`] and the
+//! baselines) trains in-process on the codec oracle — no frames, cannot
+//! fail. The **framed** exchange defined here drives `fl::transport`'s
+//! socket fleet: one node per worker — an in-process thread
+//! ([`run_threaded`]) or an OS process ([`crate::run_sockets`]) — behind
+//! a Unix-domain socket, with models moved as real [`crate::wire`]
+//! frames: every sub-model download and trained-model upload is one
+//! serialised, checksummed frame, exactly as a networked deployment
+//! would move it. A worker is handed the global *architecture* of the
+//! model family, its own local step and its codec pair once, when it
+//! connects; per round it receives only the frame and the family's
+//! pruning plan, rebuilds its sub-model with [`FlModel::extract`] and
+//! decodes the frame against that sub-model's shapes. Neither this
+//! module nor `fl::transport` knows which family it moves: the
+//! architecture and plan cross the socket through their serde impls.
+//! Simulated time still comes from `fedmp-edgesim` (nodes run as fast as
+//! the host allows; the virtual clock stays authoritative for
 //! completion-time results).
 //!
 //! # Fault tolerance
@@ -90,14 +94,13 @@ use crate::engine::{
     emit_aggregate, emit_codec_selected, emit_compression_applied, emit_frame_retransmit,
     emit_kernel_dispatch, emit_local_train, emit_quorum_aggregate, emit_round_end,
     emit_round_start, emit_worker_excluded, emit_worker_rejoined, evaluate_if_due, kernel_baseline,
-    worker_rng, FlConfig, FlModel, FlSetup, SyncScheme,
+    worker_rng, FlConfig, FlModel, FlSetup, SyncScheme, Workers,
 };
 use crate::engines::baselines::{FedProxOptions, FlexComOptions, UpFlOptions};
 use crate::engines::fedmp::FedMpOptions;
 use crate::exec;
 use crate::history::{RoundRecord, RunHistory};
 use crate::local::{LocalOutcome, LocalTrainConfig};
-use crate::task::ImageTask;
 use crate::transport::{
     run_sockets, unique_socket_path, NodeSpawner, SocketFleet, SocketRunOptions, ThreadNodes,
 };
@@ -109,9 +112,11 @@ use bytes::Bytes;
 use core::time::Duration;
 use fedmp_bandit::{eucb_reward, Bandit, EUcbAgent, EUcbConfig, RewardConfig};
 use fedmp_edgesim::{deadline_for, DeviceProfile};
-use fedmp_nn::{state_sub, Sequential, StateEntry};
-use fedmp_pruning::{dequantize_state, extract_sequential, quantize_state, PrunePlan};
+use fedmp_nn::{state_sub, StateEntry};
+use fedmp_pruning::{dequantize_state, quantize_state};
 use fedmp_tensor::parallel::{sum_f32, sum_f64};
+use fedmp_tensor::Tensor;
+use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -715,12 +720,12 @@ impl Drop for LiveThreadGuard {
 /// retransmission cache. Its decode and encode are the ones the loop
 /// engine's `codec_delivered` oracle predicts, which is what makes every
 /// driver bit-identical under the same seed.
-pub(crate) struct WorkerProtocol<'a> {
+pub(crate) struct WorkerProtocol<'a, M: FlModel> {
     w: usize,
-    task: &'a ImageTask,
+    task: &'a M::Task,
     /// The global architecture from the Setup: shapes and zero weights,
     /// which each dispatched frame overwrites in the extracted sub-model.
-    arch: &'a Sequential,
+    arch: &'a M,
     local: LocalTrainConfig,
     seed: u64,
     plan: ChaosPlan,
@@ -745,11 +750,11 @@ pub(crate) enum WorkerStep {
     Crash,
 }
 
-impl<'a> WorkerProtocol<'a> {
+impl<'a, M: FlModel> WorkerProtocol<'a, M> {
     pub(crate) fn new(
         w: usize,
-        task: &'a ImageTask,
-        arch: &'a Sequential,
+        task: &'a M::Task,
+        arch: &'a M,
         local: LocalTrainConfig,
         seed: u64,
         plan: ChaosPlan,
@@ -770,12 +775,7 @@ impl<'a> WorkerProtocol<'a> {
 
     /// Handles one dispatch. (A downlink the chaos plan drops never
     /// gets here: the PS decides that loss itself and sends nothing.)
-    pub(crate) fn on_dispatch(
-        &mut self,
-        round: usize,
-        frame: Bytes,
-        plan: &PrunePlan,
-    ) -> WorkerStep {
+    pub(crate) fn on_dispatch(&mut self, round: usize, frame: Bytes, plan: &M::Plan) -> WorkerStep {
         let w = self.w;
         let draw = self.plan.draw(round, w);
         if draw.crash {
@@ -786,10 +786,18 @@ impl<'a> WorkerProtocol<'a> {
         // so the band scheduler does not oversubscribe the host
         // (results are identical — kernels are thread-count invariant).
         let trained = fedmp_tensor::parallel::with_nested_sequential(|| {
-            // The decode reconstructs exactly the snapshot the PS's
-            // `codec_delivered` oracle predicts, whatever the codec.
-            decode_state_v2(&frame, None).ok().map(|state| {
-                let mut model = extract_sequential(self.arch, plan);
+            // The frame must fill the sub-model the plan cuts, entry for
+            // entry, so it decodes against that sub-model's shapes. The
+            // reference is all zeros, the base the PS's `link_delivered`
+            // oracle gives a sparse downlink, so the decode reconstructs
+            // exactly the snapshot it predicts, whatever the codec.
+            let mut model = self.arch.extract(plan);
+            let zeros: Vec<StateEntry> = model
+                .state()
+                .into_iter()
+                .map(|e| StateEntry { tensor: Tensor::zeros(e.tensor.dims()), ..e })
+                .collect();
+            decode_state_v2(&frame, Some(&zeros)).ok().map(|state| {
                 model.load_state(&state);
                 let outcome = model.train(self.task, w, self.seed, round, &self.local);
                 // Encode (and fold the residual into the error
@@ -844,13 +852,13 @@ impl<'a> WorkerProtocol<'a> {
 
 /// A delivered (checksum-verified) upload together with the PS-side
 /// record of its dispatch — everything [`Exchange::reconstruct`] needs.
-pub(crate) struct FramedUpload {
+pub(crate) struct FramedUpload<M> {
     worker: usize,
     round: usize,
     frame: Bytes,
     /// The sub-model that was extracted and dispatched; its
     /// architecture receives the decoded upload.
-    sub: Sequential,
+    sub: M,
     /// The snapshot the worker reconstructed from the dispatched frame
     /// (via the [`crate::codec_delivered`] oracle) — the uplink delta
     /// reference.
@@ -877,8 +885,13 @@ impl<'f, 'a, S: NodeSpawner> FramedExchange<'f, 'a, S> {
     }
 }
 
-impl<S: NodeSpawner> Exchange<Sequential> for FramedExchange<'_, '_, S> {
-    type Upload = FramedUpload;
+impl<M, S> Exchange<M> for FramedExchange<'_, '_, S>
+where
+    M: FlModel,
+    M::Plan: Serialize,
+    S: NodeSpawner,
+{
+    type Upload = FramedUpload<M>;
     type Error = RuntimeError;
 
     fn rejoin(&mut self, round: usize) -> Result<(), RuntimeError> {
@@ -898,13 +911,13 @@ impl<S: NodeSpawner> Exchange<Sequential> for FramedExchange<'_, '_, S> {
         round: usize,
         online: &[usize],
         links: &[LinkCodecs],
-        plans: &[PrunePlan],
-        subs: Vec<Sequential>,
-    ) -> Result<Vec<Exchanged<FramedUpload>>, RuntimeError> {
+        plans: &[M::Plan],
+        subs: Vec<M>,
+    ) -> Result<Vec<Exchanged<FramedUpload<M>>>, RuntimeError> {
         let workers = links.len();
         // Dispatch frames: wire encoding fans out across the round
         // executor, then the sends happen serially in worker order.
-        let work: Vec<(usize, Sequential)> = online.iter().copied().zip(subs).collect();
+        let work: Vec<(usize, M)> = online.iter().copied().zip(subs).collect();
         let prepared = exec::ordered_map(work, |_, (w, sub)| {
             let sub_state = sub.state();
             let downlink = links[w].downlink;
@@ -989,11 +1002,12 @@ impl<S: NodeSpawner> Exchange<Sequential> for FramedExchange<'_, '_, S> {
         Ok(exchanged)
     }
 
-    fn reconstruct(upload: FramedUpload) -> Result<Sequential, RuntimeError> {
+    fn reconstruct(upload: FramedUpload<M>) -> Result<M, RuntimeError> {
         let FramedUpload { worker, round, frame, sub: mut model, received } = upload;
         // Uplinks decode against the snapshot the worker trained from
         // (its decoded downlink, which `codec_delivered` predicted
-        // exactly).
+        // exactly). It also binds the upload's shape: one unlike the
+        // sub-model is a corrupt frame here, not a `load_state` panic.
         let state = decode_state_v2(&frame, Some(&received))
             .map_err(|_| RuntimeError::CorruptFrame { worker, round })?;
         model.load_state(&state);
@@ -1010,8 +1024,10 @@ impl<S: NodeSpawner> Exchange<Sequential> for FramedExchange<'_, '_, S> {
 /// [`crate::run_sockets`] with one in-process [`ThreadNodes`] thread per
 /// worker on a fresh [`unique_socket_path`]: the same frames, the same
 /// recovery and the same socket-level trace events as a fleet of
-/// `fedmp-node` processes. Chaos off, the history is bit-identical to
-/// the loop engine's under the same method, fault injection included.
+/// `fedmp-node` processes. `global` is any [`FlModel`] whose task names
+/// it as its [`Workers::Model`]: the CNNs on an image task, the LSTM on
+/// an [`crate::LmTask`]. Chaos off, the history is bit-identical to the
+/// loop engine's under the same method, fault injection included.
 ///
 /// # Errors
 /// Every injected fault is recovered in-run.
@@ -1020,13 +1036,18 @@ impl<S: NodeSpawner> Exchange<Sequential> for FramedExchange<'_, '_, S> {
 /// or reap); [`RuntimeError::CorruptFrame`] an undecodable
 /// checksum-verified frame. Both are surfaced as typed errors rather
 /// than panics: the crate denies every panic path (`lib.rs`).
-pub fn run_threaded(
+pub fn run_threaded<M>(
     cfg: &FlConfig,
-    setup: &FlSetup<'_>,
-    global: Sequential,
+    setup: &FlSetup<'_, M::Task>,
+    global: M,
     method: &SyncMethod,
     chaos: &ChaosOptions,
-) -> Result<RunHistory, RuntimeError> {
+) -> Result<RunHistory, RuntimeError>
+where
+    M: FlModel + Serialize + Deserialize,
+    M::Task: Workers<Model = M> + Clone + Send + 'static,
+    M::Plan: Serialize + Deserialize,
+{
     let sock = SocketRunOptions::new(unique_socket_path("threads"), Vec::new());
     let mut nodes = ThreadNodes {
         task: Arc::new(setup.task.clone()),
@@ -1046,7 +1067,7 @@ pub fn run_threaded(
 pub fn run_fedmp_threaded(
     cfg: &FlConfig,
     setup: &FlSetup<'_>,
-    global: Sequential,
+    global: fedmp_nn::Sequential,
     opts: &FedMpOptions,
 ) -> Result<RunHistory, RuntimeError> {
     run_threaded(cfg, setup, global, &SyncMethod::FedMp(*opts), &ChaosOptions::none())
@@ -1055,9 +1076,11 @@ pub fn run_fedmp_threaded(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::task::ImageTask;
     use fedmp_data::{iid_partition, mnist_like};
     use fedmp_edgesim::{tx2_profile, ComputeMode, LinkQuality, TimeModel};
     use fedmp_nn::zoo;
+    use fedmp_pruning::{plan_lstm, plan_sequential};
     use fedmp_tensor::seeded_rng;
 
     #[test]
@@ -1081,5 +1104,76 @@ mod tests {
         assert_eq!(h.rounds.len(), 2);
         assert!(h.rounds.iter().all(|r| r.ratios.iter().all(|&x| x == 0.4)));
         assert!(h.rounds.iter().all(|r| r.participants == 3 && r.exclusions == 0));
+    }
+
+    /// A dense upload shaped unlike the sub-model it answers, with a
+    /// valid checksum: the PS reports the typed corrupt frame, for either
+    /// model family, instead of loading it.
+    #[test]
+    fn a_forged_upload_is_a_corrupt_frame() {
+        fn forged<M>(sub: M, forge: impl FnOnce(&mut [StateEntry])) -> Option<RuntimeError>
+        where
+            M: FlModel,
+            M::Plan: Serialize,
+        {
+            let received = sub.state();
+            let mut state = received.clone();
+            forge(&mut state);
+            let frame = encode_state_v2(&state, Codec::DenseF32, None, None);
+            let upload = FramedUpload { worker: 1, round: 3, frame, sub, received };
+            <FramedExchange<'_, '_, ThreadNodes> as Exchange<M>>::reconstruct(upload).err()
+        }
+        let corrupt = Some(RuntimeError::CorruptFrame { worker: 1, round: 3 });
+        let cnn = zoo::cnn_mnist(0.1, &mut seeded_rng(264));
+        let sub = cnn.extract(&plan_sequential(&cnn, (1, 28, 28), 0.4));
+        assert_eq!(forged(sub, |s| s[0].name.push_str(".forged")), corrupt);
+        // `LstmLm::load_state` checks names only: a resized entry would load.
+        let lm = zoo::lstm_ptb(30, 0.15, &mut seeded_rng(265));
+        let sub = lm.extract(&plan_lstm(&lm, 0.5));
+        let resize = |s: &mut [StateEntry]| {
+            let dims = s[1].tensor.dims();
+            s[1].tensor = Tensor::zeros(&[dims[0], dims[1] + 1]);
+        };
+        assert_eq!(forged(sub, resize), corrupt);
+    }
+
+    /// A dispatch whose first entry claims a 64 MiB tensor the plan never
+    /// cut, re-sealed: the worker answers `Malformed` without allocating
+    /// it, and the genuine frame still trains.
+    #[test]
+    fn a_dispatch_unlike_the_planned_sub_model_is_malformed() {
+        let (train, test) = mnist_like(0.05, 266).generate();
+        let part = iid_partition(&train, 2, &mut seeded_rng(266));
+        let task = ImageTask::new(train, test, part);
+        let global = zoo::cnn_mnist(0.1, &mut seeded_rng(267));
+        let plan = plan_sequential(&global, task.input_chw, 0.4);
+        let codec = Codec::TopK { keep: 0.5 };
+        let genuine = encode_state_v2(&global.extract(&plan).state(), codec, None, None);
+        // Entry 0's dims follow the magic, codec tag, keep, entry count,
+        // name length, name, trainable flag and rank.
+        let name_len = usize::from(u16::from_le_bytes([genuine[13], genuine[14]]));
+        let dims = 15 + name_len + 2;
+        assert_eq!(genuine[dims - 1], 4, "entry 0 is a conv kernel");
+        let mut forged = genuine.to_vec();
+        for (i, d) in [4096u32, 4096, 1, 1].into_iter().enumerate() {
+            forged[dims + 4 * i..dims + 4 * i + 4].copy_from_slice(&d.to_le_bytes());
+        }
+        let body = forged.len() - 4;
+        let sum = fedmp_tensor::crc32c(&forged[4..body]);
+        forged[body..].copy_from_slice(&sum.to_le_bytes());
+        assert!(frame_checksum_ok(&forged), "re-sealed");
+
+        let chaos = ChaosPlan::new(7, &ChaosOptions::none());
+        let local = LocalTrainConfig::default();
+        let mut proto =
+            WorkerProtocol::new(0, &task, &global, local, 7, chaos, LinkCodecs::dense());
+        let body = |step| match step {
+            WorkerStep::Reply(msg) => msg.body,
+            WorkerStep::Crash => panic!("no crash is planned"),
+        };
+        let reply = body(proto.on_dispatch(0, Bytes::from(forged), &plan));
+        assert!(matches!(reply, UplinkBody::Malformed), "the forged dispatch was taken");
+        let reply = body(proto.on_dispatch(1, genuine, &plan));
+        assert!(matches!(reply, UplinkBody::Model { .. }), "the genuine dispatch was refused");
     }
 }

@@ -40,6 +40,8 @@ impl ImageTask {
 }
 
 impl Workers for ImageTask {
+    type Model = fedmp_nn::Sequential;
+
     fn workers(&self) -> usize {
         ImageTask::workers(self)
     }

@@ -55,7 +55,7 @@ use crate::chaos::{backoff, ChaosOptions, ChaosPlan};
 use crate::checksum::fnv1a64;
 use crate::engine::{
     emit_conn_established, emit_conn_reset, emit_frame_timeout, emit_node_respawned, FlConfig,
-    FlSetup,
+    FlModel, FlSetup, Workers,
 };
 use crate::engines::fedmp::FedMpOptions;
 use crate::history::RunHistory;
@@ -64,13 +64,11 @@ use crate::runtime::{
     run_rounds, FramedExchange, LiveThreadGuard, RoundMethod, RuntimeError, SyncMethod, UplinkBody,
     UplinkMsg, WorkerProtocol, WorkerStep,
 };
-use crate::task::ImageTask;
 use crate::wire::LinkCodecs;
 use bytes::Bytes;
 use core::time::Duration;
-use fedmp_nn::Sequential;
-use fedmp_pruning::PrunePlan;
 use serde::{Deserialize, Serialize};
+use serde_json::Value;
 use std::io::{Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
@@ -273,11 +271,12 @@ struct HelloCtl {
 }
 
 /// Run configuration shipped to a freshly connected worker. The Setup
-/// control section is the JSON pair `[SetupCtl, Sequential]`: this
-/// configuration, then the global architecture as shapes (a `Param`
-/// serialises as its dims; dispatches carry the weights). The task
-/// itself travels as the frame's opaque binary blob; the worker's
-/// spawner decides how to turn it back into an [`ImageTask`].
+/// control section is the JSON pair `[SetupCtl, architecture]`: this
+/// configuration, then the global model as shapes (a `Param`
+/// serialises as its dims; dispatches carry the weights), read back as
+/// the task's [`Workers::Model`]. The task itself travels as the
+/// frame's opaque binary blob; the worker's spawner decides how to turn
+/// it back into a task.
 #[derive(Serialize, Deserialize)]
 struct SetupCtl {
     seed: u64,
@@ -287,11 +286,12 @@ struct SetupCtl {
 }
 
 /// Control section of a Dispatch: which slice of the architecture the
-/// binary section's wire frame fills. No tensor data.
+/// binary section's wire frame fills — the model family's plan, read
+/// back as its [`FlModel::Plan`]. No tensor data.
 #[derive(Serialize, Deserialize)]
 struct DispatchCtl {
     round: usize,
-    plan: PrunePlan,
+    plan: Value,
 }
 
 #[derive(Serialize, Deserialize)]
@@ -384,10 +384,11 @@ pub fn unique_socket_path(tag: &str) -> PathBuf {
 /// plan crashes the worker (it closes the connection without a word,
 /// which the PS reads as a reset) or the PS end goes away (a teardown
 /// race or PS failure); all three return `Ok`. `build_task` turns the
-/// Setup frame's opaque blob back into the training task — the node
+/// Setup frame's opaque blob back into the training task `T` — the node
 /// binary parses an `ExperimentSpec`, in-process test nodes just clone a
-/// shared task and ignore the blob.
-pub fn serve_worker<F>(
+/// shared task and ignore the blob — and the Setup's architecture is
+/// read back as the task's model family, `T::Model`.
+pub fn serve_worker<T, F>(
     socket: &Path,
     worker: usize,
     connect_attempts: u32,
@@ -395,7 +396,10 @@ pub fn serve_worker<F>(
     build_task: F,
 ) -> Result<(), TransportError>
 where
-    F: FnOnce(&[u8]) -> Option<ImageTask>,
+    T: Workers,
+    T::Model: Deserialize,
+    <T::Model as FlModel>::Plan: Deserialize,
+    F: FnOnce(&[u8]) -> Option<T>,
 {
     let mut stream = connect_with_retry(socket, connect_attempts, connect_backoff)?;
     write_frame(&mut stream, kind::HELLO, &to_json(&HelloCtl { worker })?, &[])?;
@@ -403,7 +407,7 @@ where
     if k != kind::SETUP {
         return Err(TransportError::Malformed);
     }
-    let (setup, arch): (SetupCtl, Sequential) = from_json(&json)?;
+    let (setup, arch): (SetupCtl, T::Model) = from_json(&json)?;
     let task = match build_task(&blob) {
         Some(t) => t,
         None => return Err(TransportError::Malformed),
@@ -416,7 +420,9 @@ where
         let step = match k {
             kind::DISPATCH => {
                 let ctl: DispatchCtl = from_json(&json)?;
-                proto.on_dispatch(ctl.round, Bytes::from(bin), &ctl.plan)
+                let plan =
+                    Deserialize::from_value(&ctl.plan).map_err(|_| TransportError::Malformed)?;
+                proto.on_dispatch(ctl.round, Bytes::from(bin), &plan)
             }
             kind::RETRANSMIT => {
                 let ctl: RoundCtl = from_json(&json)?;
@@ -487,9 +493,9 @@ fn write_dispatch<W: Write>(
     w: &mut W,
     round: usize,
     frame: &[u8],
-    plan: &PrunePlan,
+    plan: &impl Serialize,
 ) -> Result<(), TransportError> {
-    let json = to_json(&DispatchCtl { round, plan: plan.clone() })?;
+    let json = to_json(&DispatchCtl { round, plan: plan.to_value() })?;
     write_frame(w, kind::DISPATCH, &json, frame)
 }
 
@@ -566,13 +572,15 @@ impl NodeSpawner for ProcessNodes {
 }
 
 /// Spawns each worker as an in-process thread running [`serve_worker`]
-/// against a shared task — the fast path for tests, exercising the
-/// full socket protocol without process startup cost. Threads register
-/// in the [`crate::live_worker_threads`] gauge so the leak test covers
+/// against a shared task `T` — any task whose model family the socket
+/// runtime can carry (the image task by default, or an
+/// [`crate::LmTask`]) — the fast path for tests, exercising the full
+/// socket protocol without process startup cost. Threads register in
+/// the [`crate::live_worker_threads`] gauge so the leak test covers
 /// them.
-pub struct ThreadNodes {
+pub struct ThreadNodes<T = crate::task::ImageTask> {
     /// The task every node trains on (the Setup blob is ignored).
-    pub task: std::sync::Arc<ImageTask>,
+    pub task: std::sync::Arc<T>,
     /// PS socket path to connect to.
     pub socket: PathBuf,
     /// Connect retry budget.
@@ -598,7 +606,12 @@ impl NodeHandle for ThreadHandle {
     }
 }
 
-impl NodeSpawner for ThreadNodes {
+impl<T> NodeSpawner for ThreadNodes<T>
+where
+    T: Workers + Clone + Send + Sync + 'static,
+    T::Model: Deserialize,
+    <T::Model as FlModel>::Plan: Deserialize,
+{
     type Handle = ThreadHandle;
 
     fn spawn(&mut self, worker: usize, _generation: u32) -> Result<Self::Handle, TransportError> {
@@ -669,8 +682,9 @@ pub(crate) struct SocketFleet<'a, S: NodeSpawner> {
     /// `w`'s Setup carries.
     locals: Vec<LocalTrainConfig>,
     links: Vec<LinkCodecs>,
-    /// The global architecture every Setup carries.
-    arch: Sequential,
+    /// The global architecture every Setup carries, serialised once:
+    /// the fleet never needs to know the model family it belongs to.
+    arch: Value,
     streams: Vec<Option<UnixStream>>,
     readers: Vec<Option<std::thread::JoinHandle<()>>>,
     nodes: Vec<Option<S::Handle>>,
@@ -689,7 +703,7 @@ impl<'a, S: NodeSpawner> SocketFleet<'a, S> {
         cfg: &FlConfig,
         plan: ChaosPlan,
         method: &RoundMethod,
-        arch: &Sequential,
+        arch: &impl Serialize,
     ) -> Self {
         let workers = method.locals.len();
         // Readers block on a full channel until the PS drains it in the
@@ -703,7 +717,7 @@ impl<'a, S: NodeSpawner> SocketFleet<'a, S> {
             plan,
             locals: method.locals.clone(),
             links: method.link_pairs(),
-            arch: arch.clone(),
+            arch: arch.to_value(),
             streams: (0..workers).map(|_| None).collect(),
             readers: (0..workers).map(|_| None).collect(),
             nodes: (0..workers).map(|_| None).collect(),
@@ -886,7 +900,7 @@ impl<'a, S: NodeSpawner> SocketFleet<'a, S> {
         round: usize,
         worker: usize,
         frame: Bytes,
-        plan: &PrunePlan,
+        plan: &impl Serialize,
     ) -> bool {
         self.streams[worker]
             .as_mut()
@@ -953,8 +967,9 @@ impl<'a, S: NodeSpawner> SocketFleet<'a, S> {
 /// one node per worker from `spawner` (threads or real child
 /// processes), the recovery policy of `fl::barrier`, and the chaos plan
 /// realised as packet-level faults. Worker `w`'s Setup carries the
-/// method's local step and codec pair for `w`. [`crate::run_threaded`]
-/// is this over [`ThreadNodes`].
+/// method's local step and codec pair for `w`, and `global`'s
+/// architecture, which is all a node learns of the model family.
+/// [`crate::run_threaded`] is this over [`ThreadNodes`].
 ///
 /// With `chaos` off the history **and trace stream** are bit-identical
 /// to the loop engine's under the same method; under seeded chaos,
@@ -968,15 +983,20 @@ impl<'a, S: NodeSpawner> SocketFleet<'a, S> {
 /// checksum-verified upload fails to decode. Nothing one connected peer
 /// sends, and no way it disconnects, is an error: it costs that worker
 /// the round.
-pub fn run_sockets<S: NodeSpawner>(
+pub fn run_sockets<M, S>(
     cfg: &FlConfig,
-    setup: &FlSetup<'_>,
-    global: Sequential,
+    setup: &FlSetup<'_, M::Task>,
+    global: M,
     method: &SyncMethod,
     chaos: &ChaosOptions,
     sock: &SocketRunOptions,
     spawner: &mut S,
-) -> Result<RunHistory, RuntimeError> {
+) -> Result<RunHistory, RuntimeError>
+where
+    M: FlModel + Serialize,
+    M::Plan: Serialize,
+    S: NodeSpawner,
+{
     // A stale socket file from a crashed previous run would make bind
     // fail; removing a path nothing listens on is safe.
     let _ = std::fs::remove_file(&sock.socket);
@@ -1015,7 +1035,7 @@ pub fn run_sockets<S: NodeSpawner>(
 pub fn run_fedmp_sockets<S: NodeSpawner>(
     cfg: &FlConfig,
     setup: &FlSetup<'_>,
-    global: Sequential,
+    global: fedmp_nn::Sequential,
     opts: &FedMpOptions,
     chaos: &ChaosOptions,
     sock: &SocketRunOptions,
@@ -1122,7 +1142,7 @@ mod tests {
     #[test]
     fn control_sections_carry_no_tensor_data() {
         use fedmp_nn::zoo;
-        use fedmp_pruning::{extract_sequential, plan_sequential};
+        use fedmp_pruning::plan_sequential;
         use fedmp_tensor::seeded_rng;
         // Two differently initialised globals of the benchmark's
         // CNN/MNIST architecture, and one plan cut from both: the
@@ -1132,7 +1152,7 @@ mod tests {
         let b = zoo::cnn_mnist(0.25, &mut rng);
         let plan = plan_sequential(&a, (1, 28, 28), 0.4);
         let sections = [&a, &b].map(|m| {
-            let frame = crate::wire::encode_state(&extract_sequential(m, &plan).state());
+            let frame = crate::wire::encode_state(&m.extract(&plan).state());
             let mut buf = Vec::new();
             write_dispatch(&mut buf, 3, &frame, &plan).expect("dispatch encodes");
             let (k, json, bin) = read_frame(&mut Cursor::new(buf)).expect("ok").expect("frame");
@@ -1158,11 +1178,15 @@ mod tests {
         let setups = [&a, &b].map(|m| to_json(&(&ctl, m)).expect("pair encodes"));
         assert_eq!(setups[0], setups[1], "Setup section depends on weight values");
         assert!(setups[0].len() <= 1024, "Setup section is {} B", setups[0].len());
-        // ...into which `serve_worker` loads the PS's own sub-model
-        // (compared as `Debug` text: shortest round-trip f32s).
-        let (_, arch): (SetupCtl, Sequential) = from_json(&setups[0]).expect("pair decodes");
-        let ps = extract_sequential(&a, &plan).state();
-        let mut worker = extract_sequential(&arch, &plan);
+        // ...which `serve_worker` reads back as the PS's model family,
+        // and into which it loads the PS's own sub-model (compared as
+        // `Debug` text: shortest round-trip f32s).
+        fn read_back<M: Deserialize>(_: &M, json: &[u8]) -> M {
+            from_json::<(SetupCtl, M)>(json).expect("pair decodes").1
+        }
+        let arch = read_back(&a, &setups[0]);
+        let ps = a.extract(&plan).state();
+        let mut worker = arch.extract(&plan);
         worker.load_state(&ps);
         assert_eq!(format!("{:?}", worker.state()), format!("{ps:?}"));
     }

@@ -923,7 +923,10 @@ fn check_sparse_indices(indices: &[u32], numel: usize) -> Result<(), WireError> 
 
 /// Decodes a frame against the receiver's `reference` snapshot. Exact with respect to what was
 /// encoded — all lossiness happened at encode time — and never panics:
-/// every malformed input maps to a typed [`WireError`].
+/// every malformed input maps to a typed [`WireError`]. A reference
+/// binds the frame's shape: a frame whose entry count, or any entry's
+/// name or dims, differs from it is `Malformed` before any payload is
+/// allocated, whatever the codec.
 pub fn decode_state_v2(
     frame: &[u8],
     reference: Option<&[StateEntry]>,
@@ -931,6 +934,9 @@ pub fn decode_state_v2(
     let mut cur = Cursor { buf: verified_body(frame)? };
     let codec = cur.codec()?;
     let count = cur.u32()? as usize;
+    if reference.is_some_and(|r| r.len() != count) {
+        return Err(WireError::Malformed("entry count differs from the reference"));
+    }
     let mut out = Vec::with_capacity(count.min(1024));
     for i in 0..count {
         let name_len = cur.u16()? as usize;
@@ -951,12 +957,12 @@ pub fn decode_state_v2(
             dims.push(cur.u32()? as usize);
         }
         let numel = checked_numel(&dims)?;
-        // A sparse entry is rebuilt on its reference entry, so with a
-        // reference given it must name one — before its `numel` zeros
-        // or copies are allocated on the frame's say-so.
+        // With a reference given, every entry must be its entry `i` —
+        // checked before `numel` values are allocated on the frame's
+        // say-so. (A sparse entry is also rebuilt on it.)
         let ref_data = ref_slice(reference, i, &name, &dims);
-        if codec.keep().is_some() && reference.is_some() && ref_data.is_none() {
-            return Err(WireError::Malformed("sparse entry does not match the reference"));
+        if reference.is_some() && ref_data.is_none() {
+            return Err(WireError::Malformed("entry does not match the reference"));
         }
         let codes = match codec {
             Codec::DenseF32 => PayloadCodes::F32(cur.f32s(numel)?),
@@ -1210,10 +1216,36 @@ mod tests {
             assert!(frame_checksum_ok(&buf), "{}: resealed", codec.label());
             assert_eq!(
                 decode_state_v2(&buf, Some(&reference)).err(),
-                Some(WireError::Malformed("sparse entry does not match the reference")),
+                Some(WireError::Malformed("entry does not match the reference")),
                 "{}",
                 codec.label()
             );
+        }
+    }
+
+    #[test]
+    fn a_dense_frame_unlike_its_reference_is_malformed() {
+        // Checksum-valid dense frames the reference does not describe:
+        // one entry renamed, one resized, one entry too many. Each is
+        // malformed, not a state the receiver's `load_state` must catch.
+        let reference = zoo::cnn_mnist(0.1, &mut seeded_rng(266)).state();
+        let mut renamed = reference.clone();
+        renamed[1].name.push_str(".forged");
+        let mut resized = reference.clone();
+        resized[2].tensor = Tensor::zeros(&[resized[2].tensor.numel() + 1]);
+        let mut extra = reference.clone();
+        extra.push(StateEntry::trainable("forged", Tensor::zeros(&[2])));
+        let entry = Some(WireError::Malformed("entry does not match the reference"));
+        let count = Some(WireError::Malformed("entry count differs from the reference"));
+        for codec in [Codec::DenseF32, Codec::DenseF16, Codec::Int8] {
+            let decode = |state: &[StateEntry]| {
+                let frame = encode_state_v2(state, codec, None, None);
+                decode_state_v2(&frame, Some(&reference)).err()
+            };
+            assert_eq!(decode(&reference), None, "{}", codec.label());
+            assert_eq!(decode(&renamed), entry, "{}: renamed", codec.label());
+            assert_eq!(decode(&resized), entry, "{}: resized", codec.label());
+            assert_eq!(decode(&extra), count, "{}: extra entry", codec.label());
         }
     }
 

@@ -8,12 +8,12 @@
 //! runs in this binary would pollute all three.
 
 use core::time::Duration;
-use fedmp_data::{iid_partition, mnist_like};
+use fedmp_data::{iid_partition, mnist_like, ptb_like, TextDataset};
 use fedmp_edgesim::{tx2_profile, ComputeMode, DeviceProfile, LinkQuality, TimeModel};
 use fedmp_fl::{
     live_worker_threads, run_fedmp, run_sockets, unique_socket_path, ChaosOptions, FaultOptions,
-    FedMpOptions, FlConfig, FlSetup, ImageTask, RunHistory, SocketRunOptions, SyncMethod,
-    ThreadNodes,
+    FedMpOptions, FlConfig, FlSetup, ImageTask, LmTask, LocalTrainConfig, RunHistory,
+    SocketRunOptions, SyncMethod, ThreadNodes,
 };
 use fedmp_nn::zoo;
 use fedmp_obs::{diff, RunManifest, Trace, TraceSession};
@@ -145,4 +145,46 @@ fn socket_runtime_matches_loop_engine_and_chaos_is_deterministic() {
     // still evaluated.
     assert!(h_a.rounds.iter().all(|r| r.participants <= WORKERS));
     assert!(h_a.final_accuracy().is_some(), "the chaotic run never evaluated");
+
+    // ── the LSTM under the same chaos: one socket runtime for every
+    // model family, and a respawned LSTM node rebuilds its model from
+    // the architecture a fresh Setup carries
+    let (lm_train, lm_eval) = ptb_like(30, 6_000, 7).split(0.9);
+    let lane = lm_train.len() / WORKERS;
+    let lanes = lm_train.tokens.chunks(lane).take(WORKERS);
+    let lanes = lanes.map(|t| TextDataset { tokens: t.to_vec(), vocab: 30 }.batches(4, 8));
+    let lm_task = Arc::new(LmTask::new(lanes.collect(), lm_eval.batches(4, 8)));
+    let lm_setup = FlSetup::new(lm_task.as_ref(), setup.devices.clone(), TimeModel::default());
+    let lm_global = zoo::lstm_ptb(30, 0.15, &mut seeded_rng(282));
+    let local = LocalTrainConfig { tau: 4, lr: 0.4, ..Default::default() };
+    let lm_cfg = FlConfig { local, eval_max_samples: 8, ..cfg8 };
+    let lm_run = |tag: &str| {
+        let sock = SocketRunOptions::new(unique_socket_path(tag), Vec::new());
+        let mut spawner = ThreadNodes {
+            task: Arc::clone(&lm_task),
+            socket: sock.socket.clone(),
+            connect_attempts: 12,
+            connect_backoff: Duration::from_millis(2),
+        };
+        let manifest = RunManifest::new("FedMP-lm-sockets", lm_cfg.seed, WORKERS, lm_cfg.rounds, 1);
+        let session = TraceSession::capture(&manifest);
+        let fedmp = SyncMethod::FedMp(FedMpOptions::default());
+        let history =
+            run_sockets(&lm_cfg, &lm_setup, lm_global.clone(), &fedmp, &chaos, &sock, &mut spawner)
+                .expect("lm socket run");
+        let trace = session.finish();
+        assert_eq!(live_worker_threads(), 0, "run `{tag}` leaked runtime threads");
+        assert!(!sock.socket.exists(), "run `{tag}` left its socket file behind");
+        (history, trace)
+    };
+    let (h_a, t_a) = lm_run("lm-chaos-a");
+    let (h_b, t_b) = lm_run("lm-chaos-b");
+    assert_eq!(canonical(&h_a), canonical(&h_b), "lm chaos history not reproducible");
+    assert_eq!(t_a.event_lines, t_b.event_lines, "lm chaos trace not reproducible");
+    assert!(
+        t_a.events.iter().any(|e| e.kind() == "NodeRespawned"),
+        "no LSTM node was respawned under demo chaos"
+    );
+    assert_eq!(h_a.rounds.len(), 8, "chaos must not shorten the lm run");
+    assert!(h_a.final_accuracy().is_some(), "the chaotic lm run never evaluated");
 }

@@ -66,6 +66,9 @@ const GOLDENS: &[(&str, Bits, Bits)] = &[
     ("threaded-flexcom",          (0x82136b5dd433ef79, 0xf859bcb425ca6e8d), (0x82136b5dd433ef79, 0x9947eb622d9b6588)),
     ("threaded-chaos",            (0xcdf07688329448e8, 0x39ab8a4108441559), (0xcdf07688329448e8, 0xd96268acf9c0d8ed)),
     ("threaded-chaos-compressed", (0xd3b0082adb04d342, 0x806565f58b2a7650), (0x4462e50c61c587a5, 0x7b942140d27f9ad8)),
+    ("threaded-lm-synfl",         (0x42ed6e3150dfd6b9, 0x24fdeda1b2759ff7), (0x2752b51e8db4c72d, 0xbb37c0869afd823f)),
+    ("threaded-lm-upfl",          (0xdfcc2813e0a93a59, 0xec383116845a3aa7), (0xdfcc2813e0a93a59, 0x56d1ec237f7ef5cf)),
+    ("threaded-lm-fedmp",         (0xf80b5906301e87e1, 0xabde1e39897460ef), (0xf80b5906301e87e1, 0xddd7daa712615eb7)),
     ("hier",                      (0xbc650d3d616ede8e, 0x0f9f200c63d3ca29), (0x7d8feb92e8f38c0c, 0xd6afa48ed54e3b72)),
     ("hier-1x1",                  (0xbc650d3d616ede8e, 0x2adb56e903b6259d), (0x7d8feb92e8f38c0c, 0x37b1d48bdf3986b0)),
     ("hier-2x2",                  (0xbc650d3d616ede8e, 0x880502c469707585), (0x7d8feb92e8f38c0c, 0x37690a197f10f476)),
@@ -84,7 +87,7 @@ const PARTITIONS: [(&str, usize, usize); 4] =
     [("hier", 4, 2), ("hier-1x1", 1, 1), ("hier-2x2", 2, 2), ("hier-8x4", 8, 4)];
 
 /// `(threaded row, loop row)` pairs that must share a history.
-const TWINS: [(&str, &str); 7] = [
+const TWINS: [(&str, &str); 10] = [
     ("threaded", "fedmp"),
     ("threaded-faults", "fedmp-faults"),
     ("threaded-compressed", "fedmp-compressed"),
@@ -92,6 +95,9 @@ const TWINS: [(&str, &str); 7] = [
     ("threaded-upfl", "upfl"),
     ("threaded-fedprox", "fedprox"),
     ("threaded-flexcom", "flexcom"),
+    ("threaded-lm-synfl", "lm-synfl"),
+    ("threaded-lm-upfl", "lm-upfl"),
+    ("threaded-lm-fedmp", "lm-fedmp"),
 ];
 
 fn fnv1a64<'a>(chunks: impl IntoIterator<Item = &'a [u8]>) -> u64 {
@@ -172,6 +178,7 @@ impl Fixture {
             ..*cfg
         };
         let lm = || self.lm_global.clone();
+        let lm_threaded = |m| run_threaded(lm_cfg, lm_setup, lm(), &m, &none).expect("recoverable");
         // Edge-tier chaos aggressive enough for drops, corruption
         // retransmits and retry exhaustion within two rounds.
         let edge_chaos = ChaosOptions {
@@ -205,6 +212,9 @@ impl Fixture {
             "threaded-flexcom" => threaded(SyncMethod::FlexCom(FlexComOptions::default()), none),
             "threaded-chaos" => threaded(fedmp(faulty), ChaosOptions::demo(1)),
             "threaded-chaos-compressed" => threaded(fedmp(compressed), ChaosOptions::demo(2)),
+            "threaded-lm-synfl" => lm_threaded(SyncMethod::SynFl),
+            "threaded-lm-upfl" => lm_threaded(SyncMethod::UpFl(UpFlOptions::default())),
+            "threaded-lm-fedmp" => lm_threaded(fedmp(FedMpOptions::default())),
             "hier-compressed" => {
                 let opts = HierarchyOptions { compression: adaptive, ..at(4, 2) };
                 run_fedmp_hier(cfg, hier, g(), &opts)
