@@ -216,7 +216,8 @@ fn run_worker(cli: &Cli) -> ExitCode {
     let Some(socket) = cli.socket.clone() else {
         return usage();
     };
-    match serve_worker(&socket, cli.worker, 40, Duration::from_millis(5), task_from_blob) {
+    let task = |blob: &[u8]| task_from_blob(blob).map(Box::new);
+    match serve_worker(&socket, cli.worker, 40, Duration::from_millis(5), task) {
         Ok(_) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("fedmp-node worker {}: {e}", cli.worker);

@@ -105,8 +105,8 @@ use crate::transport::{
     run_sockets, unique_socket_path, NodeSpawner, SocketFleet, SocketRunOptions, ThreadNodes,
 };
 use crate::wire::{
-    decode_state_v2, encode_state_v2, frame_checksum_ok, link_delivered, Codec, ErrorFeedback,
-    LinkCodecs,
+    decode_state_v2, decode_verified, encode_state_v2, link_delivered, verify_frame, Codec,
+    ErrorFeedback, LinkCodecs, VerifiedFrame,
 };
 use bytes::Bytes;
 use core::time::Duration;
@@ -855,7 +855,7 @@ impl<'a, M: FlModel> WorkerProtocol<'a, M> {
 pub(crate) struct FramedUpload<M> {
     worker: usize,
     round: usize,
-    frame: Bytes,
+    frame: VerifiedFrame,
     /// The sub-model that was extracted and dispatched; its
     /// architecture receives the decoded upload.
     sub: M,
@@ -952,10 +952,12 @@ where
             pos[w] = Some(i);
         }
         // The first upload's outcome; a retransmission is a frame only.
+        // An upload is hashed once, here: the barrier carries the
+        // verified frame on to `reconstruct`.
         let mut outcomes: Vec<Option<LocalOutcome>> = vec![None; online.len()];
-        let upload = |frame: Bytes, outcome: LocalOutcome| Event::Upload {
-            intact: frame_checksum_ok(&frame),
-            payload: (frame, outcome),
+        let upload = |frame: Bytes, outcome: LocalOutcome| {
+            let verified = verify_frame(frame).ok();
+            Event::Upload { intact: verified.is_some(), payload: verified.map(|f| (f, outcome)) }
         };
         while !barrier.done() {
             let UplinkMsg { worker: w, round: msg_round, body } = self.fleet.recv(round)?;
@@ -992,7 +994,8 @@ where
             if matches!(outcome, Err("crashed" | "protocol")) {
                 self.crashed[worker] = true;
             }
-            let result = outcome.map(|(frame, outcome)| Arrival {
+            // An intact upload always carries its frame.
+            let result = outcome.and_then(|p| p.ok_or("corrupt")).map(|(frame, outcome)| Arrival {
                 wire: Some(WireBytes { down, up: frame.len() as u64, dense }),
                 upload: FramedUpload { worker, round, frame, sub, received },
                 outcome,
@@ -1008,7 +1011,7 @@ where
         // (its decoded downlink, which `codec_delivered` predicted
         // exactly). It also binds the upload's shape: one unlike the
         // sub-model is a corrupt frame here, not a `load_state` panic.
-        let state = decode_state_v2(&frame, Some(&received))
+        let state = decode_verified(&frame, Some(&received))
             .map_err(|_| RuntimeError::CorruptFrame { worker, round })?;
         model.load_state(&state);
         Ok(model)
@@ -1077,6 +1080,7 @@ pub fn run_fedmp_threaded(
 mod tests {
     use super::*;
     use crate::task::ImageTask;
+    use crate::wire::frame_checksum_ok;
     use fedmp_data::{iid_partition, mnist_like};
     use fedmp_edgesim::{tx2_profile, ComputeMode, LinkQuality, TimeModel};
     use fedmp_nn::zoo;
@@ -1120,6 +1124,7 @@ mod tests {
             let mut state = received.clone();
             forge(&mut state);
             let frame = encode_state_v2(&state, Codec::DenseF32, None, None);
+            let frame = verify_frame(frame).expect("sealed by its encoder");
             let upload = FramedUpload { worker: 1, round: 3, frame, sub, received };
             <FramedExchange<'_, '_, ThreadNodes> as Exchange<M>>::reconstruct(upload).err()
         }

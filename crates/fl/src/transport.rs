@@ -70,6 +70,7 @@ use core::time::Duration;
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
 use std::io::{Read, Write};
+use std::ops::Deref;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -384,11 +385,13 @@ pub fn unique_socket_path(tag: &str) -> PathBuf {
 /// plan crashes the worker (it closes the connection without a word,
 /// which the PS reads as a reset) or the PS end goes away (a teardown
 /// race or PS failure); all three return `Ok`. `build_task` turns the
-/// Setup frame's opaque blob back into the training task `T` — the node
-/// binary parses an `ExperimentSpec`, in-process test nodes just clone a
-/// shared task and ignore the blob — and the Setup's architecture is
-/// read back as the task's model family, `T::Model`.
-pub fn serve_worker<T, F>(
+/// Setup frame's opaque blob into a handle on the training task `T`,
+/// which the node borrows for the whole session — the node binary
+/// parses an `ExperimentSpec` into a task of its own, in-process
+/// [`ThreadNodes`] hand over their shared `Arc` and ignore the blob, so
+/// no thread copies the task — and the Setup's architecture is read
+/// back as the task's model family, `T::Model`.
+pub fn serve_worker<T, H, F>(
     socket: &Path,
     worker: usize,
     connect_attempts: u32,
@@ -399,7 +402,8 @@ where
     T: Workers,
     T::Model: Deserialize,
     <T::Model as FlModel>::Plan: Deserialize,
-    F: FnOnce(&[u8]) -> Option<T>,
+    H: Deref<Target = T>,
+    F: FnOnce(&[u8]) -> Option<H>,
 {
     let mut stream = connect_with_retry(socket, connect_attempts, connect_backoff)?;
     write_frame(&mut stream, kind::HELLO, &to_json(&HelloCtl { worker })?, &[])?;
@@ -414,7 +418,7 @@ where
     };
     let plan = crate::chaos::ChaosPlan::new(setup.seed, &setup.chaos);
     let mut proto =
-        WorkerProtocol::new(worker, &task, &arch, setup.local, setup.seed, plan, setup.link);
+        WorkerProtocol::new(worker, &*task, &arch, setup.local, setup.seed, plan, setup.link);
     loop {
         let Some((k, json, bin)) = read_frame(&mut stream)? else { return Ok(()) };
         let step = match k {
@@ -608,7 +612,7 @@ impl NodeHandle for ThreadHandle {
 
 impl<T> NodeSpawner for ThreadNodes<T>
 where
-    T: Workers + Clone + Send + Sync + 'static,
+    T: Workers + Send + Sync + 'static,
     T::Model: Deserialize,
     <T::Model as FlModel>::Plan: Deserialize,
 {
@@ -621,7 +625,7 @@ where
         let base = self.connect_backoff;
         let join = std::thread::spawn(move || {
             let _guard = LiveThreadGuard::register();
-            let _ = serve_worker(&socket, worker, attempts, base, move |_| Some((*task).clone()));
+            let _ = serve_worker(&socket, worker, attempts, base, move |_| Some(task));
         });
         Ok(ThreadHandle { join: Some(join) })
     }

@@ -64,7 +64,8 @@ use crate::checksum::crc32c;
 use bytes::{BufMut, Bytes, BytesMut};
 use fedmp_edgesim::DeviceProfile;
 use fedmp_nn::StateEntry;
-use fedmp_tensor::Tensor;
+pub use fedmp_tensor::{f16_bits_to_f32, f32_to_f16_bits};
+use fedmp_tensor::{f16_bits_to_f32s, f32s_to_f16_bits, int8_codes, Tensor};
 use serde::{Deserialize, Serialize};
 
 /// The frame magic. `0xFED7_7A2E` (FNV-1a trailer) and `0xFED7_7A1E`
@@ -128,6 +129,26 @@ pub fn frame_checksum_ok(frame: &[u8]) -> bool {
     verified_body(frame).is_ok()
 }
 
+/// A frame whose magic and CRC-32C trailer have verified. Only
+/// [`verify_frame`] builds one, and [`decode_verified`] takes one, so a
+/// receiver that checks a frame before deciding on a retransmit hashes
+/// it once: decoding cannot skip the check, and has no need to repeat it.
+pub(crate) struct VerifiedFrame(Bytes);
+
+impl VerifiedFrame {
+    /// The frame's length in bytes, trailer included.
+    pub(crate) fn len(&self) -> usize {
+        self.0.len()
+    }
+}
+
+/// Verifies `frame`'s magic and checksum ([`frame_checksum_ok`]'s
+/// verdict), keeping the frame for [`decode_verified`].
+pub(crate) fn verify_frame(frame: Bytes) -> Result<VerifiedFrame, WireError> {
+    verified_body(&frame)?;
+    Ok(VerifiedFrame(frame))
+}
+
 /// The checksummed body of a frame — everything between the magic and
 /// the trailing checksum — once both have verified.
 fn verified_body(frame: &[u8]) -> Result<&[u8], WireError> {
@@ -154,82 +175,6 @@ fn checked_numel(dims: &[usize]) -> Result<usize, WireError> {
 
 fn checked_mul(a: usize, b: usize) -> Result<usize, WireError> {
     a.checked_mul(b).ok_or(WireError::Malformed("payload length overflow"))
-}
-
-// ---------------------------------------------------------------------
-// f16 bit conversion (IEEE 754 binary16, round-to-nearest-even)
-// ---------------------------------------------------------------------
-
-/// Converts an `f32` to IEEE 754 binary16 bits, rounding to nearest
-/// with ties to even. Overflow saturates to ±Inf, underflow flushes to
-/// signed zero through the subnormal range, NaNs become quiet NaN.
-pub fn f32_to_f16_bits(v: f32) -> u16 {
-    let bits = v.to_bits();
-    let sign = ((bits >> 16) & 0x8000) as u16;
-    let exp = ((bits >> 23) & 0xFF) as i32;
-    let mant = bits & 0x007F_FFFF;
-    if exp == 0xFF {
-        // Inf / NaN: keep the class, quiet any NaN payload.
-        return sign | 0x7C00 | if mant != 0 { 0x0200 } else { 0 };
-    }
-    let e = exp - 127;
-    if e >= 16 {
-        return sign | 0x7C00; // overflow → ±Inf
-    }
-    if e >= -14 {
-        // Normal f16: round the 23-bit mantissa to 10 bits.
-        let mut m = mant >> 13;
-        let rem = mant & 0x1FFF;
-        if rem > 0x1000 || (rem == 0x1000 && (m & 1) == 1) {
-            m += 1;
-        }
-        let mut he = (e + 15) as u32;
-        if m == 0x400 {
-            // Rounded past 10 bits: carry into the exponent.
-            m = 0;
-            he += 1;
-            if he >= 31 {
-                return sign | 0x7C00;
-            }
-        }
-        return sign | ((he as u16) << 10) | (m as u16);
-    }
-    if e >= -25 {
-        // Subnormal f16: shift the implicit leading 1 into the mantissa.
-        let full = mant | 0x0080_0000;
-        let shift = (13 - 14 - e) as u32;
-        let mut m = full >> shift;
-        let half = 1u32 << (shift - 1);
-        let rem = full & ((1u32 << shift) - 1);
-        if rem > half || (rem == half && (m & 1) == 1) {
-            m += 1;
-        }
-        // A carry out of the subnormal range lands exactly on the
-        // smallest normal encoding (0x0400), which is correct as-is.
-        return sign | m as u16;
-    }
-    sign // underflow → signed zero
-}
-
-/// Converts IEEE 754 binary16 bits to the exactly-representable `f32`.
-pub fn f16_bits_to_f32(h: u16) -> f32 {
-    let sign = ((h & 0x8000) as u32) << 16;
-    let exp = ((h >> 10) & 0x1F) as u32;
-    let mant = (h & 0x03FF) as u32;
-    let bits = match (exp, mant) {
-        (0, 0) => sign,
-        (0, m) => {
-            // Subnormal: value = m · 2⁻²⁴, renormalised for f32.
-            let p = 31 - m.leading_zeros(); // top set bit, 0..=9
-            let e = p + 103; // (p − 24) + 127
-            let frac = (m << (23 - p)) & 0x007F_FFFF;
-            sign | (e << 23) | frac
-        }
-        (31, 0) => sign | 0x7F80_0000,
-        (31, _) => sign | 0x7FC0_0000, // quiet NaN
-        (e, m) => sign | ((e + 112) << 23) | (m << 13),
-    };
-    f32::from_bits(bits)
 }
 
 // ---------------------------------------------------------------------
@@ -516,8 +461,12 @@ fn int8_scale(values: &[f32]) -> f32 {
     }
 }
 
-fn int8_code(v: f32, scale: f32) -> i8 {
-    (v / scale).round().clamp(-127.0, 127.0) as i8
+/// The int8 codes of `values` at `scale` ([`fedmp_tensor::int8_code`]
+/// of each).
+fn int8_codes_of(values: &[f32], scale: f32) -> Vec<i8> {
+    let mut codes = vec![0; values.len()];
+    int8_codes(values, scale, &mut codes);
+    codes
 }
 
 /// The `k` largest-|·| coordinate indices, ascending; ties go to the
@@ -585,16 +534,20 @@ fn compress_entry(
         }
         Codec::DenseF16 => {
             let corrected = corrected_values(x, residual);
-            let codes: Vec<u16> = corrected.iter().map(|&v| f32_to_f16_bits(v)).collect();
-            for ((r, &c), &h) in residual.iter_mut().zip(&corrected).zip(&codes) {
-                *r = c - f16_bits_to_f32(h);
+            let mut codes = vec![0; corrected.len()];
+            f32s_to_f16_bits(&corrected, &mut codes);
+            // The residual is what the receiver will not see: the value
+            // minus its decoded code.
+            f16_bits_to_f32s(&codes, residual);
+            for (r, &c) in residual.iter_mut().zip(&corrected) {
+                *r = c - *r;
             }
             PayloadCodes::F16(codes)
         }
         Codec::Int8 => {
             let corrected = corrected_values(x, residual);
             let scale = int8_scale(&corrected);
-            let codes: Vec<i8> = corrected.iter().map(|&v| int8_code(v, scale)).collect();
+            let codes = int8_codes_of(&corrected, scale);
             for ((r, &c), &q) in residual.iter_mut().zip(&corrected).zip(&codes) {
                 *r = c - q as f32 * scale;
             }
@@ -616,7 +569,7 @@ fn compress_entry(
             let indices = topk_indices(&corrected, k);
             let raw: Vec<f32> = indices.iter().map(|&i| corrected[i as usize]).collect();
             let scale = int8_scale(&raw);
-            let codes: Vec<i8> = raw.iter().map(|&v| int8_code(v, scale)).collect();
+            let codes = int8_codes_of(&raw, scale);
             let sent: Vec<f32> = codes.iter().map(|&c| c as f32 * scale).collect();
             update_sparse_residual(residual, &corrected, &indices, &sent);
             PayloadCodes::TopKI8 { scale, indices, codes }
@@ -631,7 +584,11 @@ fn compress_entry(
 fn deliver_entry(codes: PayloadCodes, reference: Option<&[f32]>, numel: usize) -> Vec<f32> {
     match codes {
         PayloadCodes::F32(v) => v,
-        PayloadCodes::F16(h) => h.iter().map(|&b| f16_bits_to_f32(b)).collect(),
+        PayloadCodes::F16(h) => {
+            let mut out = vec![0.0; h.len()];
+            f16_bits_to_f32s(&h, &mut out);
+            out
+        }
         PayloadCodes::I8 { scale, codes } => codes.iter().map(|&c| c as f32 * scale).collect(),
         PayloadCodes::TopK { indices, values } => apply_sparse(reference, numel, &indices, &values),
         PayloadCodes::TopKI8 { scale, indices, codes } => {
@@ -737,41 +694,33 @@ pub fn encode_state_v2(
 
 fn put_payload(buf: &mut BytesMut, codes: &PayloadCodes) {
     match codes {
-        PayloadCodes::F32(v) => {
-            for &x in v {
-                buf.put_f32_le(x);
-            }
-        }
-        PayloadCodes::F16(h) => {
-            for &x in h {
-                buf.put_u16_le(x);
-            }
-        }
+        PayloadCodes::F32(v) => put_words(buf, v, f32::to_le_bytes),
+        PayloadCodes::F16(h) => put_words(buf, h, u16::to_le_bytes),
         PayloadCodes::I8 { scale, codes } => {
             buf.put_f32_le(*scale);
-            for &c in codes {
-                buf.put_u8(c as u8);
-            }
+            put_words(buf, codes, i8::to_le_bytes);
         }
         PayloadCodes::TopK { indices, values } => {
             buf.put_u32_le(indices.len() as u32);
-            for &i in indices {
-                buf.put_u32_le(i);
-            }
-            for &v in values {
-                buf.put_f32_le(v);
-            }
+            put_words(buf, indices, u32::to_le_bytes);
+            put_words(buf, values, f32::to_le_bytes);
         }
         PayloadCodes::TopKI8 { scale, indices, codes } => {
             buf.put_u32_le(indices.len() as u32);
             buf.put_f32_le(*scale);
-            for &i in indices {
-                buf.put_u32_le(i);
-            }
-            for &c in codes {
-                buf.put_u8(c as u8);
-            }
+            put_words(buf, indices, u32::to_le_bytes);
+            put_words(buf, codes, i8::to_le_bytes);
         }
+    }
+}
+
+/// Appends `values` as their `N`-byte little-endian encodings: one
+/// resize of the buffer, then a copy into each `N`-byte chunk.
+fn put_words<T: Copy, const N: usize>(buf: &mut BytesMut, values: &[T], le: fn(T) -> [u8; N]) {
+    let start = buf.len();
+    buf.resize(start + N * values.len(), 0);
+    for (dst, &v) in buf[start..].chunks_exact_mut(N).zip(values) {
+        dst.copy_from_slice(&le(v));
     }
 }
 
@@ -931,7 +880,25 @@ pub fn decode_state_v2(
     frame: &[u8],
     reference: Option<&[StateEntry]>,
 ) -> Result<Vec<StateEntry>, WireError> {
-    let mut cur = Cursor { buf: verified_body(frame)? };
+    decode_body(verified_body(frame)?, reference)
+}
+
+/// [`decode_state_v2`] of a frame [`verify_frame`] has already checked:
+/// the same decode, without hashing the frame again.
+pub(crate) fn decode_verified(
+    frame: &VerifiedFrame,
+    reference: Option<&[StateEntry]>,
+) -> Result<Vec<StateEntry>, WireError> {
+    let bytes = &frame.0;
+    decode_body(&bytes[4..bytes.len() - 4], reference)
+}
+
+/// Decodes a checksummed body (the frame between magic and trailer).
+fn decode_body(
+    body: &[u8],
+    reference: Option<&[StateEntry]>,
+) -> Result<Vec<StateEntry>, WireError> {
+    let mut cur = Cursor { buf: body };
     let codec = cur.codec()?;
     let count = cur.u32()? as usize;
     if reference.is_some_and(|r| r.len() != count) {
@@ -1068,6 +1035,88 @@ mod tests {
                 assert_eq!(frame.len(), wire_size_v2(&state, codec), "{}", codec.label());
             }
         }
+    }
+
+    #[test]
+    fn frames_are_the_same_bytes_on_every_kernel_path() {
+        use fedmp_tensor::simd::{override_path, SimdPath};
+        // A model state plus one entry of the values a kernel can get
+        // wrong — NaNs with payloads, ±∞, ±0, subnormals, f16 and int8
+        // rounding ties — 21 long, so the eight-value steps leave a tail.
+        let mut rng = seeded_rng(262);
+        let mut state = zoo::cnn_mnist(0.1, &mut rng).state();
+        let mut reference = zoo::cnn_mnist(0.1, &mut rng).state();
+        let odd = [
+            f32::from_bits(0x7F80_0001),
+            f32::from_bits(0xFFC1_2345),
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            0.0,
+            -0.0,
+            f32::from_bits(1),
+            -f32::MIN_POSITIVE,
+            1.0 + f32::EPSILON * 4096.0,
+            65_520.0,
+            -2.5,
+            0.5,
+            1.5,
+            -3.0e-8,
+            6.1e-5,
+            7.0,
+            -127.5,
+            126.5,
+            1.0e-3,
+            -0.75,
+            3.0,
+        ];
+        let entry =
+            |v: Vec<f32>| StateEntry::trainable("odd", Tensor::from_vec(v, &[21]).expect("21"));
+        state.push(entry(odd.to_vec()));
+        reference.push(entry(odd.iter().map(|v| v * 0.5).collect()));
+        let frames = |path| {
+            override_path(Some(path));
+            let mut out = Vec::new();
+            for codec in ALL_CODECS {
+                out.push(encode_state_v2(&state, codec, Some(&reference), None));
+                let mut ef = ErrorFeedback::new();
+                for _ in 0..2 {
+                    out.push(encode_state_v2(&state, codec, Some(&reference), Some(&mut ef)));
+                }
+                let decoded = decode_state_v2(out.last().expect("a frame"), Some(&reference));
+                out.push(encode_state(&decoded.expect("own frame decodes")));
+            }
+            override_path(None);
+            out
+        };
+        let scalar = frames(SimdPath::Scalar);
+        let fast = frames(SimdPath::Avx2);
+        for (i, (a, b)) in scalar.iter().zip(&fast).enumerate() {
+            assert!(a == b, "frame {i} ({}) differs", ALL_CODECS[i / 4].label());
+        }
+    }
+
+    #[test]
+    #[ignore = "exhaustive over 2^32 inputs; run in release"]
+    fn int8_frames_are_the_same_bytes_on_every_kernel_path_for_every_f32() {
+        use fedmp_tensor::simd::{override_path, SimdPath};
+        // Every f32 bit pattern, 2^16 consecutive ones to an entry, so the
+        // int8 scale (the entry's max |v| / 127) takes 2^16 values where
+        // `fedmp-tensor`'s exhaustive proof holds it at 1.
+        let frame = |path, state: &[StateEntry]| {
+            override_path(Some(path));
+            encode_state_v2(state, Codec::Int8, None, None)
+        };
+        for hi in 0..=u32::from(u16::MAX) {
+            let values =
+                (0..=u32::from(u16::MAX)).map(|lo| f32::from_bits(hi << 16 | lo)).collect();
+            let state =
+                [StateEntry::trainable("w", Tensor::from_vec(values, &[1 << 16]).expect("2^16"))];
+            assert!(
+                frame(SimdPath::Scalar, &state) == frame(SimdPath::Avx2, &state),
+                "entry {hi:#06x}"
+            );
+        }
+        override_path(None);
     }
 
     #[test]

@@ -6,7 +6,11 @@
 //!
 //! * the SSE4.2 `crc32` loop in [`crate::simd`], 8 bytes per
 //!   instruction, taken when the host has it and the `FEDMP_SIMD`
-//!   selection is not `scalar`;
+//!   selection is not `scalar`. It runs three independent streams over
+//!   consecutive [`STREAM_BLOCK`]-byte blocks, so three instructions
+//!   are in flight instead of one latency-bound chain, and joins them
+//!   through [`advance_block`]; the bytes past the last whole
+//!   three-block step run as one stream;
 //! * slicing-by-8 over `const`-built tables, in safe Rust, everywhere
 //!   else: eight table lookups fold a whole 8-byte word, so the
 //!   serial dependency is one XOR chain per word rather than per byte.
@@ -48,6 +52,45 @@ const fn tables() -> [[u32; 256]; 8] {
     t
 }
 
+/// Bytes each stream of the three-stream SSE4.2 loop hashes per step:
+/// whole 8-byte words, the instruction's widest step.
+pub(crate) const STREAM_BLOCK: usize = 512;
+const _: () = assert!(STREAM_BLOCK.is_multiple_of(8));
+
+/// `ADVANCE[s][b]` is the register `b << 8s` advanced over
+/// [`STREAM_BLOCK`] zero bytes. Advancing a register over zeros is
+/// linear over GF(2), so four lookups advance any register.
+static ADVANCE: [[u32; 256]; 4] = advance_tables();
+
+const fn advance_tables() -> [[u32; 256]; 4] {
+    let mut t = [[0u32; 256]; 4];
+    let mut s = 0;
+    while s < 4 {
+        let mut b = 0;
+        while b < 256 {
+            let mut c = (b as u32) << (8 * s);
+            let mut n = 0;
+            while n < STREAM_BLOCK {
+                c = (c >> 8) ^ TABLES[0][(c & 0xFF) as usize];
+                n += 1;
+            }
+            t[s][b] = c;
+            b += 1;
+        }
+        s += 1;
+    }
+    t
+}
+
+/// The raw CRC-32C register `crc` advanced over [`STREAM_BLOCK`] zero
+/// bytes. Since the register update is linear in register and data,
+/// hashing `a ‖ b` with `|b| = STREAM_BLOCK` from register `r` gives
+/// `advance_block(h(r, a)) ^ h(0, b)`: this joins the streams.
+pub(crate) fn advance_block(crc: u32) -> u32 {
+    let byte = |shift: u32| ((crc >> shift) & 0xFF) as usize;
+    ADVANCE[0][byte(0)] ^ ADVANCE[1][byte(8)] ^ ADVANCE[2][byte(16)] ^ ADVANCE[3][byte(24)]
+}
+
 /// CRC-32C of `bytes`: reflected polynomial `0x82F6_3B78`, initial
 /// value and final XOR `0xFFFF_FFFF` (so `crc32c(b"123456789")` is
 /// `0xE306_9283`).
@@ -61,9 +104,14 @@ pub fn crc32c(bytes: &[u8]) -> u32 {
 
 /// The portable path: slicing-by-8, then a byte-at-a-time tail.
 fn crc32c_table(bytes: &[u8]) -> u32 {
+    !update_table(u32::MAX, bytes)
+}
+
+/// The raw register `crc` updated over `bytes` (no initial or final
+/// XOR), by the tables.
+fn update_table(mut crc: u32, bytes: &[u8]) -> u32 {
     let t = &TABLES;
     let byte = |v: u32, shift: u32| ((v >> shift) & 0xFF) as usize;
-    let mut crc = u32::MAX;
     let mut words = bytes.chunks_exact(8);
     for w in &mut words {
         let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ crc;
@@ -80,7 +128,7 @@ fn crc32c_table(bytes: &[u8]) -> u32 {
     for &b in words.remainder() {
         crc = (crc >> 8) ^ t[0][byte(crc ^ u32::from(b), 0)];
     }
-    !crc
+    crc
 }
 
 #[cfg(test)]
@@ -119,12 +167,14 @@ mod tests {
         if !simd::sse42_supported() {
             return;
         }
-        // Every length 0..=64 at every start offset 0..8, so each word
-        // alignment and tail length meets each path.
+        // Every length 0..=3·block+64 at every start offset 0..8, so each
+        // word alignment and tail length meets each path, with and
+        // without a whole three-stream step before it.
+        let max = 3 * STREAM_BLOCK + 64;
         let buf: Vec<u8> =
-            (0..72u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8).collect();
+            (0..max as u32 + 8).map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8).collect();
         for off in 0..8 {
-            for len in 0..=64 {
+            for len in 0..=max {
                 let s = &buf[off..off + len];
                 assert_eq!(simd::crc32c_sse42(s), crc32c_table(s), "offset {off} length {len}");
             }
@@ -133,5 +183,15 @@ mod tests {
         let big: Vec<u8> =
             (0..217_421u32).map(|i| (i.wrapping_mul(2_246_822_519) >> 11) as u8).collect();
         assert_eq!(simd::crc32c_sse42(&big), crc32c_table(&big));
+    }
+
+    #[test]
+    fn advancing_over_a_block_is_hashing_a_block_of_zeros() {
+        let zeros = [0u8; STREAM_BLOCK];
+        for bit in 0..32 {
+            for r in [1u32 << bit, (1u32 << bit) ^ 0xDEAD_BEEF] {
+                assert_eq!(advance_block(r), update_table(r, &zeros), "register {r:#010x}");
+            }
+        }
     }
 }

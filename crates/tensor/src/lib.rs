@@ -25,6 +25,7 @@
 //! assert_eq!(c.data(), a.data());
 //! ```
 
+mod codes;
 mod conv;
 mod crc;
 mod error;
@@ -37,12 +38,15 @@ mod rng;
 mod shape;
 #[expect(
     unsafe_code,
-    reason = "the crate's only `unsafe`: the AVX2 kernels and the SSE4.2 CRC loop"
+    reason = "the crate's only `unsafe`: the AVX2 and F16C kernels and the SSE4.2 CRC loop"
 )]
 pub mod simd;
 mod tensor;
 pub mod workspace;
 
+pub use codes::{
+    f16_bits_to_f32, f16_bits_to_f32s, f32_to_f16_bits, f32s_to_f16_bits, int8_code, int8_codes,
+};
 pub use conv::{
     col2im, col2im_into, conv2d_backward_input, conv2d_backward_weight, conv2d_forward, im2col,
     im2col_into, Conv2dSpec,

@@ -1,6 +1,20 @@
 //! Explicit SIMD GEMM microkernels, the AVX2 exact window fold behind
 //! [`crate::ExactVec::add`], the SSE4.2 CRC-32C loop behind
-//! [`crate::crc32c`], and the `FEDMP_SIMD` path switch.
+//! [`crate::crc32c`], the F16C and AVX2 wire-code kernels behind
+//! [`crate::f32s_to_f16_bits`], [`crate::f16_bits_to_f32s`] and
+//! [`crate::int8_codes`], and the `FEDMP_SIMD` path switch.
+//!
+//! The byte-path kernels each return exactly what a portable
+//! formulation returns, and that formulation stays as the path taken
+//! under `FEDMP_SIMD=scalar` (or without the instructions) and as the
+//! oracle the kernel is tested against:
+//!
+//! | kernel | portable path and oracle | proof |
+//! |---|---|---|
+//! | `crc32c_sse42`: three streams over 512-byte blocks, joined by `crc::advance_block` | slicing-by-8 in `crc` | `crc::tests`: every length to 3·512+64 at 8 offsets |
+//! | `f32_to_f16_f16c`: `vcvtps2ph`, nearest-even immediate, NaN → `sign \| 0x7E00` | [`crate::f32_to_f16_bits`] | `tests/codes.rs`: all 2³² inputs (`--ignored`) |
+//! | `f16_to_f32_f16c`: `vcvtph2ps`, NaN → `sign \| 0x7FC0_0000` | [`crate::f16_bits_to_f32`] | `tests/codes.rs`: all 2¹⁶ inputs (`--ignored`) |
+//! | `int8_codes_avx2`: divide, truncate, step away from zero at ½, clamp, NaN → 0 | [`crate::int8_code`] | `tests/codes.rs`: all 2³² inputs at scale 1 (`--ignored`) |
 //!
 //! The blocked scalar kernel in `crate::matmul` is what LLVM
 //! auto-vectorises against the x86-64 baseline (SSE2). This module adds
@@ -9,11 +23,13 @@
 //! across each `KC`-sized `k` tile), its last vector masked where the
 //! column count is not a multiple of 8 — plus the runtime machinery
 //! that decides, once per process, which kernel the dispatch in
-//! `matmul::gemm_nn_into` (and in `ExactVec::add`) uses:
+//! `matmul::gemm_nn_into` (and in `ExactVec::add` and the code slice
+//! functions) uses:
 //!
 //! 1. a test/bench override ([`override_path`]),
 //! 2. the `FEDMP_SIMD` environment variable (`auto` | `avx2` | `scalar`),
-//! 3. runtime CPU feature detection (`avx2` **and** `fma` required).
+//! 3. runtime CPU feature detection (`avx2` **and** `fma` required; the
+//!    f16 kernels also need `f16c`, and the CRC loop `sse4.2` alone).
 //!
 //! A request for `avx2` on a host without the features downgrades to
 //! the scalar path with a warning rather than risking an illegal
@@ -51,9 +67,13 @@
 //! the CRC-32C loop move or hash the same bytes either way, and the
 //! exact window fold (`exact_fold_avx2`) is integer arithmetic: four
 //! 128-bit two's-complement additions per step, the same integers the
-//! scalar loop in `crate::exact` adds, so every window, spill, sum and
-//! frame byte is **bit-identical** across paths, and `FEDMP_SIMD`
-//! decides only how fast they come out.
+//! scalar loop in `crate::exact` adds. The f16 conversions are IEEE
+//! operations with one defined result, once every NaN is mapped to the
+//! software's one quiet NaN, and the int8 quantiser performs the same
+//! IEEE division as the scalar code and then rounds its quotient by
+//! exact comparisons. So every window, spill, sum, code and frame byte
+//! is **bit-identical** across paths, and `FEDMP_SIMD` decides only
+//! how fast they come out.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
@@ -104,6 +124,27 @@ pub(crate) fn sse42_supported() -> bool {
     {
         false
     }
+}
+
+/// Whether this host has the F16C conversions (`vcvtps2ph`,
+/// `vcvtph2ps`).
+fn f16c_supported() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        static SUPPORTED: OnceLock<bool> = OnceLock::new();
+        *SUPPORTED.get_or_init(|| is_x86_feature_detected!("f16c"))
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// Whether the slice conversions in [`crate::codes`] run the F16C
+/// kernels: the selected path is [`SimdPath::Avx2`] (so the host has
+/// avx2) and the host has F16C. Either way the bits are the same.
+pub(crate) fn f16c_active() -> bool {
+    active_path() == SimdPath::Avx2 && f16c_supported()
 }
 
 /// Detected ISA summary for bench metadata, e.g. `"x86_64:avx2+fma"` or
@@ -269,9 +310,11 @@ pub(crate) fn transpose_avx2(src: &[f32], rows: usize, cols: usize, dst: &mut [f
     unreachable!("avx2_supported() is false on non-x86_64, so the assert above already fired");
 }
 
-/// CRC-32C of `bytes` through the SSE4.2 `crc32` instruction, 8 bytes
-/// per step plus a byte tail. Returns what the table path in
-/// `crate::crc` returns.
+/// CRC-32C of `bytes` through the SSE4.2 `crc32` instruction: three
+/// interleaved 8-byte streams over each whole run of three
+/// `crate::crc::STREAM_BLOCK`-byte blocks, joined through
+/// `crate::crc::advance_block`, then one stream over the rest. Returns
+/// what the table path in `crate::crc` returns.
 ///
 /// # Panics
 /// Panics if called on a host without SSE4.2 (dispatch must check
@@ -286,6 +329,65 @@ pub(crate) fn crc32c_sse42(bytes: &[u8]) -> u32 {
     }
     #[cfg(not(target_arch = "x86_64"))]
     unreachable!("sse42_supported() is false on non-x86_64, so the assert above already fired");
+}
+
+/// `crate::codes::f32_to_f16_bits` over the leading whole eight-value
+/// steps of `src`, through F16C; returns how many values it converted
+/// (the caller converts the rest).
+///
+/// # Panics
+/// Panics if the lengths differ, or if called when [`f16c_active`] is
+/// false.
+pub(crate) fn f32_to_f16_f16c(src: &[f32], dst: &mut [u16]) -> usize {
+    assert_eq!(src.len(), dst.len(), "f32_to_f16_f16c: length mismatch");
+    assert!(f16c_active(), "f32_to_f16_f16c selected without avx2+f16c");
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: the assert above proves the host supports avx2 and f16c
+    // at runtime, which is the only precondition of the target_feature fn.
+    unsafe {
+        x86::f32_to_f16(src, dst)
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    unreachable!("f16c_active() is false on non-x86_64, so the assert above already fired");
+}
+
+/// `crate::codes::f16_bits_to_f32` over the leading whole eight-value
+/// steps of `src`, through F16C; returns how many values it converted.
+///
+/// # Panics
+/// Panics if the lengths differ, or if called when [`f16c_active`] is
+/// false.
+pub(crate) fn f16_to_f32_f16c(src: &[u16], dst: &mut [f32]) -> usize {
+    assert_eq!(src.len(), dst.len(), "f16_to_f32_f16c: length mismatch");
+    assert!(f16c_active(), "f16_to_f32_f16c selected without avx2+f16c");
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: the assert above proves the host supports avx2 and f16c
+    // at runtime, which is the only precondition of the target_feature fn.
+    unsafe {
+        x86::f16_to_f32(src, dst)
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    unreachable!("f16c_active() is false on non-x86_64, so the assert above already fired");
+}
+
+/// `crate::codes::int8_code` at `scale` over the leading whole
+/// eight-value steps of `src`, through AVX2; returns how many values it
+/// coded.
+///
+/// # Panics
+/// Panics if the lengths differ, or if called on a host without avx2
+/// (dispatch must check [`active_path`] first).
+pub(crate) fn int8_codes_avx2(src: &[f32], scale: f32, dst: &mut [i8]) -> usize {
+    assert_eq!(src.len(), dst.len(), "int8_codes_avx2: length mismatch");
+    assert!(avx2_supported(), "int8_codes_avx2 selected without avx2");
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: the assert above proves the host supports avx2 at runtime,
+    // which is the only precondition of the target_feature fn.
+    unsafe {
+        x86::int8_codes(src, scale, dst)
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    unreachable!("avx2_supported() is false on non-x86_64, so the assert above already fired");
 }
 
 /// The in-window half of `ExactVec::add` through AVX2, four slots per
@@ -316,23 +418,128 @@ pub(crate) fn exact_fold_avx2(window: &mut [i128], xs: &[f32]) -> bool {
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     //! The AVX2/FMA band kernel proper and the exact window fold,
-    //! compiled with `target_feature(enable = "avx2,fma")` (the fold:
-    //! `avx2` alone), and the CRC-32C loop, compiled with
+    //! compiled with `target_feature(enable = "avx2,fma")` (the fold and
+    //! the int8 quantiser: `avx2` alone), the f16 conversions, compiled
+    //! with `avx2,f16c`, and the CRC-32C loop, compiled with
     //! `target_feature(enable = "sse4.2")`. Each is reached only through
     //! its runtime-detection gate in the parent module.
 
+    use crate::crc::{advance_block, STREAM_BLOCK};
     use crate::exact::{WINDOW_EXP_MIN, WINDOW_SPAN};
     use core::arch::x86_64::{
-        __m256, __m256i, _mm256_add_epi64, _mm256_and_si256, _mm256_andnot_si256,
-        _mm256_bslli_epi128, _mm256_cmpeq_epi64, _mm256_cmpgt_epi64, _mm256_cvtepu32_epi64,
-        _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_loadu_si256, _mm256_maskload_ps,
-        _mm256_maskstore_ps, _mm256_or_si256, _mm256_permute2f128_ps, _mm256_set1_epi64x,
+        __m256, __m256i, _mm256_add_epi64, _mm256_add_ps, _mm256_and_ps, _mm256_and_si256,
+        _mm256_andnot_ps, _mm256_andnot_si256, _mm256_blendv_ps, _mm256_bslli_epi128,
+        _mm256_castsi256_si128, _mm256_cmp_ps, _mm256_cmpeq_epi64, _mm256_cmpgt_epi64,
+        _mm256_cvtepu32_epi64, _mm256_cvtph_ps, _mm256_cvtps_ph, _mm256_cvttps_epi32,
+        _mm256_div_ps, _mm256_extracti128_si256, _mm256_fmadd_ps, _mm256_loadu_ps,
+        _mm256_loadu_si256, _mm256_maskload_ps, _mm256_maskstore_ps, _mm256_max_ps, _mm256_min_ps,
+        _mm256_or_ps, _mm256_or_si256, _mm256_permute2f128_ps, _mm256_round_ps, _mm256_set1_epi64x,
         _mm256_set1_ps, _mm256_setzero_ps, _mm256_setzero_si256, _mm256_shuffle_ps,
         _mm256_slli_epi64, _mm256_sllv_epi64, _mm256_srli_epi64, _mm256_srlv_epi64,
-        _mm256_storeu_ps, _mm256_storeu_si256, _mm256_sub_epi64, _mm256_testz_si256,
+        _mm256_storeu_ps, _mm256_storeu_si256, _mm256_sub_epi64, _mm256_sub_ps, _mm256_testz_si256,
         _mm256_unpackhi_epi64, _mm256_unpackhi_ps, _mm256_unpacklo_epi64, _mm256_unpacklo_ps,
-        _mm256_xor_si256, _mm_crc32_u64, _mm_crc32_u8, _mm_loadu_si128, _mm_shuffle_epi32,
+        _mm256_xor_si256, _mm_and_si128, _mm_andnot_si128, _mm_cmpgt_epi16, _mm_crc32_u64,
+        _mm_crc32_u8, _mm_loadu_si128, _mm_or_si128, _mm_packs_epi16, _mm_packs_epi32,
+        _mm_set1_epi16, _mm_shuffle_epi32, _mm_storel_epi64, _mm_storeu_si128, _CMP_GE_OQ,
+        _CMP_UNORD_Q, _MM_FROUND_NO_EXC, _MM_FROUND_TO_NEAREST_INT, _MM_FROUND_TO_ZERO,
     };
+
+    /// f32 → f16 bits, eight per step: `vcvtps2ph` rounding to nearest
+    /// even (the immediate, not MXCSR), which is the software rule for
+    /// every non-NaN input. For a NaN it keeps the top payload bits;
+    /// the fix-up clears the whole mantissa of every NaN lane and sets
+    /// the quiet bit, so a NaN codes as `sign | 0x7E00` as in software.
+    /// Returns the values converted: every whole step.
+    #[target_feature(enable = "avx2,f16c")]
+    pub(super) fn f32_to_f16(src: &[f32], dst: &mut [u16]) -> usize {
+        let abs = _mm_set1_epi16(0x7FFF);
+        let inf = _mm_set1_epi16(0x7C00);
+        let mant = _mm_set1_epi16(0x03FF);
+        let quiet = _mm_set1_epi16(0x0200);
+        let mut done = 0;
+        for (x, h) in src.chunks_exact(8).zip(dst.chunks_exact_mut(8)) {
+            // SAFETY: `x` is a checked slice of exactly 8 f32s; the
+            // unaligned load reads precisely those 32 bytes.
+            let v = unsafe { _mm256_loadu_ps(x.as_ptr()) };
+            let bits = _mm256_cvtps_ph::<_MM_FROUND_TO_NEAREST_INT>(v);
+            // A NaN half is one whose magnitude bits exceed Inf's.
+            let nan = _mm_cmpgt_epi16(_mm_and_si128(bits, abs), inf);
+            let bits = _mm_or_si128(
+                _mm_andnot_si128(_mm_and_si128(nan, mant), bits),
+                _mm_and_si128(nan, quiet),
+            );
+            // SAFETY: `h` is a checked slice of exactly 8 u16s; the
+            // unaligned store writes precisely those 16 bytes.
+            unsafe { _mm_storeu_si128(h.as_mut_ptr().cast(), bits) };
+            done += 8;
+        }
+        done
+    }
+
+    /// f16 bits → f32, eight per step: `vcvtph2ps` is exact for every
+    /// non-NaN input. A NaN lane is replaced by `sign | 0x7FC0_0000`,
+    /// the software rule, whatever payload the instruction kept.
+    /// Returns the values converted: every whole step.
+    #[target_feature(enable = "avx2,f16c")]
+    pub(super) fn f16_to_f32(src: &[u16], dst: &mut [f32]) -> usize {
+        let sign = _mm256_set1_ps(-0.0);
+        let quiet = _mm256_set1_ps(f32::from_bits(0x7FC0_0000));
+        let mut done = 0;
+        for (h, x) in src.chunks_exact(8).zip(dst.chunks_exact_mut(8)) {
+            // SAFETY: `h` is a checked slice of exactly 8 u16s; the
+            // unaligned load reads precisely those 16 bytes.
+            let v = _mm256_cvtph_ps(unsafe { _mm_loadu_si128(h.as_ptr().cast()) });
+            let nan = _mm256_cmp_ps::<_CMP_UNORD_Q>(v, v);
+            let fixed = _mm256_or_ps(_mm256_and_ps(v, sign), quiet);
+            let v = _mm256_blendv_ps(v, fixed, nan);
+            // SAFETY: `x` is a checked slice of exactly 8 f32s; the
+            // unaligned store writes precisely those 32 bytes.
+            unsafe { _mm256_storeu_ps(x.as_mut_ptr(), v) };
+            done += 8;
+        }
+        done
+    }
+
+    /// The int8 code `(v / scale).round().clamp(-127.0, 127.0) as i8`,
+    /// eight per step, without a `roundf` call: the same IEEE division,
+    /// then truncation, then one step away from zero where the
+    /// remainder `q − trunc(q)` — exact, as both share `q`'s leading
+    /// bits — is at least ½ in magnitude; that is rounding half away
+    /// from zero. An infinite `q` keeps its sign (its remainder is NaN,
+    /// which never steps), the clamp bounds it, and a NaN `q` codes as
+    /// 0, as the saturating cast does. Returns the values coded: every
+    /// whole step.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn int8_codes(src: &[f32], scale: f32, dst: &mut [i8]) -> usize {
+        let scale = _mm256_set1_ps(scale);
+        let sign = _mm256_set1_ps(-0.0);
+        let half = _mm256_set1_ps(0.5);
+        let one = _mm256_set1_ps(1.0);
+        let (lo, hi) = (_mm256_set1_ps(-127.0), _mm256_set1_ps(127.0));
+        let mut done = 0;
+        for (x, c) in src.chunks_exact(8).zip(dst.chunks_exact_mut(8)) {
+            // SAFETY: `x` is a checked slice of exactly 8 f32s; the
+            // unaligned load reads precisely those 32 bytes.
+            let q = _mm256_div_ps(unsafe { _mm256_loadu_ps(x.as_ptr()) }, scale);
+            let t = _mm256_round_ps::<{ _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC }>(q);
+            let rem = _mm256_andnot_ps(sign, _mm256_sub_ps(q, t));
+            let step = _mm256_and_ps(_mm256_cmp_ps::<_CMP_GE_OQ>(rem, half), one);
+            let r = _mm256_add_ps(t, _mm256_or_ps(step, _mm256_and_ps(q, sign)));
+            let r = _mm256_min_ps(_mm256_max_ps(r, lo), hi);
+            let r = _mm256_andnot_ps(_mm256_cmp_ps::<_CMP_UNORD_Q>(q, q), r);
+            let words = _mm256_cvttps_epi32(r);
+            let halves = _mm_packs_epi32(
+                _mm256_castsi256_si128(words),
+                _mm256_extracti128_si256::<1>(words),
+            );
+            // SAFETY: `c` is a checked slice of exactly 8 i8s; the
+            // 64-bit store writes precisely those 8 bytes (the low half
+            // of the pack, codes 0..8 in order).
+            unsafe { _mm_storel_epi64(c.as_mut_ptr().cast(), _mm_packs_epi16(halves, halves)) };
+            done += 8;
+        }
+        done
+    }
 
     /// The window fold, four slots per step. Each lane widens one `f32`
     /// bit pattern to a `u64` and builds the 128-bit addend
@@ -412,20 +619,42 @@ mod x86 {
         unsafe { _mm256_storeu_si256(w.as_mut_ptr().cast(), sum) }
     }
 
-    /// CRC-32C (reflected, init and final XOR `!0`): one `crc32` per
-    /// little-endian 8-byte word, then one per remaining byte. The
-    /// instruction computes the Castagnoli polynomial's reflected
-    /// update, the same step the table path applies byte by byte.
+    /// CRC-32C (reflected, init and final XOR `!0`). The instruction
+    /// computes the Castagnoli polynomial's reflected update, the same
+    /// step the table path applies byte by byte, with a 3-cycle latency
+    /// and a throughput of one per cycle. So each run of three
+    /// `STREAM_BLOCK`-byte blocks `a ‖ b ‖ c` is hashed as three
+    /// interleaved chains, `a` from the running register and `b`, `c`
+    /// from 0, and joined by linearity:
+    /// `h(r, a‖b‖c) = A(A(h(r, a)) ^ h(0, b)) ^ h(0, c)`, with `A` the
+    /// advance over one block of zeros ([`advance_block`]). The rest is
+    /// one `crc32` per little-endian 8-byte word, then one per byte.
     #[target_feature(enable = "sse4.2")]
     pub(super) fn crc32c(bytes: &[u8]) -> u32 {
-        let mut crc = u64::from(u32::MAX);
-        let mut words = bytes.chunks_exact(8);
-        for word in &mut words {
-            let mut w = [0u8; 8];
-            w.copy_from_slice(word);
-            crc = _mm_crc32_u64(crc, u64::from_le_bytes(w));
+        let word = |w: &[u8]| {
+            let mut b = [0u8; 8];
+            b.copy_from_slice(w);
+            u64::from_le_bytes(b)
+        };
+        let mut crc = u32::MAX;
+        let mut steps = bytes.chunks_exact(3 * STREAM_BLOCK);
+        for step in &mut steps {
+            let (a, bc) = step.split_at(STREAM_BLOCK);
+            let (b, c) = bc.split_at(STREAM_BLOCK);
+            let (mut ha, mut hb, mut hc) = (u64::from(crc), 0, 0);
+            for ((wa, wb), wc) in a.chunks_exact(8).zip(b.chunks_exact(8)).zip(c.chunks_exact(8)) {
+                ha = _mm_crc32_u64(ha, word(wa));
+                hb = _mm_crc32_u64(hb, word(wb));
+                hc = _mm_crc32_u64(hc, word(wc));
+            }
+            crc = advance_block(advance_block(ha as u32) ^ hb as u32) ^ hc as u32;
         }
-        let mut crc = crc as u32;
+        let mut words = steps.remainder().chunks_exact(8);
+        let mut wide = u64::from(crc);
+        for w in &mut words {
+            wide = _mm_crc32_u64(wide, word(w));
+        }
+        let mut crc = wide as u32;
         for &b in words.remainder() {
             crc = _mm_crc32_u8(crc, b);
         }
