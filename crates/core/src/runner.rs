@@ -258,17 +258,6 @@ mod tests {
     }
 
     #[test]
-    fn hier_runner_runs_end_to_end() {
-        let mut spec = ExperimentSpec::small(TaskKind::CnnMnist);
-        spec.fl.rounds = 2;
-        spec.fl.eval_every = 2;
-        let opts = HierarchyOptions { cohort: 6, shards: 3, edges: 2, ..Default::default() };
-        let h = run_hier(&spec, 100, &opts);
-        assert_eq!(h.rounds.len(), 2);
-        assert!(h.final_accuracy().is_some());
-    }
-
-    #[test]
     fn run_methods_matches_serial_run_method_exactly() {
         let mut spec = ExperimentSpec::small(TaskKind::CnnMnist);
         spec.fl.rounds = 2;

@@ -279,21 +279,6 @@ mod tests {
     }
 
     #[test]
-    fn async_fedmp_aggregates_m_arrivals_per_round() {
-        let (task, devices) = setup_task(120, 4);
-        let setup = FlSetup::new(&task, devices, TimeModel::deterministic());
-        let mut rng = seeded_rng(121);
-        let global = zoo::cnn_mnist(0.1, &mut rng);
-        let cfg = FlConfig { rounds: 6, eval_every: 3, ..Default::default() };
-        let opts = AsyncOptions { m: 2, ..Default::default() };
-        let h = run_async(&cfg, &setup, global, &opts);
-        assert_eq!(h.rounds.len(), 6);
-        assert!(h.rounds.iter().all(|r| r.ratios.len() == 2));
-        // Clock is non-decreasing.
-        assert!(h.rounds.windows(2).all(|w| w[1].sim_time >= w[0].sim_time));
-    }
-
-    #[test]
     fn async_rounds_are_faster_than_waiting_for_stragglers() {
         let (task, devices) = setup_task(122, 4);
         let setup = FlSetup::new(&task, devices, TimeModel::deterministic());

@@ -134,22 +134,6 @@ mod tests {
         (ImageTask::new(train, test, part), rng)
     }
 
-    #[test]
-    fn synfl_learns_on_iid_data() {
-        let (task, mut rng) = task(mnist_like(0.15, 70), 71, 4);
-        let devices = vec![tx2_profile(Mode0, Near); 4];
-        let setup = FlSetup::new(&task, devices, TimeModel::deterministic());
-        let global = zoo::cnn_mnist(0.15, &mut rng);
-        let cfg = FlConfig { rounds: 12, eval_every: 3, ..Default::default() };
-        let h = run_synfl(&cfg, &setup, global);
-
-        assert_eq!(h.rounds.len(), 12);
-        let final_acc = h.final_accuracy().expect("evaluated");
-        assert!(final_acc > 0.5, "Syn-FL accuracy only {final_acc}");
-        // Virtual time accumulates monotonically.
-        assert!(h.rounds.windows(2).all(|w| w[1].sim_time > w[0].sim_time));
-    }
-
     /// Worker `w`'s batches of `round`, built here rather than through
     /// the engine's local step.
     fn worker_batches(

@@ -230,23 +230,6 @@ mod tests {
     }
 
     #[test]
-    fn fedmp_learns_and_records_ratios() {
-        let (task, devices) = small_setup(80);
-        let setup = FlSetup::new(&task, devices, TimeModel::deterministic());
-        let mut rng = seeded_rng(81);
-        let global = zoo::cnn_mnist(0.15, &mut rng);
-        let cfg = FlConfig { rounds: 16, eval_every: 4, ..Default::default() };
-        let h = run_fedmp(&cfg, &setup, global, &FedMpOptions::default());
-
-        // Chance is 10%; the calibrated (harder) synthetic task converges
-        // slower, so require clearly-above-chance learning.
-        let acc = h.final_accuracy().expect("evaluated");
-        assert!(acc > 0.25, "FedMP accuracy only {acc}");
-        assert!(h.rounds.iter().all(|r| r.ratios.len() == 4));
-        assert!(h.rounds.iter().flat_map(|r| r.ratios.iter()).all(|&a| (0.0..0.9).contains(&a)));
-    }
-
-    #[test]
     fn fixed_ratio_mode_prunes_uniformly() {
         let (task, devices) = small_setup(82);
         let setup = FlSetup::new(&task, devices, TimeModel::deterministic());
@@ -256,58 +239,6 @@ mod tests {
         let opts = FedMpOptions { fixed_ratio: Some(0.5), ..Default::default() };
         let h = run_fedmp(&cfg, &setup, global, &opts);
         assert!(h.rounds.iter().all(|r| r.ratios.iter().all(|&x| x == 0.5)));
-    }
-
-    #[test]
-    fn pruning_makes_rounds_faster_than_synfl() {
-        let (task, devices) = small_setup(84);
-        let setup = FlSetup::new(&task, devices, TimeModel::deterministic());
-        let mut rng = seeded_rng(85);
-        let global = zoo::cnn_mnist(0.15, &mut rng);
-        let cfg = FlConfig { rounds: 4, ..Default::default() };
-        let opts = FedMpOptions { fixed_ratio: Some(0.6), ..Default::default() };
-        let pruned = run_fedmp(&cfg, &setup, global.clone(), &opts);
-        let full = crate::engines::baselines::run_synfl(&cfg, &setup, global);
-        assert!(
-            pruned.total_time() < 0.8 * full.total_time(),
-            "pruning saved too little: {} vs {}",
-            pruned.total_time(),
-            full.total_time()
-        );
-    }
-
-    #[test]
-    fn r2sp_and_bsp_runs_both_complete() {
-        let (task, devices) = small_setup(86);
-        let setup = FlSetup::new(&task, devices, TimeModel::deterministic());
-        let mut rng = seeded_rng(87);
-        let global = zoo::cnn_mnist(0.1, &mut rng);
-        let cfg = FlConfig { rounds: 4, ..Default::default() };
-        for sync in [SyncScheme::R2SP, SyncScheme::BSP] {
-            let opts = FedMpOptions { sync, ..Default::default() };
-            let h = run_fedmp(&cfg, &setup, global.clone(), &opts);
-            assert_eq!(h.rounds.len(), 4);
-        }
-    }
-
-    #[test]
-    fn quantized_residuals_still_learn() {
-        let (task, devices) = small_setup(90);
-        let setup = FlSetup::new(&task, devices, TimeModel::deterministic());
-        let mut rng = seeded_rng(91);
-        let global = zoo::cnn_mnist(0.15, &mut rng);
-        let cfg = FlConfig { rounds: 10, eval_every: 5, ..Default::default() };
-        let exact = run_fedmp(&cfg, &setup, global.clone(), &FedMpOptions::default());
-        let quant = run_fedmp(
-            &cfg,
-            &setup,
-            global,
-            &FedMpOptions { quantize_residuals: true, ..Default::default() },
-        );
-        let a = exact.final_accuracy().unwrap();
-        let b = quant.final_accuracy().unwrap();
-        // 8-bit residual storage must not meaningfully hurt training.
-        assert!(b > a - 0.15, "quantized residuals degraded accuracy: {a} vs {b}");
     }
 
     #[test]
@@ -340,46 +271,6 @@ mod tests {
     }
 
     #[test]
-    fn compressed_runs_are_seed_reproducible() {
-        let (task, devices) = small_setup(98);
-        let setup = FlSetup::new(&task, devices, TimeModel::deterministic());
-        let mut rng = seeded_rng(99);
-        let global = zoo::cnn_mnist(0.15, &mut rng);
-        let cfg = FlConfig { rounds: 4, eval_every: 2, ..Default::default() };
-        let opts = FedMpOptions {
-            compression: crate::wire::CompressionPolicy::adaptive(),
-            ..Default::default()
-        };
-        let a = run_fedmp(&cfg, &setup, global.clone(), &opts);
-        let b = run_fedmp(&cfg, &setup, global, &opts);
-        assert_eq!(
-            serde_json::to_string(&a).unwrap(),
-            serde_json::to_string(&b).unwrap(),
-            "compressed runs must be bit-identical under the same seed"
-        );
-    }
-
-    #[test]
-    fn fault_injection_drops_and_recovers_workers() {
-        let (task, devices) = small_setup(92);
-        let setup = FlSetup::new(&task, devices, TimeModel::deterministic());
-        let mut rng = seeded_rng(93);
-        let global = zoo::cnn_mnist(0.1, &mut rng);
-        let cfg = FlConfig { rounds: 20, eval_every: 10, ..Default::default() };
-        let opts = FedMpOptions {
-            faults: Some(FaultOptions { fail_prob: 0.3, recover_rounds: 1, ..Default::default() }),
-            ..Default::default()
-        };
-        let h = run_fedmp(&cfg, &setup, global, &opts);
-        assert_eq!(h.rounds.len(), 20);
-        // With 30% failure probability some rounds must run short-handed.
-        let short_rounds = h.rounds.iter().filter(|r| r.ratios.len() < 4).count();
-        assert!(short_rounds > 0, "no failures materialised");
-        // And training still progresses (model evaluated at the end).
-        assert!(h.final_accuracy().is_some());
-    }
-
-    #[test]
     fn deadline_caps_round_time() {
         let (task, _) = small_setup(94);
         // One pathological straggler.
@@ -399,42 +290,26 @@ mod tests {
             global.clone(),
             &FedMpOptions { fixed_ratio: Some(0.0), ..Default::default() },
         );
-        let with_deadline = run_fedmp(
-            &cfg,
-            &setup,
-            global,
-            &FedMpOptions {
-                fixed_ratio: Some(0.0),
-                faults: Some(FaultOptions {
-                    fail_prob: 0.0,
-                    deadline_frac: 0.75,
-                    deadline_factor: 1.1,
-                    ..Default::default()
-                }),
+        let deadline = |frac: f64, factor: f64| {
+            let faults = FaultOptions {
+                fail_prob: 0.0,
+                deadline_frac: frac,
+                deadline_factor: factor,
                 ..Default::default()
-            },
-        );
+            };
+            let opts =
+                FedMpOptions { fixed_ratio: Some(0.0), faults: Some(faults), ..Default::default() };
+            run_fedmp(&cfg, &setup, global.clone(), &opts)
+        };
+        let with_deadline = deadline(0.75, 1.1);
         assert!(
             with_deadline.rounds[0].round_time < no_deadline.rounds[0].round_time,
             "deadline should cut the straggler's tail: {} vs {}",
             with_deadline.rounds[0].round_time,
             no_deadline.rounds[0].round_time
         );
-    }
-
-    #[test]
-    fn runs_are_seed_reproducible() {
-        let (task, devices) = small_setup(88);
-        let setup = FlSetup::new(&task, devices.clone(), TimeModel::default());
-        let mut rng = seeded_rng(89);
-        let global = zoo::cnn_mnist(0.1, &mut rng);
-        let cfg = FlConfig { rounds: 3, ..Default::default() };
-        let a = run_fedmp(&cfg, &setup, global.clone(), &FedMpOptions::default());
-        let b = run_fedmp(&cfg, &setup, global, &FedMpOptions::default());
-        for (x, y) in a.rounds.iter().zip(b.rounds.iter()) {
-            assert_eq!(x.ratios, y.ratios);
-            assert_eq!(x.train_loss, y.train_loss);
-            assert_eq!(x.sim_time, y.sim_time);
-        }
+        // An arrival exactly at the deadline is on time: at factor 1
+        // over every arrival the deadline is the straggler's own time.
+        assert!(deadline(1.0, 1.0).rounds.iter().all(|r| r.exclusions == 0));
     }
 }

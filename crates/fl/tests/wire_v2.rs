@@ -25,7 +25,7 @@ use fedmp_fl::{
     frame_checksum_ok, wire_size_v2, Codec, ErrorFeedback, ExactState, WireError,
 };
 use fedmp_nn::StateEntry;
-use fedmp_tensor::{seeded_rng, uniform_vec, Tensor};
+use fedmp_tensor::{crc32c, seeded_rng, uniform_vec, Tensor};
 use proptest::prelude::*;
 use rand::Rng;
 
@@ -210,6 +210,88 @@ proptest! {
         prop_assert!(decode_state_v2(&frame[..len], None).is_err(), "prefix {} decoded", len);
         prop_assert!(!frame_checksum_ok(&frame[..len]));
     }
+
+    /// One size field of a valid sparse frame — the entry count, a name
+    /// length, a dim or `k` — set to 0, 1, its maximum or one past the
+    /// bytes that remain, or one index set equal to its predecessor,
+    /// with the CRC resealed so the parser itself runs. Decoding against
+    /// the reference returns an error or a state of the reference's
+    /// shape and never panics; a repeated index, whose value would be
+    /// added twice, is always an error.
+    #[test]
+    fn resealed_sparse_field_edits_fail_typed_or_keep_the_reference_shape(
+        seed in 0u64..100_000,
+        int8 in 0u8..2,
+        keep in 0.3f32..1.0,
+        pick in 0usize..1024,
+        value in 0usize..4,
+    ) {
+        let state = random_state(seed);
+        let reference = reference_for(&state);
+        let int8 = int8 == 1;
+        let codec = if int8 { Codec::TopKInt8 { keep } } else { Codec::TopK { keep } };
+        let frame = encode_state_v2(&state, codec, Some(&reference), None);
+        let (fields, lists) = sparse_fields(&frame, int8);
+        let shape = |s: &[StateEntry]| -> Vec<(String, Vec<usize>)> {
+            s.iter().map(|e| (e.name.clone(), e.tensor.dims().to_vec())).collect()
+        };
+
+        let (at, width) = fields[pick % fields.len()];
+        let max = if width == 2 { u16::MAX as usize } else { u32::MAX as usize };
+        let past = (frame.len() - 4 - (at + width) + 1).min(max);
+        let mut bad = frame.to_vec();
+        bad[at..at + width].copy_from_slice(&([0, 1, max, past][value] as u32).to_le_bytes()[..width]);
+        reseal(&mut bad);
+        prop_assert!(frame_checksum_ok(&bad));
+        if let Ok(decoded) = decode_state_v2(&bad, Some(&reference)) {
+            prop_assert_eq!(shape(&decoded), shape(&reference), "field at {} set to {}", at, value);
+        }
+
+        for &(at, k) in lists.iter().filter(|&&(_, k)| k >= 2) {
+            let j = at + 4 * (1 + pick % (k - 1));
+            let mut dup = frame.to_vec();
+            dup.copy_within(j - 4..j, j);
+            reseal(&mut dup);
+            prop_assert_eq!(
+                decode_state_v2(&dup, Some(&reference)).err(),
+                Some(WireError::Malformed("sparse indices not ascending"))
+            );
+        }
+    }
+}
+
+/// Pairs of a byte offset and a length.
+type Spans = Vec<(usize, usize)>;
+
+/// The size fields of a top-k / top-k-int8 frame as `(offset, width)` —
+/// the entry count, then per entry its name length, each dim and `k` —
+/// and `(offset, k)` of every entry's index list.
+fn sparse_fields(frame: &[u8], int8: bool) -> (Spans, Spans) {
+    let u32_at =
+        |p: usize| u32::from_le_bytes([frame[p], frame[p + 1], frame[p + 2], frame[p + 3]]);
+    // Magic (4), codec tag (1) and keep (4) come first.
+    let (mut fields, mut lists, mut p) = (vec![(9, 4)], Vec::new(), 13);
+    for _ in 0..u32_at(9) {
+        fields.push((p, 2));
+        p += 2 + usize::from(u16::from_le_bytes([frame[p], frame[p + 1]])) + 1;
+        let rank = usize::from(frame[p]);
+        fields.extend((0..rank).map(|d| (p + 1 + 4 * d, 4)));
+        p += 1 + 4 * rank;
+        let k = u32_at(p) as usize;
+        fields.push((p, 4));
+        p += if int8 { 8 } else { 4 };
+        lists.push((p, k));
+        p += k * if int8 { 5 } else { 8 };
+    }
+    assert_eq!(p, frame.len() - 4, "the walk ends at the trailer");
+    (fields, lists)
+}
+
+/// Rewrites `frame`'s CRC-32C trailer over its edited body.
+fn reseal(frame: &mut [u8]) {
+    let tail = frame.len() - 4;
+    let crc = crc32c(&frame[4..tail]);
+    frame[tail..].copy_from_slice(&crc.to_le_bytes());
 }
 
 /// `frame` with `xors.len()` consecutive bytes XORed by `xors` (each

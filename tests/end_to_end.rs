@@ -20,21 +20,16 @@ fn quick_spec(task: TaskKind, rounds: usize) -> ExperimentSpec {
 }
 
 #[test]
-fn fedmp_improves_accuracy_on_every_task() {
-    for task in TaskKind::all() {
-        let rounds = if task == TaskKind::CnnMnist { 16 } else { 12 };
-        let spec = quick_spec(task, rounds);
-        let h = run_method(&spec, Method::FedMp);
-        let first = h.rounds.iter().find_map(|r| r.eval).expect("evaluated").1;
-        let best = h.rounds.iter().filter_map(|r| r.eval.map(|(_, a)| a)).fold(0.0f32, f32::max);
-        // Short runs on the harder tasks are noisy; require that the best
-        // evaluation at least matches the starting point, and that the
-        // easy task genuinely learns.
-        assert!(best >= first - 0.02, "{}: accuracy regressed {first} -> best {best}", task.name());
-        if task == TaskKind::CnnMnist {
-            assert!(best > 0.3, "{}: best accuracy only {best}", task.name());
-        }
-    }
+fn fedmp_learns_the_cnn_task() {
+    // The other three image models train in `tests/reference_round.rs`
+    // (one ρ > 0 round each, against an f64 longhand); a short run of
+    // them here could only assert that accuracy did not fall.
+    let spec = quick_spec(TaskKind::CnnMnist, 16);
+    let h = run_method(&spec, Method::FedMp);
+    let first = h.rounds.iter().find_map(|r| r.eval).expect("evaluated").1;
+    let best = h.rounds.iter().filter_map(|r| r.eval.map(|(_, a)| a)).fold(0.0f32, f32::max);
+    assert!(best >= first - 0.02, "accuracy regressed {first} -> best {best}");
+    assert!(best > 0.3, "best accuracy only {best}");
 }
 
 #[test]
