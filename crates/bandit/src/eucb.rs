@@ -331,8 +331,8 @@ mod tests {
         for (lo, hi) in agent.regions() {
             assert!(hi - lo > 0.1 * 0.04, "degenerate region [{lo}, {hi})");
         }
-        // And the tree stopped growing: with θ=0.1 over [0,0.9) at most
-        // ~2·(0.9/0.1) leaves even with uneven splits.
+        // And the tree stopped growing: with θ=0.1 over [0,0.8) at most
+        // ~2·(0.8/0.1) leaves even with uneven splits.
         assert!(agent.num_regions() <= 40, "{} regions", agent.num_regions());
     }
 
@@ -353,7 +353,7 @@ mod tests {
     #[test]
     fn unvisited_regions_are_explored_first() {
         let mut agent = EUcbAgent::new(EUcbConfig::default());
-        // Round 1 splits [0, 0.9) into two; round 2 must visit the
+        // Round 1 splits [0, 0.8) into two; round 2 must visit the
         // still-unvisited half (infinite UCB).
         let a1 = agent.select();
         agent.observe(10.0); // huge reward for the visited half

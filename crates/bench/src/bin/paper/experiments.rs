@@ -1,12 +1,14 @@
 //! One function per figure/table id: prints the rows the paper reports
-//! and writes `bench-results/<id>.json`. EXPERIMENTS.md states the shape
-//! each reproduces and `paper check` tests it; experiments with no check
-//! say what to expect here. `h.full` restores the grids `quick` trims;
-//! `resilience`, `compression` and `scale` have one size. The timing
-//! tables of `kernels` are next door in `kernels.rs`.
+//! and returns what `paper` saves as `bench-results/<id>.json`. A paper
+//! claim's artifact is a typed value that `paper check` reads back as
+//! the same type; EXPERIMENTS.md states the shape each reproduces, and
+//! experiments with no check say what to expect here. `h.full` restores
+//! the grids `quick` trims; `resilience`, `compression` and `scale` have
+//! one size. The timing tables of `kernels` are next door in
+//! `kernels.rs`.
 
 use fedmp_bandit::{Bandit, DiscreteUcb, EUcbAgent, EUcbConfig, EpsilonGreedy, RewardConfig};
-use fedmp_bench::{common_target, fmt_speedup, fmt_time, save_result, time_to_target, Harness};
+use fedmp_bench::{common_target, fmt_speedup, fmt_time, time_to_target, Harness, TimeToTarget};
 use fedmp_core::{
     measure_overhead, print_table, run_fedmp_custom, ExperimentSpec, Method, TaskKind,
 };
@@ -23,11 +25,26 @@ use fedmp_nn::{lstm_cost_per_token, zoo, ShapesOnly, StateEntry};
 use fedmp_obs::{RunManifest, TraceEvent, TraceSession};
 use fedmp_pruning::Importance;
 use fedmp_tensor::{seeded_rng, Tensor};
+use serde::{Deserialize, Serialize};
 use serde_json::{json, Value};
 use std::time::Instant;
 
+/// Fig. 2, one task: accuracy within `budget` virtual seconds per ratio.
+#[derive(Serialize, Deserialize)]
+pub struct Fig2Task {
+    pub task: String,
+    pub budget: f64,
+    pub series: Vec<RatioAccuracy>,
+}
+
+#[derive(Serialize, Deserialize)]
+pub struct RatioAccuracy {
+    pub ratio: f32,
+    pub accuracy: f32,
+}
+
 /// Fig. 2: accuracy under a time budget vs a **fixed** pruning ratio.
-pub fn fig2(h: &mut Harness) {
+pub fn fig2(h: &mut Harness) -> Vec<Fig2Task> {
     let ratios: &[f32] = if h.full {
         &[0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8]
     } else {
@@ -44,21 +61,30 @@ pub fn fig2(h: &mut Harness) {
         for (&ratio, run) in ratios.iter().zip(&histories) {
             let acc = run.best_accuracy_within(budget).unwrap_or(0.0);
             rows.push(vec![format!("{ratio:.1}"), format!("{:.1}%", acc * 100.0)]);
-            series.push(json!({"ratio": ratio, "accuracy": acc}));
+            series.push(RatioAccuracy { ratio, accuracy: acc });
         }
         print_table(
             &format!("Fig. 2 — {} (budget {budget:.0}s virtual)", task.name()),
             &["pruning ratio", "accuracy in budget"],
             &rows,
         );
-        results.push(json!({"task": task.name(), "budget": budget, "series": series}));
+        results.push(Fig2Task { task: task.name().into(), budget, series });
     }
-    save_result("fig2", &results);
+    results
+}
+
+/// Fig. 4, one model: completion time to `target` per θ over the fastest.
+#[derive(Serialize, Deserialize)]
+pub struct Fig4Task {
+    pub task: String,
+    pub target: f32,
+    pub thetas: Vec<f32>,
+    pub normalised_times: Vec<f64>,
 }
 
 /// Fig. 4: completion time vs the pruning granularity θ, normalised
 /// per model as in the paper.
-pub fn fig4(h: &mut Harness) {
+pub fn fig4(h: &mut Harness) -> Vec<Fig4Task> {
     let thetas: &[f32] =
         if h.full { &[0.01, 0.02, 0.05, 0.1, 0.15, 0.25] } else { &[0.02, 0.05, 0.1, 0.25] };
     let tasks: &[TaskKind] =
@@ -100,19 +126,27 @@ pub fn fig4(h: &mut Harness) {
             &["theta", "normalised completion time"],
             &rows,
         );
-        results.push(json!({
-            "task": task.name(),
-            "target": target,
-            "thetas": thetas,
-            "normalised_times": normalised,
-        }));
+        results.push(Fig4Task {
+            task: task.name().into(),
+            target,
+            thetas: thetas.to_vec(),
+            normalised_times: normalised,
+        });
     }
-    save_result("fig4", &results);
+    results
+}
+
+/// Fig. 5, one ratio: mean per-round computation and communication seconds.
+#[derive(Serialize, Deserialize)]
+pub struct Fig5Point {
+    pub ratio: f32,
+    pub comp: f64,
+    pub comm: f64,
 }
 
 /// Fig. 5: mean per-round computation and communication time vs the
 /// pruning ratio.
-pub fn fig5(h: &mut Harness) {
+pub fn fig5(h: &mut Harness) -> Vec<Fig5Point> {
     let ratios = [0.0f32, 0.2, 0.4, 0.6, 0.8];
     let mut spec = h.spec(TaskKind::AlexnetCifar);
     spec.fl.rounds = 6; // timing only; no need to converge
@@ -120,7 +154,7 @@ pub fn fig5(h: &mut Harness) {
 
     let mut rows = Vec::new();
     let mut series = Vec::new();
-    for (ratio, run) in ratios.iter().zip(&histories) {
+    for (&ratio, run) in ratios.iter().zip(&histories) {
         let n = run.rounds.len() as f64;
         let comp: f64 = run.rounds.iter().map(|r| r.mean_comp).sum::<f64>() / n;
         let comm: f64 = run.rounds.iter().map(|r| r.mean_comm).sum::<f64>() / n;
@@ -130,41 +164,65 @@ pub fn fig5(h: &mut Harness) {
             format!("{comm:.2}s"),
             format!("{:.2}s", comp + comm),
         ]);
-        series.push(json!({"ratio": ratio, "comp": comp, "comm": comm}));
+        series.push(Fig5Point { ratio, comp, comm });
     }
     print_table(
         "Fig. 5 — per-round time vs pruning ratio (AlexNet/CIFAR-like)",
         &["pruning ratio", "computation", "communication", "total"],
         &rows,
     );
-    save_result("fig5", &series);
+    series
+}
+
+/// Fig. 6, one task: each method's `(time, accuracy)` curve and times.
+#[derive(Serialize, Deserialize)]
+pub struct Fig6Task {
+    pub task: String,
+    pub target: f32,
+    pub curves: Vec<Curve>,
+    pub time_to_target: Vec<TimeToTarget>,
+}
+
+#[derive(Serialize, Deserialize)]
+pub struct Curve {
+    pub method: String,
+    pub series: Vec<(f64, f32)>,
 }
 
 /// Fig. 6: accuracy vs virtual training time, five methods × four tasks.
-pub fn fig6(h: &mut Harness) {
+pub fn fig6(h: &mut Harness) -> Vec<Fig6Task> {
     let mut results = Vec::new();
     for task in TaskKind::all() {
         let histories = h.histories(&h.spec(task), &Method::paper_five());
         let target = common_target(&histories);
         let title = format!("Fig. 6 — {} (time to {:.0}% accuracy)", task.name(), target * 100.0);
-        let rows = time_to_target(&title, &histories, target);
-        let curves: Vec<Value> = histories
+        let time_to_target = time_to_target(&title, &histories, target);
+        let curves = histories
             .iter()
-            .map(|run| json!({"method": run.method, "series": run.accuracy_curve()}))
+            .map(|run| Curve { method: run.method.clone(), series: run.accuracy_curve() })
             .collect();
-        results.push(json!({
-            "task": task.name(),
-            "target": target,
-            "curves": curves,
-            "time_to_target": rows,
-        }));
+        results.push(Fig6Task { task: task.name().into(), target, curves, time_to_target });
     }
-    save_result("fig6", &results);
+    results
+}
+
+/// Table III, one task: each method's accuracy within `budget`.
+#[derive(Serialize, Deserialize)]
+pub struct Table3Task {
+    pub task: String,
+    pub budget: f64,
+    pub cells: Vec<MethodAccuracy>,
+}
+
+#[derive(Serialize, Deserialize)]
+pub struct MethodAccuracy {
+    pub method: String,
+    pub accuracy: f32,
 }
 
 /// Table III: test accuracy each method reaches within a fixed
 /// virtual-time budget, on Fig. 6's runs.
-pub fn table3(h: &mut Harness) {
+pub fn table3(h: &mut Harness) -> Vec<Table3Task> {
     let mut rows = Vec::new();
     let mut results = Vec::new();
     for task in TaskKind::all() {
@@ -177,21 +235,31 @@ pub fn table3(h: &mut Harness) {
         for run in &histories {
             let acc = run.best_accuracy_within(budget).unwrap_or(0.0);
             row.push(format!("{:.1}%", acc * 100.0));
-            cells.push(json!({"method": run.method, "accuracy": acc}));
+            cells.push(MethodAccuracy { method: run.method.clone(), accuracy: acc });
         }
         rows.push(row);
-        results.push(json!({"task": task.name(), "budget": budget, "cells": cells}));
+        results.push(Table3Task { task: task.name().into(), budget, cells });
     }
     print_table(
         "Table III — accuracy within a fixed virtual-time budget",
         &["model", "budget", "Syn-FL", "UP-FL", "FedProx", "FlexCom", "FedMP"],
         &rows,
     );
-    save_result("table3", &results);
+    results
+}
+
+/// Fig. 7, one task: R2SP's and BSP's `(round, accuracy)` curves.
+#[derive(Serialize, Deserialize)]
+pub struct Fig7Task {
+    pub task: String,
+    pub r2sp_curve: Vec<(usize, f32)>,
+    pub bsp_curve: Vec<(usize, f32)>,
+    pub r2sp_final: f32,
+    pub bsp_final: f32,
 }
 
 /// Fig. 7: R2SP vs traditional BSP on FedMP, accuracy vs rounds.
-pub fn fig7(h: &mut Harness) {
+pub fn fig7(h: &mut Harness) -> Vec<Fig7Task> {
     let mut results = Vec::new();
     let mut rows = Vec::new();
     for task in TaskKind::all() {
@@ -205,24 +273,33 @@ pub fn fig7(h: &mut Harness) {
             format!("{:.1}%", b * 100.0),
             format!("{:+.1}pp", (a - b) * 100.0),
         ]);
-        results.push(json!({
-            "task": task.name(),
-            "r2sp_curve": r2sp.accuracy_by_round(),
-            "bsp_curve": bsp.accuracy_by_round(),
-            "r2sp_final": a,
-            "bsp_final": b,
-        }));
+        results.push(Fig7Task {
+            task: task.name().into(),
+            r2sp_curve: r2sp.accuracy_by_round(),
+            bsp_curve: bsp.accuracy_by_round(),
+            r2sp_final: a,
+            bsp_final: b,
+        });
     }
     print_table(
         "Fig. 7 — synchronisation scheme (final accuracy after equal rounds)",
         &["model", "R2SP", "BSP", "R2SP advantage"],
         &rows,
     );
-    save_result("fig7", &results);
+    results
+}
+
+/// Fig. 8, one (task, heterogeneity level) block.
+#[derive(Serialize, Deserialize)]
+pub struct Fig8Level {
+    pub task: String,
+    pub level: String,
+    pub target: f32,
+    pub rows: Vec<TimeToTarget>,
 }
 
 /// Fig. 8: time to target under the three §V-E heterogeneity levels.
-pub fn fig8(h: &mut Harness) {
+pub fn fig8(h: &mut Harness) -> Vec<Fig8Level> {
     let levels = [
         ("Low", HeterogeneityLevel::Low),
         ("Medium", HeterogeneityLevel::Medium),
@@ -243,19 +320,23 @@ pub fn fig8(h: &mut Harness) {
                 target * 100.0
             );
             let rows = time_to_target(&title, &histories, target);
-            results.push(json!({
-                "task": task.name(),
-                "level": label,
-                "target": target,
-                "rows": rows,
-            }));
+            results.push(Fig8Level { task: task.name().into(), level: label.into(), target, rows });
         }
     }
-    save_result("fig8", &results);
+    results
+}
+
+/// Fig. 9, one (task, non-IID level `y`) block.
+#[derive(Serialize, Deserialize)]
+pub struct Fig9Level {
+    pub task: String,
+    pub y: u32,
+    pub target: f32,
+    pub rows: Vec<TimeToTarget>,
 }
 
 /// Fig. 9: time to target under increasing non-IID levels.
-pub fn fig9(h: &mut Harness) {
+pub fn fig9(h: &mut Harness) -> Vec<Fig9Level> {
     // Label-skew tasks use y ∈ {0, 30, 60}%; missing-classes tasks use
     // y missing classes scaled to the class count.
     let settings: &[(TaskKind, [u32; 3])] = if h.full {
@@ -273,19 +354,27 @@ pub fn fig9(h: &mut Harness) {
         // Fixed target per task so times are comparable across levels:
         // derived from the IID (y = 0, first) runs.
         let target = common_target(&runs[0]) * 0.9;
-        for (y, histories) in levels.iter().zip(&runs) {
+        for (&y, histories) in levels.iter().zip(&runs) {
             let title =
                 format!("Fig. 9 — {} @ non-IID y={y} (target {:.0}%)", task.name(), target * 100.0);
             let rows = time_to_target(&title, histories, target);
-            results.push(json!({"task": task.name(), "y": y, "target": target, "rows": rows}));
+            results.push(Fig9Level { task: task.name().into(), y, target, rows });
         }
     }
-    save_result("fig9", &results);
+    results
+}
+
+/// Fig. 10, one worker count.
+#[derive(Serialize, Deserialize)]
+pub struct Fig10Fleet {
+    pub workers: usize,
+    pub target: f32,
+    pub rows: Vec<TimeToTarget>,
 }
 
 /// Fig. 10: scalability — time to target as the worker count grows from
 /// 10 to 30.
-pub fn fig10(h: &mut Harness) {
+pub fn fig10(h: &mut Harness) -> Vec<Fig10Fleet> {
     let counts: &[usize] = if h.full { &[10, 20, 30] } else { &[10, 30] };
     let task = if h.full { TaskKind::AlexnetCifar } else { TaskKind::CnnMnist };
     let mut results = Vec::new();
@@ -296,14 +385,22 @@ pub fn fig10(h: &mut Harness) {
         let target = common_target(&histories);
         let title = format!("Fig. 10 — {workers} workers (target {:.0}%)", target * 100.0);
         let rows = time_to_target(&title, &histories, target);
-        results.push(json!({"workers": workers, "target": target, "rows": rows}));
+        results.push(Fig10Fleet { workers, target, rows });
     }
-    save_result("fig10", &results);
+    results
+}
+
+/// Fig. 11, one worker count: mean per-round PS overhead, wall-clock ms.
+#[derive(Serialize, Deserialize)]
+pub struct Fig11Point {
+    pub workers: usize,
+    pub decision_ms: f64,
+    pub pruning_ms: f64,
 }
 
 /// Fig. 11: mean per-round PS overhead (ratio decision + model pruning,
 /// wall clock) vs the number of workers.
-pub fn fig11(h: &mut Harness) {
+pub fn fig11(h: &mut Harness) -> Vec<Fig11Point> {
     let built = h.spec(TaskKind::AlexnetCifar).build();
     let mut rows = Vec::new();
     let mut series = Vec::new();
@@ -315,11 +412,11 @@ pub fn fig11(h: &mut Harness) {
             format!("{:.2}ms", report.pruning_secs * 1e3),
             format!("{:.2}ms", report.total_secs() * 1e3),
         ]);
-        series.push(json!({
-            "workers": workers,
-            "decision_ms": report.decision_secs * 1e3,
-            "pruning_ms": report.pruning_secs * 1e3,
-        }));
+        series.push(Fig11Point {
+            workers,
+            decision_ms: report.decision_secs * 1e3,
+            pruning_ms: report.pruning_secs * 1e3,
+        });
     }
     print_table(
         "Fig. 11 — PS algorithm overhead per round (wall clock)",
@@ -329,23 +426,44 @@ pub fn fig11(h: &mut Harness) {
     println!(
         "(for scale: simulated per-round training/transfer times are tens to hundreds of virtual seconds)"
     );
-    save_result("fig11", &series);
+    series
+}
+
+/// Fig. 12's time-to-target block.
+#[derive(Serialize, Deserialize)]
+pub struct Fig12 {
+    pub target: f32,
+    pub rows: Vec<TimeToTarget>,
 }
 
 /// Fig. 12: synchronous vs asynchronous settings (10 workers, m = 5).
-pub fn fig12(h: &mut Harness) {
+pub fn fig12(h: &mut Harness) -> Fig12 {
     let methods = [Method::AsynFl { m: 5 }, Method::AsynFedMp { m: 5 }, Method::FedMp];
     let task = if h.full { TaskKind::AlexnetCifar } else { TaskKind::CnnMnist };
     let histories = h.histories(&h.spec(task), &methods);
     let target = common_target(&histories);
     let title = format!("Fig. 12 — async setting, m=5 of 10 (target {:.0}%)", target * 100.0);
-    let rows = time_to_target(&title, &histories, target);
-    save_result("fig12", &json!({"target": target, "rows": rows}));
+    Fig12 { target, rows: time_to_target(&title, &histories, target) }
+}
+
+/// Table IV: perplexity within `budget`, speed-up to `target` perplexity.
+#[derive(Serialize, Deserialize)]
+pub struct Table4 {
+    pub budget: f64,
+    pub target: f32,
+    pub rows: Vec<Table4Row>,
+}
+
+#[derive(Serialize, Deserialize)]
+pub struct Table4Row {
+    pub method: String,
+    pub perplexity: Option<f32>,
+    pub speedup: Option<f64>,
 }
 
 /// Table IV (§VI): the RNN extension — a 2-layer LSTM language model on
 /// the PTB-like corpus under Syn-FL, UP-FL and FedMP (ISS pruning).
-pub fn table4(h: &mut Harness) {
+pub fn table4(h: &mut Harness) -> Table4 {
     let workers = 4usize;
     let vocab = 50usize;
     let corpus = ptb_like(vocab, 60_000, 77);
@@ -401,21 +519,21 @@ pub fn table4(h: &mut Harness) {
             ppl.map_or("-".into(), |p| format!("{p:.2}")),
             fmt_speedup(speedup),
         ]);
-        cells.push(json!({"method": run.method, "perplexity": ppl, "speedup": speedup}));
+        cells.push(Table4Row { method: run.method.clone(), perplexity: ppl, speedup });
     }
     print_table(
         &format!("Table IV — LSTM/PTB-like (budget {budget:.0}s, target ppl {target:.1})"),
         &["method", "perplexity in budget", "speedup to target"],
         &rows,
     );
-    save_result("table4", &json!({"budget": budget, "target": target, "rows": cells}));
+    Table4 { budget, target, rows: cells }
 }
 
 /// Ablation (DESIGN.md §5): the pruning-ratio decision policy, on a
 /// simulated device-fitting environment whose optimal ratio drifts
 /// mid-run (a worker's effective capability changes, e.g. thermal
 /// throttling) — the non-stationarity the discounted design targets.
-pub fn ablation_bandit(_: &mut Harness) {
+pub fn ablation_bandit(_: &mut Harness) -> Value {
     let rounds = 400usize;
     let seeds = [1u64, 2, 3, 4, 5];
     type PolicyCtor = fn(u64) -> Box<dyn Bandit>;
@@ -464,13 +582,13 @@ pub fn ablation_bandit(_: &mut Harness) {
         &["policy", "tail |alpha - alpha*|", "cumulative regret"],
         &rows,
     );
-    save_result("ablation_bandit", &results);
+    Value::Array(results)
 }
 
 /// Ablation (DESIGN.md §5): the Eq. 8 reward divides by `|Tₙ − T̄|`,
 /// which explodes as a worker approaches the fleet average; we floor
 /// the gap at `gap_floor · T̄`. What each floor does to time-to-target.
-pub fn ablation_reward(h: &mut Harness) {
+pub fn ablation_reward(h: &mut Harness) -> Value {
     let spec = h.spec(TaskKind::CnnMnist);
     // Reference target from the default configuration.
     let base = run_fedmp_custom(&spec, &FedMpOptions::default());
@@ -494,13 +612,13 @@ pub fn ablation_reward(h: &mut Harness) {
         &["gap floor", "time to target", "final accuracy"],
         &rows,
     );
-    save_result("ablation_reward", &results);
+    Value::Array(results)
 }
 
 /// Ablation (paper §VI / DESIGN.md §5): the pluggable importance
 /// metric. Expected: L1 ≈ L2 (both weight-magnitude based), both clearly
 /// ahead of seeded-random pruning.
-pub fn ablation_importance(h: &mut Harness) {
+pub fn ablation_importance(h: &mut Harness) -> Value {
     let spec = h.spec(TaskKind::CnnMnist);
     let metrics = [
         ("L1 (paper)", Importance::L1),
@@ -529,13 +647,13 @@ pub fn ablation_importance(h: &mut Harness) {
         &["metric", "final accuracy", "time to target"],
         &rows,
     );
-    save_result("ablation_importance", &results);
+    Value::Array(results)
 }
 
 /// Extension: fleet energy per method. FedMP should cut *both* compute
 /// and radio energy (smaller models, smaller transfers), compression-only
 /// methods radio energy alone, FedProx mainly barrier idle time.
-pub fn energy(h: &mut Harness) {
+pub fn energy(h: &mut Harness) -> Value {
     let spec = h.spec(TaskKind::CnnMnist);
     let built = spec.build();
     let mean_flops =
@@ -572,7 +690,7 @@ pub fn energy(h: &mut Harness) {
         &["method", "compute", "radio", "barrier idle", "total", "final acc"],
         &rows,
     );
-    save_result("energy", &results);
+    Value::Array(results)
 }
 
 /// First round (1-based) whose evaluation reached `target` accuracy.
@@ -585,7 +703,7 @@ fn rounds_to_accuracy(history: &RunHistory, target: f32) -> Option<usize> {
 /// proportionally scaled transport chaos) — rounds to target once
 /// faults exclude participants, and what recovery costs in wall clock.
 /// Faults may slow convergence, never shorten the run.
-pub fn resilience(_: &mut Harness) {
+pub fn resilience(_: &mut Harness) -> Value {
     let mut spec = ExperimentSpec::bench(TaskKind::CnnMnist);
     spec.workers = 30;
     spec.fl.rounds = 6;
@@ -633,10 +751,7 @@ pub fn resilience(_: &mut Harness) {
             "exclusions": exclusions,
         }));
     }
-    save_result(
-        "resilience",
-        &json!({"engine": "FedMP-threaded", "target_accuracy": target, "runs": runs}),
-    );
+    json!({"engine": "FedMP-threaded", "target_accuracy": target, "runs": runs})
 }
 
 /// Compression × pruning (wire v2): FedMP under every uplink codec
@@ -647,7 +762,7 @@ pub fn resilience(_: &mut Harness) {
 /// unless int8 top-k cuts uplink bytes ≥ 4× per round, the adaptive
 /// policy lowers Eq. 5 time on the slow links, and every compressed
 /// cell's accuracy stays within 0.15 of dense at matched rounds.
-pub fn compression(_: &mut Harness) {
+pub fn compression(_: &mut Harness) -> Value {
     let mut spec = ExperimentSpec::bench(TaskKind::CnnMnist);
     spec.level = HeterogeneityLevel::High;
     spec.fl.rounds = 8;
@@ -725,16 +840,13 @@ pub fn compression(_: &mut Harness) {
         }
     }
     println!("headline: int8 top-k uplink {reduction:.1}x smaller than dense per round");
-    save_result(
-        "compression",
-        &json!({
-            "task": "CnnMnist",
-            "workers": spec.workers, "slow_link_workers": slow_count,
-            "rounds": spec.fl.rounds, "slow_link_bps": SLOW_LINK_BPS,
-            "cells": cells,
-            "headline": {"policy": "topk-int8-up", "uplink_reduction_vs_dense": reduction},
-        }),
-    );
+    json!({
+        "task": "CnnMnist",
+        "workers": spec.workers, "slow_link_workers": slow_count,
+        "rounds": spec.fl.rounds, "slow_link_bps": SLOW_LINK_BPS,
+        "cells": cells,
+        "headline": {"policy": "topk-int8-up", "uplink_reduction_vs_dense": reduction},
+    })
 }
 
 /// Parameter count of the synthetic template `scale`'s cohort curve
@@ -765,7 +877,7 @@ fn synthetic_update(id: u64) -> Vec<StateEntry> {
 /// traces. That any shard tree equals the flat average is
 /// `crates/fl/tests/hierarchy.rs`; that the engine's history is one at
 /// every partition is the root `tests/goldens.rs`.
-pub fn scale(_: &mut Harness) {
+pub fn scale(_: &mut Harness) -> Value {
     let shards = 8u64;
     let template = synthetic_update(0);
     let mut curve = Vec::new();
@@ -835,7 +947,7 @@ pub fn scale(_: &mut Harness) {
             "final_accuracy": history.final_accuracy(),
         }));
     }
-    save_result("scale", &json!({"cohort_curve": curve, "engine_rows": engine_rows}));
+    json!({"cohort_curve": curve, "engine_rows": engine_rows})
 }
 
 /// Calibration probe (no artifact): Syn-FL vs FedMP per task. Use after

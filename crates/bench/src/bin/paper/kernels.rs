@@ -16,7 +16,7 @@
 //! layer is extracted to beside the full shape: time must track kept
 //! FLOPs — there is no pruning-aware kernel).
 
-use fedmp_bench::{save_result, Harness};
+use fedmp_bench::Harness;
 use fedmp_pruning::ratio_keep_count;
 use fedmp_tensor::simd::{self, SimdPath};
 use fedmp_tensor::{
@@ -24,7 +24,7 @@ use fedmp_tensor::{
     im2col_into, matmul_nt_reference, matmul_reference, matmul_tn_reference, max_pool2d_forward,
     parallel, seeded_rng, Conv2dSpec, Pool2dSpec, Tensor,
 };
-use serde_json::json;
+use serde_json::{json, Value};
 use std::time::Instant;
 
 type Gemm = fn(&Tensor, &Tensor) -> Tensor;
@@ -190,8 +190,8 @@ fn max_pool2d_forward_branchy(input: &Tensor, spec: &Pool2dSpec) -> (Tensor, Vec
     (out, argmax)
 }
 
-/// Times every table above and writes them to `bench-results/kernels.json`.
-pub fn kernels(_: &mut Harness) {
+/// Times every table above; `paper` saves them as `bench-results/kernels.json`.
+pub fn kernels(_: &mut Harness) -> Value {
     let has_avx2 = simd::avx2_supported();
     let detected = simd::detected_features();
     let selected = simd::active_path();
@@ -481,20 +481,17 @@ pub fn kernels(_: &mut Harness) {
         "speedup_vs_reference": top["speedup_scalar_vs_reference"],
         "speedup_simd_vs_scalar": top["speedup_simd_vs_scalar"],
     });
-    save_result(
-        "kernels",
-        &json!({
-            "threads": parallel::configured_threads(),
-            "host_cpu_features": {
-                "detected": detected, "selected_path": selected.name(), "avx2": has_avx2,
-            },
-            "gemm": gemm_rows,
-            "ragged": ragged_rows,
-            "conv": conv_rows,
-            "conv_backward": conv_bwd_rows,
-            "pool": pool_rows,
-            "pruned": pruned_rows,
-            "headline": headline,
-        }),
-    );
+    json!({
+        "threads": parallel::configured_threads(),
+        "host_cpu_features": {
+            "detected": detected, "selected_path": selected.name(), "avx2": has_avx2,
+        },
+        "gemm": gemm_rows,
+        "ragged": ragged_rows,
+        "conv": conv_rows,
+        "conv_backward": conv_bwd_rows,
+        "pool": pool_rows,
+        "pruned": pruned_rows,
+        "headline": headline,
+    })
 }

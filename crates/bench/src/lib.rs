@@ -26,8 +26,7 @@ use fedmp_core::{
     print_table, run_methods, speedup_table, trace_requested, ExperimentSpec, Method, TaskKind,
 };
 use fedmp_fl::RunHistory;
-use serde::Serialize;
-use serde_json::{json, Value};
+use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// What every `paper` experiment runs through: the fidelity profile
@@ -95,23 +94,31 @@ pub fn common_target(histories: &[RunHistory]) -> f32 {
     (base_final * 0.9).min(0.99)
 }
 
+/// One method's row of a time-to-target block; `None` where the method
+/// (or, for the speed-up, the baseline) never reached the target.
+#[derive(Serialize, Deserialize)]
+pub struct TimeToTarget {
+    /// Display name (`Syn-FL`, `FedMP`, …).
+    pub method: String,
+    /// Virtual seconds to the target.
+    pub time: Option<f64>,
+    /// Baseline time over this method's time.
+    pub speedup: Option<f64>,
+}
+
 /// The time-to-target block of Figs. 6/8–10/12: prints each method's
 /// time to `target` and its speed-up over the first (baseline) history,
-/// and returns the same rows as `{method, time, speedup}` JSON.
-pub fn time_to_target(title: &str, histories: &[RunHistory], target: f32) -> Vec<Value> {
+/// and returns the same rows.
+pub fn time_to_target(title: &str, histories: &[RunHistory], target: f32) -> Vec<TimeToTarget> {
     let table = speedup_table(histories, target);
     let baseline = histories.first().map_or("baseline", |h| h.method.as_str());
     let rows: Vec<Vec<String>> =
         table.iter().map(|(n, t, s)| vec![n.clone(), fmt_time(*t), fmt_speedup(*s)]).collect();
     print_table(title, &["method", "time to target", &format!("speedup vs {baseline}")], &rows);
-    table.iter().map(|(n, t, s)| json!({"method": n, "time": t, "speedup": s})).collect()
-}
-
-/// Writes an experiment's JSON result under `bench-results/`.
-pub fn save_result(name: &str, value: &impl Serialize) {
-    let path = std::path::Path::new("bench-results").join(format!("{name}.json"));
-    fedmp_core::save_json(&path, value);
-    println!("\n[saved {}]", path.display());
+    table
+        .into_iter()
+        .map(|(method, time, speedup)| TimeToTarget { method, time, speedup })
+        .collect()
 }
 
 /// Formats an `Option<f64>` seconds value for tables.

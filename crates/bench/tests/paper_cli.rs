@@ -55,6 +55,42 @@ fn check_exits_1_where_the_artifacts_are_missing() {
     assert!(String::from_utf8_lossy(&out.stdout).contains("0/12 shape claims hold"));
 }
 
+/// `paper check` reads each claim artifact as the type its experiment
+/// writes, so a renamed key makes the artifact unreadable (exit 1, the
+/// file and the missing field named) instead of a claim judged on zeros.
+#[test]
+fn check_exits_1_on_an_artifact_whose_keys_drifted() {
+    let repo = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../bench-results");
+    let dir = std::env::temp_dir().join(format!("fedmp-paper-drift-{}", std::process::id()));
+    std::fs::create_dir_all(dir.join("bench-results")).expect("temp dir");
+    let renames = [("fig5", ["comp", "comm"]), ("fig11", ["decision_ms", "pruning_ms"])];
+    for entry in std::fs::read_dir(&repo).expect("bench-results/") {
+        let path = entry.expect("dir entry").path();
+        let name = path.file_name().expect("file name").to_string_lossy().into_owned();
+        let mut text = std::fs::read_to_string(&path).expect("read artifact");
+        for (id, keys) in renames {
+            if name == format!("{id}.json") {
+                for key in keys {
+                    text = text.replace(&format!("\"{key}\":"), &format!("\"{key}_renamed\":"));
+                }
+            }
+        }
+        std::fs::write(dir.join("bench-results").join(&name), text).expect("copy artifact");
+    }
+    let out = Command::new(env!("CARGO_BIN_EXE_paper"))
+        .arg("check")
+        .current_dir(&dir)
+        .output()
+        .expect("spawn paper");
+    std::fs::remove_dir_all(&dir).ok();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "{stdout}");
+    for (file, field) in [("fig5.json", "comp"), ("fig11.json", "decision_ms")] {
+        let line = stdout.lines().find(|l| l.contains(file)).unwrap_or_else(|| panic!("{stdout}"));
+        assert!(line.contains(&format!("missing field `{field}`")), "{line}");
+    }
+}
+
 /// CI diffs regenerated artifacts against the checked-in files byte for
 /// byte, so wall-clock readings may live only in the three artifacts
 /// that diff leaves out (`fig11`, `kernels`, `resilience`); every other

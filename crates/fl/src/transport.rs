@@ -1008,27 +1008,35 @@ where
         Ok(l) => l,
         Err(_) => return Err(RuntimeError::Transport { worker: 0, fault: TransportFault::Bind }),
     };
-    let result = (|| -> Result<RunHistory, RuntimeError> {
-        listener
-            .set_nonblocking(true)
-            .map_err(|_| RuntimeError::Transport { worker: 0, fault: TransportFault::Bind })?;
-        let plan = ChaosPlan::new(cfg.seed, chaos);
-        let method = method.round(cfg, setup);
-        let mut fleet = SocketFleet::new(&listener, sock, spawner, cfg, plan, &method, &global);
-        let run = fleet.bring_up().and_then(|_| {
-            let mut framed = FramedExchange::new(&mut fleet, plan, setup.workers());
-            run_rounds(cfg, setup, global, method, chaos, &mut framed)
-        });
-        // Teardown runs on BOTH exit paths; a run error outranks a
-        // teardown error.
-        let td = fleet.teardown();
-        match run {
-            Ok(history) => td.map(|_| history),
-            Err(e) => Err(e),
-        }
-    })();
-    let _ = std::fs::remove_file(&sock.socket);
-    result
+    let _socket_file = RemoveOnDrop(&sock.socket);
+    listener
+        .set_nonblocking(true)
+        .map_err(|_| RuntimeError::Transport { worker: 0, fault: TransportFault::Bind })?;
+    let plan = ChaosPlan::new(cfg.seed, chaos);
+    let method = method.round(cfg, setup);
+    let mut fleet = SocketFleet::new(&listener, sock, spawner, cfg, plan, &method, &global);
+    let run = fleet.bring_up().and_then(|_| {
+        let mut framed = FramedExchange::new(&mut fleet, plan, setup.workers());
+        run_rounds(cfg, setup, global, method, chaos, &mut framed)
+    });
+    // Teardown runs on BOTH exit paths; a run error outranks a teardown
+    // error.
+    let td = fleet.teardown();
+    match run {
+        Ok(history) => td.map(|_| history),
+        Err(e) => Err(e),
+    }
+}
+
+/// Removes the PS's socket file when dropped, so every exit from
+/// [`run_sockets`] — a result or a panic unwinding through it — leaves
+/// no file behind.
+struct RemoveOnDrop<'a>(&'a Path);
+
+impl Drop for RemoveOnDrop<'_> {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(self.0);
+    }
 }
 
 /// [`run_sockets`] for FedMP. Kept only because the benchmark harness

@@ -1,19 +1,20 @@
 //! Socket-runtime acceptance: the determinism contract of
 //! `run_sockets` and its structural teardown guarantees.
 //!
-//! Everything lives in ONE test function, deliberately: trace sessions
-//! are process-exclusive, the kernel-dispatch counters are
+//! Every socket run lives in ONE test function, deliberately: trace
+//! sessions are process-exclusive, the kernel-dispatch counters are
 //! process-global, and the `live_worker_threads()` leak gauge counts
 //! every runtime-managed thread in the process — concurrent socket
-//! runs in this binary would pollute all three.
+//! runs in this binary would pollute all three. The one other test
+//! panics before its run starts a node, a thread or a trace event.
 
 use core::time::Duration;
 use fedmp_data::{iid_partition, mnist_like, ptb_like, TextDataset};
 use fedmp_edgesim::{tx2_profile, ComputeMode, DeviceProfile, LinkQuality, TimeModel};
 use fedmp_fl::{
     live_worker_threads, run_fedmp, run_sockets, unique_socket_path, ChaosOptions, FaultOptions,
-    FedMpOptions, FlConfig, FlSetup, ImageTask, LmTask, LocalTrainConfig, RunHistory,
-    SocketRunOptions, SyncMethod, ThreadNodes,
+    FedMpOptions, FlConfig, FlSetup, ImageTask, LmTask, LocalTrainConfig, NodeHandle, NodeSpawner,
+    RunHistory, SocketRunOptions, SyncMethod, ThreadNodes, TransportError,
 };
 use fedmp_nn::zoo;
 use fedmp_obs::{diff, RunManifest, Trace, TraceSession};
@@ -187,4 +188,34 @@ fn socket_runtime_matches_loop_engine_and_chaos_is_deterministic() {
     );
     assert_eq!(h_a.rounds.len(), 8, "chaos must not shorten the lm run");
     assert!(h_a.final_accuracy().is_some(), "the chaotic lm run never evaluated");
+}
+
+/// A spawner that panics — any panic on the PS thread unwinds the same
+/// way — must not leave the socket file behind.
+#[test]
+fn a_panicking_ps_removes_its_socket_file() {
+    struct NoNode;
+    impl NodeHandle for NoNode {
+        fn reap(&mut self, _: u32, _: Duration) -> Result<(), TransportError> {
+            Ok(())
+        }
+    }
+    struct PanickingSpawner;
+    impl NodeSpawner for PanickingSpawner {
+        type Handle = NoNode;
+        fn spawn(&mut self, _: usize, _: u32) -> Result<NoNode, TransportError> {
+            panic!("the spawner fails");
+        }
+    }
+    let (task, devices) = setup_task(282);
+    let setup = FlSetup::new(task.as_ref(), devices, TimeModel::default());
+    let global = zoo::cnn_mnist(0.12, &mut seeded_rng(283));
+    let cfg = FlConfig { rounds: 1, ..Default::default() };
+    let sock = SocketRunOptions::new(unique_socket_path("panic"), Vec::new());
+    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let chaos = ChaosOptions::none();
+        run_sockets(&cfg, &setup, global, &SyncMethod::SynFl, &chaos, &sock, &mut PanickingSpawner)
+    }));
+    assert!(run.is_err(), "the spawner's panic reaches the caller");
+    assert!(!sock.socket.exists(), "the panic left {} behind", sock.socket.display());
 }
