@@ -2,17 +2,14 @@
 //! cost accounting.
 
 use crate::eval::evaluate_image;
-use crate::history::RoundRecord;
 use crate::local::{local_train, LocalOutcome, LocalTrainConfig};
 use crate::task::ImageTask;
 use fedmp_data::BatchIter;
-use fedmp_edgesim::{DeviceProfile, RoundCost, RoundTime, TimeModel};
+use fedmp_edgesim::{DeviceProfile, RoundCost, TimeModel};
 use fedmp_nn::{model_cost, CostReport, Sequential, StateEntry};
-use fedmp_obs::TraceEvent;
 use fedmp_pruning::{
     extract_sequential, plan_sequential_with, recover_state, Importance, PrunePlan,
 };
-use fedmp_tensor::parallel::KernelStats;
 use fedmp_tensor::seeded_rng;
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
@@ -288,219 +285,6 @@ pub(crate) fn evaluate_if_due<M: FlModel>(
 ) -> Option<(f32, f32)> {
     (round.is_multiple_of(cfg.eval_every) || round + 1 == cfg.rounds)
         .then(|| model.evaluate(task, cfg))
-}
-
-// ---- observability hooks -------------------------------------------------
-//
-// Thin wrappers over `fedmp_obs::emit` so every engine emits the same
-// event shapes in the same order: RoundStart → LocalTrain (worker
-// order) → BanditDecision (from the agents) → Aggregate →
-// KernelDispatch → RoundEnd. All are no-ops (one relaxed atomic load)
-// while no trace session is active.
-
-/// Emits `RoundStart`.
-pub(crate) fn emit_round_start(round: usize, sim_time: f64, online: &[usize]) {
-    fedmp_obs::emit(|| TraceEvent::RoundStart { round, sim_time, online: online.to_vec() });
-}
-
-/// Emits one worker's `LocalTrain` event from its outcome, virtual
-/// round time and **scaled** round cost.
-#[expect(clippy::too_many_arguments, reason = "one argument per `LocalTrain` event field")]
-pub(crate) fn emit_local_train(
-    round: usize,
-    worker: usize,
-    ratio: f32,
-    loss: f32,
-    delta_loss: f32,
-    tau: usize,
-    samples: usize,
-    t: &RoundTime,
-    scaled: &RoundCost,
-) {
-    let (comp_secs, comm_secs) = (t.comp, t.comm);
-    let (bytes_down, bytes_up) = (scaled.download_bytes, scaled.upload_bytes);
-    fedmp_obs::emit(|| TraceEvent::LocalTrain {
-        round,
-        worker,
-        ratio,
-        loss,
-        delta_loss,
-        tau,
-        samples,
-        comp_secs,
-        comm_secs,
-        bytes_down,
-        bytes_up,
-    });
-}
-
-/// Emits `Aggregate`.
-pub(crate) fn emit_aggregate(round: usize, scheme: &str, participants: usize) {
-    let scheme = scheme.to_string();
-    fedmp_obs::emit(move || TraceEvent::Aggregate { round, scheme, participants });
-}
-
-/// Emits `FrameRetransmit` for one retransmit request.
-pub(crate) fn emit_frame_retransmit(round: usize, worker: usize, attempt: u32, backoff_secs: f64) {
-    fedmp_obs::emit(|| TraceEvent::FrameRetransmit { round, worker, attempt, backoff_secs });
-}
-
-/// Emits `WorkerExcluded` for one discarded contribution.
-pub(crate) fn emit_worker_excluded(round: usize, worker: usize, reason: &str) {
-    let reason = reason.to_string();
-    fedmp_obs::emit(move || TraceEvent::WorkerExcluded { round, worker, reason });
-}
-
-/// Emits `WorkerRejoined` for one restarted worker node.
-pub(crate) fn emit_worker_rejoined(round: usize, worker: usize) {
-    fedmp_obs::emit(|| TraceEvent::WorkerRejoined { round, worker });
-}
-
-/// Emits `ConnEstablished` for one socket-transport reconnect.
-pub(crate) fn emit_conn_established(round: usize, worker: usize, attempts: u32) {
-    fedmp_obs::emit(|| TraceEvent::ConnEstablished { round, worker, attempts });
-}
-
-/// Emits `FrameTimeout` for one frame the chaos plane dropped on the
-/// wire (`direction` is `"down"` or `"up"`).
-pub(crate) fn emit_frame_timeout(round: usize, worker: usize, direction: &str) {
-    let direction = direction.to_string();
-    fedmp_obs::emit(move || TraceEvent::FrameTimeout { round, worker, direction });
-}
-
-/// Emits `ConnReset` for one chaos-severed worker connection.
-pub(crate) fn emit_conn_reset(round: usize, worker: usize) {
-    fedmp_obs::emit(|| TraceEvent::ConnReset { round, worker });
-}
-
-/// Emits `NodeRespawned` for one restarted worker process.
-pub(crate) fn emit_node_respawned(round: usize, worker: usize, generation: u32) {
-    fedmp_obs::emit(|| TraceEvent::NodeRespawned { round, worker, generation });
-}
-
-/// Emits `QuorumAggregate` for a partial-but-quorate round.
-pub(crate) fn emit_quorum_aggregate(
-    round: usize,
-    quorum: usize,
-    participants: usize,
-    excluded: usize,
-) {
-    fedmp_obs::emit(|| TraceEvent::QuorumAggregate { round, quorum, participants, excluded });
-}
-
-/// Emits `RoundEnd` mirroring the record the engine is about to push.
-/// The NaN `train_loss` of an all-offline fault round becomes `None`
-/// (JSON has no NaN).
-pub(crate) fn emit_round_end(r: &RoundRecord) {
-    fedmp_obs::emit(|| TraceEvent::RoundEnd {
-        round: r.round,
-        sim_time: r.sim_time,
-        round_time: r.round_time,
-        mean_comp: r.mean_comp,
-        mean_comm: r.mean_comm,
-        train_loss: if r.train_loss.is_finite() { Some(r.train_loss) } else { None },
-        eval_loss: r.eval.map(|e| e.0),
-        eval_metric: r.eval.map(|e| e.1),
-    });
-}
-
-/// Emits `CodecSelected` for one worker's resolved codec pair.
-pub(crate) fn emit_codec_selected(
-    round: usize,
-    worker: usize,
-    pair: &crate::wire::LinkCodecs,
-    slow_link: bool,
-) {
-    let (downlink, uplink) = (pair.downlink.label(), pair.uplink.label());
-    fedmp_obs::emit(move || TraceEvent::CodecSelected {
-        round,
-        worker,
-        downlink,
-        uplink,
-        slow_link,
-    });
-}
-
-/// Emits `CompressionApplied` for one direction of a worker's exchange.
-pub(crate) fn emit_compression_applied(
-    round: usize,
-    worker: usize,
-    direction: &'static str,
-    codec: crate::wire::Codec,
-    dense_bytes: u64,
-    wire_bytes: u64,
-) {
-    fedmp_obs::emit(move || TraceEvent::CompressionApplied {
-        round,
-        worker,
-        direction: direction.to_string(),
-        codec: codec.label(),
-        dense_bytes,
-        wire_bytes,
-    });
-}
-
-/// Emits `CohortSampled` for a population-scale round's topology.
-pub(crate) fn emit_cohort_sampled(
-    round: usize,
-    population: u64,
-    cohort: usize,
-    shards: usize,
-    edges: usize,
-) {
-    fedmp_obs::emit(|| TraceEvent::CohortSampled { round, population, cohort, shards, edges });
-}
-
-/// Emits `ShardReduced` for one streaming shard reducer.
-pub(crate) fn emit_shard_reduced(round: usize, shard: usize, clients: usize, peak_bytes: u64) {
-    fedmp_obs::emit(|| TraceEvent::ShardReduced { round, shard, clients, peak_bytes });
-}
-
-/// Emits `EdgeAggregate` for one edge aggregator's upload.
-pub(crate) fn emit_edge_aggregate(
-    round: usize,
-    edge: usize,
-    shards: usize,
-    clients: usize,
-    delivered: bool,
-    retries: u32,
-) {
-    fedmp_obs::emit(|| TraceEvent::EdgeAggregate {
-        round,
-        edge,
-        shards,
-        clients,
-        delivered,
-        retries,
-    });
-}
-
-/// Snapshot of the kernel-scheduler counters, taken at engine start as
-/// the baseline for per-round `KernelDispatch` deltas.
-pub(crate) fn kernel_baseline() -> KernelStats {
-    fedmp_tensor::parallel::kernel_stats()
-}
-
-/// Emits `KernelDispatch` with the counter deltas since `prev` and
-/// advances `prev`. Skipped entirely (baseline untouched) while tracing
-/// is disabled.
-pub(crate) fn emit_kernel_dispatch(round: usize, prev: &mut KernelStats) {
-    if !fedmp_obs::enabled() {
-        return;
-    }
-    let now = fedmp_tensor::parallel::kernel_stats();
-    let dispatches = now.dispatches - prev.dispatches;
-    let bands = now.bands - prev.bands;
-    let gemm_simd_dense = now.gemm_simd_dense - prev.gemm_simd_dense;
-    let gemm_scalar_dense = now.gemm_scalar_dense - prev.gemm_scalar_dense;
-    fedmp_obs::emit(|| TraceEvent::KernelDispatch {
-        round,
-        dispatches,
-        bands,
-        gemm_simd_dense,
-        gemm_scalar_dense,
-    });
-    *prev = now;
 }
 
 #[cfg(test)]

@@ -5,16 +5,14 @@
 //! the identity and the residual is zero, so R2SP is FedAvg.
 
 use crate::aggregate::{mix_states, r2sp_aggregate};
-use crate::engine::{
-    emit_aggregate, emit_kernel_dispatch, emit_local_train, emit_round_end, emit_round_start,
-    evaluate_if_due, kernel_baseline, worker_rng, FlConfig, FlModel, FlSetup,
-};
+use crate::engine::{evaluate_if_due, worker_rng, FlConfig, FlModel, FlSetup};
 use crate::exec;
-use crate::history::{RoundRecord, RunHistory};
+use crate::history::{RoundLog, RoundRecord, RunHistory};
 use crate::runtime::RatioPolicy;
 use fedmp_bandit::{EUcbConfig, RewardConfig};
 use fedmp_edgesim::ArrivalQueue;
 use fedmp_nn::{state_sub, Sequential, StateEntry};
+use fedmp_obs::TraceEvent;
 use fedmp_pruning::{extract_sequential, plan_sequential, recover_state, PrunePlan};
 use serde::{Deserialize, Serialize};
 
@@ -91,7 +89,6 @@ pub fn run_async(
             RatioPolicy::per_worker(opts.eucb, opts.reward, workers, cfg.seed),
         ),
     };
-    let mut history = RunHistory::new(name);
 
     let mut jobs: Vec<Option<Pending>> = (0..workers).map(|_| None).collect();
     let mut dispatch_count = 0usize;
@@ -155,7 +152,9 @@ pub fn run_async(
     let all: Vec<usize> = (0..workers).collect();
     dispatch_all(&all, 0.0, &global, &mut policy, &mut jobs, &mut queue, &mut dispatch_count);
 
-    let mut kstats = kernel_baseline();
+    // The log starts after the first fan-out: its kernels belong to no
+    // round's `KernelDispatch`.
+    let mut log = RoundLog::new(name);
     let mut last_agg_time = 0.0f64;
     for round in 0..cfg.rounds {
         // Wait for the first m arrivals (Algorithm 2, lines 4–7).
@@ -178,29 +177,29 @@ pub fn run_async(
         // Trace: an async "round" is one aggregation event; online = the
         // m arrival workers, in arrival order.
         let online: Vec<usize> = members.iter().map(|(w, _)| *w).collect();
-        emit_round_start(round, last_agg_time, &online);
+        fedmp_obs::emit(|| TraceEvent::RoundStart {
+            round,
+            sim_time: last_agg_time,
+            online: online.clone(),
+        });
         let mut ratios = Vec::with_capacity(opts.m);
         let mut train_loss = 0.0f32;
         let mut mean_comp = 0.0;
         let mut mean_comm = 0.0;
         for (w, p) in &members {
-            let t = fedmp_edgesim::RoundTime { comp: p.comp, comm: p.comm };
-            let scaled = fedmp_edgesim::RoundCost {
-                train_flops: 0.0,
-                download_bytes: p.bytes_down,
-                upload_bytes: p.bytes_up,
-            };
-            emit_local_train(
+            fedmp_obs::emit(|| TraceEvent::LocalTrain {
                 round,
-                *w,
-                p.ratio,
-                p.mean_loss,
-                p.delta_loss,
-                cfg.local.tau,
-                p.samples,
-                &t,
-                &scaled,
-            );
+                worker: *w,
+                ratio: p.ratio,
+                loss: p.mean_loss,
+                delta_loss: p.delta_loss,
+                tau: cfg.local.tau,
+                samples: p.samples,
+                comp_secs: p.comp,
+                comm_secs: p.comm,
+                bytes_down: p.bytes_down,
+                bytes_up: p.bytes_up,
+            });
             ratios.push(p.ratio);
             train_loss += p.mean_loss;
             mean_comp += p.comp;
@@ -220,7 +219,11 @@ pub fn run_async(
             .unzip();
         let update = r2sp_aggregate(&recovered, &residuals);
         global.load_state(&mix_states(&global.state(), &update, beta));
-        emit_aggregate(round, scheme, recovered.len());
+        fedmp_obs::emit(|| TraceEvent::Aggregate {
+            round,
+            scheme: scheme.to_string(),
+            participants: recovered.len(),
+        });
         dispatch_all(
             &online,
             now,
@@ -232,8 +235,7 @@ pub fn run_async(
         );
 
         let eval = evaluate_if_due(cfg, round, &mut global, setup.task);
-        emit_kernel_dispatch(round, &mut kstats);
-        let rec = RoundRecord {
+        log.close(RoundRecord {
             round,
             sim_time: now,
             round_time: now - last_agg_time,
@@ -244,12 +246,10 @@ pub fn run_async(
             ratios,
             participants: quorum,
             ..Default::default()
-        };
-        emit_round_end(&rec);
-        history.rounds.push(rec);
+        });
         last_agg_time = now;
     }
-    history
+    log.into_history()
 }
 
 #[cfg(test)]

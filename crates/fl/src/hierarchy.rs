@@ -49,15 +49,9 @@
 use crate::barrier::Outcome;
 use crate::chaos::{ChaosOptions, ChaosPlan};
 use crate::checksum::crc32c;
-use crate::engine::{
-    emit_aggregate, emit_codec_selected, emit_cohort_sampled, emit_compression_applied,
-    emit_edge_aggregate, emit_frame_retransmit, emit_kernel_dispatch, emit_local_train,
-    emit_quorum_aggregate, emit_round_end, emit_round_start, emit_shard_reduced,
-    emit_worker_excluded, evaluate_if_due, kernel_baseline, worker_rng, CostScale, FlConfig,
-    FlModel,
-};
+use crate::engine::{evaluate_if_due, worker_rng, CostScale, FlConfig, FlModel};
 use crate::exec;
-use crate::history::{RoundRecord, RunHistory};
+use crate::history::{RoundLog, RoundRecord, RunHistory};
 use crate::runtime::seeded_agents;
 use crate::task::ImageTask;
 use crate::wire::{link_delivered, Codec, CompressionPolicy, LinkCodecs};
@@ -67,6 +61,7 @@ use fedmp_edgesim::{
     class_of, DeviceProfile, Population, RoundCost, RoundTime, TimeModel, CLASS_COUNT,
 };
 use fedmp_nn::{state_add, state_numel, state_sub, Sequential, StateEntry};
+use fedmp_obs::TraceEvent;
 use fedmp_pruning::{
     extract_sequential, plan_sequential_with, recover_state, Importance, PrunePlan,
 };
@@ -560,8 +555,7 @@ fn finish_round(
     selected: &[usize],
     global: &mut Sequential,
     sim_time: &mut f64,
-    kstats: &mut fedmp_tensor::parallel::KernelStats,
-    history: &mut RunHistory,
+    log: &mut RoundLog,
 ) {
     let RoundGather { shard_meta, metrics, edges } = gather;
     let chaos_client = &opts.chaos_client;
@@ -572,32 +566,43 @@ fn finish_round(
         if !m.fate.trained {
             continue;
         }
-        emit_local_train(
+        fedmp_obs::emit(|| TraceEvent::LocalTrain {
             round,
-            m.id as usize,
-            m.ratio,
-            m.mean_loss,
-            m.delta_loss,
-            cfg.local.tau,
-            m.samples,
-            &m.time,
-            &m.scaled,
-        );
+            worker: m.id as usize,
+            ratio: m.ratio,
+            loss: m.mean_loss,
+            delta_loss: m.delta_loss,
+            tau: cfg.local.tau,
+            samples: m.samples,
+            comp_secs: m.time.comp,
+            comm_secs: m.time.comm,
+            bytes_down: m.scaled.download_bytes,
+            bytes_up: m.scaled.upload_bytes,
+        });
     }
     for m in &metrics {
         for attempt in 1..=m.fate.retries {
-            emit_frame_retransmit(round, m.id as usize, attempt, chaos_client.backoff_for(attempt));
+            fedmp_obs::emit(|| TraceEvent::FrameRetransmit {
+                round,
+                worker: m.id as usize,
+                attempt,
+                backoff_secs: chaos_client.backoff_for(attempt),
+            });
         }
     }
     for m in &metrics {
         if let Err(reason) = m.fate.outcome {
-            emit_worker_excluded(round, m.id as usize, reason);
+            fedmp_obs::emit(|| TraceEvent::WorkerExcluded {
+                round,
+                worker: m.id as usize,
+                reason: reason.to_string(),
+            });
         }
     }
 
     // Shard tier.
     for (s, &(clients, peak)) in shard_meta.iter().enumerate() {
-        emit_shard_reduced(round, s, clients, peak);
+        fedmp_obs::emit(|| TraceEvent::ShardReduced { round, shard: s, clients, peak_bytes: peak });
     }
 
     // Edge tier, edge order: retransmits and the aggregate outcome,
@@ -613,10 +618,22 @@ fn finish_round(
     for (e, edge) in edges.into_iter().enumerate() {
         let retries = edge.retries;
         for attempt in 1..=retries {
-            emit_frame_retransmit(round, e, attempt, chaos_edge.backoff_for(attempt));
+            fedmp_obs::emit(|| TraceEvent::FrameRetransmit {
+                round,
+                worker: e,
+                attempt,
+                backoff_secs: chaos_edge.backoff_for(attempt),
+            });
         }
         edge_retries_total += retries;
-        emit_edge_aggregate(round, e, edge.shards, edge.clients, edge.partial.is_some(), retries);
+        fedmp_obs::emit(|| TraceEvent::EdgeAggregate {
+            round,
+            edge: e,
+            shards: edge.shards,
+            clients: edge.clients,
+            delivered: edge.partial.is_some(),
+            retries,
+        });
         let Some(partial) = edge.partial else { continue };
         participants += edge.clients;
         match cloud.as_mut() {
@@ -686,9 +703,18 @@ fn finish_round(
             global.load_state(&c.finalize(participants));
         }
         if participants < cohort.len() {
-            emit_quorum_aggregate(round, quorum, participants, cohort.len() - participants);
+            fedmp_obs::emit(|| TraceEvent::QuorumAggregate {
+                round,
+                quorum,
+                participants,
+                excluded: cohort.len() - participants,
+            });
         }
-        emit_aggregate(round, "R2SP-Hier", participants);
+        fedmp_obs::emit(|| TraceEvent::Aggregate {
+            round,
+            scheme: "R2SP-Hier".to_string(),
+            participants,
+        });
     }
 
     let train_loss = if trained.is_empty() {
@@ -697,9 +723,8 @@ fn finish_round(
         sum_f32(trained.iter().map(|m| m.mean_loss)) / trained.len() as f32
     };
     let eval = if aggregated { evaluate_if_due(cfg, round, global, setup.task) } else { None };
-    emit_kernel_dispatch(round, kstats);
     let client_retries: u32 = metrics.iter().map(|m| m.fate.retries).sum();
-    let rec = RoundRecord {
+    log.close(RoundRecord {
         round,
         sim_time: *sim_time,
         round_time,
@@ -711,9 +736,7 @@ fn finish_round(
         participants,
         retries: (client_retries + edge_retries_total) as usize,
         exclusions: cohort.len() - participants,
-    };
-    emit_round_end(&rec);
-    history.rounds.push(rec);
+    });
 }
 
 /// Builds the round's per-class plans (bandit selects, pruning,
@@ -787,27 +810,40 @@ pub fn run_fedmp_hier(
     opts: &HierarchyOptions,
 ) -> RunHistory {
     opts.validate(&setup.population);
-    let mut history = RunHistory::new("FedMP-Hier");
     let mut sim_time = 0.0f64;
     let mut agents = seeded_agents(opts.eucb, CLASS_COUNT, cfg.seed);
-    let mut kstats = kernel_baseline();
+    let mut log = RoundLog::new("FedMP-Hier");
     let client_plan = ChaosPlan::new(cfg.seed, &opts.chaos_client);
     let edge_plan = ChaosPlan::new(cfg.seed ^ 0xED6E_0000, &opts.chaos_edge);
     let compressed = !opts.compression.is_dense();
 
     for round in 0..cfg.rounds {
         let cohort = setup.population.sample_cohort(round, opts.cohort);
-        emit_cohort_sampled(round, setup.population.size, cohort.len(), opts.shards, opts.edges);
-        let online: Vec<usize> = cohort.iter().map(|&id| id as usize).collect();
-        emit_round_start(round, sim_time, &online);
+        fedmp_obs::emit(|| TraceEvent::CohortSampled {
+            round,
+            population: setup.population.size,
+            cohort: cohort.len(),
+            shards: opts.shards,
+            edges: opts.edges,
+        });
+        fedmp_obs::emit(|| TraceEvent::RoundStart {
+            round,
+            sim_time,
+            online: cohort.iter().map(|&id| id as usize).collect(),
+        });
 
         let (classes, selected) = class_plans(setup, opts, &global, &cohort, &mut agents);
         if compressed {
             for &id in &cohort {
                 let device = setup.population.device(id);
                 let cr = &classes[&class_of(&device)];
-                let slow = device.is_slow_link(opts.compression.slow_link_bps);
-                emit_codec_selected(round, id as usize, &cr.pair, slow);
+                fedmp_obs::emit(|| TraceEvent::CodecSelected {
+                    round,
+                    worker: id as usize,
+                    downlink: cr.pair.downlink.label(),
+                    uplink: cr.pair.uplink.label(),
+                    slow_link: device.is_slow_link(opts.compression.slow_link_bps),
+                });
             }
         }
 
@@ -864,22 +900,19 @@ pub fn run_fedmp_hier(
                     continue;
                 }
                 let cr = &classes[&m.class];
-                emit_compression_applied(
-                    round,
-                    m.id as usize,
-                    "down",
-                    cr.pair.downlink,
-                    cr.down_dense,
-                    cr.down_wire,
-                );
-                emit_compression_applied(
-                    round,
-                    m.id as usize,
-                    "up",
-                    m.up_codec,
-                    m.up_dense,
-                    m.up_wire,
-                );
+                for (direction, codec, dense_bytes, wire_bytes) in [
+                    ("down", cr.pair.downlink, cr.down_dense, cr.down_wire),
+                    ("up", m.up_codec, m.up_dense, m.up_wire),
+                ] {
+                    fedmp_obs::emit(|| TraceEvent::CompressionApplied {
+                        round,
+                        worker: m.id as usize,
+                        direction: direction.to_string(),
+                        codec: codec.label(),
+                        dense_bytes,
+                        wire_bytes,
+                    });
+                }
             }
         }
 
@@ -894,11 +927,10 @@ pub fn run_fedmp_hier(
             &selected,
             &mut global,
             &mut sim_time,
-            &mut kstats,
-            &mut history,
+            &mut log,
         );
     }
-    history
+    log.into_history()
 }
 
 #[cfg(test)]

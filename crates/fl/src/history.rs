@@ -2,6 +2,7 @@
 //! paper reports (time-to-target-accuracy, accuracy-within-budget).
 
 use fedmp_obs::{Trace, TraceEvent};
+use fedmp_tensor::parallel::{kernel_stats, KernelStats};
 use serde::{Deserialize, Serialize};
 
 /// One aggregation round's record.
@@ -188,6 +189,60 @@ impl RunHistory {
     /// The `(round, accuracy)` series — the Fig. 7 curves.
     pub fn accuracy_by_round(&self) -> Vec<(usize, f32)> {
         self.rounds.iter().filter_map(|r| r.eval.map(|(_, a)| (r.round, a))).collect()
+    }
+}
+
+/// A run's history as its round loop writes it: every engine closes
+/// each round through [`RoundLog::close`], so every round ends in the
+/// same `KernelDispatch` → `RoundEnd` pair and the same record — the
+/// `RoundEnd` [`RunHistory::from_trace`] reads back.
+pub(crate) struct RoundLog {
+    history: RunHistory,
+    /// Kernel-scheduler counters as of the last traced close (or the
+    /// log's start): the baseline of the next `KernelDispatch` deltas.
+    kernels: KernelStats,
+}
+
+impl RoundLog {
+    /// Starts an empty log for `method`. The kernel baseline is taken
+    /// now, so kernels run before this call belong to no round.
+    pub(crate) fn new(method: impl Into<String>) -> Self {
+        RoundLog { history: RunHistory::new(method), kernels: kernel_stats() }
+    }
+
+    /// Closes `rec`'s round: emits `KernelDispatch` with the counter
+    /// deltas since the last close (the counters are read, and the
+    /// baseline advanced, only while a trace records), then `RoundEnd`
+    /// mirroring `rec` (a NaN `train_loss` becomes `None`: JSON has no
+    /// NaN), then appends `rec` to the history.
+    pub(crate) fn close(&mut self, rec: RoundRecord) {
+        if fedmp_obs::enabled() {
+            let (now, prev) = (kernel_stats(), self.kernels);
+            fedmp_obs::emit(|| TraceEvent::KernelDispatch {
+                round: rec.round,
+                dispatches: now.dispatches - prev.dispatches,
+                bands: now.bands - prev.bands,
+                gemm_simd_dense: now.gemm_simd_dense - prev.gemm_simd_dense,
+                gemm_scalar_dense: now.gemm_scalar_dense - prev.gemm_scalar_dense,
+            });
+            self.kernels = now;
+        }
+        fedmp_obs::emit(|| TraceEvent::RoundEnd {
+            round: rec.round,
+            sim_time: rec.sim_time,
+            round_time: rec.round_time,
+            mean_comp: rec.mean_comp,
+            mean_comm: rec.mean_comm,
+            train_loss: rec.train_loss.is_finite().then_some(rec.train_loss),
+            eval_loss: rec.eval.map(|e| e.0),
+            eval_metric: rec.eval.map(|e| e.1),
+        });
+        self.history.rounds.push(rec);
+    }
+
+    /// The finished run's history.
+    pub(crate) fn into_history(self) -> RunHistory {
+        self.history
     }
 }
 

@@ -90,16 +90,11 @@
 use crate::aggregate::{bsp_aggregate, quorum_aggregate};
 use crate::barrier::{Action, Barrier, Event};
 use crate::chaos::{corrupted_copy, ChaosOptions, ChaosPlan};
-use crate::engine::{
-    emit_aggregate, emit_codec_selected, emit_compression_applied, emit_frame_retransmit,
-    emit_kernel_dispatch, emit_local_train, emit_quorum_aggregate, emit_round_end,
-    emit_round_start, emit_worker_excluded, emit_worker_rejoined, evaluate_if_due, kernel_baseline,
-    worker_rng, FlConfig, FlModel, FlSetup, SyncScheme, Workers,
-};
+use crate::engine::{evaluate_if_due, worker_rng, FlConfig, FlModel, FlSetup, SyncScheme, Workers};
 use crate::engines::baselines::{FedProxOptions, FlexComOptions, UpFlOptions};
 use crate::engines::fedmp::FedMpOptions;
 use crate::exec;
-use crate::history::{RoundRecord, RunHistory};
+use crate::history::{RoundLog, RoundRecord, RunHistory};
 use crate::local::{LocalOutcome, LocalTrainConfig};
 use crate::transport::{
     run_sockets, unique_socket_path, NodeSpawner, SocketFleet, SocketRunOptions, ThreadNodes,
@@ -113,6 +108,7 @@ use core::time::Duration;
 use fedmp_bandit::{eucb_reward, Bandit, EUcbAgent, EUcbConfig, RewardConfig};
 use fedmp_edgesim::{deadline_for, DeviceProfile};
 use fedmp_nn::{state_sub, StateEntry};
+use fedmp_obs::TraceEvent;
 use fedmp_pruning::{dequantize_state, quantize_state};
 use fedmp_tensor::parallel::{sum_f32, sum_f64};
 use fedmp_tensor::Tensor;
@@ -395,7 +391,6 @@ pub(crate) fn run_rounds<M: FlModel, X: Exchange<M>>(
     let compressed = method.links.is_some();
     let links = method.link_pairs();
     let RoundMethod { name, scheme, mut policy, locals, opts, .. } = method;
-    let mut history = RunHistory::new(name);
     let mut sim_time = 0.0f64;
 
     let mut injector = opts.faults.map(|f| f.injector(workers));
@@ -404,7 +399,7 @@ pub(crate) fn run_rounds<M: FlModel, X: Exchange<M>>(
     // Trace events are emitted here only, after the exchange returns,
     // so event order is deterministic and the per-round kernel deltas
     // are exact (all worker kernels for the round have run by then).
-    let mut kstats = kernel_baseline();
+    let mut log = RoundLog::new(name);
 
     for round in 0..cfg.rounds {
         exchange.rejoin(round)?;
@@ -416,18 +411,20 @@ pub(crate) fn run_rounds<M: FlModel, X: Exchange<M>>(
             Some(inj) => inj.step(&mut fault_rng),
             None => (0..workers).collect(),
         };
-        emit_round_start(round, sim_time, &online);
+        fedmp_obs::emit(|| TraceEvent::RoundStart { round, sim_time, online: online.clone() });
         if online.is_empty() {
-            let rec = RoundRecord { round, sim_time, ..Default::default() };
-            emit_kernel_dispatch(round, &mut kstats);
-            emit_round_end(&rec);
-            history.rounds.push(rec);
+            log.close(RoundRecord { round, sim_time, ..Default::default() });
             continue;
         }
         if compressed {
             for &w in &online {
-                let slow = setup.devices[w].is_slow_link(opts.compression.slow_link_bps);
-                emit_codec_selected(round, w, &links[w], slow);
+                fedmp_obs::emit(|| TraceEvent::CodecSelected {
+                    round,
+                    worker: w,
+                    downlink: links[w].downlink.label(),
+                    uplink: links[w].uplink.label(),
+                    slow_link: setup.devices[w].is_slow_link(opts.compression.slow_link_bps),
+                });
             }
         }
 
@@ -487,25 +484,39 @@ pub(crate) fn run_rounds<M: FlModel, X: Exchange<M>>(
             if let (true, Some(wire)) = (compressed, &a.wire) {
                 cost.download_bytes = wire.down as f64;
                 cost.upload_bytes = wire.up as f64;
-                let pair = links[w];
-                emit_compression_applied(round, w, "down", pair.downlink, wire.dense, wire.down);
-                emit_compression_applied(round, w, "up", pair.uplink, wire.dense, wire.up);
+                for (direction, codec, wire_bytes) in
+                    [("down", links[w].downlink, wire.down), ("up", links[w].uplink, wire.up)]
+                {
+                    fedmp_obs::emit(|| TraceEvent::CompressionApplied {
+                        round,
+                        worker: w,
+                        direction: direction.to_string(),
+                        codec: codec.label(),
+                        dense_bytes: wire.dense,
+                        wire_bytes,
+                    });
+                }
             }
             let mut rng = worker_rng(cfg.seed ^ M::TIME_SALT, round, w);
             let t = setup.simulate_round(w, &cost, &mut rng);
             mean_comp += t.comp;
             mean_comm += t.comm;
-            emit_local_train(
-                round,
-                w,
-                ratios[*i],
-                a.outcome.mean_loss,
-                a.outcome.delta_loss(),
-                locals[w].tau,
-                a.outcome.samples,
-                &t,
-                &setup.scaled_cost(&cost),
-            );
+            fedmp_obs::emit(|| {
+                let scaled = setup.scaled_cost(&cost);
+                TraceEvent::LocalTrain {
+                    round,
+                    worker: w,
+                    ratio: ratios[*i],
+                    loss: a.outcome.mean_loss,
+                    delta_loss: a.outcome.delta_loss(),
+                    tau: locals[w].tau,
+                    samples: a.outcome.samples,
+                    comp_secs: t.comp,
+                    comm_secs: t.comm,
+                    bytes_down: scaled.download_bytes,
+                    bytes_up: scaled.upload_bytes,
+                }
+            });
             let t_n = t.total() + plan.draw(round, w).delay_secs + chaos.backoff_total(retries[*i]);
             times.push(t_n);
             delivered.push((w, a.outcome.delta_loss(), t_n));
@@ -515,7 +526,12 @@ pub(crate) fn run_rounds<M: FlModel, X: Exchange<M>>(
         mean_comm /= dn;
         for (i, &r) in retries.iter().enumerate() {
             for attempt in 1..=r {
-                emit_frame_retransmit(round, online[i], attempt, chaos.backoff_for(attempt));
+                fedmp_obs::emit(|| TraceEvent::FrameRetransmit {
+                    round,
+                    worker: online[i],
+                    attempt,
+                    backoff_secs: chaos.backoff_for(attempt),
+                });
             }
         }
 
@@ -545,7 +561,11 @@ pub(crate) fn run_rounds<M: FlModel, X: Exchange<M>>(
         for (i, reason) in excluded.iter().enumerate() {
             if let Some(reason) = reason {
                 exchange.note_excluded(round, online[i], reason);
-                emit_worker_excluded(round, online[i], reason);
+                fedmp_obs::emit(|| TraceEvent::WorkerExcluded {
+                    round,
+                    worker: online[i],
+                    reason: reason.to_string(),
+                });
             }
         }
         let kept = excluded.iter().filter(|e| e.is_none()).count();
@@ -580,9 +600,18 @@ pub(crate) fn run_rounds<M: FlModel, X: Exchange<M>>(
             Some(s) => {
                 global.load_state(&s);
                 if kept < online.len() {
-                    emit_quorum_aggregate(round, quorum, kept, online.len() - kept);
+                    fedmp_obs::emit(|| TraceEvent::QuorumAggregate {
+                        round,
+                        quorum,
+                        participants: kept,
+                        excluded: online.len() - kept,
+                    });
                 }
-                emit_aggregate(round, scheme, kept);
+                fedmp_obs::emit(|| TraceEvent::Aggregate {
+                    round,
+                    scheme: scheme.to_string(),
+                    participants: kept,
+                });
                 kept
             }
             // Below quorum: the round's uploads are discarded and the
@@ -591,8 +620,7 @@ pub(crate) fn run_rounds<M: FlModel, X: Exchange<M>>(
         };
 
         let eval = evaluate_if_due(cfg, round, &mut global, setup.task);
-        emit_kernel_dispatch(round, &mut kstats);
-        let rec = RoundRecord {
+        log.close(RoundRecord {
             round,
             sim_time,
             round_time,
@@ -604,11 +632,9 @@ pub(crate) fn run_rounds<M: FlModel, X: Exchange<M>>(
             participants,
             retries: retries.iter().map(|&r| r as usize).sum(),
             exclusions: online.len() - kept,
-        };
-        emit_round_end(&rec);
-        history.rounds.push(rec);
+        });
     }
-    Ok(history)
+    Ok(log.into_history())
 }
 
 /// A worker → PS message.
@@ -901,7 +927,7 @@ where
             }
             self.fleet.respawn(round, w)?;
             *down = false;
-            emit_worker_rejoined(round, w);
+            fedmp_obs::emit(|| TraceEvent::WorkerRejoined { round, worker: w });
         }
         Ok(())
     }

@@ -53,10 +53,7 @@
 
 use crate::chaos::{backoff, ChaosOptions, ChaosPlan};
 use crate::checksum::fnv1a64;
-use crate::engine::{
-    emit_conn_established, emit_conn_reset, emit_frame_timeout, emit_node_respawned, FlConfig,
-    FlModel, FlSetup, Workers,
-};
+use crate::engine::{FlConfig, FlModel, FlSetup, Workers};
 use crate::engines::fedmp::FedMpOptions;
 use crate::history::RunHistory;
 use crate::local::{LocalOutcome, LocalTrainConfig};
@@ -67,6 +64,7 @@ use crate::runtime::{
 use crate::wire::LinkCodecs;
 use bytes::Bytes;
 use core::time::Duration;
+use fedmp_obs::TraceEvent;
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
 use std::io::{Read, Write};
@@ -864,7 +862,7 @@ impl<'a, S: NodeSpawner> SocketFleet<'a, S> {
     pub(crate) fn respawn(&mut self, round: usize, worker: usize) -> Result<(), RuntimeError> {
         self.gens[worker] += 1;
         let generation = self.gens[worker];
-        emit_node_respawned(round, worker, generation);
+        fedmp_obs::emit(|| TraceEvent::NodeRespawned { round, worker, generation });
         // Old connection first: close it, reap the dead node, join its
         // reader.
         self.close(worker);
@@ -892,7 +890,7 @@ impl<'a, S: NodeSpawner> SocketFleet<'a, S> {
         self.streams[worker] = Some(stream);
         self.send_setup(worker).map_err(|_| self.fault(worker, TransportFault::Handshake))?;
         self.spawn_reader(worker).map_err(|_| self.fault(worker, TransportFault::Handshake))?;
-        emit_conn_established(round, worker, 1);
+        fedmp_obs::emit(|| TraceEvent::ConnEstablished { round, worker, attempts: 1 });
         Ok(())
     }
 
@@ -953,12 +951,16 @@ impl<'a, S: NodeSpawner> SocketFleet<'a, S> {
         match reason {
             // A dropped exchange surfaced as a frame that never
             // arrived; direction from the same draw both ends used.
-            "dropped" => {
-                let d = self.plan.draw(round, worker);
-                emit_frame_timeout(round, worker, if d.drop_down { "down" } else { "up" });
-            }
+            "dropped" => fedmp_obs::emit(|| {
+                let down = self.plan.draw(round, worker).drop_down;
+                TraceEvent::FrameTimeout {
+                    round,
+                    worker,
+                    direction: if down { "down" } else { "up" }.to_string(),
+                }
+            }),
             // A crashed worker surfaced as a connection reset.
-            "crashed" => emit_conn_reset(round, worker),
+            "crashed" => fedmp_obs::emit(|| TraceEvent::ConnReset { round, worker }),
             // Corruption, protocol and deadline exclusions are
             // application-level outcomes with their own events; nothing
             // transport-level to add.

@@ -235,6 +235,17 @@ fn threaded_recovery_transcript_is_pinned() {
 }
 
 #[test]
+fn a_socket_node_rebuilds_the_ps_task_from_its_setup_blob() {
+    // A process node trains on the task it rebuilds from the Setup
+    // blob; it must be the PS's own, bit for bit (as `Debug` text), or
+    // the socket runs leave the loop engine's history.
+    let spec = quick_spec(TaskKind::CnnMnist, 1);
+    let blob = fedmp::core::spec_blob(&spec);
+    let rebuilt = fedmp::core::task_from_blob(&blob).expect("blob round trip");
+    assert_eq!(format!("{rebuilt:?}"), format!("{:?}", spec.build_task()));
+}
+
+#[test]
 fn histories_serialise_to_json() {
     let spec = quick_spec(TaskKind::CnnMnist, 3);
     let h = run_method(&spec, Method::FedMp);

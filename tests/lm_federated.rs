@@ -75,6 +75,20 @@ fn fedmp_lstm_round_is_faster_than_synfl() {
 }
 
 #[test]
+fn lm_local_step_clips_its_gradient() {
+    // A clip that binds (0.1) must move a Syn-FL round off the run with
+    // clipping disabled (0.0).
+    let task = task(2, 3_000);
+    let round = |clip| {
+        let mut cfg = config(1, 1);
+        cfg.local.clip = clip;
+        let global = zoo::lstm_ptb(30, 0.2, &mut seeded_rng(22));
+        serde_json::to_string(&run_synfl(&cfg, &setup(&task), global)).expect("history json")
+    };
+    assert_ne!(round(0.1), round(0.0), "clip 0.1 did not change the round");
+}
+
+#[test]
 fn eval_every_zero_means_first_and_last_round_in_every_engine() {
     // One rule (`engine::evaluate_if_due`) for the LM and the image
     // models: 0 is a multiple of 0 and nothing else is — no `round % 0`.
