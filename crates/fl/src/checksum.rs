@@ -3,7 +3,7 @@
 //!
 //! - **CRC-32C** ([`crc32c`], from `fedmp-tensor`, which owns the
 //!   SSE4.2 path) for the bulk frames: [`crate::wire`] model frames and
-//!   the hierarchy's `HPar` partial-sum frames. These are whole models
+//!   `ExactState`'s `HPar` partial-sum frames. These are whole models
 //!   hashed on every encode and every receive, so speed matters, and a
 //!   CRC detects every burst of up to 32 corrupted bits outright.
 //! - **FNV-1a 64** ([`fnv1a64`]) for the socket transport's header and

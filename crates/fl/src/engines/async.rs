@@ -4,16 +4,16 @@
 //! Asyn-FL (\[43\]) is the same engine at ρ ≡ 0, where extraction is
 //! the identity and the residual is zero, so R2SP is FedAvg.
 
-use crate::aggregate::{mix_states, r2sp_aggregate};
-use crate::engine::{evaluate_if_due, worker_rng, FlConfig, FlModel, FlSetup};
+use crate::aggregate::{completion, mix_states, residual, ExactState};
+use crate::engine::{evaluate_if_due, worker_rng, FlConfig, FlModel, FlSetup, SyncScheme};
 use crate::exec;
 use crate::history::{RoundLog, RoundRecord, RunHistory};
 use crate::runtime::RatioPolicy;
 use fedmp_bandit::{EUcbConfig, RewardConfig};
 use fedmp_edgesim::ArrivalQueue;
-use fedmp_nn::{state_sub, Sequential, StateEntry};
+use fedmp_nn::{Sequential, StateEntry};
 use fedmp_obs::TraceEvent;
-use fedmp_pruning::{extract_sequential, plan_sequential, recover_state, PrunePlan};
+use fedmp_pruning::{extract_sequential, plan_sequential, PrunePlan};
 use serde::{Deserialize, Serialize};
 
 /// Which asynchronous method to run.
@@ -118,10 +118,11 @@ pub fn run_async(
                 (w, tick, ratio)
             })
             .collect();
+        let global_state = global.state();
         let trained = exec::ordered_map(metas, |_, (w, tick, ratio)| {
             let plan = plan_sequential(global, setup.task.input_chw, ratio);
             let mut model = extract_sequential(global, &plan);
-            let residual = state_sub(&global.state(), &recover_state(&model, &plan, global));
+            let residual = residual(&global_state, &model, &plan, global);
             let outcome = model.train(setup.task, w, cfg.seed, tick, &cfg.local);
             let cost = model.round_cost(setup.task, &cfg.local);
             let mut rng = worker_rng(cfg.seed ^ 0x5A5A, tick, w);
@@ -211,18 +212,19 @@ pub fn run_async(
             members.iter().map(|(w, p)| (*w, p.delta_loss, p.duration)).collect();
         policy.observe(&delivered, now - last_agg_time);
 
-        // Update the global model from the m arrivals (line 8), then
-        // redistribute (line 10).
-        let (recovered, residuals): (Vec<_>, Vec<_>) = members
-            .into_iter()
-            .map(|(_, p)| (recover_state(&p.model, &p.plan, &global), p.residual))
-            .unzip();
-        let update = r2sp_aggregate(&recovered, &residuals);
-        global.load_state(&mix_states(&global.state(), &update, beta));
+        // Update the global model from the m arrivals' R2SP mean (line
+        // 8), then redistribute (line 10).
+        let global_state = global.state();
+        let mut sum = ExactState::like(&global_state);
+        for (_, p) in members {
+            let recovered = p.model.recover(&p.plan, &global);
+            sum.fold(&completion(SyncScheme::R2SP, &recovered, &p.residual));
+        }
+        global.load_state(&mix_states(&global_state, &sum.finalize(online.len()), beta));
         fedmp_obs::emit(|| TraceEvent::Aggregate {
             round,
             scheme: scheme.to_string(),
-            participants: recovered.len(),
+            participants: online.len(),
         });
         dispatch_all(
             &online,

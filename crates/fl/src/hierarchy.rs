@@ -1,5 +1,8 @@
-//! Population-scale rounds: cohort sampling, streaming shard reducers
-//! and two-tier (edge → cloud) hierarchical aggregation.
+//! The population round: cohort sampling, streaming shard reducers and
+//! two-tier (edge → cloud) hierarchical aggregation. The mean itself is
+//! not computed here: shards, edges and cloud fold, merge and finalise
+//! the [`ExactState`] accumulator of `fl::aggregate`, the one every
+//! round uses.
 //!
 //! The flat engines materialise every worker's full model per round —
 //! O(clients × params) memory — which caps cohorts far below realistic
@@ -14,16 +17,16 @@
 //! - **Population** — devices come from a seeded lazy
 //!   [`fedmp_edgesim::Population`]; a 10⁵-device fleet is a few bytes,
 //!   and each round samples a cohort without replacement.
-//! - **Streaming shard reduction** — a client's completed update
+//! - **Streaming shard reduction** — a client's R2SP completion
 //!   (recovered sub-model + residual, §III-C) is folded into its
-//!   shard's [`ExactState`] accumulator immediately after its local
-//!   step and then dropped, so peak memory is O(shards × params)
-//!   regardless of cohort size.
-//! - **Exact aggregation algebra** — shard accumulators hold
-//!   [`ExactVec`] fixed-point registers, so merging shard → edge →
-//!   cloud is integer addition: *any* (shards, edges) partition is
+//!   shard's accumulator immediately after its local step and then
+//!   dropped, so peak memory is O(shards × params) regardless of
+//!   cohort size.
+//! - **Exact aggregation algebra** — merging shard → edge → cloud is
+//!   integer addition, so *any* (shards, edges) partition is
 //!   bit-identical to the flat [`r2sp_aggregate`][crate::r2sp_aggregate]
-//!   over the same delivered cohort. See `docs/SCALE.md` for the full
+//!   over the same delivered cohort, and the cloud aggregates under the
+//!   same quorum rule as a flat round. See `docs/SCALE.md` for the full
 //!   argument.
 //! - **Per-class adaptivity** — at population scale a sampled client
 //!   may never return, so E-UCB pruning state lives per *device class*
@@ -46,203 +49,26 @@
 //! pins the engine's history and trace bits across commits and
 //! (shards, edges) partitions.
 
+use crate::aggregate::{completion, meets_quorum, residual, ExactState};
 use crate::barrier::Outcome;
 use crate::chaos::{ChaosOptions, ChaosPlan};
-use crate::checksum::crc32c;
-use crate::engine::{evaluate_if_due, worker_rng, CostScale, FlConfig, FlModel};
+use crate::engine::{evaluate_if_due, worker_rng, CostScale, FlConfig, FlModel, SyncScheme};
 use crate::exec;
 use crate::history::{RoundLog, RoundRecord, RunHistory};
 use crate::runtime::seeded_agents;
 use crate::task::ImageTask;
 use crate::wire::{link_delivered, Codec, CompressionPolicy, LinkCodecs};
-use bytes::Bytes;
 use fedmp_bandit::{eucb_reward, Bandit, EUcbAgent, EUcbConfig, RewardConfig};
 use fedmp_edgesim::{
     class_of, DeviceProfile, Population, RoundCost, RoundTime, TimeModel, CLASS_COUNT,
 };
-use fedmp_nn::{state_add, state_numel, state_sub, Sequential, StateEntry};
+use fedmp_nn::{state_numel, Sequential, StateEntry};
 use fedmp_obs::TraceEvent;
-use fedmp_pruning::{
-    extract_sequential, plan_sequential_with, recover_state, Importance, PrunePlan,
-};
+use fedmp_pruning::{extract_sequential, plan_sequential_with, Importance, PrunePlan};
 use fedmp_tensor::parallel::{sum_f32, sum_f64};
-use fedmp_tensor::{ExactSum, ExactVec, Tensor};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::ops::Range;
-
-// ---- exact streaming state ----------------------------------------------
-
-/// A full-model snapshot accumulated exactly: one [`ExactVec`] slot per
-/// scalar, templated from a concrete state's names/shapes. Folding is
-/// streaming (fold, then drop the source) and merging two accumulators
-/// is integer addition, so any fan-in tree over the same fold multiset
-/// finalises to identical bits. Two states are equal iff they hold the
-/// same sums.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ExactState {
-    entries: Vec<ExactEntry>,
-}
-
-#[derive(Clone, Debug, PartialEq)]
-struct ExactEntry {
-    name: String,
-    dims: Vec<usize>,
-    trainable: bool,
-    accs: ExactVec,
-}
-
-impl ExactState {
-    /// A zero accumulator shaped like `template`.
-    pub fn like(template: &[StateEntry]) -> Self {
-        ExactState {
-            entries: template
-                .iter()
-                .map(|e| ExactEntry {
-                    name: e.name.clone(),
-                    dims: e.tensor.dims().to_vec(),
-                    trainable: e.trainable,
-                    accs: ExactVec::new(e.tensor.numel()),
-                })
-                .collect(),
-        }
-    }
-
-    /// Folds one full-shape snapshot into the accumulator. The caller
-    /// drops `state` right after — that is the streaming contract.
-    pub fn fold(&mut self, state: &[StateEntry]) {
-        assert_eq!(state.len(), self.entries.len(), "ExactState::fold: entry count mismatch");
-        for (entry, s) in self.entries.iter_mut().zip(state.iter()) {
-            assert_eq!(entry.name, s.name, "ExactState::fold: entry name mismatch");
-            entry.accs.add(s.tensor.data());
-        }
-    }
-
-    /// Merges another accumulator in (shard → edge, edge → cloud).
-    pub fn merge(&mut self, other: &ExactState) {
-        assert_eq!(other.entries.len(), self.entries.len(), "ExactState::merge: entry mismatch");
-        for (a, b) in self.entries.iter_mut().zip(other.entries.iter()) {
-            a.accs.merge(&b.accs);
-        }
-    }
-
-    /// The mean over `n` folded snapshots, rounded once per scalar then
-    /// scaled by `1/n` — the exact computation
-    /// [`average_states`][crate::average_states] performs, which is why
-    /// a hierarchy finalising here is bit-identical to the flat call.
-    pub fn finalize(&self, n: usize) -> Vec<StateEntry> {
-        assert!(n > 0, "ExactState::finalize over zero participants");
-        let inv = 1.0 / n as f32;
-        self.entries
-            .iter()
-            .map(|e| {
-                let mut t = Tensor::zeros(&e.dims);
-                for (out, sum) in t.data_mut().iter_mut().zip(e.accs.sums()) {
-                    *out = sum.value() * inv;
-                }
-                StateEntry { name: e.name.clone(), tensor: t, trainable: e.trainable }
-            })
-            .collect()
-    }
-
-    /// Scalars tracked by the accumulator.
-    pub fn numel(&self) -> usize {
-        self.entries.iter().map(|e| e.accs.len()).sum()
-    }
-
-    /// Resident bytes of the accumulator itself — constant no matter
-    /// how many snapshots have been folded in, while their values stay
-    /// inside the [`ExactVec`] window.
-    pub fn tracked_bytes(&self) -> usize {
-        self.entries.iter().map(|e| e.accs.state_bytes()).sum()
-    }
-
-    /// Serialises the accumulator into a checksummed `HPar` wire frame:
-    /// the edge → cloud partial-sum upload whose fate
-    /// [`run_fedmp_hier`] settles on the barrier without moving it (a
-    /// test below moves real frames through the barrier). Layout:
-    /// `magic u32 | count u32 | count × (6 limbs LE + poison byte) |
-    /// CRC-32C u32 of everything before`.
-    pub fn encode(&self) -> Bytes {
-        let count = self.numel() as u32;
-        let mut buf = Vec::with_capacity(8 + count as usize * PARTIAL_SUM_BYTES + 4);
-        buf.extend_from_slice(&PARTIAL_MAGIC.to_le_bytes());
-        buf.extend_from_slice(&count.to_le_bytes());
-        for e in &self.entries {
-            for sum in e.accs.sums() {
-                let (limbs, poison) = sum.to_raw();
-                for limb in limbs {
-                    buf.extend_from_slice(&limb.to_le_bytes());
-                }
-                buf.push(u8::from(poison));
-            }
-        }
-        let sum = crc32c(&buf);
-        buf.extend_from_slice(&sum.to_le_bytes());
-        Bytes::from(buf)
-    }
-
-    /// Verifies a frame's magic and checksum and decodes it into an
-    /// accumulator shaped like `template`. `Ok(None)` means the
-    /// checksum failed (transit corruption — ask for a retransmit);
-    /// `Err(())` means a foreign magic, or a verified frame with the
-    /// wrong structure (protocol violation). The magic is checked
-    /// first, so a frame in a retired layout is a violation, not a
-    /// retransmit.
-    #[expect(
-        clippy::result_unit_err,
-        reason = "the barrier maps every structural fault to one `Malformed` event"
-    )]
-    pub fn decode(frame: &[u8], template: &ExactState) -> Result<Option<ExactState>, ()> {
-        if frame.len() < 12 {
-            return Err(());
-        }
-        let mut magic = [0u8; 4];
-        magic.copy_from_slice(&frame[0..4]);
-        if u32::from_le_bytes(magic) != PARTIAL_MAGIC {
-            return Err(());
-        }
-        let (body, tail) = frame.split_at(frame.len() - 4);
-        let mut sum = [0u8; 4];
-        sum.copy_from_slice(tail);
-        if crc32c(body) != u32::from_le_bytes(sum) {
-            return Ok(None);
-        }
-        let mut count = [0u8; 4];
-        count.copy_from_slice(&body[4..8]);
-        let count = u32::from_le_bytes(count) as usize;
-        if count != template.numel() || body.len() != 8 + count * PARTIAL_SUM_BYTES {
-            return Err(());
-        }
-        let mut sums = body[8..].chunks_exact(PARTIAL_SUM_BYTES).map(|raw| {
-            let mut limbs = [0u64; 6];
-            for (limb, bytes) in limbs.iter_mut().zip(raw.chunks_exact(8)) {
-                let mut b = [0u8; 8];
-                b.copy_from_slice(bytes);
-                *limb = u64::from_le_bytes(b);
-            }
-            ExactSum::from_raw(limbs, raw[PARTIAL_SUM_BYTES - 1] != 0)
-        });
-        let entries = template
-            .entries
-            .iter()
-            .map(|e| ExactEntry {
-                name: e.name.clone(),
-                dims: e.dims.clone(),
-                trainable: e.trainable,
-                accs: sums.by_ref().take(e.accs.len()).collect(),
-            })
-            .collect();
-        Ok(Some(ExactState { entries }))
-    }
-}
-
-/// Magic tag of an edge partial-sum frame (`"HPcr"`). `0x4850_6172`
-/// (`"HPar"`) tagged the retired layout with an FNV-1a-64 trailer.
-const PARTIAL_MAGIC: u32 = 0x4850_6372;
-
-/// Bytes of one sum in an `HPar` frame: six limbs and the poison byte.
-const PARTIAL_SUM_BYTES: usize = 49;
 
 // ---- configuration -------------------------------------------------------
 
@@ -485,8 +311,7 @@ fn reduce_shard(
             // R2SP completion, folded immediately, then dropped: the
             // streaming step that keeps shard memory flat in cohort
             // size.
-            let completed = state_add(&recover_state(&sub, &cr.plan, global), &cr.residual);
-            acc.fold(&completed);
+            acc.fold(&completion(SyncScheme::R2SP, &sub.recover(&cr.plan, global), &cr.residual));
             folded += 1;
         }
         // Tracked transient: the completed + recovered full-shape
@@ -697,11 +522,9 @@ fn finish_round(
 
     // ③ Aggregation under the cohort quorum.
     let quorum = chaos_client.quorum(cohort.len());
-    let aggregated = participants >= quorum && cloud.is_some();
-    if aggregated {
-        if let Some(c) = &cloud {
-            global.load_state(&c.finalize(participants));
-        }
+    let aggregated = meets_quorum(participants, quorum);
+    if let Some(c) = cloud.filter(|_| aggregated) {
+        global.load_state(&c.finalize(participants));
         if participants < cohort.len() {
             fedmp_obs::emit(|| TraceEvent::QuorumAggregate {
                 round,
@@ -746,6 +569,7 @@ fn class_plans(
     setup: &HierSetup<'_>,
     opts: &HierarchyOptions,
     global: &Sequential,
+    global_state: &[StateEntry],
     cohort: &[u64],
     agents: &mut [EUcbAgent],
 ) -> (BTreeMap<usize, ClassPlan>, Vec<usize>) {
@@ -767,7 +591,7 @@ fn class_plans(
         };
         let plan = plan_sequential_with(global, setup.task.input_chw, ratio, opts.importance);
         let mut sub = extract_sequential(global, &plan);
-        let residual = state_sub(&global.state(), &recover_state(&sub, &plan, global));
+        let residual = residual(global_state, &sub, &plan, global);
         let pair = opts.compression.select(&device);
         let (received, down_wire, down_dense) = if compressed {
             let (delivered, wire, dense) = link_delivered(&sub.state(), pair.downlink, None, None);
@@ -832,7 +656,9 @@ pub fn run_fedmp_hier(
             online: cohort.iter().map(|&id| id as usize).collect(),
         });
 
-        let (classes, selected) = class_plans(setup, opts, &global, &cohort, &mut agents);
+        let template = global.state();
+        let (classes, selected) =
+            class_plans(setup, opts, &global, &template, &cohort, &mut agents);
         if compressed {
             for &id in &cohort {
                 let device = setup.population.device(id);
@@ -849,7 +675,6 @@ pub fn run_fedmp_hier(
 
         // Gather: each slot streams its contiguous cohort slice into
         // one exact accumulator.
-        let template = global.state();
         let outputs = exec::ordered_map((0..opts.shards).collect(), |_, s| {
             reduce_shard(
                 cfg,
@@ -938,6 +763,7 @@ mod tests {
     use super::*;
     use crate::barrier::{Action, Barrier, Event};
     use crate::chaos::{corrupted_copy, ChaosDraw};
+    use fedmp_tensor::Tensor;
     use proptest::prelude::*;
 
     /// One edge's cloud upload moved for real: a one-slot [`Barrier`]

@@ -54,7 +54,7 @@ mod task;
 mod transport;
 mod wire;
 
-pub use aggregate::{average_states, quorum_aggregate, r2sp_aggregate};
+pub use aggregate::{average_states, quorum_aggregate, r2sp_aggregate, ExactState};
 pub use chaos::{backoff, ChaosOptions};
 pub use engine::{CostScale, FlConfig, FlModel, FlSetup, SyncScheme, Workers};
 pub use engines::baselines::{
@@ -63,7 +63,7 @@ pub use engines::baselines::{
 pub use engines::fedmp::{run_fedmp, FaultOptions, FedMpOptions};
 pub use engines::r#async::{run_async, AsyncMode, AsyncOptions};
 pub use eval::{evaluate_image, EvalResult};
-pub use hierarchy::{run_fedmp_hier, ExactState, HierSetup, HierarchyOptions};
+pub use hierarchy::{run_fedmp_hier, HierSetup, HierarchyOptions};
 pub use history::{RoundRecord, RunHistory};
 pub use lm::LmTask;
 pub use local::{local_train, LocalOutcome, LocalTrainConfig};

@@ -60,9 +60,9 @@
 //! exclusion (`"crashed"` / `"protocol"`) and a restart, not the run.
 //!
 //! A round aggregates when at least `ChaosOptions::quorum(online)`
-//! models survive exclusion — R2SP-style partial aggregation via
-//! [`quorum_aggregate`]; below quorum the global model carries over
-//! unchanged. Recovery outcomes are recorded per round in
+//! models survive exclusion — R2SP-style partial aggregation under the
+//! one quorum rule of `fl::aggregate`; below quorum the global model
+//! carries over unchanged. Recovery outcomes are recorded per round in
 //! [`RoundRecord`] (`participants`, `retries`, `exclusions`) and in the
 //! trace stream (`FrameRetransmit`, `WorkerExcluded`, `WorkerRejoined`,
 //! `QuorumAggregate`).
@@ -87,7 +87,7 @@
 //! every node and joins every reader. [`live_worker_threads`] counts
 //! live runtime threads for the leak regression tests.
 
-use crate::aggregate::{bsp_aggregate, quorum_aggregate};
+use crate::aggregate::{completion, meets_quorum, residual, ExactState};
 use crate::barrier::{Action, Barrier, Event};
 use crate::chaos::{corrupted_copy, ChaosOptions, ChaosPlan};
 use crate::engine::{evaluate_if_due, worker_rng, FlConfig, FlModel, FlSetup, SyncScheme, Workers};
@@ -107,7 +107,7 @@ use bytes::Bytes;
 use core::time::Duration;
 use fedmp_bandit::{eucb_reward, Bandit, EUcbAgent, EUcbConfig, RewardConfig};
 use fedmp_edgesim::{deadline_for, DeviceProfile};
-use fedmp_nn::{state_sub, StateEntry};
+use fedmp_nn::StateEntry;
 use fedmp_obs::TraceEvent;
 use fedmp_pruning::{dequantize_state, quantize_state};
 use fedmp_tensor::parallel::{sum_f32, sum_f64};
@@ -436,11 +436,12 @@ pub(crate) fn run_rounds<M: FlModel, X: Exchange<M>>(
         // (Eq. 5). Every input is read-only, so each slot is a pure
         // function of its ratio.
         let ratios = policy.select(&online);
+        let global_state = global.state();
         let prepared = exec::ordered_map(ratios.clone(), |i, ratio| {
             let plan = global.plan(setup.task, ratio, opts.importance);
             let sub = global.extract(&plan);
             // `sub` is fresh, so its recovery is the sparse model `xₙ`.
-            let residual = state_sub(&global.state(), &sub.recover(&plan, &global));
+            let residual = residual(&global_state, &sub, &plan, &global);
             let residual = if opts.quantize_residuals {
                 dequantize_state(&quantize_state(&residual))
             } else {
@@ -449,7 +450,7 @@ pub(crate) fn run_rounds<M: FlModel, X: Exchange<M>>(
             let cost = sub.round_cost(setup.task, &locals[online[i]]);
             ((plan, sub), (residual, cost))
         });
-        let ((plans, subs), (residuals, costs)): ((Vec<_>, Vec<_>), (Vec<_>, Vec<_>)) =
+        let ((plans, subs), (mut residuals, costs)): ((Vec<_>, Vec<_>), (Vec<_>, Vec<_>)) =
             prepared.into_iter().unzip();
 
         // ② The exchange; its outcomes fold in worker order. A worker
@@ -574,50 +575,42 @@ pub(crate) fn run_rounds<M: FlModel, X: Exchange<M>>(
         policy.observe(&delivered, round_time);
 
         // ③ Reconstruct the kept uploads and aggregate under the
-        // quorum. Reconstruction and state recovery fan out; the
-        // fallible results come back in worker order.
-        let (kept_uploads, kept_losses): (Vec<(usize, X::Upload)>, Vec<f32>) = deliveries
+        // quorum. Reconstruction, recovery and completion fan out, each
+        // kept worker's residual moved into its slot; the fallible
+        // completions come back and fold in worker order.
+        let (kept_uploads, kept_losses): (Vec<_>, Vec<f32>) = deliveries
             .into_iter()
             .filter(|(i, _)| excluded[*i].is_none())
-            .map(|(i, a)| ((i, a.upload), a.outcome.mean_loss))
+            .map(|(i, a)| ((i, a.upload, std::mem::take(&mut residuals[i])), a.outcome.mean_loss))
             .unzip();
         let train_loss = sum_f32(kept_losses) / kept as f32;
-        let kept_residuals: Vec<_> =
-            kept_uploads.iter().map(|(i, _)| residuals[*i].clone()).collect();
-        let mut recovered = Vec::with_capacity(kept);
-        for r in exec::ordered_map(kept_uploads, |_, (i, upload)| {
-            X::reconstruct(upload).map(|model| model.recover(&plans[i], &global))
+        let mut sum = ExactState::like(&global_state);
+        for c in exec::ordered_map(kept_uploads, |_, (i, upload, residual)| {
+            X::reconstruct(upload)
+                .map(|model| completion(opts.sync, &model.recover(&plans[i], &global), &residual))
         }) {
-            recovered.push(r?);
+            sum.fold(&c?);
         }
         let quorum = chaos.quorum(online.len());
-        let new_state = match opts.sync {
-            SyncScheme::R2SP => quorum_aggregate(&recovered, &kept_residuals, quorum),
-            SyncScheme::BSP => (!recovered.is_empty() && recovered.len() >= quorum)
-                .then(|| bsp_aggregate(&recovered)),
-        };
-        let participants = match new_state {
-            Some(s) => {
-                global.load_state(&s);
-                if kept < online.len() {
-                    fedmp_obs::emit(|| TraceEvent::QuorumAggregate {
-                        round,
-                        quorum,
-                        participants: kept,
-                        excluded: online.len() - kept,
-                    });
-                }
-                fedmp_obs::emit(|| TraceEvent::Aggregate {
+        // Below quorum the round's uploads are discarded and the global
+        // model carries over unchanged.
+        let participants = if meets_quorum(kept, quorum) { kept } else { 0 };
+        if participants > 0 {
+            global.load_state(&sum.finalize(kept));
+            if kept < online.len() {
+                fedmp_obs::emit(|| TraceEvent::QuorumAggregate {
                     round,
-                    scheme: scheme.to_string(),
+                    quorum,
                     participants: kept,
+                    excluded: online.len() - kept,
                 });
-                kept
             }
-            // Below quorum: the round's uploads are discarded and the
-            // global model carries over unchanged.
-            None => 0,
-        };
+            fedmp_obs::emit(|| TraceEvent::Aggregate {
+                round,
+                scheme: scheme.to_string(),
+                participants: kept,
+            });
+        }
 
         let eval = evaluate_if_due(cfg, round, &mut global, setup.task);
         log.close(RoundRecord {

@@ -900,6 +900,10 @@ fn decode_body(
 ) -> Result<Vec<StateEntry>, WireError> {
     let mut cur = Cursor { buf: body };
     let codec = cur.codec()?;
+    // A sparse delta is meaningless without the snapshot it is against.
+    if reference.is_none() && matches!(codec, Codec::TopK { .. } | Codec::TopKInt8 { .. }) {
+        return Err(WireError::Malformed("a sparse frame needs a reference"));
+    }
     let count = cur.u32()? as usize;
     if reference.is_some_and(|r| r.len() != count) {
         return Err(WireError::Malformed("entry count differs from the reference"));
@@ -1150,6 +1154,29 @@ mod tests {
                 "{}",
                 codec.label()
             );
+        }
+    }
+
+    #[test]
+    fn a_sparse_frame_without_a_reference_is_malformed() {
+        // A clean, checksum-valid top-k frame: decoded with no
+        // reference it would allocate its zero base at the frame's
+        // say-so, so it is refused whole; against the zero base its
+        // `None` encode implied, it decodes.
+        let state = zoo::cnn_mnist(0.1, &mut seeded_rng(267)).state();
+        let zeros: Vec<StateEntry> = state
+            .iter()
+            .map(|e| StateEntry { tensor: Tensor::zeros(e.tensor.dims()), ..e.clone() })
+            .collect();
+        for codec in [Codec::TopK { keep: 0.1 }, Codec::TopKInt8 { keep: 0.1 }] {
+            let frame = encode_state_v2(&state, codec, None, None);
+            assert_eq!(
+                decode_state_v2(&frame, None).err(),
+                Some(WireError::Malformed("a sparse frame needs a reference")),
+                "{}",
+                codec.label()
+            );
+            assert!(decode_state_v2(&frame, Some(&zeros)).is_ok(), "{}", codec.label());
         }
     }
 

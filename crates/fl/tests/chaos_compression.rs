@@ -107,8 +107,17 @@ fn retransmitted_compressed_frames_decode_identically() {
     // Retransmission: same frame, no re-encode — feedback unchanged,
     // and both decodes are bit-identical.
     assert!(frame_checksum_ok(&frame));
-    let first = decode_state_v2(&frame, None).expect("first transmission");
-    let second = decode_state_v2(&frame, None).expect("retransmission");
+    // A sparse frame decodes against the zero base its `None` encode
+    // implied, as a worker decodes its downlink.
+    let zeros: Vec<_> = state
+        .iter()
+        .map(|e| fedmp_nn::StateEntry {
+            tensor: fedmp_tensor::Tensor::zeros(e.tensor.dims()),
+            ..e.clone()
+        })
+        .collect();
+    let first = decode_state_v2(&frame, Some(&zeros)).expect("first transmission");
+    let second = decode_state_v2(&frame, Some(&zeros)).expect("retransmission");
     assert_eq!(feedback, feedback_after_encode, "retransmit touched error feedback");
     assert_eq!(first.len(), second.len());
     for (x, y) in first.iter().zip(second.iter()) {

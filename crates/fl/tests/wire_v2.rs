@@ -110,10 +110,19 @@ proptest! {
         let mut ef_oracle = ErrorFeedback::new();
         let frame = encode_state_v2(&state, codec, reference.as_deref(), Some(&mut ef_encode));
         let oracle = codec_delivered(&state, codec, reference.as_deref(), Some(&mut ef_oracle));
-        let decoded = decode_state_v2(&frame, reference.as_deref()).expect("clean frame decodes");
-        prop_assert_eq!(bits(&decoded), bits(&oracle), "decode != oracle for {}", codec.label());
         prop_assert!(ef_encode == ef_oracle, "feedback diverged for {}", codec.label());
         prop_assert!(frame_checksum_ok(&frame));
+        // A sparse delta decodes only against a reference.
+        if reference.is_none() && matches!(codec, Codec::TopK { .. } | Codec::TopKInt8 { .. }) {
+            prop_assert_eq!(
+                decode_state_v2(&frame, None).err(),
+                Some(WireError::Malformed("a sparse frame needs a reference")),
+                "{}", codec.label()
+            );
+            return Ok(());
+        }
+        let decoded = decode_state_v2(&frame, reference.as_deref()).expect("clean frame decodes");
+        prop_assert_eq!(bits(&decoded), bits(&oracle), "decode != oracle for {}", codec.label());
         // Decoding the same frame twice is identical (retransmit path).
         let again = decode_state_v2(&frame, reference.as_deref()).expect("second decode");
         prop_assert_eq!(bits(&again), bits(&decoded));

@@ -8,7 +8,7 @@ use fedmp_data::{iid_partition, mnist_like};
 use fedmp_edgesim::{tx2_profile, ComputeMode, LinkQuality};
 use fedmp_fl::{
     run_fedmp, run_fedprox, run_synfl, run_threaded, ChaosOptions, CompressionPolicy, FaultOptions,
-    FedMpOptions, FedProxOptions, ImageTask, SyncMethod, SyncScheme,
+    FedMpOptions, FedProxOptions, FlModel, ImageTask, SyncMethod, SyncScheme,
 };
 use fedmp_tensor::parallel::override_threads;
 
@@ -282,4 +282,41 @@ fn non_iid_slows_convergence() {
         a_skew <= a_iid + 0.05,
         "label skew should not converge faster: IID {a_iid} vs skew {a_skew}"
     );
+}
+
+#[test]
+fn the_deadline_factor_keeps_a_straggler_inside_it() {
+    // §V-A: the PS waits `factor · d`, where `d` is the arrival by which
+    // `deadline_frac` of the models are in. Three equal devices and a
+    // slower fourth whose arrival falls strictly between `d` and
+    // `1.5 · d`: the paper's factor 1.5 keeps it, factor 1.0 drops it.
+    let (train, test) = mnist_like(0.05, 310).generate();
+    let part = iid_partition(&train, 4, &mut seeded_rng(310));
+    let task = ImageTask::new(train, test, part);
+    let fast = tx2_profile(ComputeMode::Mode0, LinkQuality::Near);
+    let slow = tx2_profile(ComputeMode::Mode1, LinkQuality::Near);
+    let setup = FlSetup::new(&task, vec![fast, fast, fast, slow], TimeModel::deterministic());
+    let global = zoo::cnn_mnist(0.1, &mut seeded_rng(311));
+    let cfg = FlConfig { rounds: 1, ..Default::default() };
+    // At ρ = 0 every worker trains the whole model, so each arrival is
+    // its device's Eq. 5 time for one cost.
+    let cost = global.round_cost(&task, &cfg.local);
+    let t: Vec<f64> =
+        (0..4).map(|w| setup.simulate_round(w, &cost, &mut seeded_rng(0)).total()).collect();
+    let d = t[2];
+    assert!(t[..3].iter().all(|&x| x == d) && d < t[3] && t[3] < 1.5 * d, "arrivals {t:?}");
+    let kept = |deadline_factor| {
+        let faults = FaultOptions {
+            fail_prob: 0.0,
+            deadline_frac: 0.75,
+            deadline_factor,
+            ..Default::default()
+        };
+        let opts =
+            FedMpOptions { fixed_ratio: Some(0.0), faults: Some(faults), ..Default::default() };
+        let round = &run_fedmp(&cfg, &setup, global.clone(), &opts).rounds[0];
+        (round.participants, round.exclusions)
+    };
+    assert_eq!(kept(1.5), (4, 0), "factor 1.5 excluded the straggler");
+    assert_eq!(kept(1.0), (3, 1), "factor 1.0 kept the straggler");
 }
