@@ -21,8 +21,8 @@ use fedmp_pruning::ratio_keep_count;
 use fedmp_tensor::simd::{self, SimdPath};
 use fedmp_tensor::{
     col2im_into, conv2d_backward_input, conv2d_backward_weight, conv2d_forward, im2col,
-    im2col_into, matmul_nt_reference, matmul_reference, matmul_tn_reference, max_pool2d_forward,
-    parallel, seeded_rng, Conv2dSpec, Pool2dSpec, Tensor,
+    matmul_nt_reference, matmul_reference, matmul_tn_reference, max_pool2d_forward, parallel,
+    seeded_rng, Conv2dSpec, Pool2dSpec, Tensor,
 };
 use serde_json::{json, Value};
 use std::time::Instant;
@@ -299,11 +299,12 @@ pub fn kernels(_: &mut Harness) -> Value {
     }
 
     // Conv backward under the default dispatch: what the two gradient
-    // passes cost beside the forward, and how much of each pass is data
-    // movement around its GEMM — the unfold in the forward, the gradient
-    // transpose + product add in the weight gradient, the `col2im` fold
-    // in the input gradient. On one kernel thread a walk timed alone is
-    // a true share of the batch-parallel pass.
+    // passes cost beside the forward, and how much of each gradient
+    // pass is data movement around its GEMM — the gradient transpose +
+    // product add in the weight gradient, the `col2im` fold in the input
+    // gradient (the forward and the weight gradient read the columns in
+    // place, so neither unfolds). On one kernel thread a walk timed
+    // alone is a true share of the batch-parallel pass.
     let mut conv_bwd_rows = Vec::new();
     for (name, n, c, hw, oc, k, padding) in CONV_CASES {
         let spec = Conv2dSpec { kh: k, kw: k, stride: 1, padding };
@@ -325,14 +326,8 @@ pub fn kernels(_: &mut Harness) -> Value {
                 col2im_into(cols.data(), c, hw, hw, &spec, &mut folded);
             }
         });
-        let mut unfolded = vec![f32::NAN; cols.numel()];
-        let unfold_ms = time_ms(reps, || {
-            for image in input.data().chunks_exact(c * hw * hw) {
-                im2col_into(image, c, hw, hw, &spec, &mut unfolded);
-            }
-        });
-        // What the weight gradient moves around its GEMM besides the
-        // unfold: per image, the `[oc, P]` gradient block transposed to
+        // What the weight gradient moves around its GEMM: per image,
+        // the `[oc, P]` gradient block transposed to
         // `[P, oc]` and the `[ck, oc]` product added into the running
         // sum; per call, that sum transposed into `gw[oc, ck]`. The
         // kernel's own walks are private; these are the same ones,
@@ -360,13 +355,11 @@ pub fn kernels(_: &mut Harness) -> Value {
             }
             transpose(&gw_t, oc, &mut gw);
         });
-        let unfold_share = unfold_ms / forward_ms;
         let wgrad_pack_share = wgrad_pack_ms / bwd_weight_ms;
         let col2im_share = col2im_ms / bwd_input_ms;
         let bwd_over_fwd = (bwd_weight_ms + bwd_input_ms) / forward_ms;
         println!(
-            "conv-bwd {name:<32} fwd {forward_ms:7.3} ms (unfold {:.0}%)  bwd_weight {bwd_weight_ms:7.3} ms (transpose+add {:.0}%)  bwd_input {bwd_input_ms:7.3} ms (col2im {:.0}%)  bwd/fwd {bwd_over_fwd:4.2}x",
-            unfold_share * 100.0,
+            "conv-bwd {name:<32} fwd {forward_ms:7.3} ms  bwd_weight {bwd_weight_ms:7.3} ms (transpose+add {:.0}%)  bwd_input {bwd_input_ms:7.3} ms (col2im {:.0}%)  bwd/fwd {bwd_over_fwd:4.2}x",
             wgrad_pack_share * 100.0,
             col2im_share * 100.0,
         );
@@ -376,7 +369,7 @@ pub fn kernels(_: &mut Harness) -> Value {
             "out_channels": oc, "kernel": k, "stride": 1, "padding": padding,
             "forward_ms": forward_ms,
             "bwd_weight_ms": bwd_weight_ms, "bwd_input_ms": bwd_input_ms,
-            "unfold_share": unfold_share, "wgrad_pack_share": wgrad_pack_share,
+            "wgrad_pack_share": wgrad_pack_share,
             "col2im_share": col2im_share, "bwd_over_fwd": bwd_over_fwd,
         }));
     }

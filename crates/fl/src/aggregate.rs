@@ -5,7 +5,7 @@
 //! same bits in any fold order and under any shard → edge → cloud tree.
 
 use crate::checksum::crc32c;
-use crate::engine::{FlModel, SyncScheme};
+use crate::engine::FlModel;
 use bytes::Bytes;
 use fedmp_nn::{state_add, state_scale, state_sub, StateEntry};
 use fedmp_tensor::{ExactSum, ExactVec, Tensor};
@@ -193,16 +193,16 @@ pub(crate) fn residual<M: FlModel>(
 
 /// One kept worker's term of the mean, from its trained sub-model
 /// `recovered` into full shape. R2SP (Eq. 2) adds its residual, so each
-/// pruned parameter re-enters with its pre-round value; BSP does not,
-/// so pruned positions contribute zeros — the degradation of Fig. 7.
+/// pruned parameter re-enters with its pre-round value; BSP keeps no
+/// residual (`None`), so pruned positions contribute zeros — the
+/// degradation of Fig. 7.
 pub(crate) fn completion(
-    sync: SyncScheme,
     recovered: &[StateEntry],
-    residual: &[StateEntry],
+    residual: Option<&[StateEntry]>,
 ) -> Vec<StateEntry> {
-    match sync {
-        SyncScheme::R2SP => state_add(recovered, residual),
-        SyncScheme::BSP => recovered.to_vec(),
+    match residual {
+        Some(residual) => state_add(recovered, residual),
+        None => recovered.to_vec(),
     }
 }
 
@@ -233,7 +233,7 @@ pub fn r2sp_aggregate(
     assert!(!recovered.is_empty(), "r2sp: no workers");
     let mut sum = ExactState::like(&recovered[0]);
     for (r, q) in recovered.iter().zip(residuals) {
-        sum.fold(&completion(SyncScheme::R2SP, r, q));
+        sum.fold(&completion(r, Some(q)));
     }
     sum.finalize(recovered.len())
 }
@@ -294,7 +294,7 @@ mod tests {
         let agg = r2sp_aggregate(std::slice::from_ref(&recovered), &[residual]);
         assert_eq!(agg[0].tensor.data(), &[5.0, 8.0]);
         // BSP leaves the pruned position at zero.
-        let bsp = average_states(&[completion(SyncScheme::BSP, &recovered, &snap(&[0.0, 8.0]))]);
+        let bsp = average_states(&[completion(&recovered, None)]);
         assert_eq!(bsp[0].tensor.data(), &[5.0, 0.0]);
     }
 

@@ -5,7 +5,7 @@
 //! the identity and the residual is zero, so R2SP is FedAvg.
 
 use crate::aggregate::{completion, mix_states, residual, ExactState};
-use crate::engine::{evaluate_if_due, worker_rng, FlConfig, FlModel, FlSetup, SyncScheme};
+use crate::engine::{evaluate_if_due, worker_rng, FlConfig, FlModel, FlSetup};
 use crate::exec;
 use crate::history::{RoundLog, RoundRecord, RunHistory};
 use crate::runtime::RatioPolicy;
@@ -218,7 +218,7 @@ pub fn run_async(
         let mut sum = ExactState::like(&global_state);
         for (_, p) in members {
             let recovered = p.model.recover(&p.plan, &global);
-            sum.fold(&completion(SyncScheme::R2SP, &recovered, &p.residual));
+            sum.fold(&completion(&recovered, Some(&p.residual)));
         }
         global.load_state(&mix_states(&global_state, &sum.finalize(online.len()), beta));
         fedmp_obs::emit(|| TraceEvent::Aggregate {

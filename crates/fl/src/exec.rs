@@ -41,7 +41,7 @@
 //! their own workers — one level of the stack owns the threads. Spawning is
 //! per-call (threads are not parked between rounds), but per-thread
 //! state that matters for throughput — the `fedmp_tensor::workspace`
-//! scratch pools backing im2col/GEMM — lives for a worker's whole
+//! scratch pools backing the convolution kernels — lives for a worker's whole
 //! claim streak, so buffer reuse spans every batch of a worker's
 //! `local_train`.
 

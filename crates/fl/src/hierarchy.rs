@@ -52,7 +52,7 @@
 use crate::aggregate::{completion, meets_quorum, residual, ExactState};
 use crate::barrier::Outcome;
 use crate::chaos::{ChaosOptions, ChaosPlan};
-use crate::engine::{evaluate_if_due, worker_rng, CostScale, FlConfig, FlModel, SyncScheme};
+use crate::engine::{evaluate_if_due, worker_rng, CostScale, FlConfig, FlModel};
 use crate::exec;
 use crate::history::{RoundLog, RoundRecord, RunHistory};
 use crate::runtime::seeded_agents;
@@ -311,7 +311,7 @@ fn reduce_shard(
             // R2SP completion, folded immediately, then dropped: the
             // streaming step that keeps shard memory flat in cohort
             // size.
-            acc.fold(&completion(SyncScheme::R2SP, &sub.recover(&cr.plan, global), &cr.residual));
+            acc.fold(&completion(&sub.recover(&cr.plan, global), Some(&cr.residual)));
             folded += 1;
         }
         // Tracked transient: the completed + recovered full-shape

@@ -431,22 +431,24 @@ pub(crate) fn run_rounds<M: FlModel, X: Exchange<M>>(
         // ① Adaptive model pruning: choose ratios (serially — the
         // bandit is order-sensitive), then fan the per-worker PS work
         // across the round executor: plan and extract the sub-model,
-        // form the residual kept until aggregation (§III-C, optionally
-        // 8-bit quantized to cut PS memory 4×) and price the sub-model
-        // (Eq. 5). Every input is read-only, so each slot is a pure
-        // function of its ratio.
+        // form the residual R2SP keeps until aggregation (§III-C,
+        // optionally 8-bit quantized to cut PS memory 4×; BSP keeps
+        // none) and price the sub-model (Eq. 5). Every input is
+        // read-only, so each slot is a pure function of its ratio.
         let ratios = policy.select(&online);
         let global_state = global.state();
         let prepared = exec::ordered_map(ratios.clone(), |i, ratio| {
             let plan = global.plan(setup.task, ratio, opts.importance);
             let sub = global.extract(&plan);
             // `sub` is fresh, so its recovery is the sparse model `xₙ`.
-            let residual = residual(&global_state, &sub, &plan, &global);
-            let residual = if opts.quantize_residuals {
-                dequantize_state(&quantize_state(&residual))
-            } else {
-                residual
-            };
+            let residual = (opts.sync == SyncScheme::R2SP).then(|| {
+                let residual = residual(&global_state, &sub, &plan, &global);
+                if opts.quantize_residuals {
+                    dequantize_state(&quantize_state(&residual))
+                } else {
+                    residual
+                }
+            });
             let cost = sub.round_cost(setup.task, &locals[online[i]]);
             ((plan, sub), (residual, cost))
         });
@@ -587,7 +589,7 @@ pub(crate) fn run_rounds<M: FlModel, X: Exchange<M>>(
         let mut sum = ExactState::like(&global_state);
         for c in exec::ordered_map(kept_uploads, |_, (i, upload, residual)| {
             X::reconstruct(upload)
-                .map(|model| completion(opts.sync, &model.recover(&plans[i], &global), &residual))
+                .map(|model| completion(&model.recover(&plans[i], &global), residual.as_deref()))
         }) {
             sum.fold(&c?);
         }

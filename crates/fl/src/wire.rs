@@ -65,7 +65,7 @@ use bytes::{BufMut, Bytes, BytesMut};
 use fedmp_edgesim::DeviceProfile;
 use fedmp_nn::StateEntry;
 pub use fedmp_tensor::{f16_bits_to_f32, f32_to_f16_bits};
-use fedmp_tensor::{f16_bits_to_f32s, f32s_to_f16_bits, int8_codes, Tensor};
+use fedmp_tensor::{f16_le_to_f32s, f32s_to_f16_le, int8_codes, Tensor};
 use serde::{Deserialize, Serialize};
 
 /// The frame magic. `0xFED7_7A2E` (FNV-1a trailer) and `0xFED7_7A1E`
@@ -430,12 +430,94 @@ impl ErrorFeedback {
 // Shared compress / reconstruct core
 // ---------------------------------------------------------------------
 
-enum PayloadCodes {
-    F32(Vec<f32>),
-    F16(Vec<u16>),
-    I8 { scale: f32, codes: Vec<i8> },
-    TopK { indices: Vec<u32>, values: Vec<f32> },
-    TopKI8 { scale: f32, indices: Vec<u32>, codes: Vec<i8> },
+/// One entry's payload: its codes, wherever they are kept ([`Store`]).
+enum PayloadCodes<S: Store = Owned> {
+    F32(S::Values),
+    F16(S::Halves),
+    I8 { scale: f32, codes: S::Codes },
+    TopK { indices: S::Indices, values: S::Values },
+    TopKI8 { scale: f32, indices: S::Indices, codes: S::Codes },
+}
+
+/// Where a payload's codes are kept: the encoder's own arrays
+/// ([`Owned`]) or the received frame's bytes ([`InFrame`]). The one
+/// reconstruction routine, [`deliver_entry`], reads either.
+trait Store {
+    /// Dense and top-k `f32` values.
+    type Values: Values;
+    /// f16 codes, as their little-endian wire bytes in either store.
+    type Halves: AsRef<[u8]>;
+    /// Int8 codes.
+    type Codes: Words<i8>;
+    /// Top-k coordinates.
+    type Indices: Words<u32>;
+}
+
+/// The encoder's arrays.
+struct Owned;
+
+impl Store for Owned {
+    type Values = Vec<f32>;
+    type Halves = Vec<u8>;
+    type Codes = Vec<i8>;
+    type Indices = Vec<u32>;
+}
+
+/// A frame's payload bytes, read in place: no code is copied out of
+/// the frame before it is reconstructed.
+struct InFrame<'a>(std::marker::PhantomData<&'a [u8]>);
+
+impl<'a> Store for InFrame<'a> {
+    type Values = &'a [u8];
+    type Halves = &'a [u8];
+    type Codes = &'a [u8];
+    type Indices = &'a [u8];
+}
+
+/// A run of codes of type `T`, read in order.
+trait Words<T> {
+    fn words(&self) -> impl Iterator<Item = T> + '_;
+}
+
+impl<T: Copy> Words<T> for Vec<T> {
+    fn words(&self) -> impl Iterator<Item = T> + '_ {
+        self.iter().copied()
+    }
+}
+
+impl Words<i8> for &[u8] {
+    fn words(&self) -> impl Iterator<Item = i8> + '_ {
+        self.iter().map(|&b| b as i8)
+    }
+}
+
+impl Words<u32> for &[u8] {
+    fn words(&self) -> impl Iterator<Item = u32> + '_ {
+        self.chunks_exact(4).map(|w| u32::from_le_bytes([w[0], w[1], w[2], w[3]]))
+    }
+}
+
+impl Words<f32> for &[u8] {
+    fn words(&self) -> impl Iterator<Item = f32> + '_ {
+        self.chunks_exact(4).map(|w| f32::from_le_bytes([w[0], w[1], w[2], w[3]]))
+    }
+}
+
+/// `f32` values that can also become the entry's data outright.
+trait Values: Words<f32> {
+    fn into_vec(self) -> Vec<f32>;
+}
+
+impl Values for Vec<f32> {
+    fn into_vec(self) -> Vec<f32> {
+        self
+    }
+}
+
+impl Values for &[u8] {
+    fn into_vec(self) -> Vec<f32> {
+        Words::<f32>::words(&self).collect()
+    }
 }
 
 /// `x + r` with exact-zero residuals skipped, so an all-zero feedback
@@ -534,11 +616,11 @@ fn compress_entry(
         }
         Codec::DenseF16 => {
             let corrected = corrected_values(x, residual);
-            let mut codes = vec![0; corrected.len()];
-            f32s_to_f16_bits(&corrected, &mut codes);
+            let mut codes = vec![0; 2 * corrected.len()];
+            f32s_to_f16_le(&corrected, &mut codes);
             // The residual is what the receiver will not see: the value
             // minus its decoded code.
-            f16_bits_to_f32s(&codes, residual);
+            f16_le_to_f32s(&codes, residual);
             for (r, &c) in residual.iter_mut().zip(&corrected) {
                 *r = c - *r;
             }
@@ -578,22 +660,29 @@ fn compress_entry(
 }
 
 /// Reconstructs the delivered values for one entry — the *only*
-/// reconstruction routine, shared by the decoder and the encoder-side
-/// oracle, which is what makes `decode(encode(x))` exact by
-/// construction.
-fn deliver_entry(codes: PayloadCodes, reference: Option<&[f32]>, numel: usize) -> Vec<f32> {
+/// reconstruction routine, shared by the decoder (codes read in place
+/// from the frame) and the encoder-side oracle (the encoder's arrays),
+/// which is what makes `decode(encode(x))` exact by construction. One
+/// pass over the codes into the entry's one allocation.
+fn deliver_entry<S: Store>(
+    codes: PayloadCodes<S>,
+    reference: Option<&[f32]>,
+    numel: usize,
+) -> Vec<f32> {
     match codes {
-        PayloadCodes::F32(v) => v,
+        PayloadCodes::F32(v) => v.into_vec(),
         PayloadCodes::F16(h) => {
-            let mut out = vec![0.0; h.len()];
-            f16_bits_to_f32s(&h, &mut out);
+            let mut out = vec![0.0; numel];
+            f16_le_to_f32s(h.as_ref(), &mut out);
             out
         }
-        PayloadCodes::I8 { scale, codes } => codes.iter().map(|&c| c as f32 * scale).collect(),
-        PayloadCodes::TopK { indices, values } => apply_sparse(reference, numel, &indices, &values),
+        PayloadCodes::I8 { scale, codes } => codes.words().map(|c| c as f32 * scale).collect(),
+        PayloadCodes::TopK { indices, values } => {
+            apply_sparse(reference, numel, indices.words().zip(values.words()))
+        }
         PayloadCodes::TopKI8 { scale, indices, codes } => {
-            let values: Vec<f32> = codes.iter().map(|&c| c as f32 * scale).collect();
-            apply_sparse(reference, numel, &indices, &values)
+            let values = codes.words().map(|c| c as f32 * scale);
+            apply_sparse(reference, numel, indices.words().zip(values))
         }
     }
 }
@@ -601,14 +690,13 @@ fn deliver_entry(codes: PayloadCodes, reference: Option<&[f32]>, numel: usize) -
 fn apply_sparse(
     reference: Option<&[f32]>,
     numel: usize,
-    indices: &[u32],
-    values: &[f32],
+    coordinates: impl Iterator<Item = (u32, f32)>,
 ) -> Vec<f32> {
     let mut out = match reference {
         Some(r) if r.len() == numel => r.to_vec(),
         _ => vec![0.0; numel],
     };
-    for (&i, &v) in indices.iter().zip(values) {
+    for (i, v) in coordinates {
         if let Some(slot) = out.get_mut(i as usize) {
             *slot += v;
         }
@@ -695,7 +783,7 @@ pub fn encode_state_v2(
 fn put_payload(buf: &mut BytesMut, codes: &PayloadCodes) {
     match codes {
         PayloadCodes::F32(v) => put_words(buf, v, f32::to_le_bytes),
-        PayloadCodes::F16(h) => put_words(buf, h, u16::to_le_bytes),
+        PayloadCodes::F16(h) => buf.put_slice(h),
         PayloadCodes::I8 { scale, codes } => {
             buf.put_f32_le(*scale);
             put_words(buf, codes, i8::to_le_bytes);
@@ -835,30 +923,15 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    fn f32s(&mut self, n: usize) -> Result<Vec<f32>, WireError> {
-        let b = self.take(checked_mul(4, n)?)?;
-        Ok(b.chunks_exact(4).map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])).collect())
-    }
-
-    fn u16s(&mut self, n: usize) -> Result<Vec<u16>, WireError> {
-        let b = self.take(checked_mul(2, n)?)?;
-        Ok(b.chunks_exact(2).map(|c| u16::from_le_bytes([c[0], c[1]])).collect())
-    }
-
-    fn u32s(&mut self, n: usize) -> Result<Vec<u32>, WireError> {
-        let b = self.take(checked_mul(4, n)?)?;
-        Ok(b.chunks_exact(4).map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]])).collect())
-    }
-
-    fn i8s(&mut self, n: usize) -> Result<Vec<i8>, WireError> {
-        let b = self.take(n)?;
-        Ok(b.iter().map(|&v| v as i8).collect())
+    /// The bytes of `n` codes of `width` bytes each.
+    fn words(&mut self, n: usize, width: usize) -> Result<&'a [u8], WireError> {
+        self.take(checked_mul(width, n)?)
     }
 }
 
-fn check_sparse_indices(indices: &[u32], numel: usize) -> Result<(), WireError> {
+fn check_sparse_indices(indices: &[u8], numel: usize) -> Result<(), WireError> {
     let mut prev: Option<u32> = None;
-    for &ix in indices {
+    for ix in Words::<u32>::words(&indices) {
         if ix as usize >= numel {
             return Err(WireError::Malformed("sparse index out of range"));
         }
@@ -935,21 +1008,21 @@ fn decode_body(
         if reference.is_some() && ref_data.is_none() {
             return Err(WireError::Malformed("entry does not match the reference"));
         }
-        let codes = match codec {
-            Codec::DenseF32 => PayloadCodes::F32(cur.f32s(numel)?),
-            Codec::DenseF16 => PayloadCodes::F16(cur.u16s(numel)?),
+        let codes: PayloadCodes<InFrame<'_>> = match codec {
+            Codec::DenseF32 => PayloadCodes::F32(cur.words(numel, 4)?),
+            Codec::DenseF16 => PayloadCodes::F16(cur.words(numel, 2)?),
             Codec::Int8 => {
                 let scale = cur.f32()?;
-                PayloadCodes::I8 { scale, codes: cur.i8s(numel)? }
+                PayloadCodes::I8 { scale, codes: cur.words(numel, 1)? }
             }
             Codec::TopK { .. } => {
                 let k = cur.u32()? as usize;
                 if k > numel {
                     return Err(WireError::Malformed("sparse length exceeds tensor"));
                 }
-                let indices = cur.u32s(k)?;
-                check_sparse_indices(&indices, numel)?;
-                let values = cur.f32s(k)?;
+                let indices = cur.words(k, 4)?;
+                check_sparse_indices(indices, numel)?;
+                let values = cur.words(k, 4)?;
                 PayloadCodes::TopK { indices, values }
             }
             Codec::TopKInt8 { .. } => {
@@ -958,9 +1031,9 @@ fn decode_body(
                     return Err(WireError::Malformed("sparse length exceeds tensor"));
                 }
                 let scale = cur.f32()?;
-                let indices = cur.u32s(k)?;
-                check_sparse_indices(&indices, numel)?;
-                let codes = cur.i8s(k)?;
+                let indices = cur.words(k, 4)?;
+                check_sparse_indices(indices, numel)?;
+                let codes = cur.words(k, 1)?;
                 PayloadCodes::TopKI8 { scale, indices, codes }
             }
         };

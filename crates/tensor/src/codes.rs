@@ -98,27 +98,30 @@ pub fn int8_code(v: f32, scale: f32) -> i8 {
     (v / scale).round().clamp(-127.0, 127.0) as i8
 }
 
-/// [`f32_to_f16_bits`] over a slice: `dst[i] = f32_to_f16_bits(src[i])`.
+/// [`f32_to_f16_bits`] over a slice, as the wire carries the codes:
+/// `dst[2i..2i + 2]` is `f32_to_f16_bits(src[i])` in little-endian
+/// order.
 ///
 /// # Panics
-/// Panics if the lengths differ.
-pub fn f32s_to_f16_bits(src: &[f32], dst: &mut [u16]) {
-    assert_eq!(src.len(), dst.len(), "f32s_to_f16_bits: length mismatch");
+/// Panics if `dst` is not two bytes per value.
+pub fn f32s_to_f16_le(src: &[f32], dst: &mut [u8]) {
+    assert_eq!(2 * src.len(), dst.len(), "f32s_to_f16_le: length mismatch");
     let done = if simd::f16c_active() { simd::f32_to_f16_f16c(src, dst) } else { 0 };
-    for (d, &s) in dst[done..].iter_mut().zip(&src[done..]) {
-        *d = f32_to_f16_bits(s);
+    for (d, &s) in dst[2 * done..].chunks_exact_mut(2).zip(&src[done..]) {
+        d.copy_from_slice(&f32_to_f16_bits(s).to_le_bytes());
     }
 }
 
-/// [`f16_bits_to_f32`] over a slice: `dst[i] = f16_bits_to_f32(src[i])`.
+/// [`f16_bits_to_f32`] over little-endian halves, as the wire carries
+/// them: `dst[i] = f16_bits_to_f32(half at src[2i..2i + 2])`.
 ///
 /// # Panics
-/// Panics if the lengths differ.
-pub fn f16_bits_to_f32s(src: &[u16], dst: &mut [f32]) {
-    assert_eq!(src.len(), dst.len(), "f16_bits_to_f32s: length mismatch");
+/// Panics if `src` is not two bytes per value.
+pub fn f16_le_to_f32s(src: &[u8], dst: &mut [f32]) {
+    assert_eq!(src.len(), 2 * dst.len(), "f16_le_to_f32s: length mismatch");
     let done = if simd::f16c_active() { simd::f16_to_f32_f16c(src, dst) } else { 0 };
-    for (d, &s) in dst[done..].iter_mut().zip(&src[done..]) {
-        *d = f16_bits_to_f32(s);
+    for (d, h) in dst[done..].iter_mut().zip(src[2 * done..].chunks_exact(2)) {
+        *d = f16_bits_to_f32(u16::from_le_bytes([h[0], h[1]]));
     }
 }
 

@@ -1,11 +1,22 @@
-//! 2-D convolution via im2col/col2im.
+//! 2-D convolution: GEMMs that read the unfolded columns in place.
 //!
 //! Layouts follow the usual deep-learning convention:
 //! * activations: `[batch, channels, height, width]` (NCHW)
 //! * filters: `[out_channels, in_channels, kh, kw]`
 //!
-//! The im2col transform turns convolution into one GEMM per image, which
-//! keeps the hot loop inside the blocked kernel of [`crate::matmul`].
+//! Per image, the forward pass is one GEMM `W · cols` and the weight
+//! gradient one GEMM `cols · goᵀ`, where `cols[(c, ky, kx), (oy, ox)]`
+//! is the image's im2col matrix. Neither builds it: both run the
+//! blocked kernels of [`crate::matmul`] on a *tap view* ([`TapLayout`])
+//! that reads each column element where it already is — in the image,
+//! in its zero-bordered copy when there is padding, or, at stride
+//! s > 1, in that copy's `s × s` phase planes, so that every tap of
+//! every output row is one contiguous run. The forward reads the view
+//! as its B operand, each 8-lane vector one window of such a run; the
+//! weight gradient as its A operand, by scalar broadcast. [`im2col`]
+//! and [`im2col_into`] stay as the materialised formulation the tests
+//! hold both passes to. The input gradient still folds a column
+//! product back with [`col2im_into`].
 //!
 //! Four rules keep every pass bit-identical at any thread count and
 //! under any faster walk of the same data:
@@ -28,29 +39,32 @@
 //!    `+0.0`, ascending in the reduction index. `x·y` and `y·x` are the
 //!    same float, so *which operand of the GEMM* a matrix is — `A` or
 //!    `B` — cannot move a bit as long as every element still meets its
-//!    factors in the same order. The weight gradient uses this:
-//!    `(go · colsᵀ)ᵀ = cols · goᵀ` multiplies the columns exactly as
-//!    unfolded and transposes only the small gradient block, each
-//!    `gw[f, j]` still one chain ascending in the output position.
+//!    factors in the same order; nor can *where* the kernel reads a
+//!    factor from, which is what lets the tap view stand in for the
+//!    columns. The weight gradient uses both: `(go · colsᵀ)ᵀ = cols ·
+//!    goᵀ` multiplies the columns in place as the A operand and
+//!    transposes only the small gradient block, each `gw[f, j]` still
+//!    one chain ascending in the output position.
 //!
 //! Per-image scratch comes from the calling thread's
 //! [`crate::workspace`] pool rather than fresh allocations, under one of
 //! two contracts. Buffers a kernel **accumulates into or reads a
-//! background from** — the zero-bordered image copy, the weight
-//! gradient's running sum, the input gradient's column buffer — are
-//! taken zero-filled. Buffers whose **every element is overwritten
-//! before anything reads it** — the unfolded columns (the unfold copies
-//! the border's zeros for padding taps instead of relying on a zeroed
-//! background), the transposed gradient block, the per-image product
-//! (the batch loop zero-fills it before each GEMM) and the input
-//! gradient's packed weight transpose — are taken *dirty*, with
-//! whatever an earlier call left in them. Outputs are bit-identical to the allocating formulation
-//! either way: the `workspace_path_is_bit_identical` test below seeds
-//! the pool with NaN-filled buffers and compares against a fresh thread
-//! with an empty pool, and `padded_unfold_overwrites_a_poisoned_buffer`
+//! background from** — the phase planes (whose zero border every image
+//! shares), the weight gradient's running sum, the input gradient's
+//! column buffer — are taken zero-filled. Buffers whose **every element
+//! is overwritten before anything reads it** — the transposed gradient
+//! block, the per-image product (the batch loop zero-fills it before
+//! each GEMM), the input gradient's packed weight transpose, and
+//! [`im2col_into`]'s columns (its unfold copies the border's zeros for
+//! padding taps instead of relying on a zeroed background) — are taken
+//! *dirty*, with whatever an earlier call left in them. Outputs are
+//! bit-identical to the allocating formulation either way: the
+//! `workspace_path_is_bit_identical` test below seeds the pool with
+//! NaN-filled buffers and compares against a fresh thread with an empty
+//! pool, and `padded_unfold_overwrites_a_poisoned_buffer`
 //! (`tests/proptests.rs`) proves every column element is written.
 
-use crate::matmul::{gemm_nn_into, pack_transpose_into};
+use crate::matmul::{gemm_into, gemm_nn_into, pack_transpose_into, Dense, Operand};
 use crate::parallel;
 use crate::tensor::Tensor;
 use crate::workspace::with_thread_workspace;
@@ -103,84 +117,164 @@ pub fn im2col(image: &[f32], c: usize, h: usize, w: usize, spec: &Conv2dSpec) ->
 /// [`im2col`] into a caller-provided buffer of `c*kh*kw × oh*ow`
 /// elements. Every element is written (padding taps as `+0.0`), so the
 /// buffer's previous contents do not matter.
+///
+/// The unfold reads a zero-bordered copy of the image, which makes every
+/// tap of every output row a fixed-length in-bounds walk — no per-span
+/// bounds arithmetic — that writes **every** element of `cols`: a
+/// padding tap copies a border zero, the same `+0.0` a zeroed
+/// background would have held.
 pub fn im2col_into(
     image: &[f32],
     c: usize,
     h: usize,
     w: usize,
     spec: &Conv2dSpec,
-    data: &mut [f32],
-) {
-    let mut padded = with_thread_workspace(|ws| ws.take_zeroed(padded_len(c, h, w, spec)));
-    unfold(image, c, h, w, spec, &mut padded, data);
-    with_thread_workspace(|ws| ws.give(padded));
-}
-
-/// Size of the scratch [`unfold`] needs: the image with its zero border,
-/// `[c, h+2p, w+2p]` — nothing when there is no border to add.
-fn padded_len(c: usize, h: usize, w: usize, spec: &Conv2dSpec) -> usize {
-    match spec.padding {
-        0 => 0,
-        p => c * (h + 2 * p) * (w + 2 * p),
-    }
-}
-
-/// The unfold behind [`im2col_into`], with its scratch passed in (the
-/// conv kernels hold the thread's workspace already and cannot re-enter
-/// it).
-///
-/// `padded` is [`padded_len`] floats whose **border is zero**; the
-/// interior is overwritten with the image here, so one zeroed take
-/// serves any number of images of one geometry. Unfolding from that
-/// copy instead of the image makes every tap of every output row a
-/// fixed-length in-bounds walk — no per-span bounds arithmetic — that
-/// writes **every** element of `cols`: a padding tap copies a border
-/// zero, the same `+0.0` a zeroed background would have held.
-fn unfold(
-    image: &[f32],
-    c: usize,
-    h: usize,
-    w: usize,
-    spec: &Conv2dSpec,
-    padded: &mut [f32],
     cols: &mut [f32],
 ) {
     let Conv2dSpec { kh, kw, stride, padding } = *spec;
     let (oh, ow) = spec.out_hw(h, w);
     let (hp, wp) = (h + 2 * padding, w + 2 * padding);
     assert_eq!(image.len(), c * h * w, "im2col: image size");
-    assert_eq!(padded.len(), padded_len(c, h, w, spec), "im2col: padded scratch size");
     assert_eq!(cols.len(), c * kh * kw * oh * ow, "im2col_into: buffer size");
 
-    let src: &[f32] = if padding == 0 {
-        image
-    } else {
-        for (ch, img_ch) in image.chunks_exact(h * w).enumerate() {
-            for (y, img_row) in img_ch.chunks_exact(w).enumerate() {
-                let at = (ch * hp + y + padding) * wp + padding;
-                padded[at..at + w].copy_from_slice(img_row);
-            }
+    let mut padded = vec![0.0f32; c * hp * wp];
+    for (ch, img_ch) in image.chunks_exact(h * w).enumerate() {
+        for (y, img_row) in img_ch.chunks_exact(w).enumerate() {
+            let at = (ch * hp + y + padding) * wp + padding;
+            padded[at..at + w].copy_from_slice(img_row);
         }
-        padded
-    };
+    }
     let mut taps = cols.chunks_exact_mut(oh * ow);
-    for plane in src.chunks_exact(hp * wp) {
+    for plane in padded.chunks_exact(hp * wp) {
         for ky in 0..kh {
             for kx in 0..kw {
                 let tap = taps.next().expect("cols holds c*kh*kw taps (asserted above)");
                 for (oy, out_row) in tap.chunks_exact_mut(ow).enumerate() {
                     let from = (oy * stride + ky) * wp + kx;
-                    if stride == 1 {
-                        out_row.copy_from_slice(&plane[from..from + ow]);
-                    } else {
-                        let strided = plane[from..].iter().step_by(stride);
-                        for (d, &v) in out_row.iter_mut().zip(strided) {
+                    let strided = plane[from..].iter().step_by(stride);
+                    for (d, &v) in out_row.iter_mut().zip(strided) {
+                        *d = v;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Where the taps of one convolution geometry sit, for reading the
+/// columns `cols[(ch, ky, kx), (oy, ox)] = padded[ch, oy·s + ky, ox·s + kx]`
+/// in place instead of unfolding them.
+///
+/// The image is held as `s × s` phase planes of its zero-bordered copy:
+/// plane `(py, px)` holds `padded[ch, y·s + py, x·s + px]` at `[ch, y, x]`,
+/// so tap `(ky, kx)` of output row `oy` is the contiguous run of `ow`
+/// floats at row `oy + ky/s`, column `kx/s` of plane `(ky % s, kx % s)`.
+/// At stride 1 the one plane is the zero-bordered image itself, and
+/// without padding the image as given — no copy at all.
+struct TapLayout {
+    /// Per tap `(ch, ky, kx)`: the offset of its `(oy, ox) = (0, 0)`
+    /// element in the planes.
+    starts: Vec<usize>,
+    c: usize,
+    h: usize,
+    w: usize,
+    stride: usize,
+    padding: usize,
+    /// Output width: the length of a tap's run per output row.
+    ow: usize,
+    /// Plane height and width.
+    ph: usize,
+    pw: usize,
+    /// Floats of plane scratch: `0` when the image is read as given.
+    planes_len: usize,
+}
+
+impl TapLayout {
+    fn new(c: usize, h: usize, w: usize, spec: &Conv2dSpec) -> Self {
+        let Conv2dSpec { kh, kw, stride, padding } = *spec;
+        let (_, ow) = spec.out_hw(h, w);
+        let (ph, pw) = ((h + 2 * padding).div_ceil(stride), (w + 2 * padding).div_ceil(stride));
+        let plane_len = c * ph * pw;
+        let planes_len = if stride == 1 && padding == 0 { 0 } else { stride * stride * plane_len };
+        let mut starts = Vec::with_capacity(c * kh * kw);
+        for ch in 0..c {
+            for ky in 0..kh {
+                for kx in 0..kw {
+                    let plane = (ky % stride) * stride + kx % stride;
+                    starts.push(plane * plane_len + (ch * ph + ky / stride) * pw + kx / stride);
+                }
+            }
+        }
+        TapLayout { starts, c, h, w, stride, padding, ow, ph, pw, planes_len }
+    }
+
+    /// The tap view of `image`. `planes` is [`TapLayout::planes_len`]
+    /// floats whose **border is zero**; the image's own positions are
+    /// overwritten here — the same positions for every image — so one
+    /// zeroed take serves any number of images of one geometry.
+    fn view<'a>(&'a self, image: &'a [f32], planes: &'a mut [f32]) -> Taps<'a> {
+        let TapLayout { c, h, w, stride: s, padding: p, ph, pw, .. } = *self;
+        assert_eq!(image.len(), c * h * w, "conv2d: image size");
+        assert_eq!(planes.len(), self.planes_len, "conv2d: plane scratch size");
+        let data: &[f32] = if self.planes_len == 0 {
+            image
+        } else {
+            for (ch, img_ch) in image.chunks_exact(h * w).enumerate() {
+                for (y, img_row) in img_ch.chunks_exact(w).enumerate() {
+                    let yp = y + p;
+                    // Image columns `x0, x0 + s, …` share the phase
+                    // `(x0 + p) % s` and sit side by side in its plane.
+                    for x0 in 0..s.min(w) {
+                        let plane = (yp % s) * s + (x0 + p) % s;
+                        let at = ((plane * c + ch) * ph + yp / s) * pw + (x0 + p) / s;
+                        if s == 1 {
+                            planes[at..at + w].copy_from_slice(img_row);
+                            continue;
+                        }
+                        let run = img_row[x0..].iter().step_by(s);
+                        for (d, &v) in planes[at..at + run.len()].iter_mut().zip(run) {
                             *d = v;
                         }
                     }
                 }
             }
-        }
+            planes
+        };
+        Taps { data, starts: &self.starts, ow: self.ow, pw }
+    }
+}
+
+/// One image's `[c·kh·kw, oh·ow]` columns as a GEMM operand read in
+/// place ([`TapLayout`]): row `t` is tap `t`, and its columns run
+/// contiguously along each output row.
+struct Taps<'a> {
+    data: &'a [f32],
+    starts: &'a [usize],
+    ow: usize,
+    pw: usize,
+}
+
+impl Operand for Taps<'_> {
+    #[inline]
+    fn data(&self) -> &[f32] {
+        self.data
+    }
+    #[inline]
+    fn row(&self, t: usize) -> usize {
+        self.starts[t]
+    }
+    #[inline]
+    fn stretches(&self, q0: usize, q1: usize) -> impl Iterator<Item = (usize, usize, usize)> {
+        let Taps { ow, pw, .. } = *self;
+        let (mut q, mut oy, mut ox) = (q0, q0 / ow, q0 % ow);
+        std::iter::from_fn(move || {
+            (q < q1).then(|| {
+                let len = (ow - ox).min(q1 - q);
+                let stretch = (q, oy * pw + ox, len);
+                (q, oy, ox) = (q + len, oy + 1, 0);
+                stretch
+            })
+        })
     }
 }
 
@@ -287,32 +381,31 @@ pub fn conv2d_forward(input: &Tensor, weight: &Tensor, bias: &Tensor, spec: &Con
     let (oh, ow) = spec.out_hw(h, w);
 
     // `weight` is already contiguous `[oc, c*kh*kw]` row-major, so the
-    // GEMM reads it in place — no reshape clone per call.
+    // GEMM reads it in place — no reshape clone per call — and the
+    // columns are the tap view of each image, read in place too.
     let ck = c * spec.kh * spec.kw;
     let mut out = Tensor::zeros(&[n, oc, oh, ow]);
     let out_img = oc * oh * ow;
     let in_img = c * h * w;
     let input_data = input.data();
-    let weight_data = weight.data();
+    let weights = Dense { data: weight.data(), cols: ck };
     let bias_data = bias.data();
+    let taps = TapLayout::new(c, h, w, spec);
     let work = 2 * n * out_img * ck;
     parallel::for_each_band(out.data_mut(), n, out_img, 1, work, |i, dst| {
         with_thread_workspace(|ws| {
-            let mut padded = ws.take_zeroed(padded_len(c, h, w, spec));
-            let mut cols = ws.take_dirty(ck * oh * ow);
+            let mut planes = ws.take_zeroed(taps.planes_len);
             let image = &input_data[i * in_img..(i + 1) * in_img];
-            unfold(image, c, h, w, spec, &mut padded, &mut cols);
             // `dst` is this image's `[oc, oh*ow]` slice of the
             // zero-initialised output, so the GEMM accumulates straight
             // into it and the bias is added in place.
-            gemm_nn_into(weight_data, &cols, oc, ck, oh * ow, dst);
+            gemm_into(&weights, &taps.view(image, &mut planes), oc, ck, oh * ow, dst);
             for (d, &b) in dst.chunks_exact_mut(oh * ow).zip(bias_data) {
                 for dv in d {
                     *dv += b;
                 }
             }
-            ws.give(cols);
-            ws.give(padded);
+            ws.give(planes);
         });
     });
     out
@@ -380,34 +473,34 @@ pub fn conv2d_backward_weight(
     // below still use the blocked kernels, with all scratch drawn from
     // the thread pool. Per image the product is computed transposed,
     // `cols · goᵀ = (go · colsᵀ)ᵀ` (rule 4 of the module docs): the
-    // `[ck, P]` columns are the GEMM's A operand exactly as unfolded and
-    // only the `[oc, P]` gradient block is transposed. The products are
-    // summed in that `[ck, oc]` layout too — element `[j, f]` takes the
-    // adds `gw[f, j]` used to, image 0 first — and the sum is transposed
-    // into place once, a pure copy.
+    // `[ck, P]` columns are the GEMM's A operand, read in place as the
+    // image's tap view, and only the `[oc, P]` gradient block is
+    // transposed. The products are summed in that `[ck, oc]` layout too
+    // — element `[j, f]` takes the adds `gw[f, j]` used to, image 0
+    // first — and the sum is transposed into place once, a pure copy.
     let ck = c * spec.kh * spec.kw;
     let positions = oh * ow;
+    let taps = TapLayout::new(c, h, w, spec);
     let mut gw = Tensor::zeros(&[oc, ck]);
     let mut gb = Tensor::zeros(&[oc]);
     with_thread_workspace(|ws| {
-        let mut padded = ws.take_zeroed(padded_len(c, h, w, spec));
-        let mut cols = ws.take_dirty(ck * positions);
+        let mut planes = ws.take_zeroed(taps.planes_len);
         let mut go_t = ws.take_dirty(positions * oc);
         let mut prod_t = ws.take_dirty(ck * oc); // zero-filled before each GEMM below
         let mut gw_t = ws.take_zeroed(ck * oc);
         let images = input.data().chunks_exact(c * h * w);
         for (image, go) in images.zip(grad_out.data().chunks_exact(oc * positions)) {
-            unfold(image, c, h, w, spec, &mut padded, &mut cols);
             transpose_rows(go, oc, positions, &mut go_t);
             prod_t.fill(0.0);
-            gemm_nn_into(&cols, &go_t, ck, positions, oc, &mut prod_t);
+            let go_t = Dense { data: &go_t, cols: oc };
+            gemm_into(&taps.view(image, &mut planes), &go_t, ck, positions, oc, &mut prod_t);
             for (g, &p) in gw_t.iter_mut().zip(prod_t.iter()) {
                 *g += p;
             }
             parallel::add_row_sums_f32(go, positions, gb.data_mut());
         }
         transpose_rows(&gw_t, ck, oc, gw.data_mut());
-        for buf in [padded, cols, go_t, prod_t, gw_t] {
+        for buf in [planes, go_t, prod_t, gw_t] {
             ws.give(buf);
         }
     });
@@ -597,8 +690,8 @@ mod tests {
         let small_in = Tensor::randn(&[2, 1, 5, 5], &mut rng);
         let small_w = Tensor::randn(&[2, 1, 3, 3], &mut rng);
         let _ = conv2d_forward(&small_in, &small_w, &Tensor::zeros(&[2]), &small_spec);
-        // Larger and smaller than every buffer `run` asks for (columns
-        // 50 × 81, padded image 2 × 13 × 13, gradient block 81 × 4, …).
+        // Larger and smaller than every buffer `run` asks for (phase
+        // plane 2 × 13 × 13, gradient block 81 × 4, product 50 × 4, …).
         with_thread_workspace(|ws| {
             for len in [7, 300, 340, 4_050, 5_000, 20_000] {
                 ws.give(vec![f32::NAN; len]);

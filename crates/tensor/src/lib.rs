@@ -45,7 +45,7 @@ mod tensor;
 pub mod workspace;
 
 pub use codes::{
-    f16_bits_to_f32, f16_bits_to_f32s, f32_to_f16_bits, f32s_to_f16_bits, int8_code, int8_codes,
+    f16_bits_to_f32, f16_le_to_f32s, f32_to_f16_bits, f32s_to_f16_le, int8_code, int8_codes,
 };
 pub use conv::{
     col2im, col2im_into, conv2d_backward_input, conv2d_backward_weight, conv2d_forward, im2col,

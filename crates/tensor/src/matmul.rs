@@ -8,6 +8,12 @@
 //! accumulation loop is a vectorisable axpy. The transposed variants
 //! pack their transposed operand once and reuse the same kernel.
 //!
+//! The kernels read their operands through [`Operand`]: a dense
+//! row-major matrix, or the convolution's tap view, which reads the
+//! im2col columns in place from the zero-bordered image. Where an
+//! element is read from never changes which chain it joins, so both
+//! run the same kernel to the same bits.
+//!
 //! Output rows are split into fixed-size bands executed by
 //! [`crate::parallel`]; each element's accumulation order is ascending
 //! in `k` regardless of banding, so results are bit-identical at any
@@ -40,31 +46,112 @@ const MR: usize = 4;
 /// however many workers run.
 const BAND_ROWS: usize = 64;
 
+/// A GEMM operand the kernels read in place: row `r` starts at
+/// `data()[row(r)]`, and its columns lie in contiguous stretches. A
+/// [`Dense`] row-major matrix is one stretch per row; the convolution's
+/// tap view (`conv::Taps`) reads each tap of the zero-bordered image,
+/// one stretch per output row.
+pub(crate) trait Operand: Sync {
+    /// The backing floats.
+    fn data(&self) -> &[f32];
+    /// Where row `r` starts in [`Operand::data`].
+    fn row(&self, r: usize) -> usize;
+    /// Columns `q0..q1` as their contiguous stretches, in order:
+    /// `(first column, its offset from the row start, length)`.
+    fn stretches(&self, q0: usize, q1: usize) -> impl Iterator<Item = (usize, usize, usize)>;
+    /// Rows `r0..r1`, each cut to the floats at `lo..hi` past its start.
+    #[inline(always)]
+    fn windows(&self, r0: usize, r1: usize, lo: usize, hi: usize) -> impl Iterator<Item = &[f32]> {
+        let data = self.data();
+        (r0..r1).map(move |r| {
+            let at = self.row(r);
+            &data[at + lo..at + hi]
+        })
+    }
+    /// One stretch — `len` floats from `off` past the row start — of
+    /// each of the `R` rows from `r0`.
+    #[inline(always)]
+    fn segments<const R: usize>(&self, r0: usize, off: usize, len: usize) -> [&[f32]; R] {
+        let data = self.data();
+        let mut segs = [&data[..0]; R];
+        for (r, seg) in segs.iter_mut().enumerate() {
+            let at = self.row(r0 + r) + off;
+            *seg = &data[at..at + len];
+        }
+        segs
+    }
+}
+
+/// A row-major `[_, cols]` matrix.
+pub(crate) struct Dense<'a> {
+    pub(crate) data: &'a [f32],
+    pub(crate) cols: usize,
+}
+
+impl Operand for Dense<'_> {
+    #[inline]
+    fn data(&self) -> &[f32] {
+        self.data
+    }
+    #[inline]
+    fn row(&self, r: usize) -> usize {
+        r * self.cols
+    }
+    #[inline]
+    fn stretches(&self, q0: usize, q1: usize) -> impl Iterator<Item = (usize, usize, usize)> {
+        (q0 < q1).then_some((q0, q0, q1 - q0)).into_iter()
+    }
+}
+
 /// Blocked `C += A @ B` on row-major slices: `[m, k] x [k, n]`, banded
 /// over output rows. `c` must be zero-initialised by the caller.
 /// Crate-visible so the conv kernels can run the exact same GEMM into
-/// workspace-pooled buffers without building `Tensor` operands. The
-/// active [`SimdPath`] is resolved **once per call** so every band of
-/// one GEMM runs the same kernel even if a test flips the override
-/// concurrently.
+/// workspace-pooled buffers without building `Tensor` operands.
 pub(crate) fn gemm_nn_into(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, c: &mut [f32]) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
+    gemm_into(&Dense { data: a, cols: k }, &Dense { data: b, cols: n }, m, k, n, c);
+}
+
+/// `C += A @ B` for operands read in place, `A` as `[m, k]` and `B` as
+/// `[k, n]`; `C` is a dense `[m, n]`. Each `C` element is one chain
+/// ascending in `k`, whatever the operands' layouts, so a tap view
+/// multiplies to the bits of the columns it stands for. The active
+/// [`SimdPath`] is resolved **once per call** so every band of one GEMM
+/// runs the same kernel even if a test flips the override
+/// concurrently.
+pub(crate) fn gemm_into<A: Operand, B: Operand>(
+    a: &A,
+    b: &B,
+    m: usize,
+    k: usize,
+    n: usize,
+    c: &mut [f32],
+) {
     let path = simd::active_path();
     parallel::record_gemm_path(path == SimdPath::Avx2);
     let work = 2 * m * n * k;
     parallel::for_each_band(c, m, n, BAND_ROWS, work, |row0, band| {
         let rows = band.len() / n;
-        let a_band = &a[row0 * k..(row0 + rows) * k];
         match path {
-            SimdPath::Avx2 => simd::gemm_band_avx2(a_band, b, rows, k, n, band),
-            SimdPath::Scalar => gemm_band(a_band, b, rows, k, n, band),
+            SimdPath::Avx2 => simd::gemm_band_avx2(a, row0, b, rows, k, n, band),
+            SimdPath::Scalar => gemm_band(a, row0, b, rows, k, n, band),
         }
     });
 }
 
-/// One band of the blocked kernel: `rows × n` of `C`, all of `k`.
-fn gemm_band(a: &[f32], b: &[f32], rows: usize, k: usize, n: usize, c: &mut [f32]) {
+/// One band of the blocked kernel: `rows × n` of `C` (rows `row0..` of
+/// `A`), all of `k`.
+fn gemm_band<A: Operand, B: Operand>(
+    a: &A,
+    row0: usize,
+    b: &B,
+    rows: usize,
+    k: usize,
+    n: usize,
+    c: &mut [f32],
+) {
+    let (ad, bd) = (a.data(), b.data());
     for p0 in (0..k).step_by(KC) {
         let p1 = (p0 + KC).min(k);
         let mut i = 0;
@@ -73,29 +160,45 @@ fn gemm_band(a: &[f32], b: &[f32], rows: usize, k: usize, n: usize, c: &mut [f32
             let (c0, rest) = block.split_at_mut(n);
             let (c1, rest) = rest.split_at_mut(n);
             let (c2, c3) = rest.split_at_mut(n);
-            for p in p0..p1 {
-                let b_row = &b[p * n..p * n + n];
-                let a0 = a[i * k + p];
-                let a1 = a[(i + 1) * k + p];
-                let a2 = a[(i + 2) * k + p];
-                let a3 = a[(i + 3) * k + p];
-                for j in 0..n {
-                    let bv = b_row[j];
-                    c0[j] += a0 * bv;
-                    c1[j] += a1 * bv;
-                    c2[j] += a2 * bv;
-                    c3[j] += a3 * bv;
+            let a_rows: [usize; MR] = std::array::from_fn(|r| a.row(row0 + i + r));
+            for (q, off, len) in a.stretches(p0, p1) {
+                for s in 0..len {
+                    let a0 = ad[a_rows[0] + off + s];
+                    let a1 = ad[a_rows[1] + off + s];
+                    let a2 = ad[a_rows[2] + off + s];
+                    let a3 = ad[a_rows[3] + off + s];
+                    let b_row = b.row(q + s);
+                    for (j, b_off, b_len) in b.stretches(0, n) {
+                        let b_run = &bd[b_row + b_off..b_row + b_off + b_len];
+                        let d0 = &mut c0[j..j + b_len];
+                        let d1 = &mut c1[j..j + b_len];
+                        let d2 = &mut c2[j..j + b_len];
+                        let d3 = &mut c3[j..j + b_len];
+                        for x in 0..b_len {
+                            let bv = b_run[x];
+                            d0[x] += a0 * bv;
+                            d1[x] += a1 * bv;
+                            d2[x] += a2 * bv;
+                            d3[x] += a3 * bv;
+                        }
+                    }
                 }
             }
             i += MR;
         }
         while i < rows {
             let c_row = &mut c[i * n..(i + 1) * n];
-            for p in p0..p1 {
-                let b_row = &b[p * n..p * n + n];
-                let a_ip = a[i * k + p];
-                for j in 0..n {
-                    c_row[j] += a_ip * b_row[j];
+            let a_row = a.row(row0 + i);
+            for (q, off, len) in a.stretches(p0, p1) {
+                for s in 0..len {
+                    let a_ip = ad[a_row + off + s];
+                    let b_row = b.row(q + s);
+                    for (j, b_off, b_len) in b.stretches(0, n) {
+                        let b_run = &bd[b_row + b_off..b_row + b_off + b_len];
+                        for (cv, &bv) in c_row[j..j + b_len].iter_mut().zip(b_run) {
+                            *cv += a_ip * bv;
+                        }
+                    }
                 }
             }
             i += 1;

@@ -1,7 +1,7 @@
 //! Explicit SIMD GEMM microkernels, the AVX2 exact window fold behind
 //! [`crate::ExactVec::add`], the SSE4.2 CRC-32C loop behind
 //! [`crate::crc32c`], the F16C and AVX2 wire-code kernels behind
-//! [`crate::f32s_to_f16_bits`], [`crate::f16_bits_to_f32s`] and
+//! [`crate::f32s_to_f16_le`], [`crate::f16_le_to_f32s`] and
 //! [`crate::int8_codes`], and the `FEDMP_SIMD` path switch.
 //!
 //! The byte-path kernels each return exactly what a portable
@@ -20,8 +20,9 @@
 //! auto-vectorises against the x86-64 baseline (SSE2). This module adds
 //! a hand-written AVX2/FMA band kernel — one register block of 1–6
 //! rows × 1–2 eight-lane vectors (up to twelve YMM accumulators held
-//! across each `KC`-sized `k` tile), its last vector masked where the
-//! column count is not a multiple of 8 — plus the runtime machinery
+//! across each `KC`-sized `k` tile), generic over where its operands
+//! live (`matmul::Operand`), a vector masked where a contiguous stretch
+//! of B's columns is not a multiple of 8 — plus the runtime machinery
 //! that decides, once per process, which kernel the dispatch in
 //! `matmul::gemm_nn_into` (and in `ExactVec::add` and the code slice
 //! functions) uses:
@@ -48,9 +49,9 @@
 //!   only inserts exact f32 store/load round-trips of the running value
 //!   between tiles — tile boundaries are a function of `k` alone;
 //! * which register block (1–6 rows high, split near-equally), column
-//!   strip (16-wide, or the one strip of 1–15 left over) and lane mask
-//!   own an element is a function of `(rows, n)` alone, never of the
-//!   thread count — the band decomposition above this kernel is
+//!   strip (two 8-lane pieces of B's contiguous stretches) and lane mask
+//!   own an element is a function of `(rows, n)` and B's layout alone,
+//!   never of the thread count — the band decomposition above this kernel is
 //!   likewise shape-only. And it could not matter if it were not: the
 //!   chain above reads row `i` of A, column `j` of B and `k`, nothing
 //!   of the block around it, and a masked-off lane is neither loaded
@@ -77,6 +78,8 @@
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
+
+use crate::matmul::Operand;
 
 /// Which inner GEMM kernel the dispatch uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -264,23 +267,30 @@ pub fn override_path(path: Option<SimdPath>) {
 }
 
 /// One band of the AVX2/FMA kernel: `C += A @ B` over `rows × n` of the
-/// output with the full `k` extent, matching the contract of the scalar
-/// `matmul::gemm_band`.
+/// output (rows `row0..` of `A`) with the full `k` extent, matching the
+/// contract of the scalar `matmul::gemm_band`.
 ///
 /// # Panics
-/// Panics if the slice lengths disagree with `rows`/`k`/`n`, or if the
-/// caller selected this kernel on a host without avx2+fma — dispatch
-/// must route through [`active_path`], which never does.
-pub(crate) fn gemm_band_avx2(a: &[f32], b: &[f32], rows: usize, k: usize, n: usize, c: &mut [f32]) {
-    assert_eq!(a.len(), rows * k, "gemm_band_avx2: lhs len");
-    assert_eq!(b.len(), k * n, "gemm_band_avx2: rhs len");
+/// Panics if `c` disagrees with `rows`/`n`, if an operand element lies
+/// outside its data, or if the caller selected this kernel on a host
+/// without avx2+fma — dispatch must route through [`active_path`],
+/// which never does.
+pub(crate) fn gemm_band_avx2<A: Operand, B: Operand>(
+    a: &A,
+    row0: usize,
+    b: &B,
+    rows: usize,
+    k: usize,
+    n: usize,
+    c: &mut [f32],
+) {
     assert_eq!(c.len(), rows * n, "gemm_band_avx2: out len");
     assert!(avx2_supported(), "gemm_band_avx2 selected without avx2+fma");
     #[cfg(target_arch = "x86_64")]
     // SAFETY: the assert above proves the host supports avx2+fma at
     // runtime, which is the only precondition of the target_feature fn.
     unsafe {
-        x86::gemm_band(a, b, rows, k, n, c)
+        x86::gemm_band(a, row0, b, rows, k, n, c)
     }
     #[cfg(not(target_arch = "x86_64"))]
     unreachable!("avx2_supported() is false on non-x86_64, so the assert above already fired");
@@ -332,14 +342,15 @@ pub(crate) fn crc32c_sse42(bytes: &[u8]) -> u32 {
 }
 
 /// `crate::codes::f32_to_f16_bits` over the leading whole eight-value
-/// steps of `src`, through F16C; returns how many values it converted
-/// (the caller converts the rest).
+/// steps of `src`, through F16C, each half written as two
+/// little-endian bytes; returns how many values it converted (the
+/// caller converts the rest).
 ///
 /// # Panics
-/// Panics if the lengths differ, or if called when [`f16c_active`] is
-/// false.
-pub(crate) fn f32_to_f16_f16c(src: &[f32], dst: &mut [u16]) -> usize {
-    assert_eq!(src.len(), dst.len(), "f32_to_f16_f16c: length mismatch");
+/// Panics if `dst` is not two bytes per value, or if called when
+/// [`f16c_active`] is false.
+pub(crate) fn f32_to_f16_f16c(src: &[f32], dst: &mut [u8]) -> usize {
+    assert_eq!(2 * src.len(), dst.len(), "f32_to_f16_f16c: length mismatch");
     assert!(f16c_active(), "f32_to_f16_f16c selected without avx2+f16c");
     #[cfg(target_arch = "x86_64")]
     // SAFETY: the assert above proves the host supports avx2 and f16c
@@ -352,13 +363,14 @@ pub(crate) fn f32_to_f16_f16c(src: &[f32], dst: &mut [u16]) -> usize {
 }
 
 /// `crate::codes::f16_bits_to_f32` over the leading whole eight-value
-/// steps of `src`, through F16C; returns how many values it converted.
+/// steps of `src`, two little-endian bytes per half, through F16C;
+/// returns how many values it converted.
 ///
 /// # Panics
-/// Panics if the lengths differ, or if called when [`f16c_active`] is
-/// false.
-pub(crate) fn f16_to_f32_f16c(src: &[u16], dst: &mut [f32]) -> usize {
-    assert_eq!(src.len(), dst.len(), "f16_to_f32_f16c: length mismatch");
+/// Panics if `src` is not two bytes per value, or if called when
+/// [`f16c_active`] is false.
+pub(crate) fn f16_to_f32_f16c(src: &[u8], dst: &mut [f32]) -> usize {
+    assert_eq!(src.len(), 2 * dst.len(), "f16_to_f32_f16c: length mismatch");
     assert!(f16c_active(), "f16_to_f32_f16c selected without avx2+f16c");
     #[cfg(target_arch = "x86_64")]
     // SAFETY: the assert above proves the host supports avx2 and f16c
@@ -426,6 +438,7 @@ mod x86 {
 
     use crate::crc::{advance_block, STREAM_BLOCK};
     use crate::exact::{WINDOW_EXP_MIN, WINDOW_SPAN};
+    use crate::matmul::Operand;
     use core::arch::x86_64::{
         __m256, __m256i, _mm256_add_epi64, _mm256_add_ps, _mm256_and_ps, _mm256_and_si256,
         _mm256_andnot_ps, _mm256_andnot_si256, _mm256_blendv_ps, _mm256_bslli_epi128,
@@ -451,13 +464,13 @@ mod x86 {
     /// the quiet bit, so a NaN codes as `sign | 0x7E00` as in software.
     /// Returns the values converted: every whole step.
     #[target_feature(enable = "avx2,f16c")]
-    pub(super) fn f32_to_f16(src: &[f32], dst: &mut [u16]) -> usize {
+    pub(super) fn f32_to_f16(src: &[f32], dst: &mut [u8]) -> usize {
         let abs = _mm_set1_epi16(0x7FFF);
         let inf = _mm_set1_epi16(0x7C00);
         let mant = _mm_set1_epi16(0x03FF);
         let quiet = _mm_set1_epi16(0x0200);
         let mut done = 0;
-        for (x, h) in src.chunks_exact(8).zip(dst.chunks_exact_mut(8)) {
+        for (x, h) in src.chunks_exact(8).zip(dst.chunks_exact_mut(16)) {
             // SAFETY: `x` is a checked slice of exactly 8 f32s; the
             // unaligned load reads precisely those 32 bytes.
             let v = unsafe { _mm256_loadu_ps(x.as_ptr()) };
@@ -468,8 +481,9 @@ mod x86 {
                 _mm_andnot_si128(_mm_and_si128(nan, mant), bits),
                 _mm_and_si128(nan, quiet),
             );
-            // SAFETY: `h` is a checked slice of exactly 8 u16s; the
-            // unaligned store writes precisely those 16 bytes.
+            // SAFETY: `h` is a checked slice of exactly 16 bytes; the
+            // unaligned store writes precisely those, each half's low
+            // byte first (x86 is little-endian).
             unsafe { _mm_storeu_si128(h.as_mut_ptr().cast(), bits) };
             done += 8;
         }
@@ -481,13 +495,14 @@ mod x86 {
     /// the software rule, whatever payload the instruction kept.
     /// Returns the values converted: every whole step.
     #[target_feature(enable = "avx2,f16c")]
-    pub(super) fn f16_to_f32(src: &[u16], dst: &mut [f32]) -> usize {
+    pub(super) fn f16_to_f32(src: &[u8], dst: &mut [f32]) -> usize {
         let sign = _mm256_set1_ps(-0.0);
         let quiet = _mm256_set1_ps(f32::from_bits(0x7FC0_0000));
         let mut done = 0;
-        for (h, x) in src.chunks_exact(8).zip(dst.chunks_exact_mut(8)) {
-            // SAFETY: `h` is a checked slice of exactly 8 u16s; the
-            // unaligned load reads precisely those 16 bytes.
+        for (h, x) in src.chunks_exact(16).zip(dst.chunks_exact_mut(8)) {
+            // SAFETY: `h` is a checked slice of exactly 16 bytes, eight
+            // little-endian halves; the unaligned load reads precisely
+            // those.
             let v = _mm256_cvtph_ps(unsafe { _mm_loadu_si128(h.as_ptr().cast()) });
             let nan = _mm256_cmp_ps::<_CMP_UNORD_Q>(v, v);
             let fixed = _mm256_or_ps(_mm256_and_ps(v, sign), quiet);
@@ -783,44 +798,83 @@ mod x86 {
         }
     }
 
-    /// One `k` tile `p0..p1` of a `[_, k] × [k, n]` product.
+    /// One `k` tile `p0..p1` of a band whose first row is row `row0` of
+    /// `A`; `n` is the width of `C`.
     #[derive(Clone, Copy)]
     struct Tile {
-        k: usize,
+        row0: usize,
         n: usize,
         p0: usize,
         p1: usize,
     }
 
+    /// One vector of a column strip: where its first column sits in a
+    /// row of `B` (`b`) and of `C` (`c`), and how many of its 8 lanes
+    /// hold columns.
+    #[derive(Clone, Copy)]
+    struct Piece {
+        b: usize,
+        c: usize,
+        live: usize,
+    }
+
+    /// `B`'s columns `0..n` as vectors: each contiguous stretch of a
+    /// `B` row cut into 8-lane windows, the last window of a stretch
+    /// short when fewer than 8 columns are left. A dense `B` is one
+    /// stretch; a tap view one per output row.
+    fn pieces<B: Operand>(b: &B, n: usize) -> impl Iterator<Item = Piece> + '_ {
+        b.stretches(0, n).flat_map(|(q, off, len)| {
+            (0..len).step_by(8).map(move |x| Piece { b: off + x, c: q + x, live: (len - x).min(8) })
+        })
+    }
+
     /// Entry point: `KC`-sized `k` tiles; inside each tile the column
     /// strips are the outer loop (so a strip's B panel is reused by all
     /// row blocks straight out of L1) and the row blocks the inner one.
-    /// Columns are cut into 16-wide strips plus one strip for the 1–15
-    /// left over, whose last vector is masked unless 8 are left; rows
-    /// are cut by [`strip`]. Both cuts read `(rows, n)` only. Tiling
-    /// only inserts exact f32 store/load round-trips of the running C
-    /// value between tiles — the per-element FMA chain still consumes
-    /// `k` in ascending order. The caller (`gemm_band_avx2`) has
-    /// asserted all slice geometry.
+    /// A strip is two consecutive full [`pieces`], a full piece and the
+    /// short one after it (masked), or one piece alone, so only a
+    /// strip's last vector is ever masked; for a dense B that is
+    /// 16-wide strips, then one strip for the 1–15 columns left over.
+    /// Rows are cut by [`strip`]. Both cuts read `(rows, n)` and B's
+    /// layout only. Tiling only inserts exact f32 store/load
+    /// round-trips of the running C value between tiles — the
+    /// per-element FMA chain still consumes `k` in ascending order. The
+    /// caller (`gemm_band_avx2`) has asserted the geometry of `c`;
+    /// operand reads are bounds-checked slices (`block`'s A reads are
+    /// checked once per stretch).
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) fn gemm_band(a: &[f32], b: &[f32], rows: usize, k: usize, n: usize, c: &mut [f32]) {
+    pub(super) fn gemm_band<A: Operand, B: Operand>(
+        a: &A,
+        row0: usize,
+        b: &B,
+        rows: usize,
+        k: usize,
+        n: usize,
+        c: &mut [f32],
+    ) {
         if rows == 0 || n == 0 {
             return;
         }
-        let left = n % 16;
         let full = Lanes::first(8);
         let mut p0 = 0;
         loop {
             let p1 = (p0 + KC).min(k);
-            let t = Tile { k, n, p0, p1 };
-            for j in (0..n - left).step_by(16) {
-                strip::<2, false>(a, b, c, rows, t, j, full);
-            }
-            match left {
-                0 => {}
-                1..=7 => strip::<1, true>(a, b, c, rows, t, n - left, Lanes::first(left)),
-                8 => strip::<1, false>(a, b, c, rows, t, n - left, full),
-                _ => strip::<2, true>(a, b, c, rows, t, n - left, Lanes::first(left - 8)),
+            let t = Tile { row0, n, p0, p1 };
+            let mut vectors = pieces(b, n);
+            while let Some(v0) = vectors.next() {
+                if v0.live < 8 {
+                    strip::<1, true, A, B>(a, b, c, rows, t, [v0], Lanes::first(v0.live));
+                    continue;
+                }
+                match vectors.next() {
+                    Some(v1) if v1.live == 8 => {
+                        strip::<2, false, A, B>(a, b, c, rows, t, [v0, v1], full)
+                    }
+                    Some(v1) => {
+                        strip::<2, true, A, B>(a, b, c, rows, t, [v0, v1], Lanes::first(v1.live))
+                    }
+                    None => strip::<1, false, A, B>(a, b, c, rows, t, [v0], full),
+                }
             }
             p0 = p1;
             if p0 >= k {
@@ -829,18 +883,18 @@ mod x86 {
         }
     }
 
-    /// All row blocks of the strip starting at column `j`: `rows` is cut
-    /// into `ceil(rows / 6)` blocks of near-equal height (taller ones
-    /// first), so no block is ever a lone leftover row — 5 → 5,
-    /// 10 → 5+5, 39 → 6+6+6+6+5+5+5.
+    /// All row blocks of one column strip: `rows` is cut into
+    /// `ceil(rows / 6)` blocks of near-equal height (taller ones first),
+    /// so no block is ever a lone leftover row — 5 → 5, 10 → 5+5,
+    /// 39 → 6+6+6+6+5+5+5.
     #[target_feature(enable = "avx2", enable = "fma")]
-    fn strip<const NV: usize, const MASKED: bool>(
-        a: &[f32],
-        b: &[f32],
+    fn strip<const NV: usize, const MASKED: bool, A: Operand, B: Operand>(
+        a: &A,
+        b: &B,
         c: &mut [f32],
         rows: usize,
         t: Tile,
-        j: usize,
+        vectors: [Piece; NV],
         lanes: Lanes,
     ) {
         let blocks = rows.div_ceil(MR_MAX);
@@ -848,99 +902,119 @@ mod x86 {
         let mut i = 0;
         for q in 0..blocks {
             let mr = height + usize::from(q < taller);
+            let v = &vectors;
             match mr {
-                1 => block::<1, NV, MASKED>(a, b, c, i, t, j, lanes),
-                2 => block::<2, NV, MASKED>(a, b, c, i, t, j, lanes),
-                3 => block::<3, NV, MASKED>(a, b, c, i, t, j, lanes),
-                4 => block::<4, NV, MASKED>(a, b, c, i, t, j, lanes),
-                5 => block::<5, NV, MASKED>(a, b, c, i, t, j, lanes),
-                6 => block::<6, NV, MASKED>(a, b, c, i, t, j, lanes),
+                1 => block::<1, NV, MASKED, A, B>(a, b, c, i, t, v, lanes),
+                2 => block::<2, NV, MASKED, A, B>(a, b, c, i, t, v, lanes),
+                3 => block::<3, NV, MASKED, A, B>(a, b, c, i, t, v, lanes),
+                4 => block::<4, NV, MASKED, A, B>(a, b, c, i, t, v, lanes),
+                5 => block::<5, NV, MASKED, A, B>(a, b, c, i, t, v, lanes),
+                6 => block::<6, NV, MASKED, A, B>(a, b, c, i, t, v, lanes),
                 _ => unreachable!("block height {mr} outside 1..={MR_MAX}"),
             }
             i += mr;
         }
     }
 
-    /// The register block: rows `i..i+MR`, `NV` vectors of columns from
-    /// `j`, over one `k` tile, with `MR × NV` YMM accumulators live
-    /// across the tile. Each element is one FMA chain ascending in `k`
-    /// in a fixed lane. With `MASKED` the last vector holds only
-    /// `lanes.live` columns: its other lanes are never loaded from or
-    /// stored to memory, and no lane reads another, so what they
+    /// The register block: rows `i..i+MR` of the band, the strip's `NV`
+    /// vectors of columns, over one `k` tile, with `MR × NV` YMM
+    /// accumulators live across the tile. Each element is one FMA chain
+    /// ascending in `k` in a fixed lane; `A` is read by scalar
+    /// broadcast along its contiguous stretches of `k`, and each `B`
+    /// vector is one window of a `B` row. With `MASKED` the last vector
+    /// holds only `lanes.live` columns: its other lanes are never loaded
+    /// from or stored to memory, and no lane reads another, so what they
     /// accumulate is discarded unseen.
     #[inline]
     #[target_feature(enable = "avx2", enable = "fma")]
-    fn block<const MR: usize, const NV: usize, const MASKED: bool>(
-        a: &[f32],
-        b: &[f32],
+    fn block<const MR: usize, const NV: usize, const MASKED: bool, A: Operand, B: Operand>(
+        a: &A,
+        b: &B,
         c: &mut [f32],
         i: usize,
         t: Tile,
-        j: usize,
+        vectors: &[Piece; NV],
         lanes: Lanes,
     ) {
-        let w = 8 * (NV - 1) + lanes.live;
+        // A row of B or C is read as one window, from the first vector's
+        // column to the last's end: one bounds check per row, and the
+        // vectors' checks inside it are the same for every row.
+        let width = if MASKED { lanes.live } else { 8 };
+        let (b_lo, c_lo) = (vectors[0].b, vectors[0].c);
+        let (b_hi, c_hi) = (vectors[NV - 1].b + width, vectors[NV - 1].c + width);
+        let (b_cols, c_cols) = (vectors.map(|v| v.b - b_lo), vectors.map(|v| v.c - c_lo));
         let mut acc = [[_mm256_setzero_ps(); NV]; MR];
         for (r, accr) in acc.iter_mut().enumerate() {
-            *accr = load_row::<NV, MASKED>(&c[(i + r) * t.n + j..][..w], lanes);
+            let row = (i + r) * t.n;
+            *accr = load_vectors::<NV, MASKED>(&c[row + c_lo..row + c_hi], c_cols, lanes);
         }
-        let mut a_rows = [&a[..0]; MR];
-        for (r, a_row) in a_rows.iter_mut().enumerate() {
-            *a_row = &a[(i + r) * t.k + t.p0..(i + r) * t.k + t.p1];
-        }
-        for (p, b_row) in b[t.p0 * t.n..t.p1 * t.n].chunks_exact(t.n).enumerate() {
-            let bv = load_row::<NV, MASKED>(&b_row[j..j + w], lanes);
-            for (accr, a_row) in acc.iter_mut().zip(a_rows) {
-                let av = _mm256_set1_ps(a_row[p]);
-                for (x, &bx) in accr.iter_mut().zip(&bv) {
-                    *x = _mm256_fmadd_ps(av, bx, *x);
+        for (q, off, len) in a.stretches(t.p0, t.p1) {
+            let a_segs = a.segments::<MR>(t.row0 + i, off, len);
+            assert!(a_segs.iter().all(|seg| seg.len() == len), "block: A segment length");
+            for (s, b_window) in (0..len).zip(b.windows(q, q + len, b_lo, b_hi)) {
+                let bv = load_vectors::<NV, MASKED>(b_window, b_cols, lanes);
+                for (accr, seg) in acc.iter_mut().zip(&a_segs) {
+                    // SAFETY: `s < len`, and every segment holds exactly
+                    // `len` floats (asserted above). A checked index here
+                    // costs the loop one compare per row per step, which
+                    // LLVM does not hoist.
+                    let av = _mm256_set1_ps(*unsafe { seg.get_unchecked(s) });
+                    for (x, &bx) in accr.iter_mut().zip(&bv) {
+                        *x = _mm256_fmadd_ps(av, bx, *x);
+                    }
                 }
             }
         }
         for (r, accr) in acc.iter().enumerate() {
-            store_row::<NV, MASKED>(&mut c[(i + r) * t.n + j..][..w], accr, lanes);
+            let row = (i + r) * t.n;
+            store_vectors::<NV, MASKED>(&mut c[row + c_lo..row + c_hi], c_cols, accr, lanes);
         }
     }
 
-    /// `NV` vectors from a row segment of `8 * (NV - 1) + lanes.live`
-    /// floats; with `MASKED` the last one is a masked load.
+    /// `NV` vectors of `s`, vector `q` at `s[cols[q]..]`; with `MASKED`
+    /// the last one is a masked load of its `lanes.live` floats.
     #[inline]
     #[target_feature(enable = "avx2", enable = "fma")]
-    fn load_row<const NV: usize, const MASKED: bool>(s: &[f32], lanes: Lanes) -> [__m256; NV] {
+    fn load_vectors<const NV: usize, const MASKED: bool>(
+        s: &[f32],
+        cols: [usize; NV],
+        lanes: Lanes,
+    ) -> [__m256; NV] {
         let mut v = [_mm256_setzero_ps(); NV];
-        for (q, vq) in v.iter_mut().enumerate() {
+        for (q, (vq, col)) in v.iter_mut().zip(cols).enumerate() {
             *vq = if MASKED && q == NV - 1 {
-                let live = &s[8 * q..8 * q + lanes.live];
+                let live = &s[col..col + lanes.live];
                 // SAFETY: `live` is a checked slice of `lanes.live`
                 // f32s and `lanes.mask` enables exactly that many
                 // leading lanes (`Lanes::first`); a masked load neither
                 // reads nor faults on the lanes it disables.
                 unsafe { _mm256_maskload_ps(live.as_ptr(), lanes.mask) }
             } else {
-                load8(s, 8 * q)
+                load8(s, col)
             };
         }
         v
     }
 
-    /// Stores what [`load_row`] loaded, back to the same segment.
+    /// Stores what [`load_vectors`] loaded, back to the same places.
     #[inline]
     #[target_feature(enable = "avx2", enable = "fma")]
-    fn store_row<const NV: usize, const MASKED: bool>(
+    fn store_vectors<const NV: usize, const MASKED: bool>(
         s: &mut [f32],
+        cols: [usize; NV],
         v: &[__m256; NV],
         lanes: Lanes,
     ) {
-        for (q, &vq) in v.iter().enumerate() {
+        for (q, (&vq, col)) in v.iter().zip(cols).enumerate() {
             if MASKED && q == NV - 1 {
-                let live = &mut s[8 * q..8 * q + lanes.live];
+                let live = &mut s[col..col + lanes.live];
                 // SAFETY: `live` is a checked slice of `lanes.live`
                 // f32s and `lanes.mask` enables exactly that many
                 // leading lanes (`Lanes::first`); a masked store writes
                 // only enabled lanes and does not fault on the rest.
                 unsafe { _mm256_maskstore_ps(live.as_mut_ptr(), lanes.mask, vq) }
             } else {
-                store8(s, 8 * q, vq);
+                store8(s, col, vq);
             }
         }
     }
@@ -969,6 +1043,7 @@ mod x86 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matmul::Dense;
 
     #[test]
     fn path_names_round_trip() {
@@ -1011,7 +1086,8 @@ mod tests {
         let a: Vec<f32> = (0..rows * k).map(|v| (v as f32 * 0.37).sin()).collect();
         let b: Vec<f32> = (0..k * n).map(|v| (v as f32 * 0.21).cos()).collect();
         let mut c = vec![0.0f32; rows * n];
-        gemm_band_avx2(&a, &b, rows, k, n, &mut c);
+        let (a_op, b_op) = (Dense { data: &a, cols: k }, Dense { data: &b, cols: n });
+        gemm_band_avx2(&a_op, 0, &b_op, rows, k, n, &mut c);
         for i in 0..rows {
             for j in 0..n {
                 let mut want = 0.0f64;

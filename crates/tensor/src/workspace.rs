@@ -1,8 +1,8 @@
-//! Per-thread scratch-buffer pools for the im2col/GEMM kernels.
+//! Per-thread scratch-buffer pools for the convolution kernels.
 //!
 //! The convolution kernels need several short-lived `f32` buffers per
-//! image (a zero-bordered copy of the image, unfolded columns, GEMM
-//! products, packed transposes). Under the round executor in
+//! image (the zero-bordered phase planes their GEMMs read the columns
+//! from, GEMM products, packed transposes). Under the round executor in
 //! `fedmp-fl`, one worker thread trains a whole local model — hundreds
 //! of such buffers per round — so allocating them afresh each call puts
 //! the allocator on the hot path and makes concurrent workers contend
@@ -15,19 +15,18 @@
 //! * [`Workspace::take_zeroed`] zero-fills what it returns — exactly the
 //!   state a fresh `vec![0.0; len]` starts in, so a kernel that
 //!   *accumulates* into the buffer (a running sum, a GEMM output, the
-//!   padded image's border) is bit-identical to its allocating
+//!   phase planes' border) is bit-identical to its allocating
 //!   counterpart.
 //! * [`Workspace::take_dirty`] returns initialised floats of
 //!   **unspecified value** — whatever an earlier user left. It is for
 //!   buffers whose every element the taker overwrites before anything
-//!   reads it (the unfolded columns, a packed transpose); skipping the
-//!   fill is the point. Nothing can leak through such a buffer *if* the
-//!   overwrite really is total, so each dirty take in `conv.rs` is
-//!   covered by a test that poisons the buffer with NaN first
-//!   (`padded_unfold_overwrites_a_poisoned_buffer` in
-//!   `tests/proptests.rs`, `workspace_path_is_bit_identical` in the conv
-//!   module, which seeds the pool with NaN-filled buffers and compares
-//!   against a fresh thread whose pool is empty).
+//!   reads it (a transposed gradient block, a packed transpose);
+//!   skipping the fill is the point. Nothing can leak through such a
+//!   buffer *if* the overwrite really is total, so the dirty takes in
+//!   `conv.rs` are covered by a test that poisons the pool with NaN
+//!   first (`workspace_path_is_bit_identical` in the conv module, which
+//!   seeds the pool with NaN-filled buffers and compares against a fresh
+//!   thread whose pool is empty).
 //!
 //! The pool is reached through a thread-local via
 //! [`with_thread_workspace`]; each kernel borrows it for one leaf-level
@@ -37,7 +36,7 @@
 use std::cell::RefCell;
 
 /// Buffers kept per thread; beyond this, returned buffers are dropped.
-/// The conv kernels use at most five distinct buffers at a time, so a
+/// The conv kernels use at most four distinct buffers at a time, so a
 /// small cap bounds memory without ever thrashing.
 const MAX_POOLED: usize = 8;
 

@@ -21,8 +21,13 @@
 
 use fedmp_tensor::simd::{override_path, SimdPath};
 use fedmp_tensor::{
-    f16_bits_to_f32, f16_bits_to_f32s, f32_to_f16_bits, f32s_to_f16_bits, int8_code, int8_codes,
+    f16_bits_to_f32, f16_le_to_f32s, f32_to_f16_bits, f32s_to_f16_le, int8_code, int8_codes,
 };
+
+/// Halves as the wire carries them: two little-endian bytes each.
+fn le_bytes(halves: &[u16]) -> Vec<u8> {
+    halves.iter().flat_map(|h| h.to_le_bytes()).collect()
+}
 
 /// Values per slice call: a multiple of 8 plus a tail, so both the
 /// kernel and the scalar tail see inputs.
@@ -33,10 +38,10 @@ const CHUNK: usize = (1 << 16) + 5;
 fn check_f32_inputs(bits: &[u32], scales: &[f32]) {
     override_path(Some(SimdPath::Avx2));
     let src: Vec<f32> = bits.iter().map(|&b| f32::from_bits(b)).collect();
-    let mut half = vec![0u16; src.len()];
-    f32s_to_f16_bits(&src, &mut half);
-    for (&v, &h) in src.iter().zip(&half) {
-        let want = f32_to_f16_bits(v);
+    let mut half = vec![0u8; 2 * src.len()];
+    f32s_to_f16_le(&src, &mut half);
+    for (&v, h) in src.iter().zip(half.chunks_exact(2)) {
+        let (h, want) = (u16::from_le_bytes([h[0], h[1]]), f32_to_f16_bits(v));
         assert_eq!(h, want, "f16 encode of {:#010x}: {h:#06x}, oracle {want:#06x}", v.to_bits());
     }
     let mut codes = vec![0i8; src.len()];
@@ -59,7 +64,7 @@ fn check_f32_inputs(bits: &[u32], scales: &[f32]) {
 fn check_f16_inputs(halves: &[u16]) {
     override_path(Some(SimdPath::Avx2));
     let mut out = vec![0f32; halves.len()];
-    f16_bits_to_f32s(halves, &mut out);
+    f16_le_to_f32s(&le_bytes(halves), &mut out);
     for (&h, &v) in halves.iter().zip(&out) {
         let want = f16_bits_to_f32(h).to_bits();
         assert_eq!(
@@ -167,12 +172,13 @@ fn every_tail_length_takes_the_oracle_too() {
     for off in 0..8 {
         for len in 0..20 {
             let s = &src[off..off + len];
-            let mut h = vec![0u16; len];
-            f32s_to_f16_bits(s, &mut h);
-            assert_eq!(h, halves[off..off + len], "encode, offset {off} length {len}");
+            let mut h = vec![0u8; 2 * len];
+            f32s_to_f16_le(s, &mut h);
+            assert_eq!(h, le_bytes(&halves[off..off + len]), "encode, offset {off} length {len}");
             let mut back = vec![0f32; len];
-            f16_bits_to_f32s(&h, &mut back);
-            let want: Vec<f32> = h.iter().map(|&x| f16_bits_to_f32(x)).collect();
+            f16_le_to_f32s(&h, &mut back);
+            let want: Vec<f32> =
+                halves[off..off + len].iter().map(|&x| f16_bits_to_f32(x)).collect();
             assert_eq!(back, want, "decode, offset {off} length {len}");
             let mut codes = vec![0i8; len];
             int8_codes(s, 0.25, &mut codes);

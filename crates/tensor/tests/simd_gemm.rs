@@ -35,8 +35,8 @@ use std::sync::Mutex;
 
 use fedmp_tensor::simd::{self, SimdPath};
 use fedmp_tensor::{
-    conv2d_backward_weight, im2col, matmul_nt_reference, matmul_reference, matmul_tn_reference,
-    parallel, seeded_rng, Conv2dSpec, Tensor,
+    conv2d_backward_weight, conv2d_forward, im2col, matmul_nt_reference, matmul_reference,
+    matmul_tn_reference, parallel, seeded_rng, Conv2dSpec, Tensor,
 };
 use proptest::prelude::*;
 
@@ -463,6 +463,135 @@ fn weight_gradient_equals_the_transposed_columns_formulation() {
             }
             if padding > 0 {
                 assert!(want_w.data()[0].is_nan(), "case {case}: inf never met a border zero");
+            }
+        }
+    }
+}
+
+/// The convolution passes as they were computed before they read the
+/// image in place: per image, `im2col`, then the ordinary GEMM —
+/// `W · cols` plus the bias for the forward, `cols · goᵀ` summed over
+/// the batch (image 0 first) and transposed for the weight gradient,
+/// beside one `sum_f32` chain per bias channel.
+fn conv_through_im2col(
+    input: &Tensor,
+    weight: &Tensor,
+    bias: &Tensor,
+    grad_out: &Tensor,
+    spec: &Conv2dSpec,
+) -> (Tensor, Tensor, Tensor) {
+    let (n, c, h, w) = (input.dims()[0], input.dims()[1], input.dims()[2], input.dims()[3]);
+    let oc = weight.dims()[0];
+    let ck = c * spec.kh * spec.kw;
+    let positions = grad_out.numel() / (n * oc);
+    let w_mat = Tensor::from_vec(weight.data().to_vec(), &[oc, ck]).unwrap();
+    let mut out = Vec::with_capacity(n * oc * positions);
+    let mut gw_t = Tensor::zeros(&[ck, oc]);
+    let mut gb = Tensor::zeros(&[oc]);
+    for (image, go) in input.data().chunks(c * h * w).zip(grad_out.data().chunks(oc * positions)) {
+        let cols = im2col(image, c, h, w, spec);
+        let y = w_mat.matmul(&cols);
+        for (row, &b) in y.data().chunks(positions).zip(bias.data()) {
+            out.extend(row.iter().map(|&v| v + b));
+        }
+        let go_t = Tensor::from_vec(go.to_vec(), &[oc, positions]).unwrap().transpose();
+        for (g, &p) in gw_t.data_mut().iter_mut().zip(cols.matmul(&go_t).data()) {
+            *g += p;
+        }
+        for (g, row) in gb.data_mut().iter_mut().zip(go.chunks(positions)) {
+            *g += parallel::sum_f32(row.iter().copied());
+        }
+    }
+    let (oh, ow) = spec.out_hw(h, w);
+    let out = Tensor::from_vec(out, &[n, oc, oh, ow]).unwrap();
+    (out, gw_t.transpose().reshape(weight.dims()), gb)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(160))]
+
+    /// `conv2d_forward` and `conv2d_backward_weight` read the columns
+    /// in place — a tap view of the zero-bordered image, at stride 2
+    /// through its phase planes — and must give the bits of `im2col`
+    /// followed by the same path's GEMM, on both paths at 1 and 4
+    /// threads. The draws cover kernels 1, 3 and 5 at strides 1 and 2,
+    /// padding from none up to whole taps in the border, every output
+    /// width 1..=17 (so every masked tail of a row's vectors), and 1..=13
+    /// output channels and tap rows (every register-block height of
+    /// the forward and of the weight gradient). A weight or gradient
+    /// `inf` (or an input NaN) meets the border zeros: any NaN equals
+    /// any NaN.
+    #[test]
+    fn tap_views_equal_im2col_then_the_same_gemm(
+        ki in 0usize..3,
+        stride in 1usize..3,
+        pad in 0usize..6,
+        ow in 1usize..18,
+        oh in 1usize..5,
+        slack in 0usize..2,
+        oc in 1usize..14,
+        c_draw in 1usize..14,
+        n in 1usize..3,
+        poison in 0usize..3,
+        seed in 0u64..1 << 32,
+    ) {
+        let k = [1usize, 3, 5][ki];
+        // Tap rows `c·k²`: 1..=13 at k = 1, a few channels otherwise.
+        let c = if k == 1 { c_draw } else { 1 + c_draw % 2 };
+        // The input whose output is `oh × ow`, padded by at most whole
+        // taps and never to a width below 1.
+        let span = |o: usize| (o - 1) * stride + k + slack % stride;
+        let padding = pad % (k + 1).min(span(ow.min(oh)).div_ceil(2));
+        let (h, w) = (span(oh) - 2 * padding, span(ow) - 2 * padding);
+        let spec = Conv2dSpec { kh: k, kw: k, stride, padding };
+        prop_assert_eq!(spec.out_hw(h, w), (oh, ow));
+        let mut input = salted(n * c * h * w, seed);
+        let mut weight = salted(oc * c * k * k, seed ^ 0x3);
+        let bias = salted(oc, seed ^ 0x5);
+        let mut go = salted(n * oc * oh * ow, seed ^ 0x60);
+        match poison {
+            // The first output reads the top-left border through its
+            // first taps whenever there is padding.
+            0 => {
+                weight[0] = f32::INFINITY;
+                go[0] = f32::INFINITY;
+            }
+            1 => {
+                let at = seed as usize % input.len();
+                input[at] = f32::NAN;
+            }
+            _ => {}
+        }
+        let input = Tensor::from_vec(input, &[n, c, h, w]).unwrap();
+        let weight = Tensor::from_vec(weight, &[oc, c, k, k]).unwrap();
+        let bias = Tensor::from_vec(bias, &[oc]).unwrap();
+        let grad_out = Tensor::from_vec(go, &[n, oc, oh, ow]).unwrap();
+
+        let _guard = PATH_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        for path in forced_paths() {
+            let want = with_path(path, || {
+                conv_through_im2col(&input, &weight, &bias, &grad_out, &spec)
+            });
+            for threads in [1usize, 4] {
+                let (out, (gw, gb)) = with_path(path, || {
+                    parallel::override_threads(Some(threads));
+                    let got = (
+                        conv2d_forward(&input, &weight, &bias, &spec),
+                        conv2d_backward_weight(&grad_out, &input, weight.dims(), &spec),
+                    );
+                    parallel::override_threads(None);
+                    got
+                });
+                for (what, got, want) in [("out", &out, &want.0), ("gw", &gw, &want.1), ("gb", &gb, &want.2)] {
+                    prop_assert_eq!(got.dims(), want.dims());
+                    for (e, (&x, &y)) in got.data().iter().zip(want.data()).enumerate() {
+                        prop_assert!(
+                            same_bits(x, y),
+                            "{} k{} s{} p{} {}x{} c{} oc{} @ {} threads: {}[{}] {:e} vs im2col {:e}",
+                            path.name(), k, stride, padding, h, w, c, oc, threads, what, e, x, y
+                        );
+                    }
+                }
             }
         }
     }

@@ -198,3 +198,31 @@ fn local_train_matches_a_full_backward_loop() {
         assert!(same && a.tensor.dims() == b.tensor.dims(), "{} differs", a.name);
     }
 }
+
+/// Under a flat reward every region's mean is the same, so E-UCB's
+/// choice is the padding's alone (Eq. 10): it must grow the
+/// partition past its one starting region and keep pulling across the
+/// whole ratio interval, the least-visited regions first. A padding
+/// that subtracts exploration instead collapses the late pulls onto
+/// one narrow region; a partition that never splits stays one region.
+#[test]
+fn eucb_keeps_exploring_the_whole_interval_under_a_flat_reward() {
+    for seed in 0..8u64 {
+        let cfg = EUcbConfig { seed, ..Default::default() };
+        let mut agent = EUcbAgent::new(cfg);
+        let mut arms = Vec::new();
+        for _ in 0..120 {
+            arms.push(agent.select());
+            agent.observe(0.5);
+        }
+        assert!(agent.num_regions() > 1, "seed {seed}: the partition never split");
+        let late = &arms[60..];
+        let lo = late.iter().copied().fold(f32::INFINITY, f32::min);
+        let hi = late.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        assert!(
+            hi - lo > 0.5 * cfg.alpha_max,
+            "seed {seed}: the last 60 pulls span only {lo}..{hi} of [0, {})",
+            cfg.alpha_max
+        );
+    }
+}
