@@ -13,9 +13,9 @@ use crate::config::{BuiltExperiment, ExperimentSpec};
 use fedmp_edgesim::Population;
 use fedmp_fl::{
     run_async, run_fedmp, run_fedmp_hier, run_fedprox, run_flexcom, run_synfl, run_upfl, AsyncMode,
-    AsyncOptions, ChaosOptions, CompressionPolicy, FedMpOptions, FedProxOptions, FlexComOptions,
-    HierSetup, HierarchyOptions, ImageTask, NodeSpawner, RunHistory, RuntimeError,
-    SocketRunOptions, SyncMethod, SyncScheme, UpFlOptions,
+    AsyncOptions, ChaosOptions, FedMpOptions, FedProxOptions, FlexComOptions, HierSetup,
+    HierarchyOptions, ImageTask, NodeSpawner, RunHistory, RuntimeError, SocketRunOptions,
+    SyncMethod, SyncScheme, UpFlOptions,
 };
 use serde::{Deserialize, Serialize};
 
@@ -36,9 +36,6 @@ pub enum Method {
     FedMpBsp,
     /// FedMP at a fixed uniform ratio (Fig. 2 / Fig. 5 sweeps).
     FedMpFixed(f32),
-    /// FedMP under the adaptive wire-v2 compression policy: slow links
-    /// download `f16` and upload int8 top-k deltas with error feedback.
-    FedMpCompressed,
     /// Asynchronous FedAvg \[43\], aggregating `m` arrivals per round.
     AsynFl {
         /// Arrivals per aggregation.
@@ -62,7 +59,6 @@ impl Method {
             Method::FedMp => "FedMP".into(),
             Method::FedMpBsp => "FedMP-BSP".into(),
             Method::FedMpFixed(r) => format!("FedMP(α={r})"),
-            Method::FedMpCompressed => "FedMP-compressed".into(),
             Method::AsynFl { .. } => "Asyn-FL".into(),
             Method::AsynFedMp { .. } => "Asyn-FedMP".into(),
         }
@@ -102,11 +98,6 @@ fn run_built(spec: &ExperimentSpec, built: &BuiltExperiment, method: Method) -> 
         }
         Method::FedMpFixed(ratio) => {
             let opts = FedMpOptions { fixed_ratio: Some(ratio), ..Default::default() };
-            run_fedmp(&spec.fl, &setup, model, &opts)
-        }
-        Method::FedMpCompressed => {
-            let opts =
-                FedMpOptions { compression: CompressionPolicy::adaptive(), ..Default::default() };
             run_fedmp(&spec.fl, &setup, model, &opts)
         }
         Method::AsynFl { m } => {
@@ -247,7 +238,6 @@ mod tests {
             Method::FedMp,
             Method::FedMpBsp,
             Method::FedMpFixed(0.5),
-            Method::FedMpCompressed,
             Method::AsynFl { m: 2 },
             Method::AsynFedMp { m: 2 },
         ] {

@@ -150,12 +150,11 @@ pub fn run_async(
         }
     };
 
+    // The log starts before the first fan-out: its kernels train the
+    // arrivals of round 0, so they count in round 0's `KernelDispatch`.
+    let mut log = RoundLog::new(name);
     let all: Vec<usize> = (0..workers).collect();
     dispatch_all(&all, 0.0, &global, &mut policy, &mut jobs, &mut queue, &mut dispatch_count);
-
-    // The log starts after the first fan-out: its kernels belong to no
-    // round's `KernelDispatch`.
-    let mut log = RoundLog::new(name);
     let mut last_agg_time = 0.0f64;
     for round in 0..cfg.rounds {
         // Wait for the first m arrivals (Algorithm 2, lines 4–7).

@@ -5,9 +5,10 @@
 //! [`crate::runtime`]. This module holds the method's options and the
 //! loop engine [`run_fedmp`], which drives that round body through the
 //! *inline* exchange: every worker trains in-process on exactly what
-//! the [`crate::codec_delivered`] oracle says it would decode. No frames, no
-//! threads of its own, no way to fail; `engines::baselines` and the
-//! LSTM's runs go over it too ([`run_inline`]).
+//! it would decode — the [`crate::codec_delivered`] oracle decodes each
+//! frame it encodes in memory. Nothing shipped, no threads of its own,
+//! no way to fail; `engines::baselines` and the LSTM's runs go over it
+//! too ([`run_inline`]).
 
 use crate::chaos::ChaosOptions;
 use crate::engine::{FlConfig, FlModel, FlSetup, SyncScheme};
@@ -70,8 +71,9 @@ pub struct FedMpOptions {
     /// When set, every worker uses this fixed ratio every round instead
     /// of the bandit — the mode behind the Fig. 2 / Fig. 5 ratio sweeps.
     pub fixed_ratio: Option<f32>,
-    /// Store PS-side residual models 8-bit quantized (§III-C memory
-    /// optimisation). Adds ≤ scale/2 per-weight reconstruction error.
+    /// Round PS-side residual models to 8-bit precision (§III-C's
+    /// quantised residual store) through the wire's `Int8` codec. Adds
+    /// ≤ scale/2 per-weight error; the rounded residual stays `f32`.
     pub quantize_residuals: bool,
     /// Fault injection + deadline handling (§V-A); `None` disables.
     pub faults: Option<FaultOptions>,
@@ -142,9 +144,10 @@ impl<M: FlModel> Exchange<M> for InlineExchange<'_, M> {
             // feedback on the downlink — the PS state is authoritative
             // and a fresh sub-model is extracted every round.
             let down = compressed.then(|| {
-                let link = link_delivered(&sub.state(), pair.downlink, None, None);
-                sub.load_state(&link.0);
-                link
+                let (frame, received, dense) =
+                    link_delivered(&sub.state(), pair.downlink, None, None);
+                sub.load_state(&received);
+                (received, frame.len() as u64, dense)
             });
             let outcome = sub.train(task, w, cfg.seed, round, &locals[w]);
             // Uplink: a delta against the model the worker received,
@@ -152,10 +155,10 @@ impl<M: FlModel> Exchange<M> for InlineExchange<'_, M> {
             // upload is the *delivered* reconstruction — exactly what
             // the PS would decode off the wire.
             let wire = down.map(|(received, down, dense)| {
-                let (delivered, up, _) =
+                let (frame, delivered, _) =
                     link_delivered(&sub.state(), pair.uplink, Some(&received), Some(&mut feedback));
                 sub.load_state(&delivered);
-                WireBytes { down, up, dense }
+                WireBytes { down, up: frame.len() as u64, dense }
             });
             (Arrival { upload: sub, outcome, wire }, feedback)
         });

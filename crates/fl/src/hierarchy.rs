@@ -291,10 +291,10 @@ fn reduce_shard(
         let seed = client_stream_seed(cfg.seed, id);
         let outcome = sub.train(setup.task, setup.data_shard(id), seed, round, &cfg.local);
         let (up_wire, up_dense) = if compressed {
-            let (delivered, wire, dense) =
+            let (frame, delivered, dense) =
                 link_delivered(&sub.state(), cr.pair.uplink, cr.received.as_deref(), None);
             sub.load_state(&delivered);
-            (wire, dense)
+            (frame.len() as u64, dense)
         } else {
             (0, 0)
         };
@@ -594,9 +594,9 @@ fn class_plans(
         let residual = residual(global_state, &sub, &plan, global);
         let pair = opts.compression.select(&device);
         let (received, down_wire, down_dense) = if compressed {
-            let (delivered, wire, dense) = link_delivered(&sub.state(), pair.downlink, None, None);
+            let (frame, delivered, dense) = link_delivered(&sub.state(), pair.downlink, None, None);
             sub.load_state(&delivered);
-            (Some(delivered), wire, dense)
+            (Some(delivered), frame.len() as u64, dense)
         } else {
             (None, 0, 0)
         };

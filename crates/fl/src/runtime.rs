@@ -100,8 +100,8 @@ use crate::transport::{
     run_sockets, unique_socket_path, NodeSpawner, SocketFleet, SocketRunOptions, ThreadNodes,
 };
 use crate::wire::{
-    decode_state_v2, decode_verified, encode_state_v2, link_delivered, verify_frame, Codec,
-    ErrorFeedback, LinkCodecs, VerifiedFrame,
+    codec_delivered, decode_state_v2, decode_verified, encode_state_v2, link_delivered,
+    verify_frame, Codec, ErrorFeedback, LinkCodecs, VerifiedFrame,
 };
 use bytes::Bytes;
 use core::time::Duration;
@@ -109,7 +109,6 @@ use fedmp_bandit::{eucb_reward, Bandit, EUcbAgent, EUcbConfig, RewardConfig};
 use fedmp_edgesim::{deadline_for, DeviceProfile};
 use fedmp_nn::StateEntry;
 use fedmp_obs::TraceEvent;
-use fedmp_pruning::{dequantize_state, quantize_state};
 use fedmp_tensor::parallel::{sum_f32, sum_f64};
 use fedmp_tensor::Tensor;
 use serde::{Deserialize, Serialize};
@@ -372,6 +371,19 @@ impl SyncMethod {
     }
 }
 
+/// The residual R2SP keeps until aggregation (§III-C): as computed, or,
+/// with `quantize`, rounded to 8-bit precision through the wire's `Int8`
+/// codec — each value the nearest code of its tensor's scale. The
+/// rounded residual stays `f32`: it models an 8-bit store's precision,
+/// not its memory.
+fn stored_residual(residual: Vec<StateEntry>, quantize: bool) -> Vec<StateEntry> {
+    if quantize {
+        codec_delivered(&residual, Codec::Int8, None, None)
+    } else {
+        residual
+    }
+}
+
 /// Runs `method` for `cfg.rounds` rounds starting from `global`, moving
 /// models through `exchange`. `chaos` supplies the virtual-clock
 /// penalties (injected delay, retransmit backoff) and the aggregation
@@ -432,9 +444,9 @@ pub(crate) fn run_rounds<M: FlModel, X: Exchange<M>>(
         // bandit is order-sensitive), then fan the per-worker PS work
         // across the round executor: plan and extract the sub-model,
         // form the residual R2SP keeps until aggregation (§III-C,
-        // optionally 8-bit quantized to cut PS memory 4×; BSP keeps
-        // none) and price the sub-model (Eq. 5). Every input is
-        // read-only, so each slot is a pure function of its ratio.
+        // optionally rounded to 8-bit precision; BSP keeps none) and
+        // price the sub-model (Eq. 5). Every input is read-only, so
+        // each slot is a pure function of its ratio.
         let ratios = policy.select(&online);
         let global_state = global.state();
         let prepared = exec::ordered_map(ratios.clone(), |i, ratio| {
@@ -442,12 +454,10 @@ pub(crate) fn run_rounds<M: FlModel, X: Exchange<M>>(
             let sub = global.extract(&plan);
             // `sub` is fresh, so its recovery is the sparse model `xₙ`.
             let residual = (opts.sync == SyncScheme::R2SP).then(|| {
-                let residual = residual(&global_state, &sub, &plan, &global);
-                if opts.quantize_residuals {
-                    dequantize_state(&quantize_state(&residual))
-                } else {
-                    residual
-                }
+                stored_residual(
+                    residual(&global_state, &sub, &plan, &global),
+                    opts.quantize_residuals,
+                )
             });
             let cost = sub.round_cost(setup.task, &locals[online[i]]);
             ((plan, sub), (residual, cost))
@@ -881,7 +891,7 @@ pub(crate) struct FramedUpload<M> {
     /// architecture receives the decoded upload.
     sub: M,
     /// The snapshot the worker reconstructed from the dispatched frame
-    /// (via the [`crate::codec_delivered`] oracle) — the uplink delta
+    /// (the PS's own decode of that frame) — the uplink delta
     /// reference.
     received: Vec<StateEntry>,
 }
@@ -936,14 +946,13 @@ where
         subs: Vec<M>,
     ) -> Result<Vec<Exchanged<FramedUpload<M>>>, RuntimeError> {
         let workers = links.len();
-        // Dispatch frames: wire encoding fans out across the round
-        // executor, then the sends happen serially in worker order.
+        // Dispatch frames: encoding, and decoding each frame into what
+        // its worker will receive, fans out across the round executor;
+        // then the sends happen serially in worker order.
         let work: Vec<(usize, M)> = online.iter().copied().zip(subs).collect();
         let prepared = exec::ordered_map(work, |_, (w, sub)| {
-            let sub_state = sub.state();
-            let downlink = links[w].downlink;
-            let frame = encode_state_v2(&sub_state, downlink, None, None);
-            let (received, _, dense) = link_delivered(&sub_state, downlink, None, None);
+            let (frame, received, dense) =
+                link_delivered(&sub.state(), links[w].downlink, None, None);
             (frame, sub, received, dense)
         });
         // The chaos plane rewrites events where it needs no peer: a
@@ -1029,9 +1038,9 @@ where
     fn reconstruct(upload: FramedUpload<M>) -> Result<M, RuntimeError> {
         let FramedUpload { worker, round, frame, sub: mut model, received } = upload;
         // Uplinks decode against the snapshot the worker trained from
-        // (its decoded downlink, which `codec_delivered` predicted
-        // exactly). It also binds the upload's shape: one unlike the
-        // sub-model is a corrupt frame here, not a `load_state` panic.
+        // (its decoded downlink, which the PS decoded too). It also
+        // binds the upload's shape: one unlike the sub-model is a
+        // corrupt frame here, not a `load_state` panic.
         let state = decode_verified(&frame, Some(&received))
             .map_err(|_| RuntimeError::CorruptFrame { worker, round })?;
         model.load_state(&state);
@@ -1107,6 +1116,28 @@ mod tests {
     use fedmp_nn::zoo;
     use fedmp_pruning::{plan_lstm, plan_sequential};
     use fedmp_tensor::seeded_rng;
+
+    #[test]
+    fn the_quantized_residual_store_keeps_int8_precision() {
+        // §III-C's 8-bit store: each value of a kept residual tensor is
+        // k · scale for an integer |k| ≤ 127 at its tensor's int8 scale
+        // (max|r| / 127), within scale / 2 of the exact residual.
+        let global = zoo::cnn_mnist(0.25, &mut seeded_rng(264));
+        let plan = plan_sequential(&global, (1, 28, 28), 0.4);
+        let sub = FlModel::extract(&global, &plan);
+        let exact = residual(&global.state(), &sub, &plan, &global);
+        let stored = stored_residual(exact.clone(), true);
+        assert_eq!(stored.len(), exact.len());
+        for (e, q) in exact.iter().zip(&stored) {
+            let max = e.tensor.data().iter().fold(0.0f32, |m, v| m.max(v.abs()));
+            let scale = if max > 0.0 { max / 127.0 } else { 1.0 };
+            for (x, y) in e.tensor.data().iter().zip(q.tensor.data()) {
+                let k = y / scale;
+                assert!((k - k.round()).abs() < 1e-4 && k.abs() < 127.5, "{}: {y}", e.name);
+                assert!((x - y).abs() <= scale / 2.0 * (1.0 + 1e-4), "{}: {x} → {y}", e.name);
+            }
+        }
+    }
 
     #[test]
     fn threaded_runtime_bsp_and_fixed_ratio_work() {

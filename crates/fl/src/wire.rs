@@ -53,10 +53,11 @@
 //! pre-sizes its buffer exactly.
 //!
 //! **Determinism.** Decoding a frame is *exact* with respect to what
-//! was encoded: all lossiness happens at encode time, and the encoder
-//! can predict the receiver's reconstruction bit-for-bit via
-//! [`codec_delivered`] (the shared compress/reconstruct core). Top-k
-//! selection uses `f32::total_cmp` with an index tie-break, so the
+//! was encoded: all lossiness happens at encode time. The encoder
+//! predicts the receiver's reconstruction with [`codec_delivered`],
+//! which decodes the frame [`encode_state_v2`] writes — there is one
+//! decoder, so the prediction is the receiver's result by construction.
+//! Top-k selection uses `f32::total_cmp` with an index tie-break, so the
 //! transmitted support is a pure function of the input bits — no
 //! thread-count or iteration-order dependence anywhere.
 
@@ -427,97 +428,17 @@ impl ErrorFeedback {
 }
 
 // ---------------------------------------------------------------------
-// Shared compress / reconstruct core
+// Compression
 // ---------------------------------------------------------------------
 
-/// One entry's payload: its codes, wherever they are kept ([`Store`]).
-enum PayloadCodes<S: Store = Owned> {
-    F32(S::Values),
-    F16(S::Halves),
-    I8 { scale: f32, codes: S::Codes },
-    TopK { indices: S::Indices, values: S::Values },
-    TopKI8 { scale: f32, indices: S::Indices, codes: S::Codes },
-}
-
-/// Where a payload's codes are kept: the encoder's own arrays
-/// ([`Owned`]) or the received frame's bytes ([`InFrame`]). The one
-/// reconstruction routine, [`deliver_entry`], reads either.
-trait Store {
-    /// Dense and top-k `f32` values.
-    type Values: Values;
-    /// f16 codes, as their little-endian wire bytes in either store.
-    type Halves: AsRef<[u8]>;
-    /// Int8 codes.
-    type Codes: Words<i8>;
-    /// Top-k coordinates.
-    type Indices: Words<u32>;
-}
-
-/// The encoder's arrays.
-struct Owned;
-
-impl Store for Owned {
-    type Values = Vec<f32>;
-    type Halves = Vec<u8>;
-    type Codes = Vec<i8>;
-    type Indices = Vec<u32>;
-}
-
-/// A frame's payload bytes, read in place: no code is copied out of
-/// the frame before it is reconstructed.
-struct InFrame<'a>(std::marker::PhantomData<&'a [u8]>);
-
-impl<'a> Store for InFrame<'a> {
-    type Values = &'a [u8];
-    type Halves = &'a [u8];
-    type Codes = &'a [u8];
-    type Indices = &'a [u8];
-}
-
-/// A run of codes of type `T`, read in order.
-trait Words<T> {
-    fn words(&self) -> impl Iterator<Item = T> + '_;
-}
-
-impl<T: Copy> Words<T> for Vec<T> {
-    fn words(&self) -> impl Iterator<Item = T> + '_ {
-        self.iter().copied()
-    }
-}
-
-impl Words<i8> for &[u8] {
-    fn words(&self) -> impl Iterator<Item = i8> + '_ {
-        self.iter().map(|&b| b as i8)
-    }
-}
-
-impl Words<u32> for &[u8] {
-    fn words(&self) -> impl Iterator<Item = u32> + '_ {
-        self.chunks_exact(4).map(|w| u32::from_le_bytes([w[0], w[1], w[2], w[3]]))
-    }
-}
-
-impl Words<f32> for &[u8] {
-    fn words(&self) -> impl Iterator<Item = f32> + '_ {
-        self.chunks_exact(4).map(|w| f32::from_le_bytes([w[0], w[1], w[2], w[3]]))
-    }
-}
-
-/// `f32` values that can also become the entry's data outright.
-trait Values: Words<f32> {
-    fn into_vec(self) -> Vec<f32>;
-}
-
-impl Values for Vec<f32> {
-    fn into_vec(self) -> Vec<f32> {
-        self
-    }
-}
-
-impl Values for &[u8] {
-    fn into_vec(self) -> Vec<f32> {
-        Words::<f32>::words(&self).collect()
-    }
+/// One entry's payload as the encoder computes it, before it is written
+/// into the frame.
+enum PayloadCodes {
+    F32(Vec<f32>),
+    F16(Vec<u8>),
+    I8 { scale: f32, codes: Vec<i8> },
+    TopK { indices: Vec<u32>, values: Vec<f32> },
+    TopKI8 { scale: f32, indices: Vec<u32>, codes: Vec<i8> },
 }
 
 /// `x + r` with exact-zero residuals skipped, so an all-zero feedback
@@ -659,51 +580,6 @@ fn compress_entry(
     }
 }
 
-/// Reconstructs the delivered values for one entry — the *only*
-/// reconstruction routine, shared by the decoder (codes read in place
-/// from the frame) and the encoder-side oracle (the encoder's arrays),
-/// which is what makes `decode(encode(x))` exact by construction. One
-/// pass over the codes into the entry's one allocation.
-fn deliver_entry<S: Store>(
-    codes: PayloadCodes<S>,
-    reference: Option<&[f32]>,
-    numel: usize,
-) -> Vec<f32> {
-    match codes {
-        PayloadCodes::F32(v) => v.into_vec(),
-        PayloadCodes::F16(h) => {
-            let mut out = vec![0.0; numel];
-            f16_le_to_f32s(h.as_ref(), &mut out);
-            out
-        }
-        PayloadCodes::I8 { scale, codes } => codes.words().map(|c| c as f32 * scale).collect(),
-        PayloadCodes::TopK { indices, values } => {
-            apply_sparse(reference, numel, indices.words().zip(values.words()))
-        }
-        PayloadCodes::TopKI8 { scale, indices, codes } => {
-            let values = codes.words().map(|c| c as f32 * scale);
-            apply_sparse(reference, numel, indices.words().zip(values))
-        }
-    }
-}
-
-fn apply_sparse(
-    reference: Option<&[f32]>,
-    numel: usize,
-    coordinates: impl Iterator<Item = (u32, f32)>,
-) -> Vec<f32> {
-    let mut out = match reference {
-        Some(r) if r.len() == numel => r.to_vec(),
-        _ => vec![0.0; numel],
-    };
-    for (i, v) in coordinates {
-        if let Some(slot) = out.get_mut(i as usize) {
-            *slot += v;
-        }
-    }
-    out
-}
-
 /// The reference data for entry `i`, usable only when the positional
 /// entry matches by name and shape — the same rule on both ends of the
 /// link, so encoder prediction and decoder reconstruction agree.
@@ -830,12 +706,17 @@ pub fn wire_size_v2(state: &[StateEntry], codec: Codec) -> usize {
     header + entries + 4
 }
 
-/// What the receiver will reconstruct from [`encode_state_v2`] with the
-/// same arguments — the encoder-side oracle. Bit-identical to
-/// `decode_state_v2(&encode_state_v2(…), reference)` by construction
-/// (both run the same compress/reconstruct core), letting loop engines
-/// model compressed exchanges without serialising, and letting the PS
-/// predict a worker's decode exactly.
+/// What the receiver reconstructs from [`encode_state_v2`] with the same
+/// arguments — the encoder-side oracle: it encodes the frame and
+/// decodes it, so it is `decode_state_v2(&encode_state_v2(…), reference)`
+/// by construction. Loop engines model a compressed exchange with it,
+/// and the PS predicts a worker's decode exactly.
+///
+/// With `reference = None`, a sparse frame is rebuilt on zeros, the base
+/// its encode took the delta against (where [`decode_state_v2`] refuses
+/// it). A `reference` that does not bind `state` — another entry count,
+/// name or shape — fails that decode, and the oracle then delivers the
+/// empty state.
 ///
 /// Like the encoder, this consumes and updates `feedback` — call
 /// either this *or* [`encode_state_v2`] per logical transmission, not
@@ -846,36 +727,24 @@ pub fn codec_delivered(
     reference: Option<&[StateEntry]>,
     feedback: Option<&mut ErrorFeedback>,
 ) -> Vec<StateEntry> {
-    let codes = compress_state(state, codec, reference, feedback);
-    state
-        .iter()
-        .enumerate()
-        .zip(codes)
-        .map(|((i, e), pc)| {
-            let dims = e.tensor.dims();
-            let ref_data = ref_slice(reference, i, &e.name, dims);
-            let data = deliver_entry(pc, ref_data, e.tensor.numel());
-            let tensor = Tensor::from_vec(data, dims).unwrap_or_else(|_| Tensor::zeros(dims));
-            StateEntry { name: e.name.clone(), tensor, trainable: e.trainable }
-        })
-        .collect()
+    link_delivered(state, codec, reference, feedback).1
 }
 
-/// What a compressed link delivers and what it costs: the state the
-/// receiver reconstructs ([`codec_delivered`], same arguments), the
-/// frame's bytes under `codec`, and the bytes the same state costs sent
-/// dense — the one oracle every engine that models a link reads.
+/// One transmission over a compressed link: the frame
+/// [`encode_state_v2`] writes, the state the receiver reconstructs from
+/// it ([`codec_delivered`], same arguments), and the bytes the same state
+/// costs sent dense — the one oracle every engine that models a link
+/// reads. The frame is the encoder's own, so its body is decoded in
+/// place without checking the checksum the encoder just wrote.
 pub(crate) fn link_delivered(
     state: &[StateEntry],
     codec: Codec,
     reference: Option<&[StateEntry]>,
     feedback: Option<&mut ErrorFeedback>,
-) -> (Vec<StateEntry>, u64, u64) {
-    (
-        codec_delivered(state, codec, reference, feedback),
-        wire_size_v2(state, codec) as u64,
-        wire_size_v2(state, Codec::DenseF32) as u64,
-    )
+) -> (Bytes, Vec<StateEntry>, u64) {
+    let frame = encode_state_v2(state, codec, reference, feedback);
+    let delivered = decode_body(&frame[4..frame.len() - 4], reference, true).unwrap_or_default();
+    (frame, delivered, wire_size_v2(state, Codec::DenseF32) as u64)
 }
 
 struct Cursor<'a> {
@@ -923,15 +792,51 @@ impl<'a> Cursor<'a> {
         }
     }
 
+    /// A sparse entry's coordinate count, at most the tensor's `numel`.
+    fn sparse_len(&mut self, numel: usize) -> Result<usize, WireError> {
+        let k = self.u32()? as usize;
+        if k > numel {
+            return Err(WireError::Malformed("sparse length exceeds tensor"));
+        }
+        Ok(k)
+    }
+
     /// The bytes of `n` codes of `width` bytes each.
     fn words(&mut self, n: usize, width: usize) -> Result<&'a [u8], WireError> {
         self.take(checked_mul(width, n)?)
     }
 }
 
+/// `bytes` read as little-endian `u32`s.
+fn le_u32s(bytes: &[u8]) -> impl Iterator<Item = u32> + '_ {
+    bytes.chunks_exact(4).map(|w| u32::from_le_bytes([w[0], w[1], w[2], w[3]]))
+}
+
+/// `bytes` read as little-endian `f32`s.
+fn le_f32s(bytes: &[u8]) -> impl Iterator<Item = f32> + '_ {
+    bytes.chunks_exact(4).map(|w| f32::from_le_bytes([w[0], w[1], w[2], w[3]]))
+}
+
+/// A dense-f32 payload's values. Written as a loop over a zeroed
+/// vector, which compiles to one copy; a `collect` of [`le_f32s`] here
+/// compiled to a loop of 4-byte moves (`ps_ingest`'s traced dense-f32
+/// decode: ≈ 3.9 GB/s against ≈ 8.9 GB/s, 2-core x86-64 host).
+fn dense_f32s(bytes: &[u8]) -> Vec<f32> {
+    let mut values = vec![0.0; bytes.len() / 4];
+    for (v, w) in values.iter_mut().zip(bytes.chunks_exact(4)) {
+        *v = f32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+    }
+    values
+}
+
+/// The values of int8 `codes` at `scale`.
+fn int8_values(codes: &[u8], scale: f32) -> impl Iterator<Item = f32> + '_ {
+    codes.iter().map(move |&c| c as i8 as f32 * scale)
+}
+
 fn check_sparse_indices(indices: &[u8], numel: usize) -> Result<(), WireError> {
     let mut prev: Option<u32> = None;
-    for ix in Words::<u32>::words(&indices) {
+    for ix in le_u32s(indices) {
         if ix as usize >= numel {
             return Err(WireError::Malformed("sparse index out of range"));
         }
@@ -941,6 +846,22 @@ fn check_sparse_indices(indices: &[u8], numel: usize) -> Result<(), WireError> {
         prev = Some(ix);
     }
     Ok(())
+}
+
+/// A sparse entry's values: its `reference` data (zeros without one)
+/// with each transmitted coordinate added.
+fn apply_sparse(
+    reference: Option<&[f32]>,
+    numel: usize,
+    coordinates: impl Iterator<Item = (u32, f32)>,
+) -> Vec<f32> {
+    let mut out = reference.map_or_else(|| vec![0.0; numel], <[f32]>::to_vec);
+    for (i, v) in coordinates {
+        if let Some(slot) = out.get_mut(i as usize) {
+            *slot += v;
+        }
+    }
+    out
 }
 
 /// Decodes a frame against the receiver's `reference` snapshot. Exact with respect to what was
@@ -953,7 +874,7 @@ pub fn decode_state_v2(
     frame: &[u8],
     reference: Option<&[StateEntry]>,
 ) -> Result<Vec<StateEntry>, WireError> {
-    decode_body(verified_body(frame)?, reference)
+    decode_body(verified_body(frame)?, reference, false)
 }
 
 /// [`decode_state_v2`] of a frame [`verify_frame`] has already checked:
@@ -963,18 +884,23 @@ pub(crate) fn decode_verified(
     reference: Option<&[StateEntry]>,
 ) -> Result<Vec<StateEntry>, WireError> {
     let bytes = &frame.0;
-    decode_body(&bytes[4..bytes.len() - 4], reference)
+    decode_body(&bytes[4..bytes.len() - 4], reference, false)
 }
 
 /// Decodes a checksummed body (the frame between magic and trailer).
+/// `own` marks a frame this process just encoded ([`link_delivered`]):
+/// only then is a sparse frame without a reference rebuilt on zeros,
+/// the base its `None` encode took the delta against, instead of
+/// refused.
 fn decode_body(
     body: &[u8],
     reference: Option<&[StateEntry]>,
+    own: bool,
 ) -> Result<Vec<StateEntry>, WireError> {
     let mut cur = Cursor { buf: body };
     let codec = cur.codec()?;
     // A sparse delta is meaningless without the snapshot it is against.
-    if reference.is_none() && matches!(codec, Codec::TopK { .. } | Codec::TopKInt8 { .. }) {
+    if reference.is_none() && !own && matches!(codec, Codec::TopK { .. } | Codec::TopKInt8 { .. }) {
         return Err(WireError::Malformed("a sparse frame needs a reference"));
     }
     let count = cur.u32()? as usize;
@@ -1008,36 +934,36 @@ fn decode_body(
         if reference.is_some() && ref_data.is_none() {
             return Err(WireError::Malformed("entry does not match the reference"));
         }
-        let codes: PayloadCodes<InFrame<'_>> = match codec {
-            Codec::DenseF32 => PayloadCodes::F32(cur.words(numel, 4)?),
-            Codec::DenseF16 => PayloadCodes::F16(cur.words(numel, 2)?),
+        // Each payload is read in place: no code is copied out of the
+        // frame before it becomes the entry's one allocation.
+        let data = match codec {
+            Codec::DenseF32 => dense_f32s(cur.words(numel, 4)?),
+            Codec::DenseF16 => {
+                let halves = cur.words(numel, 2)?;
+                let mut values = vec![0.0; numel];
+                f16_le_to_f32s(halves, &mut values);
+                values
+            }
             Codec::Int8 => {
                 let scale = cur.f32()?;
-                PayloadCodes::I8 { scale, codes: cur.words(numel, 1)? }
+                int8_values(cur.words(numel, 1)?, scale).collect()
             }
             Codec::TopK { .. } => {
-                let k = cur.u32()? as usize;
-                if k > numel {
-                    return Err(WireError::Malformed("sparse length exceeds tensor"));
-                }
+                let k = cur.sparse_len(numel)?;
                 let indices = cur.words(k, 4)?;
                 check_sparse_indices(indices, numel)?;
-                let values = cur.words(k, 4)?;
-                PayloadCodes::TopK { indices, values }
+                let values = le_f32s(cur.words(k, 4)?);
+                apply_sparse(ref_data, numel, le_u32s(indices).zip(values))
             }
             Codec::TopKInt8 { .. } => {
-                let k = cur.u32()? as usize;
-                if k > numel {
-                    return Err(WireError::Malformed("sparse length exceeds tensor"));
-                }
+                let k = cur.sparse_len(numel)?;
                 let scale = cur.f32()?;
                 let indices = cur.words(k, 4)?;
                 check_sparse_indices(indices, numel)?;
-                let codes = cur.words(k, 1)?;
-                PayloadCodes::TopKI8 { scale, indices, codes }
+                let values = int8_values(cur.words(k, 1)?, scale);
+                apply_sparse(ref_data, numel, le_u32s(indices).zip(values))
             }
         };
-        let data = deliver_entry(codes, ref_data, numel);
         let tensor =
             Tensor::from_vec(data, &dims).map_err(|_| WireError::Malformed("tensor shape"))?;
         out.push(StateEntry { name, tensor, trainable });
@@ -1250,6 +1176,21 @@ mod tests {
                 codec.label()
             );
             assert!(decode_state_v2(&frame, Some(&zeros)).is_ok(), "{}", codec.label());
+        }
+    }
+
+    #[test]
+    fn the_oracle_delivers_nothing_against_a_reference_unlike_its_state() {
+        // No engine passes one: its decode fails as the receiver's
+        // would, and the oracle returns the empty state, not a panic.
+        let state = zoo::cnn_mnist(0.1, &mut seeded_rng(268)).state();
+        let mut renamed = state.clone();
+        renamed[1].name.push_str(".other");
+        for codec in ALL_CODECS {
+            for reference in [&renamed[..], &state[..1]] {
+                let delivered = codec_delivered(&state, codec, Some(reference), None);
+                assert!(delivered.is_empty(), "{}", codec.label());
+            }
         }
     }
 

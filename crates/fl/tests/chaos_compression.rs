@@ -10,21 +10,27 @@
 //! first transmission — see the frame-level test below), but this
 //! binary proves it end-to-end.
 //!
-//! The runtime test is deliberately the only *threaded* test in this
-//! binary: [`fedmp_fl::live_worker_threads`] is a process-global
-//! counter, so a concurrently running threaded test in the same
-//! process would make the post-run zero assertion racy. The
-//! frame-level test spawns no runtime threads.
+//! The two *threaded* tests in this binary hold [`THREADED`] while they
+//! run: [`fedmp_fl::live_worker_threads`] is a process-global counter,
+//! so a concurrently running threaded test in the same process would
+//! make the post-run zero assertion racy. The frame-level test spawns
+//! no runtime threads.
 
 use fedmp_data::{iid_partition, mnist_like};
-use fedmp_edgesim::{tx2_profile, ComputeMode, LinkQuality, TimeModel};
+use fedmp_edgesim::{
+    heterogeneity_scenario, tx2_profile, ComputeMode, HeterogeneityLevel, LinkQuality, TimeModel,
+};
 use fedmp_fl::{
-    decode_state_v2, encode_state_v2, frame_checksum_ok, live_worker_threads, run_threaded,
-    ChaosOptions, Codec, CompressionPolicy, ErrorFeedback, FaultOptions, FedMpOptions, FlConfig,
-    FlSetup, ImageTask, RunHistory, SyncMethod,
+    decode_state_v2, encode_state_v2, frame_checksum_ok, live_worker_threads, run_fedmp,
+    run_threaded, ChaosOptions, Codec, CompressionPolicy, ErrorFeedback, FaultOptions,
+    FedMpOptions, FlConfig, FlSetup, ImageTask, LinkCodecs, RunHistory, SyncMethod,
 };
 use fedmp_nn::zoo;
 use fedmp_tensor::seeded_rng;
+use std::sync::Mutex;
+
+/// Held by each test that starts a threaded run (see the module docs).
+static THREADED: Mutex<()> = Mutex::new(());
 
 fn canonical(h: &RunHistory) -> String {
     serde_json::to_string(h).expect("serialise history")
@@ -32,6 +38,7 @@ fn canonical(h: &RunHistory) -> String {
 
 #[test]
 fn chaos_over_compressed_frames_recovers_and_joins() {
+    let _threaded = THREADED.lock().unwrap_or_else(|e| e.into_inner());
     let (train, test) = mnist_like(0.1, 300).generate();
     let mut rng = seeded_rng(300);
     let part = iid_partition(&train, 3, &mut rng);
@@ -80,6 +87,43 @@ fn chaos_over_compressed_frames_recovers_and_joins() {
 
     // The join guarantee: every worker thread — initial and respawned —
     // is joined before the runtime returns.
+    assert_eq!(live_worker_threads(), 0, "worker threads leaked past the run");
+}
+
+#[test]
+fn sparse_downlinks_deliver_the_same_run_over_loop_and_threads() {
+    // A sparse downlink is decoded twice over: the loop engine's PS
+    // decodes its own frame with no reference (a zero base), a worker
+    // node decodes the frame it receives against explicit zeros. Both
+    // must deliver the same sub-model, so the runs are one history.
+    // The setup is `fedmp_core::ExperimentSpec::small(CnnMnist)`'s,
+    // rebuilt here: 4 workers at Medium heterogeneity, seed 42, and
+    // every link on the same sparse pair.
+    let _threaded = THREADED.lock().unwrap_or_else(|e| e.into_inner());
+    let seed = 42;
+    let (train, test) = mnist_like(0.1, seed).generate();
+    let part = iid_partition(&train, 4, &mut seeded_rng(seed ^ 0xDA7A));
+    let task = ImageTask::new(train, test, part);
+    let devices =
+        heterogeneity_scenario(HeterogeneityLevel::Medium, 4, &mut seeded_rng(seed ^ 0xDE71CE));
+    let setup = FlSetup::new(&task, devices, TimeModel::default());
+    let global = zoo::cnn_mnist(0.25, &mut seeded_rng(seed ^ 0x0DE1));
+    let cfg = FlConfig { rounds: 3, eval_every: 2, ..Default::default() };
+    for downlink in [Codec::TopK { keep: 0.5 }, Codec::TopKInt8 { keep: 0.3 }] {
+        let pair = LinkCodecs { downlink, uplink: Codec::TopKInt8 { keep: 0.2 } };
+        let compression = CompressionPolicy { slow_link_bps: 0.0, fast: pair, slow: pair };
+        let opts = FedMpOptions { compression, ..Default::default() };
+        let looped = run_fedmp(&cfg, &setup, global.clone(), &opts);
+        let threaded = run_threaded(
+            &cfg,
+            &setup,
+            global.clone(),
+            &SyncMethod::FedMp(opts),
+            &ChaosOptions::none(),
+        )
+        .expect("threaded run");
+        assert_eq!(canonical(&threaded), canonical(&looped), "{}", downlink.label());
+    }
     assert_eq!(live_worker_threads(), 0, "worker threads leaked past the run");
 }
 

@@ -24,7 +24,7 @@ use fedmp_fl::{
     codec_delivered, decode_state_v2, encode_state_v2, f16_bits_to_f32, f32_to_f16_bits,
     frame_checksum_ok, wire_size_v2, Codec, ErrorFeedback, ExactState, WireError,
 };
-use fedmp_nn::StateEntry;
+use fedmp_nn::{zoo, StateEntry};
 use fedmp_tensor::{crc32c, seeded_rng, uniform_vec, Tensor};
 use proptest::prelude::*;
 use rand::Rng;
@@ -327,16 +327,31 @@ fn one_tensor_state(data: Vec<f32>) -> Vec<StateEntry> {
 
 #[test]
 fn int8_error_is_within_half_a_quantization_step() {
-    // Symmetric int8: scale = max|x| / 127, rounding error ≤ scale / 2,
-    // i.e. ≤ max|x| / 254 per coordinate.
+    // Symmetric int8: scale = max|x| / 127 per tensor, rounding error
+    // ≤ scale / 2, i.e. ≤ max|x| / 254 per coordinate. Inputs: a uniform
+    // vector, and cnn_mnist states scaled by 0.01–10, as PS-side residual
+    // stores hold them.
     let mut rng = seeded_rng(41);
-    let data = uniform_vec(512, -3.0, 3.0, &mut rng);
-    let max_abs = data.iter().fold(0.0f32, |m, v| m.max(v.abs()));
-    let bound = max_abs / 254.0 * (1.0 + 1e-5);
-    let state = one_tensor_state(data.clone());
-    let delivered = codec_delivered(&state, Codec::Int8, None, None);
-    for (x, y) in data.iter().zip(delivered[0].tensor.data()) {
-        assert!((x - y).abs() <= bound, "int8 error {} exceeds bound {bound}", (x - y).abs());
+    let mut states = vec![one_tensor_state(uniform_vec(512, -3.0, 3.0, &mut rng))];
+    for _ in 0..16 {
+        let scale = rng.gen_range(0.01f32..10.0);
+        let mut state = zoo::cnn_mnist(0.1, &mut seeded_rng(rng.gen_range(0..1000))).state();
+        state.iter_mut().for_each(|e| e.tensor.scale_in_place(scale));
+        states.push(state);
+    }
+    for state in &states {
+        let delivered = codec_delivered(state, Codec::Int8, None, None);
+        for (e, d) in state.iter().zip(&delivered) {
+            let max_abs = e.tensor.data().iter().fold(0.0f32, |m, v| m.max(v.abs()));
+            let bound = max_abs / 254.0 * (1.0 + 1e-5);
+            for (x, y) in e.tensor.data().iter().zip(d.tensor.data()) {
+                assert!(
+                    (x - y).abs() <= bound,
+                    "int8 error {} exceeds bound {bound}",
+                    (x - y).abs()
+                );
+            }
+        }
     }
 }
 

@@ -36,12 +36,10 @@
 
 mod iss;
 mod plan;
-mod quant;
 mod rebuild;
 
 pub use iss::{extract_lstm, plan_lstm, recover_lstm_state, sparse_lstm_state, LstmPlan};
 pub use plan::{
     plan_sequential, plan_sequential_with, ratio_keep_count, Importance, LayerPlan, PrunePlan,
 };
-pub use quant::{dequantize_state, quant_error_bound, quantize_state, QuantState, QuantTensor};
 pub use rebuild::{extract_sequential, recover_state, sparse_state};

@@ -1,10 +1,7 @@
 //! Property tests of the pruning crate over random models and ratios.
 
 use fedmp_nn::{zoo, LayerNode};
-use fedmp_pruning::{
-    dequantize_state, extract_sequential, plan_sequential, quant_error_bound, quantize_state,
-    LayerPlan,
-};
+use fedmp_pruning::{extract_sequential, plan_sequential, LayerPlan};
 use fedmp_tensor::seeded_rng;
 use proptest::prelude::*;
 
@@ -54,29 +51,6 @@ proptest! {
                     prop_assert_eq!(l.in_features(), kept_in.len());
                 }
                 _ => {}
-            }
-        }
-    }
-
-    /// Quantization round-trip error never exceeds its own bound.
-    #[test]
-    fn quantization_error_is_bounded(seed in 0u64..1000, scale in 0.01f32..10.0) {
-        let mut rng = seeded_rng(seed);
-        let model = zoo::cnn_mnist(0.1, &mut rng);
-        let state: Vec<_> = model
-            .state()
-            .into_iter()
-            .map(|mut e| {
-                e.tensor.scale_in_place(scale);
-                e
-            })
-            .collect();
-        let q = quantize_state(&state);
-        let back = dequantize_state(&q);
-        let bound = quant_error_bound(&q);
-        for (a, b) in state.iter().zip(back.iter()) {
-            for (x, y) in a.tensor.data().iter().zip(b.tensor.data().iter()) {
-                prop_assert!((x - y).abs() <= bound + 1e-6);
             }
         }
     }

@@ -148,7 +148,8 @@ fn synfl_is_fedmp_at_ratio_zero_and_fedprox_at_mu_zero() {
 fn quantized_residual_store_changes_the_run_but_not_its_determinism() {
     // §III-C's 8-bit residual store (`FedMpOptions::quantize_residuals`,
     // DESIGN §3 item 5) is off in every experiment and workload, so
-    // this is tier-1's one round through `pruning::quant`: the switch must
+    // this is tier-1's one run through it (the wire's `Int8` codec,
+    // applied to each residual): the switch must
     // change the arithmetic, move final accuracy by at most 0.1 (0.945
     // exact vs 0.98 quantised at 16 rounds), and leave the run a
     // pure function of the seed — same bits at 1 and 4 executor

@@ -52,8 +52,8 @@ const GOLDENS: &[(&str, Bits, Bits)] = &[
     ("upfl",                      (0x7868f7a35ee416b1, 0x1072afcaf2521a8e), (0xcc104a286504833d, 0x8f09a2b0a25c3e56)),
     ("fedprox",                   (0x4f0aa97e71e47b90, 0x64ca9246f849c66f), (0x4f0aa97e71e47b90, 0xa3ef8d7814a51d2a)),
     ("flexcom",                   (0x82136b5dd433ef79, 0xf859bcb425ca6e8d), (0x82136b5dd433ef79, 0x9947eb622d9b6588)),
-    ("asynfl",                    (0xc708a19abc23f001, 0xf4248043f528d854), (0x9d60b565724084f0, 0x4cfe5c73c7345782)),
-    ("asynfedmp",                 (0x4b1c3de7ac61b9ae, 0x365664f1b75aaa5e), (0x1b29b03d354892dc, 0x70a8d0c878506b51)),
+    ("asynfl",                    (0xc708a19abc23f001, 0x23b1620c2ec3dd19), (0x9d60b565724084f0, 0x906614459193ebb5)),
+    ("asynfedmp",                 (0x4b1c3de7ac61b9ae, 0x2257836bfe5a8044), (0x1b29b03d354892dc, 0x108263fef4395813)),
     ("lm-synfl",                  (0x42ed6e3150dfd6b9, 0x24fdeda1b2759ff7), (0x2752b51e8db4c72d, 0xbb37c0869afd823f)),
     ("lm-upfl",                   (0xdfcc2813e0a93a59, 0xec383116845a3aa7), (0xdfcc2813e0a93a59, 0x56d1ec237f7ef5cf)),
     ("lm-fedmp",                  (0xf80b5906301e87e1, 0xabde1e39897460ef), (0xf80b5906301e87e1, 0xddd7daa712615eb7)),
